@@ -11,7 +11,7 @@ import scipy.cluster.hierarchy as sch
 
 from . import align
 from .embedstore import EmbeddingSet, intersect_on_images
-from .errors import ArgumentError, ConsistencyError, ProtocolError
+from .errors import ArgumentError, ConsistencyError, EmbalignError, ProtocolError
 from .ident_eval import evaluate_identification, rank_k_accuracy, score_matrix
 from .prep import apply_prep, fit_prep, l2_normalize
 from .splits import DEFAULT_SEEDS, identity_disjoint_split
@@ -98,7 +98,8 @@ def build_compatibility_matrix(
 ) -> CompatibilityMatrix:
     """Mean Rank-1 (percent) of every ordered model pair, self-pairs included.
 
-    Pairs whose evaluation fails are marked missing (NaN), never zero.
+    Pairs whose evaluation fails with an ``EmbalignError`` are marked
+    missing (NaN), never zero; any other exception is a bug and propagates.
     """
     sets = list(sets)
     m = len(sets)
@@ -111,7 +112,7 @@ def build_compatibility_matrix(
                     fraction=fraction, alpha=alpha, jobs=jobs,
                 )
                 rank1[i, j] = 100.0 * report.summary["rank_k"]["1"]["mean"]
-            except Exception:
+            except EmbalignError:
                 pass
     return CompatibilityMatrix(
         model_names=tuple(s.model_name for s in sets),

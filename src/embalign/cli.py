@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import align, analysis, embedstore, ident_eval, reports, splits, synth, verif_eval
-from .errors import EmbalignError
+from .errors import ArgumentError, EmbalignError
 from .prep import apply_prep, fit_prep, l2_normalize
 
 
@@ -28,12 +28,21 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NON_CONFIG}
 
 
+def _parse_list(text: str, kind, what: str) -> list:
+    try:
+        return [kind(s) for s in text.split(",")]
+    except ValueError:
+        raise ArgumentError(
+            f"{what} must be a comma-separated list of {kind.__name__}, got {text!r}"
+        ) from None
+
+
 def _seed_list(args) -> list:
-    if getattr(args, "seeds", None):
-        return [int(s) for s in args.seeds.split(",")]
+    if getattr(args, "seeds", None) is not None:
+        return _parse_list(args.seeds, int, "--seeds")
     env = os.environ.get("EMBALIGN_SEEDS")
     if env:
-        return [int(s) for s in env.split(",")]
+        return _parse_list(env, int, "EMBALIGN_SEEDS")
     return list(splits.DEFAULT_SEEDS)
 
 
@@ -228,7 +237,7 @@ def cmd_sweep(args):
     a = _load(args.source, args.format)
     b = _load(args.target, args.format)
     seeds = _seed_list(args)
-    fractions = [float(f) for f in args.fractions.split(",")]
+    fractions = _parse_list(args.fractions, float, "--fractions")
     methods = tuple(args.methods.split(","))
     table = analysis.training_size_sweep(
         a, b, fractions, seeds=seeds, methods=methods,
@@ -327,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ArgumentError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except EmbalignError as exc:
         print(f"embalign: error: {exc}", file=sys.stderr)

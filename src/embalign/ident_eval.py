@@ -5,6 +5,22 @@ preprocessing and the alignment map on training rows only, use aligned
 test-source rows as queries against preprocessed test-target rows as the
 gallery.  An unaligned baseline (unit-normalized, zero-padded, no
 centering, no map) is computed on the same test rows.
+
+Ranking.  Rank-k, mAP and CMC all derive from one rank kernel.  For a
+query with score row s, gallery item j has the 1-based rank
+``1 + #{l: s[l] > s[j]} + #{l < j: s[l] == s[j]}``: descending score,
+ties broken by ascending gallery index, as a stable descending sort
+would order them.  Entries scored -inf count as removed from the
+gallery: they are never relevant and never outrank anything (the
+exclude-self protocol removes each query's own image this way).  NaN
+and +inf scores are rejected with ``DataError``.
+
+Memory.  The kernel walks the queries in blocks of at most
+``_CELL_BUDGET`` score entries (or one row, for galleries larger than
+that) and ranks each block by one sort of its rows.  Its
+temporaries hold one block each, so memory beyond the score matrix does
+not grow with the number of queries or of items per label.  The score
+matrix is never copied.
 """
 
 from __future__ import annotations
@@ -15,12 +31,21 @@ import numpy as np
 
 from . import align
 from .embedstore import EmbeddingSet, intersect_on_images
-from .errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
+from .errors import (
+    ArgumentError,
+    ConsistencyError,
+    DataError,
+    DegenerateRowError,
+    ProtocolError,
+)
 from .prep import apply_prep, fit_prep, l2_normalize
 from .splits import DEFAULT_SEEDS, identity_disjoint_split
 
 RANK_KS = (1, 5, 10)
 CMC_MAX_RANK = 50
+
+# score entries one step of the rank kernel sorts at a time
+_CELL_BUDGET = 1 << 16
 
 
 def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
@@ -37,32 +62,101 @@ def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(scores, q_labels, g_labels):
+    """Validate scores against the labels; return scores and label codes.
+
+    Labels compare by their string form and are factorized once to
+    integer codes shared by queries and gallery.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    q_labels = np.asarray([str(l) for l in q_labels])
-    g_labels = np.asarray([str(l) for l in g_labels])
+    q_labels = [str(l) for l in q_labels]
+    g_labels = [str(l) for l in g_labels]
     if scores.shape != (len(q_labels), len(g_labels)):
         raise ConsistencyError(
             f"scores shape {scores.shape} does not match "
             f"{len(q_labels)} queries x {len(g_labels)} gallery labels"
         )
-    return scores, q_labels, g_labels
+    # max() is NaN if any entry is NaN, so one reduction catches NaN and +inf
+    if scores.size and not scores.max() < np.inf:
+        raise DataError("scores contain NaN or +inf (only -inf, meaning removed, is allowed)")
+    _, codes = np.unique(np.asarray(q_labels + g_labels, dtype=str), return_inverse=True)
+    return scores, codes[: len(q_labels)], codes[len(q_labels):]
 
 
-def _ranking(scores):
-    # stable sort on negated scores: descending score, ties by ascending index
-    return np.argsort(-scores, axis=1, kind="stable")
+def _rank_blocks(scores, q_codes, g_codes, exclude_self=False):
+    """Rank the gallery for one block of queries at a time.
+
+    Yields ``(start, stop, hits)`` per block of queries ``start:stop``:
+    ``hits[i, r]`` is True when the gallery item at rank ``r + 1`` for
+    query ``start + i`` (module docstring) is live and has its label, so
+    the ranks of the relevant items are the nonzero columns plus one.
+    With ``exclude_self`` the diagonal counts as scored -inf.
+    """
+    n_q, n_g = scores.shape
+    if n_g == 0:
+        return  # nothing to rank
+    step = max(1, _CELL_BUDGET // n_g)
+    for start in range(0, n_q, step):
+        stop = min(start + step, n_q)
+        neg = -scores[start:stop]
+        if exclude_self:
+            neg[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        relevant = (q_codes[start:stop, None] == g_codes) & (neg < np.inf)
+        # numpy's default sort is fast but leaves equal scores in any order;
+        # re-sorting on (run of equal scores, gallery index) gives the
+        # stable order
+        order = np.argsort(neg, axis=1)
+        ranked = np.take_along_axis(neg, order, axis=1)
+        run = np.zeros(order.shape, dtype=np.intp)
+        np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=run[:, 1:])
+        run *= n_g
+        run += order
+        run.sort(axis=1)
+        np.remainder(run, n_g, out=order)
+        yield start, stop, np.take_along_axis(relevant, order, axis=1)
+
+
+def _ranked(scores, q_codes, g_codes, exclude_self=False, with_ap=False):
+    """First-hit rank per query and, if asked, average precision per query.
+
+    A query without a live relevant item gets first-hit rank
+    ``n_gallery + 1`` and AP NaN.  AP keeps the expression of a per-row
+    sorted evaluation, ``sum(cumsum(rel) / rank * rel) / n_rel``, on
+    blocks of rows, so its value is the same to the last bit.
+    """
+    n_q, n_g = scores.shape
+    first = np.full(n_q, n_g + 1, dtype=np.intp)
+    aps = np.full(n_q, np.nan) if with_ap else None
+    positions = np.arange(1, n_g + 1)
+    for start, stop, hits in _rank_blocks(scores, q_codes, g_codes, exclude_self):
+        found = hits.any(axis=1)
+        first[start:stop][found] = hits[found].argmax(axis=1) + 1
+        if with_ap:
+            rel = hits.astype(np.float64)
+            with np.errstate(invalid="ignore"):
+                aps[start:stop] = (
+                    (np.cumsum(rel, axis=1) / positions * rel).sum(axis=1)
+                    / rel.sum(axis=1)
+                )
+    return first, aps
+
+
+def _require_relevant(first, n_g):
+    missing = np.flatnonzero(first > n_g)
+    if missing.size:
+        raise ProtocolError(f"query {missing[0]} has no relevant gallery items")
+
+
+def _cmc(first, max_rank):
+    return [float((first <= k).mean()) for k in range(1, max_rank + 1)]
 
 
 def rank_k_accuracy(scores, q_labels, g_labels, k: int) -> float:
     """Fraction of queries with a same-label gallery item in the top k."""
-    scores, q_labels, g_labels = _check_labels(scores, q_labels, g_labels)
-    if not 1 <= k <= len(g_labels):
-        raise ArgumentError(f"k={k} outside [1, {len(g_labels)}]")
-    order = _ranking(scores)
-    top = g_labels[order[:, :k]]
-    live = np.take_along_axis(scores, order[:, :k], axis=1) > -np.inf
-    hits = ((top == q_labels[:, None]) & live).any(axis=1)
-    return float(hits.mean())
+    scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
+    if not 1 <= k <= len(g_codes):
+        raise ArgumentError(f"k={k} outside [1, {len(g_codes)}]")
+    first, _ = _ranked(scores, q_codes, g_codes)
+    return float((first <= k).mean())
 
 
 def mean_average_precision(scores, q_labels, g_labels) -> float:
@@ -71,38 +165,30 @@ def mean_average_precision(scores, q_labels, g_labels) -> float:
     Entries scored -inf are treated as removed from the gallery (used by
     the exclude-self protocol variant).
     """
-    scores, q_labels, g_labels = _check_labels(scores, q_labels, g_labels)
-    order = _ranking(scores)
-    aps = np.empty(len(q_labels))
-    for i in range(len(q_labels)):
-        live = scores[i, order[i]] > -np.inf
-        rel = ((g_labels[order[i]] == q_labels[i]) & live).astype(np.float64)
-        n_rel = rel.sum()
-        if n_rel == 0:
-            raise ProtocolError(f"query {i} has no relevant gallery items")
-        ranks = np.arange(1, len(g_labels) + 1)
-        aps[i] = float((np.cumsum(rel) / ranks * rel).sum() / n_rel)
+    scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
+    first, aps = _ranked(scores, q_codes, g_codes, with_ap=True)
+    _require_relevant(first, len(g_codes))
     return float(aps.mean())
+
+
+def _first_hits(scores, q_codes, g_codes):
+    first, _ = _ranked(scores, q_codes, g_codes)
+    if (first > len(g_codes)).any():
+        raise ProtocolError("some query label never occurs in the gallery")
+    return first
 
 
 def first_hit_ranks(scores, q_labels, g_labels) -> np.ndarray:
     """1-based rank of the first same-label gallery item per query."""
-    scores, q_labels, g_labels = _check_labels(scores, q_labels, g_labels)
-    order = _ranking(scores)
-    live = np.take_along_axis(scores, order, axis=1) > -np.inf
-    hits = (g_labels[order] == q_labels[:, None]) & live
-    if not hits.any(axis=1).all():
-        raise ProtocolError("some query label never occurs in the gallery")
-    return hits.argmax(axis=1) + 1
+    return _first_hits(*_check_labels(scores, q_labels, g_labels))
 
 
 def cmc_curve(scores, q_labels, g_labels, max_rank: int = CMC_MAX_RANK):
     """Identification accuracy at ranks 1..max_rank (nondecreasing)."""
-    scores, q_labels, g_labels = _check_labels(scores, q_labels, g_labels)
-    if max_rank > len(g_labels):
-        raise ArgumentError(f"max_rank {max_rank} exceeds gallery size {len(g_labels)}")
-    ranks = first_hit_ranks(scores, q_labels, g_labels)
-    return [float((ranks <= k).mean()) for k in range(1, max_rank + 1)]
+    scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
+    if max_rank > len(g_codes):
+        raise ArgumentError(f"max_rank {max_rank} exceeds gallery size {len(g_codes)}")
+    return _cmc(_first_hits(scores, q_codes, g_codes), max_rank)
 
 
 @dataclass(frozen=True)
@@ -191,23 +277,21 @@ class RetrievalReport:
 
 def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_self):
     scores = np.asarray(scores, dtype=np.float64)
-    if exclude_self:
-        if scores.shape[0] != scores.shape[1]:
-            raise ConsistencyError("exclude_self requires query set == gallery set")
-        scores = scores.copy()
-        np.fill_diagonal(scores, -np.inf)
-    rank_k = {
-        k: rank_k_accuracy(scores, q_labels, g_labels, k)
-        for k in RANK_KS
-        if k <= len(g_labels)
-    }
+    if exclude_self and scores.shape[0] != scores.shape[1]:
+        raise ConsistencyError("exclude_self requires query set == gallery set")
+    scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
+    n_g = len(g_codes)
+    first, aps = _ranked(scores, q_codes, g_codes, exclude_self, with_ap=True)
+    _require_relevant(first, n_g)
+    if max_rank > n_g:
+        raise ArgumentError(f"max_rank {max_rank} exceeds gallery size {n_g}")
     return SeedRetrieval(
         seed=seed,
-        rank_k=rank_k,
-        map_score=mean_average_precision(scores, q_labels, g_labels),
-        cmc=tuple(cmc_curve(scores, q_labels, g_labels, max_rank)),
-        n_queries=len(q_labels),
-        n_gallery=len(g_labels),
+        rank_k={k: float((first <= k).mean()) for k in RANK_KS if k <= n_g},
+        map_score=float(aps.mean()),
+        cmc=tuple(_cmc(first, max_rank)),
+        n_queries=len(q_codes),
+        n_gallery=n_g,
     )
 
 

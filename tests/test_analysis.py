@@ -9,6 +9,7 @@ from embalign import (
     symmetrize,
     training_size_sweep,
 )
+from embalign import analysis
 from embalign.errors import ArgumentError, ConsistencyError, ProtocolError
 
 
@@ -212,6 +213,31 @@ def test_compatibility_matrix_single_model(small_views):
     v0, _ = small_views
     cm = build_compatibility_matrix([v0], seeds=(0,))
     assert cm.rank1.shape == (1, 1)
+
+
+def _failing_cell(monkeypatch, exc):
+    """Make the evaluation of the cell m0 -> m1 raise exc."""
+    real = analysis.evaluate_identification
+
+    def evaluate(source, target, **kwargs):
+        if (source.model_name, target.model_name) == ("m0", "m1"):
+            raise exc
+        return real(source, target, **kwargs)
+
+    monkeypatch.setattr(analysis, "evaluate_identification", evaluate)
+
+
+def test_compatibility_matrix_protocol_error_is_missing_cell(small_views, monkeypatch):
+    _failing_cell(monkeypatch, ProtocolError("no relevant gallery items"))
+    cm = build_compatibility_matrix(list(small_views), seeds=(0,))
+    assert np.isnan(cm.rank1[0, 1])
+    assert not np.isnan(np.delete(cm.rank1.ravel(), 1)).any()
+
+
+def test_compatibility_matrix_bug_propagates(small_views, monkeypatch):
+    _failing_cell(monkeypatch, TypeError("bug in a cell"))
+    with pytest.raises(TypeError, match="bug in a cell"):
+        build_compatibility_matrix(list(small_views), seeds=(0,))
 
 
 def test_sweep_shape_and_determinism(small_views):

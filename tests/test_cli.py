@@ -157,3 +157,44 @@ def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize("seeds", ["0,x", "", "1.5", "0,,1"])
+def test_bad_seeds_flag_is_clean_error(synth_dir, tmp_path, capsys, seeds):
+    assert eval_id(synth_dir, tmp_path, "--seeds", seeds) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and "--seeds" in err
+
+
+def test_bad_env_seeds_is_clean_error(synth_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EMBALIGN_SEEDS", "0,x")
+    code = run(
+        "eval-id", "--source", str(synth_dir / "view0.emb"),
+        "--target", str(synth_dir / "view1.emb"), "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and "EMBALIGN_SEEDS" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_clean_error(synth_dir, tmp_path, capsys, jobs):
+    assert eval_id(synth_dir, tmp_path / "id", "--jobs", jobs) == 1
+    assert capsys.readouterr().err.startswith("embalign: error: --jobs")
+    code = run(
+        "matrix", "--inputs", str(synth_dir / "view0.emb"), str(synth_dir / "view1.emb"),
+        "--seeds", "0", "--jobs", jobs, "--out-dir", str(tmp_path / "mat"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("embalign: error: --jobs")
+    assert not (tmp_path / "id").exists() and not (tmp_path / "mat").exists()
+
+
+def test_bad_fractions_is_clean_error(synth_dir, tmp_path, capsys):
+    code = run(
+        "sweep", "--source", str(synth_dir / "view0.emb"),
+        "--target", str(synth_dir / "view1.emb"),
+        "--seeds", "0", "--fractions", "0.5,half", "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert "--fractions" in capsys.readouterr().err

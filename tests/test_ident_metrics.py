@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embalign import (
     cmc_curve,
@@ -8,12 +13,15 @@ from embalign import (
     rank_k_accuracy,
     score_matrix,
 )
+from embalign import ident_eval
 from embalign.errors import (
     ArgumentError,
     ConsistencyError,
+    DataError,
     DegenerateRowError,
     ProtocolError,
 )
+from embalign.ident_eval import RANK_KS, SeedRetrieval, _metrics_from_scores, first_hit_ranks
 
 
 # --- naive O(Q*G log G) reference implementations -------------------------
@@ -237,3 +245,219 @@ def test_exclude_self_drops_own_image(small_views):
     # same space, so nearest non-self neighbor is still same identity
     assert rep.per_seed[0].rank_k[1] == 1.0
     assert rep.metadata["gallery_includes_self"] is False
+
+
+# --- exact agreement with a sort-based reference --------------------------
+# The reference ranks every query by a full stable sort and evaluates each
+# metric on that order, query by query; the library must give the same
+# SeedRetrieval, mAP to the last bit, and the same errors.
+
+def _ref_check(scores, q_labels, g_labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    q_labels = np.asarray([str(l) for l in q_labels])
+    g_labels = np.asarray([str(l) for l in g_labels])
+    if scores.shape != (len(q_labels), len(g_labels)):
+        raise ConsistencyError(
+            f"scores shape {scores.shape} does not match "
+            f"{len(q_labels)} queries x {len(g_labels)} gallery labels"
+        )
+    return scores, q_labels, g_labels
+
+
+def _ref_order(scores):
+    return np.argsort(-scores, axis=1, kind="stable")
+
+
+def ref_rank_k(scores, q_labels, g_labels, k):
+    scores, q_labels, g_labels = _ref_check(scores, q_labels, g_labels)
+    order = _ref_order(scores)
+    top = g_labels[order[:, :k]]
+    live = np.take_along_axis(scores, order[:, :k], axis=1) > -np.inf
+    return float(((top == q_labels[:, None]) & live).any(axis=1).mean())
+
+
+def ref_map(scores, q_labels, g_labels):
+    scores, q_labels, g_labels = _ref_check(scores, q_labels, g_labels)
+    order = _ref_order(scores)
+    aps = np.empty(len(q_labels))
+    for i in range(len(q_labels)):
+        live = scores[i, order[i]] > -np.inf
+        rel = ((g_labels[order[i]] == q_labels[i]) & live).astype(np.float64)
+        n_rel = rel.sum()
+        if n_rel == 0:
+            raise ProtocolError(f"query {i} has no relevant gallery items")
+        ranks = np.arange(1, len(g_labels) + 1)
+        aps[i] = float((np.cumsum(rel) / ranks * rel).sum() / n_rel)
+    return float(aps.mean())
+
+
+def ref_cmc(scores, q_labels, g_labels, max_rank):
+    scores, q_labels, g_labels = _ref_check(scores, q_labels, g_labels)
+    if max_rank > len(g_labels):
+        raise ArgumentError(f"max_rank {max_rank} exceeds gallery size {len(g_labels)}")
+    order = _ref_order(scores)
+    live = np.take_along_axis(scores, order, axis=1) > -np.inf
+    hits = (g_labels[order] == q_labels[:, None]) & live
+    if not hits.any(axis=1).all():
+        raise ProtocolError("some query label never occurs in the gallery")
+    ranks = hits.argmax(axis=1) + 1
+    return [float((ranks <= k).mean()) for k in range(1, max_rank + 1)]
+
+
+def ref_metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_self):
+    scores = np.asarray(scores, dtype=np.float64)
+    if exclude_self:
+        if scores.shape[0] != scores.shape[1]:
+            raise ConsistencyError("exclude_self requires query set == gallery set")
+        scores = scores.copy()
+        np.fill_diagonal(scores, -np.inf)
+    rank_k = {
+        k: ref_rank_k(scores, q_labels, g_labels, k)
+        for k in RANK_KS
+        if k <= len(g_labels)
+    }
+    return SeedRetrieval(
+        seed=seed,
+        rank_k=rank_k,
+        map_score=ref_map(scores, q_labels, g_labels),
+        cmc=tuple(ref_cmc(scores, q_labels, g_labels, max_rank)),
+        n_queries=len(q_labels),
+        n_gallery=len(g_labels),
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArgumentError, ConsistencyError, ProtocolError) as exc:
+        return type(exc), str(exc)
+
+
+LEVELS = [-0.5, 0.0, 0.25, 0.5, 0.75]
+
+
+@st.composite
+def retrieval_cases(draw):
+    exclude_self = draw(st.booleans())
+    n_g = draw(st.integers(1, 14))
+    n_q = n_g if exclude_self else draw(st.integers(1, 12))
+    # few labels, drawn unevenly: some identities own most of the gallery
+    pool = st.sampled_from("aaaabbcde")
+    g_labels = draw(st.lists(pool, min_size=n_g, max_size=n_g))
+    if exclude_self:
+        q_labels = g_labels  # the queries are the gallery images
+    elif draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, n_g - 1), min_size=n_q, max_size=n_q))
+        q_labels = [g_labels[i] for i in picks]
+    else:  # labels absent from the gallery leave queries without a relevant item
+        q_labels = draw(st.lists(st.sampled_from("abcdef"), min_size=n_q, max_size=n_q))
+    levels = LEVELS + [-np.inf] if draw(st.booleans()) else LEVELS
+    flat = draw(st.lists(st.sampled_from(levels), min_size=n_q * n_g, max_size=n_q * n_g))
+    scores = np.array(flat, dtype=np.float64).reshape(n_q, n_g)
+    max_rank = draw(st.sampled_from([min(ident_eval.CMC_MAX_RANK, n_g), n_g, n_g + 1]))
+    return scores, q_labels, g_labels, max_rank, exclude_self
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=retrieval_cases(), budget=st.sampled_from([1, 5, 16, 1 << 16]))
+def test_metrics_equal_sort_reference(case, budget):
+    scores, q_labels, g_labels, max_rank, exclude_self = case
+    args = (scores, q_labels, g_labels, max_rank, 7, exclude_self)
+    want = outcome(ref_metrics_from_scores, *args)
+    # small budgets split the queries into blocks of one or a few rows
+    with mock.patch.object(ident_eval, "_CELL_BUDGET", budget):
+        got = outcome(_metrics_from_scores, *args)
+    assert got == want
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_metrics_equal_sort_reference_long_rows(exclude_self):
+    # rows long enough for numpy's pairwise summation to block the mAP sums
+    rng = np.random.default_rng(12)
+    n = 600
+    labels = [f"p{i % 60}" for i in rng.permutation(n)]
+    scores = rng.standard_normal((n, n))
+    scores[:, ::7] = np.round(scores[:, ::7], 1)  # some exact ties
+    args = (scores, labels, labels, ident_eval.CMC_MAX_RANK, 0, exclude_self)
+    assert _metrics_from_scores(*args) == ref_metrics_from_scores(*args)
+
+
+def test_public_metrics_equal_sort_reference():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n_q, n_g = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        g_labels = [str(rng.integers(0, 3)) for _ in range(n_g)]
+        q_labels = [str(rng.integers(0, 4)) for _ in range(n_q)]
+        scores = rng.choice(LEVELS + [-np.inf], size=(n_q, n_g))
+        for k in range(1, n_g + 1):
+            assert rank_k_accuracy(scores, q_labels, g_labels, k) == ref_rank_k(
+                scores, q_labels, g_labels, k
+            )
+        assert outcome(mean_average_precision, scores, q_labels, g_labels) == outcome(
+            ref_map, scores, q_labels, g_labels
+        )
+        assert outcome(cmc_curve, scores, q_labels, g_labels, n_g) == outcome(
+            ref_cmc, scores, q_labels, g_labels, n_g
+        )
+
+
+def test_empty_gallery():
+    scores = np.zeros((2, 0))
+    with pytest.raises(ProtocolError):
+        mean_average_precision(scores, ["a", "b"], [])
+    with pytest.raises(ArgumentError):
+        rank_k_accuracy(scores, ["a", "b"], [], 1)
+
+
+# --- non-finite scores ----------------------------------------------------
+
+METRICS = [
+    lambda s, q, g: rank_k_accuracy(s, q, g, 1),
+    mean_average_precision,
+    first_hit_ranks,
+    lambda s, q, g: cmc_curve(s, q, g, 2),
+]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scores_raise(metric, bad):
+    scores = np.array([[0.9, 0.1], [0.2, bad]])
+    with pytest.raises(DataError):
+        metric(scores, ["a", "b"], ["a", "b"])
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_minus_inf_is_allowed(metric):
+    metric(np.array([[-np.inf, 0.9, 0.5], [0.2, 0.8, 0.1]]), ["a", "b"], ["b", "b", "a"])
+
+
+def test_minus_inf_means_removed():
+    scores = np.array([[-np.inf, 0.9, 0.5], [0.2, 0.8, 0.1]])
+    assert rank_k_accuracy(scores, ["a", "b"], ["b", "b", "a"], 1) == 0.5
+    with pytest.raises(ProtocolError):
+        mean_average_precision(scores, ["a", "b"], ["a", "b", "b"])
+
+
+def test_protocol_rejects_non_finite_scores():
+    scores = np.eye(3)
+    scores[0, 1] = np.nan
+    with pytest.raises(DataError):
+        _metrics_from_scores(scores, list("abc"), list("abc"), 3, 0, True)
+
+
+# --- memory ---------------------------------------------------------------
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_ranking_memory_bounded_by_score_matrix(exclude_self):
+    rng = np.random.default_rng(8)
+    n = 2000
+    labels = [f"p{i % 200}" for i in rng.permutation(n)]
+    scores = rng.standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        _metrics_from_scores(scores, labels, labels, ident_eval.CMC_MAX_RANK, 0, exclude_self)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * scores.nbytes
