@@ -13,6 +13,7 @@ orthogonal fit (no determinant correction).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
-from .prep import PrepStats, apply_prep, l2_normalize
+from .prep import PrepStats, apply_prep, fit_prep, l2_normalize
 
 #: relative cutoff below which singular values are treated as zero in the
 #: pseudo-inverse (zero-padded columns make X^T X singular by construction)
@@ -120,6 +121,25 @@ class AlignmentMap:
             raise ConsistencyError("alpha must be 0 unless method is ridge")
 
 
+def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=None, **meta):
+    """Fit the preprocessing and a map on unit-normalized training rows.
+
+    ``rows`` selects the training rows of ``x`` and ``y`` (default: all).
+    Each step takes its own copy of them, so no copy outlives its step
+    and the map is fit with only the preprocessed rows held.  ``meta``
+    fills the descriptive fields of the returned :class:`AlignmentMap`
+    (``source_model``, ``target_model``, ``seed``).
+    """
+    tr = slice(None) if rows is None else rows
+    stats = fit_prep(x[tr], y[tr])
+    w = fit_map(
+        apply_prep(x[tr], stats, "source"), apply_prep(y[tr], stats, "target"), method, alpha
+    )
+    return AlignmentMap(
+        w=w, stats=stats, method=method, alpha=alpha if method == "ridge" else 0.0, **meta
+    )
+
+
 def transform(rows: np.ndarray, amap: AlignmentMap) -> np.ndarray:
     """Normalize, preprocess with the source-side stats, and apply the map."""
     prepped = apply_prep(l2_normalize(rows), amap.stats, "source")
@@ -180,13 +200,32 @@ def save_map(amap: AlignmentMap, path: str) -> None:
         raise IoError(str(exc)) from exc
 
 
-def load_map(path: str) -> AlignmentMap:
-    """Inverse of :func:`save_map`."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+#: header fields of a map file and their JSON types
+_MAP_FIELDS = {
+    "format_version": int,
+    "method": str,
+    "alpha": (int, float),
+    "d_a": int,
+    "d_b": int,
+    "D": int,
+    "n_train": int,
+    "source_model": str,
+    "target_model": str,
+    "seed": int,
+    "offset_mu_x": int,
+    "offset_mu_y": int,
+    "offset_w": int,
+}
+_MAP_COUNTS = ("d_a", "d_b", "D", "n_train", "offset_mu_x", "offset_mu_y", "offset_w")
+
+
+def _map_header(blob: bytes, path: str) -> dict:
+    """Parse and validate the header line of a map file.
+
+    Every field must be present with its type, counts and offsets must be
+    nonnegative, ``D`` must equal ``max(d_a, d_b)``, and the three data
+    blocks must lie after the header, inside the file, without overlapping.
+    """
     newline = blob.find(b"\n")
     if newline < 0:
         raise FormatError(f"{path}: missing header line")
@@ -194,25 +233,65 @@ def load_map(path: str) -> AlignmentMap:
         header = json.loads(blob[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
-    if header.get("format_version") != _MAP_FORMAT_VERSION:
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    version = header.get("format_version")
+    if isinstance(version, bool) or version != _MAP_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format_version")
+    for key, kind in _MAP_FIELDS.items():
+        value = header.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise FormatError(f"{path}: header field {key!r} missing or of the wrong type")
+    for key in _MAP_COUNTS:
+        if header[key] < 0:
+            raise FormatError(f"{path}: header field {key!r} is negative")
+    if isinstance(header["alpha"], float) and not math.isfinite(header["alpha"]):
+        raise FormatError(f"{path}: header field 'alpha' is not finite")
+    if header["method"] not in METHODS:
+        raise FormatError(f"{path}: unknown method {header['method']!r}")
+    if header["D"] != max(header["d_a"], header["d_b"]):
+        raise FormatError(f"{path}: D must equal max(d_a, d_b)")
+    blocks = sorted(
+        (header[f"offset_{name}"], 8 * count, name)
+        for name, count in (
+            ("mu_x", header["d_a"]), ("mu_y", header["d_b"]), ("w", header["D"] ** 2)
+        )
+    )
+    end = newline + 1
+    for offset, size, name in blocks:
+        if offset < end:
+            raise FormatError(f"{path}: data block {name} overlaps the header or another block")
+        end = offset + size
+        if end > len(blob):
+            raise FormatError(f"{path}: truncated data block {name}")
+    return header
+
+
+def load_map(path: str) -> AlignmentMap:
+    """Inverse of :func:`save_map`; a malformed file raises ``FormatError``."""
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    header = _map_header(blob, path)
     d_a, d_b, big_d = header["d_a"], header["d_b"], header["D"]
 
-    def block(offset, count):
-        end = offset + 8 * count
-        if end > len(blob):
-            raise FormatError(f"{path}: truncated data block")
-        return np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+    def block(name, count):
+        values = np.frombuffer(blob, dtype="<f8", count=count, offset=header[f"offset_{name}"])
+        if not np.all(np.isfinite(values)):
+            raise FormatError(f"{path}: non-finite values in data block {name}")
+        return values
 
     stats = PrepStats(
-        mu_x=block(header["offset_mu_x"], d_a),
-        mu_y=block(header["offset_mu_y"], d_b),
+        mu_x=block("mu_x", d_a),
+        mu_y=block("mu_y", d_b),
         d_a=d_a,
         d_b=d_b,
         big_d=big_d,
         n_train=header["n_train"],
     )
-    w = block(header["offset_w"], big_d * big_d).reshape(big_d, big_d)
+    w = block("w", big_d * big_d).reshape(big_d, big_d)
     return AlignmentMap(
         w=w,
         stats=stats,

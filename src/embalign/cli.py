@@ -8,14 +8,15 @@ seed list {0..4}; an explicit ``--seeds`` flag overrides both.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 import numpy as np
 
 from . import align, analysis, embedstore, ident_eval, reports, splits, synth, verif_eval
-from .errors import ArgumentError, EmbalignError
-from .prep import apply_prep, fit_prep, l2_normalize
+from .errors import ArgumentError, EmbalignError, FormatError, IoError
+from .prep import l2_normalize
 
 
 # run-environment knobs that must not leak into reports: identical inputs
@@ -100,13 +101,8 @@ def cmd_fit(args):
     norm_b = l2_normalize(b.rows)
     split = splits.identity_disjoint_split(labels, args.train_frac, args.seed)
     tr = list(split.train_rows)
-    stats = fit_prep(norm_a[tr], norm_b[tr])
-    xp = apply_prep(norm_a[tr], stats, "source")
-    yp = apply_prep(norm_b[tr], stats, "target")
-    w = align.fit_map(xp, yp, args.method, args.alpha)
-    amap = align.AlignmentMap(
-        w=w, stats=stats, method=args.method,
-        alpha=args.alpha if args.method == "ridge" else 0.0,
+    amap = align.fit_alignment(
+        norm_a, norm_b, args.method, args.alpha, rows=tr,
         source_model=a.model_name, target_model=b.model_name, seed=args.seed,
     )
     align.save_map(amap, args.out)
@@ -204,18 +200,47 @@ def cmd_matrix(args):
     return 0
 
 
-def cmd_cluster(args):
-    import json
+def _matrix_entry(v, path):
+    if v is None:
+        return np.nan
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            pass
+    raise FormatError(f"{path}: 'rank1' entries must be numbers or null")
 
-    with open(args.matrix, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    metrics = doc.get("metrics", doc)
-    names = metrics["model_names"]
-    rank1 = np.array(
-        [[np.nan if v is None else v for v in row] for row in metrics["rank1"]]
+
+def _read_matrix(path: str) -> analysis.CompatibilityMatrix:
+    """Load the compatibility matrix from a ``matrix`` report (or its metrics)."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise FormatError(f"{path}: not a JSON document: {exc}") from exc
+    metrics = doc.get("metrics", doc) if isinstance(doc, dict) else None
+    if not isinstance(metrics, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    names, rank1 = metrics.get("model_names"), metrics.get("rank1")
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise FormatError(f"{path}: 'model_names' must be a list of strings")
+    if not (isinstance(rank1, list)
+            and all(isinstance(row, list) and len(row) == len(names) for row in rank1)):
+        raise FormatError(f"{path}: 'rank1' must be a list of rows of {len(names)} entries")
+    values = [[_matrix_entry(v, path) for v in row] for row in rank1]
+    return analysis.CompatibilityMatrix(
+        names,
+        np.array(values, dtype=np.float64).reshape(len(rank1), len(names)),
+        metrics.get("dataset", ""),
+        metrics.get("method", "procrustes"),
     )
-    cm = analysis.CompatibilityMatrix(names, rank1, metrics.get("dataset", ""),
-                                      metrics.get("method", "procrustes"))
+
+
+def cmd_cluster(args):
+    cm = _read_matrix(args.matrix)
+    names = list(cm.model_names)
     sym = analysis.symmetrize(cm)
     dend = analysis.agglomerative_cluster(sym, linkage=args.linkage, model_names=names)
     asym = analysis.asymmetry_stats(cm)

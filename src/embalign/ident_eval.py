@@ -38,7 +38,7 @@ from .errors import (
     DegenerateRowError,
     ProtocolError,
 )
-from .prep import apply_prep, fit_prep, l2_normalize
+from .prep import apply_prep, l2_normalize
 from .splits import DEFAULT_SEEDS, identity_disjoint_split
 
 RANK_KS = (1, 5, 10)
@@ -299,17 +299,7 @@ def _fit_seed(norm_a, norm_b, labels, method, alpha, fraction, seed):
     """Split, fit prep + map on train rows; return (map, test row indices)."""
     split = identity_disjoint_split(labels, fraction, seed)
     tr = list(split.train_rows)
-    stats = fit_prep(norm_a[tr], norm_b[tr])
-    xp = apply_prep(norm_a[tr], stats, "source")
-    yp = apply_prep(norm_b[tr], stats, "target")
-    w = align.fit_map(xp, yp, method, alpha)
-    amap = align.AlignmentMap(
-        w=w,
-        stats=stats,
-        method=method,
-        alpha=alpha if method == "ridge" else 0.0,
-        seed=seed,
-    )
+    amap = align.fit_alignment(norm_a, norm_b, method, alpha, rows=tr, seed=seed)
     return amap, list(split.test_rows)
 
 

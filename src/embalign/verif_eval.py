@@ -3,6 +3,18 @@
 Scoring is directional by default: the source member of each pair passes
 through the alignment map, the target member stays in its own space.  A
 symmetric mode averages the two directions.
+
+Pair scoring gathers the rows of a block of at most ``_PAIR_BLOCK`` pairs
+at a time, so its temporaries hold block x D values whatever the number
+of pairs.  Each dot product goes through BLAS ``ddot``, as ``u @ v`` and
+``np.linalg.norm(u)`` do, so every score has the same bits as the
+one-pair-at-a-time expression ``u @ v / (norm(u) * norm(v))``.
+
+ROC metrics.  The evaluation path keeps each ROC as two arrays (FMR, TMR)
+and computes AUC, EER and TMR@FMR from them in the operation order of the
+public list-based functions, which wrap the same kernels.  The curve runs
+from the (0, 0) origin to (1, 1); AUC closes a curve that stops short of
+(1, 1), and EER closes one that starts after the origin.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from . import align
 from .embedstore import EmbeddingSet, intersect_on_images
 from .errors import ArgumentError, ConsistencyError, ProtocolError
 from .ident_eval import _fit_seed, _map_seeds, _pad
-from .prep import apply_prep, fit_prep, l2_normalize
+from .prep import apply_prep, l2_normalize
 from .splits import (
     DEFAULT_SEEDS,
     PairList,
@@ -29,29 +41,58 @@ FMR_TARGETS = (0.01, 0.001)
 #: fixed FMR grid used when vertically averaging ROC curves across seeds
 ROC_GRID = np.logspace(-4, 0, 50)
 
+#: ROC_GRID as roc_on_grid evaluates it (FMR 1 itself is not a valid target)
+_GRID_TARGETS = np.minimum(ROC_GRID, 1.0 - 1e-12)
+
+# pairs scored per step; the gathered rows hold 2 x _PAIR_BLOCK x D floats
+_PAIR_BLOCK = 2048
+
+
+def _row_dots(x, y):
+    """``x[k] @ y[k]`` for every row k, each through BLAS ``ddot``.
+
+    ``np.einsum`` and ``np.linalg.norm(axis=1)`` sum in another order and
+    can differ from ``u @ v`` in the last bit; a stacked vector matmul
+    does not.
+    """
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _row_norms(x):
+    """Euclidean norm of each row, equal to ``np.linalg.norm(x[k])``."""
+    return np.sqrt(_row_dots(x, x))
+
+
+def _pair_arrays(pairs: PairList):
+    """Source indices, target indices and genuine flags of a pair list."""
+    arr = np.array(pairs.pairs, dtype=np.int64).reshape(-1, 3)
+    return arr[:, 0], arr[:, 1], arr[:, 2] != 0
+
+
+def _cosines(a, t, norms_a, norms_t, i, j):
+    """Cosine of ``a[i[k]]`` and ``t[j[k]]`` for each pair k."""
+    bad = (i < 0) | (i >= a.shape[0]) | (j < 0) | (j >= t.shape[0])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConsistencyError(f"pair ({i[k]}, {j[k]}) out of range")
+    out = np.empty(i.shape[0])
+    for start in range(0, i.shape[0], _PAIR_BLOCK):
+        bi, bj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
+        out[start:start + _PAIR_BLOCK] = _row_dots(a[bi], t[bj]) / (norms_a[bi] * norms_t[bj])
+    return out
+
 
 def pair_scores(aligned_source: np.ndarray, target: np.ndarray, pairs: PairList):
     """Cosine similarity per pair: aligned source row i against target row j."""
     a = np.asarray(aligned_source, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
-    scores, labels = [], []
-    n_a, n_t = a.shape[0], t.shape[0]
-    for i, j, genuine in pairs.pairs:
-        if not (0 <= i < n_a and 0 <= j < n_t):
-            raise ConsistencyError(f"pair ({i}, {j}) out of range")
-        u, v = a[i], t[j]
-        denom = np.linalg.norm(u) * np.linalg.norm(v)
-        scores.append(float(u @ v / denom))
-        labels.append(bool(genuine))
-    return scores, labels
+    i, j, genuine = _pair_arrays(pairs)
+    scores = _cosines(a, t, _row_norms(a), _row_norms(t), i, j)
+    return scores.tolist(), genuine.tolist()
 
 
-def roc_curve(scores, labels):
-    """(fmr, tmr) points swept over the distinct scores, high to low.
-
-    Acceptance rule is score >= threshold; a +inf sentinel contributes the
-    (0, 0) origin and the lowest score yields (1, 1).
-    """
+def _roc(scores, labels):
+    """ROC of a score set as (fmr, tmr) arrays, origin first (see roc_curve)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
@@ -67,10 +108,66 @@ def roc_curve(scores, labels):
     fp = np.cumsum(~sorted_labels)
     # keep only the last index of each distinct score (full batch accepted)
     distinct = np.flatnonzero(np.diff(sorted_scores, append=-np.inf))
-    points = [(0.0, 0.0)]
-    for idx in distinct:
-        points.append((fp[idx] / n_imp, tp[idx] / n_gen))
-    return points
+    fmr = np.concatenate(([0.0], fp[distinct] / n_imp))
+    tmr = np.concatenate(([0.0], tp[distinct] / n_gen))
+    return fmr, tmr
+
+
+def _points_to_arrays(roc):
+    """(fmr, tmr) arrays of a sequence of (fmr, tmr) points, in its order."""
+    pts = np.array(roc, dtype=np.float64).reshape(-1, 2)
+    return pts[:, 0], pts[:, 1]
+
+
+def _auc(fmr, tmr):
+    """Trapezoid sum over a sorted curve that ends at (1, 1).
+
+    ``cumsum`` adds the terms one after another, as a Python loop does;
+    ``np.sum`` would add them pairwise, in another order.
+    """
+    terms = np.diff(fmr) * (tmr[:-1] + tmr[1:]) / 2.0
+    return float(np.cumsum(terms)[-1])
+
+
+def _eer(fmr, tmr):
+    """EER of a sorted curve that starts at the (0, 0) origin."""
+    # g = fmr - fnmr rises from -1 at (0,0) to +1 at (1,1)
+    g = fmr - (1.0 - tmr)
+    crossed = np.flatnonzero(g >= 0.0)
+    if crossed.size == 0:
+        return float(fmr[-1])
+    k = int(crossed[0])
+    if g[k] == 0.0:
+        return float(fmr[k])
+    s = -g[k - 1] / (g[k] - g[k - 1])
+    return float(fmr[k - 1] + s * (fmr[k] - fmr[k - 1]))
+
+
+def _tmr_at(fmr, tmr, targets):
+    """TMR at each FMR target of a curve sorted by FMR (see tmr_at_fmr)."""
+    targets = np.asarray(targets, dtype=np.float64)
+    best = np.zeros(targets.shape)
+    # points at or below each target form a prefix of the curve
+    m = np.searchsorted(fmr, targets, side="right")
+    some = m > 0
+    best[some] = np.maximum(0.0, np.maximum.accumulate(tmr)[m[some] - 1])
+    # linear interpolation towards the first point above the target
+    inner = some & (m < fmr.shape[0])
+    k = m[inner]
+    f1, t1, f2, t2 = fmr[k - 1], tmr[k - 1], fmr[k], tmr[k]
+    interp = t1 + (targets[inner] - f1) / (f2 - f1) * (t2 - t1)
+    best[inner] = np.maximum(best[inner], interp)
+    return best
+
+
+def roc_curve(scores, labels):
+    """(fmr, tmr) points swept over the distinct scores, high to low.
+
+    Acceptance rule is score >= threshold; a +inf sentinel contributes the
+    (0, 0) origin and the lowest score yields (1, 1).
+    """
+    fmr, tmr = _roc(scores, labels)
+    return list(zip(fmr.tolist(), tmr.tolist()))
 
 
 def auc(roc) -> float:
@@ -80,50 +177,36 @@ def auc(roc) -> float:
     pts = sorted(roc)
     if pts[-1] != (1.0, 1.0):
         pts.append((1.0, 1.0))
-    area = 0.0
-    for (f1, t1), (f2, t2) in zip(pts, pts[1:]):
-        area += (f2 - f1) * (t1 + t2) / 2.0
-    return float(area)
+    return _auc(*_points_to_arrays(pts))
 
 
 def eer(roc) -> float:
-    """Error rate where FMR equals FNMR, interpolated between ROC points."""
+    """Error rate where FMR equals FNMR, interpolated between ROC points.
+
+    A curve that does not start at the (0, 0) origin is closed there.
+    """
     if len(roc) < 2:
         raise ArgumentError("need at least 2 ROC points")
     pts = sorted(roc)
-    # g = fmr - fnmr rises from -1 at (0,0) to +1 at (1,1)
-    gs = [f - (1.0 - t) for f, t in pts]
-    for k, g in enumerate(gs):
-        if g == 0.0:
-            return float(pts[k][0])
-        if g > 0.0:
-            (f1, t1), (f2, t2) = pts[k - 1], pts[k]
-            g1, g2 = gs[k - 1], gs[k]
-            s = -g1 / (g2 - g1)
-            return float(f1 + s * (f2 - f1))
-    return float(pts[-1][0])
+    if pts[0] != (0.0, 0.0):
+        pts.insert(0, (0.0, 0.0))
+    return _eer(*_points_to_arrays(pts))
 
 
 def tmr_at_fmr(roc, fmr_target: float) -> float:
     """Largest TMR achievable at FMR <= target, with linear interpolation."""
     if not 0.0 < fmr_target < 1.0:
         raise ArgumentError(f"fmr_target must lie in (0, 1), got {fmr_target}")
-    pts = sorted(roc)
-    best = 0.0
-    for k, (f, t) in enumerate(pts):
-        if f <= fmr_target:
-            best = max(best, t)
-        elif k > 0:
-            f1, t1 = pts[k - 1]
-            if f1 <= fmr_target < f:
-                best = max(best, t1 + (fmr_target - f1) / (f - f1) * (t - t1))
-            break
-    return float(best)
+    return float(_tmr_at(*_points_to_arrays(sorted(roc)), [fmr_target])[0])
 
 
 def roc_on_grid(roc, grid=ROC_GRID) -> np.ndarray:
     """TMR sampled at fixed FMR values (for cross-seed vertical averaging)."""
-    return np.array([tmr_at_fmr(roc, min(f, 1.0 - 1e-12)) for f in grid])
+    targets = np.array([min(f, 1.0 - 1e-12) for f in grid], dtype=np.float64)
+    bad = ~((0.0 < targets) & (targets < 1.0))
+    if bad.any():
+        raise ArgumentError(f"fmr_target must lie in (0, 1), got {targets[np.argmax(bad)]}")
+    return _tmr_at(*_points_to_arrays(sorted(roc)), targets)
 
 
 @dataclass(frozen=True)
@@ -174,7 +257,10 @@ class VerificationReport:
                 str(t): ms([r.tmr_at_fmr[t] for r in results]) for t in FMR_TARGETS
             },
         }
-        grid_tmr = np.array([roc_on_grid(r.roc) for r in results])
+        # each stored ROC is a sweep from `_roc`, already sorted by (FMR, TMR)
+        grid_tmr = np.array(
+            [_tmr_at(*_points_to_arrays(r.roc), _GRID_TARGETS) for r in results]
+        )
         out["roc_grid"] = {
             "fmr": ROC_GRID.tolist(),
             "tmr_mean": grid_tmr.mean(axis=0).tolist(),
@@ -214,25 +300,51 @@ class VerificationReport:
 
 
 def _score_pairs(queries, gallery, pairs, symmetric):
-    scores, labels = pair_scores(queries, gallery, pairs)
+    """Scores and genuine flags of a pair list, as arrays.
+
+    ``queries`` and ``gallery`` are (rows, row norms) couples.
+    """
+    (q, norms_q), (g, norms_g) = queries, gallery
+    i, j, genuine = _pair_arrays(pairs)
+    scores = _cosines(q, g, norms_q, norms_g, i, j)
     if symmetric:
-        swapped = PairList(tuple((j, i, g) for i, j, g in pairs.pairs), pairs.seed)
-        rev, _ = pair_scores(queries, gallery, swapped)
-        scores = [(s + r) / 2.0 for s, r in zip(scores, rev)]
-    return scores, labels
+        scores = (scores + _cosines(q, g, norms_q, norms_g, j, i)) / 2.0
+    return scores, genuine
 
 
 def _seed_metrics(scores, labels, seed):
-    roc = roc_curve(scores, labels)
+    fmr, tmr = _roc(scores, labels)
+    n_genuine = int(np.count_nonzero(labels))
     return SeedVerification(
         seed=seed,
-        auc=auc(roc),
-        eer=eer(roc),
-        tmr_at_fmr={t: tmr_at_fmr(roc, t) for t in FMR_TARGETS},
-        roc=tuple(roc),
-        n_genuine=sum(labels),
-        n_impostor=len(labels) - sum(labels),
+        auc=_auc(fmr, tmr),
+        eer=_eer(fmr, tmr),
+        tmr_at_fmr=dict(zip(FMR_TARGETS, _tmr_at(fmr, tmr, FMR_TARGETS).tolist())),
+        roc=tuple(zip(fmr.tolist(), tmr.tolist())),
+        n_genuine=n_genuine,
+        n_impostor=len(labels) - n_genuine,
     )
+
+
+def _eval_sides(norm_a, norm_b, amap, big_d):
+    """Aligned queries and gallery, then the padded unaligned baseline pair.
+
+    Each side comes with its row norms, which every seed's pairs share.
+    """
+    sides = (
+        apply_prep(norm_a, amap.stats, "source") @ amap.w,
+        apply_prep(norm_b, amap.stats, "target"),
+        _pad(norm_a, big_d),
+        _pad(norm_b, big_d),
+    )
+    return tuple((rows, _row_norms(rows)) for rows in sides)
+
+
+def _score_seed(sides, pairs, symmetric, seed):
+    queries, gallery, base_q, base_g = sides
+    aligned = _seed_metrics(*_score_pairs(queries, gallery, pairs, symmetric), seed)
+    base = _seed_metrics(*_score_pairs(base_q, base_g, pairs, symmetric), seed)
+    return aligned, base
 
 
 def evaluate_verification(
@@ -250,39 +362,36 @@ def evaluate_verification(
 ) -> VerificationReport:
     """Per-seed verification protocol with 1:1 genuine/impostor balance.
 
-    Intra protocol (default): fit on the train side of an identity-disjoint
-    split, build all genuine pairs over test identities plus an equal
-    impostor sample.  Cross protocol (train_source/train_target given): fit
-    on all rows of the training pair, sample capped pairs from the full
-    evaluation sets.
+    Intra protocol (default): per seed, fit on the train side of an
+    identity-disjoint split, build all genuine pairs over test identities
+    plus an equal impostor sample.  Cross protocol
+    (train_source/train_target given): fit once on all rows of the
+    training pair, then per seed sample capped pairs from the full
+    evaluation sets; the map and the scored rows are shared by every seed.
     """
     a, b = intersect_on_images(source, target)
     labels = list(a.labels)
-    norm_a = l2_normalize(a.rows)
-    norm_b = l2_normalize(b.rows)
     big_d = max(a.dim, b.dim)
     cross = train_source is not None
     if cross:
         if train_target is None:
             raise ArgumentError("cross protocol needs both training sets")
-        ta, tb = intersect_on_images(train_source, train_target)
-        tr_a, tr_b = l2_normalize(ta.rows), l2_normalize(tb.rows)
         if pair_caps is None:
             pair_caps = (10000, 10000)
+        ta, tb = intersect_on_images(train_source, train_target)
+        amap = align.fit_alignment(l2_normalize(ta.rows), l2_normalize(tb.rows), method, alpha)
+        del ta, tb  # free the training rows before the scored rows are built
+        # pair indices refer to rows of the evaluation sets
+        sides = _eval_sides(l2_normalize(a.rows), l2_normalize(b.rows), amap, big_d)
 
-    def run_seed(seed):
-        if cross:
-            stats = fit_prep(tr_a, tr_b)
-            xp = apply_prep(tr_a, stats, "source")
-            yp = apply_prep(tr_b, stats, "target")
-            w = align.fit_map(xp, yp, method, alpha)
-            amap = align.AlignmentMap(
-                w=w, stats=stats, method=method,
-                alpha=alpha if method == "ridge" else 0.0, seed=seed,
-            )
-            eval_rows = list(range(len(labels)))
+        def run_seed(seed):
             pairs = sample_pairs_capped(labels, pair_caps[0], pair_caps[1], seed)
-        else:
+            return _score_seed(sides, pairs, symmetric_score, seed)
+
+    else:
+        norm_a, norm_b = l2_normalize(a.rows), l2_normalize(b.rows)
+
+        def run_seed(seed):
             amap, eval_rows = _fit_seed(
                 norm_a, norm_b, labels, method, alpha, fraction, seed
             )
@@ -290,19 +399,9 @@ def evaluate_verification(
             genuine = all_genuine_pairs(test_labels)
             impostor = sample_impostor_pairs(test_labels, len(genuine.pairs), seed)
             pairs = PairList(tuple(sorted(genuine.pairs + impostor.pairs)), seed)
-
-        # pair indices refer to positions within eval_rows
-        queries = apply_prep(norm_a[eval_rows], amap.stats, "source") @ amap.w
-        gallery = apply_prep(norm_b[eval_rows], amap.stats, "target")
-        aligned = _seed_metrics(*_score_pairs(queries, gallery, pairs, symmetric_score), seed)
-        base = _seed_metrics(
-            *_score_pairs(
-                _pad(norm_a[eval_rows], big_d), _pad(norm_b[eval_rows], big_d),
-                pairs, symmetric_score,
-            ),
-            seed,
-        )
-        return aligned, base
+            # pair indices refer to positions within eval_rows
+            sides = _eval_sides(norm_a[eval_rows], norm_b[eval_rows], amap, big_d)
+            return _score_seed(sides, pairs, symmetric_score, seed)
 
     results = _map_seeds(run_seed, seeds, jobs)
     return VerificationReport(

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from embalign import (
     AlignmentMap,
@@ -13,7 +17,7 @@ from embalign import (
     transform,
 )
 from embalign.align import DEFAULT_RIDGE_ALPHA
-from embalign.errors import ConsistencyError, DataError
+from embalign.errors import ConsistencyError, DataError, FormatError, IoError
 from embalign.prep import PrepStats
 
 from conftest import random_orthogonal
@@ -197,3 +201,99 @@ def test_map_file_round_trip(tmp_path):
     assert np.array_equal(loaded.stats.mu_y, stats.mu_y)
     assert loaded.method == "ridge" and loaded.alpha == 0.1
     assert loaded.stats.n_train == 33 and loaded.seed == 3
+
+
+# --- map file header validation -------------------------------------------
+
+def saved_map_blob(tmp_path):
+    """Bytes of a valid ridge map file with d_a=4, d_b=6 and its header."""
+    rng = np.random.default_rng(13)
+    stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 4, 6, 6, 33)
+    amap = AlignmentMap(rng.standard_normal((6, 6)), stats, "ridge", alpha=0.1, seed=3)
+    path = str(tmp_path / "valid.amap")
+    save_map(amap, path)
+    with open(path, "rb") as f:
+        blob = f.read()
+    newline = blob.index(b"\n")
+    return blob, json.loads(blob[:newline]), newline
+
+
+def with_header(header, data, width):
+    """A map file from a header dict and data bytes, header padded to width."""
+    line = json.dumps(header).encode()
+    return line.ljust(width) + b"\n" + data
+
+
+def load_bytes(tmp_path, blob):
+    path = tmp_path / "m.amap"
+    path.write_bytes(blob)
+    return load_map(str(path))
+
+
+BAD_HEADERS = {
+    "version_only": lambda h: {"format_version": 1},
+    "not_an_object": lambda h: [h],
+    "bool_version": lambda h: {**h, "format_version": True},
+    "missing_d_b": lambda h: {k: v for k, v in h.items() if k != "d_b"},
+    "float_d_a": lambda h: {**h, "d_a": 4.0},
+    "negative_n_train": lambda h: {**h, "n_train": -1},
+    "string_alpha": lambda h: {**h, "alpha": "0.1"},
+    "unknown_method": lambda h: {**h, "method": "cubic"},
+    "D_not_max": lambda h: {**h, "D": 7},
+    "blocks_overlap": lambda h: {**h, "offset_mu_y": h["offset_mu_x"] + 8},
+    "block_in_header": lambda h: {**h, "offset_mu_x": 0},
+    "block_past_end": lambda h: {**h, "offset_w": h["offset_w"] + 8},
+}
+
+
+@pytest.mark.parametrize("mutate", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+def test_load_map_rejects_bad_header(tmp_path, mutate):
+    blob, header, newline = saved_map_blob(tmp_path)
+    bad = with_header(mutate(dict(header)), blob[newline + 1:], newline)
+    with pytest.raises(FormatError):
+        load_bytes(tmp_path, bad)
+
+
+def test_load_map_rejects_non_finite_block(tmp_path):
+    blob, header, newline = saved_map_blob(tmp_path)
+    at = header["offset_w"]
+    bad = blob[:at] + np.array([np.nan]).tobytes() + blob[at + 8:]
+    with pytest.raises(FormatError):
+        load_bytes(tmp_path, bad)
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(0, 9), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_map_fuzz_raises_only_format_errors(tmp_path, data):
+    blob, header, newline = saved_map_blob(tmp_path)
+    kind = data.draw(st.sampled_from(["truncate", "field", "bytes"]))
+    if kind == "truncate":
+        bad = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "field":
+        h = dict(header)
+        for key in data.draw(st.lists(st.sampled_from(sorted(h)), min_size=1, max_size=3,
+                                             unique=True)):
+            if data.draw(st.booleans()):
+                del h[key]
+            elif key.startswith("offset_") and data.draw(st.booleans()):
+                h[key] += data.draw(st.integers(-60, 60))  # shifted, often misaligned
+            else:
+                h[key] = data.draw(JSON_VALUES)
+        bad = with_header(h, blob[newline + 1:], newline)
+    else:
+        positions = data.draw(st.lists(st.integers(0, newline), min_size=1, max_size=4))
+        mutable = bytearray(blob)
+        for pos in positions:
+            mutable[pos] = data.draw(st.integers(0, 255))
+        bad = bytes(mutable)
+    try:
+        load_bytes(tmp_path, bad)
+    except (FormatError, ConsistencyError, IoError):
+        pass

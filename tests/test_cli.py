@@ -105,6 +105,25 @@ def test_eval_verif_outputs(synth_dir, tmp_path):
     assert len(roc) == 51
 
 
+def test_eval_verif_cross_reports_identical_across_jobs(synth_dir, tmp_path):
+    # the cross-protocol map and scored rows are shared by the seed threads
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = run(
+            "eval-verif", "--source", str(synth_dir / "view0.emb"),
+            "--target", str(synth_dir / "view1.emb"),
+            "--train-source", str(synth_dir / "view0.emb"),
+            "--train-target", str(synth_dir / "view2.emb"),
+            "--genuine-cap", "200", "--impostor-cap", "200", "--symmetric-score",
+            "--seeds", "0,1,2", "--jobs", jobs, "--out-dir", str(out),
+        )
+        assert code == 0
+        outs.append(out)
+    for name in ("verification_report.json", "roc.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_matrix_then_cluster(synth_dir, tmp_path):
     mat_dir = tmp_path / "mat"
     code = run(
@@ -151,6 +170,31 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+BAD_MATRICES = {
+    "missing_file": None,
+    "not_json": "{bad",
+    "not_an_object": "[1, 2]",
+    "no_fields": "{}",
+    "no_rank1": '{"metrics": {"model_names": ["a", "b"]}}',
+    "names_not_a_list": '{"model_names": "ab", "rank1": [[100, 1], [1, 100]]}',
+    "short_row": '{"model_names": ["a", "b"], "rank1": [[100, 1], [1]]}',
+    "string_entry": '{"model_names": ["a", "b"], "rank1": [[100, "x"], [1, 100]]}',
+    "huge_int_entry": '{"model_names": ["a", "b"], "rank1": [[100, 1' + "0" * 400
+                      + '], [1, 100]]}',
+}
+
+
+@pytest.mark.parametrize("content", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+def test_cluster_bad_matrix_is_clean_error(tmp_path, capsys, content):
+    path = tmp_path / "matrix.json"
+    if content is not None:
+        path.write_text(content)
+    code = run("cluster", "--matrix", str(path), "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("embalign: error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_subcommand_exits_nonzero():

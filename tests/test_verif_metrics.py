@@ -1,16 +1,32 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embalign import (
+    align,
     auc,
     eer,
     evaluate_verification,
     pair_scores,
     roc_curve,
     tmr_at_fmr,
+    verif_eval,
 )
 from embalign.splits import PairList
 from embalign.errors import ArgumentError, ConsistencyError, ProtocolError
+from embalign.verif_eval import (
+    FMR_TARGETS,
+    ROC_GRID,
+    SeedVerification,
+    VerificationReport,
+    _score_pairs,
+    _seed_metrics,
+    roc_on_grid,
+)
 
 
 # --- independent oracles --------------------------------------------------
@@ -257,3 +273,291 @@ def test_report_dict_fields(small_views):
     summary = doc["aligned"]["summary"]
     assert set(summary["tmr_at_fmr"]) == {"0.01", "0.001"}
     assert len(summary["roc_grid"]["fmr"]) == 50
+
+
+def test_eer_closes_curve_at_origin():
+    # the segment from (0, 0) to (0.2, 0.9) crosses fmr = fnmr where
+    # 0.2 s = 1 - 0.9 s, so s = 1/1.1 and the EER is 0.2/1.1 = 2/11
+    assert abs(eer([(0.2, 0.9), (0.6, 1.0)]) - 2.0 / 11.0) <= 1e-12
+    # from (0, 0) to (0.5, 1.0): 0.5 s = 1 - s, so s = 2/3 and the EER is 1/3
+    assert abs(eer([(0.5, 1.0), (1.0, 1.0)]) - 1.0 / 3.0) <= 1e-12
+    assert eer([(0.0, 1.0), (1.0, 1.0)]) == 0.0
+
+
+# --- reference: the list-based scoring and ROC code the kernels replaced ----
+
+def ref_pair_scores(aligned_source, target, pairs):
+    a = np.asarray(aligned_source, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    scores, labels = [], []
+    n_a, n_t = a.shape[0], t.shape[0]
+    for i, j, genuine in pairs.pairs:
+        if not (0 <= i < n_a and 0 <= j < n_t):
+            raise ConsistencyError(f"pair ({i}, {j}) out of range")
+        u, v = a[i], t[j]
+        denom = np.linalg.norm(u) * np.linalg.norm(v)
+        scores.append(float(u @ v / denom))
+        labels.append(bool(genuine))
+    return scores, labels
+
+
+def ref_score_pairs(queries, gallery, pairs, symmetric):
+    scores, labels = ref_pair_scores(queries, gallery, pairs)
+    if symmetric:
+        swapped = PairList(tuple((j, i, g) for i, j, g in pairs.pairs), pairs.seed)
+        rev, _ = ref_pair_scores(queries, gallery, swapped)
+        scores = [(s + r) / 2.0 for s, r in zip(scores, rev)]
+    return scores, labels
+
+
+def ref_roc_curve(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    if scores.shape != labels.shape:
+        raise ConsistencyError("scores and labels differ in length")
+    n_gen = int(labels.sum())
+    n_imp = int((~labels).sum())
+    if n_gen == 0 or n_imp == 0:
+        raise ProtocolError("need at least one genuine and one impostor score")
+    order = np.argsort(-scores, kind="stable")
+    sorted_labels = labels[order]
+    sorted_scores = scores[order]
+    tp = np.cumsum(sorted_labels)
+    fp = np.cumsum(~sorted_labels)
+    distinct = np.flatnonzero(np.diff(sorted_scores, append=-np.inf))
+    points = [(0.0, 0.0)]
+    for idx in distinct:
+        points.append((fp[idx] / n_imp, tp[idx] / n_gen))
+    return points
+
+
+def ref_auc(roc):
+    if len(roc) < 2:
+        raise ArgumentError("need at least 2 ROC points")
+    pts = sorted(roc)
+    if pts[-1] != (1.0, 1.0):
+        pts.append((1.0, 1.0))
+    area = 0.0
+    for (f1, t1), (f2, t2) in zip(pts, pts[1:]):
+        area += (f2 - f1) * (t1 + t2) / 2.0
+    return float(area)
+
+
+def ref_eer(roc):
+    """The list code before the origin rule; agrees on curves from the origin."""
+    if len(roc) < 2:
+        raise ArgumentError("need at least 2 ROC points")
+    pts = sorted(roc)
+    gs = [f - (1.0 - t) for f, t in pts]
+    for k, g in enumerate(gs):
+        if g == 0.0:
+            return float(pts[k][0])
+        if g > 0.0:
+            (f1, t1), (f2, t2) = pts[k - 1], pts[k]
+            g1, g2 = gs[k - 1], gs[k]
+            s = -g1 / (g2 - g1)
+            return float(f1 + s * (f2 - f1))
+    return float(pts[-1][0])
+
+
+def ref_tmr_at_fmr(roc, fmr_target):
+    if not 0.0 < fmr_target < 1.0:
+        raise ArgumentError(f"fmr_target must lie in (0, 1), got {fmr_target}")
+    pts = sorted(roc)
+    best = 0.0
+    for k, (f, t) in enumerate(pts):
+        if f <= fmr_target:
+            best = max(best, t)
+        elif k > 0:
+            f1, t1 = pts[k - 1]
+            if f1 <= fmr_target < f:
+                best = max(best, t1 + (fmr_target - f1) / (f - f1) * (t - t1))
+            break
+    return float(best)
+
+
+def ref_roc_on_grid(roc, grid=ROC_GRID):
+    return np.array([ref_tmr_at_fmr(roc, min(f, 1.0 - 1e-12)) for f in grid])
+
+
+def ref_seed_metrics(scores, labels, seed):
+    roc = ref_roc_curve(scores, labels)
+    return SeedVerification(
+        seed=seed,
+        auc=ref_auc(roc),
+        eer=ref_eer(roc),
+        tmr_at_fmr={t: ref_tmr_at_fmr(roc, t) for t in FMR_TARGETS},
+        roc=tuple(roc),
+        n_genuine=sum(labels),
+        n_impostor=len(labels) - sum(labels),
+    )
+
+
+def ref_grid_summary(results):
+    grid_tmr = np.array([ref_roc_on_grid(r.roc) for r in results])
+    return grid_tmr.mean(axis=0).tolist(), (
+        grid_tmr.std(axis=0, ddof=1) if grid_tmr.shape[0] > 1
+        else np.zeros(grid_tmr.shape[1])
+    ).tolist()
+
+
+def same_floats(got, want):
+    """Exactly equal, NaN (a zero-norm row's cosine) matching NaN."""
+    return np.array_equal(np.asarray(got, float), np.asarray(want, float), equal_nan=True)
+
+
+def outcome(fn, *args):
+    """The result of fn, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ArgumentError, ConsistencyError, ProtocolError) as exc:
+        return type(exc), str(exc)
+
+
+# --- the kernels against the reference ------------------------------------
+
+@st.composite
+def pair_cases(draw):
+    """Rows (ties and exact repeats included) and a pair list, maybe empty."""
+    n_a, n_t = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dim = draw(st.sampled_from([1, 3, 33, 70, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n_a, dim))
+    t = rng.standard_normal((n_t, dim))
+    if draw(st.booleans()):
+        a, t = np.round(a, 1), np.round(t, 1)  # coarse values, many tied scores
+        a[:, 0] += 5.0  # source rows stay nonzero; target rows may be zero
+    if draw(st.booleans()):
+        t[: min(n_a, n_t)] = a[: min(n_a, n_t)]  # identical rows score exactly 1
+    n_pairs = draw(st.integers(0, 25))
+    pairs = tuple(
+        (draw(st.integers(0, n_a - 1)), draw(st.integers(0, n_t - 1)), draw(st.booleans()))
+        for _ in range(n_pairs)
+    )
+    return a, t, PairList(pairs, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_cases(), block=st.sampled_from([1, 2, 7, 2048]), symmetric=st.booleans())
+def test_pair_scores_equal_loop_reference(case, block, symmetric):
+    a, t, pairs = case
+    with mock.patch.object(verif_eval, "_PAIR_BLOCK", block):
+        scores, labels = pair_scores(a, t, pairs)
+        want_scores, want_labels = ref_pair_scores(a, t, pairs)
+        assert same_floats(scores, want_scores) and labels == want_labels
+        if symmetric and a.shape[0] != t.shape[0]:
+            return  # the reversed pairs may fall outside; the evaluation sides are equal
+        sides = [(x, verif_eval._row_norms(x)) for x in (a, t)]
+        scores, genuine = _score_pairs(*sides, pairs, symmetric)
+    want_scores, want_labels = ref_score_pairs(a, t, pairs, symmetric)
+    assert same_floats(scores, want_scores) and genuine.tolist() == want_labels
+
+
+def test_pair_scores_equal_loop_reference_many_pairs():
+    # more pairs than one block, duplicates included, wide rows
+    rng = np.random.default_rng(5)
+    a, t = rng.standard_normal((300, 512)), rng.standard_normal((250, 512))
+    idx = rng.integers(0, 250, size=(5000, 2))
+    pairs = PairList(tuple((int(i), int(j), bool(i % 2)) for i, j in idx), 0)
+    assert pair_scores(a, t, pairs) == ref_pair_scores(a, t, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    pairs=st.lists(
+        st.tuples(st.integers(-2, 7), st.integers(-2, 7), st.booleans()), max_size=6
+    ),
+)
+def test_out_of_range_pair_same_error(n, pairs):
+    a = np.arange(1.0, 2.0 * n + 1).reshape(n, 2)
+    pl = PairList(tuple(pairs), 0)
+    assert outcome(pair_scores, a, a, pl) == outcome(ref_pair_scores, a, a, pl)
+
+
+@st.composite
+def score_sets(draw):
+    n_gen, n_imp = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        values = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])  # ties
+    else:
+        values = st.floats(-1.0, 1.0)
+    scores = draw(st.lists(values, min_size=n_gen + n_imp, max_size=n_gen + n_imp))
+    labels = [True] * n_gen + [False] * n_imp
+    order = draw(st.permutations(range(n_gen + n_imp)))
+    return [scores[k] for k in order], [labels[k] for k in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=st.lists(score_sets(), min_size=1, max_size=3))
+def test_seed_metrics_equal_list_reference(sets):
+    got = [_seed_metrics(np.array(s), np.array(l), 4) for s, l in sets]
+    want = [ref_seed_metrics(s, l, 4) for s, l in sets]
+    assert got == want
+    grid = VerificationReport._summary(got)["roc_grid"]
+    assert (grid["tmr_mean"], grid["tmr_std"]) == ref_grid_summary(want)
+
+
+def test_seed_metrics_equal_list_reference_large():
+    rng = np.random.default_rng(8)
+    labels = rng.random(6000) < 0.5
+    scores = np.round(rng.standard_normal(6000) + labels, 3)  # ties across classes
+    assert _seed_metrics(scores, labels, 0) == ref_seed_metrics(
+        scores.tolist(), labels.tolist(), 0
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        min_size=2, max_size=12,
+    ),
+    target=st.floats(-0.5, 1.5),
+)
+def test_public_roc_functions_equal_list_reference(points, target):
+    # arbitrary point lists: unsorted, not closed at (1, 1), repeated FMRs
+    assert auc(points) == ref_auc(points)
+    assert outcome(tmr_at_fmr, points, target) == outcome(ref_tmr_at_fmr, points, target)
+    assert roc_on_grid(points).tolist() == ref_roc_on_grid(points).tolist()
+    if min(points) == (0.0, 0.0):
+        assert eer(points) == ref_eer(points)
+
+
+def test_public_roc_functions_keep_errors():
+    assert outcome(roc_on_grid, [(0.0, 0.0), (1.0, 1.0)], [0.5, 0.0]) == outcome(
+        ref_roc_on_grid, [(0.0, 0.0), (1.0, 1.0)], [0.5, 0.0]
+    )
+    assert roc_on_grid([]).tolist() == ref_roc_on_grid([]).tolist()
+    assert tmr_at_fmr([], 0.5) == 0.0
+    for fn in (auc, eer):
+        with pytest.raises(ArgumentError):
+            fn([(0.0, 0.0)])
+
+
+def test_pair_scoring_memory_is_blocked():
+    # an unblocked gather would hold 40000 x 256 floats per side (82 MB each)
+    rng = np.random.default_rng(2)
+    rows = rng.standard_normal((100, 256))
+    side = (rows, verif_eval._row_norms(rows))
+    idx = rng.integers(0, 100, size=(40000, 2))
+    pairs = PairList(tuple((int(i), int(j), True) for i, j in idx), 0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _score_pairs(side, side, pairs, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = verif_eval._PAIR_BLOCK * 256 * 8
+    assert peak <= 4 * block_bytes
+
+
+@pytest.mark.parametrize("cross, fits", [(True, 1), (False, 3)])
+def test_cross_protocol_fits_once(small_views, cross, fits):
+    v0, v1 = small_views
+    kwargs = dict(train_source=v0, train_target=v1, pair_caps=(40, 40)) if cross else {}
+    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as spy:
+        rep = evaluate_verification(v0, v1, "linear", seeds=(0, 1, 2), **kwargs)
+    assert spy.call_count == fits
+    assert len(rep.per_seed) == 3
