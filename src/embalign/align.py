@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .embedstore import EmbeddingSet, intersect_on_images
 from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
 from .prep import PrepStats, apply_prep, fit_prep, l2_normalize
+from .splits import identity_disjoint_split
 
 #: relative cutoff below which singular values are treated as zero in the
 #: pseudo-inverse (zero-padded columns make X^T X singular by construction)
@@ -121,6 +123,12 @@ class AlignmentMap:
             raise ConsistencyError("alpha must be 0 unless method is ridge")
 
 
+def unit_pair(source: EmbeddingSet, target: EmbeddingSet):
+    """``(labels, x, y)`` of the shared images: labels, unit source and target rows."""
+    a, b = intersect_on_images(source, target)
+    return list(a.labels), l2_normalize(a.rows), l2_normalize(b.rows)
+
+
 def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=None, **meta):
     """Fit the preprocessing and a map on unit-normalized training rows.
 
@@ -140,10 +148,31 @@ def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=No
     )
 
 
+def fit_seed(x, y, labels, method: str, alpha: float, fraction: float, seed: int, **meta):
+    """Split identities disjointly by ``seed``, fit on the train rows; return (map, test rows)."""
+    split = identity_disjoint_split(labels, fraction, seed)
+    amap = fit_alignment(x, y, method, alpha, rows=list(split.train_rows), seed=seed, **meta)
+    return amap, list(split.test_rows)
+
+
+def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):
+    """Source and target unit rows in one D-wide space, as they are scored.
+
+    Both sides are centered with the map's training means and zero-padded
+    to D; the source rows then go through W.  Without a map this is the
+    unaligned baseline: zero means and no W, so the rows are only padded
+    (subtracting 0.0 leaves every value as it was, -0.0 included).
+    """
+    if amap is None:
+        d_a, d_b = x.shape[1], y.shape[1]
+        stats = PrepStats(np.zeros(d_a), np.zeros(d_b), d_a, d_b, max(d_a, d_b), 0)
+        return apply_prep(x, stats, "source"), apply_prep(y, stats, "target")
+    return apply_prep(x, amap.stats, "source") @ amap.w, apply_prep(y, amap.stats, "target")
+
+
 def transform(rows: np.ndarray, amap: AlignmentMap) -> np.ndarray:
-    """Normalize, preprocess with the source-side stats, and apply the map."""
-    prepped = apply_prep(l2_normalize(rows), amap.stats, "source")
-    return prepped @ amap.w
+    """Normalize source rows and project them with ``amap`` (no target rows)."""
+    return project(l2_normalize(rows), np.empty((0, amap.stats.d_b)), amap)[0]
 
 
 def training_residual(amap: AlignmentMap, x_tr: np.ndarray, y_tr: np.ndarray) -> float:

@@ -10,10 +10,10 @@ import numpy as np
 import scipy.cluster.hierarchy as sch
 
 from . import align
-from .embedstore import EmbeddingSet, intersect_on_images
+from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, EmbalignError, ProtocolError
-from .ident_eval import evaluate_identification, rank_k_accuracy, score_matrix
-from .prep import apply_prep, fit_prep, l2_normalize
+from .ident_eval import aligned_rank1, rank_k_accuracy, score_matrix
+from .prep import apply_prep, fit_prep
 from .splits import DEFAULT_SEEDS, identity_disjoint_split
 
 _TAG_SWEEP = 301
@@ -98,8 +98,9 @@ def build_compatibility_matrix(
 ) -> CompatibilityMatrix:
     """Mean Rank-1 (percent) of every ordered model pair, self-pairs included.
 
-    Pairs whose evaluation fails with an ``EmbalignError`` are marked
-    missing (NaN), never zero; any other exception is a bug and propagates.
+    Cells score the aligned side only.  Pairs whose evaluation fails with
+    an ``EmbalignError`` are marked missing (NaN), never zero; any other
+    exception is a bug and propagates.
     """
     sets = list(sets)
     m = len(sets)
@@ -107,11 +108,10 @@ def build_compatibility_matrix(
     for i in range(m):
         for j in range(m):
             try:
-                report = evaluate_identification(
+                rank1[i, j] = 100.0 * aligned_rank1(
                     sets[i], sets[j], method=method, seeds=seeds,
                     fraction=fraction, alpha=alpha, jobs=jobs,
                 )
-                rank1[i, j] = 100.0 * report.summary["rank_k"]["1"]["mean"]
             except EmbalignError:
                 pass
     return CompatibilityMatrix(
@@ -206,10 +206,7 @@ def training_size_sweep(
         raise ArgumentError("fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
         raise ArgumentError("fractions must be ascending")
-    a, b = intersect_on_images(source, target)
-    labels = list(a.labels)
-    norm_a = l2_normalize(a.rows)
-    norm_b = l2_normalize(b.rows)
+    labels, norm_a, norm_b = align.unit_pair(source, target)
     points = []
     for seed in seeds:
         split = identity_disjoint_split(labels, base_fraction, seed)

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import align, analysis, embedstore, ident_eval, reports, splits, synth, verif_eval
 from .errors import ArgumentError, EmbalignError, FormatError, IoError
-from .prep import l2_normalize
 
 
 # run-environment knobs that must not leak into reports: identical inputs
@@ -95,22 +94,18 @@ def cmd_synth(args):
 def cmd_fit(args):
     a = _load(args.source, args.format)
     b = _load(args.target, args.format)
-    a, b = embedstore.intersect_on_images(a, b)
-    labels = list(a.labels)
-    norm_a = l2_normalize(a.rows)
-    norm_b = l2_normalize(b.rows)
-    split = splits.identity_disjoint_split(labels, args.train_frac, args.seed)
-    tr = list(split.train_rows)
-    amap = align.fit_alignment(
-        norm_a, norm_b, args.method, args.alpha, rows=tr,
-        source_model=a.model_name, target_model=b.model_name, seed=args.seed,
+    labels, x, y = align.unit_pair(a, b)
+    amap, _ = align.fit_seed(
+        x, y, labels, args.method, args.alpha, args.train_frac, args.seed,
+        source_model=a.model_name, target_model=b.model_name,
     )
     align.save_map(amap, args.out)
     print(args.out)
     return 0
 
 
-def _dump_splits(out_dir, labels, fraction, seeds, tag):
+def _dump_splits(out_dir, source, target, fraction, seeds, tag):
+    labels = embedstore.intersect_on_images(source, target)[0].labels
     doc = {
         str(seed): splits.identity_disjoint_split(labels, fraction, seed).to_dict()
         for seed in seeds
@@ -140,17 +135,21 @@ def cmd_eval_id(args):
         reports.cmc_csv_rows(report.summary),
     )
     if args.dump_splits:
-        ia, _ = embedstore.intersect_on_images(a, b)
-        _dump_splits(args.out_dir, list(ia.labels), args.train_frac, seeds, "eval_id")
+        _dump_splits(args.out_dir, a, b, args.train_frac, seeds, "eval_id")
     return 0
 
 
 def cmd_eval_verif(args):
+    cross = args.train_source is not None or args.train_target is not None
+    if cross and (args.train_source is None or args.train_target is None):
+        raise ArgumentError("--train-source and --train-target must be given together")
+    if cross and args.dump_splits:
+        raise ArgumentError("--dump-splits: the cross protocol does not split its data")
     a = _load(args.source, args.format)
     b = _load(args.target, args.format)
     seeds = _seed_list(args)
     kwargs = {}
-    if args.train_source:
+    if cross:
         kwargs["train_source"] = _load(args.train_source, args.format)
         kwargs["train_target"] = _load(args.train_target, args.format)
         kwargs["pair_caps"] = (args.genuine_cap, args.impostor_cap)
@@ -172,8 +171,7 @@ def cmd_eval_verif(args):
         reports.roc_csv_rows(report.summary),
     )
     if args.dump_splits:
-        ia, _ = embedstore.intersect_on_images(a, b)
-        _dump_splits(args.out_dir, list(ia.labels), args.train_frac, seeds, "eval_verif")
+        _dump_splits(args.out_dir, a, b, args.train_frac, seeds, "eval_verif")
     return 0
 
 

@@ -140,6 +140,8 @@ def _load_binary(path, model_name, dataset_name):
             lines = [line.rstrip("\n") for line in f if line.strip("\n") != ""]
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{lpath}: not a UTF-8 label file") from exc
     if len(lines) != n:
         raise ConsistencyError(f"{lpath}: {len(lines)} label lines for {n} rows")
     image_ids, labels = [], []

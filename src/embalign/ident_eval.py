@@ -3,8 +3,8 @@
 The evaluation protocol per seed: split identities disjointly, fit the
 preprocessing and the alignment map on training rows only, use aligned
 test-source rows as queries against preprocessed test-target rows as the
-gallery.  An unaligned baseline (unit-normalized, zero-padded, no
-centering, no map) is computed on the same test rows.
+gallery.  The unaligned baseline is scored on the same test rows: prep
+with zero means and no map, so its rows are unit-normalized and padded.
 
 Ranking.  Rank-k, mAP and CMC all derive from one rank kernel.  For a
 query with score row s, gallery item j has the 1-based rank
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import align
-from .embedstore import EmbeddingSet, intersect_on_images
+from .embedstore import EmbeddingSet
 from .errors import (
     ArgumentError,
     ConsistencyError,
@@ -38,8 +38,8 @@ from .errors import (
     DegenerateRowError,
     ProtocolError,
 )
-from .prep import apply_prep, l2_normalize
-from .splits import DEFAULT_SEEDS, identity_disjoint_split
+from .reports import AlignedBaselineReport
+from .splits import DEFAULT_SEEDS, run_seeds
 
 RANK_KS = (1, 5, 10)
 CMC_MAX_RANK = 50
@@ -214,7 +214,7 @@ class SeedRetrieval:
 
 
 @dataclass(frozen=True)
-class RetrievalReport:
+class RetrievalReport(AlignedBaselineReport):
     """Per-seed identification metrics plus mean/std summaries."""
 
     method: str
@@ -249,14 +249,6 @@ class RetrievalReport:
         }
         return out
 
-    @property
-    def summary(self):
-        return self._summary(self.per_seed)
-
-    @property
-    def baseline_summary(self):
-        return self._summary(self.per_seed_baseline)
-
     def to_dict(self):
         return {
             "method": self.method,
@@ -264,14 +256,7 @@ class RetrievalReport:
             "seeds": list(self.seeds),
             "exclude_self": self.exclude_self,
             "metadata": self.metadata,
-            "aligned": {
-                "per_seed": [r.to_dict() for r in self.per_seed],
-                "summary": self.summary,
-            },
-            "baseline": {
-                "per_seed": [r.to_dict() for r in self.per_seed_baseline],
-                "summary": self.baseline_summary,
-            },
+            **self._sections(),
         }
 
 
@@ -295,18 +280,25 @@ def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_sel
     )
 
 
-def _fit_seed(norm_a, norm_b, labels, method, alpha, fraction, seed):
-    """Split, fit prep + map on train rows; return (map, test row indices)."""
-    split = identity_disjoint_split(labels, fraction, seed)
-    tr = list(split.train_rows)
-    amap = align.fit_alignment(norm_a, norm_b, method, alpha, rows=tr, seed=seed)
-    return amap, list(split.test_rows)
+def _seed_results(source, target, method, seeds, fraction, alpha, jobs,
+                  exclude_self=False, max_rank=CMC_MAX_RANK, baseline=True):
+    """(aligned, baseline) metrics per seed; baseline is None unless asked for."""
+    labels, x, y = align.unit_pair(source, target)
 
+    def run_seed(seed):
+        amap, test = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
+        test_labels = [labels[i] for i in test]
+        eff_rank = min(max_rank, len(test))
 
-def _pad(rows, big_d):
-    out = np.zeros((rows.shape[0], big_d), dtype=np.float64)
-    out[:, : rows.shape[1]] = rows
-    return out
+        def metrics(m):
+            return _metrics_from_scores(
+                score_matrix(*align.project(x[test], y[test], m)), test_labels, test_labels,
+                eff_rank, seed, exclude_self,
+            )
+
+        return metrics(amap), (metrics(None) if baseline else None)
+
+    return run_seeds(run_seed, seeds, jobs)
 
 
 def evaluate_identification(
@@ -321,29 +313,9 @@ def evaluate_identification(
     jobs: int = 1,
 ) -> RetrievalReport:
     """Run the per-seed identification protocol and aggregate the metrics."""
-    a, b = intersect_on_images(source, target)
-    labels = list(a.labels)
-    norm_a = l2_normalize(a.rows)
-    norm_b = l2_normalize(b.rows)
-    big_d = max(a.dim, b.dim)
-
-    def run_seed(seed):
-        amap, test = _fit_seed(norm_a, norm_b, labels, method, alpha, fraction, seed)
-        test_labels = [labels[i] for i in test]
-        queries = apply_prep(norm_a[test], amap.stats, "source") @ amap.w
-        gallery = apply_prep(norm_b[test], amap.stats, "target")
-        eff_rank = min(max_rank, len(test))
-        aligned = _metrics_from_scores(
-            score_matrix(queries, gallery), test_labels, test_labels, eff_rank,
-            seed, exclude_self,
-        )
-        base = _metrics_from_scores(
-            score_matrix(_pad(norm_a[test], big_d), _pad(norm_b[test], big_d)),
-            test_labels, test_labels, eff_rank, seed, exclude_self,
-        )
-        return aligned, base
-
-    results = _map_seeds(run_seed, seeds, jobs)
+    results = _seed_results(
+        source, target, method, seeds, fraction, alpha, jobs, exclude_self, max_rank
+    )
     return RetrievalReport(
         method=method,
         fraction=fraction,
@@ -361,12 +333,7 @@ def evaluate_identification(
     )
 
 
-def _map_seeds(fn, seeds, jobs):
-    """Evaluate seeds, optionally in parallel; results kept in seed order."""
-    seeds = list(seeds)
-    if jobs <= 1 or len(seeds) <= 1:
-        return [fn(s) for s in seeds]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, seeds))
+def aligned_rank1(source, target, method, seeds, fraction, alpha, jobs) -> float:
+    """Aligned mean Rank-1 as :func:`evaluate_identification` reports it, with no baseline."""
+    results = _seed_results(source, target, method, seeds, fraction, alpha, jobs, baseline=False)
+    return float(np.array([aligned.rank_k[1] for aligned, _ in results]).mean())

@@ -63,6 +63,24 @@ def provenance(config: dict, input_paths) -> dict:
     }
 
 
+class AlignedBaselineReport:
+    """Per-seed results of the aligned map (``per_seed``) and of the baseline."""
+
+    @property
+    def summary(self):
+        return self._summary(self.per_seed)
+
+    @property
+    def baseline_summary(self):
+        return self._summary(self.per_seed_baseline)
+
+    def _sections(self) -> dict:
+        return {
+            side: {"per_seed": [r.to_dict() for r in results], "summary": self._summary(results)}
+            for side, results in (("aligned", self.per_seed), ("baseline", self.per_seed_baseline))
+        }
+
+
 def write_report(path: str, config: dict, protocol: str, body: dict, input_paths=()):
     """Emit the standard report envelope as canonical JSON."""
     doc = {

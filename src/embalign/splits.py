@@ -66,6 +66,17 @@ class PairList:
         return sum(1 for _, _, g in self.pairs if not g)
 
 
+def run_seeds(fn, seeds, jobs: int = 1) -> list:
+    """``fn(seed)`` for every seed, in threads when ``jobs`` > 1; seed order kept."""
+    seeds = list(seeds)
+    if jobs <= 1 or len(seeds) <= 1:
+        return [fn(s) for s in seeds]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, seeds))
+
+
 def identity_disjoint_split(labels, fraction: float, seed: int) -> SplitSpec:
     """Shuffle identities by seed; first floor(fraction * #identities) train."""
     if not 0.0 < fraction < 1.0:

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import align
-from .embedstore import EmbeddingSet, intersect_on_images
+from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, ProtocolError
-from .ident_eval import _fit_seed, _map_seeds, _pad
-from .prep import apply_prep, l2_normalize
+from .reports import AlignedBaselineReport
 from .splits import (
     DEFAULT_SEEDS,
     PairList,
     all_genuine_pairs,
+    run_seeds,
     sample_impostor_pairs,
     sample_pairs_capped,
 )
@@ -231,7 +231,7 @@ class SeedVerification:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(AlignedBaselineReport):
     method: str
     seeds: tuple
     per_seed: tuple
@@ -272,14 +272,6 @@ class VerificationReport:
         }
         return out
 
-    @property
-    def summary(self):
-        return self._summary(self.per_seed)
-
-    @property
-    def baseline_summary(self):
-        return self._summary(self.per_seed_baseline)
-
     def to_dict(self):
         return {
             "method": self.method,
@@ -288,14 +280,7 @@ class VerificationReport:
             "seeds": list(self.seeds),
             "symmetric_score": self.symmetric_score,
             "metadata": self.metadata,
-            "aligned": {
-                "per_seed": [r.to_dict() for r in self.per_seed],
-                "summary": self.summary,
-            },
-            "baseline": {
-                "per_seed": [r.to_dict() for r in self.per_seed_baseline],
-                "summary": self.baseline_summary,
-            },
+            **self._sections(),
         }
 
 
@@ -326,17 +311,12 @@ def _seed_metrics(scores, labels, seed):
     )
 
 
-def _eval_sides(norm_a, norm_b, amap, big_d):
-    """Aligned queries and gallery, then the padded unaligned baseline pair.
+def _eval_sides(x, y, amap):
+    """Aligned queries and gallery, then the unaligned baseline pair.
 
     Each side comes with its row norms, which every seed's pairs share.
     """
-    sides = (
-        apply_prep(norm_a, amap.stats, "source") @ amap.w,
-        apply_prep(norm_b, amap.stats, "target"),
-        _pad(norm_a, big_d),
-        _pad(norm_b, big_d),
-    )
+    sides = (*align.project(x, y, amap), *align.project(x, y))
     return tuple((rows, _row_norms(rows)) for rows in sides)
 
 
@@ -365,45 +345,40 @@ def evaluate_verification(
     Intra protocol (default): per seed, fit on the train side of an
     identity-disjoint split, build all genuine pairs over test identities
     plus an equal impostor sample.  Cross protocol
-    (train_source/train_target given): fit once on all rows of the
-    training pair, then per seed sample capped pairs from the full
-    evaluation sets; the map and the scored rows are shared by every seed.
+    (train_source and train_target given; one without the other is an
+    ``ArgumentError``): fit once on all rows of the training pair, then
+    per seed sample capped pairs from the full evaluation sets; the map
+    and the scored rows are shared by every seed.
     """
-    a, b = intersect_on_images(source, target)
-    labels = list(a.labels)
-    big_d = max(a.dim, b.dim)
-    cross = train_source is not None
+    cross = train_source is not None or train_target is not None
     if cross:
-        if train_target is None:
+        if train_source is None or train_target is None:
             raise ArgumentError("cross protocol needs both training sets")
         if pair_caps is None:
             pair_caps = (10000, 10000)
-        ta, tb = intersect_on_images(train_source, train_target)
-        amap = align.fit_alignment(l2_normalize(ta.rows), l2_normalize(tb.rows), method, alpha)
-        del ta, tb  # free the training rows before the scored rows are built
-        # pair indices refer to rows of the evaluation sets
-        sides = _eval_sides(l2_normalize(a.rows), l2_normalize(b.rows), amap, big_d)
+        # fit first, so the training rows are freed before the scored rows are built
+        amap = align.fit_alignment(*align.unit_pair(train_source, train_target)[1:], method, alpha)
+        labels, x, y = align.unit_pair(source, target)
+        sides = _eval_sides(x, y, amap)  # pair indices refer to rows of x and y
 
         def run_seed(seed):
             pairs = sample_pairs_capped(labels, pair_caps[0], pair_caps[1], seed)
             return _score_seed(sides, pairs, symmetric_score, seed)
 
     else:
-        norm_a, norm_b = l2_normalize(a.rows), l2_normalize(b.rows)
+        labels, x, y = align.unit_pair(source, target)
 
         def run_seed(seed):
-            amap, eval_rows = _fit_seed(
-                norm_a, norm_b, labels, method, alpha, fraction, seed
-            )
+            amap, eval_rows = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
             test_labels = [labels[i] for i in eval_rows]
             genuine = all_genuine_pairs(test_labels)
             impostor = sample_impostor_pairs(test_labels, len(genuine.pairs), seed)
             pairs = PairList(tuple(sorted(genuine.pairs + impostor.pairs)), seed)
             # pair indices refer to positions within eval_rows
-            sides = _eval_sides(norm_a[eval_rows], norm_b[eval_rows], amap, big_d)
+            sides = _eval_sides(x[eval_rows], y[eval_rows], amap)
             return _score_seed(sides, pairs, symmetric_score, seed)
 
-    results = _map_seeds(run_seed, seeds, jobs)
+    results = run_seeds(run_seed, seeds, jobs)
     return VerificationReport(
         method=method,
         seeds=tuple(seeds),

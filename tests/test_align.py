@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from embalign import (
     AlignmentMap,
+    align,
+    evaluate_identification,
+    evaluate_verification,
     fit_linear,
     fit_procrustes,
     fit_ridge,
@@ -16,7 +19,8 @@ from embalign import (
     training_residual,
     transform,
 )
-from embalign.align import DEFAULT_RIDGE_ALPHA
+from embalign import ident_eval, intersect_on_images, verif_eval
+from embalign.align import DEFAULT_RIDGE_ALPHA, project
 from embalign.errors import ConsistencyError, DataError, FormatError, IoError
 from embalign.prep import PrepStats
 
@@ -179,6 +183,54 @@ def test_transform_width_mismatch():
     amap = AlignmentMap(np.eye(4), make_stats(4), "procrustes")
     with pytest.raises(ConsistencyError):
         transform(np.ones((2, 3)), amap)
+
+
+def old_pad(rows, big_d):
+    """The baseline padding the evaluators used before ``project`` took it over."""
+    out = np.zeros((rows.shape[0], big_d), dtype=np.float64)
+    out[:, : rows.shape[1]] = rows
+    return out
+
+
+@pytest.mark.parametrize("d_a, d_b", [(3, 5), (5, 3), (4, 4)])
+def test_project_without_map_is_old_padding(d_a, d_b):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((6, d_a))
+    y = rng.standard_normal((6, d_b))
+    x[0, 0] = y[1, 2] = -0.0
+    x[3, 1] = y[4, 0] = 0.0
+    queries, gallery = project(x, y)
+    big_d = max(d_a, d_b)
+    assert queries.tobytes() == old_pad(x, big_d).tobytes()
+    assert gallery.tobytes() == old_pad(y, big_d).tobytes()
+    assert np.signbit(queries[0, 0]) and np.signbit(gallery[1, 2])
+
+
+def test_transform_equals_the_scored_queries(small_views, monkeypatch):
+    v0, v1 = small_views
+    a, _ = intersect_on_images(v0, v1)
+    labels, x, y = align.unit_pair(v0, v1)
+    amap, test = align.fit_seed(x, y, labels, "ridge", 0.1, 0.7, 0)
+    expected = transform(a.rows[test], amap).tobytes()
+
+    scored = []
+    real_score = ident_eval.score_matrix
+    monkeypatch.setattr(ident_eval, "score_matrix",
+                        lambda q, g: scored.append(q) or real_score(q, g))
+    evaluate_identification(v0, v1, "ridge", seeds=(0,))
+    assert scored[0].tobytes() == expected  # scored[1] holds the baseline queries
+
+    sides = []
+    real_sides = verif_eval._eval_sides
+    monkeypatch.setattr(verif_eval, "_eval_sides",
+                        lambda *args: sides.append(real_sides(*args)) or sides[-1])
+    evaluate_verification(v0, v1, "ridge", seeds=(0,))
+    evaluate_verification(v0, v1, "ridge", seeds=(0,), train_source=v0, train_target=v1,
+                          pair_caps=(40, 40))
+    (intra_queries, _), (cross_queries, _) = sides[0][0], sides[1][0]
+    assert intra_queries.tobytes() == expected
+    cross_map = align.fit_alignment(x, y, "ridge", 0.1)
+    assert cross_queries.tobytes() == transform(a.rows, cross_map).tobytes()
 
 
 def test_alignment_map_rejects_nonorthogonal_procrustes():

@@ -1,15 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from embalign import (
     CompatibilityMatrix,
+    EmbeddingSet,
     agglomerative_cluster,
     asymmetry_stats,
     build_compatibility_matrix,
+    evaluate_identification,
     symmetrize,
     training_size_sweep,
 )
-from embalign import analysis
+from embalign import analysis, ident_eval
 from embalign.errors import ArgumentError, ConsistencyError, ProtocolError
 
 
@@ -215,16 +219,37 @@ def test_compatibility_matrix_single_model(small_views):
     assert cm.rank1.shape == (1, 1)
 
 
+def test_compatibility_matrix_scores_only_the_aligned_side(small_views):
+    v0, v1 = small_views
+    # a model that saw none of the others' images: its off-diagonal cells fail
+    lone = EmbeddingSet("lone", "", v0.rows, [f"x{i}" for i in v0.image_ids], v0.labels)
+    sets = [v0, v1, lone]
+    with mock.patch.object(ident_eval, "score_matrix", wraps=ident_eval.score_matrix) as spy:
+        cm = build_compatibility_matrix(sets, seeds=(0, 1))
+    live = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+    assert spy.call_count == len(live) * 2  # one score matrix per (cell, seed)
+    for i in range(3):
+        for j in range(3):
+            if (i, j) not in live:
+                assert np.isnan(cm.rank1[i, j])
+                continue
+            report = evaluate_identification(sets[i], sets[j], seeds=(0, 1))
+            assert cm.rank1[i, j] == 100.0 * report.summary["rank_k"]["1"]["mean"]
+    assert np.array_equal(
+        build_compatibility_matrix(sets, seeds=(0, 1), jobs=2).rank1, cm.rank1, equal_nan=True
+    )
+
+
 def _failing_cell(monkeypatch, exc):
     """Make the evaluation of the cell m0 -> m1 raise exc."""
-    real = analysis.evaluate_identification
+    real = analysis.aligned_rank1
 
     def evaluate(source, target, **kwargs):
         if (source.model_name, target.model_name) == ("m0", "m1"):
             raise exc
         return real(source, target, **kwargs)
 
-    monkeypatch.setattr(analysis, "evaluate_identification", evaluate)
+    monkeypatch.setattr(analysis, "aligned_rank1", evaluate)
 
 
 def test_compatibility_matrix_protocol_error_is_missing_cell(small_views, monkeypatch):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from embalign import load_map, load_embeddings
+from embalign import align, embedstore, load_map, load_embeddings, prep, splits
 from embalign.cli import main
 
 
@@ -42,6 +42,29 @@ def test_fit_writes_loadable_map(synth_dir, tmp_path):
     amap = load_map(str(out))
     assert amap.method == "procrustes"
     assert amap.w.shape == (24, 24)
+
+
+def test_fit_writes_the_map_of_the_split_fit_sequence(synth_dir, tmp_path):
+    # the sequence `fit` ran before it shared the evaluators' helpers
+    out = tmp_path / "map.bin"
+    code = run(
+        "fit", "--source", str(synth_dir / "view0.emb"),
+        "--target", str(synth_dir / "view2.emb"),
+        "--method", "ridge", "--alpha", "0.3", "--train-frac", "0.6", "--seed", "4",
+        "--out", str(out),
+    )
+    assert code == 0
+    a = load_embeddings(str(synth_dir / "view0.emb"), model_name="view0")
+    b = load_embeddings(str(synth_dir / "view2.emb"), model_name="view2")
+    a, b = embedstore.intersect_on_images(a, b)
+    norm_a, norm_b = prep.l2_normalize(a.rows), prep.l2_normalize(b.rows)
+    split = splits.identity_disjoint_split(list(a.labels), 0.6, 4)
+    amap = align.fit_alignment(
+        norm_a, norm_b, "ridge", 0.3, rows=list(split.train_rows),
+        source_model=a.model_name, target_model=b.model_name, seed=4,
+    )
+    align.save_map(amap, str(tmp_path / "expected.bin"))
+    assert out.read_bytes() == (tmp_path / "expected.bin").read_bytes()
 
 
 def eval_id(synth_dir, out_dir, *extra):
@@ -122,6 +145,36 @@ def test_eval_verif_cross_reports_identical_across_jobs(synth_dir, tmp_path):
         outs.append(out)
     for name in ("verification_report.json", "roc.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def eval_verif(synth_dir, out_dir, *extra):
+    return run(
+        "eval-verif", "--source", str(synth_dir / "view0.emb"),
+        "--target", str(synth_dir / "view1.emb"),
+        "--seeds", "0", "--out-dir", str(out_dir), *extra,
+    )
+
+
+def test_eval_verif_cross_rejects_dump_splits(synth_dir, tmp_path, capsys):
+    # the cross protocol never splits, so there is no split to write
+    code = eval_verif(
+        synth_dir, tmp_path / "out", "--dump-splits",
+        "--train-source", str(synth_dir / "view0.emb"),
+        "--train-target", str(synth_dir / "view2.emb"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and "--dump-splits" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--train-source", "--train-target"])
+def test_eval_verif_one_training_set_is_clean_error(synth_dir, tmp_path, capsys, flag):
+    code = eval_verif(synth_dir, tmp_path / "out", flag, str(synth_dir / "view2.emb"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and "--train-target" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_matrix_then_cluster(synth_dir, tmp_path):

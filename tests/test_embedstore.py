@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from embalign import EmbeddingSet, intersect_on_images, load_embeddings, save_embeddings
 from embalign.errors import (
@@ -7,8 +11,12 @@ from embalign.errors import (
     DataError,
     EmptyIntersectionError,
     FormatError,
+    IoError,
     LabelConflictError,
 )
+
+#: the only errors a malformed input file may raise
+LOAD_ERRORS = (FormatError, ConsistencyError, DataError, IoError)
 
 
 def make_set(rows, ids, labels, name="m"):
@@ -75,6 +83,107 @@ def test_label_count_mismatch(tmp_path):
     lpath.write_text("\n".join(lines[:4]) + "\n")
     with pytest.raises(ConsistencyError):
         load_embeddings(path)
+
+
+def test_non_utf8_labels_rejected(tmp_path):
+    s = make_set(np.eye(2, 3), ["i0", "i1"], ["a", "b"])
+    path = str(tmp_path / "x.emb")
+    save_embeddings(s, path)
+    (tmp_path / "x.labels.tsv").write_bytes(b"i0\ta\ni1\t\xff\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_embeddings(path)
+
+
+def saved_files(tmp_path, fmt):
+    """Bytes of a small valid set saved in ``fmt``: (data file, label file or None)."""
+    rng = np.random.default_rng(3)
+    s = make_set(rng.standard_normal((6, 3)), [f"img{k}" for k in range(6)], list("aabbcc"))
+    path = tmp_path / ("x.emb" if fmt == "binary" else "x.csv")
+    save_embeddings(s, str(path), fmt)
+    labels = tmp_path / "x.labels.tsv"
+    return path.read_bytes(), labels.read_bytes() if fmt == "binary" else None
+
+
+def load_bytes(tmp_path, fmt, blob, labels=None):
+    path = tmp_path / ("fuzz.emb" if fmt == "binary" else "fuzz.csv")
+    path.write_bytes(blob)
+    if labels is not None:
+        (tmp_path / "fuzz.labels.tsv").write_bytes(labels)
+    return load_embeddings(str(path), fmt)
+
+
+def mutate_bytes(data, blob):
+    mutable = bytearray(blob)
+    for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+        mutable[pos] = data.draw(st.integers(0, 255))
+    return bytes(mutable)
+
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+#: replacement text for one field of a label line or a CSV cell
+FIELD_TEXT = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "1e39", "img0", "a\tb", "\"", ","]),
+    st.text(max_size=6),
+)
+
+
+@FUZZ
+@given(data=st.data())
+def test_binary_fuzz_raises_only_load_errors(tmp_path, data):
+    blob, labels = saved_files(tmp_path, "binary")
+    kind = data.draw(st.sampled_from(["truncate", "field", "bytes"]))
+    target = data.draw(st.sampled_from(["data", "labels"]))
+    if kind == "truncate":
+        if target == "data":
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            labels = labels[: data.draw(st.integers(0, len(labels) - 1))]
+    elif kind == "field" and target == "data":
+        n, d = struct.unpack("<II", blob[4:12])
+        n = data.draw(st.one_of(st.just(n), st.integers(0, 2**32 - 1)))
+        d = data.draw(st.one_of(st.just(d), st.integers(0, 2**32 - 1)))
+        blob = blob[:4] + struct.pack("<II", n, d) + blob[12:]
+    elif kind == "field":
+        lines = labels.decode("utf-8").split("\n")
+        k = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split("\t")
+        j = data.draw(st.integers(0, len(fields)))
+        fields[j:j + 1] = [data.draw(FIELD_TEXT)] if data.draw(st.booleans()) else []
+        lines[k] = "\t".join(fields)
+        labels = "\n".join(lines).encode("utf-8")
+    elif target == "data":
+        blob = mutate_bytes(data, blob)
+    else:
+        labels = mutate_bytes(data, labels)
+    try:
+        load_bytes(tmp_path, "binary", blob, labels)
+    except LOAD_ERRORS:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_csv_fuzz_raises_only_load_errors(tmp_path, data):
+    blob, _ = saved_files(tmp_path, "csv")
+    kind = data.draw(st.sampled_from(["truncate", "field", "bytes"]))
+    if kind == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "field":
+        lines = blob.decode("utf-8").split("\r\n")
+        k = data.draw(st.integers(0, len(lines) - 1))
+        cells = lines[k].split(",")
+        j = data.draw(st.integers(0, len(cells)))
+        cells[j:j + 1] = [data.draw(FIELD_TEXT)] if data.draw(st.booleans()) else []
+        lines[k] = ",".join(cells)
+        blob = "\r\n".join(lines).encode("utf-8")
+    else:
+        blob = mutate_bytes(data, blob)
+    try:
+        load_bytes(tmp_path, "csv", blob)
+    except LOAD_ERRORS:
+        pass
 
 
 def test_nonfinite_rejected():
