@@ -11,14 +11,28 @@ import scipy.cluster.hierarchy as sch
 
 from . import align
 from .embedstore import EmbeddingSet
-from .errors import ArgumentError, ConsistencyError, EmbalignError, ProtocolError
+from .errors import (
+    ArgumentError,
+    ConsistencyError,
+    DegenerateRowError,
+    EmbalignError,
+    EmptyIntersectionError,
+    LabelConflictError,
+    ProtocolError,
+)
 from .ident_eval import aligned_rank1, rank_k_accuracy, score_matrix
-from .prep import apply_prep, fit_prep
+from .prep import apply_prep, fit_prep, l2_normalize
 from .splits import DEFAULT_SEEDS, identity_disjoint_split
 
 _TAG_SWEEP = 301
 
 LINKAGES = ("average", "single", "complete")
+
+
+def _require_unique(names):
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConsistencyError(f"repeated model names: {', '.join(map(repr, repeated))}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +51,7 @@ class CompatibilityMatrix:
         m = len(self.model_names)
         if r.shape != (m, m):
             raise ConsistencyError(f"matrix shape {r.shape} for {m} models")
+        _require_unique(self.model_names)
         with np.errstate(invalid="ignore"):
             if np.nanmin(r) < 0 or np.nanmax(r) > 100:
                 raise ConsistencyError("rank1 entries must lie in [0, 100]")
@@ -88,34 +103,93 @@ class Dendrogram:
         return render(m + len(self.merges) - 1) + ";"
 
 
+@dataclass(frozen=True)
+class _UnitModel:
+    """One model's rows, unit-normalized once for every cell it is in."""
+
+    name: str
+    index: dict  # image id -> row, in sorted image-id order
+    labels: list
+    rows: np.ndarray  # unit rows; all-zero rows stay zero
+    dead: frozenset  # image ids of the all-zero rows
+
+
+def _unit_model(s: EmbeddingSet) -> _UnitModel:
+    """Normalize every nonzero row of ``s`` in one call; a zero row fails only its cells."""
+    order = sorted(range(s.n), key=s.image_ids.__getitem__)
+    rows = s.rows[order]
+    live = rows.any(axis=1)
+    unit = np.zeros(rows.shape)
+    unit[live] = l2_normalize(rows[live])
+    ids = [s.image_ids[k] for k in order]
+    return _UnitModel(
+        name=s.model_name,
+        index={iid: r for r, iid in enumerate(ids)},
+        labels=[s.labels[k] for k in order],
+        rows=unit,
+        dead=frozenset(ids[r] for r in np.flatnonzero(~live)),
+    )
+
+
+def _shared(a: _UnitModel, b: _UnitModel):
+    """``(labels, x, y)`` of the images a and b share, as :func:`align.unit_pair` gives them.
+
+    The rows are in sorted image-id order, and a pair that
+    :func:`align.unit_pair` refuses raises the same error type here.
+    """
+    shared = [iid for iid in a.index if iid in b.index]
+    if not shared:
+        raise EmptyIntersectionError(f"no shared image ids between {a.name!r} and {b.name!r}")
+    ra = [a.index[iid] for iid in shared]
+    rb = [b.index[iid] for iid in shared]
+    labels = [a.labels[r] for r in ra]
+    for iid, la, r in zip(shared, labels, rb):
+        if la != b.labels[r]:
+            raise LabelConflictError(f"image {iid!r}: label {la!r} vs {b.labels[r]!r}")
+    dead = a.dead | b.dead
+    if dead:
+        for k, iid in enumerate(shared):
+            if iid in dead:
+                raise DegenerateRowError(k)
+    return labels, a.rows[ra], b.rows[rb]
+
+
 def build_compatibility_matrix(
     sets,
     method: str = "procrustes",
     seeds=DEFAULT_SEEDS,
     fraction: float = 0.7,
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
-    jobs: int = 1,
 ) -> CompatibilityMatrix:
     """Mean Rank-1 (percent) of every ordered model pair, self-pairs included.
 
-    Cells score the aligned side only.  Pairs whose evaluation fails with
-    an ``EmbalignError`` are marked missing (NaN), never zero; any other
-    exception is a bug and propagates.
+    Cells score the aligned side only, and Rank-1 is read from each
+    query's first highest score.  Each model is normalized once and each
+    seed's split is made once per label list; every cell fits its own map.
+    Cells and seeds run on the calling thread: what is left per cell is
+    SVD and matrix products, which BLAS already spreads over the cores.
+    Pairs whose evaluation fails with an ``EmbalignError`` are marked
+    missing (NaN), never zero; any other exception is a bug and propagates.
     """
     sets = list(sets)
     m = len(sets)
+    names = tuple(s.model_name for s in sets)
+    _require_unique(names)  # before any cell is fit
+    units = [_unit_model(s) for s in sets]
+    splits = {}  # label list -> one split per seed
     rank1 = np.full((m, m), np.nan)
     for i in range(m):
         for j in range(m):
             try:
-                rank1[i, j] = 100.0 * aligned_rank1(
-                    sets[i], sets[j], method=method, seeds=seeds,
-                    fraction=fraction, alpha=alpha, jobs=jobs,
-                )
+                labels, x, y = _shared(units[i], units[j])
+                key = tuple(labels)
+                if key not in splits:
+                    splits[key] = [identity_disjoint_split(labels, fraction, s) for s in seeds]
+                rank1[i, j] = 100.0 * aligned_rank1(x, y, labels, splits[key], method, alpha)
             except EmbalignError:
                 pass
     return CompatibilityMatrix(
-        model_names=tuple(s.model_name for s in sets),
+        model_names=names,
         rank1=rank1,
         dataset_name=sets[0].dataset_name if sets else "",
         method=method,

@@ -31,13 +31,8 @@ import numpy as np
 
 from . import align
 from .embedstore import EmbeddingSet
-from .errors import (
-    ArgumentError,
-    ConsistencyError,
-    DataError,
-    DegenerateRowError,
-    ProtocolError,
-)
+from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
+from .prep import _unit_rows
 from .reports import AlignedBaselineReport
 from .splits import DEFAULT_SEEDS, run_seeds
 
@@ -50,15 +45,7 @@ _CELL_BUDGET = 1 << 16
 
 def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities, queries x gallery."""
-    q = np.asarray(queries, dtype=np.float64)
-    g = np.asarray(gallery, dtype=np.float64)
-    qn = np.linalg.norm(q, axis=1)
-    gn = np.linalg.norm(g, axis=1)
-    for norms in (qn, gn):
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DegenerateRowError(int(zero[0]))
-    return (q / qn[:, None]) @ (g / gn[:, None]).T
+    return _unit_rows(queries) @ _unit_rows(gallery).T
 
 
 def _check_labels(scores, q_labels, g_labels):
@@ -140,10 +127,26 @@ def _ranked(scores, q_codes, g_codes, exclude_self=False, with_ap=False):
     return first, aps
 
 
-def _require_relevant(first, n_g):
-    missing = np.flatnonzero(first > n_g)
+def _require_relevant(found):
+    """Raise unless every query (``found[i]``) has a live relevant gallery item."""
+    missing = np.flatnonzero(~found)
     if missing.size:
         raise ProtocolError(f"query {missing[0]} has no relevant gallery items")
+
+
+def _rank1(scores, q_labels, g_labels) -> float:
+    """Rank-1 accuracy read from the first maximum of each score row.
+
+    The first maximum is the item the rank kernel puts at rank 1 (equal
+    scores go to the lowest gallery index); a -inf maximum is a removed
+    item and never a hit.  Validation and errors are those of the
+    evaluation, ``ProtocolError`` for a query without a live relevant
+    item included.
+    """
+    scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
+    relevant = (q_codes[:, None] == g_codes) & (scores > -np.inf)
+    _require_relevant(relevant.any(axis=1))
+    return float(relevant[np.arange(len(q_codes)), scores.argmax(axis=1)].mean())
 
 
 def _cmc(first, max_rank):
@@ -167,7 +170,7 @@ def mean_average_precision(scores, q_labels, g_labels) -> float:
     """
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
     first, aps = _ranked(scores, q_codes, g_codes, with_ap=True)
-    _require_relevant(first, len(g_codes))
+    _require_relevant(first <= len(g_codes))
     return float(aps.mean())
 
 
@@ -267,7 +270,7 @@ def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_sel
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
     n_g = len(g_codes)
     first, aps = _ranked(scores, q_codes, g_codes, exclude_self, with_ap=True)
-    _require_relevant(first, n_g)
+    _require_relevant(first <= n_g)
     if max_rank > n_g:
         raise ArgumentError(f"max_rank {max_rank} exceeds gallery size {n_g}")
     return SeedRetrieval(
@@ -281,8 +284,8 @@ def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_sel
 
 
 def _seed_results(source, target, method, seeds, fraction, alpha, jobs,
-                  exclude_self=False, max_rank=CMC_MAX_RANK, baseline=True):
-    """(aligned, baseline) metrics per seed; baseline is None unless asked for."""
+                  exclude_self=False, max_rank=CMC_MAX_RANK):
+    """(aligned, baseline) metrics per seed."""
     labels, x, y = align.unit_pair(source, target)
 
     def run_seed(seed):
@@ -296,7 +299,7 @@ def _seed_results(source, target, method, seeds, fraction, alpha, jobs,
                 eff_rank, seed, exclude_self,
             )
 
-        return metrics(amap), (metrics(None) if baseline else None)
+        return metrics(amap), metrics(None)
 
     return run_seeds(run_seed, seeds, jobs)
 
@@ -333,7 +336,21 @@ def evaluate_identification(
     )
 
 
-def aligned_rank1(source, target, method, seeds, fraction, alpha, jobs) -> float:
-    """Aligned mean Rank-1 as :func:`evaluate_identification` reports it, with no baseline."""
-    results = _seed_results(source, target, method, seeds, fraction, alpha, jobs, baseline=False)
-    return float(np.array([aligned.rank_k[1] for aligned, _ in results]).mean())
+def aligned_rank1(x, y, labels, splits, method, alpha) -> float:
+    """Aligned mean Rank-1 as :func:`evaluate_identification` reports it, with no baseline.
+
+    ``x`` and ``y`` are the unit source and target rows of the shared
+    images, ``labels`` their identities and ``splits`` one
+    identity-disjoint split of ``labels`` per seed.  The seeds run one
+    after another on the calling thread.
+    """
+    rank1 = []
+    for split in splits:
+        amap = align.fit_alignment(
+            x, y, method, alpha, rows=list(split.train_rows), seed=split.seed
+        )
+        test = list(split.test_rows)
+        test_labels = [labels[i] for i in test]
+        scores = score_matrix(*align.project(x[test], y[test], amap))
+        rank1.append(_rank1(scores, test_labels, test_labels))
+    return float(np.array(rank1).mean())

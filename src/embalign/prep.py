@@ -39,14 +39,39 @@ class PrepStats:
             raise DataError("non-finite training means")
 
 
-def l2_normalize(rows: np.ndarray) -> np.ndarray:
-    """Scale each row to unit Euclidean norm (float64 output)."""
+# rows whose norm lies outside [_TINY, _HUGE] are rescaled before they are
+# divided; every row a float32 embedding can hold lies inside
+_TINY, _HUGE = 2.0 ** -300, 2.0 ** 300
+
+
+def _unit_rows(rows) -> np.ndarray:
+    """Each row divided by its Euclidean norm (float64); an all-zero row raises.
+
+    A row whose norm would underflow or overflow (entries near 1e-160 or
+    1e160 and beyond) is first scaled by the exact power of two that
+    brings its largest entry into [0.5, 1).  Rows with an in-range norm
+    are divided as they are.
+    """
     rows = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    with np.errstate(over="ignore"):  # an overflowing norm marks a row to rescale
+        norms = np.linalg.norm(rows, axis=1)
+    odd = np.flatnonzero((norms < _TINY) | (norms > _HUGE))
+    if not odd.size:
+        return rows / norms[:, None]
+    peak = np.abs(rows[odd]).max(axis=1, initial=0.0)
+    zero = odd[peak == 0.0]
     if zero.size:
         raise DegenerateRowError(int(zero[0]))
-    return rows / norms[:, None]
+    scaled = np.ldexp(rows[odd], -np.frexp(peak)[1][:, None])
+    norms[odd] = 1.0
+    out = rows / norms[:, None]
+    out[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return out
+
+
+def l2_normalize(rows: np.ndarray) -> np.ndarray:
+    """Scale each row to unit Euclidean norm (float64 output)."""
+    return _unit_rows(rows)
 
 
 def fit_prep(x_train: np.ndarray, y_train: np.ndarray) -> PrepStats:

@@ -14,7 +14,7 @@ from embalign import (
     training_size_sweep,
 )
 from embalign import analysis, ident_eval
-from embalign.errors import ArgumentError, ConsistencyError, ProtocolError
+from embalign.errors import ArgumentError, ConsistencyError, EmbalignError, ProtocolError
 
 
 # --- brute-force agglomeration oracle -------------------------------------
@@ -224,10 +224,16 @@ def test_compatibility_matrix_scores_only_the_aligned_side(small_views):
     # a model that saw none of the others' images: its off-diagonal cells fail
     lone = EmbeddingSet("lone", "", v0.rows, [f"x{i}" for i in v0.image_ids], v0.labels)
     sets = [v0, v1, lone]
-    with mock.patch.object(ident_eval, "score_matrix", wraps=ident_eval.score_matrix) as spy:
+    with mock.patch.object(ident_eval, "score_matrix", wraps=ident_eval.score_matrix) as spy, \
+            mock.patch.object(analysis, "l2_normalize", wraps=analysis.l2_normalize) as norm, \
+            mock.patch.object(analysis, "identity_disjoint_split",
+                              wraps=analysis.identity_disjoint_split) as split:
         cm = build_compatibility_matrix(sets, seeds=(0, 1))
     live = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
     assert spy.call_count == len(live) * 2  # one score matrix per (cell, seed)
+    assert norm.call_count == len(sets)  # each model is normalized once
+    # the live cells share one label list (lone's ids sort like v0's): one split per seed
+    assert split.call_count == 2
     for i in range(3):
         for j in range(3):
             if (i, j) not in live:
@@ -235,19 +241,79 @@ def test_compatibility_matrix_scores_only_the_aligned_side(small_views):
                 continue
             report = evaluate_identification(sets[i], sets[j], seeds=(0, 1))
             assert cm.rank1[i, j] == 100.0 * report.summary["rank_k"]["1"]["mean"]
-    assert np.array_equal(
-        build_compatibility_matrix(sets, seeds=(0, 1), jobs=2).rank1, cm.rank1, equal_nan=True
-    )
+
+
+def _subset(es, name, keep, prefix="", zero=None, relabel=None, copies=()):
+    """Model ``name`` holding the rows ``keep`` of es, optionally altered.
+
+    ``prefix`` renames every image id; ``zero`` (a row of es) becomes an
+    all-zero row, ``relabel`` (a row of es) gets a label no other model
+    gives its image, and each ``(dst, src)`` in ``copies`` gives row dst
+    the embedding of row src.
+    """
+    keep = list(keep)
+    rows = es.rows[keep].copy()
+    labels = [es.labels[k] for k in keep]
+    for dst, src in copies:
+        rows[keep.index(dst)] = es.rows[src]
+    if zero is not None:
+        rows[keep.index(zero)] = 0.0
+    if relabel is not None:
+        labels[keep.index(relabel)] = "conflict"
+    return EmbeddingSet(name, "", rows, [prefix + es.image_ids[k] for k in keep], labels)
+
+
+def test_compatibility_matrix_cells_equal_identification_or_fail_alike(small_views):
+    v0, v1 = small_views  # 150 images, 5 per identity, the same ids and labels in both
+    # head's first image of every odd identity repeats that of the even one
+    # before it: tied gallery scores, won by the image whose id sorts first
+    twins = [(10 * k + 5, 10 * k) for k in range(11)]
+    sets = [
+        _subset(v0, "full", range(150)),
+        _subset(v1, "head", range(110), copies=twins),  # head and tail share 40..109
+        _subset(v1, "tail", range(40, 150)),
+        _subset(v0, "lone", range(150), prefix="x"),  # shares no image with the others
+        _subset(v1, "clash", range(60, 150), relabel=120),  # conflicts with full and tail
+        _subset(v0, "zero", range(80), zero=5),  # all-zero row on an image tail lacks
+    ]
+    names = [s.model_name for s in sets]
+    missing = {("lone", n) for n in names if n != "lone"}
+    missing |= {("clash", "full"), ("clash", "tail"), ("zero", "full"), ("zero", "head"),
+                ("zero", "zero")}
+    missing |= {(b, a) for a, b in missing}
+    cm = build_compatibility_matrix(sets, seeds=(0, 1))
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if (names[i], names[j]) in missing:
+                assert np.isnan(cm.rank1[i, j])
+                with pytest.raises(EmbalignError):
+                    evaluate_identification(a, b, seeds=(0, 1))
+                continue
+            report = evaluate_identification(a, b, seeds=(0, 1))
+            assert cm.rank1[i, j] == 100.0 * report.summary["rank_k"]["1"]["mean"]
+
+
+def test_compatibility_matrix_refuses_repeated_model_names(small_views):
+    with pytest.raises(ConsistencyError, match="'a'"):
+        cm_from(np.full((3, 3), 50.0), ["a", "b", "a"])
+    v0, v1 = small_views
+    twin = EmbeddingSet("m0", "", v1.rows, v1.image_ids, v1.labels)
+    with mock.patch.object(analysis, "aligned_rank1") as cell, \
+            pytest.raises(ConsistencyError, match="'m0'"):
+        build_compatibility_matrix([v0, v1, twin], seeds=(0,))
+    cell.assert_not_called()  # refused before any cell is evaluated
 
 
 def _failing_cell(monkeypatch, exc):
-    """Make the evaluation of the cell m0 -> m1 raise exc."""
+    """Make the evaluation of the cell m0 -> m1, the second in row-major order, raise exc."""
     real = analysis.aligned_rank1
+    calls = []
 
-    def evaluate(source, target, **kwargs):
-        if (source.model_name, target.model_name) == ("m0", "m1"):
+    def evaluate(*args):
+        calls.append(args)
+        if len(calls) == 2:
             raise exc
-        return real(source, target, **kwargs)
+        return real(*args)
 
     monkeypatch.setattr(analysis, "aligned_rank1", evaluate)
 

@@ -201,6 +201,32 @@ def test_matrix_then_cluster(synth_dir, tmp_path):
     assert (clu_dir / "dendrogram.newick").read_text().strip().endswith(";")
 
 
+def test_matrix_reports_identical_across_jobs(synth_dir, tmp_path):
+    # --jobs is accepted by matrix but changes nothing: cells run on one thread
+    inputs = [str(synth_dir / f"view{v}.emb") for v in range(3)]
+    for jobs in ("1", "2"):
+        code = run("matrix", "--inputs", *inputs, "--seeds", "0,1", "--jobs", jobs,
+                   "--out-dir", str(tmp_path / jobs))
+        assert code == 0
+    for name in ("compatibility_matrix.json", "compatibility_matrix.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_matrix_repeated_model_name_is_clean_error(synth_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    other.mkdir()
+    for suffix in (".emb", ".labels.tsv"):
+        (other / f"view0{suffix}").write_bytes((synth_dir / f"view0{suffix}").read_bytes())
+    first, second = str(synth_dir / "view0.emb"), str(other / "view0.emb")
+    code = run("matrix", "--inputs", first, second, str(synth_dir / "view1.emb"),
+               "--seeds", "0", "--out-dir", str(tmp_path / "mat"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ")
+    assert "'view0'" in err and first in err and second in err
+    assert not (tmp_path / "mat").exists()
+
+
 def test_sweep_outputs(synth_dir, tmp_path):
     code = run(
         "sweep", "--source", str(synth_dir / "view0.emb"),
@@ -236,6 +262,7 @@ BAD_MATRICES = {
     "string_entry": '{"model_names": ["a", "b"], "rank1": [[100, "x"], [1, 100]]}',
     "huge_int_entry": '{"model_names": ["a", "b"], "rank1": [[100, 1' + "0" * 400
                       + '], [1, 100]]}',
+    "repeated_names": '{"model_names": ["a", "a"], "rank1": [[100, 1], [1, 100]]}',
 }
 
 

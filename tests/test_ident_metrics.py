@@ -409,6 +409,59 @@ def test_empty_gallery():
         rank_k_accuracy(scores, ["a", "b"], [], 1)
 
 
+# --- Rank-1 from the first maximum -----------------------------------------
+# The compatibility matrix reads Rank-1 from the first maximum of each row;
+# it must agree with the rank kernel's Rank-1 everywhere, errors included.
+
+@st.composite
+def rank1_cases(draw):
+    n_q, n_g = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    g_labels = draw(st.lists(st.sampled_from("aaaabbc"), min_size=n_g, max_size=n_g))
+    if draw(st.integers(0, 3)):
+        picks = draw(st.lists(st.integers(0, n_g - 1), min_size=n_q, max_size=n_q))
+        q_labels = [g_labels[i] for i in picks]
+    else:
+        q_labels = draw(st.lists(st.sampled_from("abcd"), min_size=n_q, max_size=n_q))
+    # few integer levels, so most rows have tied maxima
+    levels = [-np.inf, -1.0, 0.0, 1.0, 2.0, 2.0]
+    flat = draw(st.lists(st.sampled_from(levels), min_size=n_q * n_g, max_size=n_q * n_g))
+    scores = np.array(flat).reshape(n_q, n_g)
+    if draw(st.integers(0, 3)) == 0:  # a query whose whole row is removed
+        scores[draw(st.integers(0, n_q - 1))] = -np.inf
+    if draw(st.integers(0, 7)) == 0:
+        bad = draw(st.sampled_from([np.nan, np.inf]))
+        scores[draw(st.integers(0, n_q - 1)), draw(st.integers(0, n_g - 1))] = bad
+    return scores, q_labels, g_labels
+
+
+def _rank1_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DataError, ProtocolError) as exc:
+        return type(exc), str(exc)
+
+
+def _rank1_reference(scores, q_labels, g_labels):
+    # mAP validates like the evaluation and raises its ProtocolError
+    mean_average_precision(scores, q_labels, g_labels)
+    return rank_k_accuracy(scores, q_labels, g_labels, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rank1_cases())
+def test_first_max_rank1_equals_rank_kernel(case):
+    want = _rank1_outcome(_rank1_reference, *case)
+    assert _rank1_outcome(ident_eval._rank1, *case) == want
+
+
+def test_first_max_rank1_hand_cases():
+    # ties go to the lowest gallery index; -inf entries are removed items
+    scores = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [0.5, -np.inf, -np.inf]])
+    assert ident_eval._rank1(scores, ["a", "a", "a"], ["a", "b", "a"]) == 2 / 3
+    with pytest.raises(ProtocolError):  # query 2's only relevant item is removed
+        ident_eval._rank1(scores, ["a", "a", "b"], ["a", "b", "a"])
+
+
 # --- non-finite scores ----------------------------------------------------
 
 METRICS = [

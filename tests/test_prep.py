@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from embalign import apply_prep, fit_prep, l2_normalize
+from embalign import apply_prep, fit_prep, l2_normalize, score_matrix
 from embalign.errors import ConsistencyError, DegenerateRowError
 
 
@@ -22,6 +22,37 @@ def test_normalize_zero_row():
     with pytest.raises(DegenerateRowError) as exc:
         l2_normalize([[1.0, 1.0], [0.0, 0.0]])
     assert exc.value.row_index == 1
+
+
+def test_normalize_tiny_row_has_unit_norm():
+    # squares of 1e-160 underflow: the row is rescaled before it is divided
+    out = l2_normalize([[1e-160, 2e-160, 3e-160]])
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-15
+    assert np.allclose(out, np.array([[1.0, 2.0, 3.0]]) / np.sqrt(14.0), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("value", [1e-200, 1e200])
+def test_normalize_row_with_out_of_range_norm(value):
+    # the norm of these rows underflows to 0 or overflows to inf
+    out = l2_normalize([[value, value], [3.0, 4.0]])
+    assert np.allclose(out, [[0.5 ** 0.5, 0.5 ** 0.5], [0.6, 0.8]], rtol=0, atol=1e-15)
+    assert np.allclose(score_matrix([[value, value]], [[1.0, 1.0], [1.0, -1.0]]),
+                       [[1.0, 0.0]], rtol=0, atol=1e-15)
+
+
+def test_normalize_zero_row_among_tiny_rows():
+    with pytest.raises(DegenerateRowError) as exc:
+        l2_normalize([[1e-200, 0.0], [-0.0, 0.0]])
+    assert exc.value.row_index == 1
+    with pytest.raises(DegenerateRowError):
+        score_matrix([[1.0, 0.0]], [[1e-200, 0.0], [0.0, 0.0]])
+
+
+def test_normalize_in_range_rows_keep_the_plain_division():
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((60, 7)) * 10.0 ** rng.integers(-80, 80, (60, 1))
+    want = rows / np.linalg.norm(rows, axis=1)[:, None]
+    assert np.array_equal(l2_normalize(rows), want)
 
 
 def test_fit_prep_two_point_mean():
