@@ -70,10 +70,17 @@ def fit_linear(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
     return vt.T @ (s_inv[:, None] * (u.T @ y_tr))
 
 
+def check_method(method: str, alpha: float) -> None:
+    """Raise ``ConsistencyError`` unless :func:`fit_map` accepts ``method`` and ``alpha``."""
+    if method not in METHODS:
+        raise ConsistencyError(f"unknown method {method!r}")
+    if method == "ridge" and not alpha > 0:
+        raise ConsistencyError("ridge alpha must be positive")
+
+
 def fit_ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:
     """Damped least-squares map (x^T x + alpha I)^-1 x^T y, alpha > 0."""
-    if not alpha > 0:
-        raise ConsistencyError("ridge alpha must be positive")
+    check_method("ridge", alpha)
     x_tr, y_tr = _check_train(x_tr, y_tr)
     d = x_tr.shape[1]
     gram = x_tr.T @ x_tr + alpha * np.eye(d)
@@ -85,13 +92,12 @@ def fit_ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:
 
 def fit_map(x_tr: np.ndarray, y_tr: np.ndarray, method: str, alpha: float = DEFAULT_RIDGE_ALPHA):
     """Dispatch to one of the three fitters."""
+    check_method(method, alpha)
     if method == "procrustes":
         return fit_procrustes(x_tr, y_tr)
     if method == "linear":
         return fit_linear(x_tr, y_tr)
-    if method == "ridge":
-        return fit_ridge(x_tr, y_tr, alpha)
-    raise ConsistencyError(f"unknown method {method!r}")
+    return fit_ridge(x_tr, y_tr, alpha)
 
 
 @dataclass(frozen=True)

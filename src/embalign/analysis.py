@@ -22,7 +22,7 @@ from .errors import (
 )
 from .ident_eval import aligned_rank1, rank_k_accuracy, score_matrix
 from .prep import apply_prep, fit_prep, l2_normalize
-from .splits import DEFAULT_SEEDS, identity_disjoint_split
+from .splits import DEFAULT_SEEDS, _rng, check_fraction, check_seed, identity_disjoint_split
 
 _TAG_SWEEP = 301
 
@@ -52,9 +52,8 @@ class CompatibilityMatrix:
         if r.shape != (m, m):
             raise ConsistencyError(f"matrix shape {r.shape} for {m} models")
         _require_unique(self.model_names)
-        with np.errstate(invalid="ignore"):
-            if np.nanmin(r) < 0 or np.nanmax(r) > 100:
-                raise ConsistencyError("rank1 entries must lie in [0, 100]")
+        if np.any((r < 0) | (r > 100)):  # NaN, a missing cell, compares False
+            raise ConsistencyError("rank1 entries must lie in [0, 100]")
 
     def to_dict(self):
         return {
@@ -166,15 +165,17 @@ def build_compatibility_matrix(
     Cells score the aligned side only, and Rank-1 is read from each
     query's first highest score.  Each model is normalized once and each
     seed's split is made once per label list; every cell fits its own map.
-    Cells and seeds run on the calling thread: what is left per cell is
-    SVD and matrix products, which BLAS already spreads over the cores.
-    Pairs whose evaluation fails with an ``EmbalignError`` are marked
-    missing (NaN), never zero; any other exception is a bug and propagates.
+    The arguments are checked before any cell is fit.  Pairs whose
+    evaluation fails with an ``EmbalignError`` are marked missing (NaN),
+    never zero; any other exception is a bug and propagates.
     """
     sets = list(sets)
     m = len(sets)
     names = tuple(s.model_name for s in sets)
-    _require_unique(names)  # before any cell is fit
+    _require_unique(names)
+    check_fraction(fraction)
+    seeds = [check_seed(s) for s in seeds]
+    align.check_method(method, alpha)
     units = [_unit_model(s) for s in sets]
     splits = {}  # label list -> one split per seed
     rank1 = np.full((m, m), np.nan)
@@ -285,7 +286,7 @@ def training_size_sweep(
     for seed in seeds:
         split = identity_disjoint_split(labels, base_fraction, seed)
         pool = sorted(split.train_identities)
-        order = np.random.default_rng([_TAG_SWEEP, int(seed)]).permutation(len(pool))
+        order = _rng(_TAG_SWEEP, seed).permutation(len(pool))
         test = list(split.test_rows)
         test_labels = [labels[i] for i in test]
         for frac in fractions:

@@ -2,7 +2,8 @@
 
 Subcommands: synth, fit, eval-id, eval-verif, matrix, cluster, sweep.
 The env var ``EMBALIGN_SEEDS`` (comma-separated) overrides the default
-seed list {0..4}; an explicit ``--seeds`` flag overrides both.
+seed list {0..4}; an explicit ``--seeds`` flag overrides both.  The map
+of the ``eval-verif`` cross protocol is fit here and handed to the evaluator.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .errors import ArgumentError, EmbalignError, FormatError, IoError
 
 
 # run-environment knobs that must not leak into reports: identical inputs
-# have to produce byte-identical output regardless of where it goes or how
-# many workers computed it
+# have to produce byte-identical output regardless of where it goes
 _NON_CONFIG = ("func", "out", "out_dir", "jobs", "dump_splits")
 
 
@@ -64,11 +64,17 @@ def _add_pair_args(p):
     p.add_argument("--train-frac", type=float, default=0.7)
 
 
+def _add_jobs_arg(p):
+    p.add_argument("--jobs", type=int, default=1,
+                   help="at least 1, ignored: seeds run on one thread, as BLAS uses every "
+                        "core (measured on 2 cores only: two seed threads were slower)")
+
+
 def _add_eval_args(p):
     _add_pair_args(p)
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs_arg(p)
     p.add_argument("--dump-splits", action="store_true",
                    help="also write the per-seed splits as JSON")
 
@@ -123,7 +129,7 @@ def cmd_eval_id(args):
     seeds = _seed_list(args)
     report = ident_eval.evaluate_identification(
         a, b, method=args.method, seeds=seeds, fraction=args.train_frac,
-        alpha=args.alpha, exclude_self=args.exclude_self, jobs=args.jobs,
+        alpha=args.alpha, exclude_self=args.exclude_self,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     config = _config(args)
@@ -151,15 +157,15 @@ def cmd_eval_verif(args):
     a = _load(args.source, args.format)
     b = _load(args.target, args.format)
     seeds = _seed_list(args)
-    kwargs = {}
+    amap = None
     if cross:
-        kwargs["train_source"] = _load(args.train_source, args.format)
-        kwargs["train_target"] = _load(args.train_target, args.format)
-        kwargs["pair_caps"] = (args.genuine_cap, args.impostor_cap)
+        # only unit_pair holds the training sets, so they are freed before the fit
+        train = (_load(p, args.format) for p in (args.train_source, args.train_target))
+        amap = align.fit_alignment(*align.unit_pair(*train)[1:], args.method, args.alpha)
     report = verif_eval.evaluate_verification(
-        a, b, method=args.method, seeds=seeds, fraction=args.train_frac,
-        alpha=args.alpha, symmetric_score=args.symmetric_score,
-        jobs=args.jobs, **kwargs,
+        a, b, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
+        pair_caps=(args.genuine_cap, args.impostor_cap) if cross else None, amap=amap,
+        symmetric_score=args.symmetric_score,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     config = _config(args)
@@ -345,11 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=align.DEFAULT_RIDGE_ALPHA)
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--seeds")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility and has no effect: the cells run "
-                        "on one thread, as their SVDs and matrix products already use "
-                        "every core through BLAS (24 SVDs of 256x256 took 0.67 s on two "
-                        "Python threads and 0.36 s on one, 2-core machine)")
+    _add_jobs_arg(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_matrix)
 

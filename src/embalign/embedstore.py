@@ -184,9 +184,12 @@ def _load_csv(path, model_name, dataset_name):
             raise FormatError(f"{path}: row {i}: {exc}") from exc
     if not rows:
         raise ConsistencyError(f"{path}: no data rows")
-    return EmbeddingSet(
-        model_name, dataset_name, np.asarray(rows, dtype=np.float32), image_ids, labels
-    )
+    values = np.array(rows, dtype=np.float64)
+    over = np.abs(values) > np.finfo(np.float32).max  # inf after the cast to float32
+    if over.any():
+        i, j = np.argwhere(over)[0]
+        raise DataError(f"{path}: row {i}: value {body[i][j + 2]!r} is beyond the float32 range")
+    return EmbeddingSet(model_name, dataset_name, values.astype(np.float32), image_ids, labels)
 
 
 def intersect_on_images(a: EmbeddingSet, b: EmbeddingSet):

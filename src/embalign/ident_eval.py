@@ -34,7 +34,7 @@ from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
 from .reports import AlignedBaselineReport
-from .splits import DEFAULT_SEEDS, run_seeds
+from .splits import DEFAULT_SEEDS
 
 RANK_KS = (1, 5, 10)
 CMC_MAX_RANK = 50
@@ -283,27 +283,6 @@ def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_sel
     )
 
 
-def _seed_results(source, target, method, seeds, fraction, alpha, jobs,
-                  exclude_self=False, max_rank=CMC_MAX_RANK):
-    """(aligned, baseline) metrics per seed."""
-    labels, x, y = align.unit_pair(source, target)
-
-    def run_seed(seed):
-        amap, test = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
-        test_labels = [labels[i] for i in test]
-        eff_rank = min(max_rank, len(test))
-
-        def metrics(m):
-            return _metrics_from_scores(
-                score_matrix(*align.project(x[test], y[test], m)), test_labels, test_labels,
-                eff_rank, seed, exclude_self,
-            )
-
-        return metrics(amap), metrics(None)
-
-    return run_seeds(run_seed, seeds, jobs)
-
-
 def evaluate_identification(
     source: EmbeddingSet,
     target: EmbeddingSet,
@@ -312,13 +291,20 @@ def evaluate_identification(
     fraction: float = 0.7,
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
     exclude_self: bool = False,
-    max_rank: int = CMC_MAX_RANK,
-    jobs: int = 1,
 ) -> RetrievalReport:
     """Run the per-seed identification protocol and aggregate the metrics."""
-    results = _seed_results(
-        source, target, method, seeds, fraction, alpha, jobs, exclude_self, max_rank
-    )
+    labels, x, y = align.unit_pair(source, target)
+    results = []  # (aligned, baseline) per seed
+    for seed in seeds:
+        amap, test = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
+        test_labels = [labels[i] for i in test]
+        results.append(tuple(
+            _metrics_from_scores(
+                score_matrix(*align.project(x[test], y[test], m)), test_labels, test_labels,
+                min(CMC_MAX_RANK, len(test)), seed, exclude_self,
+            )
+            for m in (amap, None)
+        ))
     return RetrievalReport(
         method=method,
         fraction=fraction,

@@ -1,7 +1,7 @@
 """Canonical report emission: deterministic JSON/CSV with atomic writes.
 
 Floats are fixed at 9 significant digits so identical runs produce
-byte-identical files regardless of worker parallelism.
+byte-identical files.
 """
 
 from __future__ import annotations

@@ -21,8 +21,22 @@ _TAG_IMPOSTOR = 102
 _TAG_GENUINE_CAP = 103
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; a negative seed is an ``ArgumentError``."""
+    seed = int(seed)
+    if seed < 0:
+        raise ArgumentError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
+def check_fraction(fraction: float) -> None:
+    """Raise ``ArgumentError`` unless the train fraction lies in (0, 1)."""
+    if not 0.0 < fraction < 1.0:
+        raise ArgumentError(f"fraction must lie in (0, 1), got {fraction}")
+
+
 def _rng(tag: int, seed: int) -> np.random.Generator:
-    return np.random.default_rng([tag, int(seed)])
+    return np.random.default_rng([tag, check_seed(seed)])
 
 
 @dataclass(frozen=True)
@@ -66,21 +80,9 @@ class PairList:
         return sum(1 for _, _, g in self.pairs if not g)
 
 
-def run_seeds(fn, seeds, jobs: int = 1) -> list:
-    """``fn(seed)`` for every seed, in threads when ``jobs`` > 1; seed order kept."""
-    seeds = list(seeds)
-    if jobs <= 1 or len(seeds) <= 1:
-        return [fn(s) for s in seeds]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, seeds))
-
-
 def identity_disjoint_split(labels, fraction: float, seed: int) -> SplitSpec:
     """Shuffle identities by seed; first floor(fraction * #identities) train."""
-    if not 0.0 < fraction < 1.0:
-        raise ArgumentError(f"fraction must lie in (0, 1), got {fraction}")
+    check_fraction(fraction)
     labels = [str(l) for l in labels]
     identities = sorted(set(labels))
     if len(identities) < 2:

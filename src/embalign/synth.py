@@ -15,6 +15,7 @@ import numpy as np
 
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError
+from .splits import _rng
 
 _TAG_CLOUD = 201
 _TAG_VIEW = 202
@@ -50,7 +51,7 @@ def generate_identity_cloud(
         raise ArgumentError("counts and intrinsic_dim must be >= 1")
     if spread < 0:
         raise ArgumentError("spread must be nonnegative")
-    rng = np.random.default_rng([_TAG_CLOUD, int(seed)])
+    rng = _rng(_TAG_CLOUD, seed)
     centers = center_scale * rng.standard_normal((num_ids, intrinsic_dim))
     noise = spread * rng.standard_normal((num_ids * per_id, intrinsic_dim))
     points = np.repeat(centers, per_id, axis=0) + noise
@@ -97,7 +98,7 @@ def embed_view(
         )
     if map_kind not in ("orthogonal", "general_linear"):
         raise ArgumentError(f"unknown map_kind {map_kind!r}")
-    rng = np.random.default_rng([_TAG_VIEW, int(view_seed)])
+    rng = _rng(_TAG_VIEW, view_seed)
     if map_kind == "orthogonal":
         q = random_orthogonal(target_dim, rng)
     else:

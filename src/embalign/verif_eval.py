@@ -31,7 +31,6 @@ from .splits import (
     DEFAULT_SEEDS,
     PairList,
     all_genuine_pairs,
-    run_seeds,
     sample_impostor_pairs,
     sample_pairs_capped,
 )
@@ -327,64 +326,57 @@ def _score_seed(sides, pairs, symmetric, seed):
     return aligned, base
 
 
+def _intra_seed(x, y, labels, method, alpha, fraction, symmetric, seed):
+    amap, eval_rows = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
+    test_labels = [labels[i] for i in eval_rows]
+    genuine = all_genuine_pairs(test_labels)
+    impostor = sample_impostor_pairs(test_labels, len(genuine.pairs), seed)
+    pairs = PairList(tuple(sorted(genuine.pairs + impostor.pairs)), seed)
+    # pair indices refer to positions within eval_rows
+    return _score_seed(_eval_sides(x[eval_rows], y[eval_rows], amap), pairs, symmetric, seed)
+
+
 def evaluate_verification(
     source: EmbeddingSet,
     target: EmbeddingSet,
-    method: str = "procrustes",
+    method: str | None = None,
     seeds=DEFAULT_SEEDS,
     fraction: float = 0.7,
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
     pair_caps=None,
-    train_source: EmbeddingSet | None = None,
-    train_target: EmbeddingSet | None = None,
+    amap: align.AlignmentMap | None = None,
     symmetric_score: bool = False,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Per-seed verification protocol with 1:1 genuine/impostor balance.
 
-    Intra protocol (default): per seed, fit on the train side of an
-    identity-disjoint split, build all genuine pairs over test identities
-    plus an equal impostor sample.  Cross protocol
-    (train_source and train_target given; one without the other is an
-    ``ArgumentError``): fit once on all rows of the training pair, then
-    per seed sample capped pairs from the full evaluation sets; the map
-    and the scored rows are shared by every seed.
+    Intra protocol (no ``amap``): per seed, fit ``method`` (default
+    procrustes) on the train side of an identity-disjoint split, build
+    all genuine pairs over test identities plus an equal impostor sample.
+    Cross protocol (a fitted ``amap``, whose method and alpha the report
+    gives; another ``method`` is a ``ConsistencyError``): no split and no
+    fit; per seed, sample ``pair_caps`` pairs (default 10000 of each
+    class) from the full evaluation sets, scored on rows built once.
     """
-    cross = train_source is not None or train_target is not None
-    if cross:
-        if train_source is None or train_target is None:
-            raise ArgumentError("cross protocol needs both training sets")
-        if pair_caps is None:
-            pair_caps = (10000, 10000)
-        # fit first, so the training rows are freed before the scored rows are built
-        amap = align.fit_alignment(*align.unit_pair(train_source, train_target)[1:], method, alpha)
-        labels, x, y = align.unit_pair(source, target)
-        sides = _eval_sides(x, y, amap)  # pair indices refer to rows of x and y
-
-        def run_seed(seed):
-            pairs = sample_pairs_capped(labels, pair_caps[0], pair_caps[1], seed)
-            return _score_seed(sides, pairs, symmetric_score, seed)
-
+    if amap is not None:
+        if method not in (None, amap.method):
+            raise ConsistencyError(f"method {method!r} disagrees with the map's {amap.method!r}")
+        method, alpha = amap.method, amap.alpha
+    labels, x, y = align.unit_pair(source, target)
+    if amap is None:
+        method = method or "procrustes"
+        results = [_intra_seed(x, y, labels, method, alpha, fraction, symmetric_score, seed)
+                   for seed in seeds]
     else:
-        labels, x, y = align.unit_pair(source, target)
-
-        def run_seed(seed):
-            amap, eval_rows = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
-            test_labels = [labels[i] for i in eval_rows]
-            genuine = all_genuine_pairs(test_labels)
-            impostor = sample_impostor_pairs(test_labels, len(genuine.pairs), seed)
-            pairs = PairList(tuple(sorted(genuine.pairs + impostor.pairs)), seed)
-            # pair indices refer to positions within eval_rows
-            sides = _eval_sides(x[eval_rows], y[eval_rows], amap)
-            return _score_seed(sides, pairs, symmetric_score, seed)
-
-    results = run_seeds(run_seed, seeds, jobs)
+        pair_caps = pair_caps or (10000, 10000)
+        sides = _eval_sides(x, y, amap)  # pair indices refer to rows of x and y
+        pairs = (sample_pairs_capped(labels, *pair_caps, seed) for seed in seeds)
+        results = [_score_seed(sides, p, symmetric_score, p.seed) for p in pairs]
     return VerificationReport(
         method=method,
         seeds=tuple(seeds),
         per_seed=tuple(r[0] for r in results),
         per_seed_baseline=tuple(r[1] for r in results),
-        protocol="cross" if cross else "intra",
+        protocol="intra" if amap is None else "cross",
         fraction=fraction,
         symmetric_score=symmetric_score,
         metadata={

@@ -225,11 +225,10 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
     monkeypatch.setattr(verif_eval, "_eval_sides",
                         lambda *args: sides.append(real_sides(*args)) or sides[-1])
     evaluate_verification(v0, v1, "ridge", seeds=(0,))
-    evaluate_verification(v0, v1, "ridge", seeds=(0,), train_source=v0, train_target=v1,
-                          pair_caps=(40, 40))
+    cross_map = align.fit_alignment(x, y, "ridge", 0.1)
+    evaluate_verification(v0, v1, "ridge", seeds=(0,), amap=cross_map, pair_caps=(40, 40))
     (intra_queries, _), (cross_queries, _) = sides[0][0], sides[1][0]
     assert intra_queries.tobytes() == expected
-    cross_map = align.fit_alignment(x, y, "ridge", 0.1)
     assert cross_queries.tobytes() == transform(a.rows, cross_map).tobytes()
 
 

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -302,6 +303,33 @@ def test_compatibility_matrix_refuses_repeated_model_names(small_views):
             pytest.raises(ConsistencyError, match="'m0'"):
         build_compatibility_matrix([v0, v1, twin], seeds=(0,))
     cell.assert_not_called()  # refused before any cell is evaluated
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(fraction=1.5), ArgumentError),
+    (dict(fraction=0.0), ArgumentError),
+    (dict(seeds=(0, -1)), ArgumentError),
+    (dict(method="ridge", alpha=0.0), ConsistencyError),
+    (dict(method="lasso"), ConsistencyError),
+])
+def test_compatibility_matrix_checks_arguments_before_any_cell(small_views, kwargs, error):
+    # each of these made every cell fail, which read as an all-missing matrix
+    with mock.patch.object(analysis, "aligned_rank1") as cell, pytest.raises(error):
+        build_compatibility_matrix(list(small_views), **{"seeds": (0,), **kwargs})
+    cell.assert_not_called()
+
+
+def test_all_missing_matrix_warns_nothing(small_views):
+    v0, _ = small_views
+    rows = v0.rows.copy()
+    rows[3] = 0.0  # every cell of a lone model with a zero row fails
+    zero = EmbeddingSet("zero", "", rows, v0.image_ids, v0.labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cm = build_compatibility_matrix([zero], seeds=(0,))
+        assert np.isnan(cm.rank1).all()
+        with pytest.raises(ConsistencyError):
+            cm_from([[np.nan, 101.0], [np.nan, np.nan]])
 
 
 def _failing_cell(monkeypatch, exc):

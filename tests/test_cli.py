@@ -1,9 +1,13 @@
 import json
 import os
+import threading
+from unittest import mock
 
 import pytest
 
-from embalign import align, embedstore, load_map, load_embeddings, prep, splits
+from embalign import (
+    align, embedstore, evaluate_verification, load_map, load_embeddings, prep, reports, splits,
+)
 from embalign.cli import main
 
 
@@ -145,6 +149,40 @@ def test_eval_verif_cross_reports_identical_across_jobs(synth_dir, tmp_path):
         outs.append(out)
     for name in ("verification_report.json", "roc.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_library_cross_protocol_equals_the_cli(synth_dir, tmp_path):
+    # the CLI fits the map on the training pair and hands it to the evaluator
+    code = run(
+        "eval-verif", "--source", str(synth_dir / "view0.emb"),
+        "--target", str(synth_dir / "view1.emb"),
+        "--train-source", str(synth_dir / "view0.emb"),
+        "--train-target", str(synth_dir / "view2.emb"),
+        "--method", "linear", "--genuine-cap", "200", "--impostor-cap", "200",
+        "--seeds", "0,1", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    v0, v1, v2 = (load_embeddings(str(synth_dir / f"view{k}.emb"), model_name=f"view{k}")
+                  for k in range(3))
+    amap = align.fit_alignment(*align.unit_pair(v0, v2)[1:], "linear")
+    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as spy:
+        rep = evaluate_verification(v0, v1, seeds=(0, 1), amap=amap, pair_caps=(200, 200))
+    assert spy.call_count == 0
+    doc = json.loads((tmp_path / "verification_report.json").read_text())
+    assert json.loads(reports.canonical_json(rep.to_dict())) == doc["metrics"]
+
+
+def test_jobs_starts_no_thread(synth_dir, tmp_path, monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or real_start(self))
+    assert eval_id(synth_dir, tmp_path / "id", "--jobs", "4") == 0
+    assert eval_verif(synth_dir, tmp_path / "verif", "--seeds", "0,1", "--jobs", "4") == 0
+    code = run("matrix", "--inputs", *(str(synth_dir / f"view{v}.emb") for v in range(3)),
+               "--seeds", "0,1", "--jobs", "4", "--out-dir", str(tmp_path / "mat"))
+    assert code == 0
+    assert started == []
 
 
 def eval_verif(synth_dir, out_dir, *extra):
@@ -312,6 +350,42 @@ def test_jobs_below_one_is_clean_error(synth_dir, tmp_path, capsys, jobs):
     assert code == 1
     assert capsys.readouterr().err.startswith("embalign: error: --jobs")
     assert not (tmp_path / "id").exists() and not (tmp_path / "mat").exists()
+
+
+def negative_seed_commands(synth_dir, out):
+    pair = ["--source", str(synth_dir / "view0.emb"), "--target", str(synth_dir / "view1.emb")]
+    inputs = [str(synth_dir / f"view{v}.emb") for v in range(2)]
+    return {
+        "eval-id": ["eval-id", *pair, "--seeds=-1", "--out-dir", out],
+        "eval-verif": ["eval-verif", *pair, "--out-dir", out],  # seeds from EMBALIGN_SEEDS
+        "matrix": ["matrix", "--inputs", *inputs, "--seeds", "0,-1", "--out-dir", out],
+        "sweep": ["sweep", *pair, "--seeds=-2", "--fractions", "0.5,1.0", "--out-dir", out],
+        "fit": ["fit", *pair, "--seed", "-1", "--out", out],
+        "synth": ["synth", "--ids", "4", "--seed", "-1", "--out", out],
+    }
+
+
+@pytest.mark.parametrize("command", ["eval-id", "eval-verif", "matrix", "sweep", "fit", "synth"])
+def test_negative_seed_is_clean_error(synth_dir, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("EMBALIGN_SEEDS", "-3")
+    out = tmp_path / "out"
+    assert run(*negative_seed_commands(synth_dir, str(out))[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and "seed must be nonnegative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--train-frac", "1.5"],
+    ["--method", "ridge", "--alpha", "0"],
+    ["--seeds", "-1"],
+])
+def test_matrix_argument_error_is_not_a_missing_cell(synth_dir, tmp_path, capsys, extra):
+    args = ["matrix", "--inputs", str(synth_dir / "view0.emb"), str(synth_dir / "view1.emb"),
+            "--seeds", "0", *extra, "--out-dir", str(tmp_path / "mat")]
+    assert run(*args) == 1
+    assert capsys.readouterr().err.startswith("embalign: error: ")
+    assert not (tmp_path / "mat").exists()
 
 
 def test_bad_fractions_is_clean_error(synth_dir, tmp_path, capsys):

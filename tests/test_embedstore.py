@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ def test_csv_parse(tmp_path):
     s = load_embeddings(str(path), "csv")
     assert s.n == 3 and s.dim == 2
     assert s.labels == ("a", "b", "b")
+
+
+@pytest.mark.parametrize("value", ["1e39", "-3.5e38"])
+def test_csv_value_beyond_float32_is_data_error(tmp_path, value):
+    # the float32 cast used to warn of an overflow before the set was refused
+    path = tmp_path / "x.csv"
+    path.write_text(f"image_id,identity,e0,e1\ni1,a,1.0,2.0\ni2,b,3.0,{value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"x.csv: row 1: value '{value}'"):
+            load_embeddings(str(path), "csv")
 
 
 def test_wrong_format_flag_raises(tmp_path):

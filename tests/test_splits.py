@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from embalign import (
     all_genuine_pairs,
+    embed_view,
+    generate_identity_cloud,
     identity_disjoint_split,
     sample_impostor_pairs,
     sample_pairs_capped,
@@ -44,6 +46,20 @@ def test_split_seeds_differ_but_stay_disjoint():
 def test_split_bad_fraction():
     with pytest.raises(ArgumentError):
         identity_disjoint_split(labels_for(4, 1), 1.5, seed=0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: identity_disjoint_split(labels_for(4, 2), 0.5, seed),
+    lambda seed: sample_impostor_pairs(labels_for(4, 2), 3, seed),
+    lambda seed: sample_pairs_capped(labels_for(4, 2), 2, 3, seed),
+    lambda seed: generate_identity_cloud(4, 2, 3, seed=seed),
+    lambda seed: embed_view(generate_identity_cloud(4, 2, 3), 4, view_seed=seed),
+])
+def test_negative_seed_is_argument_error(draw):
+    # numpy's own ValueError used to escape from default_rng
+    draw(0)
+    with pytest.raises(ArgumentError, match="seed must be nonnegative"):
+        draw(-1)
 
 
 def test_split_too_few_identities():

@@ -257,13 +257,22 @@ def test_symmetric_mode_runs(small_views):
 
 def test_cross_protocol_pair_caps(small_views):
     v0, v1 = small_views
+    amap = align.fit_alignment(*align.unit_pair(v0, v1)[1:], "procrustes")
     rep = evaluate_verification(
-        v0, v1, "procrustes", seeds=(0,),
-        train_source=v0, train_target=v1, pair_caps=(50, 50),
+        v0, v1, "procrustes", seeds=(0,), amap=amap, pair_caps=(50, 50),
     )
     assert rep.protocol == "cross"
     assert rep.per_seed[0].n_genuine == 50
     assert rep.per_seed[0].n_impostor == 50
+
+
+def test_cross_protocol_method_comes_from_the_map(small_views):
+    v0, v1 = small_views
+    amap = align.fit_alignment(*align.unit_pair(v0, v1)[1:], "ridge", 0.5)
+    rep = evaluate_verification(v0, v1, seeds=(0,), amap=amap, pair_caps=(20, 20))
+    assert (rep.method, rep.metadata["alpha"]) == ("ridge", 0.5)
+    with pytest.raises(ConsistencyError, match="disagrees"):
+        evaluate_verification(v0, v1, "linear", seeds=(0,), amap=amap, pair_caps=(20, 20))
 
 
 def test_report_dict_fields(small_views):
@@ -556,8 +565,11 @@ def test_pair_scoring_memory_is_blocked():
 @pytest.mark.parametrize("cross, fits", [(True, 1), (False, 3)])
 def test_cross_protocol_fits_once(small_views, cross, fits):
     v0, v1 = small_views
-    kwargs = dict(train_source=v0, train_target=v1, pair_caps=(40, 40)) if cross else {}
     with mock.patch.object(align, "fit_map", wraps=align.fit_map) as spy:
+        kwargs = {}
+        if cross:
+            amap = align.fit_alignment(*align.unit_pair(v0, v1)[1:], "linear")
+            kwargs = dict(amap=amap, pair_caps=(40, 40))
         rep = evaluate_verification(v0, v1, "linear", seeds=(0, 1, 2), **kwargs)
     assert spy.call_count == fits
     assert len(rep.per_seed) == 3
