@@ -4,25 +4,23 @@ clustering of models, directional asymmetry, and the training-size sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.cluster.hierarchy as sch
 
 from . import align
-from .embedstore import EmbeddingSet
+from .embedstore import EmbeddingSet, shared_rows
 from .errors import (
     ArgumentError,
     ConsistencyError,
     DegenerateRowError,
     EmbalignError,
-    EmptyIntersectionError,
-    LabelConflictError,
     ProtocolError,
 )
-from .ident_eval import aligned_rank1, rank_k_accuracy, score_matrix
-from .prep import apply_prep, fit_prep, l2_normalize
-from .splits import DEFAULT_SEEDS, _rng, check_fraction, check_seed, identity_disjoint_split
+from .ident_eval import aligned_rank1
+from .prep import l2_normalize
+from .splits import DEFAULT_SEEDS, _rng, check_fraction, check_seeds, identity_disjoint_split
 
 _TAG_SWEEP = 301
 
@@ -102,55 +100,15 @@ class Dendrogram:
         return render(m + len(self.merges) - 1) + ";"
 
 
-@dataclass(frozen=True)
-class _UnitModel:
-    """One model's rows, unit-normalized once for every cell it is in."""
+def _unit_model(s: EmbeddingSet):
+    """Unit rows of ``s`` in file order, from one normalize call, and the zero-row mask.
 
-    name: str
-    index: dict  # image id -> row, in sorted image-id order
-    labels: list
-    rows: np.ndarray  # unit rows; all-zero rows stay zero
-    dead: frozenset  # image ids of the all-zero rows
-
-
-def _unit_model(s: EmbeddingSet) -> _UnitModel:
-    """Normalize every nonzero row of ``s`` in one call; a zero row fails only its cells."""
-    order = sorted(range(s.n), key=s.image_ids.__getitem__)
-    rows = s.rows[order]
-    live = rows.any(axis=1)
-    unit = np.zeros(rows.shape)
-    unit[live] = l2_normalize(rows[live])
-    ids = [s.image_ids[k] for k in order]
-    return _UnitModel(
-        name=s.model_name,
-        index={iid: r for r, iid in enumerate(ids)},
-        labels=[s.labels[k] for k in order],
-        rows=unit,
-        dead=frozenset(ids[r] for r in np.flatnonzero(~live)),
-    )
-
-
-def _shared(a: _UnitModel, b: _UnitModel):
-    """``(labels, x, y)`` of the images a and b share, as :func:`align.unit_pair` gives them.
-
-    The rows are in sorted image-id order, and a pair that
-    :func:`align.unit_pair` refuses raises the same error type here.
+    All-zero rows stay zero; they fail only the cells that share their image.
     """
-    shared = [iid for iid in a.index if iid in b.index]
-    if not shared:
-        raise EmptyIntersectionError(f"no shared image ids between {a.name!r} and {b.name!r}")
-    ra = [a.index[iid] for iid in shared]
-    rb = [b.index[iid] for iid in shared]
-    labels = [a.labels[r] for r in ra]
-    for iid, la, r in zip(shared, labels, rb):
-        if la != b.labels[r]:
-            raise LabelConflictError(f"image {iid!r}: label {la!r} vs {b.labels[r]!r}")
-    dead = a.dead | b.dead
-    if dead:
-        for k, iid in enumerate(shared):
-            if iid in dead:
-                raise DegenerateRowError(k)
-    return labels, a.rows[ra], b.rows[rb]
+    live = s.rows.any(axis=1)
+    unit = np.zeros(s.rows.shape)
+    unit[live] = l2_normalize(s.rows[live])
+    return unit, live
 
 
 def build_compatibility_matrix(
@@ -165,16 +123,18 @@ def build_compatibility_matrix(
     Cells score the aligned side only, and Rank-1 is read from each
     query's first highest score.  Each model is normalized once and each
     seed's split is made once per label list; every cell fits its own map.
-    The arguments are checked before any cell is fit.  Pairs whose
-    evaluation fails with an ``EmbalignError`` are marked missing (NaN),
-    never zero; any other exception is a bug and propagates.
+    Rows are paired by image id in :func:`embedstore.shared_rows`, and a
+    cell that shares an all-zero row fails.  The arguments are checked
+    before any cell is fit.  Pairs whose evaluation fails with an
+    ``EmbalignError`` are marked missing (NaN), never zero; any other
+    exception is a bug and propagates.
     """
     sets = list(sets)
     m = len(sets)
     names = tuple(s.model_name for s in sets)
     _require_unique(names)
     check_fraction(fraction)
-    seeds = [check_seed(s) for s in seeds]
+    seeds = check_seeds(seeds)
     align.check_method(method, alpha)
     units = [_unit_model(s) for s in sets]
     splits = {}  # label list -> one split per seed
@@ -182,11 +142,18 @@ def build_compatibility_matrix(
     for i in range(m):
         for j in range(m):
             try:
-                labels, x, y = _shared(units[i], units[j])
+                ra, rb = shared_rows(sets[i], sets[j])
+                (unit_a, live_a), (unit_b, live_b) = units[i], units[j]
+                dead = np.flatnonzero(~(live_a[ra] & live_b[rb]))
+                if dead.size:
+                    raise DegenerateRowError(int(dead[0]))
+                labels = [sets[i].labels[r] for r in ra]
                 key = tuple(labels)
                 if key not in splits:
                     splits[key] = [identity_disjoint_split(labels, fraction, s) for s in seeds]
-                rank1[i, j] = 100.0 * aligned_rank1(x, y, labels, splits[key], method, alpha)
+                rank1[i, j] = 100.0 * aligned_rank1(
+                    unit_a[ra], unit_b[rb], labels, splits[key], method, alpha
+                )
             except EmbalignError:
                 pass
     return CompatibilityMatrix(
@@ -274,45 +241,42 @@ def training_size_sweep(
 
     Per seed the base split defines the train identity pool and the test
     pool; each sweep fraction keeps a nested deterministic prefix of a
-    shuffled pool.  Returns per-point values and mean/std aggregates.
+    shuffled pool.  Each method fits and scores that split through
+    :func:`ident_eval.aligned_rank1`, which reads Rank-1 from each query's
+    first highest score, as in the matrix.  Returns per-point values and
+    mean/std aggregates.
     """
     fractions = list(fractions)
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ArgumentError("fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
         raise ArgumentError("fractions must be ascending")
-    labels, norm_a, norm_b = align.unit_pair(source, target)
+    seeds = check_seeds(seeds)
+    labels, x, y = align.unit_pair(source, target)
     points = []
     for seed in seeds:
         split = identity_disjoint_split(labels, base_fraction, seed)
         pool = sorted(split.train_identities)
+        n_identities = len(pool) + len(split.test_identities)
         order = _rng(_TAG_SWEEP, seed).permutation(len(pool))
-        test = list(split.test_rows)
-        test_labels = [labels[i] for i in test]
         for frac in fractions:
             n_ids = int(len(pool) * frac)
             if n_ids < 1:
                 raise ArgumentError(
                     f"fraction {frac} keeps no train identities (pool {len(pool)})"
                 )
-            keep = {pool[i] for i in order[:n_ids]}
-            rows = [i for i in split.train_rows if labels[i] in keep]
-            stats = fit_prep(norm_a[rows], norm_b[rows])
-            xp = apply_prep(norm_a[rows], stats, "source")
-            yp = apply_prep(norm_b[rows], stats, "target")
-            queries_raw = apply_prep(norm_a[test], stats, "source")
-            gallery = apply_prep(norm_b[test], stats, "target")
+            keep = frozenset(pool[i] for i in order[:n_ids])
+            sub = replace(split, train_fraction=n_ids / n_identities, train_identities=keep,
+                          train_rows=tuple(i for i in split.train_rows if labels[i] in keep))
             for method in methods:
-                w = align.fit_map(xp, yp, method, alpha)
-                scores = score_matrix(queries_raw @ w, gallery)
                 points.append(
                     {
                         "method": method,
                         "fraction": frac,
-                        "seed": int(seed),
+                        "seed": seed,
                         "n_train_identities": n_ids,
-                        "n_train_rows": len(rows),
-                        "rank1": rank_k_accuracy(scores, test_labels, test_labels, 1),
+                        "n_train_rows": len(sub.train_rows),
+                        "rank1": aligned_rank1(x, y, labels, [sub], method, alpha),
                     }
                 )
     summary = []

@@ -114,7 +114,7 @@ def cmd_fit(args):
 
 
 def _dump_splits(out_dir, source, target, fraction, seeds, tag):
-    labels = embedstore.intersect_on_images(source, target)[0].labels
+    labels = [source.labels[i] for i in embedstore.shared_rows(source, target)[0]]
     doc = {
         str(seed): splits.identity_disjoint_split(labels, fraction, seed).to_dict()
         for seed in seeds

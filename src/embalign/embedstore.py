@@ -192,27 +192,35 @@ def _load_csv(path, model_name, dataset_name):
     return EmbeddingSet(model_name, dataset_name, values.astype(np.float32), image_ids, labels)
 
 
-def intersect_on_images(a: EmbeddingSet, b: EmbeddingSet):
-    """Restrict both sets to their shared image ids, in lexicographic id order.
+def shared_rows(a: EmbeddingSet, b: EmbeddingSet):
+    """Row indexes ``(ra, rb)`` of the image ids a and b share, in lexicographic id order.
 
-    Labels must agree per image id; row pairing between the two outputs is
-    positional.
+    ``a.image_ids[ra[k]] == b.image_ids[rb[k]]`` for every k.  This is the
+    one place that pairs rows by image id.  Labels must agree per image id.
     """
-    a_index = {iid: i for i, iid in enumerate(a.image_ids)}
     b_index = {iid: i for i, iid in enumerate(b.image_ids)}
-    shared = sorted(set(a_index) & set(b_index))
+    shared = sorted((iid, i) for i, iid in enumerate(a.image_ids) if iid in b_index)
     if not shared:
         raise EmptyIntersectionError(
             f"no shared image ids between {a.model_name!r} and {b.model_name!r}"
         )
-    for iid in shared:
-        la, lb = a.labels[a_index[iid]], b.labels[b_index[iid]]
+    ra = [i for _, i in shared]
+    rb = [b_index[iid] for iid, _ in shared]
+    for (iid, i), j in zip(shared, rb):
+        la, lb = a.labels[i], b.labels[j]
         if la != lb:
             raise LabelConflictError(f"image {iid!r}: label {la!r} vs {lb!r}")
+    return ra, rb
 
-    def take(s, index):
-        rows = s.rows[[index[iid] for iid in shared]]
-        labels = [s.labels[index[iid]] for iid in shared]
-        return EmbeddingSet(s.model_name, s.dataset_name, rows, shared, labels)
 
-    return take(a, a_index), take(b, b_index)
+def intersect_on_images(a: EmbeddingSet, b: EmbeddingSet):
+    """Restrict both sets to their shared image ids (:func:`shared_rows`).
+
+    Row pairing between the two outputs is positional.
+    """
+    ra, rb = shared_rows(a, b)
+    ids = [a.image_ids[i] for i in ra]
+    return tuple(
+        EmbeddingSet(s.model_name, s.dataset_name, s.rows[rows], ids, [s.labels[i] for i in rows])
+        for s, rows in ((a, ra), (b, rb))
+    )

@@ -34,7 +34,7 @@ from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
 from .reports import AlignedBaselineReport
-from .splits import DEFAULT_SEEDS
+from .splits import DEFAULT_SEEDS, check_seeds
 
 RANK_KS = (1, 5, 10)
 CMC_MAX_RANK = 50
@@ -293,6 +293,7 @@ def evaluate_identification(
     exclude_self: bool = False,
 ) -> RetrievalReport:
     """Run the per-seed identification protocol and aggregate the metrics."""
+    seeds = check_seeds(seeds)
     labels, x, y = align.unit_pair(source, target)
     results = []  # (aligned, baseline) per seed
     for seed in seeds:

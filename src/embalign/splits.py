@@ -29,6 +29,14 @@ def check_seed(seed) -> int:
     return seed
 
 
+def check_seeds(seeds) -> list:
+    """``seeds`` as a list of ints; an empty list or a negative seed is an ``ArgumentError``."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ArgumentError("need at least one seed")
+    return [check_seed(s) for s in seeds]
+
+
 def check_fraction(fraction: float) -> None:
     """Raise ``ArgumentError`` unless the train fraction lies in (0, 1)."""
     if not 0.0 < fraction < 1.0:

@@ -25,12 +25,13 @@ import numpy as np
 
 from . import align
 from .embedstore import EmbeddingSet
-from .errors import ArgumentError, ConsistencyError, ProtocolError
+from .errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
 from .reports import AlignedBaselineReport
 from .splits import (
     DEFAULT_SEEDS,
     PairList,
     all_genuine_pairs,
+    check_seeds,
     sample_impostor_pairs,
     sample_pairs_capped,
 )
@@ -69,11 +70,16 @@ def _pair_arrays(pairs: PairList):
 
 
 def _cosines(a, t, norms_a, norms_t, i, j):
-    """Cosine of ``a[i[k]]`` and ``t[j[k]]`` for each pair k."""
+    """Cosine of ``a[i[k]]`` and ``t[j[k]]`` for each pair k; no row may have zero norm."""
     bad = (i < 0) | (i >= a.shape[0]) | (j < 0) | (j >= t.shape[0])
     if bad.any():
         k = int(np.argmax(bad))
         raise ConsistencyError(f"pair ({i[k]}, {j[k]}) out of range")
+    zero = (norms_a[i] == 0.0) | (norms_t[j] == 0.0)
+    if zero.any():
+        k = int(np.argmax(zero))
+        side, row = ("source", i[k]) if norms_a[i[k]] == 0.0 else ("target", j[k])
+        raise DegenerateRowError(int(row), f"pair ({i[k]}, {j[k]}): {side} row {row} has zero norm")
     out = np.empty(i.shape[0])
     for start in range(0, i.shape[0], _PAIR_BLOCK):
         bi, bj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
@@ -356,7 +362,11 @@ def evaluate_verification(
     gives; another ``method`` is a ``ConsistencyError``): no split and no
     fit; per seed, sample ``pair_caps`` pairs (default 10000 of each
     class) from the full evaluation sets, scored on rows built once.
+    ``pair_caps`` without a map is an ``ArgumentError``.
     """
+    seeds = check_seeds(seeds)
+    if amap is None and pair_caps is not None:
+        raise ArgumentError("pair_caps apply to the cross protocol only (pass a fitted amap)")
     if amap is not None:
         if method not in (None, amap.method):
             raise ConsistencyError(f"method {method!r} disagrees with the map's {amap.method!r}")

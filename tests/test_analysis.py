@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,18 @@ from embalign import (
     symmetrize,
     training_size_sweep,
 )
-from embalign import analysis, ident_eval
-from embalign.errors import ArgumentError, ConsistencyError, EmbalignError, ProtocolError
+from embalign import align, analysis, ident_eval
+from embalign.errors import (
+    ArgumentError,
+    ConsistencyError,
+    DegenerateRowError,
+    EmbalignError,
+    EmptyIntersectionError,
+    LabelConflictError,
+    ProtocolError,
+)
+from embalign.prep import apply_prep, fit_prep, l2_normalize
+from embalign.splits import _rng, identity_disjoint_split
 
 
 # --- brute-force agglomeration oracle -------------------------------------
@@ -378,3 +389,185 @@ def test_sweep_rejects_empty_pool(small_views):
     v0, v1 = small_views
     with pytest.raises(ArgumentError):
         training_size_sweep(v0, v1, [0.001], seeds=(0,))
+
+
+# --- references: the sweep and the matrix cell pairing the shared paths replaced
+
+def ref_training_size_sweep(source, target, fractions, seeds, methods, base_fraction, alpha):
+    """The sweep's own prep -> fit -> score -> rank pipeline, verbatim."""
+    fractions = list(fractions)
+    labels, norm_a, norm_b = align.unit_pair(source, target)
+    points = []
+    for seed in seeds:
+        split = identity_disjoint_split(labels, base_fraction, seed)
+        pool = sorted(split.train_identities)
+        order = _rng(analysis._TAG_SWEEP, seed).permutation(len(pool))
+        test = list(split.test_rows)
+        test_labels = [labels[i] for i in test]
+        for frac in fractions:
+            n_ids = int(len(pool) * frac)
+            keep = {pool[i] for i in order[:n_ids]}
+            rows = [i for i in split.train_rows if labels[i] in keep]
+            stats = fit_prep(norm_a[rows], norm_b[rows])
+            xp = apply_prep(norm_a[rows], stats, "source")
+            yp = apply_prep(norm_b[rows], stats, "target")
+            queries_raw = apply_prep(norm_a[test], stats, "source")
+            gallery = apply_prep(norm_b[test], stats, "target")
+            for method in methods:
+                w = align.fit_map(xp, yp, method, alpha)
+                scores = ident_eval.score_matrix(queries_raw @ w, gallery)
+                points.append(
+                    {
+                        "method": method,
+                        "fraction": frac,
+                        "seed": int(seed),
+                        "n_train_identities": n_ids,
+                        "n_train_rows": len(rows),
+                        "rank1": ident_eval.rank_k_accuracy(scores, test_labels, test_labels, 1),
+                    }
+                )
+    summary = []
+    for method in methods:
+        for frac in fractions:
+            vals = np.array(
+                [p["rank1"] for p in points if p["method"] == method and p["fraction"] == frac]
+            )
+            summary.append(
+                {
+                    "method": method,
+                    "fraction": frac,
+                    "rank1_mean": float(vals.mean()),
+                    "rank1_std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
+                }
+            )
+    return {"points": points, "summary": summary}
+
+
+@pytest.mark.parametrize("seeds, fractions, base_fraction, alpha", [
+    ((0, 1, 2), (0.1, 0.25, 0.5, 0.75, 1.0), 0.7, 0.1),
+    ((3, 7), (0.3, 0.6, 1.0), 0.5, 0.5),
+    ((11,), (1.0,), 0.8, 2.0),
+])
+def test_sweep_equals_its_former_pipeline(small_views, seeds, fractions, base_fraction, alpha):
+    v0, v1 = small_views
+    # a noisy target, so the three solvers disagree and rank1 is not always 1
+    noisy = EmbeddingSet("noisy", "", v1.rows + np.random.default_rng(4).standard_normal(
+        v1.rows.shape).astype(np.float32), v1.image_ids, v1.labels)
+    methods = ("procrustes", "linear", "ridge")
+    for target in (v1, noisy):
+        args = (v0, target, fractions, seeds, methods, base_fraction, alpha)
+        want = ref_training_size_sweep(*args)
+        assert training_size_sweep(*args) == want
+    assert len({p["rank1"] for p in want["points"]}) > 1
+
+
+def test_sweep_point_is_the_aligned_rank1_of_its_split(small_views):
+    v0, v1 = small_views
+    with mock.patch.object(analysis, "aligned_rank1", wraps=analysis.aligned_rank1) as spy:
+        table = training_size_sweep(v0, v1, [0.5], seeds=(2,), methods=("linear",))
+    (x, y, labels, (split,), method, alpha), _ = spy.call_args
+    assert method == "linear" and split.seed == 2
+    kept = {labels[i] for i in split.train_rows}
+    assert kept == split.train_identities and len(kept) == table["points"][0]["n_train_identities"]
+    assert {labels[i] for i in split.test_rows} == split.test_identities
+    assert not split.train_identities & split.test_identities
+    n_ids = len(set(labels))
+    assert split.train_fraction == len(kept) / n_ids
+
+
+@dataclass(frozen=True)
+class RefUnitModel:
+    name: str
+    index: dict
+    labels: list
+    rows: np.ndarray
+    dead: frozenset
+
+
+def ref_unit_model(s):
+    order = sorted(range(s.n), key=s.image_ids.__getitem__)
+    rows = s.rows[order]
+    live = rows.any(axis=1)
+    unit = np.zeros(rows.shape)
+    unit[live] = l2_normalize(rows[live])
+    ids = [s.image_ids[k] for k in order]
+    return RefUnitModel(
+        name=s.model_name,
+        index={iid: r for r, iid in enumerate(ids)},
+        labels=[s.labels[k] for k in order],
+        rows=unit,
+        dead=frozenset(ids[r] for r in np.flatnonzero(~live)),
+    )
+
+
+def ref_shared(a, b):
+    shared = [iid for iid in a.index if iid in b.index]
+    if not shared:
+        raise EmptyIntersectionError(f"no shared image ids between {a.name!r} and {b.name!r}")
+    ra = [a.index[iid] for iid in shared]
+    rb = [b.index[iid] for iid in shared]
+    labels = [a.labels[r] for r in ra]
+    for iid, la, r in zip(shared, labels, rb):
+        if la != b.labels[r]:
+            raise LabelConflictError(f"image {iid!r}: label {la!r} vs {b.labels[r]!r}")
+    dead = a.dead | b.dead
+    if dead:
+        for k, iid in enumerate(shared):
+            if iid in dead:
+                raise DegenerateRowError(k)
+    return labels, a.rows[ra], b.rows[rb]
+
+
+def ref_compatibility_rank1(sets, method, seeds, fraction, alpha):
+    """The matrix cells as per-model id indexes paired them, verbatim."""
+    units = [ref_unit_model(s) for s in sets]
+    splits = {}
+    rank1 = np.full((len(sets), len(sets)), np.nan)
+    for i in range(len(sets)):
+        for j in range(len(sets)):
+            try:
+                labels, x, y = ref_shared(units[i], units[j])
+                key = tuple(labels)
+                if key not in splits:
+                    splits[key] = [identity_disjoint_split(labels, fraction, s) for s in seeds]
+                rank1[i, j] = 100.0 * ident_eval.aligned_rank1(
+                    x, y, labels, splits[key], method, alpha
+                )
+            except EmbalignError:
+                pass
+    return rank1
+
+
+@pytest.mark.parametrize("method, alpha", [("procrustes", 0.1), ("ridge", 0.5)])
+def test_matrix_zero_row_fails_only_the_cells_that_share_it(small_views, method, alpha):
+    v0, v1 = small_views  # 150 images, the same ids and labels in both
+    # image 12 is all-zero in "a" and "b" only; "c" lacks it, "d" and "e" hold it live
+    sets = [
+        _subset(v0, "a", range(150), zero=12),
+        _subset(v1, "b", range(0, 100), zero=12),
+        _subset(v1, "c", range(20, 150)),
+        _subset(v0, "d", range(0, 150, 2)),
+        _subset(v1, "e", range(10, 90)),
+    ]
+    shares_zero = {"a", "b"}
+    holds_image = {"a", "b", "d", "e"}
+    cm = build_compatibility_matrix(sets, method=method, seeds=(0, 4), alpha=alpha)
+    want = ref_compatibility_rank1(sets, method, (0, 4), 0.7, alpha)
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            names = {a.model_name, b.model_name}
+            if names & shares_zero and names <= holds_image:
+                assert np.isnan(cm.rank1[i, j]) and np.isnan(want[i, j])
+            else:
+                assert cm.rank1[i, j] == want[i, j]
+    assert np.isfinite(cm.rank1).sum() == 25 - 12
+
+
+@pytest.mark.parametrize("run", [
+    lambda a, b: build_compatibility_matrix([a, b], seeds=()),
+    lambda a, b: training_size_sweep(a, b, [0.5], seeds=()),
+    lambda a, b: evaluate_identification(a, b, seeds=()),
+])
+def test_empty_seed_list_is_an_argument_error(small_views, run):
+    with pytest.raises(ArgumentError, match="at least one seed"):
+        run(*small_views)

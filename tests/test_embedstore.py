@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from embalign import EmbeddingSet, intersect_on_images, load_embeddings, save_embeddings
+from embalign.embedstore import shared_rows
 from embalign.errors import (
     ConsistencyError,
     DataError,
@@ -250,3 +251,73 @@ def test_intersect_idempotent():
     assert ia2.image_ids == ia.image_ids
     assert np.array_equal(ia2.rows, ia.rows)
     assert np.array_equal(ib2.rows, ib.rows)
+
+
+def test_shared_rows_pair_rows_by_id_in_lexicographic_order():
+    a = make_set([[1.0], [2.0], [3.0], [4.0]], ["c", "a", "d", "b"], ["1", "2", "3", "4"])
+    b = make_set([[9.0], [8.0], [7.0]], ["b", "e", "c"], ["4", "5", "1"])
+    ra, rb = shared_rows(a, b)
+    assert (ra, rb) == ([3, 0], [0, 2])  # ids "b", "c"
+    assert [a.image_ids[i] for i in ra] == [b.image_ids[j] for j in rb] == ["b", "c"]
+
+
+def ref_intersect_on_images(a, b):
+    """The dict-based intersection that ``shared_rows`` replaced, verbatim."""
+    a_index = {iid: i for i, iid in enumerate(a.image_ids)}
+    b_index = {iid: i for i, iid in enumerate(b.image_ids)}
+    shared = sorted(set(a_index) & set(b_index))
+    if not shared:
+        raise EmptyIntersectionError(
+            f"no shared image ids between {a.model_name!r} and {b.model_name!r}"
+        )
+    for iid in shared:
+        la, lb = a.labels[a_index[iid]], b.labels[b_index[iid]]
+        if la != lb:
+            raise LabelConflictError(f"image {iid!r}: label {la!r} vs {lb!r}")
+
+    def take(s, index):
+        rows = s.rows[[index[iid] for iid in shared]]
+        labels = [s.labels[index[iid]] for iid in shared]
+        return EmbeddingSet(s.model_name, s.dataset_name, rows, shared, labels)
+
+    return take(a, a_index), take(b, b_index)
+
+
+def _intersect_outcome(fn, a, b):
+    try:
+        pair = fn(a, b)
+    except (EmptyIntersectionError, LabelConflictError) as exc:
+        return type(exc), str(exc)
+    return [(s.model_name, s.dataset_name, s.image_ids, s.labels, s.rows.tobytes())
+            for s in pair]
+
+
+@st.composite
+def overlapping_sets(draw):
+    """Two sets over a common id pool, each holding a random subset in random order."""
+    pool = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=12,
+                         unique=True))
+    label_of = {iid: draw(st.sampled_from("xyz")) for iid in pool}
+    sets = []
+    for name in ("a", "b"):
+        ids = draw(st.permutations([i for i in pool if draw(st.booleans())] or pool[:1]))
+        labels = [label_of[i] for i in ids]
+        if draw(st.integers(0, 3)) == 0:  # maybe one label that disagrees with the other set
+            labels[draw(st.integers(0, len(ids) - 1))] = "w" + name
+        rows = draw(st.lists(
+            st.lists(st.floats(-1e3, 1e3, width=32), min_size=2, max_size=2),
+            min_size=len(ids), max_size=len(ids),
+        ))
+        sets.append(make_set(rows, ids, labels, name))
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=overlapping_sets())
+def test_intersect_equals_dict_reference(sets):
+    a, b = sets
+    got = _intersect_outcome(intersect_on_images, a, b)
+    assert got == _intersect_outcome(ref_intersect_on_images, a, b)
+    if isinstance(got, list):
+        ra, rb = shared_rows(a, b)
+        assert got[0][4] == a.rows[ra].tobytes() and got[1][4] == b.rows[rb].tobytes()

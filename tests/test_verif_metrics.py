@@ -17,7 +17,7 @@ from embalign import (
     verif_eval,
 )
 from embalign.splits import PairList
-from embalign.errors import ArgumentError, ConsistencyError, ProtocolError
+from embalign.errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
 from embalign.verif_eval import (
     FMR_TARGETS,
     ROC_GRID,
@@ -410,9 +410,25 @@ def ref_grid_summary(results):
     ).tolist()
 
 
-def same_floats(got, want):
-    """Exactly equal, NaN (a zero-norm row's cosine) matching NaN."""
-    return np.array_equal(np.asarray(got, float), np.asarray(want, float), equal_nan=True)
+def ref_outcome(ref, *args):
+    """Scores and labels of a loop reference, or ``DegenerateRowError`` for a NaN score.
+
+    The reference divides by the row norms, so a pair with a zero-norm
+    row gets a NaN cosine; the kernels raise on such a pair instead.
+    """
+    with np.errstate(invalid="ignore"):
+        scores, labels = ref(*args)
+    return DegenerateRowError if np.isnan(scores).any() else (list(scores), list(labels))
+
+
+def kernel_outcome(fn, *args):
+    """Scores and labels of a kernel, or ``DegenerateRowError`` if it raised one."""
+    try:
+        scores, labels = fn(*args)
+    except DegenerateRowError as exc:
+        assert "has zero norm" in str(exc)
+        return DegenerateRowError
+    return list(scores), list(labels)
 
 
 def outcome(fn, *args):
@@ -427,7 +443,7 @@ def outcome(fn, *args):
 
 @st.composite
 def pair_cases(draw):
-    """Rows (ties and exact repeats included) and a pair list, maybe empty."""
+    """Rows (ties, exact repeats and zero rows included) and a pair list, maybe empty."""
     n_a, n_t = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     dim = draw(st.sampled_from([1, 3, 33, 70, 300]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -435,9 +451,12 @@ def pair_cases(draw):
     t = rng.standard_normal((n_t, dim))
     if draw(st.booleans()):
         a, t = np.round(a, 1), np.round(t, 1)  # coarse values, many tied scores
-        a[:, 0] += 5.0  # source rows stay nonzero; target rows may be zero
+        a[:, 0] += 5.0  # source rows stay nonzero here; target rows may round to zero
     if draw(st.booleans()):
         t[: min(n_a, n_t)] = a[: min(n_a, n_t)]  # identical rows score exactly 1
+    if draw(st.integers(0, 3)) == 0:  # a zero row on either side
+        rows = draw(st.sampled_from([a, t]))
+        rows[draw(st.integers(0, rows.shape[0] - 1))] = 0.0
     n_pairs = draw(st.integers(0, 25))
     pairs = tuple(
         (draw(st.integers(0, n_a - 1)), draw(st.integers(0, n_t - 1)), draw(st.booleans()))
@@ -451,15 +470,13 @@ def pair_cases(draw):
 def test_pair_scores_equal_loop_reference(case, block, symmetric):
     a, t, pairs = case
     with mock.patch.object(verif_eval, "_PAIR_BLOCK", block):
-        scores, labels = pair_scores(a, t, pairs)
-        want_scores, want_labels = ref_pair_scores(a, t, pairs)
-        assert same_floats(scores, want_scores) and labels == want_labels
+        got = kernel_outcome(pair_scores, a, t, pairs)
+        assert got == ref_outcome(ref_pair_scores, a, t, pairs)
         if symmetric and a.shape[0] != t.shape[0]:
             return  # the reversed pairs may fall outside; the evaluation sides are equal
         sides = [(x, verif_eval._row_norms(x)) for x in (a, t)]
-        scores, genuine = _score_pairs(*sides, pairs, symmetric)
-    want_scores, want_labels = ref_score_pairs(a, t, pairs, symmetric)
-    assert same_floats(scores, want_scores) and genuine.tolist() == want_labels
+        got = kernel_outcome(_score_pairs, *sides, pairs, symmetric)
+    assert got == ref_outcome(ref_score_pairs, a, t, pairs, symmetric)
 
 
 def test_pair_scores_equal_loop_reference_many_pairs():
@@ -573,3 +590,32 @@ def test_cross_protocol_fits_once(small_views, cross, fits):
         rep = evaluate_verification(v0, v1, "linear", seeds=(0, 1, 2), **kwargs)
     assert spy.call_count == fits
     assert len(rep.per_seed) == 3
+
+
+def test_zero_norm_row_names_the_first_pair():
+    a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    t = np.array([[1.0, 1.0], [0.0, 0.0]])
+    pairs = PairList(((0, 0, True), (2, 1, False), (1, 0, True)), 0)
+    with pytest.raises(DegenerateRowError, match=r"pair \(2, 1\): target row 1") as err:
+        pair_scores(a, t, pairs)
+    assert err.value.row_index == 1
+    # symmetric scoring: the zero source row 1 is met only by reversing the pair (0, 1)
+    sides = [(x, verif_eval._row_norms(x)) for x in (a, np.ones((3, 2)))]
+    pairs = PairList(((0, 0, True), (0, 1, False)), 0)
+    _score_pairs(*sides, pairs, False)
+    with pytest.raises(DegenerateRowError, match=r"pair \(1, 0\): source row 1"):
+        _score_pairs(*sides, pairs, True)
+
+
+def test_pair_caps_need_a_map(small_views):
+    v0, v1 = small_views
+    with pytest.raises(ArgumentError, match="pair_caps"):
+        evaluate_verification(v0, v1, seeds=(0,), pair_caps=(5, 5))
+
+
+def test_empty_seed_list_is_an_argument_error(small_views):
+    v0, v1 = small_views
+    amap = align.fit_alignment(*align.unit_pair(v0, v1)[1:], "procrustes")
+    for kwargs in (dict(), dict(amap=amap)):
+        with pytest.raises(ArgumentError, match="at least one seed"):
+            evaluate_verification(v0, v1, seeds=(), **kwargs)
