@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .embedstore import EmbeddingSet, intersect_on_images
 from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
@@ -80,6 +79,8 @@ def check_method(method: str, alpha: float) -> None:
 
 def fit_ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:
     """Damped least-squares map (x^T x + alpha I)^-1 x^T y, alpha > 0."""
+    import scipy.linalg  # here, not at module level: only ridge needs it, and it imports slowly
+
     check_method("ridge", alpha)
     x_tr, y_tr = _check_train(x_tr, y_tr)
     d = x_tr.shape[1]

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.cluster.hierarchy as sch
 
 from . import align
 from .embedstore import EmbeddingSet, shared_rows
@@ -20,7 +19,9 @@ from .errors import (
 )
 from .ident_eval import aligned_rank1
 from .prep import l2_normalize
-from .splits import DEFAULT_SEEDS, _rng, check_fraction, check_seeds, identity_disjoint_split
+from .splits import (
+    DEFAULT_SEEDS, _rng, check_distinct, check_fraction, check_seeds, identity_disjoint_split,
+)
 
 _TAG_SWEEP = 301
 
@@ -181,6 +182,8 @@ def agglomerative_cluster(
     model_names=(),
 ) -> Dendrogram:
     """Cluster models on distance 100 - similarity with the chosen linkage."""
+    import scipy.cluster.hierarchy as sch  # here for the reason given in align.fit_ridge
+
     s = np.asarray(similarity, dtype=np.float64)
     m = s.shape[0]
     if s.ndim != 2 or s.shape != (m, m) or m < 2:
@@ -244,14 +247,20 @@ def training_size_sweep(
     shuffled pool.  Each method fits and scores that split through
     :func:`ident_eval.aligned_rank1`, which reads Rank-1 from each query's
     first highest score, as in the matrix.  Returns per-point values and
-    mean/std aggregates.
+    mean/std aggregates.  A repeated fraction, method or seed is an
+    ``ArgumentError``, and every method is checked before the first fit.
     """
     fractions = list(fractions)
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ArgumentError("fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
         raise ArgumentError("fractions must be ascending")
+    check_distinct(fractions, "fraction")
     seeds = check_seeds(seeds)
+    methods = list(methods)
+    check_distinct(methods, "method")
+    for method in methods:
+        align.check_method(method, alpha)
     labels, x, y = align.unit_pair(source, target)
     points = []
     for seed in seeds:

@@ -38,11 +38,12 @@ def _parse_list(text: str, kind, what: str) -> list:
 
 
 def _seed_list(args) -> list:
+    """The checked seed list, so a bad one fails before any fit."""
     if getattr(args, "seeds", None) is not None:
-        return _parse_list(args.seeds, int, "--seeds")
+        return splits.check_seeds(_parse_list(args.seeds, int, "--seeds"))
     env = os.environ.get("EMBALIGN_SEEDS")
     if env:
-        return _parse_list(env, int, "EMBALIGN_SEEDS")
+        return splits.check_seeds(_parse_list(env, int, "EMBALIGN_SEEDS"))
     return list(splits.DEFAULT_SEEDS)
 
 

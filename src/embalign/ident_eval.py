@@ -15,12 +15,19 @@ gallery: they are never relevant and never outrank anything (the
 exclude-self protocol removes each query's own image this way).  NaN
 and +inf scores are rejected with ``DataError``.
 
+The kernel computes the ranks of the relevant items only (same label,
+scored above -inf).  It sorts the score values of each row once, and a
+binary search of the sorted row counts the entries ``<= s[j]``, which
+gives the rank of an item whose score is unique in its row.  Only a row
+that holds a relevant item tied with another entry also gets the full
+stable order, and the tied items read their ranks from it.
+
 Memory.  The kernel walks the queries in blocks of at most
 ``_CELL_BUDGET`` score entries (or one row, for galleries larger than
-that) and ranks each block by one sort of its rows.  Its
-temporaries hold one block each, so memory beyond the score matrix does
-not grow with the number of queries or of items per label.  The score
-matrix is never copied.
+that).  Its temporaries, the sorted block and per-item arrays of at
+most one block's entries, hold one block each, so memory beyond the
+score matrix does not grow with the number of queries or of items per
+label.  The score matrix is never copied.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .splits import DEFAULT_SEEDS, check_seeds
 RANK_KS = (1, 5, 10)
 CMC_MAX_RANK = 50
 
-# score entries one step of the rank kernel sorts at a time
+# score entries one block of the rank kernel holds at a time
 _CELL_BUDGET = 1 << 16
 
 
@@ -69,61 +76,100 @@ def _check_labels(scores, q_labels, g_labels):
     return scores, codes[: len(q_labels)], codes[len(q_labels):]
 
 
-def _rank_blocks(scores, q_codes, g_codes, exclude_self=False):
-    """Rank the gallery for one block of queries at a time.
+def _stable_order(neg):
+    """Stable ascending order of each row of ``neg``: equal entries by column index.
 
-    Yields ``(start, stop, hits)`` per block of queries ``start:stop``:
-    ``hits[i, r]`` is True when the gallery item at rank ``r + 1`` for
-    query ``start + i`` (module docstring) is live and has its label, so
-    the ranks of the relevant items are the nonzero columns plus one.
-    With ``exclude_self`` the diagonal counts as scored -inf.
+    numpy's default sort is fast but leaves equal entries in any order;
+    re-sorting on (run of equal entries, column index) gives the stable
+    order.
     """
-    n_q, n_g = scores.shape
-    if n_g == 0:
-        return  # nothing to rank
-    step = max(1, _CELL_BUDGET // n_g)
-    for start in range(0, n_q, step):
-        stop = min(start + step, n_q)
-        neg = -scores[start:stop]
-        if exclude_self:
-            neg[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        relevant = (q_codes[start:stop, None] == g_codes) & (neg < np.inf)
-        # numpy's default sort is fast but leaves equal scores in any order;
-        # re-sorting on (run of equal scores, gallery index) gives the
-        # stable order
-        order = np.argsort(neg, axis=1)
-        ranked = np.take_along_axis(neg, order, axis=1)
-        run = np.zeros(order.shape, dtype=np.intp)
-        np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=run[:, 1:])
-        run *= n_g
-        run += order
-        run.sort(axis=1)
-        np.remainder(run, n_g, out=order)
-        yield start, stop, np.take_along_axis(relevant, order, axis=1)
+    n = neg.shape[1]
+    order = np.argsort(neg, axis=1)
+    ranked = np.take_along_axis(neg, order, axis=1)
+    run = np.zeros(order.shape, dtype=np.intp)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=run[:, 1:])
+    run *= n
+    run += order
+    run.sort(axis=1)
+    np.remainder(run, n, out=order)
+    return order
+
+
+def _relevant_ranks(block, rows, cols):
+    """Rank (module docstring) of each item ``block[rows, cols]`` in its row.
+
+    ``#{entries <= v}`` comes from a bisection over the value-sorted rows;
+    an item tied with another entry of its row takes its rank from the
+    stable order of that row instead.
+    """
+    n_g = block.shape[1]
+    v = block[rows, cols]
+    srt = np.sort(block, axis=1).ravel()
+    # branchless upper bound over rows of one length: entries <= v lie
+    # before lo + n, and the search window n halves each pass
+    lo = rows * n_g
+    probe = np.empty_like(lo)
+    below = np.empty(rows.size, dtype=bool)
+    n = n_g
+    while n > 1:
+        half = n // 2
+        np.less_equal(srt.take(np.add(lo, half, out=probe)), v, out=below)
+        lo += np.multiply(below, half, out=probe)
+        n -= half
+    lo += srt.take(lo) <= v
+    count = lo - rows * n_g  # entries <= v, at least 1 (v itself)
+    ranks = n_g + 1 - count
+    # an item is tied when the entry before the last one <= v also equals v
+    # (count > 1 masks the read before the row's start)
+    tied = count > 1
+    tied &= srt.take(lo - 2) == v
+    if tied.any():
+        tied_rows, which = np.unique(rows[tied], return_inverse=True)
+        order = _stable_order(-block[tied_rows])
+        inverse = np.empty_like(order)
+        np.put_along_axis(inverse, order, np.arange(n_g), axis=1)
+        ranks[tied] = inverse[which, cols[tied]] + 1
+    return ranks
 
 
 def _ranked(scores, q_codes, g_codes, exclude_self=False, with_ap=False):
     """First-hit rank per query and, if asked, average precision per query.
 
     A query without a live relevant item gets first-hit rank
-    ``n_gallery + 1`` and AP NaN.  AP keeps the expression of a per-row
-    sorted evaluation, ``sum(cumsum(rel) / rank * rel) / n_rel``, on
-    blocks of rows, so its value is the same to the last bit.
+    ``n_gallery + 1`` and AP NaN.  The queries go in blocks of at most
+    ``_CELL_BUDGET`` score entries; with ``exclude_self`` the diagonal
+    counts as scored -inf.  AP keeps the expression of a per-row sorted
+    evaluation, ``sum(cumsum(rel) / rank * rel) / n_rel``: the block of
+    its terms is zero except ``i / rank_i`` at column ``rank_i - 1`` for
+    the ``i``-th relevant item, so its value is the same to the last bit.
     """
     n_q, n_g = scores.shape
     first = np.full(n_q, n_g + 1, dtype=np.intp)
     aps = np.full(n_q, np.nan) if with_ap else None
-    positions = np.arange(1, n_g + 1)
-    for start, stop, hits in _rank_blocks(scores, q_codes, g_codes, exclude_self):
-        found = hits.any(axis=1)
-        first[start:stop][found] = hits[found].argmax(axis=1) + 1
+    if n_g == 0:
+        return first, aps  # nothing to rank
+    step = max(1, _CELL_BUDGET // n_g)
+    for start in range(0, n_q, step):
+        stop = min(start + step, n_q)
+        block = scores[start:stop]
+        if exclude_self:
+            block = block.copy()
+            block[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        rows, cols = np.nonzero((q_codes[start:stop, None] == g_codes) & (block > -np.inf))
+        # rows come sorted, so one integer sort orders the ranks within each row
+        offset = rows * (n_g + 1)
+        key = offset + _relevant_ranks(block, rows, cols)
+        key.sort()
+        ranks = key - offset
+        n_rel = np.bincount(rows, minlength=stop - start)
+        row_start = np.cumsum(n_rel) - n_rel
+        found = n_rel > 0
+        first[start:stop][found] = ranks[row_start[found]]
         if with_ap:
-            rel = hits.astype(np.float64)
+            terms = np.zeros(block.shape)
+            terms[rows, ranks - 1] = (np.arange(1, rows.size + 1) - row_start[rows]) / ranks
             with np.errstate(invalid="ignore"):
-                aps[start:stop] = (
-                    (np.cumsum(rel, axis=1) / positions * rel).sum(axis=1)
-                    / rel.sum(axis=1)
-                )
+                aps[start:stop] = terms.sum(axis=1) / n_rel
     return first, aps
 
 

@@ -30,11 +30,25 @@ def check_seed(seed) -> int:
 
 
 def check_seeds(seeds) -> list:
-    """``seeds`` as a list of ints; an empty list or a negative seed is an ``ArgumentError``."""
-    seeds = list(seeds)
+    """``seeds`` as a list of ints.
+
+    An empty list, a negative seed or a repeated seed (which would be
+    counted twice in the mean and std) is an ``ArgumentError``.
+    """
+    seeds = [check_seed(s) for s in seeds]
     if not seeds:
         raise ArgumentError("need at least one seed")
-    return [check_seed(s) for s in seeds]
+    check_distinct(seeds, "seed")
+    return seeds
+
+
+def check_distinct(values, what: str) -> None:
+    """Raise ``ArgumentError`` naming the first value that occurs twice."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ArgumentError(f"{what} {v!r} is repeated")
+        seen.add(v)
 
 
 def check_fraction(fraction: float) -> None:

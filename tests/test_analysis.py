@@ -385,6 +385,29 @@ def test_sweep_rejects_unsorted_fractions(small_views):
         training_size_sweep(v0, v1, [0.9, 0.1], seeds=(0,))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(fractions=[0.5, 0.5]), "fraction 0.5 is repeated"),
+    (dict(methods=("procrustes", "linear", "procrustes")), "method 'procrustes' is repeated"),
+    (dict(seeds=(1, 1)), "seed 1 is repeated"),
+])
+def test_sweep_rejects_repeats(small_views, kwargs, message):
+    # a repeat used to write every sweep.csv row twice
+    args = {"fractions": [0.5, 1.0], "seeds": (0,), "methods": ("procrustes",), **kwargs}
+    with mock.patch.object(analysis, "aligned_rank1") as score:
+        with pytest.raises(ArgumentError, match=message):
+            training_size_sweep(*small_views, **args)
+    score.assert_not_called()
+
+
+@pytest.mark.parametrize("methods, alpha", [(("procrustes", "nope"), 0.1),
+                                            (("linear", "ridge"), 0.0)])
+def test_sweep_checks_every_method_before_the_first_fit(small_views, methods, alpha):
+    with mock.patch.object(analysis, "aligned_rank1") as score:
+        with pytest.raises(ConsistencyError):
+            training_size_sweep(*small_views, [1.0], seeds=(0,), methods=methods, alpha=alpha)
+    score.assert_not_called()
+
+
 def test_sweep_rejects_empty_pool(small_views):
     v0, v1 = small_views
     with pytest.raises(ArgumentError):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 from unittest import mock
 
@@ -373,6 +375,60 @@ def test_negative_seed_is_clean_error(synth_dir, tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("embalign: error: ") and "seed must be nonnegative" in err
     assert not out.exists()
+
+
+def repeated_seed_commands(synth_dir, out):
+    pair = ["--source", str(synth_dir / "view0.emb"), "--target", str(synth_dir / "view1.emb")]
+    train = ["--train-source", str(synth_dir / "view0.emb"),
+             "--train-target", str(synth_dir / "view1.emb")]
+    inputs = [str(synth_dir / f"view{v}.emb") for v in range(2)]
+    return {
+        "eval-id": ["eval-id", *pair, "--seeds", "3,3", "--out-dir", out],
+        "eval-verif": ["eval-verif", *pair, "--out-dir", out],  # seeds from EMBALIGN_SEEDS
+        "eval-verif-cross": ["eval-verif", *pair, *train, "--seeds", "3,0,3", "--out-dir", out],
+        "matrix": ["matrix", "--inputs", *inputs, "--seeds", "3,3", "--out-dir", out],
+        "sweep": ["sweep", *pair, "--seeds", "3,3", "--fractions", "0.5,1.0", "--out-dir", out],
+    }
+
+
+@pytest.mark.parametrize("command",
+                         ["eval-id", "eval-verif", "eval-verif-cross", "matrix", "sweep"])
+def test_repeated_seed_is_clean_error(synth_dir, tmp_path, capsys, monkeypatch, command):
+    # seed 3 used to run twice and enter the mean and std twice
+    monkeypatch.setenv("EMBALIGN_SEEDS", "3,3")
+    out = tmp_path / "out"
+    with mock.patch.object(align, "fit_alignment") as fit:
+        assert run(*repeated_seed_commands(synth_dir, str(out))[command]) == 1
+    fit.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and "seed 3 is repeated" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--fractions", "0.5,0.5"], "fraction 0.5 is repeated"),
+    (["--methods", "procrustes,procrustes"], "method 'procrustes' is repeated"),
+])
+def test_sweep_repeats_are_clean_errors(synth_dir, tmp_path, capsys, extra, message):
+    code = run("sweep", "--source", str(synth_dir / "view0.emb"),
+               "--target", str(synth_dir / "view1.emb"), "--seeds", "0",
+               "--out-dir", str(tmp_path / "out"), *extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # only the ridge solver and the clustering need scipy; they import it
+    # on first use, so the other commands do not pay for the import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(align.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, embalign.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("extra", [

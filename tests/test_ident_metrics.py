@@ -382,6 +382,55 @@ def test_metrics_equal_sort_reference_long_rows(exclude_self):
     assert _metrics_from_scores(*args) == ref_metrics_from_scores(*args)
 
 
+def _tie_case(kind, n=600, per_id=10):
+    """Scores and labels for ``n`` queries that are also the ``n`` gallery images."""
+    rng = np.random.default_rng(21)
+    labels = [f"p{i % (n // per_id)}" for i in rng.permutation(n)]
+    if kind == "all_equal":
+        scores = np.full((n, n), 0.25)
+    elif kind == "columns_duplicated":  # every score occurs twice in its row
+        scores = np.repeat(rng.standard_normal((n, n // 2)), 2, axis=1)
+    else:  # 21 levels: -1.0, -0.9, ..., 1.0
+        scores = np.round(np.clip(rng.standard_normal((n, n)), -1.0, 1.0), 1)
+    return scores, labels, labels
+
+
+def _short_gallery_case():
+    rng = np.random.default_rng(22)
+    g_labels = [f"p{i % 4}" for i in range(12)]
+    q_labels = [g_labels[i] for i in rng.integers(0, 12, 2000)]
+    scores = np.round(rng.standard_normal((2000, 12)), 1)  # ties in most rows
+    return scores, q_labels, g_labels
+
+
+RANK_CASES = {
+    "columns_duplicated": lambda: _tie_case("columns_duplicated"),
+    "all_equal": lambda: _tie_case("all_equal"),
+    "21_levels_10_per_id": lambda: _tie_case("levels", per_id=10),
+    "21_levels_60_per_id": lambda: _tie_case("levels", per_id=60),
+    "2000_queries_x_12": _short_gallery_case,
+}
+
+
+@pytest.mark.parametrize("budget", [ident_eval._CELL_BUDGET, 1000])
+@pytest.mark.parametrize("exclude_self", [False, True])
+@pytest.mark.parametrize("name", RANK_CASES)
+def test_rank_kernel_equals_sort_reference_on_ties(name, exclude_self, budget):
+    # the kernel reads tied items' ranks from a stable order of their rows
+    # only; rows long enough for numpy's pairwise summation to block the
+    # mAP sums, and a small budget splits them into many blocks
+    scores, q_labels, g_labels = RANK_CASES[name]()
+    args = (scores, q_labels, g_labels, min(ident_eval.CMC_MAX_RANK, len(g_labels)), 3,
+            exclude_self)
+    want = outcome(ref_metrics_from_scores, *args)
+    with mock.patch.object(ident_eval, "_CELL_BUDGET", budget):
+        got = outcome(_metrics_from_scores, *args)
+    assert got == want
+    # only the short gallery, which is not square, refuses exclude_self
+    square = scores.shape[0] == scores.shape[1]
+    assert isinstance(got, SeedRetrieval) == (square or not exclude_self)
+
+
 def test_public_metrics_equal_sort_reference():
     rng = np.random.default_rng(3)
     for _ in range(50):

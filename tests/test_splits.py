@@ -14,6 +14,7 @@ from embalign import (
     sample_pairs_capped,
 )
 from embalign.errors import ArgumentError, DegenerateDataError
+from embalign.splits import check_seeds
 
 
 def labels_for(n_ids, per_id):
@@ -60,6 +61,13 @@ def test_negative_seed_is_argument_error(draw):
     draw(0)
     with pytest.raises(ArgumentError, match="seed must be nonnegative"):
         draw(-1)
+
+
+def test_repeated_seed_is_argument_error():
+    assert check_seeds((3, 1, 0)) == [3, 1, 0]
+    # a repeated seed would be counted twice in every mean and std
+    with pytest.raises(ArgumentError, match="seed 3 is repeated"):
+        check_seeds([1, 3, 2, 3])
 
 
 def test_split_too_few_identities():
