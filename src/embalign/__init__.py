@@ -30,6 +30,7 @@ from .ident_eval import (
     score_matrix,
 )
 from .prep import PrepStats, apply_prep, fit_prep, l2_normalize
+from .reports import TOOL_VERSION as __version__
 from .splits import (
     DEFAULT_SEEDS,
     PairList,
@@ -49,5 +50,3 @@ from .verif_eval import (
     roc_curve,
     tmr_at_fmr,
 )
-
-__version__ = "0.1.0"

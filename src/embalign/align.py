@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedstore import EmbeddingSet, intersect_on_images
+from .embedstore import EmbeddingSet, shared_rows
 from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
 from .prep import PrepStats, apply_prep, fit_prep, l2_normalize
 from .splits import identity_disjoint_split
@@ -132,8 +132,11 @@ class AlignmentMap:
 
 def unit_pair(source: EmbeddingSet, target: EmbeddingSet):
     """``(labels, x, y)`` of the shared images: labels, unit source and target rows."""
-    a, b = intersect_on_images(source, target)
-    return list(a.labels), l2_normalize(a.rows), l2_normalize(b.rows)
+    ra, rb = shared_rows(source, target)
+    # gather both sides before normalizing either: normalizing the source gather
+    # first raised eval-id's peak RSS on 10k rows by 9 MB (glibc's mmap threshold)
+    a, b = source.rows[ra], target.rows[rb]
+    return [source.labels[i] for i in ra], l2_normalize(a), l2_normalize(b)
 
 
 def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=None, **meta):

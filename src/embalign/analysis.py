@@ -19,6 +19,7 @@ from .errors import (
 )
 from .ident_eval import aligned_rank1
 from .prep import l2_normalize
+from .reports import mean_std
 from .splits import (
     DEFAULT_SEEDS, _rng, check_distinct, check_fraction, check_seeds, identity_disjoint_split,
 )
@@ -247,8 +248,9 @@ def training_size_sweep(
     shuffled pool.  Each method fits and scores that split through
     :func:`ident_eval.aligned_rank1`, which reads Rank-1 from each query's
     first highest score, as in the matrix.  Returns per-point values and
-    mean/std aggregates.  A repeated fraction, method or seed is an
-    ``ArgumentError``, and every method is checked before the first fit.
+    mean/std aggregates (:func:`reports.mean_std`).  An empty or repeated
+    list of fractions, methods or seeds is an ``ArgumentError``, and every
+    method is checked before the first fit.
     """
     fractions = list(fractions)
     if any(not 0.0 < f <= 1.0 for f in fractions):
@@ -291,15 +293,9 @@ def training_size_sweep(
     summary = []
     for method in methods:
         for frac in fractions:
-            vals = np.array(
+            mean, std = mean_std(
                 [p["rank1"] for p in points if p["method"] == method and p["fraction"] == frac]
             )
-            summary.append(
-                {
-                    "method": method,
-                    "fraction": frac,
-                    "rank1_mean": float(vals.mean()),
-                    "rank1_std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-                }
-            )
+            summary.append({"method": method, "fraction": frac,
+                            "rank1_mean": float(mean), "rank1_std": float(std)})
     return {"points": points, "summary": summary}

@@ -28,6 +28,13 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NON_CONFIG}
 
 
+def _write_report(args, name, protocol, metrics, inputs):
+    """Write the report ``name`` into ``--out-dir``, which is made if needed."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    reports.write_report(os.path.join(args.out_dir, name), _config(args), protocol,
+                         {"metrics": metrics}, input_paths=inputs)
+
+
 def _parse_list(text: str, kind, what: str) -> list:
     try:
         return [kind(s) for s in text.split(",")]
@@ -55,14 +62,23 @@ def _load(path: str, fmt: str) -> embedstore.EmbeddingSet:
     return embedstore.load_embeddings(path, fmt, model_name=_model_name(path))
 
 
-def _add_pair_args(p):
-    p.add_argument("--source", required=True, help="source embedding file")
-    p.add_argument("--target", required=True, help="target embedding file")
+def _add_fit_args(p):
     p.add_argument("--format", default="binary", choices=("binary", "csv"))
     p.add_argument("--method", default="procrustes", choices=align.METHODS)
     p.add_argument("--alpha", type=float, default=align.DEFAULT_RIDGE_ALPHA,
                    help="ridge regularization weight")
     p.add_argument("--train-frac", type=float, default=0.7)
+
+
+def _add_pair_args(p):
+    p.add_argument("--source", required=True, help="source embedding file")
+    p.add_argument("--target", required=True, help="target embedding file")
+    _add_fit_args(p)
+
+
+def _add_run_args(p):
+    p.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--out-dir", required=True)
 
 
 def _add_jobs_arg(p):
@@ -73,8 +89,7 @@ def _add_jobs_arg(p):
 
 def _add_eval_args(p):
     _add_pair_args(p)
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--out-dir", required=True)
+    _add_run_args(p)
     _add_jobs_arg(p)
     p.add_argument("--dump-splits", action="store_true",
                    help="also write the per-seed splits as JSON")
@@ -132,13 +147,8 @@ def cmd_eval_id(args):
         a, b, method=args.method, seeds=seeds, fraction=args.train_frac,
         alpha=args.alpha, exclude_self=args.exclude_self,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    config = _config(args)
-    reports.write_report(
-        os.path.join(args.out_dir, "identification_report.json"),
-        config, "identification", {"metrics": report.to_dict()},
-        input_paths=[args.source, args.target],
-    )
+    _write_report(args, "identification_report.json", "identification", report.to_dict(),
+                  [args.source, args.target])
     reports.write_csv(
         os.path.join(args.out_dir, "cmc.csv"),
         ["rank", "accuracy_mean", "accuracy_std"],
@@ -168,13 +178,8 @@ def cmd_eval_verif(args):
         pair_caps=(args.genuine_cap, args.impostor_cap) if cross else None, amap=amap,
         symmetric_score=args.symmetric_score,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    config = _config(args)
-    reports.write_report(
-        os.path.join(args.out_dir, "verification_report.json"),
-        config, "verification", {"metrics": report.to_dict()},
-        input_paths=[args.source, args.target],
-    )
+    _write_report(args, "verification_report.json", "verification", report.to_dict(),
+                  [args.source, args.target])
     reports.write_csv(
         os.path.join(args.out_dir, "roc.csv"),
         ["fmr", "tmr"],
@@ -199,13 +204,8 @@ def cmd_matrix(args):
     cm = analysis.build_compatibility_matrix(
         sets, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    config = _config(args)
-    reports.write_report(
-        os.path.join(args.out_dir, "compatibility_matrix.json"),
-        config, "compatibility_matrix", {"metrics": cm.to_dict()},
-        input_paths=list(args.inputs),
-    )
+    _write_report(args, "compatibility_matrix.json", "compatibility_matrix", cm.to_dict(),
+                  args.inputs)
     header = ["model"] + list(cm.model_names)
     rows = [
         [name] + [float(v) if not np.isnan(v) else "missing" for v in cm.rank1[i]]
@@ -259,14 +259,8 @@ def cmd_cluster(args):
     sym = analysis.symmetrize(cm)
     dend = analysis.agglomerative_cluster(sym, linkage=args.linkage, model_names=names)
     asym = analysis.asymmetry_stats(cm)
-    os.makedirs(args.out_dir, exist_ok=True)
-    config = _config(args)
-    reports.write_report(
-        os.path.join(args.out_dir, "cluster_report.json"),
-        config, "clustering",
-        {"metrics": {"dendrogram": dend.to_dict(), "asymmetry": asym}},
-        input_paths=[args.matrix],
-    )
+    _write_report(args, "cluster_report.json", "clustering",
+                  {"dendrogram": dend.to_dict(), "asymmetry": asym}, [args.matrix])
     reports._atomic_write_text(
         os.path.join(args.out_dir, "dendrogram.newick"), dend.to_newick() + "\n"
     )
@@ -283,13 +277,8 @@ def cmd_sweep(args):
         a, b, fractions, seeds=seeds, methods=methods,
         base_fraction=args.train_frac, alpha=args.alpha,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    config = _config(args)
-    reports.write_report(
-        os.path.join(args.out_dir, "sweep_report.json"),
-        config, "training_size_sweep", {"metrics": table},
-        input_paths=[args.source, args.target],
-    )
+    _write_report(args, "sweep_report.json", "training_size_sweep", table,
+                  [args.source, args.target])
     reports.write_csv(
         os.path.join(args.out_dir, "sweep.csv"),
         ["method", "fraction", "rank1_mean", "rank1_std"],
@@ -347,13 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="pairwise Rank-1 compatibility matrix")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--format", default="binary", choices=("binary", "csv"))
-    p.add_argument("--method", default="procrustes", choices=align.METHODS)
-    p.add_argument("--alpha", type=float, default=align.DEFAULT_RIDGE_ALPHA)
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--seeds")
+    _add_fit_args(p)
+    _add_run_args(p)
     _add_jobs_arg(p)
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("cluster", help="hierarchical clustering of a matrix")
@@ -364,10 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Rank-1 vs. training-set size")
     _add_pair_args(p)
-    p.add_argument("--seeds")
+    _add_run_args(p)
     p.add_argument("--fractions", default="0.1,0.25,0.5,0.75,1.0")
     p.add_argument("--methods", default="procrustes,linear,ridge")
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_sweep)
 
     return parser

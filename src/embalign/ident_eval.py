@@ -40,7 +40,7 @@ from . import align
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
-from .reports import AlignedBaselineReport
+from .reports import AlignedBaselineReport, mean_std, pair_metadata
 from .splits import DEFAULT_SEEDS, check_seeds
 
 RANK_KS = (1, 5, 10)
@@ -274,38 +274,16 @@ class RetrievalReport(AlignedBaselineReport):
     exclude_self: bool = False
     metadata: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _summary(results):
+    @classmethod
+    def _summary(cls, results):
         ks = sorted(set.intersection(*(set(r.rank_k) for r in results)))
-        out = {"rank_k": {}, "map": {}, "cmc": {}}
-        for k in ks:
-            vals = np.array([r.rank_k[k] for r in results])
-            out["rank_k"][str(k)] = {
-                "mean": float(vals.mean()),
-                "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-            }
-        maps = np.array([r.map_score for r in results])
-        out["map"] = {
-            "mean": float(maps.mean()),
-            "std": float(maps.std(ddof=1)) if len(maps) > 1 else 0.0,
-        }
         # test-set size varies with the seed; aggregate over the common prefix
         minlen = min(len(r.cmc) for r in results)
-        cmc = np.array([r.cmc[:minlen] for r in results])
-        out["cmc"] = {
-            "mean": cmc.mean(axis=0).tolist(),
-            "std": (cmc.std(axis=0, ddof=1) if cmc.shape[0] > 1 else np.zeros(cmc.shape[1])).tolist(),
-        }
-        return out
-
-    def to_dict(self):
+        cmc_mean, cmc_std = mean_std([r.cmc[:minlen] for r in results])
         return {
-            "method": self.method,
-            "fraction": self.fraction,
-            "seeds": list(self.seeds),
-            "exclude_self": self.exclude_self,
-            "metadata": self.metadata,
-            **self._sections(),
+            "rank_k": {str(k): cls._scalar([r.rank_k[k] for r in results]) for k in ks},
+            "map": cls._scalar([r.map_score for r in results]),
+            "cmc": {"mean": cmc_mean.tolist(), "std": cmc_std.tolist()},
         }
 
 
@@ -360,10 +338,7 @@ def evaluate_identification(
         per_seed_baseline=tuple(r[1] for r in results),
         exclude_self=exclude_self,
         metadata={
-            "source_model": source.model_name,
-            "target_model": target.model_name,
-            "dataset": source.dataset_name,
-            "alpha": alpha if method == "ridge" else 0.0,
+            **pair_metadata(source, target, method, alpha),
             "gallery_includes_self": not exclude_self,
         },
     )

@@ -1,15 +1,20 @@
 """Canonical report emission: deterministic JSON/CSV with atomic writes.
 
 Floats are fixed at 9 significant digits so identical runs produce
-byte-identical files.
+byte-identical files.  Every summary across seeds is :func:`mean_std`,
+and :func:`pair_metadata` gives the metadata keys that every
+aligned/baseline report shares.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
+
+import numpy as np
 
 from .errors import IoError
 
@@ -63,8 +68,29 @@ def provenance(config: dict, input_paths) -> dict:
     }
 
 
+def mean_std(values):
+    """Mean and sample std (ddof 1, or 0 for a single value) over the first axis."""
+    values = np.asarray(values, dtype=np.float64)
+    std = values.std(axis=0, ddof=1) if len(values) > 1 else np.zeros(values.shape[1:])
+    return values.mean(axis=0), std
+
+
+def pair_metadata(source, target, method: str, alpha: float) -> dict:
+    """Model and dataset names of an evaluated pair, and alpha (0 unless ridge)."""
+    return {
+        "source_model": source.model_name,
+        "target_model": target.model_name,
+        "dataset": source.dataset_name,
+        "alpha": alpha if method == "ridge" else 0.0,
+    }
+
+
 class AlignedBaselineReport:
-    """Per-seed results of the aligned map (``per_seed``) and of the baseline."""
+    """Per-seed results of the aligned map (``per_seed``) and of the baseline.
+
+    Subclasses are dataclasses with ``seeds``, ``per_seed`` and
+    ``per_seed_baseline`` fields and a ``_summary(results)`` class method.
+    """
 
     @property
     def summary(self):
@@ -74,11 +100,22 @@ class AlignedBaselineReport:
     def baseline_summary(self):
         return self._summary(self.per_seed_baseline)
 
-    def _sections(self) -> dict:
-        return {
-            side: {"per_seed": [r.to_dict() for r in results], "summary": self._summary(results)}
-            for side, results in (("aligned", self.per_seed), ("baseline", self.per_seed_baseline))
+    @staticmethod
+    def _scalar(values) -> dict:
+        mean, std = mean_std(values)
+        return {"mean": float(mean), "std": float(std)}
+
+    def to_dict(self) -> dict:
+        """Every field but the per-seed ones, then each side's per-seed results and summary."""
+        out = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self) if not f.name.startswith("per_seed")
         }
+        out["seeds"] = list(self.seeds)
+        for side, results in (("aligned", self.per_seed), ("baseline", self.per_seed_baseline)):
+            out[side] = {"per_seed": [r.to_dict() for r in results],
+                         "summary": self._summary(results)}
+        return out
 
 
 def write_report(path: str, config: dict, protocol: str, body: dict, input_paths=()):

@@ -6,6 +6,7 @@ every output is a pure, reproducible function of its inputs and seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +37,14 @@ def check_seeds(seeds) -> list:
     counted twice in the mean and std) is an ``ArgumentError``.
     """
     seeds = [check_seed(s) for s in seeds]
-    if not seeds:
-        raise ArgumentError("need at least one seed")
     check_distinct(seeds, "seed")
     return seeds
 
 
 def check_distinct(values, what: str) -> None:
-    """Raise ``ArgumentError`` naming the first value that occurs twice."""
+    """Raise ``ArgumentError`` if ``values`` is empty, or name the first value that occurs twice."""
+    if not values:
+        raise ArgumentError(f"need at least one {what}")
     seen = set()
     for v in values:
         if v in seen:
@@ -134,14 +135,11 @@ def all_genuine_pairs(labels) -> PairList:
     return PairList(tuple(pairs), seed=0)
 
 
-def _n_impostor_pairs(labels):
+def pair_counts(labels):
+    """Numbers ``(genuine, impostor)`` of unordered same-label and cross-label row pairs."""
     n = len(labels)
-    total = n * (n - 1) // 2
-    counts = {}
-    for l in labels:
-        counts[l] = counts.get(l, 0) + 1
-    same = sum(c * (c - 1) // 2 for c in counts.values())
-    return total - same
+    genuine = sum(c * (c - 1) // 2 for c in Counter(str(l) for l in labels).values())
+    return genuine, n * (n - 1) // 2 - genuine
 
 
 def sample_impostor_pairs(labels, count: int, seed: int) -> PairList:
@@ -151,7 +149,7 @@ def sample_impostor_pairs(labels, count: int, seed: int) -> PairList:
         raise ArgumentError("count must be nonnegative")
     if len(set(labels)) < 2:
         raise DegenerateDataError("need at least 2 distinct identities")
-    available = _n_impostor_pairs(labels)
+    available = pair_counts(labels)[1]
     if count > available:
         raise ArgumentError(f"requested {count} impostor pairs, only {available} exist")
     rng = _rng(_TAG_IMPOSTOR, seed)

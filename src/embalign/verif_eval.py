@@ -26,15 +26,8 @@ import numpy as np
 from . import align
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
-from .reports import AlignedBaselineReport
-from .splits import (
-    DEFAULT_SEEDS,
-    PairList,
-    all_genuine_pairs,
-    check_seeds,
-    sample_impostor_pairs,
-    sample_pairs_capped,
-)
+from .reports import AlignedBaselineReport, mean_std, pair_metadata
+from .splits import DEFAULT_SEEDS, PairList, check_seeds, pair_counts, sample_pairs_capped
 
 FMR_TARGETS = (0.01, 0.001)
 
@@ -246,46 +239,23 @@ class VerificationReport(AlignedBaselineReport):
     symmetric_score: bool = False
     metadata: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _summary(results):
-        def ms(vals):
-            vals = np.asarray(vals)
-            return {
-                "mean": float(vals.mean()),
-                "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-            }
-
-        out = {
-            "auc": ms([r.auc for r in results]),
-            "eer": ms([r.eer for r in results]),
-            "tmr_at_fmr": {
-                str(t): ms([r.tmr_at_fmr[t] for r in results]) for t in FMR_TARGETS
-            },
-        }
+    @classmethod
+    def _summary(cls, results):
         # each stored ROC is a sweep from `_roc`, already sorted by (FMR, TMR)
-        grid_tmr = np.array(
+        tmr_mean, tmr_std = mean_std(
             [_tmr_at(*_points_to_arrays(r.roc), _GRID_TARGETS) for r in results]
         )
-        out["roc_grid"] = {
-            "fmr": ROC_GRID.tolist(),
-            "tmr_mean": grid_tmr.mean(axis=0).tolist(),
-            "tmr_std": (
-                grid_tmr.std(axis=0, ddof=1)
-                if grid_tmr.shape[0] > 1
-                else np.zeros(grid_tmr.shape[1])
-            ).tolist(),
-        }
-        return out
-
-    def to_dict(self):
         return {
-            "method": self.method,
-            "protocol": self.protocol,
-            "fraction": self.fraction,
-            "seeds": list(self.seeds),
-            "symmetric_score": self.symmetric_score,
-            "metadata": self.metadata,
-            **self._sections(),
+            "auc": cls._scalar([r.auc for r in results]),
+            "eer": cls._scalar([r.eer for r in results]),
+            "tmr_at_fmr": {
+                str(t): cls._scalar([r.tmr_at_fmr[t] for r in results]) for t in FMR_TARGETS
+            },
+            "roc_grid": {
+                "fmr": ROC_GRID.tolist(),
+                "tmr_mean": tmr_mean.tolist(),
+                "tmr_std": tmr_std.tolist(),
+            },
         }
 
 
@@ -335,9 +305,8 @@ def _score_seed(sides, pairs, symmetric, seed):
 def _intra_seed(x, y, labels, method, alpha, fraction, symmetric, seed):
     amap, eval_rows = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
     test_labels = [labels[i] for i in eval_rows]
-    genuine = all_genuine_pairs(test_labels)
-    impostor = sample_impostor_pairs(test_labels, len(genuine.pairs), seed)
-    pairs = PairList(tuple(sorted(genuine.pairs + impostor.pairs)), seed)
+    n_genuine = pair_counts(test_labels)[0]
+    pairs = sample_pairs_capped(test_labels, n_genuine, n_genuine, seed)  # every genuine pair
     # pair indices refer to positions within eval_rows
     return _score_seed(_eval_sides(x[eval_rows], y[eval_rows], amap), pairs, symmetric, seed)
 
@@ -390,10 +359,7 @@ def evaluate_verification(
         fraction=fraction,
         symmetric_score=symmetric_score,
         metadata={
-            "source_model": source.model_name,
-            "target_model": target.model_name,
-            "dataset": source.dataset_name,
-            "alpha": alpha if method == "ridge" else 0.0,
+            **pair_metadata(source, target, method, alpha),
             "scoring_direction": "symmetric" if symmetric_score else "source_to_target",
             "pair_caps": list(pair_caps) if pair_caps else None,
         },

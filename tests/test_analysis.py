@@ -389,9 +389,12 @@ def test_sweep_rejects_unsorted_fractions(small_views):
     (dict(fractions=[0.5, 0.5]), "fraction 0.5 is repeated"),
     (dict(methods=("procrustes", "linear", "procrustes")), "method 'procrustes' is repeated"),
     (dict(seeds=(1, 1)), "seed 1 is repeated"),
+    (dict(fractions=[]), "need at least one fraction"),
+    (dict(methods=()), "need at least one method"),
 ])
 def test_sweep_rejects_repeats(small_views, kwargs, message):
-    # a repeat used to write every sweep.csv row twice
+    # a repeat used to write every sweep.csv row twice, and an empty list
+    # gave an empty sweep
     args = {"fractions": [0.5, 1.0], "seeds": (0,), "methods": ("procrustes",), **kwargs}
     with mock.patch.object(analysis, "aligned_rank1") as score:
         with pytest.raises(ArgumentError, match=message):

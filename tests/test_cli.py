@@ -10,7 +10,7 @@ import pytest
 from embalign import (
     align, embedstore, evaluate_verification, load_map, load_embeddings, prep, reports, splits,
 )
-from embalign.cli import main
+from embalign.cli import build_parser, main
 
 
 def run(*argv):
@@ -452,3 +452,43 @@ def test_bad_fractions_is_clean_error(synth_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "--fractions" in capsys.readouterr().err
+
+
+_FIT_DEFAULTS = {"format": "binary", "method": "procrustes", "alpha": 0.1, "train_frac": 0.7}
+_PAIR = {"source": "s", "target": "t", **_FIT_DEFAULTS}
+_EVAL = {**_PAIR, "seeds": None, "out_dir": "o", "jobs": 1, "dump_splits": False}
+
+#: minimal argv of each subcommand -> every parsed argument and its default
+PARSED_DEFAULTS = {
+    ("synth", "--out", "o"): {
+        "ids": 100, "per_id": 10, "dim": 64, "intrinsic_dim": 16, "views": 2, "noise": 0.0,
+        "center_scale": 1.0, "spread": 0.1, "map_kind": "orthogonal", "seed": 0, "out": "o",
+    },
+    ("fit", "--source", "s", "--target", "t", "--out", "o"): {**_PAIR, "seed": 0, "out": "o"},
+    ("eval-id", "--source", "s", "--target", "t", "--out-dir", "o"): {
+        **_EVAL, "exclude_self": False,
+    },
+    ("eval-verif", "--source", "s", "--target", "t", "--out-dir", "o"): {
+        **_EVAL, "symmetric_score": False, "train_source": None, "train_target": None,
+        "genuine_cap": 10000, "impostor_cap": 10000,
+    },
+    ("matrix", "--inputs", "a", "b", "--out-dir", "o"): {
+        "inputs": ["a", "b"], **_FIT_DEFAULTS, "seeds": None, "out_dir": "o", "jobs": 1,
+    },
+    ("cluster", "--matrix", "m", "--out-dir", "o"): {
+        "matrix": "m", "linkage": "average", "out_dir": "o",
+    },
+    ("sweep", "--source", "s", "--target", "t", "--out-dir", "o"): {
+        **_PAIR, "seeds": None, "out_dir": "o",
+        "fractions": "0.1,0.25,0.5,0.75,1.0", "methods": "procrustes,linear,ridge",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", PARSED_DEFAULTS, ids=[a[0] for a in PARSED_DEFAULTS])
+def test_parsed_arguments_are_pinned(argv):
+    # a report's config is vars(args): a helper that adds or drops an
+    # argument would change every report of that subcommand
+    parsed = vars(build_parser().parse_args(list(argv)))
+    assert parsed.pop("func").__name__ == "cmd_" + argv[0].replace("-", "_")
+    assert parsed == {"command": argv[0], **PARSED_DEFAULTS[argv]}

@@ -7,10 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from embalign import EmbeddingSet, intersect_on_images, load_embeddings, save_embeddings
+from embalign.align import unit_pair
 from embalign.embedstore import shared_rows
+from embalign.prep import l2_normalize
 from embalign.errors import (
     ConsistencyError,
     DataError,
+    DegenerateRowError,
     EmptyIntersectionError,
     FormatError,
     IoError,
@@ -321,3 +324,41 @@ def test_intersect_equals_dict_reference(sets):
     if isinstance(got, list):
         ra, rb = shared_rows(a, b)
         assert got[0][4] == a.rows[ra].tobytes() and got[1][4] == b.rows[rb].tobytes()
+
+
+def ref_unit_pair(source, target):
+    """``align.unit_pair`` as it was, through two intersected ``EmbeddingSet`` s."""
+    a, b = intersect_on_images(source, target)
+    return list(a.labels), l2_normalize(a.rows), l2_normalize(b.rows)
+
+
+def _unit_pair_outcome(fn, a, b):
+    try:
+        labels, x, y = fn(a, b)
+    except DegenerateRowError as exc:
+        return DegenerateRowError, exc.row_index, str(exc)
+    except (EmptyIntersectionError, LabelConflictError) as exc:
+        return type(exc), str(exc)
+    return labels, x.dtype, x.shape, x.tobytes(), y.dtype, y.shape, y.tobytes()
+
+
+@st.composite
+def sets_with_zero_rows(draw):
+    """Overlapping sets in which some rows may be all zero, on either side."""
+    sets = draw(overlapping_sets())
+    out = []
+    for s in sets:
+        rows = s.rows.copy()
+        for i in range(s.n):
+            if draw(st.integers(0, 4)) == 0:
+                rows[i] = 0.0
+        out.append(make_set(rows, s.image_ids, s.labels, s.model_name))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=sets_with_zero_rows())
+def test_unit_pair_equals_the_intersected_sets_path(sets):
+    # same bits, and the same error: the source side's zero row comes first
+    a, b = sets
+    assert _unit_pair_outcome(unit_pair, a, b) == _unit_pair_outcome(ref_unit_pair, a, b)

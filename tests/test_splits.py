@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embalign import (
+    PairList,
     all_genuine_pairs,
     embed_view,
     generate_identity_cloud,
@@ -14,7 +15,7 @@ from embalign import (
     sample_pairs_capped,
 )
 from embalign.errors import ArgumentError, DegenerateDataError
-from embalign.splits import check_seeds
+from embalign.splits import check_seeds, pair_counts
 
 
 def labels_for(n_ids, per_id):
@@ -175,3 +176,34 @@ def test_split_json_round_trip():
     d = spec.to_dict()
     assert set(d["train_identities"]) == spec.train_identities
     assert tuple(d["train_rows"]) == spec.train_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.sampled_from("abcde"), max_size=30))
+def test_pair_counts_equal_brute_force(labels):
+    pairs = list(itertools.combinations(labels, 2))
+    genuine = sum(a == b for a, b in pairs)
+    assert pair_counts(labels) == (genuine, len(pairs) - genuine)
+
+
+def ref_intra_pairs(labels, seed):
+    """Every genuine pair plus as many impostors: the intra protocol's former merge."""
+    genuine = all_genuine_pairs(labels)
+    impostor = sample_impostor_pairs(labels, len(genuine.pairs), seed)
+    return PairList(tuple(sorted(genuine.pairs + impostor.pairs)), seed)
+
+
+def _pairs_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArgumentError, DegenerateDataError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=40),
+       seed=st.integers(0, 50))
+def test_capped_sample_of_every_genuine_pair_is_the_intra_merge(labels, seed):
+    n_genuine = pair_counts(labels)[0]
+    got = _pairs_outcome(sample_pairs_capped, labels, n_genuine, n_genuine, seed)
+    assert got == _pairs_outcome(ref_intra_pairs, labels, seed)
