@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from .embedstore import EmbeddingSet, shared_rows
 from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
 from .prep import PrepStats, apply_prep, fit_prep, l2_normalize
+from .reports import atomic_write
 from .splits import identity_disjoint_split
 
 #: relative cutoff below which singular values are treated as zero in the
@@ -227,16 +227,7 @@ def save_map(amap: AlignmentMap, path: str) -> None:
         if new == offsets:
             break
         offsets = new
-    try:
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(header_bytes)
-            f.write(mu_x)
-            f.write(mu_y)
-            f.write(w)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    atomic_write(path, header_bytes + mu_x + mu_y + w)
 
 
 #: header fields of a map file and their JSON types

@@ -96,11 +96,12 @@ def _add_eval_args(p):
 
 
 def cmd_synth(args):
+    if args.views < 1:
+        raise ArgumentError(f"--views must be at least 1, got {args.views}")
     cloud = synth.generate_identity_cloud(
         args.ids, args.per_id, args.intrinsic_dim,
         center_scale=args.center_scale, spread=args.spread, seed=args.seed,
     )
-    os.makedirs(args.out, exist_ok=True)
     written = []
     for v in range(args.views):
         view = synth.embed_view(
@@ -108,6 +109,8 @@ def cmd_synth(args):
             noise=args.noise, map_kind=args.map_kind,
             model_name=f"view{v}",
         )
+        # made after the first view, so a bad view argument leaves no directory
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"view{v}.emb")
         embedstore.save_embeddings(view, path, "binary")
         written.append(path)
@@ -136,7 +139,7 @@ def _dump_splits(out_dir, source, target, fraction, seeds, tag):
         for seed in seeds
     }
     path = os.path.join(out_dir, f"{tag}_splits.json")
-    reports._atomic_write_text(path, reports.canonical_json(doc))
+    reports.atomic_write(path, reports.canonical_json(doc).encode("utf-8"))
 
 
 def cmd_eval_id(args):
@@ -261,9 +264,8 @@ def cmd_cluster(args):
     asym = analysis.asymmetry_stats(cm)
     _write_report(args, "cluster_report.json", "clustering",
                   {"dendrogram": dend.to_dict(), "asymmetry": asym}, [args.matrix])
-    reports._atomic_write_text(
-        os.path.join(args.out_dir, "dendrogram.newick"), dend.to_newick() + "\n"
-    )
+    newick = (dend.to_newick() + "\n").encode("utf-8")
+    reports.atomic_write(os.path.join(args.out_dir, "dendrogram.newick"), newick)
     return 0
 
 

@@ -19,8 +19,9 @@ The kernel computes the ranks of the relevant items only (same label,
 scored above -inf).  It sorts the score values of each row once, and a
 binary search of the sorted row counts the entries ``<= s[j]``, which
 gives the rank of an item whose score is unique in its row.  Only a row
-that holds a relevant item tied with another entry also gets the full
-stable order, and the tied items read their ranks from it.
+that holds a relevant item tied with another entry is also ordered in
+full, by numpy's stable argsort of its negated scores, and the tied
+items read their ranks from that order.
 
 Memory.  The kernel walks the queries in blocks of at most
 ``_CELL_BUDGET`` score entries (or one row, for galleries larger than
@@ -76,25 +77,6 @@ def _check_labels(scores, q_labels, g_labels):
     return scores, codes[: len(q_labels)], codes[len(q_labels):]
 
 
-def _stable_order(neg):
-    """Stable ascending order of each row of ``neg``: equal entries by column index.
-
-    numpy's default sort is fast but leaves equal entries in any order;
-    re-sorting on (run of equal entries, column index) gives the stable
-    order.
-    """
-    n = neg.shape[1]
-    order = np.argsort(neg, axis=1)
-    ranked = np.take_along_axis(neg, order, axis=1)
-    run = np.zeros(order.shape, dtype=np.intp)
-    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=run[:, 1:])
-    run *= n
-    run += order
-    run.sort(axis=1)
-    np.remainder(run, n, out=order)
-    return order
-
-
 def _relevant_ranks(block, rows, cols):
     """Rank (module docstring) of each item ``block[rows, cols]`` in its row.
 
@@ -125,7 +107,7 @@ def _relevant_ranks(block, rows, cols):
     tied &= srt.take(lo - 2) == v
     if tied.any():
         tied_rows, which = np.unique(rows[tied], return_inverse=True)
-        order = _stable_order(-block[tied_rows])
+        order = np.argsort(-block[tied_rows], axis=1, kind="stable")
         inverse = np.empty_like(order)
         np.put_along_axis(inverse, order, np.arange(n_g), axis=1)
         ranks[tied] = inverse[which, cols[tied]] + 1

@@ -40,11 +40,12 @@ def canonical_json(obj) -> str:
     return json.dumps(_canon(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file, which a failure removes."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        with open(tmp, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.exists(tmp):
@@ -54,9 +55,12 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 def file_sha256(path: str) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
     return h.hexdigest()
 
 
@@ -126,7 +130,7 @@ def write_report(path: str, config: dict, protocol: str, body: dict, input_paths
         **body,
         "provenance": provenance(config, input_paths),
     }
-    _atomic_write_text(path, canonical_json(doc))
+    atomic_write(path, canonical_json(doc).encode("utf-8"))
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -135,7 +139,7 @@ def write_csv(path: str, header, rows) -> None:
         lines.append(
             ",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row)
         )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def cmc_csv_rows(summary: dict):

@@ -168,7 +168,7 @@ def sample_impostor_pairs(labels, count: int, seed: int) -> PairList:
         chosen = {pool[i] for i in idx}
     else:
         while len(chosen) < count:
-            a, b = rng.integers(0, n, size=2)
+            a, b = rng.integers(0, n, size=2).tolist()
             if a == b or labels[a] == labels[b]:
                 continue
             chosen.add((min(a, b), max(a, b)))

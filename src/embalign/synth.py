@@ -38,6 +38,12 @@ class IdentityCloud:
     seed: int
 
 
+def _check_std(name: str, value: float) -> None:
+    """Raise ``ArgumentError`` unless the standard deviation ``value`` is finite and >= 0."""
+    if not 0.0 <= value < np.inf:
+        raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
+
+
 def generate_identity_cloud(
     num_ids: int,
     per_id: int,
@@ -49,8 +55,9 @@ def generate_identity_cloud(
     """Centers ~ center_scale * N(0, I); points = center + N(0, spread^2 I)."""
     if num_ids < 1 or per_id < 1 or intrinsic_dim < 1:
         raise ArgumentError("counts and intrinsic_dim must be >= 1")
-    if spread < 0:
-        raise ArgumentError("spread must be nonnegative")
+    _check_std("spread", spread)
+    if not np.isfinite(center_scale):
+        raise ArgumentError(f"center_scale must be finite, got {center_scale}")
     rng = _rng(_TAG_CLOUD, seed)
     centers = center_scale * rng.standard_normal((num_ids, intrinsic_dim))
     noise = spread * rng.standard_normal((num_ids * per_id, intrinsic_dim))
@@ -98,6 +105,7 @@ def embed_view(
         )
     if map_kind not in ("orthogonal", "general_linear"):
         raise ArgumentError(f"unknown map_kind {map_kind!r}")
+    _check_std("noise", noise)
     rng = _rng(_TAG_VIEW, view_seed)
     if map_kind == "orthogonal":
         q = random_orthogonal(target_dim, rng)

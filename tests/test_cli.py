@@ -291,6 +291,34 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_fit_into_a_directory_is_clean_error_and_leaves_no_temp_file(synth_dir, tmp_path,
+                                                                    capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    code = run(
+        "fit", "--source", str(synth_dir / "view0.emb"),
+        "--target", str(synth_dir / "view1.emb"), "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("embalign: error: ")
+    assert os.listdir(tmp_path) == ["taken"] and os.listdir(out) == []
+
+
+@pytest.mark.parametrize("extra", [
+    ["--views", "0"], ["--views", "-2"], ["--noise", "-1"], ["--noise", "nan"],
+    ["--spread", "inf"], ["--spread", "-0.5"], ["--center-scale", "nan"], ["--dim", "2"],
+])
+def test_synth_bad_argument_is_clean_error(tmp_path, capsys, extra):
+    code = run(
+        "synth", "--ids", "5", "--per-id", "2", "--dim", "8", "--intrinsic-dim", "4",
+        *extra, "--out", str(tmp_path / "data"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and extra[0][2:].replace("-", "_") in err
+    assert os.listdir(tmp_path) == []
+
+
 BAD_MATRICES = {
     "missing_file": None,
     "not_json": "{bad",

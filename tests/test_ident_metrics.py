@@ -390,6 +390,8 @@ def _tie_case(kind, n=600, per_id=10):
         scores = np.full((n, n), 0.25)
     elif kind == "columns_duplicated":  # every score occurs twice in its row
         scores = np.repeat(rng.standard_normal((n, n // 2)), 2, axis=1)
+    elif kind == "signed_zeros":  # 0.0 and -0.0 tie; -inf entries are removed
+        scores = rng.choice(np.array([-np.inf, -1.0, -0.0, 0.0, 1.0]), size=(n, n))
     else:  # 21 levels: -1.0, -0.9, ..., 1.0
         scores = np.round(np.clip(rng.standard_normal((n, n)), -1.0, 1.0), 1)
     return scores, labels, labels
@@ -408,6 +410,7 @@ RANK_CASES = {
     "all_equal": lambda: _tie_case("all_equal"),
     "21_levels_10_per_id": lambda: _tie_case("levels", per_id=10),
     "21_levels_60_per_id": lambda: _tie_case("levels", per_id=60),
+    "signed_zeros_and_removed": lambda: _tie_case("signed_zeros"),
     "2000_queries_x_12": _short_gallery_case,
 }
 
@@ -429,6 +432,38 @@ def test_rank_kernel_equals_sort_reference_on_ties(name, exclude_self, budget):
     # only the short gallery, which is not square, refuses exclude_self
     square = scores.shape[0] == scores.shape[1]
     assert isinstance(got, SeedRetrieval) == (square or not exclude_self)
+
+
+def python_order_ranks(scores, q_labels, g_labels, exclude_self):
+    """First-hit rank and AP per query from ``naive_order``, which calls no numpy sort."""
+    scores = np.array(scores, dtype=np.float64)
+    if exclude_self:
+        np.fill_diagonal(scores, -np.inf)
+    n_g = len(g_labels)
+    first, aps = np.full(len(q_labels), n_g + 1), np.full(len(q_labels), np.nan)
+    for i, row in enumerate(scores.tolist()):
+        rel = np.array([g_labels[j] == q_labels[i] and row[j] > -np.inf
+                        for j in naive_order(row)], dtype=np.float64)
+        if rel.any():
+            first[i] = rel.argmax() + 1
+            # the kernel's AP expression, summed by numpy in the same order
+            aps[i] = (np.cumsum(rel) / np.arange(1, n_g + 1) * rel).sum() / rel.sum()
+    return first, aps
+
+
+@pytest.mark.parametrize("name, exclude_self", [
+    (name, exclude_self) for name in RANK_CASES for exclude_self in (False, True)
+    if not (exclude_self and name == "2000_queries_x_12")  # exclude_self needs a square
+])
+def test_rank_kernel_equals_python_order_on_ties(name, exclude_self):
+    scores, q_labels, g_labels = RANK_CASES[name]()
+    want_first, want_aps = python_order_ranks(scores, q_labels, g_labels, exclude_self)
+    _, q_codes, g_codes = ident_eval._check_labels(scores, q_labels, g_labels)
+    for budget in (ident_eval._CELL_BUDGET, 1000):
+        with mock.patch.object(ident_eval, "_CELL_BUDGET", budget):
+            first, aps = ident_eval._ranked(scores, q_codes, g_codes, exclude_self, with_ap=True)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(aps, want_aps, equal_nan=True)
 
 
 def test_public_metrics_equal_sort_reference():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import embalign
 from embalign import analysis, evaluate_identification, evaluate_verification, reports
+from embalign.errors import IoError
 from embalign.ident_eval import RetrievalReport, SeedRetrieval
 from embalign.verif_eval import (
     FMR_TARGETS,
@@ -264,3 +265,10 @@ def test_version_is_the_tool_version_and_the_package_version():
     with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as f:
         declared = re.search(r'^version = "([^"]+)"$', f.read(), re.MULTILINE).group(1)
     assert embalign.__version__ == reports.TOOL_VERSION == declared
+
+
+def test_hashing_an_unreadable_input_is_an_io_error(tmp_path):
+    with pytest.raises(IoError):
+        reports.provenance({}, [str(tmp_path / "missing.emb")])
+    with pytest.raises(IoError):
+        reports.file_sha256(str(tmp_path))  # a directory

@@ -12,6 +12,7 @@ from embalign import (
     generate_identity_cloud,
     identity_disjoint_split,
     sample_impostor_pairs,
+    reports,
     sample_pairs_capped,
 )
 from embalign.errors import ArgumentError, DegenerateDataError
@@ -144,6 +145,15 @@ def test_impostor_near_exhaustive():
 def test_impostor_infeasible():
     with pytest.raises(ArgumentError):
         sample_impostor_pairs(["a", "a", "b"], 10, seed=0)
+
+
+@pytest.mark.parametrize("count", [3, 40])  # rejection branch, exhaustive branch
+def test_pair_indices_are_python_ints(count):
+    labels = labels_for(4, 3)  # 54 impostor pairs: more than half of them is exhaustive
+    for pl in (sample_impostor_pairs(labels, count, seed=5),
+               sample_pairs_capped(labels, 6, count, seed=5)):
+        assert all(type(i) is int and type(j) is int for i, j, _ in pl.pairs)
+        reports.canonical_json(pl.to_dict())
 
 
 def test_capped_exhaustive_genuine():

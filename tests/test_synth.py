@@ -34,6 +34,23 @@ def test_cloud_bad_counts():
         generate_identity_cloud(0, 5, 4)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"spread": -0.1}, {"spread": np.nan}, {"spread": np.inf},
+    {"center_scale": np.nan}, {"center_scale": -np.inf},
+])
+def test_cloud_bad_scale(kwargs):
+    with pytest.raises(ArgumentError, match=next(iter(kwargs))):
+        generate_identity_cloud(5, 2, 3, **kwargs)
+
+
+@pytest.mark.parametrize("noise", [-1.0, -1e-300, np.nan, np.inf])
+def test_view_bad_noise(noise):
+    # a negative or NaN noise used to give the noise-free view
+    cloud = generate_identity_cloud(5, 2, 3, seed=0)
+    with pytest.raises(ArgumentError, match="noise"):
+        embed_view(cloud, 8, view_seed=1, noise=noise)
+
+
 def test_view_deterministic():
     cloud = generate_identity_cloud(5, 2, 3, seed=0)
     a = embed_view(cloud, 8, view_seed=4)
