@@ -3,11 +3,17 @@
 Three fitters of increasing capacity:
 
 * orthogonal (Procrustes): W = U V^T from the SVD of X^T Y,
-* unconstrained least squares via the SVD pseudo-inverse (min-norm), and
+* unconstrained least squares, the minimum-norm solution from LAPACK
+  ``gelsd`` (``np.linalg.lstsq``), and
 * ridge, the damped normal-equation solution (X^T X + alpha I)^-1 X^T Y.
 
-All solver arithmetic is float64.  Reflections are allowed in the
-orthogonal fit (no determinant correction).
+:func:`fit_map` takes centered rows at the models' own widths (n x d_a
+and n x d_b) and returns the D x D map, D = max(d_a, d_b): the fitted
+d_a x d_b least-squares or ridge map with zero rows and columns
+appended, or the orthogonal factor of X^T Y zero-padded to D x D.  No
+n-row array is ever padded.  All solver arithmetic is float64.
+Reflections are allowed in the orthogonal fit (no determinant
+correction).
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ import numpy as np
 
 from .embedstore import EmbeddingSet, shared_rows
 from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
-from .prep import PrepStats, apply_prep, fit_prep, l2_normalize
+from .prep import PrepStats, apply_prep, center, fit_prep, l2_normalize, zero_pad
 from .reports import atomic_write
 from .splits import identity_disjoint_split
 
-#: relative cutoff below which singular values are treated as zero in the
-#: pseudo-inverse (zero-padded columns make X^T X singular by construction)
+#: relative cutoff of the least-squares fit: singular values s <= PINV_RTOL * s_1
+#: of the training rows count as zero, so a rank-deficient X gets the
+#: minimum-norm map
 PINV_RTOL = 1e-10
 
 METHODS = ("procrustes", "linear", "ridge")
@@ -39,17 +46,15 @@ def _check_train(x_tr: np.ndarray, y_tr: np.ndarray):
     y_tr = np.asarray(y_tr, dtype=np.float64)
     if x_tr.ndim != 2 or y_tr.ndim != 2:
         raise ConsistencyError("training inputs must be 2-D")
-    if x_tr.shape != y_tr.shape:
-        raise ConsistencyError(f"shape mismatch: {x_tr.shape} vs {y_tr.shape}")
+    if x_tr.shape[0] != y_tr.shape[0]:
+        raise ConsistencyError(f"row counts differ: {x_tr.shape} vs {y_tr.shape}")
     if not (np.all(np.isfinite(x_tr)) and np.all(np.isfinite(y_tr))):
         raise DataError("non-finite training data")
     return x_tr, y_tr
 
 
-def fit_procrustes(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
-    """Best orthogonal map minimizing ||x_tr W - y_tr||_F."""
-    x_tr, y_tr = _check_train(x_tr, y_tr)
-    m = x_tr.T @ y_tr
+def _orthogonal(m: np.ndarray) -> np.ndarray:
+    """U V^T from the full SVD of the square matrix ``m``."""
     try:
         u, _, vt = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
@@ -57,16 +62,36 @@ def fit_procrustes(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def fit_linear(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares map pinv(x_tr) @ y_tr."""
-    x_tr, y_tr = _check_train(x_tr, y_tr)
+def _least_squares(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
+    """Minimum-norm W minimizing ||x_tr W - y_tr||_F (LAPACK gelsd, cutoff PINV_RTOL)."""
     try:
-        u, s, vt = np.linalg.svd(x_tr, full_matrices=False)
+        return np.linalg.lstsq(x_tr, y_tr, rcond=PINV_RTOL)[0]
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    cutoff = PINV_RTOL * (s[0] if s.size else 0.0)
-    s_inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return vt.T @ (s_inv[:, None] * (u.T @ y_tr))
+        raise NumericalError(f"least squares failed: {exc}") from exc
+
+
+def _ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:
+    """(x_tr^T x_tr + alpha I)^-1 x_tr^T y_tr by a Cholesky solve."""
+    import scipy.linalg  # here, not at module level: only ridge needs it, and it imports slowly
+
+    gram = x_tr.T @ x_tr + alpha * np.eye(x_tr.shape[1])
+    try:
+        return scipy.linalg.solve(gram, x_tr.T @ y_tr, assume_a="pos")
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"SPD solve failed: {exc}") from exc
+
+
+def fit_procrustes(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
+    """Best orthogonal map minimizing ||x_tr W - y_tr||_F; both sides of one shape."""
+    x_tr, y_tr = _check_train(x_tr, y_tr)
+    if x_tr.shape != y_tr.shape:
+        raise ConsistencyError(f"shape mismatch: {x_tr.shape} vs {y_tr.shape}")
+    return _orthogonal(x_tr.T @ y_tr)
+
+
+def fit_linear(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares map pinv(x_tr) @ y_tr (d_a x d_b)."""
+    return _least_squares(*_check_train(x_tr, y_tr))
 
 
 def check_method(method: str, alpha: float) -> None:
@@ -78,27 +103,20 @@ def check_method(method: str, alpha: float) -> None:
 
 
 def fit_ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:
-    """Damped least-squares map (x^T x + alpha I)^-1 x^T y, alpha > 0."""
-    import scipy.linalg  # here, not at module level: only ridge needs it, and it imports slowly
-
+    """Damped least-squares map (x^T x + alpha I)^-1 x^T y (d_a x d_b), alpha > 0."""
     check_method("ridge", alpha)
-    x_tr, y_tr = _check_train(x_tr, y_tr)
-    d = x_tr.shape[1]
-    gram = x_tr.T @ x_tr + alpha * np.eye(d)
-    try:
-        return scipy.linalg.solve(gram, x_tr.T @ y_tr, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"SPD solve failed: {exc}") from exc
+    return _ridge(*_check_train(x_tr, y_tr), alpha)
 
 
 def fit_map(x_tr: np.ndarray, y_tr: np.ndarray, method: str, alpha: float = DEFAULT_RIDGE_ALPHA):
-    """Dispatch to one of the three fitters."""
+    """The D x D map of ``method`` from n x d_a rows ``x_tr`` to n x d_b rows ``y_tr``."""
     check_method(method, alpha)
+    x_tr, y_tr = _check_train(x_tr, y_tr)
+    big_d = max(x_tr.shape[1], y_tr.shape[1])
     if method == "procrustes":
-        return fit_procrustes(x_tr, y_tr)
-    if method == "linear":
-        return fit_linear(x_tr, y_tr)
-    return fit_ridge(x_tr, y_tr, alpha)
+        return _orthogonal(zero_pad(x_tr.T @ y_tr, (big_d, big_d)))
+    w = _least_squares(x_tr, y_tr) if method == "linear" else _ridge(x_tr, y_tr, alpha)
+    return zero_pad(w, (big_d, big_d))
 
 
 @dataclass(frozen=True)
@@ -144,15 +162,14 @@ def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=No
 
     ``rows`` selects the training rows of ``x`` and ``y`` (default: all).
     Each step takes its own copy of them, so no copy outlives its step
-    and the map is fit with only the preprocessed rows held.  ``meta``
-    fills the descriptive fields of the returned :class:`AlignmentMap`
-    (``source_model``, ``target_model``, ``seed``).
+    and the map is fit with only the centered rows held, each at its
+    model's own width.  ``meta`` fills the descriptive fields of the
+    returned :class:`AlignmentMap` (``source_model``, ``target_model``,
+    ``seed``).
     """
     tr = slice(None) if rows is None else rows
     stats = fit_prep(x[tr], y[tr])
-    w = fit_map(
-        apply_prep(x[tr], stats, "source"), apply_prep(y[tr], stats, "target"), method, alpha
-    )
+    w = fit_map(center(x[tr], stats, "source"), center(y[tr], stats, "target"), method, alpha)
     return AlignmentMap(
         w=w, stats=stats, method=method, alpha=alpha if method == "ridge" else 0.0, **meta
     )
@@ -188,7 +205,7 @@ def transform(rows: np.ndarray, amap: AlignmentMap) -> np.ndarray:
 def training_residual(amap: AlignmentMap, x_tr: np.ndarray, y_tr: np.ndarray) -> float:
     """Frobenius residual ||x_tr W - y_tr||_F on preprocessed training data."""
     x_tr, y_tr = _check_train(x_tr, y_tr)
-    if x_tr.shape[1] != amap.stats.big_d:
+    if x_tr.shape[1] != amap.stats.big_d or y_tr.shape[1] != amap.stats.big_d:
         raise ConsistencyError("training data width does not match the map")
     return float(np.linalg.norm(x_tr @ amap.w - y_tr))
 

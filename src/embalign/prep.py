@@ -1,9 +1,11 @@
 """Preprocessing: unit normalization, train-statistic centering, zero padding.
 
 Pipeline order is fixed: normalize rows, fit column means on the training
-rows only, subtract those means, append trailing zero columns up to the
-common width D = max(d_a, d_b).  Test rows are centered with the training
-means so no test information leaks into the fit.
+rows only, subtract those means.  Maps are fit on the centered rows at
+each model's own width (:func:`center`); only scoring appends trailing
+zero columns up to the common width D = max(d_a, d_b)
+(:func:`apply_prep`).  Test rows are centered with the training means so
+no test information leaks into the fit.
 """
 
 from __future__ import annotations
@@ -95,8 +97,17 @@ def fit_prep(x_train: np.ndarray, y_train: np.ndarray) -> PrepStats:
     )
 
 
-def apply_prep(rows: np.ndarray, stats: PrepStats, side: str) -> np.ndarray:
-    """Center by the training mean and zero-pad to width D.
+def zero_pad(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a`` with trailing zero rows and columns up to ``shape`` (``a`` itself if it fits)."""
+    if a.shape == shape:
+        return a
+    out = np.zeros(shape, dtype=np.float64)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
+def center(rows: np.ndarray, stats: PrepStats, side: str) -> np.ndarray:
+    """Subtract the training mean of ``side``; the rows keep the model's own width.
 
     ``side`` selects which mean applies: "source" uses mu_x, "target" mu_y.
     """
@@ -112,6 +123,10 @@ def apply_prep(rows: np.ndarray, stats: PrepStats, side: str) -> np.ndarray:
             f"{side} rows have width {rows.shape[1] if rows.ndim == 2 else '?'}, "
             f"stats expect {d}"
         )
-    out = np.zeros((rows.shape[0], stats.big_d), dtype=np.float64)
-    out[:, :d] = rows - mu
-    return out
+    return rows - mu
+
+
+def apply_prep(rows: np.ndarray, stats: PrepStats, side: str) -> np.ndarray:
+    """Center by the training mean of ``side`` and zero-pad to width D."""
+    centered = center(rows, stats, side)
+    return zero_pad(centered, (centered.shape[0], stats.big_d))

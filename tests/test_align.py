@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +22,9 @@ from embalign import (
     transform,
 )
 from embalign import ident_eval, intersect_on_images, verif_eval
-from embalign.align import DEFAULT_RIDGE_ALPHA, project
-from embalign.errors import ConsistencyError, DataError, FormatError, IoError
-from embalign.prep import PrepStats
+from embalign.align import DEFAULT_RIDGE_ALPHA, PINV_RTOL, fit_alignment, fit_map, project
+from embalign.errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
+from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize
 
 from conftest import random_orthogonal
 
@@ -169,6 +171,87 @@ def test_fit_determinism():
     y = rng.standard_normal((40, 8))
     for fn in (fit_procrustes, fit_linear, lambda a, b: fit_ridge(a, b, 0.1)):
         assert np.array_equal(fn(x, y), fn(x, y))
+
+
+# --- fits at the models' own widths ---------------------------------------
+
+def pinv_oracle(x, y):
+    """Minimum-norm least squares through the thin SVD pseudo-inverse."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    keep = s > PINV_RTOL * s[0]
+    return vt[keep].T @ ((u[:, keep].T @ y) / s[keep, None])
+
+
+def padded_ridge_oracle(xp, yp, alpha):
+    """Ridge on rows zero-padded to one width D."""
+    return np.linalg.solve(xp.T @ xp + alpha * np.eye(xp.shape[1]), xp.T @ yp)
+
+
+@pytest.mark.parametrize("relation", ["narrower_source", "wider_source", "equal"])
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 12), extra=st.integers(1, 6),
+       alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_native_fits_equal_padded_fits(relation, n, d, extra, alpha, seed):
+    d_a, d_b = {"narrower_source": (d, d + extra), "wider_source": (d + extra, d),
+                "equal": (d, d)}[relation]
+    rng = np.random.default_rng(seed)
+    x = l2_normalize(rng.standard_normal((n, d_a)))
+    y = l2_normalize(rng.standard_normal((n, d_b)))
+    stats = fit_prep(x, y)
+    xc, yc = center(x, stats, "source"), center(y, stats, "target")
+    xp, yp = apply_prep(x, stats, "source"), apply_prep(y, stats, "target")
+    big_d = max(d_a, d_b)
+
+    w, expected = fit_map(xc, yc, "procrustes"), fit_procrustes(xp, yp)
+    if min(d_a, d_b) > 1:
+        assert np.array_equal(w, expected)  # both cross-covariances come from one gemm kernel
+    else:
+        # numpy multiplies a 1-wide side by gemv, which rounds its sums apart from
+        # gemm's; only the block that reaches the scores is unique
+        assert np.allclose(w[:d_a, :d_b], expected[:d_a, :d_b], rtol=0.0, atol=1e-12)
+    AlignmentMap(w, stats, "procrustes")
+
+    for method, oracle in (("linear", pinv_oracle(xp, yp)),
+                           ("ridge", padded_ridge_oracle(xp, yp, alpha))):
+        w = fit_map(xc, yc, method, alpha)
+        assert w.shape == (big_d, big_d)
+        scale = max(1.0, np.abs(oracle).max())
+        assert np.allclose(w, oracle, rtol=1e-7, atol=1e-9 * scale), method
+        assert np.all(w[d_a:] == 0.0) and np.all(w[:, d_b:] == 0.0)
+        AlignmentMap(w, stats, method, alpha=alpha if method == "ridge" else 0.0)
+
+
+def test_linear_fit_holds_no_padded_or_n_by_d_copy():
+    # the traced peak allows the two centered copies plus a few D x D arrays;
+    # padded training rows (2 n D) or the SVD factor U (n D) exceed it
+    n, d_a, d_b = 4000, 128, 64
+    rng = np.random.default_rng(15)
+    x = l2_normalize(rng.standard_normal((n, d_a)))
+    y = l2_normalize(rng.standard_normal((n, d_b)))
+    big_d = max(d_a, d_b)
+    tracemalloc.start()
+    try:
+        amap = fit_alignment(x, y, "linear")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amap.w.shape == (big_d, big_d)
+    assert peak <= (n * (d_a + d_b) + 4 * big_d**2) * 8 + 2**20
+
+
+def test_solver_failures_are_typed():
+    rng = np.random.default_rng(16)
+    x, y = rng.standard_normal((10, 3)), rng.standard_normal((10, 5))
+    failure = np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    with mock.patch.object(np.linalg, "lstsq", side_effect=failure):
+        with pytest.raises(NumericalError, match="least squares failed"):
+            fit_map(x, y, "linear")
+        with pytest.raises(NumericalError):
+            fit_linear(x, y)
+    with pytest.raises(ConsistencyError, match="shape mismatch"):
+        fit_procrustes(x, y)
+    with pytest.raises(ConsistencyError, match="row counts differ"):
+        fit_map(x, y[:9], "ridge")
 
 
 def test_transform_identity_map():

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from embalign import apply_prep, fit_prep, l2_normalize, score_matrix
 from embalign.errors import ConsistencyError, DegenerateRowError
+from embalign.prep import center
 
 
 def test_normalize_345():
@@ -93,6 +94,10 @@ def test_apply_prep_side_mismatch():
     stats = fit_prep(np.ones((2, 2)) / np.sqrt(2), np.ones((2, 5)) / np.sqrt(5))
     with pytest.raises(ConsistencyError):
         apply_prep(np.ones((2, 5)), stats, "source")
+    with pytest.raises(ConsistencyError):
+        center(np.ones((2, 5)), stats, "source")
+    with pytest.raises(ConsistencyError):
+        center(np.ones((2, 2)), stats, "query")
 
 
 def test_train_rows_centered_and_padded():
@@ -103,6 +108,8 @@ def test_train_rows_centered_and_padded():
     xp = apply_prep(x, stats, "source")
     assert np.abs(xp[:, :6].mean(axis=0)).max() < 1e-10
     assert np.array_equal(xp[:, 6:], np.zeros((40, 3)))
+    assert center(x, stats, "source").tobytes() == xp[:, :6].tobytes()
+    assert center(y, stats, "target").tobytes() == apply_prep(y, stats, "target").tobytes()
 
 
 @given(

@@ -67,10 +67,12 @@ def _generate(src, inputs):
     return manifest
 
 
-def _pair(argv):
-    """``--source``/``--target`` arguments of a workload's argv."""
-    return ["--source", argv[argv.index("--source") + 1],
-            "--target", argv[argv.index("--target") + 1]]
+def _pair(argv, swap=False):
+    """``--source``/``--target`` arguments of a workload's argv, exchanged if ``swap``."""
+    source, target = (argv[argv.index(flag) + 1] for flag in ("--source", "--target"))
+    if swap:
+        source, target = target, source
+    return ["--source", source, "--target", target]
 
 
 def commands(manifest):
@@ -91,6 +93,11 @@ def commands(manifest):
          "--seeds", "0", "--out-dir", "sweep_ident"],
         ["sweep", *demo, "--methods", "ridge", "--alpha", "0.3", "--fractions", "0.5,1.0",
          "--seeds", "0,1,2", "--out-dir", "sweep_ridge"],
+        # the narrower model as source: zero rows in its map, padded source rows in scoring
+        ["eval-id", *_pair(ident, swap=True), "--method", "linear", "--seeds", "0",
+         "--out-dir", "eval_id_narrow_source"],
+        ["eval-verif", *_pair(ident, swap=True), "--method", "ridge", "--seeds", "0",
+         "--out-dir", "eval_verif_narrow_source"],
         ["fit", *_pair(ident), "--method", "procrustes", "--out", "fit_procrustes.bin"],
         ["fit", *_pair(verif), "--method", "linear", "--seed", "3", "--out", "fit_linear.bin"],
         # demos/05_cli_pipeline.sh
