@@ -23,12 +23,21 @@ that holds a relevant item tied with another entry is also ordered in
 full, by numpy's stable argsort of its negated scores, and the tied
 items read their ranks from that order.
 
-Memory.  The kernel walks the queries in blocks of at most
-``_CELL_BUDGET`` score entries (or one row, for galleries larger than
-that).  Its temporaries, the sorted block and per-item arrays of at
-most one block's entries, hold one block each, so memory beyond the
-score matrix does not grow with the number of queries or of items per
-label.  The score matrix is never copied.
+Memory.  Evaluation never holds the n_q x n_gallery score matrix.  It
+normalizes both sides once, scores the queries in row chunks of at
+most ``_SCORE_BUDGET`` entries (or one row, for galleries wider than
+that), and ranks each chunk before the next one is scored.  The
+rank kernel walks each chunk in blocks of at most ``_CELL_BUDGET`` score
+entries (or one row); a chunk holds a whole number of blocks, so no
+block straddles two chunks.  The kernel's temporaries, the sorted block
+and per-item arrays of at most one block's entries, hold one block
+each.  Memory is thus the unit rows plus one chunk and one block, and
+does not grow with the number of queries or of items per label.
+``score_matrix`` is filled from the same chunks, so the evaluation's
+scores have its bits on every shape and BLAS (a row block of a BLAS
+product is not in general bit-equal to the full product), and a score
+matrix handed to the public metrics is ranked as one chunk by the same
+kernel.
 """
 
 from __future__ import annotations
@@ -49,32 +58,91 @@ CMC_MAX_RANK = 50
 
 # score entries one block of the rank kernel holds at a time
 _CELL_BUDGET = 1 << 16
+# score entries one chunk of the scorer holds at a time (8 MiB)
+_SCORE_BUDGET = 1 << 20
+
+
+def _block_rows(n_g):
+    """Queries in one block of the rank kernel, for a gallery of ``n_g >= 1`` items."""
+    return max(1, _CELL_BUDGET // n_g)
+
+
+def _unit_matrix(rows, name):
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ConsistencyError(f"{name} must be a 2-D array of rows, got shape {rows.shape}")
+    return _unit_rows(rows)
+
+
+def _score_chunks(queries, gallery):
+    """Cosine scores of the queries against the gallery, lazily, as ``(start, block)``.
+
+    ``block`` holds the scores of queries ``start, start + 1, ...``: all
+    of them when the whole score matrix fits in ``_SCORE_BUDGET``
+    entries, else a whole number of rank blocks per chunk, as many as
+    fit (at least one).  Both sides are validated and normalized here,
+    once; each chunk is computed when it is asked for.
+    """
+    qn, gn = _unit_matrix(queries, "queries"), _unit_matrix(gallery, "gallery")
+    if qn.shape[1] != gn.shape[1]:
+        raise ConsistencyError(
+            f"queries are {qn.shape[1]} wide but the gallery is {gn.shape[1]} wide"
+        )
+    n_q, n_g = len(qn), len(gn)
+    if n_q * n_g <= _SCORE_BUDGET:
+        rows = max(n_q, 1)
+    else:
+        step = _block_rows(n_g)
+        rows = max(step, _SCORE_BUDGET // n_g // step * step)
+    return ((start, qn[start:start + rows] @ gn.T) for start in range(0, n_q, rows))
 
 
 def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities, queries x gallery."""
-    return _unit_rows(queries) @ _unit_rows(gallery).T
+    """Pairwise cosine similarities, queries x gallery.
+
+    Filled from the chunks the evaluation ranks, so it has their bits.
+    """
+    chunks = _score_chunks(queries, gallery)
+    scores = np.empty((len(queries), len(gallery)))
+    for start, block in chunks:
+        scores[start:start + len(block)] = block
+    return scores
 
 
-def _check_labels(scores, q_labels, g_labels):
-    """Validate scores against the labels; return scores and label codes.
+def _label_codes(q_labels, g_labels, shape):
+    """Integer codes of the query and gallery labels of scores of ``shape``.
 
     Labels compare by their string form and are factorized once to
     integer codes shared by queries and gallery.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     q_labels = [str(l) for l in q_labels]
     g_labels = [str(l) for l in g_labels]
-    if scores.shape != (len(q_labels), len(g_labels)):
+    if shape != (len(q_labels), len(g_labels)):
         raise ConsistencyError(
-            f"scores shape {scores.shape} does not match "
+            f"scores shape {shape} does not match "
             f"{len(q_labels)} queries x {len(g_labels)} gallery labels"
         )
-    # max() is NaN if any entry is NaN, so one reduction catches NaN and +inf
-    if scores.size and not scores.max() < np.inf:
-        raise DataError("scores contain NaN or +inf (only -inf, meaning removed, is allowed)")
     _, codes = np.unique(np.asarray(q_labels + g_labels, dtype=str), return_inverse=True)
-    return scores, codes[: len(q_labels)], codes[len(q_labels):]
+    return codes[: len(q_labels)], codes[len(q_labels):]
+
+
+def _check_labels(scores, q_labels, g_labels):
+    """A score matrix and its label codes, validated against each other."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return (scores, *_label_codes(q_labels, g_labels, scores.shape))
+
+
+def _check_finite(block):
+    # max() is NaN if any entry is NaN, so one reduction catches NaN and +inf
+    if block.size and not block.max() < np.inf:
+        raise DataError("scores contain NaN or +inf (only -inf, meaning removed, is allowed)")
+
+
+def _mean(values) -> float:
+    """Mean over the queries, of which there must be at least one."""
+    if not len(values):
+        raise ProtocolError("no queries to evaluate")
+    return float(values.mean())
 
 
 def _relevant_ranks(block, rows, cols):
@@ -114,44 +182,49 @@ def _relevant_ranks(block, rows, cols):
     return ranks
 
 
-def _ranked(scores, q_codes, g_codes, exclude_self=False, with_ap=False):
+def _ranked(chunks, q_codes, g_codes, exclude_self=False, with_ap=False):
     """First-hit rank per query and, if asked, average precision per query.
 
-    A query without a live relevant item gets first-hit rank
-    ``n_gallery + 1`` and AP NaN.  The queries go in blocks of at most
-    ``_CELL_BUDGET`` score entries; with ``exclude_self`` the diagonal
-    counts as scored -inf.  AP keeps the expression of a per-row sorted
-    evaluation, ``sum(cumsum(rel) / rank * rel) / n_rel``: the block of
-    its terms is zero except ``i / rank_i`` at column ``rank_i - 1`` for
-    the ``i``-th relevant item, so its value is the same to the last bit.
+    ``chunks`` yields ``(start, block)`` row chunks of the score matrix
+    in query order (a score matrix is its own single chunk).  A query
+    without a live relevant item gets first-hit rank ``n_gallery + 1``
+    and AP NaN.  Each chunk goes in blocks of at most ``_CELL_BUDGET``
+    score entries; with ``exclude_self`` the diagonal counts as scored
+    -inf.  AP keeps the expression of a per-row sorted evaluation,
+    ``sum(cumsum(rel) / rank * rel) / n_rel``: the block of its terms is
+    zero except ``i / rank_i`` at column ``rank_i - 1`` for the ``i``-th
+    relevant item, so its value is the same to the last bit.
     """
-    n_q, n_g = scores.shape
+    n_q, n_g = len(q_codes), len(g_codes)
     first = np.full(n_q, n_g + 1, dtype=np.intp)
     aps = np.full(n_q, np.nan) if with_ap else None
     if n_g == 0:
         return first, aps  # nothing to rank
-    step = max(1, _CELL_BUDGET // n_g)
-    for start in range(0, n_q, step):
-        stop = min(start + step, n_q)
-        block = scores[start:stop]
-        if exclude_self:
-            block = block.copy()
-            block[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        rows, cols = np.nonzero((q_codes[start:stop, None] == g_codes) & (block > -np.inf))
-        # rows come sorted, so one integer sort orders the ranks within each row
-        offset = rows * (n_g + 1)
-        key = offset + _relevant_ranks(block, rows, cols)
-        key.sort()
-        ranks = key - offset
-        n_rel = np.bincount(rows, minlength=stop - start)
-        row_start = np.cumsum(n_rel) - n_rel
-        found = n_rel > 0
-        first[start:stop][found] = ranks[row_start[found]]
-        if with_ap:
-            terms = np.zeros(block.shape)
-            terms[rows, ranks - 1] = (np.arange(1, rows.size + 1) - row_start[rows]) / ranks
-            with np.errstate(invalid="ignore"):
-                aps[start:stop] = terms.sum(axis=1) / n_rel
+    step = _block_rows(n_g)
+    for start, chunk in chunks:
+        _check_finite(chunk)
+        for lo in range(start, start + len(chunk), step):
+            block = chunk[lo - start:lo - start + step]
+            hi = lo + len(block)
+            if exclude_self:
+                block = block.copy()
+                block[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+            rows, cols = np.nonzero((q_codes[lo:hi, None] == g_codes) & (block > -np.inf))
+            # rows come sorted, so one integer sort orders the ranks within each row
+            offset = rows * (n_g + 1)
+            key = offset + _relevant_ranks(block, rows, cols)
+            key.sort()
+            ranks = key - offset
+            n_rel = np.bincount(rows, minlength=hi - lo)
+            row_start = np.cumsum(n_rel) - n_rel
+            found = n_rel > 0
+            first[lo:hi][found] = ranks[row_start[found]]
+            if with_ap:
+                terms = np.zeros(block.shape)
+                terms[rows, ranks - 1] = (np.arange(1, rows.size + 1) - row_start[rows]) / ranks
+                with np.errstate(invalid="ignore"):
+                    aps[lo:hi] = terms.sum(axis=1) / n_rel
+        chunk = block = None  # free the chunk before the next one is scored
     return first, aps
 
 
@@ -162,23 +235,37 @@ def _require_relevant(found):
         raise ProtocolError(f"query {missing[0]} has no relevant gallery items")
 
 
-def _rank1(scores, q_labels, g_labels) -> float:
+def _rank1_from(chunks, q_codes, g_codes) -> float:
     """Rank-1 accuracy read from the first maximum of each score row.
 
     The first maximum is the item the rank kernel puts at rank 1 (equal
     scores go to the lowest gallery index); a -inf maximum is a removed
-    item and never a hit.  Validation and errors are those of the
-    evaluation, ``ProtocolError`` for a query without a live relevant
-    item included.
+    item and never a hit.  ``chunks`` are those of :func:`_ranked`, and
+    validation and errors are those of the evaluation, ``ProtocolError``
+    for a query without a live relevant item included.
     """
+    hits = np.zeros(len(q_codes), dtype=bool)
+    found = np.zeros(len(q_codes), dtype=bool)
+    if len(g_codes):  # an empty gallery has no maximum and no relevant item
+        for start, chunk in chunks:
+            _check_finite(chunk)
+            stop = start + len(chunk)
+            relevant = (q_codes[start:stop, None] == g_codes) & (chunk > -np.inf)
+            found[start:stop] = relevant.any(axis=1)
+            hits[start:stop] = relevant[np.arange(stop - start), chunk.argmax(axis=1)]
+            chunk = relevant = None  # free the chunk before the next one is scored
+    _require_relevant(found)
+    return _mean(hits)
+
+
+def _rank1(scores, q_labels, g_labels) -> float:
+    """:func:`_rank1_from` of a score matrix and its labels."""
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
-    relevant = (q_codes[:, None] == g_codes) & (scores > -np.inf)
-    _require_relevant(relevant.any(axis=1))
-    return float(relevant[np.arange(len(q_codes)), scores.argmax(axis=1)].mean())
+    return _rank1_from([(0, scores)], q_codes, g_codes)
 
 
 def _cmc(first, max_rank):
-    return [float((first <= k).mean()) for k in range(1, max_rank + 1)]
+    return [_mean(first <= k) for k in range(1, max_rank + 1)]
 
 
 def rank_k_accuracy(scores, q_labels, g_labels, k: int) -> float:
@@ -186,8 +273,8 @@ def rank_k_accuracy(scores, q_labels, g_labels, k: int) -> float:
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
     if not 1 <= k <= len(g_codes):
         raise ArgumentError(f"k={k} outside [1, {len(g_codes)}]")
-    first, _ = _ranked(scores, q_codes, g_codes)
-    return float((first <= k).mean())
+    first, _ = _ranked([(0, scores)], q_codes, g_codes)
+    return _mean(first <= k)
 
 
 def mean_average_precision(scores, q_labels, g_labels) -> float:
@@ -197,13 +284,13 @@ def mean_average_precision(scores, q_labels, g_labels) -> float:
     the exclude-self protocol variant).
     """
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
-    first, aps = _ranked(scores, q_codes, g_codes, with_ap=True)
+    first, aps = _ranked([(0, scores)], q_codes, g_codes, with_ap=True)
     _require_relevant(first <= len(g_codes))
-    return float(aps.mean())
+    return _mean(aps)
 
 
 def _first_hits(scores, q_codes, g_codes):
-    first, _ = _ranked(scores, q_codes, g_codes)
+    first, _ = _ranked([(0, scores)], q_codes, g_codes)
     if (first > len(g_codes)).any():
         raise ProtocolError("some query label never occurs in the gallery")
     return first
@@ -269,24 +356,36 @@ class RetrievalReport(AlignedBaselineReport):
         }
 
 
-def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_self):
-    scores = np.asarray(scores, dtype=np.float64)
-    if exclude_self and scores.shape[0] != scores.shape[1]:
-        raise ConsistencyError("exclude_self requires query set == gallery set")
-    scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
+def _seed_metrics(chunks, q_codes, g_codes, max_rank, seed, exclude_self):
+    """One seed's metrics from the score chunks of :func:`_ranked`."""
     n_g = len(g_codes)
-    first, aps = _ranked(scores, q_codes, g_codes, exclude_self, with_ap=True)
+    if exclude_self and len(q_codes) != n_g:
+        raise ConsistencyError("exclude_self requires query set == gallery set")
+    first, aps = _ranked(chunks, q_codes, g_codes, exclude_self, with_ap=True)
     _require_relevant(first <= n_g)
     if max_rank > n_g:
         raise ArgumentError(f"max_rank {max_rank} exceeds gallery size {n_g}")
     return SeedRetrieval(
         seed=seed,
-        rank_k={k: float((first <= k).mean()) for k in RANK_KS if k <= n_g},
-        map_score=float(aps.mean()),
+        rank_k={k: _mean(first <= k) for k in RANK_KS if k <= n_g},
+        map_score=_mean(aps),
         cmc=tuple(_cmc(first, max_rank)),
         n_queries=len(q_codes),
         n_gallery=n_g,
     )
+
+
+def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_self):
+    """One seed's metrics from a score matrix, ranked as a single chunk."""
+    scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
+    return _seed_metrics([(0, scores)], q_codes, g_codes, max_rank, seed, exclude_self)
+
+
+def _metrics_from_rows(queries, gallery, q_labels, g_labels, max_rank, seed, exclude_self):
+    """:func:`_metrics_from_scores` of ``score_matrix(queries, gallery)``, chunk by chunk."""
+    chunks = _score_chunks(queries, gallery)
+    codes = _label_codes(q_labels, g_labels, (len(queries), len(gallery)))
+    return _seed_metrics(chunks, *codes, max_rank, seed, exclude_self)
 
 
 def evaluate_identification(
@@ -306,8 +405,8 @@ def evaluate_identification(
         amap, test = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
         test_labels = [labels[i] for i in test]
         results.append(tuple(
-            _metrics_from_scores(
-                score_matrix(*align.project(x[test], y[test], m)), test_labels, test_labels,
+            _metrics_from_rows(
+                *align.project(x[test], y[test], m), test_labels, test_labels,
                 min(CMC_MAX_RANK, len(test)), seed, exclude_self,
             )
             for m in (amap, None)
@@ -341,6 +440,7 @@ def aligned_rank1(x, y, labels, splits, method, alpha) -> float:
         )
         test = list(split.test_rows)
         test_labels = [labels[i] for i in test]
-        scores = score_matrix(*align.project(x[test], y[test], amap))
-        rank1.append(_rank1(scores, test_labels, test_labels))
+        chunks = _score_chunks(*align.project(x[test], y[test], amap))
+        codes = _label_codes(test_labels, test_labels, (len(test), len(test)))
+        rank1.append(_rank1_from(chunks, *codes))
     return float(np.array(rank1).mean())

@@ -297,8 +297,8 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
     expected = transform(a.rows[test], amap).tobytes()
 
     scored = []
-    real_score = ident_eval.score_matrix
-    monkeypatch.setattr(ident_eval, "score_matrix",
+    real_score = ident_eval._score_chunks
+    monkeypatch.setattr(ident_eval, "_score_chunks",
                         lambda q, g: scored.append(q) or real_score(q, g))
     evaluate_identification(v0, v1, "ridge", seeds=(0,))
     assert scored[0].tobytes() == expected  # scored[1] holds the baseline queries

@@ -236,13 +236,13 @@ def test_compatibility_matrix_scores_only_the_aligned_side(small_views):
     # a model that saw none of the others' images: its off-diagonal cells fail
     lone = EmbeddingSet("lone", "", v0.rows, [f"x{i}" for i in v0.image_ids], v0.labels)
     sets = [v0, v1, lone]
-    with mock.patch.object(ident_eval, "score_matrix", wraps=ident_eval.score_matrix) as spy, \
+    with mock.patch.object(ident_eval, "_score_chunks", wraps=ident_eval._score_chunks) as spy, \
             mock.patch.object(analysis, "l2_normalize", wraps=analysis.l2_normalize) as norm, \
             mock.patch.object(analysis, "identity_disjoint_split",
                               wraps=analysis.identity_disjoint_split) as split:
         cm = build_compatibility_matrix(sets, seeds=(0, 1))
     live = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
-    assert spy.call_count == len(live) * 2  # one score matrix per (cell, seed)
+    assert spy.call_count == len(live) * 2  # one scoring per (cell, seed)
     assert norm.call_count == len(sets)  # each model is normalized once
     # the live cells share one label list (lone's ids sort like v0's): one split per seed
     assert split.call_count == 2

@@ -13,14 +13,16 @@ from embalign import (
     rank_k_accuracy,
     score_matrix,
 )
-from embalign import ident_eval
+from embalign import align, ident_eval
 from embalign.errors import (
     ArgumentError,
     ConsistencyError,
     DataError,
     DegenerateRowError,
+    EmbalignError,
     ProtocolError,
 )
+from embalign.splits import identity_disjoint_split
 from embalign.ident_eval import RANK_KS, SeedRetrieval, _metrics_from_scores, first_hit_ranks
 
 
@@ -326,6 +328,21 @@ def ref_metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_
     )
 
 
+def chunked(scores, blocks=None):
+    """A score matrix as the rank kernel's chunks of ``blocks`` rank blocks (None: one chunk)."""
+    if blocks is None:
+        return [(0, scores)]
+    rows = blocks * ident_eval._block_rows(scores.shape[1])
+    return [(start, scores[start:start + rows]) for start in range(0, len(scores), rows)]
+
+
+def metrics_in_chunks(scores, q_labels, g_labels, max_rank, seed, exclude_self, blocks):
+    scores, q_codes, g_codes = ident_eval._check_labels(scores, q_labels, g_labels)
+    return ident_eval._seed_metrics(
+        chunked(scores, blocks), q_codes, g_codes, max_rank, seed, exclude_self
+    )
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -359,15 +376,17 @@ def retrieval_cases(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=retrieval_cases(), budget=st.sampled_from([1, 5, 16, 1 << 16]))
-def test_metrics_equal_sort_reference(case, budget):
+@given(case=retrieval_cases(), budget=st.sampled_from([1, 5, 16, 1 << 16]),
+       blocks=st.integers(1, 3))
+def test_metrics_equal_sort_reference(case, budget, blocks):
     scores, q_labels, g_labels, max_rank, exclude_self = case
     args = (scores, q_labels, g_labels, max_rank, 7, exclude_self)
     want = outcome(ref_metrics_from_scores, *args)
-    # small budgets split the queries into blocks of one or a few rows
+    # small budgets split the queries into blocks of one or a few rows, and
+    # the chunked kernel takes them in chunks of one to three blocks
     with mock.patch.object(ident_eval, "_CELL_BUDGET", budget):
-        got = outcome(_metrics_from_scores, *args)
-    assert got == want
+        assert outcome(_metrics_from_scores, *args) == want
+        assert outcome(metrics_in_chunks, *args, blocks) == want
 
 
 @pytest.mark.parametrize("exclude_self", [False, True])
@@ -460,10 +479,14 @@ def test_rank_kernel_equals_python_order_on_ties(name, exclude_self):
     want_first, want_aps = python_order_ranks(scores, q_labels, g_labels, exclude_self)
     _, q_codes, g_codes = ident_eval._check_labels(scores, q_labels, g_labels)
     for budget in (ident_eval._CELL_BUDGET, 1000):
-        with mock.patch.object(ident_eval, "_CELL_BUDGET", budget):
-            first, aps = ident_eval._ranked(scores, q_codes, g_codes, exclude_self, with_ap=True)
-        assert np.array_equal(first, want_first)
-        assert np.array_equal(aps, want_aps, equal_nan=True)
+        # the whole matrix as one chunk, or chunks of three rank blocks, the last short
+        for blocks in (None, 3):
+            with mock.patch.object(ident_eval, "_CELL_BUDGET", budget):
+                first, aps = ident_eval._ranked(
+                    chunked(scores, blocks), q_codes, g_codes, exclude_self, with_ap=True
+                )
+            assert np.array_equal(first, want_first)
+            assert np.array_equal(aps, want_aps, equal_nan=True)
 
 
 def test_public_metrics_equal_sort_reference():
@@ -491,6 +514,121 @@ def test_empty_gallery():
         mean_average_precision(scores, ["a", "b"], [])
     with pytest.raises(ArgumentError):
         rank_k_accuracy(scores, ["a", "b"], [], 1)
+
+
+# --- scoring and ranking in row chunks --------------------------------------
+# The evaluation scores the queries in chunks and ranks each as it comes; a
+# score matrix is filled from the same chunks and ranked as one.  Small
+# budgets give chunks of one or several rank blocks, the last one short.
+
+@pytest.mark.parametrize("scorer", [score_matrix, ident_eval._score_chunks],
+                         ids=["score_matrix", "_score_chunks"])
+@pytest.mark.parametrize("queries, gallery", [
+    (np.ones(3), np.ones((2, 3))),
+    (np.ones((2, 3)), np.ones((2, 2, 3))),
+    (np.ones((2, 3)), np.ones((2, 4))),
+], ids=["1d_queries", "3d_gallery", "widths_differ"])
+def test_scoring_shape_errors_are_typed(scorer, queries, gallery):
+    with pytest.raises(ConsistencyError):
+        scorer(queries, gallery)  # raised at the call, before any chunk is asked for
+
+
+ZERO_QUERIES = {
+    "rank_k_accuracy": lambda s, g: rank_k_accuracy(s, [], g, 1),
+    "mean_average_precision": lambda s, g: mean_average_precision(s, [], g),
+    "cmc_curve": lambda s, g: cmc_curve(s, [], g, 2),
+    "_rank1": lambda s, g: ident_eval._rank1(s, [], g),
+    "_metrics_from_scores": lambda s, g: _metrics_from_scores(s, [], g, 2, 0, False),
+    "_metrics_from_rows": lambda s, g: ident_eval._metrics_from_rows(
+        np.zeros((0, 3)), np.eye(3), [], g, 2, 0, False),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_QUERIES)
+def test_zero_queries_raise(name):
+    with pytest.raises(ProtocolError, match="no queries"):
+        ZERO_QUERIES[name](np.zeros((0, 3)), ["a", "b", "a"])
+
+
+def test_first_hit_ranks_of_zero_queries_is_empty():
+    assert first_hit_ranks(np.zeros((0, 3)), [], ["a", "b", "a"]).shape == (0,)
+
+
+def _grid_rows(draw, n, dim):
+    """``n`` rows of small integers, none all zero: equal rows and tied scores abound."""
+    flat = draw(st.lists(st.integers(-2, 2), min_size=n * dim, max_size=n * dim))
+    rows = np.array(flat, dtype=np.float64).reshape(n, dim)
+    rows[~rows.any(axis=1), 0] = 1.0
+    return rows
+
+
+@st.composite
+def row_cases(draw):
+    exclude_self = draw(st.booleans())
+    n_g = draw(st.integers(1, 30))
+    n_q = n_g if exclude_self else draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 4))
+    g_labels = draw(st.lists(st.sampled_from("aaaabbcde"), min_size=n_g, max_size=n_g))
+    if exclude_self:
+        q_labels = g_labels
+    else:  # some labels may be absent from the gallery
+        q_labels = draw(st.lists(st.sampled_from("aabcdf"), min_size=n_q, max_size=n_q))
+    max_rank = draw(st.sampled_from([min(ident_eval.CMC_MAX_RANK, n_g), n_g + 1]))
+    return (_grid_rows(draw, n_q, dim), _grid_rows(draw, n_g, dim), q_labels, g_labels,
+            max_rank, exclude_self)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=row_cases(), cell_budget=st.sampled_from([1, 7, 20, 1 << 16]),
+       score_budget=st.integers(1, 200))
+def test_metrics_from_rows_equal_metrics_of_score_matrix(case, cell_budget, score_budget):
+    queries, gallery, q_labels, g_labels, max_rank, exclude_self = case
+    args = (q_labels, g_labels, max_rank, 5, exclude_self)
+    with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
+            mock.patch.object(ident_eval, "_SCORE_BUDGET", score_budget):
+        got = outcome(ident_eval._metrics_from_rows, queries, gallery, *args)
+        scores = score_matrix(queries, gallery)
+        want = outcome(_metrics_from_scores, scores, *args)
+    assert got == want
+    assert want == outcome(ref_metrics_from_scores, scores, *args)
+
+
+def _any_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EmbalignError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def split_cases(draw):
+    n = draw(st.integers(4, 40))
+    labels = draw(st.lists(st.sampled_from("aaabbcd"), min_size=n, max_size=n))
+    labels[:2] = ["a", "b"]  # at least two identities to split
+    d_a, d_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = ident_eval._unit_rows(_grid_rows(draw, n, d_a))
+    y = ident_eval._unit_rows(_grid_rows(draw, n, d_b))
+    return x, y, labels, identity_disjoint_split(labels, 0.5, draw(st.integers(0, 9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=split_cases(), method=st.sampled_from(["procrustes", "linear", "ridge"]),
+       cell_budget=st.sampled_from([1, 5, 1 << 16]), score_budget=st.integers(1, 120))
+def test_aligned_rank1_equals_rank1_of_score_matrix(case, method, cell_budget, score_budget):
+    x, y, labels, split = case
+    test = list(split.test_rows)
+    test_labels = [labels[i] for i in test]
+
+    def from_matrix():
+        amap = align.fit_alignment(x, y, method, 0.1, rows=list(split.train_rows))
+        scores = score_matrix(*align.project(x[test], y[test], amap))
+        return ident_eval._rank1(scores, test_labels, test_labels)
+
+    with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
+            mock.patch.object(ident_eval, "_SCORE_BUDGET", score_budget):
+        got = _any_outcome(ident_eval.aligned_rank1, x, y, labels, [split], method, 0.1)
+        want = _any_outcome(from_matrix)
+    assert got == want
 
 
 # --- Rank-1 from the first maximum -----------------------------------------
@@ -531,11 +669,19 @@ def _rank1_reference(scores, q_labels, g_labels):
     return rank_k_accuracy(scores, q_labels, g_labels, 1)
 
 
+def _rank1_in_chunks(scores, q_labels, g_labels, rows):
+    scores, q_codes, g_codes = ident_eval._check_labels(scores, q_labels, g_labels)
+    chunks = [(start, scores[start:start + rows]) for start in range(0, len(scores), rows)]
+    return ident_eval._rank1_from(chunks, q_codes, g_codes)
+
+
 @settings(max_examples=400, deadline=None)
-@given(rank1_cases())
-def test_first_max_rank1_equals_rank_kernel(case):
+@given(rank1_cases(), st.integers(1, 4))
+def test_first_max_rank1_equals_rank_kernel(case, rows):
     want = _rank1_outcome(_rank1_reference, *case)
     assert _rank1_outcome(ident_eval._rank1, *case) == want
+    # in chunks, a NaN in a later chunk still wins over a query without a hit
+    assert _rank1_outcome(_rank1_in_chunks, *case, rows) == want
 
 
 def test_first_max_rank1_hand_cases():
@@ -598,3 +744,22 @@ def test_ranking_memory_bounded_by_score_matrix(exclude_self):
     finally:
         tracemalloc.stop()
     assert peak <= 1.0 * scores.nbytes
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_evaluation_from_rows_holds_no_score_matrix(exclude_self):
+    rng = np.random.default_rng(9)
+    n, dim = 4000, 64
+    queries, gallery = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
+    labels = [f"p{i % 400}" for i in rng.permutation(n)]
+    # the unit rows twice over, and three chunks; the 4000 x 4000 scores are 128 MB
+    bound = 2 * (2 * n) * dim * 8 + 3 * ident_eval._SCORE_BUDGET * 8
+    tracemalloc.start()
+    try:
+        ident_eval._metrics_from_rows(
+            queries, gallery, labels, labels, ident_eval.CMC_MAX_RANK, 0, exclude_self
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
