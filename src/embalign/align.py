@@ -147,6 +147,26 @@ class AlignmentMap:
         if self.method != "ridge" and self.alpha != 0.0:
             raise ConsistencyError("alpha must be 0 unless method is ridge")
 
+    def reversed(self) -> "AlignmentMap":
+        """The procrustes map of the same training rows fit from target to source.
+
+        The orthogonal factor of (X^T Y)^T is the transpose of that of
+        X^T Y, so W becomes W^T and the sides swap: means, widths and
+        model names.  Linear and ridge maps are directional regressions
+        with no such identity; reversing one is a ``ConsistencyError``.
+        """
+        if self.method != "procrustes":
+            raise ConsistencyError(f"a {self.method} map cannot be reversed; fit it anew")
+        s = self.stats
+        return AlignmentMap(
+            w=self.w.T,
+            stats=PrepStats(s.mu_y, s.mu_x, s.d_b, s.d_a, s.big_d, s.n_train),
+            method=self.method,
+            source_model=self.target_model,
+            target_model=self.source_model,
+            seed=self.seed,
+        )
+
 
 def unit_pair(source: EmbeddingSet, target: EmbeddingSet):
     """``(labels, x, y)`` of the shared images: labels, unit source and target rows."""
@@ -175,11 +195,17 @@ def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=No
     )
 
 
+def fit_split(x, y, split, method: str, alpha: float, **meta):
+    """:func:`fit_alignment` on the train rows of ``split``, tagged with its seed."""
+    return fit_alignment(
+        x, y, method, alpha, rows=list(split.train_rows), seed=split.seed, **meta
+    )
+
+
 def fit_seed(x, y, labels, method: str, alpha: float, fraction: float, seed: int, **meta):
     """Split identities disjointly by ``seed``, fit on the train rows; return (map, test rows)."""
     split = identity_disjoint_split(labels, fraction, seed)
-    amap = fit_alignment(x, y, method, alpha, rows=list(split.train_rows), seed=seed, **meta)
-    return amap, list(split.test_rows)
+    return fit_split(x, y, split, method, alpha, **meta), list(split.test_rows)
 
 
 def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):

@@ -13,11 +13,12 @@ from .embedstore import EmbeddingSet, shared_rows
 from .errors import (
     ArgumentError,
     ConsistencyError,
+    DataError,
     DegenerateRowError,
     EmbalignError,
     ProtocolError,
 )
-from .ident_eval import aligned_rank1
+from .ident_eval import aligned_rank1, map_rank1
 from .prep import l2_normalize
 from .reports import mean_std
 from .splits import (
@@ -122,13 +123,18 @@ def build_compatibility_matrix(
 ) -> CompatibilityMatrix:
     """Mean Rank-1 (percent) of every ordered model pair, self-pairs included.
 
-    Cells score the aligned side only, and Rank-1 is read from each
-    query's first highest score.  Each model is normalized once and each
-    seed's split is made once per label list; every cell fits its own map.
-    Rows are paired by image id in :func:`embedstore.shared_rows`, and a
-    cell that shares an all-zero row fails.  The arguments are checked
-    before any cell is fit.  Pairs whose evaluation fails with an
-    ``EmbalignError`` are marked missing (NaN), never zero; any other
+    Cells score the aligned side only, through :func:`ident_eval.map_rank1`,
+    and Rank-1 is read from each query's first highest score.  Each model
+    is normalized once and each seed's split is made once per label list.
+    The matrix walks the unordered pairs i <= j.  Procrustes fits once per
+    unordered pair per seed: cell (j, i) scores the reversed map of cell
+    (i, j) (:meth:`align.AlignmentMap.reversed`), and fits its own map for
+    each seed that (i, j) did not reach or failed to fit.  Linear and
+    ridge are directional regressions and fit per cell.  Rows are paired by
+    image id in :func:`embedstore.shared_rows`, and a cell that shares an
+    all-zero row fails.  The arguments are checked before any cell is fit.
+    Each ordered cell fails on its own: one whose evaluation fails with an
+    ``EmbalignError`` is marked missing (NaN), never zero; any other
     exception is a bug and propagates.
     """
     sets = list(sets)
@@ -140,24 +146,45 @@ def build_compatibility_matrix(
     align.check_method(method, alpha)
     units = [_unit_model(s) for s in sets]
     splits = {}  # label list -> one split per seed
+
+    def cell_rank1(i, j, fitted):
+        """Mean Rank-1 (percent) of the cell i -> j; raises ``EmbalignError`` if it fails.
+
+        For i < j, ``fitted`` collects the procrustes maps as they are fit,
+        one per seed; for i > j, it holds those of j -> i, and the seeds it
+        lacks fit anew.  Cells (i, j) and (j, i) pair the same images in the
+        same order, so they share labels and splits.
+        """
+        ra, rb = shared_rows(sets[i], sets[j])
+        (unit_a, live_a), (unit_b, live_b) = units[i], units[j]
+        dead = np.flatnonzero(~(live_a[ra] & live_b[rb]))
+        if dead.size:
+            raise DegenerateRowError(int(dead[0]))
+        labels = [sets[i].labels[r] for r in ra]
+        key = tuple(labels)
+        if key not in splits:
+            splits[key] = [identity_disjoint_split(labels, fraction, s) for s in seeds]
+        x, y = unit_a[ra], unit_b[rb]
+        per_seed = []
+        for k, split in enumerate(splits[key]):
+            if i > j and k < len(fitted):
+                amap = fitted[k].reversed()
+            else:
+                amap = align.fit_split(x, y, split, method, alpha)
+                if i < j and method == "procrustes":
+                    fitted.append(amap)
+            per_seed.append(map_rank1(x, y, labels, split, amap))
+        return 100.0 * float(mean_std(per_seed)[0])
+
     rank1 = np.full((m, m), np.nan)
     for i in range(m):
-        for j in range(m):
-            try:
-                ra, rb = shared_rows(sets[i], sets[j])
-                (unit_a, live_a), (unit_b, live_b) = units[i], units[j]
-                dead = np.flatnonzero(~(live_a[ra] & live_b[rb]))
-                if dead.size:
-                    raise DegenerateRowError(int(dead[0]))
-                labels = [sets[i].labels[r] for r in ra]
-                key = tuple(labels)
-                if key not in splits:
-                    splits[key] = [identity_disjoint_split(labels, fraction, s) for s in seeds]
-                rank1[i, j] = 100.0 * aligned_rank1(
-                    unit_a[ra], unit_b[rb], labels, splits[key], method, alpha
-                )
-            except EmbalignError:
-                pass
+        for j in range(i, m):
+            fitted = []  # procrustes maps i -> j, one per seed, up to the first failure
+            for a, b in ((i, j), (j, i))[: 1 + (i < j)]:  # a diagonal cell once
+                try:
+                    rank1[a, b] = cell_rank1(a, b, fitted)
+                except EmbalignError:
+                    pass
     return CompatibilityMatrix(
         model_names=names,
         rank1=rank1,
@@ -191,6 +218,8 @@ def agglomerative_cluster(
         raise ArgumentError("similarity must be a square matrix with M >= 2")
     if linkage not in LINKAGES:
         raise ArgumentError(f"linkage must be one of {LINKAGES}")
+    if not np.isfinite(s).all():
+        raise DataError("similarity matrix holds NaN or infinite entries")
     if np.abs(s - s.T).max() > 1e-9:
         raise ConsistencyError("similarity matrix is not symmetric")
     d = 100.0 - s

@@ -425,22 +425,32 @@ def evaluate_identification(
     )
 
 
+def map_rank1(x, y, labels, split, amap) -> float:
+    """Rank-1 of the fitted map ``amap`` on the test rows of ``split``, aligned side only.
+
+    ``x`` and ``y`` are the unit source and target rows of the shared
+    images and ``labels`` their identities.  The test rows are projected
+    with ``amap`` and scored in the chunks the evaluation ranks, so the
+    value is the aligned Rank-1 of that seed in
+    :func:`evaluate_identification`.
+    """
+    test = list(split.test_rows)
+    test_labels = [labels[i] for i in test]
+    chunks = _score_chunks(*align.project(x[test], y[test], amap))
+    codes = _label_codes(test_labels, test_labels, (len(test), len(test)))
+    return _rank1_from(chunks, *codes)
+
+
 def aligned_rank1(x, y, labels, splits, method, alpha) -> float:
     """Aligned mean Rank-1 as :func:`evaluate_identification` reports it, with no baseline.
 
     ``x`` and ``y`` are the unit source and target rows of the shared
     images, ``labels`` their identities and ``splits`` one
-    identity-disjoint split of ``labels`` per seed.  The seeds run one
-    after another on the calling thread.
+    identity-disjoint split of ``labels`` per seed.  Each seed fits its
+    map and scores it with :func:`map_rank1`, one after another on the
+    calling thread.
     """
-    rank1 = []
-    for split in splits:
-        amap = align.fit_alignment(
-            x, y, method, alpha, rows=list(split.train_rows), seed=split.seed
-        )
-        test = list(split.test_rows)
-        test_labels = [labels[i] for i in test]
-        chunks = _score_chunks(*align.project(x[test], y[test], amap))
-        codes = _label_codes(test_labels, test_labels, (len(test), len(test)))
-        rank1.append(_rank1_from(chunks, *codes))
-    return float(np.array(rank1).mean())
+    return float(mean_std([
+        map_rank1(x, y, labels, split, align.fit_split(x, y, split, method, alpha))
+        for split in splits
+    ])[0])

@@ -154,26 +154,25 @@ def sample_impostor_pairs(labels, count: int, seed: int) -> PairList:
         raise ArgumentError(f"requested {count} impostor pairs, only {available} exist")
     rng = _rng(_TAG_IMPOSTOR, seed)
     n = len(labels)
-    chosen = set()
     # exhaustive fallback when the request covers most of the pool, where
     # rejection sampling would stall
     if count > available // 2:
-        pool = [
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if labels[a] != labels[b]
-        ]
-        idx = rng.choice(len(pool), size=count, replace=False)
-        chosen = {pool[i] for i in idx}
+        _, codes = np.unique(np.asarray(labels, dtype=str), return_inverse=True)
+        a, b = np.triu_indices(n, 1)  # every pair (a < b), in lexicographic order
+        cross = codes[a] != codes[b]
+        idx = np.sort(rng.choice(available, size=count, replace=False))
+        chosen = zip(a[cross][idx].tolist(), b[cross][idx].tolist())
     else:
-        while len(chosen) < count:
-            a, b = rng.integers(0, n, size=2).tolist()
-            if a == b or labels[a] == labels[b]:
-                continue
-            chosen.add((min(a, b), max(a, b)))
-    pairs = tuple((a, b, False) for a, b in sorted(chosen))
-    return PairList(pairs, seed=seed)
+        # each batch draws as many pairs as are missing, so it cannot overshoot;
+        # the pairs do not depend on the batch size, because the bit generator
+        # keeps the spare 32-bit half of a 64-bit word across calls
+        found = set()
+        while len(found) < count:
+            draws = rng.integers(0, n, size=2 * (count - len(found))).tolist()
+            found.update((min(a, b), max(a, b)) for a, b in zip(draws[::2], draws[1::2])
+                         if a != b and labels[a] != labels[b])
+        chosen = sorted(found)
+    return PairList(tuple((a, b, False) for a, b in chosen), seed=seed)
 
 
 def sample_pairs_capped(labels, genuine_count: int, impostor_count: int, seed: int) -> PairList:

@@ -320,6 +320,54 @@ def test_alignment_map_rejects_nonorthogonal_procrustes():
         AlignmentMap(2.0 * np.eye(3), make_stats(3), "procrustes")
 
 
+def _fit_pair(d_a, d_b, method, **meta):
+    """Unit rows of widths d_a and d_b and the map fit on their first 60 rows."""
+    rng = np.random.default_rng(21)
+    x = l2_normalize(rng.standard_normal((80, d_a)))
+    y = l2_normalize(rng.standard_normal((80, d_b)))
+    return x, y, fit_alignment(x, y, method, 0.1, rows=list(range(60)), **meta)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(6, 6), (4, 9), (9, 4)])
+def test_reversed_procrustes_map_is_the_transposed_map(d_a, d_b):
+    x, y, amap = _fit_pair(d_a, d_b, "procrustes", source_model="a", target_model="b", seed=3)
+    rev = amap.reversed()
+    assert np.array_equal(rev.w, amap.w.T)
+    assert np.array_equal(rev.stats.mu_x, amap.stats.mu_y)
+    assert np.array_equal(rev.stats.mu_y, amap.stats.mu_x)
+    assert (rev.stats.d_a, rev.stats.d_b, rev.stats.big_d, rev.stats.n_train) == (
+        d_b, d_a, max(d_a, d_b), 60)
+    assert (rev.method, rev.alpha, rev.source_model, rev.target_model, rev.seed) == (
+        "procrustes", 0.0, "b", "a", 3)
+    # it passes the orthogonality check of a procrustes map
+    AlignmentMap(rev.w, rev.stats, "procrustes")
+    assert np.linalg.norm(rev.w.T @ rev.w - np.eye(max(d_a, d_b))) <= 1e-8
+
+    # a fit from y to x on the same rows: the same means, and the same map where
+    # it is unique (the zero-padded block of unequal widths is not; the scores are)
+    direct = fit_alignment(y, x, "procrustes", rows=list(range(60)))
+    assert np.array_equal(direct.stats.mu_x, rev.stats.mu_x)
+    assert np.array_equal(direct.stats.mu_y, rev.stats.mu_y)
+    if d_a == d_b:
+        assert np.abs(rev.w - direct.w).max() <= 1e-12
+    scores = [ident_eval.score_matrix(*project(y[60:], x[60:], m)) for m in (rev, direct)]
+    assert np.abs(scores[0] - scores[1]).max() <= 1e-12
+
+    twice = rev.reversed()
+    assert twice.w.tobytes() == amap.w.tobytes()
+    assert twice.stats.mu_x.tobytes() == amap.stats.mu_x.tobytes()
+    assert twice.stats.mu_y.tobytes() == amap.stats.mu_y.tobytes()
+    assert (twice.stats.d_a, twice.stats.d_b, twice.stats.n_train) == (d_a, d_b, 60)
+    assert (twice.source_model, twice.target_model, twice.seed) == ("a", "b", 3)
+
+
+@pytest.mark.parametrize("method", ["linear", "ridge"])
+def test_regression_maps_cannot_be_reversed(method):
+    _, _, amap = _fit_pair(5, 7, method)
+    with pytest.raises(ConsistencyError, match="cannot be reversed"):
+        amap.reversed()
+
+
 def test_map_file_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 4, 6, 6, 33)

@@ -11,7 +11,9 @@ from embalign import (
     agglomerative_cluster,
     asymmetry_stats,
     build_compatibility_matrix,
+    embed_view,
     evaluate_identification,
+    generate_identity_cloud,
     symmetrize,
     training_size_sweep,
 )
@@ -19,10 +21,12 @@ from embalign import align, analysis, ident_eval
 from embalign.errors import (
     ArgumentError,
     ConsistencyError,
+    DataError,
     DegenerateRowError,
     EmbalignError,
     EmptyIntersectionError,
     LabelConflictError,
+    NumericalError,
     ProtocolError,
 )
 from embalign.prep import apply_prep, fit_prep, l2_normalize
@@ -166,6 +170,18 @@ def test_cluster_rejects_asymmetric():
         agglomerative_cluster(s, "average")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cluster_rejects_non_finite_similarities(bad):
+    # NaN escaped as scipy's ValueError; +inf warned in the symmetry check and
+    # then merged at height 0
+    s = two_group_similarity()
+    s[0, 2] = s[2, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="NaN or infinite"):
+            agglomerative_cluster(s, "average")
+
+
 def test_newick_output():
     s = two_group_similarity()
     dend = agglomerative_cluster(s, "average", model_names=["a", "b", "c", "d"])
@@ -305,12 +321,35 @@ def test_compatibility_matrix_cells_equal_identification_or_fail_alike(small_vie
             assert cm.rank1[i, j] == 100.0 * report.summary["rank_k"]["1"]["mean"]
 
 
+@pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
+def test_compatibility_matrix_equals_identification_over_mixed_widths(method):
+    cloud = generate_identity_cloud(40, 5, 8, seed=3)
+    sets = [
+        embed_view(cloud, 12, 31, noise=0.6, model_name="narrow"),
+        embed_view(cloud, 40, 32, noise=0.5, map_kind="general_linear", model_name="wide"),
+        embed_view(cloud, 24, 33, noise=0.4, model_name="even"),
+        # as wide as "even", and holding only 150 of the 200 images
+        _subset(embed_view(cloud, 24, 34, noise=0.8), "part", range(50, 200)),
+    ]
+    seeds, m = (0, 1), len(sets)
+    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+        cm = build_compatibility_matrix(sets, method=method, seeds=seeds, alpha=0.5)
+    # procrustes fits each unordered pair once per seed; regressions fit every cell
+    per_seed = m * (m + 1) // 2 if method == "procrustes" else m * m
+    assert fit.call_count == per_seed * len(seeds)
+    assert np.isfinite(cm.rank1).all() and (cm.rank1 < 80.0).sum() >= 4  # not saturated
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            report = evaluate_identification(a, b, method=method, seeds=seeds, alpha=0.5)
+            assert cm.rank1[i, j] == 100.0 * report.summary["rank_k"]["1"]["mean"], (i, j)
+
+
 def test_compatibility_matrix_refuses_repeated_model_names(small_views):
     with pytest.raises(ConsistencyError, match="'a'"):
         cm_from(np.full((3, 3), 50.0), ["a", "b", "a"])
     v0, v1 = small_views
     twin = EmbeddingSet("m0", "", v1.rows, v1.image_ids, v1.labels)
-    with mock.patch.object(analysis, "aligned_rank1") as cell, \
+    with mock.patch.object(analysis, "map_rank1") as cell, \
             pytest.raises(ConsistencyError, match="'m0'"):
         build_compatibility_matrix([v0, v1, twin], seeds=(0,))
     cell.assert_not_called()  # refused before any cell is evaluated
@@ -325,7 +364,7 @@ def test_compatibility_matrix_refuses_repeated_model_names(small_views):
 ])
 def test_compatibility_matrix_checks_arguments_before_any_cell(small_views, kwargs, error):
     # each of these made every cell fail, which read as an all-missing matrix
-    with mock.patch.object(analysis, "aligned_rank1") as cell, pytest.raises(error):
+    with mock.patch.object(analysis, "map_rank1") as cell, pytest.raises(error):
         build_compatibility_matrix(list(small_views), **{"seeds": (0,), **kwargs})
     cell.assert_not_called()
 
@@ -344,8 +383,8 @@ def test_all_missing_matrix_warns_nothing(small_views):
 
 
 def _failing_cell(monkeypatch, exc):
-    """Make the evaluation of the cell m0 -> m1, the second in row-major order, raise exc."""
-    real = analysis.aligned_rank1
+    """Make the scoring of the cell m0 -> m1, the second cell scored, raise exc (one seed)."""
+    real = analysis.map_rank1
     calls = []
 
     def evaluate(*args):
@@ -354,7 +393,7 @@ def _failing_cell(monkeypatch, exc):
             raise exc
         return real(*args)
 
-    monkeypatch.setattr(analysis, "aligned_rank1", evaluate)
+    monkeypatch.setattr(analysis, "map_rank1", evaluate)
 
 
 def test_compatibility_matrix_protocol_error_is_missing_cell(small_views, monkeypatch):
@@ -362,6 +401,37 @@ def test_compatibility_matrix_protocol_error_is_missing_cell(small_views, monkey
     cm = build_compatibility_matrix(list(small_views), seeds=(0,))
     assert np.isnan(cm.rank1[0, 1])
     assert not np.isnan(np.delete(cm.rank1.ravel(), 1)).any()
+
+
+@pytest.mark.parametrize("module, seam, failing_call, missing", [
+    # the seed-1 fit of m0 -> m1: m1 -> m0 reverses the seed-0 map and fits seed 1 itself
+    (align, "fit_split", 4, (0, 1)),
+    # m1 -> m0 fails at seed 0 after m0 -> m1 scored both seeds
+    (analysis, "map_rank1", 5, (1, 0)),
+], ids=["forward_fit_fails", "reverse_scoring_fails"])
+def test_compatibility_matrix_pair_cells_fail_on_their_own(small_views, monkeypatch, module,
+                                                          seam, failing_call, missing):
+    sets, seeds = list(small_views), (0, 1)
+    want = [[100.0 * evaluate_identification(a, b, seeds=seeds).summary["rank_k"]["1"]["mean"]
+             for b in sets] for a in sets]
+    real, calls = getattr(module, seam), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise NumericalError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(module, seam, failing)
+    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+        cm = build_compatibility_matrix(sets, seeds=seeds)
+    assert fit.call_count == 6  # one fit per unordered pair and seed, a failed one remade
+    for i in range(2):
+        for j in range(2):
+            if (i, j) == missing:
+                assert np.isnan(cm.rank1[i, j])
+            else:
+                assert cm.rank1[i, j] == want[i][j]
 
 
 def test_compatibility_matrix_bug_propagates(small_views, monkeypatch):

@@ -16,7 +16,7 @@ from embalign import (
     sample_pairs_capped,
 )
 from embalign.errors import ArgumentError, DegenerateDataError
-from embalign.splits import check_seeds, pair_counts
+from embalign.splits import _TAG_IMPOSTOR, _rng, check_seeds, pair_counts
 
 
 def labels_for(n_ids, per_id):
@@ -217,3 +217,50 @@ def test_capped_sample_of_every_genuine_pair_is_the_intra_merge(labels, seed):
     n_genuine = pair_counts(labels)[0]
     got = _pairs_outcome(sample_pairs_capped, labels, n_genuine, n_genuine, seed)
     assert got == _pairs_outcome(ref_intra_pairs, labels, seed)
+
+
+def ref_impostor_pairs(labels, count, seed):
+    """Impostor sampling as a Python loop: one RNG call per drawn pair, a tuple pool."""
+    labels = [str(l) for l in labels]
+    available = pair_counts(labels)[1]
+    rng = _rng(_TAG_IMPOSTOR, seed)
+    n = len(labels)
+    chosen = set()
+    if count > available // 2:
+        pool = [(a, b) for a in range(n) for b in range(a + 1, n) if labels[a] != labels[b]]
+        idx = rng.choice(len(pool), size=count, replace=False)
+        chosen = {pool[i] for i in idx}
+    else:
+        while len(chosen) < count:
+            a, b = rng.integers(0, n, size=2).tolist()
+            if a == b or labels[a] == labels[b]:
+                continue
+            chosen.add((min(a, b), max(a, b)))
+    return PairList(tuple((a, b, False) for a, b in sorted(chosen)), seed=seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       labels=st.lists(st.sampled_from("abcdef"), min_size=2, max_size=40).filter(
+           lambda ls: len(set(ls)) > 1),
+       seed=st.integers(0, 50))
+def test_impostor_sample_equals_the_python_loop(data, labels, seed):
+    available = pair_counts(labels)[1]
+    # counts up to half the pool reject, larger ones take the exhaustive branch
+    count = data.draw(st.integers(0, available))
+    assert sample_impostor_pairs(labels, count, seed) == ref_impostor_pairs(labels, count, seed)
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 3 * 10 ** 9])
+def test_batched_integer_draws_continue_the_single_draw_stream(n):
+    # the rejection loop relies on this: batches of any size read the stream
+    # that one pair per call reads (at n = 3e9 about 30% of raw draws are rejected)
+    single = np.random.default_rng(7)
+    want = [v for _ in range(2000) for v in single.integers(0, n, size=2).tolist()]
+    batched = np.random.default_rng(7)
+    got = []
+    for size in itertools.cycle([2, 6, 14, 1, 3, 500]):
+        got += batched.integers(0, n, size=size).tolist()
+        if len(got) >= len(want):
+            break
+    assert got[:len(want)] == want
