@@ -3,9 +3,17 @@
 Three fitters of increasing capacity:
 
 * orthogonal (Procrustes): W = U V^T from the SVD of X^T Y,
-* unconstrained least squares, the minimum-norm solution from LAPACK
-  ``gelsd`` (``np.linalg.lstsq``), and
+* unconstrained least squares, the minimum-norm solution, and
 * ridge, the damped normal-equation solution (X^T X + alpha I)^-1 X^T Y.
+
+Least squares takes one of two paths, chosen from the eigenvalues of
+the Gram matrix G = X^T X.  When lambda_min > GRAM_RTOL * lambda_max
+(cond(X) < 1e4), X has full column rank with no singular value near the
+PINV_RTOL cutoff, the solution is unique, and it is solved from the
+normal equations through the eigendecomposition of G.  Otherwise
+(rank-deficient or ill-conditioned X: fewer rows than columns, dead
+columns, low-rank data) it is LAPACK ``gelsd`` (``np.linalg.lstsq``)
+with cutoff PINV_RTOL.  Both paths give the minimum-norm map.
 
 :func:`fit_map` takes centered rows at the models' own widths (n x d_a
 and n x d_b) and returns the D x D map, D = max(d_a, d_b): the fitted
@@ -34,6 +42,10 @@ from .splits import identity_disjoint_split
 #: of the training rows count as zero, so a rank-deficient X gets the
 #: minimum-norm map
 PINV_RTOL = 1e-10
+#: the least-squares fit solves the normal equations when the eigenvalues of
+#: X^T X satisfy lambda_min > GRAM_RTOL * lambda_max, i.e. cond(X) < 1e4, where
+#: their error O(cond(X)^2 eps) stays below about 1e-8; otherwise it calls gelsd
+GRAM_RTOL = 1e-8
 
 METHODS = ("procrustes", "linear", "ridge")
 DEFAULT_RIDGE_ALPHA = 0.1
@@ -48,6 +60,10 @@ def _check_train(x_tr: np.ndarray, y_tr: np.ndarray):
         raise ConsistencyError("training inputs must be 2-D")
     if x_tr.shape[0] != y_tr.shape[0]:
         raise ConsistencyError(f"row counts differ: {x_tr.shape} vs {y_tr.shape}")
+    if x_tr.shape[0] == 0:
+        raise ConsistencyError("need at least one training row")
+    if x_tr.shape[1] == 0 or y_tr.shape[1] == 0:
+        raise ConsistencyError(f"training rows need a nonzero width: {x_tr.shape} vs {y_tr.shape}")
     if not (np.all(np.isfinite(x_tr)) and np.all(np.isfinite(y_tr))):
         raise DataError("non-finite training data")
     return x_tr, y_tr
@@ -62,9 +78,23 @@ def _orthogonal(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+def _cross_products(x_tr: np.ndarray, y_tr: np.ndarray):
+    """The Gram matrix x_tr^T x_tr and the cross-product x_tr^T y_tr."""
+    return x_tr.T @ x_tr, x_tr.T @ y_tr
+
+
 def _least_squares(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
-    """Minimum-norm W minimizing ||x_tr W - y_tr||_F (LAPACK gelsd, cutoff PINV_RTOL)."""
+    """Minimum-norm W minimizing ||x_tr W - y_tr||_F.
+
+    With G = x_tr^T x_tr = V diag(lam) V^T and lam_min > GRAM_RTOL * lam_max
+    the map is V diag(1 / lam) V^T x_tr^T y_tr, the unique solution of the
+    normal equations.  Otherwise it is LAPACK gelsd with cutoff PINV_RTOL.
+    """
+    gram, cross = _cross_products(x_tr, y_tr)
     try:
+        lam, v = np.linalg.eigh(gram)
+        if lam[0] > GRAM_RTOL * lam[-1]:
+            return v @ ((v.T @ cross) / lam[:, None])
         return np.linalg.lstsq(x_tr, y_tr, rcond=PINV_RTOL)[0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"least squares failed: {exc}") from exc
@@ -74,9 +104,9 @@ def _ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:
     """(x_tr^T x_tr + alpha I)^-1 x_tr^T y_tr by a Cholesky solve."""
     import scipy.linalg  # here, not at module level: only ridge needs it, and it imports slowly
 
-    gram = x_tr.T @ x_tr + alpha * np.eye(x_tr.shape[1])
+    gram, cross = _cross_products(x_tr, y_tr)
     try:
-        return scipy.linalg.solve(gram, x_tr.T @ y_tr, assume_a="pos")
+        return scipy.linalg.solve(gram + alpha * np.eye(x_tr.shape[1]), cross, assume_a="pos")
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"SPD solve failed: {exc}") from exc
 

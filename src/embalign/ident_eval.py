@@ -68,7 +68,7 @@ def _block_rows(n_g):
 
 
 def _unit_matrix(rows, name):
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ConsistencyError(f"{name} must be a 2-D array of rows, got shape {rows.shape}")
     return _unit_rows(rows)

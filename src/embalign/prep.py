@@ -44,29 +44,44 @@ class PrepStats:
 # rows whose norm lies outside [_TINY, _HUGE] are rescaled before they are
 # divided; every row a float32 embedding can hold lies inside
 _TINY, _HUGE = 2.0 ** -300, 2.0 ** 300
+# values per block of rows whose norms are taken at once: the squares of one
+# block are the only temporary beside the one float64 array of the result
+_NORM_BLOCK = 1 << 16
 
 
 def _unit_rows(rows) -> np.ndarray:
     """Each row divided by its Euclidean norm (float64); an all-zero row raises.
 
-    A row whose norm would underflow or overflow (entries near 1e-160 or
-    1e160 and beyond) is first scaled by the exact power of two that
-    brings its largest entry into [0.5, 1).  Rows with an in-range norm
-    are divided as they are.
+    Exactly one n x d float64 array is made: the float64 cast of rows of
+    another dtype, divided in place, or else the quotient.  The norms are
+    ``np.linalg.norm(axis=1)`` taken over blocks of rows; each row is
+    reduced on its own, so the blocks do not change a norm's bits.  A row
+    whose norm would underflow or overflow (entries near 1e-160 or 1e160
+    and beyond) is first scaled by the exact power of two that brings its
+    largest entry into [0.5, 1).  Rows with an in-range norm are divided
+    as they are.  Input that is not 2-D raises ``ConsistencyError``.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ConsistencyError(f"rows must be a 2-D array, got shape {rows.shape}")
+    into = None
+    if rows.dtype != np.float64:
+        rows = into = rows.astype(np.float64)  # this call's own array: divided in place
+    norms = np.empty(rows.shape[0])
+    step = max(1, _NORM_BLOCK // max(rows.shape[1], 1))
     with np.errstate(over="ignore"):  # an overflowing norm marks a row to rescale
-        norms = np.linalg.norm(rows, axis=1)
+        for start in range(0, rows.shape[0], step):
+            norms[start:start + step] = np.linalg.norm(rows[start:start + step], axis=1)
     odd = np.flatnonzero((norms < _TINY) | (norms > _HUGE))
     if not odd.size:
-        return rows / norms[:, None]
+        return np.divide(rows, norms[:, None], out=into)
     peak = np.abs(rows[odd]).max(axis=1, initial=0.0)
     zero = odd[peak == 0.0]
     if zero.size:
         raise DegenerateRowError(int(zero[0]))
     scaled = np.ldexp(rows[odd], -np.frexp(peak)[1][:, None])
     norms[odd] = 1.0
-    out = rows / norms[:, None]
+    out = np.divide(rows, norms[:, None], out=into)
     out[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
     return out
 
@@ -80,6 +95,10 @@ def fit_prep(x_train: np.ndarray, y_train: np.ndarray) -> PrepStats:
     """Compute columnwise training means; inputs must already be unit rows."""
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
+    if x_train.ndim != 2 or y_train.ndim != 2:
+        raise ConsistencyError(
+            f"training rows must be 2-D, got shapes {x_train.shape} and {y_train.shape}"
+        )
     if x_train.shape[0] != y_train.shape[0]:
         raise ConsistencyError(
             f"row counts differ: {x_train.shape[0]} vs {y_train.shape[0]}"

@@ -84,6 +84,8 @@ def pair_scores(aligned_source: np.ndarray, target: np.ndarray, pairs: PairList)
     """Cosine similarity per pair: aligned source row i against target row j."""
     a = np.asarray(aligned_source, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
+    if a.ndim != 2 or t.ndim != 2:
+        raise ConsistencyError(f"pair rows must be 2-D, got shapes {a.shape} and {t.shape}")
     i, j, genuine = _pair_arrays(pairs)
     scores = _cosines(a, t, _row_norms(a), _row_norms(t), i, j)
     return scores.tolist(), genuine.tolist()

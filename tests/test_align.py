@@ -242,8 +242,15 @@ def test_linear_fit_holds_no_padded_or_n_by_d_copy():
 def test_solver_failures_are_typed():
     rng = np.random.default_rng(16)
     x, y = rng.standard_normal((10, 3)), rng.standard_normal((10, 5))
+    dead = x.copy()
+    dead[:, 1] = 0.0  # a zero column: singular Gram matrix, so gelsd runs
     failure = np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
     with mock.patch.object(np.linalg, "lstsq", side_effect=failure):
+        with pytest.raises(NumericalError, match="least squares failed"):
+            fit_map(dead, y, "linear")
+        with pytest.raises(NumericalError):
+            fit_linear(dead, y)
+    with mock.patch.object(np.linalg, "eigh", side_effect=failure):
         with pytest.raises(NumericalError, match="least squares failed"):
             fit_map(x, y, "linear")
         with pytest.raises(NumericalError):
@@ -252,6 +259,68 @@ def test_solver_failures_are_typed():
         fit_procrustes(x, y)
     with pytest.raises(ConsistencyError, match="row counts differ"):
         fit_map(x, y[:9], "ridge")
+
+
+def conditioned_rows(n, d, cond, rng):
+    """n x d rows Q1 diag(s) Q2 with singular values from 1 down to 1 / cond."""
+    s = np.logspace(0.0, -np.log10(cond), d)
+    q1 = np.linalg.qr(rng.standard_normal((n, d)))[0]
+    return (q1 * s) @ random_orthogonal(d, rng)
+
+
+@pytest.mark.parametrize("cond", [1.0, 10.0, 1e3, 0.5e4])
+@pytest.mark.parametrize("n, d_a, d_b", [(40, 16, 8), (600, 256, 64)])
+def test_well_conditioned_linear_fit_skips_gelsd(cond, n, d_a, d_b):
+    rng = np.random.default_rng(int(cond) + d_a)
+    x = conditioned_rows(n, d_a, cond, rng)
+    y = x @ rng.standard_normal((d_a, d_b)) + 0.1 * rng.standard_normal((n, d_b))
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+        w = fit_linear(x, y)
+    assert spy.call_count == 0
+    oracle = pinv_oracle(x, y)
+    scale = max(1.0, np.abs(oracle).max())
+    assert np.allclose(w, oracle, rtol=1e-7, atol=1e-9 * scale)
+
+
+def _ill_conditioned():
+    rng = np.random.default_rng(17)
+    y = rng.standard_normal((30, 4))
+    dead = rng.standard_normal((30, 6))
+    dead[:, 2] = 0.0
+    return [
+        ("cond 1e5", conditioned_rows(30, 6, 1e5, rng), y),
+        ("n < d", rng.standard_normal((5, 12)), y[:5]),
+        ("dead column", dead, y),
+        ("one centered row", np.zeros((1, 6)), y[:1]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_rank_deficient_or_ill_conditioned_linear_fit_is_gelsd(case):
+    name, x, y = _ill_conditioned()[case]
+    expected = np.linalg.lstsq(x, y, rcond=PINV_RTOL)[0]
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+        w = fit_linear(x, y)
+    assert spy.call_count == 1, name
+    assert np.array_equal(w, expected), name
+
+
+@pytest.mark.parametrize("n, d_a, d_b", [(40, 16, 8), (5, 12, 3), (600, 256, 64)])
+def test_ridge_keeps_its_former_bits(n, d_a, d_b):
+    rng = np.random.default_rng(n + d_a)
+    x, y = rng.standard_normal((n, d_a)), rng.standard_normal((n, d_b))
+    for alpha in (1e-3, DEFAULT_RIDGE_ALPHA, 10.0):
+        former = scipy.linalg.solve(x.T @ x + alpha * np.eye(d_a), x.T @ y, assume_a="pos")
+        assert np.array_equal(fit_ridge(x, y, alpha), former)
+
+
+@pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
+def test_fit_refuses_no_rows_and_no_width(method):
+    with pytest.raises(ConsistencyError, match="at least one training row"):
+        fit_map(np.ones((0, 3)), np.ones((0, 2)), method)
+    for x, y in ((np.ones((3, 0)), np.ones((3, 2))), (np.ones((3, 2)), np.ones((3, 0)))):
+        with pytest.raises(ConsistencyError, match="nonzero width"):
+            fit_map(x, y, method)
 
 
 def test_transform_identity_map():

@@ -1,10 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from embalign import apply_prep, fit_prep, l2_normalize, score_matrix
+from embalign import apply_prep, fit_prep, l2_normalize, prep, score_matrix
 from embalign.errors import ConsistencyError, DegenerateRowError
 from embalign.prep import center
 
@@ -54,6 +57,89 @@ def test_normalize_in_range_rows_keep_the_plain_division():
     rows = rng.standard_normal((60, 7)) * 10.0 ** rng.integers(-80, 80, (60, 1))
     want = rows / np.linalg.norm(rows, axis=1)[:, None]
     assert np.array_equal(l2_normalize(rows), want)
+
+
+def former_l2_normalize(rows):
+    """The normalization before it made one float64 array and took norms in row blocks."""
+    rows = np.asarray(rows, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    odd = np.flatnonzero((norms < 2.0 ** -300) | (norms > 2.0 ** 300))
+    if not odd.size:
+        return rows / norms[:, None]
+    peak = np.abs(rows[odd]).max(axis=1, initial=0.0)
+    zero = odd[peak == 0.0]
+    if zero.size:
+        raise DegenerateRowError(int(zero[0]))
+    scaled = np.ldexp(rows[odd], -np.frexp(peak)[1][:, None])
+    norms[odd] = 1.0
+    out = rows / norms[:, None]
+    out[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return out
+
+
+@st.composite
+def mixed_scale_rows(draw):
+    """Rows of one dtype, each at its own power of ten (norms that under- or overflow too)."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rows = draw(arrays(np.float64, (n, d), elements=st.floats(-1.0, 1.0)))
+    if dtype is np.float64:
+        powers = st.sampled_from([-200, -160, 0, 30, 160, 200])
+        exps = draw(arrays(np.int64, (n, 1), elements=powers))
+        rows = rows * 10.0 ** exps
+    return rows.astype(dtype)
+
+
+@given(mixed_scale_rows(), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_normalize_equals_former_expression(rows, block):
+    try:
+        want = former_l2_normalize(rows)
+    except DegenerateRowError as exc:
+        with pytest.raises(DegenerateRowError) as got:
+            l2_normalize(rows)
+        assert got.value.row_index == exc.row_index
+        return
+    before = rows.copy()
+    with mock.patch.object(prep, "_NORM_BLOCK", block):  # many row blocks on small rows
+        got = l2_normalize(rows)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert rows.tobytes() == before.tobytes()  # the caller's rows are not divided in place
+
+
+def test_normalize_blocks_keep_the_norm_bits_at_full_size():
+    rows = np.random.default_rng(6).standard_normal((700, 512)).astype(np.float32)
+    assert 700 * 512 > 4 * prep._NORM_BLOCK
+    assert l2_normalize(rows).tobytes() == former_l2_normalize(rows).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normalize_holds_one_float64_copy(dtype):
+    n, d = 2000, 256
+    rows = np.random.default_rng(7).standard_normal((n, d)).astype(dtype)
+    tracemalloc.start()
+    try:
+        out = l2_normalize(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one n x d float64 array, the norms, and the squares of one row block
+    assert peak <= (n * d + n + prep._NORM_BLOCK) * 8 + 2**16
+    assert out.shape == (n, d)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+def test_normalize_refuses_rows_that_are_not_2d(shape):
+    with pytest.raises(ConsistencyError, match="2-D"):
+        l2_normalize(np.ones(shape))
+
+
+def test_fit_prep_refuses_rows_that_are_not_2d():
+    with pytest.raises(ConsistencyError, match="2-D"):
+        fit_prep(np.ones(3), np.ones(3))
+    with pytest.raises(ConsistencyError, match="2-D"):
+        fit_prep(np.ones((3, 2)), np.ones(3))
 
 
 def test_fit_prep_two_point_mean():

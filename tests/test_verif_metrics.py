@@ -118,6 +118,12 @@ def test_pair_score_out_of_range():
         pair_scores(np.ones((1, 2)), np.ones((1, 2)), PairList(((0, 5, True),), 0))
 
 
+@pytest.mark.parametrize("a, t", [(np.ones(2), np.ones((1, 2))), (np.ones((1, 2)), np.ones(2))])
+def test_pair_score_refuses_rows_that_are_not_2d(a, t):
+    with pytest.raises(ConsistencyError, match="2-D"):
+        pair_scores(a, t, PairList(((0, 0, True),), 0))
+
+
 # --- ROC / AUC / EER / TMR examples ---------------------------------------
 
 def test_roc_perfect_separation():
