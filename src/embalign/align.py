@@ -16,12 +16,22 @@ columns, low-rank data) it is LAPACK ``gelsd`` (``np.linalg.lstsq``)
 with cutoff PINV_RTOL.  Both paths give the minimum-norm map.
 
 :func:`fit_map` takes centered rows at the models' own widths (n x d_a
-and n x d_b) and returns the D x D map, D = max(d_a, d_b): the fitted
-d_a x d_b least-squares or ridge map with zero rows and columns
-appended, or the orthogonal factor of X^T Y zero-padded to D x D.  No
-n-row array is ever padded.  All solver arithmetic is float64.
+and n x d_b) and returns the d_a x d_b map of every method.  The
+orthogonal map is U V^T from the thin SVD of the d_a x d_b
+cross-covariance X^T Y: its columns are orthonormal when d_a >= d_b,
+its rows when d_a < d_b.  All solver arithmetic is float64.
 Reflections are allowed in the orthogonal fit (no determinant
 correction).
+
+Scoring works in the models' own shapes too (:func:`project`): each
+side keeps the k columns it shares with the other, k = d_b with a map
+and min(d_a, d_b) for the unaligned baseline.  Each row's cosine
+denominator is that of the padded formulation, in which both sides are
+zero-padded to D = max(d_a, d_b) and the map is D x D.  That is the
+norm of the scored row, except where the padded rows reach columns the
+other side lacks: the unaligned baseline's wider side, and procrustes
+with d_a > d_b, whose orthogonal D x D map keeps the norm of the
+centered source row.  Map files store the D x D map (:func:`save_map`).
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import numpy as np
 
 from .embedstore import EmbeddingSet, shared_rows
 from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
-from .prep import PrepStats, apply_prep, center, fit_prep, l2_normalize, zero_pad
+from .prep import PrepStats, center, fit_prep, l2_normalize, zero_pad
 from .reports import atomic_write
 from .splits import identity_disjoint_split
 
@@ -70,9 +80,9 @@ def _check_train(x_tr: np.ndarray, y_tr: np.ndarray):
 
 
 def _orthogonal(m: np.ndarray) -> np.ndarray:
-    """U V^T from the full SVD of the square matrix ``m``."""
+    """U V^T from the thin SVD of ``m``: orthonormal columns or rows, the shape of ``m``."""
     try:
-        u, _, vt = np.linalg.svd(m)
+        u, _, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     return u @ vt
@@ -139,19 +149,27 @@ def fit_ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def fit_map(x_tr: np.ndarray, y_tr: np.ndarray, method: str, alpha: float = DEFAULT_RIDGE_ALPHA):
-    """The D x D map of ``method`` from n x d_a rows ``x_tr`` to n x d_b rows ``y_tr``."""
+    """The d_a x d_b map of ``method`` from n x d_a rows ``x_tr`` to n x d_b rows ``y_tr``."""
     check_method(method, alpha)
     x_tr, y_tr = _check_train(x_tr, y_tr)
-    big_d = max(x_tr.shape[1], y_tr.shape[1])
     if method == "procrustes":
-        return _orthogonal(zero_pad(x_tr.T @ y_tr, (big_d, big_d)))
-    w = _least_squares(x_tr, y_tr) if method == "linear" else _ridge(x_tr, y_tr, alpha)
-    return zero_pad(w, (big_d, big_d))
+        return _orthogonal(x_tr.T @ y_tr)
+    return _least_squares(x_tr, y_tr) if method == "linear" else _ridge(x_tr, y_tr, alpha)
+
+
+def _check_orthonormal(w: np.ndarray) -> None:
+    """Raise ``ConsistencyError`` unless W^T W = I (d_a >= d_b) or W W^T = I (d_a < d_b)."""
+    tall = w.shape[0] >= w.shape[1]
+    gram = w.T @ w if tall else w @ w.T
+    dev = np.linalg.norm(gram - np.eye(gram.shape[0]))
+    if dev > 1e-8:
+        product = "W^T W" if tall else "W W^T"
+        raise ConsistencyError(f"orthogonality violated: ||{product} - I|| = {dev:g}")
 
 
 @dataclass(frozen=True)
 class AlignmentMap:
-    """A fitted D x D map together with its preprocessing statistics."""
+    """A fitted d_a x d_b map together with its preprocessing statistics."""
 
     w: np.ndarray
     stats: PrepStats
@@ -164,16 +182,16 @@ class AlignmentMap:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
         object.__setattr__(self, "w", w)
-        if w.shape != (self.stats.big_d, self.stats.big_d):
-            raise ConsistencyError(f"map shape {w.shape} != D={self.stats.big_d}")
+        if w.shape != (self.stats.d_a, self.stats.d_b):
+            raise ConsistencyError(
+                f"map shape {w.shape} != (d_a, d_b) = ({self.stats.d_a}, {self.stats.d_b})"
+            )
         if not np.all(np.isfinite(w)):
             raise DataError("non-finite map entries")
         if self.method not in METHODS:
             raise ConsistencyError(f"unknown method {self.method!r}")
         if self.method == "procrustes":
-            dev = np.linalg.norm(w.T @ w - np.eye(w.shape[0]))
-            if dev > 1e-8:
-                raise ConsistencyError(f"orthogonality violated: ||W^T W - I|| = {dev:g}")
+            _check_orthonormal(w)
         if self.method != "ridge" and self.alpha != 0.0:
             raise ConsistencyError("alpha must be 0 unless method is ridge")
 
@@ -239,38 +257,71 @@ def fit_seed(x, y, labels, method: str, alpha: float, fraction: float, seed: int
 
 
 def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):
-    """Source and target unit rows in one D-wide space, as they are scored.
+    """Source and target sides as they are scored, each a ``(rows, norm_rows)`` pair.
 
-    Both sides are centered with the map's training means and zero-padded
-    to D; the source rows then go through W.  Without a map this is the
-    unaligned baseline: zero means and no W, so the rows are only padded
-    (subtracting 0.0 leaves every value as it was, -0.0 included).
+    ``rows`` are the k columns the two sides share; the cosine of a source
+    and a target row is their dot product over the norms of the matching
+    ``norm_rows`` (module docstring).  With a map, both sides are centered
+    with its training means and the source rows go through W, k = d_b;
+    ``norm_rows`` are ``rows``, except the centered source rows of a
+    procrustes map with d_a > d_b.  Without a map this is the unaligned
+    baseline: the rows as they are (-0.0 included), each side's first
+    k = min(d_a, d_b) columns scored and its full rows giving the norms.
     """
     if amap is None:
-        d_a, d_b = x.shape[1], y.shape[1]
-        stats = PrepStats(np.zeros(d_a), np.zeros(d_b), d_a, d_b, max(d_a, d_b), 0)
-        return apply_prep(x, stats, "source"), apply_prep(y, stats, "target")
-    return apply_prep(x, amap.stats, "source") @ amap.w, apply_prep(y, amap.stats, "target")
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        k = min(x.shape[1], y.shape[1])
+        return (x[:, :k], x), (y[:, :k], y)
+    xc, yc = center(x, amap.stats, "source"), center(y, amap.stats, "target")
+    mapped = xc @ amap.w
+    # an orthogonal D x D map keeps the norm of a source row wider than the target
+    kept = amap.method == "procrustes" and amap.stats.d_a > amap.stats.d_b
+    return (mapped, xc if kept else mapped), (yc, yc)
 
 
 def transform(rows: np.ndarray, amap: AlignmentMap) -> np.ndarray:
-    """Normalize source rows and project them with ``amap`` (no target rows)."""
-    return project(l2_normalize(rows), np.empty((0, amap.stats.d_b)), amap)[0]
+    """Normalize source rows and map them into the target's d_b-wide space.
+
+    The result is ``amap``'s centered source rows times its d_a x d_b map,
+    the source rows :func:`project` scores.
+    """
+    (mapped, _), _ = project(l2_normalize(rows), np.empty((0, amap.stats.d_b)), amap)
+    return mapped
 
 
 def training_residual(amap: AlignmentMap, x_tr: np.ndarray, y_tr: np.ndarray) -> float:
-    """Frobenius residual ||x_tr W - y_tr||_F on preprocessed training data."""
+    """Frobenius residual ||x_tr W - y_tr||_F on centered n x d_a and n x d_b training rows."""
     x_tr, y_tr = _check_train(x_tr, y_tr)
-    if x_tr.shape[1] != amap.stats.big_d or y_tr.shape[1] != amap.stats.big_d:
-        raise ConsistencyError("training data width does not match the map")
+    if x_tr.shape[1] != amap.stats.d_a or y_tr.shape[1] != amap.stats.d_b:
+        raise ConsistencyError("training data widths do not match the map")
     return float(np.linalg.norm(x_tr @ amap.w - y_tr))
 
 
+def _stored_map(amap: AlignmentMap) -> np.ndarray:
+    """The D x D map a file stores, ``amap.w`` as its leading d_a x d_b block.
+
+    Linear and ridge maps get zero rows and columns.  A procrustes map gets
+    an orthonormal completion from a complete QR, so the stored map is
+    orthogonal as well.
+    """
+    w, big_d = amap.w, amap.stats.big_d
+    if amap.method != "procrustes":
+        return zero_pad(w, (big_d, big_d))
+    tall = w if w.shape[0] >= w.shape[1] else w.T
+    q = np.linalg.qr(tall, mode="complete")[0]
+    full = np.hstack([tall, q[:, tall.shape[1]:]])
+    return full if tall is w else full.T
+
+
 def save_map(amap: AlignmentMap, path: str) -> None:
-    """Write map file: one JSON header line, then float64 LE blocks."""
+    """Write map file: one JSON header line, then float64 LE blocks.
+
+    The map block is D x D (:func:`_stored_map`), as in every file of
+    format version 1.
+    """
     mu_x = np.ascontiguousarray(amap.stats.mu_x, dtype="<f8").tobytes()
     mu_y = np.ascontiguousarray(amap.stats.mu_y, dtype="<f8").tobytes()
-    w = np.ascontiguousarray(amap.w, dtype="<f8").tobytes()
+    w = np.ascontiguousarray(_stored_map(amap), dtype="<f8").tobytes()
     header = {
         "format_version": _MAP_FORMAT_VERSION,
         "method": amap.method,
@@ -371,7 +422,13 @@ def _map_header(blob: bytes, path: str) -> dict:
 
 
 def load_map(path: str) -> AlignmentMap:
-    """Inverse of :func:`save_map`; a malformed file raises ``FormatError``."""
+    """Inverse of :func:`save_map`; a malformed file raises ``FormatError``.
+
+    The stored D x D map of a procrustes file must be orthogonal
+    (``ConsistencyError`` otherwise), and that of a linear or ridge file
+    zero outside its leading d_a x d_b block.  The returned map is that
+    block.
+    """
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -394,9 +451,13 @@ def load_map(path: str) -> AlignmentMap:
         big_d=big_d,
         n_train=header["n_train"],
     )
-    w = block("w", big_d * big_d).reshape(big_d, big_d)
+    stored = block("w", big_d * big_d).reshape(big_d, big_d)
+    if header["method"] == "procrustes":
+        _check_orthonormal(stored)
+    elif np.any(stored[d_a:]) or np.any(stored[:, d_b:]):
+        raise FormatError(f"{path}: nonzero entries outside the d_a x d_b block of the map")
     return AlignmentMap(
-        w=w,
+        w=np.array(stored[:d_a, :d_b]),
         stats=stats,
         method=header["method"],
         alpha=header["alpha"],

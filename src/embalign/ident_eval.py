@@ -3,8 +3,11 @@
 The evaluation protocol per seed: split identities disjointly, fit the
 preprocessing and the alignment map on training rows only, use aligned
 test-source rows as queries against preprocessed test-target rows as the
-gallery.  The unaligned baseline is scored on the same test rows: prep
-with zero means and no map, so its rows are unit-normalized and padded.
+gallery.  The unaligned baseline is scored on the same test rows, with
+no means and no map.  Both are scored in the models' own shapes
+(:func:`align.project`): over the k columns the sides share, each row
+over the norm of its norm row, which for the baseline's wider side and
+for procrustes maps with d_a > d_b is the full, wider row.
 
 Ranking.  Rank-k, mAP and CMC all derive from one rank kernel.  For a
 query with score row s, gallery item j has the 1-based rank
@@ -16,12 +19,14 @@ exclude-self protocol removes each query's own image this way).  NaN
 and +inf scores are rejected with ``DataError``.
 
 The kernel computes the ranks of the relevant items only (same label,
-scored above -inf).  It sorts the score values of each row once, and a
-binary search of the sorted row counts the entries ``<= s[j]``, which
-gives the rank of an item whose score is unique in its row.  Only a row
-that holds a relevant item tied with another entry is also ordered in
-full, by numpy's stable argsort of its negated scores, and the tied
-items read their ranks from that order.
+scored above -inf).  It groups the gallery by label once per evaluation
+(a stable argsort of the label codes), and each block reads its relevant
+items from the groups of its queries' labels.  It sorts the score values
+of each row once, and a binary search of the sorted row counts the
+entries ``<= s[j]``, which gives the rank of an item whose score is
+unique in its row.  Only a row that holds a relevant item tied with
+another entry is also ordered in full, by numpy's stable argsort of its
+negated scores, and the tied items read their ranks from that order.
 
 Memory.  Evaluation never holds the n_q x n_gallery score matrix.  It
 normalizes both sides once, scores the queries in row chunks of at
@@ -67,16 +72,22 @@ def _block_rows(n_g):
     return max(1, _CELL_BUDGET // n_g)
 
 
-def _unit_matrix(rows, name):
+def _unit_matrix(side, name):
+    """Unit rows of a ``(rows, norm_rows)`` side: each row over its norm row's norm."""
+    rows, norm_rows = side
+    own = norm_rows is rows
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ConsistencyError(f"{name} must be a 2-D array of rows, got shape {rows.shape}")
-    return _unit_rows(rows)
+    return _unit_rows(rows, None if own else np.asarray(norm_rows, dtype=np.float64))
 
 
 def _score_chunks(queries, gallery):
     """Cosine scores of the queries against the gallery, lazily, as ``(start, block)``.
 
+    ``queries`` and ``gallery`` are ``(rows, norm_rows)`` sides as
+    :func:`align.project` gives them: the dot products are over ``rows``
+    and the cosine denominators are the norms of ``norm_rows``.
     ``block`` holds the scores of queries ``start, start + 1, ...``: all
     of them when the whole score matrix fits in ``_SCORE_BUDGET``
     entries, else a whole number of rank blocks per chunk, as many as
@@ -97,16 +108,21 @@ def _score_chunks(queries, gallery):
     return ((start, qn[start:start + rows] @ gn.T) for start in range(0, n_q, rows))
 
 
-def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities, queries x gallery.
-
-    Filled from the chunks the evaluation ranks, so it has their bits.
-    """
+def _score_sides(queries, gallery):
+    """The whole score matrix of two ``(rows, norm_rows)`` sides, filled from the chunks."""
     chunks = _score_chunks(queries, gallery)
-    scores = np.empty((len(queries), len(gallery)))
+    scores = np.empty((len(queries[0]), len(gallery[0])))
     for start, block in chunks:
         scores[start:start + len(block)] = block
     return scores
+
+
+def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities, queries x gallery, rows of one width.
+
+    Filled from the chunks the evaluation ranks, so it has their bits.
+    """
+    return _score_sides((queries, queries), (gallery, gallery))
 
 
 def _label_codes(q_labels, g_labels, shape):
@@ -145,15 +161,14 @@ def _mean(values) -> float:
     return float(values.mean())
 
 
-def _relevant_ranks(block, rows, cols):
-    """Rank (module docstring) of each item ``block[rows, cols]`` in its row.
+def _relevant_ranks(block, rows, cols, v):
+    """Rank (module docstring) of each item ``block[rows, cols]``, of score ``v``, in its row.
 
     ``#{entries <= v}`` comes from a bisection over the value-sorted rows;
     an item tied with another entry of its row takes its rank from the
     stable order of that row instead.
     """
     n_g = block.shape[1]
-    v = block[rows, cols]
     srt = np.sort(block, axis=1).ravel()
     # branchless upper bound over rows of one length: entries <= v lie
     # before lo + n, and the search window n halves each pass
@@ -201,6 +216,11 @@ def _ranked(chunks, q_codes, g_codes, exclude_self=False, with_ap=False):
     if n_g == 0:
         return first, aps  # nothing to rank
     step = _block_rows(n_g)
+    # the gallery grouped by label once: the items of code c, ascending, are
+    # items[starts[c]:starts[c] + counts[c]]
+    counts = np.bincount(g_codes, minlength=max(q_codes.max(initial=0), g_codes.max()) + 1)
+    starts = np.cumsum(counts) - counts
+    items = np.argsort(g_codes, kind="stable")
     for start, chunk in chunks:
         _check_finite(chunk)
         for lo in range(start, start + len(chunk), step):
@@ -209,10 +229,19 @@ def _ranked(chunks, q_codes, g_codes, exclude_self=False, with_ap=False):
             if exclude_self:
                 block = block.copy()
                 block[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
-            rows, cols = np.nonzero((q_codes[lo:hi, None] == g_codes) & (block > -np.inf))
+            # the same-label items of each row, row-major with ascending columns
+            codes = q_codes[lo:hi]
+            per_row = counts[codes]
+            row_first = np.cumsum(per_row) - per_row  # index of each row's first pair
+            rows = np.repeat(np.arange(hi - lo), per_row)
+            cols = items[np.repeat(starts[codes] - row_first, per_row) + np.arange(rows.size)]
+            v = block[rows, cols]
+            live = v > -np.inf
+            if not live.all():
+                rows, cols, v = rows[live], cols[live], v[live]
             # rows come sorted, so one integer sort orders the ranks within each row
             offset = rows * (n_g + 1)
-            key = offset + _relevant_ranks(block, rows, cols)
+            key = offset + _relevant_ranks(block, rows, cols, v)
             key.sort()
             ranks = key - offset
             n_rel = np.bincount(rows, minlength=hi - lo)
@@ -382,9 +411,12 @@ def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_sel
 
 
 def _metrics_from_rows(queries, gallery, q_labels, g_labels, max_rank, seed, exclude_self):
-    """:func:`_metrics_from_scores` of ``score_matrix(queries, gallery)``, chunk by chunk."""
+    """:func:`_metrics_from_scores` of the scores of two ``(rows, norm_rows)`` sides.
+
+    The scores are those :func:`_score_chunks` gives, ranked chunk by chunk.
+    """
     chunks = _score_chunks(queries, gallery)
-    codes = _label_codes(q_labels, g_labels, (len(queries), len(gallery)))
+    codes = _label_codes(q_labels, g_labels, (len(queries[0]), len(gallery[0])))
     return _seed_metrics(chunks, *codes, max_rank, seed, exclude_self)
 
 

@@ -5,8 +5,12 @@ through the alignment map, the target member stays in its own space.  A
 symmetric mode averages the two directions.
 
 Pair scoring gathers the rows of a block of at most ``_PAIR_BLOCK`` pairs
-at a time, so its temporaries hold block x D values whatever the number
-of pairs.  Each dot product goes through BLAS ``ddot``, as ``u @ v`` and
+at a time, so its temporaries hold block x k values whatever the number
+of pairs.  The evaluation scores each side in the models' own shapes
+(:func:`align.project`): the k columns the two sides share, with each
+row's norm taken over its norm row, which is wider than k for the
+unaligned baseline's wider side and for procrustes maps with d_a > d_b.
+Each dot product goes through BLAS ``ddot``, as ``u @ v`` and
 ``np.linalg.norm(u)`` do, so every score has the same bits as the
 one-pair-at-a-time expression ``u @ v / (norm(u) * norm(v))``.
 
@@ -291,10 +295,11 @@ def _seed_metrics(scores, labels, seed):
 def _eval_sides(x, y, amap):
     """Aligned queries and gallery, then the unaligned baseline pair.
 
-    Each side comes with its row norms, which every seed's pairs share.
+    Each side is its scored rows from :func:`align.project` with the norms
+    of its norm rows, the cosine denominators every seed's pairs share.
     """
     sides = (*align.project(x, y, amap), *align.project(x, y))
-    return tuple((rows, _row_norms(rows)) for rows in sides)
+    return tuple((rows, _row_norms(norm_rows)) for rows, norm_rows in sides)
 
 
 def _score_seed(sides, pairs, symmetric, seed):

@@ -24,7 +24,8 @@ from embalign import (
 from embalign import ident_eval, intersect_on_images, verif_eval
 from embalign.align import DEFAULT_RIDGE_ALPHA, PINV_RTOL, fit_alignment, fit_map, project
 from embalign.errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
-from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize
+from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize, zero_pad
+from embalign.splits import identity_disjoint_split, sample_pairs_capped
 
 from conftest import random_orthogonal
 
@@ -200,24 +201,25 @@ def test_native_fits_equal_padded_fits(relation, n, d, extra, alpha, seed):
     stats = fit_prep(x, y)
     xc, yc = center(x, stats, "source"), center(y, stats, "target")
     xp, yp = apply_prep(x, stats, "source"), apply_prep(y, stats, "target")
-    big_d = max(d_a, d_b)
 
-    w, expected = fit_map(xc, yc, "procrustes"), fit_procrustes(xp, yp)
-    if min(d_a, d_b) > 1:
-        assert np.array_equal(w, expected)  # both cross-covariances come from one gemm kernel
-    else:
-        # numpy multiplies a 1-wide side by gemv, which rounds its sums apart from
-        # gemm's; only the block that reaches the scores is unique
-        assert np.allclose(w[:d_a, :d_b], expected[:d_a, :d_b], rtol=0.0, atol=1e-12)
+    w = fit_map(xc, yc, "procrustes")
+    assert w.shape == (d_a, d_b)
     AlignmentMap(w, stats, "procrustes")
+    s = np.linalg.svd(xc.T @ yc, compute_uv=False)
+    if s[-1] > 1e-2 * s[0]:
+        # a full-rank cross-covariance has one orthogonal factor: the leading
+        # block of the padded fit's
+        assert np.allclose(w, fit_procrustes(xp, yp)[:d_a, :d_b], rtol=0.0, atol=1e-12)
 
     for method, oracle in (("linear", pinv_oracle(xp, yp)),
                            ("ridge", padded_ridge_oracle(xp, yp, alpha))):
         w = fit_map(xc, yc, method, alpha)
-        assert w.shape == (big_d, big_d)
+        assert w.shape == (d_a, d_b)
         scale = max(1.0, np.abs(oracle).max())
-        assert np.allclose(w, oracle, rtol=1e-7, atol=1e-9 * scale), method
-        assert np.all(w[d_a:] == 0.0) and np.all(w[:, d_b:] == 0.0)
+        assert np.allclose(w, oracle[:d_a, :d_b], rtol=1e-7, atol=1e-9 * scale), method
+        # the padded fit puts nothing outside the block the native fit returns
+        assert np.allclose(oracle[d_a:], 0.0, atol=1e-9 * scale), method
+        assert np.allclose(oracle[:, d_b:], 0.0, atol=1e-9 * scale), method
         AlignmentMap(w, stats, method, alpha=alpha if method == "ridge" else 0.0)
 
 
@@ -235,7 +237,7 @@ def test_linear_fit_holds_no_padded_or_n_by_d_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert amap.w.shape == (big_d, big_d)
+    assert amap.w.shape == (d_a, d_b)
     assert peak <= (n * (d_a + d_b) + 4 * big_d**2) * 8 + 2**20
 
 
@@ -351,11 +353,116 @@ def test_project_without_map_is_old_padding(d_a, d_b):
     y = rng.standard_normal((6, d_b))
     x[0, 0] = y[1, 2] = -0.0
     x[3, 1] = y[4, 0] = 0.0
-    queries, gallery = project(x, y)
+    (queries, q_norm_rows), (gallery, g_norm_rows) = project(x, y)
+    k = min(d_a, d_b)
+    # the rows as they are, each side's first k columns scored over its full rows' norms
+    assert queries.tobytes() == np.ascontiguousarray(x[:, :k]).tobytes()
+    assert gallery.tobytes() == np.ascontiguousarray(y[:, :k]).tobytes()
+    assert q_norm_rows is x and g_norm_rows is y
+    assert np.signbit(x[0, 0]) and np.signbit(y[1, 2])
+    # the scores of the rows zero-padded to D
     big_d = max(d_a, d_b)
-    assert queries.tobytes() == old_pad(x, big_d).tobytes()
-    assert gallery.tobytes() == old_pad(y, big_d).tobytes()
-    assert np.signbit(queries[0, 0]) and np.signbit(gallery[1, 2])
+    padded = ident_eval.score_matrix(old_pad(x, big_d), old_pad(y, big_d))
+    assert np.abs(ident_eval._score_sides(*project(x, y)) - padded).max() <= 1e-12
+
+
+# --- scoring in the models' own shapes against the padded D-wide evaluation ---
+
+WIDTHS = [(6, 11), (8, 8), (11, 6)]  # d_a < d_b, d_a = d_b, d_a > d_b
+
+
+def padded_sides(x, y, amap, split):
+    """Test rows of ``split`` as the D-wide evaluation scored them: aligned, then baseline.
+
+    Both sides are zero-padded to D.  The aligned source rows go through the
+    D x D map of that evaluation: the linear or ridge map zero-padded, or the
+    orthogonal factor of the full SVD of the padded cross-covariance.
+    """
+    big_d, s = amap.stats.big_d, amap.stats
+    tr, te = list(split.train_rows), list(split.test_rows)
+    if amap.method == "procrustes":
+        w = fit_procrustes(apply_prep(x[tr], s, "source"), apply_prep(y[tr], s, "target"))
+    else:
+        w = zero_pad(amap.w, (big_d, big_d))
+    aligned = (apply_prep(x[te], s, "source") @ w, apply_prep(y[te], s, "target"))
+    return aligned, (old_pad(x[te], big_d), old_pad(y[te], big_d))
+
+
+@pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
+@pytest.mark.parametrize("d_a, d_b", WIDTHS)
+def test_native_scores_equal_padded_scores(d_a, d_b, method):
+    rng = np.random.default_rng(d_a * 100 + d_b)
+    n = 200
+    labels = [f"p{i % 40}" for i in range(n)]
+    z = rng.standard_normal((40, 12))[np.arange(n) % 40] + 0.3 * rng.standard_normal((n, 12))
+    x = l2_normalize(z[:, :d_a] + 0.1 * rng.standard_normal((n, d_a)))
+    y = l2_normalize(z[:, -d_b:] + 0.1 * rng.standard_normal((n, d_b)))
+    split = identity_disjoint_split(labels, 0.6, 0)
+    amap = align.fit_split(x, y, split, method, 0.1)
+    te = list(split.test_rows)
+    test_labels = [labels[i] for i in te]
+    pairs = sample_pairs_capped(test_labels, 150, 150, 0)
+    native = (project(x[te], y[te], amap), project(x[te], y[te]))
+    sides = verif_eval._eval_sides(x[te], y[te], amap)
+    for kind, padded, ours, pair_sides in zip(
+        ("aligned", "baseline"), padded_sides(x, y, amap, split), native,
+        (sides[:2], sides[2:]),
+    ):
+        # identification: every score, then every metric of the tie-free scores
+        want = ident_eval.score_matrix(*padded)
+        assert np.abs(ident_eval._score_sides(*ours) - want).max() <= 1e-12, kind
+        flat = np.sort(want.ravel())
+        assert np.diff(flat).min() > 1e-9  # tie-free: rounding cannot reorder the scores
+        args = (test_labels, test_labels, 20, 0, False)
+        assert ident_eval._metrics_from_rows(*ours, *args) == (
+            ident_eval._metrics_from_scores(want, *args)), kind
+        # verification: every pair score, then the metrics of the pairs
+        want_pairs, genuine = verif_eval.pair_scores(*padded, pairs)
+        got_pairs, _ = verif_eval._score_pairs(*pair_sides, pairs, False)
+        assert np.abs(got_pairs - np.array(want_pairs)).max() <= 1e-12, kind
+        assert verif_eval._seed_metrics(got_pairs, np.array(genuine), 0) == (
+            verif_eval._seed_metrics(np.array(want_pairs), np.array(genuine), 0)), kind
+
+
+@pytest.mark.parametrize("n, d_a, d_b", [(300, 16, 40), (300, 40, 16), (300, 24, 24),
+                                         (3000, 512, 256)])
+def test_thin_procrustes_is_the_padded_block(n, d_a, d_b):
+    rng = np.random.default_rng(d_a + d_b)
+    xc = rng.standard_normal((n, d_a))
+    yc = xc[:, :min(d_a, d_b)] @ rng.standard_normal((min(d_a, d_b), d_b))
+    yc += rng.standard_normal((n, d_b))
+    big_d = max(d_a, d_b)
+    w = fit_map(xc, yc, "procrustes")
+    assert w.shape == (d_a, d_b)
+    full = fit_procrustes(old_pad(xc, big_d), old_pad(yc, big_d))
+    assert np.abs(w - full[:d_a, :d_b]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d_a, d_b", [(5, 3), (3, 5)])
+def test_alignment_map_checks_the_smaller_gram(d_a, d_b):
+    rng = np.random.default_rng(d_a)
+    stats = PrepStats(np.zeros(d_a), np.zeros(d_b), d_a, d_b, max(d_a, d_b), 1)
+    tall = random_orthogonal(max(d_a, d_b), rng)[:, :min(d_a, d_b)]
+    block = tall if d_a > d_b else tall.T
+    AlignmentMap(block, stats, "procrustes")  # orthonormal columns, or rows
+    for bad in (1.001 * block, block + 1e-3 * rng.standard_normal(block.shape)):
+        with pytest.raises(ConsistencyError, match="orthogonality"):
+            AlignmentMap(bad, stats, "procrustes")
+    with pytest.raises(ConsistencyError, match="map shape"):
+        AlignmentMap(zero_pad(block, (max(d_a, d_b),) * 2), stats, "procrustes")
+
+
+@pytest.mark.parametrize("d_a, d_b", [(7, 4), (4, 7), (5, 5)])
+def test_transform_and_residual_take_native_widths(d_a, d_b):
+    for method in ("procrustes", "linear", "ridge"):
+        x, y, amap = _fit_pair(d_a, d_b, method)
+        out = transform(x[60:] * 3.0, amap)  # rows are normalized first
+        assert out.shape == (20, d_b)
+        assert np.array_equal(out, project(l2_normalize(x[60:] * 3.0), y[60:], amap)[0][0])
+        xc, yc = center(x[:60], amap.stats, "source"), center(y[:60], amap.stats, "target")
+        assert training_residual(amap, xc, yc) == np.linalg.norm(xc @ amap.w - yc)
+        with pytest.raises(ConsistencyError, match="widths"):
+            training_residual(amap, old_pad(xc, d_a + 1), yc)
 
 
 def test_transform_equals_the_scored_queries(small_views, monkeypatch):
@@ -370,7 +477,7 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
     monkeypatch.setattr(ident_eval, "_score_chunks",
                         lambda q, g: scored.append(q) or real_score(q, g))
     evaluate_identification(v0, v1, "ridge", seeds=(0,))
-    assert scored[0].tobytes() == expected  # scored[1] holds the baseline queries
+    assert scored[0][0].tobytes() == expected  # scored[1] holds the baseline queries
 
     sides = []
     real_sides = verif_eval._eval_sides
@@ -410,16 +517,17 @@ def test_reversed_procrustes_map_is_the_transposed_map(d_a, d_b):
         "procrustes", 0.0, "b", "a", 3)
     # it passes the orthogonality check of a procrustes map
     AlignmentMap(rev.w, rev.stats, "procrustes")
-    assert np.linalg.norm(rev.w.T @ rev.w - np.eye(max(d_a, d_b))) <= 1e-8
+    assert rev.w.shape == (d_b, d_a)
+    gram = rev.w.T @ rev.w if d_b >= d_a else rev.w @ rev.w.T
+    assert np.linalg.norm(gram - np.eye(min(d_a, d_b))) <= 1e-8
 
-    # a fit from y to x on the same rows: the same means, and the same map where
-    # it is unique (the zero-padded block of unequal widths is not; the scores are)
+    # a fit from y to x on the same rows: the same means, and the same map, which
+    # is unique for a full-rank cross-covariance; and so the same scores
     direct = fit_alignment(y, x, "procrustes", rows=list(range(60)))
     assert np.array_equal(direct.stats.mu_x, rev.stats.mu_x)
     assert np.array_equal(direct.stats.mu_y, rev.stats.mu_y)
-    if d_a == d_b:
-        assert np.abs(rev.w - direct.w).max() <= 1e-12
-    scores = [ident_eval.score_matrix(*project(y[60:], x[60:], m)) for m in (rev, direct)]
+    assert np.abs(rev.w - direct.w).max() <= 1e-12
+    scores = [ident_eval._score_sides(*project(y[60:], x[60:], m)) for m in (rev, direct)]
     assert np.abs(scores[0] - scores[1]).max() <= 1e-12
 
     twice = rev.reversed()
@@ -441,7 +549,7 @@ def test_map_file_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 4, 6, 6, 33)
     amap = AlignmentMap(
-        rng.standard_normal((6, 6)), stats, "ridge", alpha=0.1,
+        rng.standard_normal((4, 6)), stats, "ridge", alpha=0.1,
         source_model="a", target_model="b", seed=3,
     )
     path = str(tmp_path / "m.amap")
@@ -454,13 +562,68 @@ def test_map_file_round_trip(tmp_path):
     assert loaded.stats.n_train == 33 and loaded.seed == 3
 
 
+def stored_block(path):
+    """The D x D map block of a map file, as stored."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    header = json.loads(blob[:blob.index(b"\n")])
+    big_d = header["D"]
+    return np.frombuffer(blob, "<f8", big_d * big_d, header["offset_w"]).reshape(big_d, big_d)
+
+
+@pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
+@pytest.mark.parametrize("d_a, d_b", [(4, 9), (6, 6), (9, 4)])
+def test_map_file_round_trip_native_block(tmp_path, d_a, d_b, method):
+    _, _, amap = _fit_pair(d_a, d_b, method, source_model="a", target_model="b", seed=2)
+    path = str(tmp_path / "m.amap")
+    save_map(amap, path)
+    stored = stored_block(path)
+    big_d = max(d_a, d_b)
+    assert stored.shape == (big_d, big_d)
+    assert stored[:d_a, :d_b].tobytes() == amap.w.tobytes()
+    if method == "procrustes":
+        # an orthonormal completion: the stored map is orthogonal
+        assert np.abs(stored.T @ stored - np.eye(big_d)).max() <= 1e-12
+    else:
+        assert not stored[d_a:].any() and not stored[:, d_b:].any()
+    loaded = load_map(path)
+    assert loaded.w.tobytes() == amap.w.tobytes()
+    assert loaded.stats.mu_x.tobytes() == amap.stats.mu_x.tobytes()
+    assert loaded.stats.mu_y.tobytes() == amap.stats.mu_y.tobytes()
+    assert (loaded.method, loaded.alpha, loaded.seed, loaded.stats.n_train) == (
+        method, amap.alpha, 2, 60)
+    assert (loaded.source_model, loaded.target_model) == ("a", "b")
+
+
+def test_load_map_checks_the_stored_block(tmp_path):
+    # a linear map with a nonzero entry outside its d_a x d_b block
+    blob, header, _ = saved_map_blob(tmp_path)
+    at = header["offset_w"] + 8 * (4 * 6 + 1)  # row 4, column 1 of the 6 x 6 block
+    bad = blob[:at] + np.array([0.5]).tobytes() + blob[at + 8:]
+    with pytest.raises(FormatError, match="outside"):
+        load_bytes(tmp_path, bad)
+    # a procrustes map whose leading block is orthonormal but the stored map is not
+    _, _, amap = _fit_pair(6, 4, "procrustes")
+    path = str(tmp_path / "p.amap")
+    save_map(amap, path)
+    with open(path, "rb") as f:
+        blob = f.read()
+    header = json.loads(blob[:blob.index(b"\n")])
+    stored = stored_block(path).copy()
+    stored[:, 4:] *= 2.0
+    at = header["offset_w"]
+    bad = blob[:at] + stored.astype("<f8").tobytes() + blob[at + stored.nbytes:]
+    with pytest.raises(ConsistencyError, match="orthogonality"):
+        load_bytes(tmp_path, bad)
+
+
 # --- map file header validation -------------------------------------------
 
 def saved_map_blob(tmp_path):
     """Bytes of a valid ridge map file with d_a=4, d_b=6 and its header."""
     rng = np.random.default_rng(13)
     stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 4, 6, 6, 33)
-    amap = AlignmentMap(rng.standard_normal((6, 6)), stats, "ridge", alpha=0.1, seed=3)
+    amap = AlignmentMap(rng.standard_normal((4, 6)), stats, "ridge", alpha=0.1, seed=3)
     path = str(tmp_path / "valid.amap")
     save_map(amap, path)
     with open(path, "rb") as f:

@@ -521,8 +521,9 @@ def test_empty_gallery():
 # score matrix is filled from the same chunks and ranked as one.  Small
 # budgets give chunks of one or several rank blocks, the last one short.
 
-@pytest.mark.parametrize("scorer", [score_matrix, ident_eval._score_chunks],
-                         ids=["score_matrix", "_score_chunks"])
+@pytest.mark.parametrize("scorer", [
+    score_matrix, lambda q, g: ident_eval._score_chunks((q, q), (g, g)),
+], ids=["score_matrix", "_score_chunks"])
 @pytest.mark.parametrize("queries, gallery", [
     (np.ones(3), np.ones((2, 3))),
     (np.ones((2, 3)), np.ones((2, 2, 3))),
@@ -540,7 +541,7 @@ ZERO_QUERIES = {
     "_rank1": lambda s, g: ident_eval._rank1(s, [], g),
     "_metrics_from_scores": lambda s, g: _metrics_from_scores(s, [], g, 2, 0, False),
     "_metrics_from_rows": lambda s, g: ident_eval._metrics_from_rows(
-        np.zeros((0, 3)), np.eye(3), [], g, 2, 0, False),
+        (np.zeros((0, 3)),) * 2, (np.eye(3),) * 2, [], g, 2, 0, False),
 }
 
 
@@ -586,7 +587,8 @@ def test_metrics_from_rows_equal_metrics_of_score_matrix(case, cell_budget, scor
     args = (q_labels, g_labels, max_rank, 5, exclude_self)
     with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
             mock.patch.object(ident_eval, "_SCORE_BUDGET", score_budget):
-        got = outcome(ident_eval._metrics_from_rows, queries, gallery, *args)
+        got = outcome(ident_eval._metrics_from_rows, (queries, queries), (gallery, gallery),
+                      *args)
         scores = score_matrix(queries, gallery)
         want = outcome(_metrics_from_scores, scores, *args)
     assert got == want
@@ -621,7 +623,7 @@ def test_aligned_rank1_equals_rank1_of_score_matrix(case, method, cell_budget, s
 
     def from_matrix():
         amap = align.fit_alignment(x, y, method, 0.1, rows=list(split.train_rows))
-        scores = score_matrix(*align.project(x[test], y[test], amap))
+        scores = ident_eval._score_sides(*align.project(x[test], y[test], amap))
         return ident_eval._rank1(scores, test_labels, test_labels)
 
     with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
@@ -751,15 +753,18 @@ def test_evaluation_from_rows_holds_no_score_matrix(exclude_self):
     rng = np.random.default_rng(9)
     n, dim = 4000, 64
     queries, gallery = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
-    labels = [f"p{i % 400}" for i in rng.permutation(n)]
-    # the unit rows twice over, and three chunks; the 4000 x 4000 scores are 128 MB
-    bound = 2 * (2 * n) * dim * 8 + 3 * ident_eval._SCORE_BUDGET * 8
-    tracemalloc.start()
-    try:
-        ident_eval._metrics_from_rows(
-            queries, gallery, labels, labels, ident_eval.CMC_MAX_RANK, 0, exclude_self
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    # 400 labels, and 2 labels, where the relevant items number half the 16M scores
+    for n_labels in (400, 2):
+        labels = [f"p{i % n_labels}" for i in rng.permutation(n)]
+        # the unit rows twice over, and three chunks; the 4000 x 4000 scores are 128 MB
+        bound = 2 * (2 * n) * dim * 8 + 3 * ident_eval._SCORE_BUDGET * 8
+        tracemalloc.start()
+        try:
+            ident_eval._metrics_from_rows(
+                (queries, queries), (gallery, gallery), labels, labels,
+                ident_eval.CMC_MAX_RANK, 0, exclude_self,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, n_labels

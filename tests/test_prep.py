@@ -108,6 +108,24 @@ def test_normalize_equals_former_expression(rows, block):
     assert rows.tobytes() == before.tobytes()  # the caller's rows are not divided in place
 
 
+@given(mixed_scale_rows(), st.integers(1, 9), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_unit_rows_over_norm_rows_are_the_leading_columns_of_unit_rows(rows, k, block):
+    # the scorers' unaligned baseline: a side's first k columns over its full rows' norms
+    rows = rows.astype(np.float64)
+    k = min(k, rows.shape[1])
+    try:
+        want = np.ascontiguousarray(l2_normalize(rows)[:, :k])
+    except DegenerateRowError as exc:
+        with pytest.raises(DegenerateRowError) as got:
+            prep._unit_rows(rows[:, :k], rows)
+        assert got.value.row_index == exc.row_index
+        return
+    with mock.patch.object(prep, "_NORM_BLOCK", block):
+        got = prep._unit_rows(rows[:, :k], rows)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_normalize_blocks_keep_the_norm_bits_at_full_size():
     rows = np.random.default_rng(6).standard_normal((700, 512)).astype(np.float32)
     assert 700 * 512 > 4 * prep._NORM_BLOCK

@@ -93,7 +93,8 @@ def commands(manifest):
          "--seeds", "0", "--out-dir", "sweep_ident"],
         ["sweep", *demo, "--methods", "ridge", "--alpha", "0.3", "--fractions", "0.5,1.0",
          "--seeds", "0,1,2", "--out-dir", "sweep_ridge"],
-        # the narrower model as source: zero rows in its map, padded source rows in scoring
+        # the narrower model as source (d_a < d_b): the baseline scores the first d_a
+        # target columns over the norms of the full target rows
         ["eval-id", *_pair(ident, swap=True), "--method", "linear", "--seeds", "0",
          "--out-dir", "eval_id_narrow_source"],
         ["eval-verif", *_pair(ident, swap=True), "--method", "ridge", "--seeds", "0",
