@@ -39,12 +39,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .embedstore import EmbeddingSet, shared_rows
 from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
-from .prep import PrepStats, center, fit_prep, l2_normalize, zero_pad
+from .prep import PrepStats, center, l2_normalize, zero_pad
 from .reports import atomic_write
 from .splits import identity_disjoint_split
 
@@ -225,29 +226,83 @@ def unit_pair(source: EmbeddingSet, target: EmbeddingSet):
     return [source.labels[i] for i in ra], l2_normalize(a), l2_normalize(b)
 
 
-def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=None, **meta):
-    """Fit the preprocessing and a map on unit-normalized training rows.
+class Side(NamedTuple):
+    """One model's rows of a split as maps are fit and scored.
 
-    ``rows`` selects the training rows of ``x`` and ``y`` (default: all).
-    Each step takes its own copy of them, so no copy outlives its step
-    and the map is fit with only the centered rows held, each at its
-    model's own width.  ``meta`` fills the descriptive fields of the
-    returned :class:`AlignmentMap` (``source_model``, ``target_model``,
-    ``seed``).
+    ``train`` and ``test`` are the model's unit rows of the split's train
+    and test rows, each centered with ``mean``, the column mean of the
+    unit train rows (``test`` is ``None`` when no test rows were asked for).
     """
-    tr = slice(None) if rows is None else rows
-    stats = fit_prep(x[tr], y[tr])
-    w = fit_map(center(x[tr], stats, "source"), center(y[tr], stats, "target"), method, alpha)
+
+    train: np.ndarray
+    test: np.ndarray | None
+    mean: np.ndarray
+
+
+def prepare_side(rows, train=None, test=None, normalize=False) -> Side:
+    """Gather one model's train and test rows and center them with the train mean.
+
+    ``train`` and ``test`` index rows of ``rows`` (``train=None``: every
+    row; ``test=None``: no test rows).  Each part is gathered into one
+    new float64 array and centered in place; ``rows`` themselves are
+    never written (all of float64 ``rows`` are centered into a new
+    array).  With ``normalize``, ``rows`` are raw embeddings (the float32
+    rows of a set) and each gathered part is unit-normalized
+    (:func:`prep.l2_normalize`, which makes the float64 array); otherwise
+    ``rows`` are unit rows already.  The mean and the centered rows are
+    bit-equal to :func:`prep.fit_prep` on the train rows followed by
+    :func:`prep.center` of each part.  No train rows is a
+    ``ConsistencyError``.
+    """
+    rows = np.asarray(rows)
+
+    def centered(index, mean=None):
+        got = rows if index is None else rows.take(np.asarray(index, dtype=np.intp), axis=0)
+        got = l2_normalize(got) if normalize else np.asarray(got, dtype=np.float64)
+        if mean is None:
+            if not len(got):
+                raise ConsistencyError("need at least one training row")
+            mean = got.mean(axis=0)
+        if got is rows:  # the caller's own rows: centered into a new array
+            return got - mean, mean
+        got -= mean
+        return got, mean
+
+    x_tr, mean = centered(train)
+    return Side(x_tr, None if test is None else centered(test, mean)[0], mean)
+
+
+def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RIDGE_ALPHA,
+              **meta) -> AlignmentMap:
+    """The map of ``method`` from the centered train rows of ``source`` to those of ``target``.
+
+    Every fit of the package goes through here.  The returned map holds
+    the two sides' train means; ``meta`` fills its descriptive fields
+    (``source_model``, ``target_model``, ``seed``).
+    """
+    w = fit_map(source.train, target.train, method, alpha)
+    d_a, d_b = w.shape
+    stats = PrepStats(source.mean, target.mean, d_a, d_b, max(d_a, d_b), len(source.train))
     return AlignmentMap(
         w=w, stats=stats, method=method, alpha=alpha if method == "ridge" else 0.0, **meta
     )
 
 
+def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=None, **meta):
+    """Fit the preprocessing and a map on unit-normalized training rows.
+
+    ``rows`` selects the training rows of ``x`` and ``y`` (default: all).
+    Each side's training rows are gathered and centered in place
+    (:func:`prepare_side`), so the map is fit with only the centered rows
+    held, each at its model's own width.  ``meta`` is passed on to
+    :func:`fit_sides`.
+    """
+    return fit_sides(prepare_side(x, rows), prepare_side(y, rows), method, alpha, **meta)
+
+
 def fit_split(x, y, split, method: str, alpha: float, **meta):
     """:func:`fit_alignment` on the train rows of ``split``, tagged with its seed."""
-    return fit_alignment(
-        x, y, method, alpha, rows=list(split.train_rows), seed=split.seed, **meta
-    )
+    return fit_alignment(x, y, method, alpha, rows=split.train_rows, seed=split.seed, **meta)
 
 
 def fit_seed(x, y, labels, method: str, alpha: float, fraction: float, seed: int, **meta):
@@ -272,7 +327,12 @@ def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         k = min(x.shape[1], y.shape[1])
         return (x[:, :k], x), (y[:, :k], y)
-    xc, yc = center(x, amap.stats, "source"), center(y, amap.stats, "target")
+    return project_centered(center(x, amap.stats, "source"), center(y, amap.stats, "target"),
+                            amap)
+
+
+def project_centered(xc: np.ndarray, yc: np.ndarray, amap: AlignmentMap):
+    """:func:`project` with a map, of rows ``xc`` and ``yc`` centered with its training means."""
     mapped = xc @ amap.w
     # an orthogonal D x D map keeps the norm of a source row wider than the target
     kept = amap.method == "procrustes" and amap.stats.d_a > amap.stats.d_b

@@ -18,8 +18,7 @@ from .errors import (
     EmbalignError,
     ProtocolError,
 )
-from .ident_eval import aligned_rank1, map_rank1
-from .prep import l2_normalize
+from .ident_eval import aligned_rank1, label_codes, map_rank1
 from .reports import mean_std
 from .splits import (
     DEFAULT_SEEDS, _rng, check_distinct, check_fraction, check_seeds, identity_disjoint_split,
@@ -103,17 +102,6 @@ class Dendrogram:
         return render(m + len(self.merges) - 1) + ";"
 
 
-def _unit_model(s: EmbeddingSet):
-    """Unit rows of ``s`` in file order, from one normalize call, and the zero-row mask.
-
-    All-zero rows stay zero; they fail only the cells that share their image.
-    """
-    live = s.rows.any(axis=1)
-    unit = np.zeros(s.rows.shape)
-    unit[live] = l2_normalize(s.rows[live])
-    return unit, live
-
-
 def build_compatibility_matrix(
     sets,
     method: str = "procrustes",
@@ -124,17 +112,22 @@ def build_compatibility_matrix(
     """Mean Rank-1 (percent) of every ordered model pair, self-pairs included.
 
     Cells score the aligned side only, through :func:`ident_eval.map_rank1`,
-    and Rank-1 is read from each query's first highest score.  Each model
-    is normalized once and each seed's split is made once per label list.
-    The matrix walks the unordered pairs i <= j.  Procrustes fits once per
-    unordered pair per seed: cell (j, i) scores the reversed map of cell
-    (i, j) (:meth:`align.AlignmentMap.reversed`), and fits its own map for
-    each seed that (i, j) did not reach or failed to fit.  Linear and
-    ridge are directional regressions and fit per cell.  Rows are paired by
-    image id in :func:`embedstore.shared_rows`, and a cell that shares an
-    all-zero row fails.  The arguments are checked before any cell is fit.
-    Each ordered cell fails on its own: one whose evaluation fails with an
-    ``EmbalignError`` is marked missing (NaN), never zero; any other
+    and Rank-1 is read from each query's first highest score.  Each
+    unordered pair i <= j is paired once (:func:`embedstore.shared_rows`;
+    a shared all-zero row fails both cells), and each seed's split is made
+    once per label list.  The matrix then runs seed by seed.  Per seed,
+    each model's side is prepared once (:func:`align.prepare_side`): its
+    shared rows gathered from the set, normalized, split and centered with
+    the training mean.  A model holds one side at a time, rebuilt when a
+    pair shares other rows of it.  Both ordered cells of a pair score from
+    those sides.  Procrustes fits once per unordered pair per seed: cell
+    (j, i) scores the reversed map of (i, j)
+    (:meth:`align.AlignmentMap.reversed`) right away, and fits its own map
+    where (i, j) failed.  Linear and ridge are directional regressions and
+    fit per cell.  No side or map outlives its seed.  The arguments are
+    checked before any cell is fit.  Each ordered cell fails on its own:
+    one whose evaluation fails with an ``EmbalignError`` at any seed is
+    marked missing (NaN), never zero, and evaluated no further; any other
     exception is a bug and propagates.
     """
     sets = list(sets)
@@ -144,53 +137,81 @@ def build_compatibility_matrix(
     check_fraction(fraction)
     seeds = check_seeds(seeds)
     align.check_method(method, alpha)
-    units = [_unit_model(s) for s in sets]
-    splits = {}  # label list -> one split per seed
-
-    def cell_rank1(i, j, fitted):
-        """Mean Rank-1 (percent) of the cell i -> j; raises ``EmbalignError`` if it fails.
-
-        For i < j, ``fitted`` collects the procrustes maps as they are fit,
-        one per seed; for i > j, it holds those of j -> i, and the seeds it
-        lacks fit anew.  Cells (i, j) and (j, i) pair the same images in the
-        same order, so they share labels and splits.
-        """
-        ra, rb = shared_rows(sets[i], sets[j])
-        (unit_a, live_a), (unit_b, live_b) = units[i], units[j]
-        dead = np.flatnonzero(~(live_a[ra] & live_b[rb]))
-        if dead.size:
-            raise DegenerateRowError(int(dead[0]))
-        labels = [sets[i].labels[r] for r in ra]
-        key = tuple(labels)
-        if key not in splits:
-            splits[key] = [identity_disjoint_split(labels, fraction, s) for s in seeds]
-        x, y = unit_a[ra], unit_b[rb]
-        per_seed = []
-        for k, split in enumerate(splits[key]):
-            if i > j and k < len(fitted):
-                amap = fitted[k].reversed()
-            else:
-                amap = align.fit_split(x, y, split, method, alpha)
-                if i < j and method == "procrustes":
-                    fitted.append(amap)
-            per_seed.append(map_rank1(x, y, labels, split, amap))
-        return 100.0 * float(mean_std(per_seed)[0])
-
-    rank1 = np.full((m, m), np.nan)
+    live = [s.rows.any(axis=1) for s in sets]  # all-zero rows fail the pairs that share them
+    failed = set()  # ordered cells that failed
+    pairs = []  # (i, j, rows of i, rows of j, (split, test label codes) per seed)
+    splits = {}  # label list -> (split, test label codes) per seed
     for i in range(m):
         for j in range(i, m):
-            fitted = []  # procrustes maps i -> j, one per seed, up to the first failure
-            for a, b in ((i, j), (j, i))[: 1 + (i < j)]:  # a diagonal cell once
+            try:
+                ra, rb = shared_rows(sets[i], sets[j])
+                dead = np.flatnonzero(~(live[i][ra] & live[j][rb]))
+                if dead.size:
+                    raise DegenerateRowError(int(dead[0]))
+                labels = [sets[i].labels[r] for r in ra]
+                key = tuple(labels)
+                if key not in splits:
+                    splits[key] = [_split_codes(labels, fraction, seed) for seed in seeds]
+                pairs.append((i, j, ra, rb, splits[key]))
+            except EmbalignError:
+                failed.update({(i, j), (j, i)})
+
+    def side(model, rows, split):
+        """The side of ``model`` on its shared ``rows``, prepared unless it is held."""
+        if sides[model] is None or sides[model][0] != rows:
+            sides[model] = None  # free the old side before the new one is made
+            index = np.asarray(rows)
+            sides[model] = rows, align.prepare_side(
+                sets[model].rows, index[list(split.train_rows)], index[list(split.test_rows)],
+                normalize=True,
+            )
+        return sides[model][1]
+
+    per_seed = {}  # ordered cell -> Rank-1 per seed
+    for k, seed in enumerate(seeds):
+        sides = [None] * m  # model -> (its shared rows, their prepared side) at this seed
+        for i, j, ra, rb, per_split in pairs:
+            cells = [c for c in ((i, j), (j, i))[: 1 + (i < j)] if c not in failed]
+            if not cells:
+                continue
+            split, codes = per_split[k]
+            try:
+                prepared = {i: side(i, ra, split), j: side(j, rb, split)}
+            except EmbalignError:
+                failed.update(cells)
+                continue
+            forward = None  # the procrustes map i -> j of this seed
+            for a, b in cells:
                 try:
-                    rank1[a, b] = cell_rank1(a, b, fitted)
+                    if forward is not None:  # (a, b) is (j, i)
+                        amap = forward.reversed()
+                    else:
+                        amap = align.fit_sides(prepared[a], prepared[b], method, alpha,
+                                               seed=seed, source_model=names[a],
+                                               target_model=names[b])
+                        if method == "procrustes" and a < b:
+                            forward = amap
+                    value = map_rank1(prepared[a].test, prepared[b].test, codes, amap)
+                    per_seed.setdefault((a, b), []).append(value)
                 except EmbalignError:
-                    pass
+                    failed.add((a, b))
+        sides = prepared = forward = amap = None  # no side or map outlives its seed
+    rank1 = np.full((m, m), np.nan)
+    for (a, b), values in per_seed.items():
+        if (a, b) not in failed:
+            rank1[a, b] = 100.0 * float(mean_std(values)[0])
     return CompatibilityMatrix(
         model_names=names,
         rank1=rank1,
         dataset_name=sets[0].dataset_name if sets else "",
         method=method,
     )
+
+
+def _split_codes(labels, fraction, seed):
+    """The identity-disjoint split of ``labels`` at ``seed`` and the label codes of its test rows."""
+    split = identity_disjoint_split(labels, fraction, seed)
+    return split, label_codes([labels[r] for r in split.test_rows])
 
 
 def symmetrize(cm: CompatibilityMatrix) -> np.ndarray:

@@ -125,20 +125,24 @@ def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     return _score_sides((queries, queries), (gallery, gallery))
 
 
+def label_codes(labels) -> np.ndarray:
+    """Integer codes of ``labels``, equal where the labels' string forms are equal."""
+    labels = np.asarray([str(l) for l in labels], dtype=str)
+    return np.unique(labels, return_inverse=True)[1]
+
+
 def _label_codes(q_labels, g_labels, shape):
     """Integer codes of the query and gallery labels of scores of ``shape``.
 
-    Labels compare by their string form and are factorized once to
-    integer codes shared by queries and gallery.
+    The labels are factorized once (:func:`label_codes`), so queries and
+    gallery share their codes.
     """
-    q_labels = [str(l) for l in q_labels]
-    g_labels = [str(l) for l in g_labels]
     if shape != (len(q_labels), len(g_labels)):
         raise ConsistencyError(
             f"scores shape {shape} does not match "
             f"{len(q_labels)} queries x {len(g_labels)} gallery labels"
         )
-    _, codes = np.unique(np.asarray(q_labels + g_labels, dtype=str), return_inverse=True)
+    codes = label_codes([*q_labels, *g_labels])
     return codes[: len(q_labels)], codes[len(q_labels):]
 
 
@@ -457,20 +461,17 @@ def evaluate_identification(
     )
 
 
-def map_rank1(x, y, labels, split, amap) -> float:
-    """Rank-1 of the fitted map ``amap`` on the test rows of ``split``, aligned side only.
+def map_rank1(x_test, y_test, codes, amap) -> float:
+    """Rank-1 of the fitted map ``amap`` on one split's test rows, aligned side only.
 
-    ``x`` and ``y`` are the unit source and target rows of the shared
-    images and ``labels`` their identities.  The test rows are projected
-    with ``amap`` and scored in the chunks the evaluation ranks, so the
-    value is the aligned Rank-1 of that seed in
-    :func:`evaluate_identification`.
+    ``x_test`` and ``y_test`` are the source and target test rows centered
+    with ``amap``'s training means (:attr:`align.Side.test`), and ``codes``
+    their identities' :func:`label_codes`.  The rows are projected with
+    ``amap`` and scored in the chunks the evaluation ranks, so the value
+    is the aligned Rank-1 of that seed in :func:`evaluate_identification`.
     """
-    test = list(split.test_rows)
-    test_labels = [labels[i] for i in test]
-    chunks = _score_chunks(*align.project(x[test], y[test], amap))
-    codes = _label_codes(test_labels, test_labels, (len(test), len(test)))
-    return _rank1_from(chunks, *codes)
+    chunks = _score_chunks(*align.project_centered(x_test, y_test, amap))
+    return _rank1_from(chunks, codes, codes)
 
 
 def aligned_rank1(x, y, labels, splits, method, alpha) -> float:
@@ -478,11 +479,15 @@ def aligned_rank1(x, y, labels, splits, method, alpha) -> float:
 
     ``x`` and ``y`` are the unit source and target rows of the shared
     images, ``labels`` their identities and ``splits`` one
-    identity-disjoint split of ``labels`` per seed.  Each seed fits its
-    map and scores it with :func:`map_rank1`, one after another on the
+    identity-disjoint split of ``labels`` per seed.  Each seed prepares
+    both sides of its split (:func:`align.prepare_side`), fits its map
+    and scores it with :func:`map_rank1`, one after another on the
     calling thread.
     """
-    return float(mean_std([
-        map_rank1(x, y, labels, split, align.fit_split(x, y, split, method, alpha))
-        for split in splits
-    ])[0])
+    per_seed = []
+    for split in splits:
+        a, b = (align.prepare_side(v, split.train_rows, split.test_rows) for v in (x, y))
+        amap = align.fit_sides(a, b, method, alpha, seed=split.seed)
+        codes = label_codes([labels[i] for i in split.test_rows])
+        per_seed.append(map_rank1(a.test, b.test, codes, amap))
+    return float(mean_std(per_seed)[0])

@@ -1,3 +1,5 @@
+import contextlib
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from unittest import mock
@@ -247,19 +249,29 @@ def test_compatibility_matrix_single_model(small_views):
     assert cm.rank1.shape == (1, 1)
 
 
+def _scored_cell(amap):
+    """(source model, target model, seed) of a map the matrix scores."""
+    return amap.source_model, amap.target_model, amap.seed
+
+
 def test_compatibility_matrix_scores_only_the_aligned_side(small_views):
     v0, v1 = small_views
     # a model that saw none of the others' images: its off-diagonal cells fail
     lone = EmbeddingSet("lone", "", v0.rows, [f"x{i}" for i in v0.image_ids], v0.labels)
     sets = [v0, v1, lone]
     with mock.patch.object(ident_eval, "_score_chunks", wraps=ident_eval._score_chunks) as spy, \
-            mock.patch.object(analysis, "l2_normalize", wraps=analysis.l2_normalize) as norm, \
+            mock.patch.object(analysis, "map_rank1", wraps=analysis.map_rank1) as cell, \
+            mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prep, \
             mock.patch.object(analysis, "identity_disjoint_split",
                               wraps=analysis.identity_disjoint_split) as split:
         cm = build_compatibility_matrix(sets, seeds=(0, 1))
     live = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
-    assert spy.call_count == len(live) * 2  # one scoring per (cell, seed)
-    assert norm.call_count == len(sets)  # each model is normalized once
+    scored = [_scored_cell(c.args[3]) for c in cell.call_args_list]
+    # one scoring per (cell, seed), seed by seed
+    assert scored == [(sets[a].model_name, sets[b].model_name, seed)
+                      for seed in (0, 1) for a, b in live]
+    assert spy.call_count == len(live) * 2
+    assert prep.call_count == len(sets) * 2  # each model's side is prepared once per seed
     # the live cells share one label list (lone's ids sort like v0's): one split per seed
     assert split.call_count == 2
     for i in range(3):
@@ -344,15 +356,25 @@ def test_compatibility_matrix_equals_identification_over_mixed_widths(method):
             assert cm.rank1[i, j] == 100.0 * report.summary["rank_k"]["1"]["mean"], (i, j)
 
 
+@contextlib.contextmanager
+def _cell_seams():
+    """Mock the side preparation, the fit and the (cell, seed) scoring of the matrix."""
+    with mock.patch.object(align, "prepare_side") as prep, \
+            mock.patch.object(align, "fit_sides") as fit, \
+            mock.patch.object(analysis, "map_rank1") as cell:
+        yield prep, fit, cell
+
+
 def test_compatibility_matrix_refuses_repeated_model_names(small_views):
     with pytest.raises(ConsistencyError, match="'a'"):
         cm_from(np.full((3, 3), 50.0), ["a", "b", "a"])
     v0, v1 = small_views
     twin = EmbeddingSet("m0", "", v1.rows, v1.image_ids, v1.labels)
-    with mock.patch.object(analysis, "map_rank1") as cell, \
-            pytest.raises(ConsistencyError, match="'m0'"):
+    with _cell_seams() as seams, pytest.raises(ConsistencyError, match="'m0'"):
         build_compatibility_matrix([v0, v1, twin], seeds=(0,))
-    cell.assert_not_called()  # refused before any cell is evaluated
+    # refused before any side is prepared, any map fit or any (cell, seed) scored
+    for seam in seams:
+        seam.assert_not_called()
 
 
 @pytest.mark.parametrize("kwargs, error", [
@@ -364,9 +386,10 @@ def test_compatibility_matrix_refuses_repeated_model_names(small_views):
 ])
 def test_compatibility_matrix_checks_arguments_before_any_cell(small_views, kwargs, error):
     # each of these made every cell fail, which read as an all-missing matrix
-    with mock.patch.object(analysis, "map_rank1") as cell, pytest.raises(error):
+    with _cell_seams() as seams, pytest.raises(error):
         build_compatibility_matrix(list(small_views), **{"seeds": (0,), **kwargs})
-    cell.assert_not_called()
+    for seam in seams:
+        seam.assert_not_called()
 
 
 def test_all_missing_matrix_warns_nothing(small_views):
@@ -382,49 +405,55 @@ def test_all_missing_matrix_warns_nothing(small_views):
             cm_from([[np.nan, 101.0], [np.nan, np.nan]])
 
 
-def _failing_cell(monkeypatch, exc):
-    """Make the scoring of the cell m0 -> m1, the second cell scored, raise exc (one seed)."""
-    real = analysis.map_rank1
-    calls = []
+def _seam_cell(seam, args, kwargs):
+    """(source model, target model, seed) of a call of ``fit_sides`` or ``map_rank1``."""
+    if seam == "fit_sides":
+        return kwargs["source_model"], kwargs["target_model"], kwargs["seed"]
+    return _scored_cell(args[3])
 
-    def evaluate(*args):
-        calls.append(args)
-        if len(calls) == 2:
+
+def _failing(monkeypatch, module, seam, cell, exc):
+    """Make the call of ``module.seam`` for ``cell``, a (source, target, seed), raise ``exc``.
+
+    Returns the list of the cells of every call, the failing one included.
+    """
+    real, calls = getattr(module, seam), []
+
+    def failing(*args, **kwargs):
+        calls.append(_seam_cell(seam, args, kwargs))
+        if calls[-1] == cell:
             raise exc
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "map_rank1", evaluate)
+    monkeypatch.setattr(module, seam, failing)
+    return calls
 
 
 def test_compatibility_matrix_protocol_error_is_missing_cell(small_views, monkeypatch):
-    _failing_cell(monkeypatch, ProtocolError("no relevant gallery items"))
+    calls = _failing(monkeypatch, analysis, "map_rank1", ("m0", "m1", 0),
+                     ProtocolError("no relevant gallery items"))
     cm = build_compatibility_matrix(list(small_views), seeds=(0,))
+    assert calls.count(("m0", "m1", 0)) == 1
     assert np.isnan(cm.rank1[0, 1])
     assert not np.isnan(np.delete(cm.rank1.ravel(), 1)).any()
 
 
-@pytest.mark.parametrize("module, seam, failing_call, missing", [
+@pytest.mark.parametrize("module, seam, cell, missing", [
     # the seed-1 fit of m0 -> m1: m1 -> m0 reverses the seed-0 map and fits seed 1 itself
-    (align, "fit_split", 4, (0, 1)),
-    # m1 -> m0 fails at seed 0 after m0 -> m1 scored both seeds
-    (analysis, "map_rank1", 5, (1, 0)),
+    (align, "fit_sides", ("m0", "m1", 1), (0, 1)),
+    # the seed-0 scoring of m1 -> m0, after m0 -> m1 scored that seed; at seed 1
+    # m0 -> m1 fits its map and m1 -> m0 is evaluated no further
+    (analysis, "map_rank1", ("m1", "m0", 0), (1, 0)),
 ], ids=["forward_fit_fails", "reverse_scoring_fails"])
 def test_compatibility_matrix_pair_cells_fail_on_their_own(small_views, monkeypatch, module,
-                                                          seam, failing_call, missing):
+                                                          seam, cell, missing):
     sets, seeds = list(small_views), (0, 1)
     want = [[100.0 * evaluate_identification(a, b, seeds=seeds).summary["rank_k"]["1"]["mean"]
              for b in sets] for a in sets]
-    real, calls = getattr(module, seam), []
-
-    def failing(*args):
-        calls.append(args)
-        if len(calls) == failing_call:
-            raise NumericalError("injected")
-        return real(*args)
-
-    monkeypatch.setattr(module, seam, failing)
+    calls = _failing(monkeypatch, module, seam, cell, NumericalError("injected"))
     with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
         cm = build_compatibility_matrix(sets, seeds=seeds)
+    assert calls.count(cell) == 1
     assert fit.call_count == 6  # one fit per unordered pair and seed, a failed one remade
     for i in range(2):
         for j in range(2):
@@ -435,9 +464,42 @@ def test_compatibility_matrix_pair_cells_fail_on_their_own(small_views, monkeypa
 
 
 def test_compatibility_matrix_bug_propagates(small_views, monkeypatch):
-    _failing_cell(monkeypatch, TypeError("bug in a cell"))
+    _failing(monkeypatch, analysis, "map_rank1", ("m0", "m1", 0), TypeError("bug in a cell"))
     with pytest.raises(TypeError, match="bug in a cell"):
         build_compatibility_matrix(list(small_views), seeds=(0,))
+
+
+def _same_image_views(m, dim=32, noise=0.1):
+    cloud = generate_identity_cloud(60, 5, 16, spread=0.3, seed=5)
+    return [embed_view(cloud, dim, 40 + k, noise=noise, model_name=f"v{k}") for k in range(m)]
+
+
+@pytest.mark.parametrize("m, seeds", [(2, (0,)), (3, (0, 1, 2)), (4, (1, 3))])
+def test_compatibility_matrix_prepares_each_side_once_per_seed(m, seeds):
+    # views of the same images share every pair's rows: one side per model and seed
+    sets = _same_image_views(m)
+    with mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prep, \
+            mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+        cm = build_compatibility_matrix(sets, seeds=seeds)
+    assert prep.call_count == m * len(seeds)
+    assert fit.call_count == m * (m + 1) // 2 * len(seeds)
+    assert np.isfinite(cm.rank1).all()
+
+
+def test_compatibility_matrix_memory_does_not_grow_with_the_seeds():
+    # one 256 x 256 float64 map is 0.5 MiB; no map or side may outlive its seed
+    sets = _same_image_views(3, dim=256)
+
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            build_compatibility_matrix(sets, seeds=seeds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak((0,)), peak((0, 1, 2, 3))
+    assert four - one < 256 * 256 * 8, (one, four)
 
 
 def test_sweep_shape_and_determinism(small_views):

@@ -75,10 +75,20 @@ def _pair(argv, swap=False):
     return ["--source", source, "--target", target]
 
 
+def _method(argv, method):
+    """A workload's argv with its ``--method`` argument replaced by ``method``."""
+    k = argv.index("--method") + 1
+    return [*argv[:k], method, *argv[k + 1:]]
+
+
 def commands(manifest):
     """The CLI argvs to run, every output path relative to OUT."""
     ident, verif, matrix = (manifest[w] for w in ("ident-10k", "verif-cross", "matrix-m6"))
     views = manifest["synth"]
+    matrix_views = matrix[matrix.index("--inputs") + 1:matrix.index("--method")]
+    # models whose shared rows differ per partner; train_tgt shares no image with the rest
+    mixed = [views[1], matrix_views[0], matrix_views[4],
+             verif[verif.index("--train-target") + 1]]
     demo = ["--source", views[0], "--target", views[1]]
     return [
         [*ident, "--out-dir", "eval_id"],
@@ -88,6 +98,9 @@ def commands(manifest):
         ["eval-verif", *_pair(verif), "--method", "ridge", "--alpha", "0.3",
          "--symmetric-score", "--dump-splits", "--seeds", "0,1", "--out-dir", "eval_verif_intra"],
         [*matrix, "--out-dir", "matrix"],
+        # linear fits every cell's own map
+        [*_method(matrix, "linear"), "--out-dir", "matrix_linear"],
+        ["matrix", "--inputs", *mixed, "--seeds", "0,1", "--out-dir", "matrix_mixed"],
         ["cluster", "--matrix", "matrix/compatibility_matrix.json", "--out-dir", "cluster"],
         ["sweep", *_pair(ident), "--methods", "procrustes,linear", "--fractions", "0.25,1.0",
          "--seeds", "0", "--out-dir", "sweep_ident"],
