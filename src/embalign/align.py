@@ -21,7 +21,10 @@ orthogonal map is U V^T from the thin SVD of the d_a x d_b
 cross-covariance X^T Y: its columns are orthonormal when d_a >= d_b,
 its rows when d_a < d_b.  All solver arithmetic is float64.
 Reflections are allowed in the orthogonal fit (no determinant
-correction).
+correction).  The procrustes map of a side onto itself is I: it attains
+min over orthogonal W of ||X W - X||_F = 0, the unique optimum when X has
+full column rank, so :func:`fit_sides` returns the identity for one side
+passed twice and computes no SVD.
 
 Scoring works in the models' own shapes too (:func:`project`): each
 side keeps the k columns it shares with the other, k = d_b with a map
@@ -36,10 +39,10 @@ centered source row.  Map files store the D x D map (:func:`save_map`).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -226,7 +229,8 @@ def unit_pair(source: EmbeddingSet, target: EmbeddingSet):
     return [source.labels[i] for i in ra], l2_normalize(a), l2_normalize(b)
 
 
-class Side(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Side:
     """One model's rows of a split as maps are fit and scored.
 
     ``train`` and ``test`` are the model's unit rows of the split's train
@@ -237,6 +241,17 @@ class Side(NamedTuple):
     train: np.ndarray
     test: np.ndarray | None
     mean: np.ndarray
+
+    @functools.cached_property
+    def gallery(self) -> np.ndarray:
+        """The unit rows of ``test``, the side as a gallery is scored.
+
+        Made once, when a map is first scored against the side
+        (:func:`ident_eval.map_rank1`), after that map's queries, as the
+        evaluation normalizes them; every later map reuses them.  An
+        all-zero centered test row raises ``DegenerateRowError``.
+        """
+        return l2_normalize(self.test)
 
 
 def prepare_side(rows, train=None, test=None, normalize=False) -> Side:
@@ -278,9 +293,18 @@ def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RI
 
     Every fit of the package goes through here.  The returned map holds
     the two sides' train means; ``meta`` fills its descriptive fields
-    (``source_model``, ``target_model``, ``seed``).
+    (``source_model``, ``target_model``, ``seed``).  One side passed as
+    both ``source`` and ``target`` (the same object, as the compatibility
+    matrix's self cells pass it) fits procrustes as the identity map, an
+    exact optimum of ||X W - X||_F over orthogonal W (the unique one when
+    X has full column rank), with no :func:`fit_map` call.  Linear and
+    ridge still fit such a side: the minimum-norm least-squares map of a
+    rank-deficient X is a projector, not I, and ridge shrinks the map.
     """
-    w = fit_map(source.train, target.train, method, alpha)
+    if source is target and method == "procrustes":
+        w = np.eye(source.train.shape[1])
+    else:
+        w = fit_map(source.train, target.train, method, alpha)
     d_a, d_b = w.shape
     stats = PrepStats(source.mean, target.mean, d_a, d_b, max(d_a, d_b), len(source.train))
     return AlignmentMap(
@@ -327,16 +351,16 @@ def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         k = min(x.shape[1], y.shape[1])
         return (x[:, :k], x), (y[:, :k], y)
-    return project_centered(center(x, amap.stats, "source"), center(y, amap.stats, "target"),
-                            amap)
+    xc, yc = center(x, amap.stats, "source"), center(y, amap.stats, "target")
+    return map_source(xc, amap), (yc, yc)
 
 
-def project_centered(xc: np.ndarray, yc: np.ndarray, amap: AlignmentMap):
-    """:func:`project` with a map, of rows ``xc`` and ``yc`` centered with its training means."""
+def map_source(xc: np.ndarray, amap: AlignmentMap):
+    """The source side :func:`project` gives with ``amap``, of rows ``xc`` centered by it."""
     mapped = xc @ amap.w
     # an orthogonal D x D map keeps the norm of a source row wider than the target
     kept = amap.method == "procrustes" and amap.stats.d_a > amap.stats.d_b
-    return (mapped, xc if kept else mapped), (yc, yc)
+    return mapped, xc if kept else mapped
 
 
 def transform(rows: np.ndarray, amap: AlignmentMap) -> np.ndarray:

@@ -118,17 +118,22 @@ def build_compatibility_matrix(
     once per label list.  The matrix then runs seed by seed.  Per seed,
     each model's side is prepared once (:func:`align.prepare_side`): its
     shared rows gathered from the set, normalized, split and centered with
-    the training mean.  A model holds one side at a time, rebuilt when a
-    pair shares other rows of it.  Both ordered cells of a pair score from
-    those sides.  Procrustes fits once per unordered pair per seed: cell
-    (j, i) scores the reversed map of (i, j)
+    the training mean; its test rows are normalized once, by the first
+    cell that scores against them, into the gallery every cell into that
+    model shares (:attr:`align.Side.gallery`).  A model holds one side at
+    a time, rebuilt when a pair shares other rows of it.  Both ordered
+    cells of a pair score from those sides.  A self cell (i, i) passes one
+    side as both source and target, so procrustes takes the identity map,
+    an exact optimum, and computes no SVD (:func:`align.fit_sides`).
+    Procrustes fits once per unordered pair i < j per seed: cell (j, i)
+    scores the reversed map of (i, j)
     (:meth:`align.AlignmentMap.reversed`) right away, and fits its own map
     where (i, j) failed.  Linear and ridge are directional regressions and
-    fit per cell.  No side or map outlives its seed.  The arguments are
-    checked before any cell is fit.  Each ordered cell fails on its own:
-    one whose evaluation fails with an ``EmbalignError`` at any seed is
-    marked missing (NaN), never zero, and evaluated no further; any other
-    exception is a bug and propagates.
+    fit per cell, self cells included.  No side or map outlives its seed.
+    The arguments are checked before any cell is fit.  Each ordered cell
+    fails on its own: one whose evaluation fails with an ``EmbalignError``
+    at any seed is marked missing (NaN), never zero, and evaluated no
+    further; any other exception is a bug and propagates.
     """
     sets = list(sets)
     m = len(sets)
@@ -191,7 +196,7 @@ def build_compatibility_matrix(
                                                target_model=names[b])
                         if method == "procrustes" and a < b:
                             forward = amap
-                    value = map_rank1(prepared[a].test, prepared[b].test, codes, amap)
+                    value = map_rank1(prepared[a].test, prepared[b], codes, amap)
                     per_seed.setdefault((a, b), []).append(value)
                 except EmbalignError:
                     failed.add((a, b))
@@ -234,9 +239,9 @@ def agglomerative_cluster(
     import scipy.cluster.hierarchy as sch  # here for the reason given in align.fit_ridge
 
     s = np.asarray(similarity, dtype=np.float64)
-    m = s.shape[0]
-    if s.ndim != 2 or s.shape != (m, m) or m < 2:
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 2:
         raise ArgumentError("similarity must be a square matrix with M >= 2")
+    m = s.shape[0]
     if linkage not in LINKAGES:
         raise ArgumentError(f"linkage must be one of {LINKAGES}")
     if not np.isfinite(s).all():

@@ -10,6 +10,7 @@ row.  The CSV format is a single self-contained file with header
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -76,6 +77,11 @@ class EmbeddingSet:
     @property
     def n(self) -> int:
         return self.rows.shape[0]
+
+    @functools.cached_property
+    def _id_order(self) -> tuple:
+        """Row indexes in lexicographic image id order (:func:`shared_rows`)."""
+        return tuple(sorted(range(self.n), key=self.image_ids.__getitem__))
 
 
 def save_embeddings(s: EmbeddingSet, path: str, format: str = "binary") -> None:
@@ -196,8 +202,21 @@ def shared_rows(a: EmbeddingSet, b: EmbeddingSet):
     """Row indexes ``(ra, rb)`` of the image ids a and b share, in lexicographic id order.
 
     ``a.image_ids[ra[k]] == b.image_ids[rb[k]]`` for every k.  This is the
-    one place that pairs rows by image id.  Labels must agree per image id.
+    one place that pairs rows by image id.  Labels must agree per image id;
+    a conflict raises ``LabelConflictError`` naming the first conflicting
+    image in id order.  Two sets that list the same image ids in the same
+    order are paired by ``a``'s id sort order, computed once per set, and
+    their labels compared as tuples; every other pair goes through a
+    dict of ``b``'s ids.
     """
+    if a.image_ids == b.image_ids:
+        order = a._id_order
+        if a.labels != b.labels:
+            i = next(i for i in order if a.labels[i] != b.labels[i])
+            raise LabelConflictError(
+                f"image {a.image_ids[i]!r}: label {a.labels[i]!r} vs {b.labels[i]!r}"
+            )
+        return list(order), list(order)
     b_index = {iid: i for i, iid in enumerate(b.image_ids)}
     shared = sorted((iid, i) for i, iid in enumerate(a.image_ids) if iid in b_index)
     if not shared:

@@ -73,12 +73,18 @@ def _block_rows(n_g):
 
 
 def _unit_matrix(side, name):
-    """Unit rows of a ``(rows, norm_rows)`` side: each row over its norm row's norm."""
+    """Unit rows of a ``(rows, norm_rows)`` side: each row over its norm row's norm.
+
+    ``norm_rows=None`` marks ``rows`` that are unit rows already: they
+    are taken as they are.
+    """
     rows, norm_rows = side
     own = norm_rows is rows
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ConsistencyError(f"{name} must be a 2-D array of rows, got shape {rows.shape}")
+    if norm_rows is None:
+        return rows
     return _unit_rows(rows, None if own else np.asarray(norm_rows, dtype=np.float64))
 
 
@@ -92,7 +98,8 @@ def _score_chunks(queries, gallery):
     of them when the whole score matrix fits in ``_SCORE_BUDGET``
     entries, else a whole number of rank blocks per chunk, as many as
     fit (at least one).  Both sides are validated and normalized here,
-    once; each chunk is computed when it is asked for.
+    once (a side of unit rows is taken as it is, :func:`_unit_matrix`);
+    each chunk is computed when it is asked for.
     """
     qn, gn = _unit_matrix(queries, "queries"), _unit_matrix(gallery, "gallery")
     if qn.shape[1] != gn.shape[1]:
@@ -275,17 +282,33 @@ def _rank1_from(chunks, q_codes, g_codes) -> float:
     scores go to the lowest gallery index); a -inf maximum is a removed
     item and never a hit.  ``chunks`` are those of :func:`_ranked`, and
     validation and errors are those of the evaluation, ``ProtocolError``
-    for a query without a live relevant item included.
+    for a query without a live relevant item included.  A chunk takes two
+    passes over its scores, ``argmax`` and ``min``: with no -inf entry,
+    the hit is the label code at the first maximum, and a query has a
+    relevant item when its code occurs in the gallery.  Only a chunk that
+    holds a -inf entry builds the mask of live relevant items.
     """
     hits = np.zeros(len(q_codes), dtype=bool)
     found = np.zeros(len(q_codes), dtype=bool)
     if len(g_codes):  # an empty gallery has no maximum and no relevant item
+        # whether each code occurs in the gallery: with no removed item, a
+        # query has a relevant item exactly when its code does
+        in_gallery = np.zeros(max(q_codes.max(initial=0), g_codes.max()) + 1, dtype=bool)
+        in_gallery[g_codes] = True
         for start, chunk in chunks:
-            _check_finite(chunk)
             stop = start + len(chunk)
-            relevant = (q_codes[start:stop, None] == g_codes) & (chunk > -np.inf)
-            found[start:stop] = relevant.any(axis=1)
-            hits[start:stop] = relevant[np.arange(stop - start), chunk.argmax(axis=1)]
+            rows = np.arange(stop - start)
+            best = chunk.argmax(axis=1)
+            # argmax stops at the first NaN, so the row maxima show NaN and +inf
+            _check_finite(chunk[rows, best])
+            codes = q_codes[start:stop]
+            if not chunk.size or chunk.min() > -np.inf:
+                found[start:stop] = in_gallery[codes]
+                hits[start:stop] = codes == g_codes[best]
+            else:  # a chunk with removed items: -inf entries are never relevant
+                relevant = (codes[:, None] == g_codes) & (chunk > -np.inf)
+                found[start:stop] = relevant.any(axis=1)
+                hits[start:stop] = relevant[rows, best]
             chunk = relevant = None  # free the chunk before the next one is scored
     _require_relevant(found)
     return _mean(hits)
@@ -461,16 +484,22 @@ def evaluate_identification(
     )
 
 
-def map_rank1(x_test, y_test, codes, amap) -> float:
+def map_rank1(x_test, target, codes, amap) -> float:
     """Rank-1 of the fitted map ``amap`` on one split's test rows, aligned side only.
 
-    ``x_test`` and ``y_test`` are the source and target test rows centered
-    with ``amap``'s training means (:attr:`align.Side.test`), and ``codes``
-    their identities' :func:`label_codes`.  The rows are projected with
-    ``amap`` and scored in the chunks the evaluation ranks, so the value
-    is the aligned Rank-1 of that seed in :func:`evaluate_identification`.
+    ``x_test`` are the source test rows centered with ``amap``'s source
+    mean (:attr:`align.Side.test`), ``target`` the prepared target side
+    whose test rows are the gallery, and ``codes`` their identities'
+    :func:`label_codes`.  The source rows are mapped with ``amap`` and
+    normalized, then scored against the gallery's unit rows
+    (:attr:`align.Side.gallery`, made once per side and shared by every
+    map scored against it) in the chunks the evaluation ranks.  Those are
+    the unit rows :func:`_score_chunks` would make of the gallery, and the
+    queries are normalized first, so the value, or the error, is that of
+    the seed's aligned Rank-1 in :func:`evaluate_identification`.
     """
-    chunks = _score_chunks(*align.project_centered(x_test, y_test, amap))
+    queries = _unit_matrix(align.map_source(x_test, amap), "queries")
+    chunks = _score_chunks((queries, None), (target.gallery, None))
     return _rank1_from(chunks, codes, codes)
 
 
@@ -489,5 +518,5 @@ def aligned_rank1(x, y, labels, splits, method, alpha) -> float:
         a, b = (align.prepare_side(v, split.train_rows, split.test_rows) for v in (x, y))
         amap = align.fit_sides(a, b, method, alpha, seed=split.seed)
         codes = label_codes([labels[i] for i in split.test_rows])
-        per_seed.append(map_rank1(a.test, b.test, codes, amap))
+        per_seed.append(map_rank1(a.test, b, codes, amap))
     return float(mean_std(per_seed)[0])

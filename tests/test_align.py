@@ -538,6 +538,35 @@ def test_reversed_procrustes_map_is_the_transposed_map(d_a, d_b):
     assert (twice.source_model, twice.target_model, twice.seed) == ("a", "b", 3)
 
 
+def test_one_side_onto_itself_is_the_identity_map():
+    rng = np.random.default_rng(23)
+    side = align.prepare_side(l2_normalize(rng.standard_normal((40, 9))), range(30), range(30, 40))
+    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+        amap = align.fit_sides(side, side, "procrustes", source_model="a", target_model="a",
+                               seed=4)
+    fit.assert_not_called()
+    assert amap.w.tobytes() == np.eye(9).tobytes()
+    assert amap.stats.mu_x.tobytes() == amap.stats.mu_y.tobytes() == side.mean.tobytes()
+    assert (amap.stats.d_a, amap.stats.d_b, amap.stats.n_train) == (9, 9, 30)
+    assert (amap.method, amap.alpha, amap.source_model, amap.seed) == ("procrustes", 0.0, "a", 4)
+    # two sides of the same full-rank rows are two objects: the SVD path, whose
+    # unique optimum is I up to rounding
+    svd = align.fit_sides(side, align.Side(side.train, side.test, side.mean), "procrustes")
+    assert np.abs(svd.w - np.eye(9)).max() <= 1e-12
+    # the regressions still fit: the minimum-norm map of a rank-deficient X (rows
+    # in a 5-dim subspace of 9 columns) is the projector onto its row space, not
+    # I, and ridge shrinks the map
+    x = l2_normalize(rng.standard_normal((40, 5)) @ rng.standard_normal((5, 9)))
+    side = align.prepare_side(x, range(30), range(30, 40))
+    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+        linear = align.fit_sides(side, side, "linear")
+        ridge = align.fit_sides(side, side, "ridge", 0.5)
+    assert fit.call_count == 2
+    assert np.abs(linear.w @ linear.w - linear.w).max() <= 1e-9
+    assert abs(np.trace(linear.w) - 5.0) <= 1e-9
+    assert np.linalg.norm(ridge.w, 2) < 1.0
+
+
 @pytest.mark.parametrize("method", ["linear", "ridge"])
 def test_regression_maps_cannot_be_reversed(method):
     _, _, amap = _fit_pair(5, 7, method)

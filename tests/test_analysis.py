@@ -184,6 +184,14 @@ def test_cluster_rejects_non_finite_similarities(bad):
             agglomerative_cluster(s, "average")
 
 
+@pytest.mark.parametrize("similarity", [5.0, np.ones(3), np.ones((2, 2, 2))],
+                         ids=["0d", "1d", "3d"])
+def test_cluster_rejects_non_matrix_similarities(similarity):
+    # a 0-d similarity raised a raw IndexError
+    with pytest.raises(ArgumentError, match="square matrix"):
+        agglomerative_cluster(similarity)
+
+
 def test_newick_output():
     s = two_group_similarity()
     dend = agglomerative_cluster(s, "average", model_names=["a", "b", "c", "d"])
@@ -346,8 +354,9 @@ def test_compatibility_matrix_equals_identification_over_mixed_widths(method):
     seeds, m = (0, 1), len(sets)
     with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
         cm = build_compatibility_matrix(sets, method=method, seeds=seeds, alpha=0.5)
-    # procrustes fits each unordered pair once per seed; regressions fit every cell
-    per_seed = m * (m + 1) // 2 if method == "procrustes" else m * m
+    # procrustes fits each unordered pair i < j once per seed (a self cell is the
+    # identity map); regressions fit every cell
+    per_seed = m * (m - 1) // 2 if method == "procrustes" else m * m
     assert fit.call_count == per_seed * len(seeds)
     assert np.isfinite(cm.rank1).all() and (cm.rank1 < 80.0).sum() >= 4  # not saturated
     for i, a in enumerate(sets):
@@ -454,7 +463,8 @@ def test_compatibility_matrix_pair_cells_fail_on_their_own(small_views, monkeypa
     with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
         cm = build_compatibility_matrix(sets, seeds=seeds)
     assert calls.count(cell) == 1
-    assert fit.call_count == 6  # one fit per unordered pair and seed, a failed one remade
+    # one fit per pair i < j and seed, a failed one remade; self cells fit nothing
+    assert fit.call_count == 2
     for i in range(2):
         for j in range(2):
             if (i, j) == missing:
@@ -482,8 +492,49 @@ def test_compatibility_matrix_prepares_each_side_once_per_seed(m, seeds):
             mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
         cm = build_compatibility_matrix(sets, seeds=seeds)
     assert prep.call_count == m * len(seeds)
-    assert fit.call_count == m * (m + 1) // 2 * len(seeds)
+    assert fit.call_count == m * (m - 1) // 2 * len(seeds)
     assert np.isfinite(cm.rank1).all()
+
+
+def test_compatibility_matrix_fits_only_its_off_diagonal_pairs():
+    # M views of the same images over S seeds: procrustes fits each pair i < j once
+    # per seed and takes the identity map on the diagonal; linear fits every cell
+    m, seeds = 3, (0, 2)
+    sets = _same_image_views(m, noise=0.8)
+    real = align.fit_sides
+
+    def svd_always(source, target, *args, **kwargs):
+        # a copy of the target side is another object: the self cell fits its SVD
+        return real(source, align.Side(target.train, target.test, target.mean), *args, **kwargs)
+
+    for method, fits in (("procrustes", m * (m - 1) // 2), ("linear", m * m)):
+        with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+            cm = build_compatibility_matrix(sets, method=method, seeds=seeds)
+        assert fit.call_count == fits * len(seeds), method
+        with mock.patch.object(align, "fit_sides", svd_always):
+            assert cm.rank1.tobytes() == build_compatibility_matrix(
+                sets, method=method, seeds=seeds).rank1.tobytes()
+        assert (np.diag(cm.rank1) == 100.0).all() and (cm.rank1 < 100.0).any()
+
+
+def test_compatibility_matrix_normalizes_each_gallery_once_per_seed():
+    # every cell into a model scores against the gallery its side made once
+    m, seeds = 3, (0, 1, 2)
+    sets, made = _same_image_views(m), []
+    real = align.prepare_side
+
+    def prepare(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(align, "prepare_side", prepare), \
+            mock.patch.object(align, "l2_normalize", wraps=align.l2_normalize) as norm, \
+            mock.patch.object(ident_eval, "_unit_rows", wraps=ident_eval._unit_rows) as unit:
+        build_compatibility_matrix(sets, seeds=seeds)
+    assert len(made) == m * len(seeds)
+    galleries = [c for c in norm.call_args_list if any(c.args[0] is side.test for side in made)]
+    assert len(galleries) == m * len(seeds)
+    assert unit.call_count == m * m * len(seeds)  # the scorer normalizes the mapped queries only
 
 
 def test_compatibility_matrix_memory_does_not_grow_with_the_seeds():

@@ -1,5 +1,6 @@
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from embalign import EmbeddingSet, intersect_on_images, load_embeddings, save_embeddings
+from embalign import embedstore
 from embalign.align import unit_pair
 from embalign.embedstore import shared_rows
 from embalign.prep import l2_normalize
@@ -324,6 +326,49 @@ def test_intersect_equals_dict_reference(sets):
     if isinstance(got, list):
         ra, rb = shared_rows(a, b)
         assert got[0][4] == a.rows[ra].tobytes() and got[1][4] == b.rows[rb].tobytes()
+
+
+def ref_shared_rows(a, b):
+    """The dict path of ``shared_rows``, for every pair of sets."""
+    b_index = {iid: i for i, iid in enumerate(b.image_ids)}
+    shared = sorted((iid, i) for i, iid in enumerate(a.image_ids) if iid in b_index)
+    ra = [i for _, i in shared]
+    rb = [b_index[iid] for iid, _ in shared]
+    for (iid, i), j in zip(shared, rb):
+        if a.labels[i] != b.labels[j]:
+            raise LabelConflictError(f"image {iid!r}: label {a.labels[i]!r} vs {b.labels[j]!r}")
+    return ra, rb
+
+
+def _shared_outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except LabelConflictError as exc:
+        return LabelConflictError, str(exc)
+
+
+@st.composite
+def same_id_sets(draw):
+    """Two sets listing the same image ids in the same order, some labels maybe in conflict."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
+    labels = [draw(st.sampled_from("xyz")) for _ in ids]
+    other = list(labels)
+    for _ in range(draw(st.integers(0, 2))):
+        other[draw(st.integers(0, len(ids) - 1))] = "w"
+    rows = np.arange(2.0 * len(ids)).reshape(len(ids), 2)
+    return make_set(rows, ids, labels, "a"), make_set(rows, ids, other, "b")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=same_id_sets())
+def test_shared_rows_of_equal_id_lists_equals_the_dict_path(sets):
+    a, b = sets
+    want = _shared_outcome(ref_shared_rows, a, b)
+    # a's id sort order is computed once, however often a is paired
+    with mock.patch.object(embedstore, "sorted", wraps=sorted, create=True) as order:
+        assert _shared_outcome(shared_rows, a, b) == want
+        assert _shared_outcome(shared_rows, a, b) == want
+    assert order.call_count == 1
 
 
 def ref_unit_pair(source, target):

@@ -6,9 +6,10 @@ Runs a fixed list of CLI commands (``python -m embalign.cli`` with only
 SRC on PYTHONPATH) and writes their reports, CSVs, splits, maps and
 dendrograms into OUT, which must be empty or absent.  The inputs are
 generated into DIR on the first run and reused afterwards: the
-generators of ``bench/workloads.py`` at seed 7 and one small ``embalign
-synth`` set.  Reports embed the paths of their inputs, so two trees are
-compared through one shared DIR:
+generators of ``bench/workloads.py`` at seed 7, one small ``embalign
+synth`` set, and a row-permuted copy of the second ``matrix-m6`` view.
+Reports embed the paths of their inputs, so two trees are compared
+through one shared DIR:
 
     python3 tools/canonical_outputs.py --src ../parent/src --inputs /tmp/in --out /tmp/a
     python3 tools/canonical_outputs.py --src src --inputs /tmp/in --out /tmp/b
@@ -26,6 +27,8 @@ import json
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOAD_SEED = 7
@@ -62,9 +65,34 @@ def _generate(src, inputs):
     synth_dir = os.path.join(inputs, "synth")
     _cli([*SYNTH_ARGV, "--out", synth_dir], src, inputs)
     manifest["synth"] = [os.path.join(synth_dir, f"view{v}.emb") for v in range(3)]
+    manifest["permuted"] = _permuted_copy(_matrix_views(manifest["matrix-m6"])[1], inputs)
     with open(os.path.join(inputs, MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
     return manifest
+
+
+def _permuted_copy(path, inputs):
+    """Write the set at ``path`` with its rows in a seeded random order; return the copy's path.
+
+    It lists the same images as the set it was made from, in another order,
+    so the two are paired by id through a dict (``embedstore.shared_rows``).
+    """
+    from embalign.embedstore import EmbeddingSet, load_embeddings, save_embeddings
+
+    es = load_embeddings(path)
+    order = np.random.default_rng(WORKLOAD_SEED).permutation(es.n)
+    directory = os.path.join(inputs, "permuted")
+    os.makedirs(directory, exist_ok=True)
+    copy = os.path.join(directory, "view1_permuted.emb")
+    save_embeddings(EmbeddingSet(es.model_name, es.dataset_name, es.rows[order],
+                                 [es.image_ids[i] for i in order],
+                                 [es.labels[i] for i in order]), copy)
+    return copy
+
+
+def _matrix_views(argv):
+    """The ``--inputs`` paths of a ``matrix`` argv."""
+    return argv[argv.index("--inputs") + 1:argv.index("--method")]
 
 
 def _pair(argv, swap=False):
@@ -85,7 +113,7 @@ def commands(manifest):
     """The CLI argvs to run, every output path relative to OUT."""
     ident, verif, matrix = (manifest[w] for w in ("ident-10k", "verif-cross", "matrix-m6"))
     views = manifest["synth"]
-    matrix_views = matrix[matrix.index("--inputs") + 1:matrix.index("--method")]
+    matrix_views = _matrix_views(matrix)
     # models whose shared rows differ per partner; train_tgt shares no image with the rest
     mixed = [views[1], matrix_views[0], matrix_views[4],
              verif[verif.index("--train-target") + 1]]
@@ -101,6 +129,9 @@ def commands(manifest):
         # linear fits every cell's own map
         [*_method(matrix, "linear"), "--out-dir", "matrix_linear"],
         ["matrix", "--inputs", *mixed, "--seeds", "0,1", "--out-dir", "matrix_mixed"],
+        # the same images listed in another order: paired by id through a dict
+        ["matrix", "--inputs", matrix_views[0], manifest["permuted"], "--method", "procrustes",
+         "--seeds", "0,1", "--out-dir", "matrix_permuted"],
         ["cluster", "--matrix", "matrix/compatibility_matrix.json", "--out-dir", "cluster"],
         ["sweep", *_pair(ident), "--methods", "procrustes,linear", "--fractions", "0.25,1.0",
          "--seeds", "0", "--out-dir", "sweep_ident"],
