@@ -28,13 +28,10 @@ passed twice and computes no SVD.
 
 Scoring works in the models' own shapes too (:func:`project`): each
 side keeps the k columns it shares with the other, k = d_b with a map
-and min(d_a, d_b) for the unaligned baseline.  Each row's cosine
-denominator is that of the padded formulation, in which both sides are
-zero-padded to D = max(d_a, d_b) and the map is D x D.  That is the
-norm of the scored row, except where the padded rows reach columns the
-other side lacks: the unaligned baseline's wider side, and procrustes
-with d_a > d_b, whose orthogonal D x D map keeps the norm of the
-centered source row.  Map files store the D x D map (:func:`save_map`).
+and min(d_a, d_b) for the unaligned baseline.  A score is the cosine of
+the two k-wide vectors it compares, their dot product over the product
+of their own norms.  Map files store the D x D map, D = max(d_a, d_b)
+(:func:`save_map`).
 """
 
 from __future__ import annotations
@@ -324,43 +321,27 @@ def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=No
     return fit_sides(prepare_side(x, rows), prepare_side(y, rows), method, alpha, **meta)
 
 
-def fit_split(x, y, split, method: str, alpha: float, **meta):
-    """:func:`fit_alignment` on the train rows of ``split``, tagged with its seed."""
-    return fit_alignment(x, y, method, alpha, rows=split.train_rows, seed=split.seed, **meta)
-
-
 def fit_seed(x, y, labels, method: str, alpha: float, fraction: float, seed: int, **meta):
     """Split identities disjointly by ``seed``, fit on the train rows; return (map, test rows)."""
     split = identity_disjoint_split(labels, fraction, seed)
-    return fit_split(x, y, split, method, alpha, **meta), list(split.test_rows)
+    amap = fit_alignment(x, y, method, alpha, rows=split.train_rows, seed=seed, **meta)
+    return amap, list(split.test_rows)
 
 
 def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):
-    """Source and target sides as they are scored, each a ``(rows, norm_rows)`` pair.
+    """Source and target rows as they are scored: the k columns the two sides share.
 
-    ``rows`` are the k columns the two sides share; the cosine of a source
-    and a target row is their dot product over the norms of the matching
-    ``norm_rows`` (module docstring).  With a map, both sides are centered
-    with its training means and the source rows go through W, k = d_b;
-    ``norm_rows`` are ``rows``, except the centered source rows of a
-    procrustes map with d_a > d_b.  Without a map this is the unaligned
-    baseline: the rows as they are (-0.0 included), each side's first
-    k = min(d_a, d_b) columns scored and its full rows giving the norms.
+    With a map, both sides are centered with its training means and the
+    source rows go through W, k = d_b.  Without a map this is the
+    unaligned baseline: each side's first k = min(d_a, d_b) columns, the
+    rows as they are (-0.0 included).  The scorers take each row's cosine
+    denominator from these k columns (module docstring).
     """
     if amap is None:
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         k = min(x.shape[1], y.shape[1])
-        return (x[:, :k], x), (y[:, :k], y)
-    xc, yc = center(x, amap.stats, "source"), center(y, amap.stats, "target")
-    return map_source(xc, amap), (yc, yc)
-
-
-def map_source(xc: np.ndarray, amap: AlignmentMap):
-    """The source side :func:`project` gives with ``amap``, of rows ``xc`` centered by it."""
-    mapped = xc @ amap.w
-    # an orthogonal D x D map keeps the norm of a source row wider than the target
-    kept = amap.method == "procrustes" and amap.stats.d_a > amap.stats.d_b
-    return mapped, xc if kept else mapped
+        return x[:, :k], y[:, :k]
+    return center(x, amap.stats, "source") @ amap.w, center(y, amap.stats, "target")
 
 
 def transform(rows: np.ndarray, amap: AlignmentMap) -> np.ndarray:
@@ -369,8 +350,7 @@ def transform(rows: np.ndarray, amap: AlignmentMap) -> np.ndarray:
     The result is ``amap``'s centered source rows times its d_a x d_b map,
     the source rows :func:`project` scores.
     """
-    (mapped, _), _ = project(l2_normalize(rows), np.empty((0, amap.stats.d_b)), amap)
-    return mapped
+    return center(l2_normalize(rows), amap.stats, "source") @ amap.w
 
 
 def training_residual(amap: AlignmentMap, x_tr: np.ndarray, y_tr: np.ndarray) -> float:

@@ -18,10 +18,11 @@ from .errors import (
     EmbalignError,
     ProtocolError,
 )
-from .ident_eval import aligned_rank1, label_codes, map_rank1
+from .ident_eval import aligned_rank1, map_rank1
 from .reports import mean_std
 from .splits import (
     DEFAULT_SEEDS, _rng, check_distinct, check_fraction, check_seeds, identity_disjoint_split,
+    label_codes,
 )
 
 _TAG_SWEEP = 301

@@ -5,9 +5,9 @@ preprocessing and the alignment map on training rows only, use aligned
 test-source rows as queries against preprocessed test-target rows as the
 gallery.  The unaligned baseline is scored on the same test rows, with
 no means and no map.  Both are scored in the models' own shapes
-(:func:`align.project`): over the k columns the sides share, each row
-over the norm of its norm row, which for the baseline's wider side and
-for procrustes maps with d_a > d_b is the full, wider row.
+(:func:`align.project`), over the k columns the sides share: a score is
+the cosine of a k-wide query and a k-wide gallery row, each row over its
+own norm.
 
 Ranking.  Rank-k, mAP and CMC all derive from one rank kernel.  For a
 query with score row s, gallery item j has the 1-based rank
@@ -56,7 +56,7 @@ from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
 from .reports import AlignedBaselineReport, mean_std, pair_metadata
-from .splits import DEFAULT_SEEDS, check_seeds
+from .splits import DEFAULT_SEEDS, check_seeds, label_codes
 
 RANK_KS = (1, 5, 10)
 CMC_MAX_RANK = 50
@@ -72,39 +72,18 @@ def _block_rows(n_g):
     return max(1, _CELL_BUDGET // n_g)
 
 
-def _unit_matrix(side, name):
-    """Unit rows of a ``(rows, norm_rows)`` side: each row over its norm row's norm.
+def _score_chunks(qn, gn):
+    """Cosine scores of unit query rows against unit gallery rows, lazily, as ``(start, block)``.
 
-    ``norm_rows=None`` marks ``rows`` that are unit rows already: they
-    are taken as they are.
-    """
-    rows, norm_rows = side
-    own = norm_rows is rows
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ConsistencyError(f"{name} must be a 2-D array of rows, got shape {rows.shape}")
-    if norm_rows is None:
-        return rows
-    return _unit_rows(rows, None if own else np.asarray(norm_rows, dtype=np.float64))
-
-
-def _score_chunks(queries, gallery):
-    """Cosine scores of the queries against the gallery, lazily, as ``(start, block)``.
-
-    ``queries`` and ``gallery`` are ``(rows, norm_rows)`` sides as
-    :func:`align.project` gives them: the dot products are over ``rows``
-    and the cosine denominators are the norms of ``norm_rows``.
     ``block`` holds the scores of queries ``start, start + 1, ...``: all
     of them when the whole score matrix fits in ``_SCORE_BUDGET``
     entries, else a whole number of rank blocks per chunk, as many as
-    fit (at least one).  Both sides are validated and normalized here,
-    once (a side of unit rows is taken as it is, :func:`_unit_matrix`);
-    each chunk is computed when it is asked for.
+    fit (at least one).  The shapes are checked here; each chunk is
+    computed when it is asked for.
     """
-    qn, gn = _unit_matrix(queries, "queries"), _unit_matrix(gallery, "gallery")
-    if qn.shape[1] != gn.shape[1]:
+    if qn.ndim != 2 or gn.ndim != 2 or qn.shape[1] != gn.shape[1]:
         raise ConsistencyError(
-            f"queries are {qn.shape[1]} wide but the gallery is {gn.shape[1]} wide"
+            f"queries {qn.shape} and gallery {gn.shape} must be 2-D rows of one width"
         )
     n_q, n_g = len(qn), len(gn)
     if n_q * n_g <= _SCORE_BUDGET:
@@ -115,34 +94,24 @@ def _score_chunks(queries, gallery):
     return ((start, qn[start:start + rows] @ gn.T) for start in range(0, n_q, rows))
 
 
-def _score_sides(queries, gallery):
-    """The whole score matrix of two ``(rows, norm_rows)`` sides, filled from the chunks."""
-    chunks = _score_chunks(queries, gallery)
-    scores = np.empty((len(queries[0]), len(gallery[0])))
+def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities, queries x gallery, rows of one width.
+
+    Both sides are normalized once and the matrix is filled from the
+    chunks the evaluation ranks, so it has their bits.
+    """
+    chunks = _score_chunks(_unit_rows(queries), _unit_rows(gallery))
+    scores = np.empty((len(queries), len(gallery)))
     for start, block in chunks:
         scores[start:start + len(block)] = block
     return scores
 
 
-def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities, queries x gallery, rows of one width.
-
-    Filled from the chunks the evaluation ranks, so it has their bits.
-    """
-    return _score_sides((queries, queries), (gallery, gallery))
-
-
-def label_codes(labels) -> np.ndarray:
-    """Integer codes of ``labels``, equal where the labels' string forms are equal."""
-    labels = np.asarray([str(l) for l in labels], dtype=str)
-    return np.unique(labels, return_inverse=True)[1]
-
-
 def _label_codes(q_labels, g_labels, shape):
     """Integer codes of the query and gallery labels of scores of ``shape``.
 
-    The labels are factorized once (:func:`label_codes`), so queries and
-    gallery share their codes.
+    The labels are factorized once (:func:`splits.label_codes`), so
+    queries and gallery share their codes.
     """
     if shape != (len(q_labels), len(g_labels)):
         raise ConsistencyError(
@@ -438,12 +407,13 @@ def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_sel
 
 
 def _metrics_from_rows(queries, gallery, q_labels, g_labels, max_rank, seed, exclude_self):
-    """:func:`_metrics_from_scores` of the scores of two ``(rows, norm_rows)`` sides.
+    """:func:`_metrics_from_scores` of the cosine scores of query and gallery rows.
 
-    The scores are those :func:`_score_chunks` gives, ranked chunk by chunk.
+    Both sides are normalized once, then scored by :func:`_score_chunks`
+    and ranked chunk by chunk.
     """
-    chunks = _score_chunks(queries, gallery)
-    codes = _label_codes(q_labels, g_labels, (len(queries[0]), len(gallery[0])))
+    chunks = _score_chunks(_unit_rows(queries), _unit_rows(gallery))
+    codes = _label_codes(q_labels, g_labels, (len(queries), len(gallery)))
     return _seed_metrics(chunks, *codes, max_rank, seed, exclude_self)
 
 
@@ -490,16 +460,15 @@ def map_rank1(x_test, target, codes, amap) -> float:
     ``x_test`` are the source test rows centered with ``amap``'s source
     mean (:attr:`align.Side.test`), ``target`` the prepared target side
     whose test rows are the gallery, and ``codes`` their identities'
-    :func:`label_codes`.  The source rows are mapped with ``amap`` and
-    normalized, then scored against the gallery's unit rows
+    :func:`splits.label_codes`.  The source rows are mapped with ``amap``
+    and normalized, then scored against the gallery's unit rows
     (:attr:`align.Side.gallery`, made once per side and shared by every
     map scored against it) in the chunks the evaluation ranks.  Those are
-    the unit rows :func:`_score_chunks` would make of the gallery, and the
-    queries are normalized first, so the value, or the error, is that of
-    the seed's aligned Rank-1 in :func:`evaluate_identification`.
+    the unit rows :func:`_metrics_from_rows` would make of the gallery,
+    and the queries are normalized first, so the value, or the error, is
+    that of the seed's aligned Rank-1 in :func:`evaluate_identification`.
     """
-    queries = _unit_matrix(align.map_source(x_test, amap), "queries")
-    chunks = _score_chunks((queries, None), (target.gallery, None))
+    chunks = _score_chunks(_unit_rows(x_test @ amap.w), target.gallery)
     return _rank1_from(chunks, codes, codes)
 
 

@@ -6,9 +6,10 @@ each model's own width (:func:`center`); no evaluation pads a row.
 :func:`apply_prep` gives the centered rows with trailing zero columns up
 to the common width D = max(d_a, d_b): such rows, scored through the
 D x D map a map file stores (:func:`zero_pad` pads linear and ridge
-maps to it), give the evaluation's scores up to rounding.  Test rows
-are centered with the training means so no test information leaks into
-the fit.
+maps to it), give the evaluation's dot products up to rounding, and its
+cosines except for procrustes with d_a > d_b, whose orthogonal D x D
+map keeps the norm of the centered source row.  Test rows are centered
+with the training means so no test information leaks into the fit.
 """
 
 from __future__ import annotations
@@ -52,20 +53,17 @@ _TINY, _HUGE = 2.0 ** -300, 2.0 ** 300
 _NORM_BLOCK = 1 << 16
 
 
-def _unit_rows(rows, norm_rows=None) -> np.ndarray:
+def _unit_rows(rows) -> np.ndarray:
     """Each row divided by its Euclidean norm (float64); an all-zero row raises.
 
-    With ``norm_rows`` (as many rows as ``rows``) each row is divided by
-    the norm of the matching row of ``norm_rows`` instead, and it is a
-    zero row there that raises.  Exactly one n x d float64 array is made:
-    the float64 cast of rows of another dtype, divided in place, or else
-    the quotient.  The norms are ``np.linalg.norm(axis=1)`` taken over
-    blocks of rows; each row is reduced on its own, so the blocks do not
-    change a norm's bits.  A row whose norm would underflow or overflow
-    (entries near 1e-160 or 1e160 and beyond) is first scaled, together
-    with its norm row, by the exact power of two that brings the largest
-    entry of its norm row into [0.5, 1).  Rows with an in-range norm are
-    divided as they are.  Input that is not 2-D raises ``ConsistencyError``.
+    Exactly one n x d float64 array is made: the float64 cast of rows of
+    another dtype, divided in place, or else the quotient.  The norms are
+    ``np.linalg.norm(axis=1)`` taken over blocks of rows; each row is
+    reduced on its own, so the blocks do not change a norm's bits.  A row
+    whose norm would underflow or overflow (entries near 1e-160 or 1e160
+    and beyond) is first scaled by the exact power of two that brings its
+    largest entry into [0.5, 1).  Rows with an in-range norm are divided
+    as they are.  Input that is not 2-D raises ``ConsistencyError``.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
@@ -73,24 +71,22 @@ def _unit_rows(rows, norm_rows=None) -> np.ndarray:
     into = None
     if rows.dtype != np.float64:
         rows = into = rows.astype(np.float64)  # this call's own array: divided in place
-    norm_rows = rows if norm_rows is None else norm_rows
     norms = np.empty(rows.shape[0])
-    step = max(1, _NORM_BLOCK // max(norm_rows.shape[1], 1))
+    step = max(1, _NORM_BLOCK // max(rows.shape[1], 1))
     with np.errstate(over="ignore"):  # an overflowing norm marks a row to rescale
         for start in range(0, rows.shape[0], step):
-            norms[start:start + step] = np.linalg.norm(norm_rows[start:start + step], axis=1)
+            norms[start:start + step] = np.linalg.norm(rows[start:start + step], axis=1)
     odd = np.flatnonzero((norms < _TINY) | (norms > _HUGE))
     if not odd.size:
         return np.divide(rows, norms[:, None], out=into)
-    peak = np.abs(norm_rows[odd]).max(axis=1, initial=0.0)
+    peak = np.abs(rows[odd]).max(axis=1, initial=0.0)
     zero = odd[peak == 0.0]
     if zero.size:
         raise DegenerateRowError(int(zero[0]))
-    exponent = -np.frexp(peak)[1][:, None]
-    scaled = np.ldexp(norm_rows[odd], exponent)
+    scaled = np.ldexp(rows[odd], -np.frexp(peak)[1][:, None])
     norms[odd] = 1.0
     out = np.divide(rows, norms[:, None], out=into)
-    out[odd] = np.ldexp(rows[odd], exponent) / np.linalg.norm(scaled, axis=1)[:, None]
+    out[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
     return out
 
 

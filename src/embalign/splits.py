@@ -58,6 +58,19 @@ def check_fraction(fraction: float) -> None:
         raise ArgumentError(f"fraction must lie in (0, 1), got {fraction}")
 
 
+def label_codes(labels) -> np.ndarray:
+    """Integer codes of ``labels``, equal exactly where the labels' string forms are equal.
+
+    The codes number the distinct strings in sorted order.  They are
+    factorized over Python strings: numpy's fixed-width ``str`` dtype
+    drops trailing NULs, so it would give ``'a'`` and ``'a\\x00'``, two
+    identities to every other function here, one code.
+    """
+    labels = [str(l) for l in labels]
+    index = {label: code for code, label in enumerate(sorted(set(labels)))}
+    return np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+
+
 def _rng(tag: int, seed: int) -> np.random.Generator:
     return np.random.default_rng([tag, check_seed(seed)])
 
@@ -157,7 +170,7 @@ def sample_impostor_pairs(labels, count: int, seed: int) -> PairList:
     # exhaustive fallback when the request covers most of the pool, where
     # rejection sampling would stall
     if count > available // 2:
-        _, codes = np.unique(np.asarray(labels, dtype=str), return_inverse=True)
+        codes = label_codes(labels)
         a, b = np.triu_indices(n, 1)  # every pair (a < b), in lexicographic order
         cross = codes[a] != codes[b]
         idx = np.sort(rng.choice(available, size=count, replace=False))

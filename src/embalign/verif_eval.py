@@ -7,12 +7,11 @@ symmetric mode averages the two directions.
 Pair scoring gathers the rows of a block of at most ``_PAIR_BLOCK`` pairs
 at a time, so its temporaries hold block x k values whatever the number
 of pairs.  The evaluation scores each side in the models' own shapes
-(:func:`align.project`): the k columns the two sides share, with each
-row's norm taken over its norm row, which is wider than k for the
-unaligned baseline's wider side and for procrustes maps with d_a > d_b.
-Each dot product goes through BLAS ``ddot``, as ``u @ v`` and
-``np.linalg.norm(u)`` do, so every score has the same bits as the
-one-pair-at-a-time expression ``u @ v / (norm(u) * norm(v))``.
+(:func:`align.project`), over the k columns the two sides share: a
+pair's score is the cosine of the two k-wide vectors it compares, each
+over its own norm.  Each dot product goes through BLAS ``ddot``, as
+``u @ v`` and ``np.linalg.norm(u)`` do, so every score has the same bits
+as the one-pair-at-a-time expression ``u @ v / (norm(u) * norm(v))``.
 
 ROC metrics.  The evaluation path keeps each ROC as two arrays (FMR, TMR)
 and computes AUC, EER and TMR@FMR from them in the operation order of the
@@ -41,7 +40,7 @@ ROC_GRID = np.logspace(-4, 0, 50)
 #: ROC_GRID as roc_on_grid evaluates it (FMR 1 itself is not a valid target)
 _GRID_TARGETS = np.minimum(ROC_GRID, 1.0 - 1e-12)
 
-# pairs scored per step; the gathered rows hold 2 x _PAIR_BLOCK x D floats
+# pairs scored per step; the gathered rows hold 2 x _PAIR_BLOCK x k floats
 _PAIR_BLOCK = 2048
 
 
@@ -295,11 +294,11 @@ def _seed_metrics(scores, labels, seed):
 def _eval_sides(x, y, amap):
     """Aligned queries and gallery, then the unaligned baseline pair.
 
-    Each side is its scored rows from :func:`align.project` with the norms
-    of its norm rows, the cosine denominators every seed's pairs share.
+    Each side is its scored rows from :func:`align.project` with their
+    norms, the cosine denominators every seed's pairs share.
     """
     sides = (*align.project(x, y, amap), *align.project(x, y))
-    return tuple((rows, _row_norms(norm_rows)) for rows, norm_rows in sides)
+    return tuple((rows, _row_norms(rows)) for rows in sides)
 
 
 def _score_seed(sides, pairs, symmetric, seed):

@@ -34,7 +34,6 @@ from embalign import (
 )
 from embalign.align import fit_linear, fit_procrustes, fit_ridge
 from embalign.cli import main as cli_main
-from embalign.prep import apply_prep, fit_prep, l2_normalize
 
 
 def verdict(name, ok, detail=""):

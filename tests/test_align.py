@@ -23,7 +23,10 @@ from embalign import (
 )
 from embalign import ident_eval, intersect_on_images, verif_eval
 from embalign.align import DEFAULT_RIDGE_ALPHA, PINV_RTOL, fit_alignment, fit_map, project
-from embalign.errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
+from embalign.embedstore import EmbeddingSet
+from embalign.errors import (
+    ConsistencyError, DataError, DegenerateRowError, FormatError, IoError, NumericalError,
+)
 from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize, zero_pad
 from embalign.splits import identity_disjoint_split, sample_pairs_capped
 
@@ -346,6 +349,12 @@ def old_pad(rows, big_d):
     return out
 
 
+def cosines(queries, gallery):
+    """``u @ v / (norm(u) * norm(v))`` of every query u and gallery row v, one pair at a time."""
+    return np.array([[u @ v / (np.linalg.norm(u) * np.linalg.norm(v)) for v in gallery]
+                     for u in queries])
+
+
 @pytest.mark.parametrize("d_a, d_b", [(3, 5), (5, 3), (4, 4)])
 def test_project_without_map_is_old_padding(d_a, d_b):
     rng = np.random.default_rng(14)
@@ -353,17 +362,23 @@ def test_project_without_map_is_old_padding(d_a, d_b):
     y = rng.standard_normal((6, d_b))
     x[0, 0] = y[1, 2] = -0.0
     x[3, 1] = y[4, 0] = 0.0
-    (queries, q_norm_rows), (gallery, g_norm_rows) = project(x, y)
+    queries, gallery = project(x, y)
     k = min(d_a, d_b)
-    # the rows as they are, each side's first k columns scored over its full rows' norms
+    # the padded rows without their zero columns: each side's first k columns, as they are
     assert queries.tobytes() == np.ascontiguousarray(x[:, :k]).tobytes()
     assert gallery.tobytes() == np.ascontiguousarray(y[:, :k]).tobytes()
-    assert q_norm_rows is x and g_norm_rows is y
-    assert np.signbit(x[0, 0]) and np.signbit(y[1, 2])
-    # the scores of the rows zero-padded to D
+    assert np.signbit(queries[0, 0]) and np.signbit(gallery[1, 2])
+    # each score is the cosine of the two k-wide rows it compares
+    scores = ident_eval.score_matrix(queries, gallery)
+    assert np.abs(scores - cosines(x[:, :k], y[:, :k])).max() <= 1e-12
+    # the padded scores divide by the full rows' norms instead: the same at equal
+    # widths, else the native scores times the share of each row's norm in its k columns
     big_d = max(d_a, d_b)
     padded = ident_eval.score_matrix(old_pad(x, big_d), old_pad(y, big_d))
-    assert np.abs(ident_eval._score_sides(*project(x, y)) - padded).max() <= 1e-12
+    share = [np.linalg.norm(r[:, :k], axis=1) / np.linalg.norm(r, axis=1) for r in (x, y)]
+    assert np.abs(scores * np.outer(*share) - padded).max() <= 1e-12
+    if d_a == d_b:
+        assert np.abs(scores - padded).max() <= 1e-12
 
 
 # --- scoring in the models' own shapes against the padded D-wide evaluation ---
@@ -398,30 +413,45 @@ def test_native_scores_equal_padded_scores(d_a, d_b, method):
     x = l2_normalize(z[:, :d_a] + 0.1 * rng.standard_normal((n, d_a)))
     y = l2_normalize(z[:, -d_b:] + 0.1 * rng.standard_normal((n, d_b)))
     split = identity_disjoint_split(labels, 0.6, 0)
-    amap = align.fit_split(x, y, split, method, 0.1)
-    te = list(split.test_rows)
+    amap, te = align.fit_seed(x, y, labels, method, 0.1, 0.6, 0)
     test_labels = [labels[i] for i in te]
     pairs = sample_pairs_capped(test_labels, 150, 150, 0)
+    i, j, genuine = verif_eval._pair_arrays(pairs)
     native = (project(x[te], y[te], amap), project(x[te], y[te]))
     sides = verif_eval._eval_sides(x[te], y[te], amap)
     for kind, padded, ours, pair_sides in zip(
         ("aligned", "baseline"), padded_sides(x, y, amap, split), native,
         (sides[:2], sides[2:]),
     ):
-        # identification: every score, then every metric of the tie-free scores
-        want = ident_eval.score_matrix(*padded)
-        assert np.abs(ident_eval._score_sides(*ours) - want).max() <= 1e-12, kind
-        flat = np.sort(want.ravel())
-        assert np.diff(flat).min() > 1e-9  # tie-free: rounding cannot reorder the scores
-        args = (test_labels, test_labels, 20, 0, False)
-        assert ident_eval._metrics_from_rows(*ours, *args) == (
-            ident_eval._metrics_from_scores(want, *args)), kind
-        # verification: every pair score, then the metrics of the pairs
-        want_pairs, genuine = verif_eval.pair_scores(*padded, pairs)
+        # every score is the cosine of the two vectors it compares
+        scores = ident_eval.score_matrix(*ours)
+        assert np.abs(scores - cosines(*ours)).max() <= 1e-12, kind
         got_pairs, _ = verif_eval._score_pairs(*pair_sides, pairs, False)
-        assert np.abs(got_pairs - np.array(want_pairs)).max() <= 1e-12, kind
-        assert verif_eval._seed_metrics(got_pairs, np.array(genuine), 0) == (
-            verif_eval._seed_metrics(np.array(want_pairs), np.array(genuine), 0)), kind
+        assert np.abs(got_pairs - cosines(*ours)[i, j]).max() <= 1e-12, kind
+        args = (test_labels, test_labels, 20, 0, False)
+        metrics = ident_eval._metrics_from_rows(*ours, *args)
+        assert metrics == ident_eval._metrics_from_scores(scores, *args), kind
+        # the padded evaluation divided each row by the norm of its padded row:
+        # wider than the compared row for the procrustes source rows of d_a > d_b
+        # (the D x D map keeps the centered row's norm) and the baseline's wider
+        # side (its columns past k), the compared row's own norm everywhere else
+        want = ident_eval.score_matrix(*padded)
+        want_pairs = np.array(verif_eval.pair_scores(*padded, pairs)[0])
+        if kind == "aligned":
+            wider = method == "procrustes" and d_a > d_b
+        else:
+            wider = d_a != d_b
+        if not wider:
+            assert np.abs(scores - want).max() <= 1e-12, kind
+            assert np.abs(got_pairs - want_pairs).max() <= 1e-12, kind
+            assert verif_eval._seed_metrics(got_pairs, genuine, 0) == (
+                verif_eval._seed_metrics(want_pairs, genuine, 0)), kind
+        # where only the queries' denominators differ, each query's scores are
+        # scaled by one positive factor: the tie-free scores keep their order
+        if not (kind == "baseline" and d_a < d_b):
+            for s in (scores, want):
+                assert np.diff(np.sort(s.ravel())).min() > 1e-9, kind
+            assert metrics == ident_eval._metrics_from_scores(want, *args), kind
 
 
 @pytest.mark.parametrize("n, d_a, d_b", [(300, 16, 40), (300, 40, 16), (300, 24, 24),
@@ -458,11 +488,62 @@ def test_transform_and_residual_take_native_widths(d_a, d_b):
         x, y, amap = _fit_pair(d_a, d_b, method)
         out = transform(x[60:] * 3.0, amap)  # rows are normalized first
         assert out.shape == (20, d_b)
-        assert np.array_equal(out, project(l2_normalize(x[60:] * 3.0), y[60:], amap)[0][0])
+        assert np.array_equal(out, project(l2_normalize(x[60:] * 3.0), y[60:], amap)[0])
         xc, yc = center(x[:60], amap.stats, "source"), center(y[:60], amap.stats, "target")
         assert training_residual(amap, xc, yc) == np.linalg.norm(xc @ amap.w - yc)
         with pytest.raises(ConsistencyError, match="widths"):
             training_residual(amap, old_pad(xc, d_a + 1), yc)
+
+
+# --- a compared vector of zero norm ------------------------------------------
+# A score's denominators are the norms of the two compared vectors, so a row
+# can be zero where the row it came from is not.  Each such row is a
+# DegenerateRowError naming its position among the scored rows.
+
+ZERO_LABELS = [f"p{k // 3}" for k in range(36)]  # 12 identities x 3 images
+#: the fifth test row of the seed-0 split, and the row of the whole set it is
+ZERO_AT = 4
+ZERO_ROW = identity_disjoint_split(ZERO_LABELS, 0.7, 0).test_rows[ZERO_AT]
+
+
+def _sets_with_source_row(row):
+    """Sets 5 and 3 columns wide of one list of images; source row ``ZERO_ROW`` is ``row``."""
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((36, 5)).astype(np.float32)
+    x[ZERO_ROW] = row
+    y = rng.standard_normal((36, 3)).astype(np.float32)
+    ids = [f"img{k:02d}" for k in range(36)]  # in sorted order: rows pair in place
+    return (EmbeddingSet("a", "d", x, ids, ZERO_LABELS),
+            EmbeddingSet("b", "d", y, ids, ZERO_LABELS))
+
+
+def _zero_row_at(evaluate, *args, **kwargs):
+    with pytest.raises(DegenerateRowError) as err:
+        evaluate(*args, **kwargs)
+    return err.value.row_index
+
+
+def test_baseline_row_of_zero_shared_columns_is_a_degenerate_row():
+    # the baseline compares the first 3 columns, and those of this row are zero
+    a, b = _sets_with_source_row([0.0, 0.0, 0.0, 1.0, 1.0])
+    assert _zero_row_at(evaluate_identification, a, b, seeds=(0,)) == ZERO_AT
+    assert _zero_row_at(evaluate_verification, a, b, seeds=(0,)) == ZERO_AT
+    amap = fit_alignment(*align.unit_pair(a, b)[1:], "procrustes")
+    assert _zero_row_at(evaluate_verification, a, b, seeds=(0,), amap=amap,
+                        pair_caps=(36, 10)) == ZERO_ROW
+
+
+def test_zero_procrustes_mapped_row_is_a_degenerate_row():
+    # an orthogonal 5 x 3 map that drops the first two columns: the row maps to zero,
+    # though it is a unit row, and its baseline columns are not zero
+    stats = PrepStats(np.zeros(5), np.zeros(3), 5, 3, 5, 25)
+    amap = AlignmentMap(np.eye(5)[:, 2:], stats, "procrustes")
+    a, b = _sets_with_source_row([1.0, 1.0, 0.0, 0.0, 0.0])
+    with mock.patch.object(align, "fit_alignment", return_value=amap):
+        assert _zero_row_at(evaluate_identification, a, b, seeds=(0,)) == ZERO_AT
+        assert _zero_row_at(evaluate_verification, a, b, seeds=(0,)) == ZERO_AT
+    assert _zero_row_at(evaluate_verification, a, b, seeds=(0,), amap=amap,
+                        pair_caps=(36, 10)) == ZERO_ROW
 
 
 def test_transform_equals_the_scored_queries(small_views, monkeypatch):
@@ -473,11 +554,11 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
     expected = transform(a.rows[test], amap).tobytes()
 
     scored = []
-    real_score = ident_eval._score_chunks
-    monkeypatch.setattr(ident_eval, "_score_chunks",
-                        lambda q, g: scored.append(q) or real_score(q, g))
+    real_rows = ident_eval._metrics_from_rows
+    monkeypatch.setattr(ident_eval, "_metrics_from_rows",
+                        lambda q, *args: scored.append(q) or real_rows(q, *args))
     evaluate_identification(v0, v1, "ridge", seeds=(0,))
-    assert scored[0][0].tobytes() == expected  # scored[1] holds the baseline queries
+    assert scored[0].tobytes() == expected  # scored[1] holds the baseline queries
 
     sides = []
     real_sides = verif_eval._eval_sides
@@ -527,7 +608,7 @@ def test_reversed_procrustes_map_is_the_transposed_map(d_a, d_b):
     assert np.array_equal(direct.stats.mu_x, rev.stats.mu_x)
     assert np.array_equal(direct.stats.mu_y, rev.stats.mu_y)
     assert np.abs(rev.w - direct.w).max() <= 1e-12
-    scores = [ident_eval._score_sides(*project(y[60:], x[60:], m)) for m in (rev, direct)]
+    scores = [ident_eval.score_matrix(*project(y[60:], x[60:], m)) for m in (rev, direct)]
     assert np.abs(scores[0] - scores[1]).max() <= 1e-12
 
     twice = rev.reversed()

@@ -508,6 +508,16 @@ def test_public_metrics_equal_sort_reference():
         )
 
 
+def test_labels_that_differ_by_a_trailing_nul_are_two_identities():
+    # identity_disjoint_split keeps 'a' and 'a\x00' apart, and so must the ranking
+    scores = np.array([[2.0, 1.0, 0.0]])
+    q_labels, g_labels = ["a"], ["a\x00", "a", "b"]
+    assert rank_k_accuracy(scores, q_labels, g_labels, 1) == 0.0
+    assert ident_eval._rank1(scores, q_labels, g_labels) == 0.0
+    assert first_hit_ranks(scores, q_labels, g_labels).tolist() == [2]
+    assert mean_average_precision(scores, q_labels, g_labels) == 0.5
+
+
 def test_empty_gallery():
     scores = np.zeros((2, 0))
     with pytest.raises(ProtocolError):
@@ -522,7 +532,7 @@ def test_empty_gallery():
 # budgets give chunks of one or several rank blocks, the last one short.
 
 @pytest.mark.parametrize("scorer", [
-    score_matrix, lambda q, g: ident_eval._score_chunks((q, q), (g, g)),
+    score_matrix, ident_eval._score_chunks,
 ], ids=["score_matrix", "_score_chunks"])
 @pytest.mark.parametrize("queries, gallery", [
     (np.ones(3), np.ones((2, 3))),
@@ -541,7 +551,7 @@ ZERO_QUERIES = {
     "_rank1": lambda s, g: ident_eval._rank1(s, [], g),
     "_metrics_from_scores": lambda s, g: _metrics_from_scores(s, [], g, 2, 0, False),
     "_metrics_from_rows": lambda s, g: ident_eval._metrics_from_rows(
-        (np.zeros((0, 3)),) * 2, (np.eye(3),) * 2, [], g, 2, 0, False),
+        np.zeros((0, 3)), np.eye(3), [], g, 2, 0, False),
 }
 
 
@@ -587,8 +597,7 @@ def test_metrics_from_rows_equal_metrics_of_score_matrix(case, cell_budget, scor
     args = (q_labels, g_labels, max_rank, 5, exclude_self)
     with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
             mock.patch.object(ident_eval, "_SCORE_BUDGET", score_budget):
-        got = outcome(ident_eval._metrics_from_rows, (queries, queries), (gallery, gallery),
-                      *args)
+        got = outcome(ident_eval._metrics_from_rows, queries, gallery, *args)
         scores = score_matrix(queries, gallery)
         want = outcome(_metrics_from_scores, scores, *args)
     assert got == want
@@ -623,7 +632,7 @@ def test_aligned_rank1_equals_rank1_of_score_matrix(case, method, cell_budget, s
 
     def from_matrix():
         amap = align.fit_alignment(x, y, method, 0.1, rows=list(split.train_rows))
-        scores = ident_eval._score_sides(*align.project(x[test], y[test], amap))
+        scores = score_matrix(*align.project(x[test], y[test], amap))
         return ident_eval._rank1(scores, test_labels, test_labels)
 
     with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
@@ -761,7 +770,7 @@ def test_evaluation_from_rows_holds_no_score_matrix(exclude_self):
         tracemalloc.start()
         try:
             ident_eval._metrics_from_rows(
-                (queries, queries), (gallery, gallery), labels, labels,
+                queries, gallery, labels, labels,
                 ident_eval.CMC_MAX_RANK, 0, exclude_self,
             )
             _, peak = tracemalloc.get_traced_memory()

@@ -16,7 +16,7 @@ from embalign import (
     sample_pairs_capped,
 )
 from embalign.errors import ArgumentError, DegenerateDataError
-from embalign.splits import _TAG_IMPOSTOR, _rng, check_seeds, pair_counts
+from embalign.splits import _TAG_IMPOSTOR, _rng, check_seeds, label_codes, pair_counts
 
 
 def labels_for(n_ids, per_id):
@@ -140,6 +140,32 @@ def test_impostor_near_exhaustive():
     labels = ["a", "b", "c"]
     pl = sample_impostor_pairs(labels, 3, seed=0)
     assert {(i, j) for i, j, _ in pl.pairs} == set(itertools.combinations(range(3), 2))
+
+
+@pytest.mark.parametrize("count", [1, 3])  # rejection branch, exhaustive branch
+@pytest.mark.parametrize("seed", range(5))
+def test_impostor_pairs_keep_labels_that_differ_by_a_trailing_nul(count, seed):
+    # numpy's fixed-width str dtype drops trailing NULs and merged 'a' and 'a\x00'
+    labels = ["a", "a\x00", "b"]
+    pl = sample_impostor_pairs(labels, count, seed)
+    assert len(pl.pairs) == count
+    assert all(labels[i] != labels[j] for i, j, _ in pl.pairs)
+    if count == 3:
+        assert {(i, j) for i, j, _ in pl.pairs} == set(itertools.combinations(range(3), 2))
+
+
+def test_label_codes_keep_labels_that_differ_by_trailing_nuls():
+    assert label_codes(["a", "a\x00", "b", "a\x00\x00", "a"]).tolist() == [0, 1, 3, 2, 0]
+    assert label_codes([]).shape == (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(st.characters(exclude_characters="\x00"), max_size=4),
+                          st.integers(-3, 3)), max_size=30))
+def test_label_codes_of_ordinary_labels_are_the_fixed_width_codes(labels):
+    # the codes every report was made with: a fixed-width str array's factorization
+    want = np.unique(np.asarray([str(l) for l in labels], dtype=str), return_inverse=True)[1]
+    assert label_codes(labels).tolist() == want.tolist()
 
 
 def test_impostor_infeasible():

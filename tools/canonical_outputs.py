@@ -138,11 +138,15 @@ def commands(manifest):
         ["sweep", *demo, "--methods", "ridge", "--alpha", "0.3", "--fractions", "0.5,1.0",
          "--seeds", "0,1,2", "--out-dir", "sweep_ridge"],
         # the narrower model as source (d_a < d_b): the baseline scores the first d_a
-        # target columns over the norms of the full target rows
+        # target columns, the gallery's wider rows cut to the columns it compares
         ["eval-id", *_pair(ident, swap=True), "--method", "linear", "--seeds", "0",
          "--out-dir", "eval_id_narrow_source"],
         ["eval-verif", *_pair(ident, swap=True), "--method", "ridge", "--seeds", "0",
          "--out-dir", "eval_verif_narrow_source"],
+        # procrustes from the wider model (d_a > d_b): the pair cosines divide each
+        # mapped source row by its own norm
+        ["eval-verif", *_pair(ident), "--method", "procrustes", "--seeds", "0",
+         "--out-dir", "eval_verif_procrustes_wide_source"],
         ["fit", *_pair(ident), "--method", "procrustes", "--out", "fit_procrustes.bin"],
         ["fit", *_pair(verif), "--method", "linear", "--seed", "3", "--out", "fit_linear.bin"],
         # demos/05_cli_pipeline.sh
