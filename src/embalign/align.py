@@ -30,8 +30,9 @@ Scoring works in the models' own shapes too (:func:`project`): each
 side keeps the k columns it shares with the other, k = d_b with a map
 and min(d_a, d_b) for the unaligned baseline.  A score is the cosine of
 the two k-wide vectors it compares, their dot product over the product
-of their own norms.  Map files store the D x D map, D = max(d_a, d_b)
-(:func:`save_map`).
+of their own norms.  Map files store the d_a x d_b map too
+(:func:`save_map`, format version 2); :func:`load_map` still reads the
+D x D maps, D = max(d_a, d_b), of format version 1.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embedstore import EmbeddingSet, shared_rows
 from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
-from .prep import PrepStats, center, l2_normalize, zero_pad
+from .prep import PrepStats, center, l2_normalize
 from .reports import atomic_write
 from .splits import identity_disjoint_split
 
@@ -61,7 +62,7 @@ GRAM_RTOL = 1e-8
 METHODS = ("procrustes", "linear", "ridge")
 DEFAULT_RIDGE_ALPHA = 0.1
 
-_MAP_FORMAT_VERSION = 1
+_MAP_FORMAT_VERSION = 2
 
 
 def _check_train(x_tr: np.ndarray, y_tr: np.ndarray):
@@ -209,7 +210,7 @@ class AlignmentMap:
         s = self.stats
         return AlignmentMap(
             w=self.w.T,
-            stats=PrepStats(s.mu_y, s.mu_x, s.d_b, s.d_a, s.big_d, s.n_train),
+            stats=PrepStats(s.mu_y, s.mu_x, s.n_train),
             method=self.method,
             source_model=self.target_model,
             target_model=self.source_model,
@@ -302,8 +303,7 @@ def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RI
         w = np.eye(source.train.shape[1])
     else:
         w = fit_map(source.train, target.train, method, alpha)
-    d_a, d_b = w.shape
-    stats = PrepStats(source.mean, target.mean, d_a, d_b, max(d_a, d_b), len(source.train))
+    stats = PrepStats(source.mean, target.mean, len(source.train))
     return AlignmentMap(
         w=w, stats=stats, method=method, alpha=alpha if method == "ridge" else 0.0, **meta
     )
@@ -361,38 +361,20 @@ def training_residual(amap: AlignmentMap, x_tr: np.ndarray, y_tr: np.ndarray) ->
     return float(np.linalg.norm(x_tr @ amap.w - y_tr))
 
 
-def _stored_map(amap: AlignmentMap) -> np.ndarray:
-    """The D x D map a file stores, ``amap.w`` as its leading d_a x d_b block.
-
-    Linear and ridge maps get zero rows and columns.  A procrustes map gets
-    an orthonormal completion from a complete QR, so the stored map is
-    orthogonal as well.
-    """
-    w, big_d = amap.w, amap.stats.big_d
-    if amap.method != "procrustes":
-        return zero_pad(w, (big_d, big_d))
-    tall = w if w.shape[0] >= w.shape[1] else w.T
-    q = np.linalg.qr(tall, mode="complete")[0]
-    full = np.hstack([tall, q[:, tall.shape[1]:]])
-    return full if tall is w else full.T
-
-
 def save_map(amap: AlignmentMap, path: str) -> None:
-    """Write map file: one JSON header line, then float64 LE blocks.
+    """Write a map file: one JSON header line, then the float64 LE blocks mu_x, mu_y and w.
 
-    The map block is D x D (:func:`_stored_map`), as in every file of
-    format version 1.
+    The map block is the d_a x d_b map itself (format version 2).
     """
     mu_x = np.ascontiguousarray(amap.stats.mu_x, dtype="<f8").tobytes()
     mu_y = np.ascontiguousarray(amap.stats.mu_y, dtype="<f8").tobytes()
-    w = np.ascontiguousarray(_stored_map(amap), dtype="<f8").tobytes()
+    w = np.ascontiguousarray(amap.w, dtype="<f8").tobytes()
     header = {
         "format_version": _MAP_FORMAT_VERSION,
         "method": amap.method,
         "alpha": amap.alpha,
         "d_a": amap.stats.d_a,
         "d_b": amap.stats.d_b,
-        "D": amap.stats.big_d,
         "n_train": amap.stats.n_train,
         "source_model": amap.source_model,
         "target_model": amap.target_model,
@@ -418,14 +400,14 @@ def save_map(amap: AlignmentMap, path: str) -> None:
     atomic_write(path, header_bytes + mu_x + mu_y + w)
 
 
-#: header fields of a map file and their JSON types
+#: header fields of a map file and their JSON types; a file of format
+#: version 1 also holds ``D``, the width of its D x D map block
 _MAP_FIELDS = {
     "format_version": int,
     "method": str,
     "alpha": (int, float),
     "d_a": int,
     "d_b": int,
-    "D": int,
     "n_train": int,
     "source_model": str,
     "target_model": str,
@@ -437,12 +419,13 @@ _MAP_FIELDS = {
 _MAP_COUNTS = ("d_a", "d_b", "D", "n_train", "offset_mu_x", "offset_mu_y", "offset_w")
 
 
-def _map_header(blob: bytes, path: str) -> dict:
-    """Parse and validate the header line of a map file.
+def _map_header(blob: bytes, path: str):
+    """Parse and validate the header line of a map file; return it and the map block's shape.
 
     Every field must be present with its type, counts and offsets must be
-    nonnegative, ``D`` must equal ``max(d_a, d_b)``, and the three data
-    blocks must lie after the header, inside the file, without overlapping.
+    nonnegative, ``D`` (format version 1 only) must equal
+    ``max(d_a, d_b)``, and the three data blocks must lie after the
+    header, inside the file, without overlapping.
     """
     newline = blob.find(b"\n")
     if newline < 0:
@@ -454,25 +437,29 @@ def _map_header(blob: bytes, path: str) -> dict:
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
-    if isinstance(version, bool) or version != _MAP_FORMAT_VERSION:
+    if isinstance(version, bool) or version not in (1, _MAP_FORMAT_VERSION):
         raise FormatError(f"{path}: unsupported format_version")
-    for key, kind in _MAP_FIELDS.items():
+    fields = {**_MAP_FIELDS, "D": int} if version == 1 else _MAP_FIELDS
+    for key, kind in fields.items():
         value = header.get(key)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise FormatError(f"{path}: header field {key!r} missing or of the wrong type")
     for key in _MAP_COUNTS:
-        if header[key] < 0:
+        if key in fields and header[key] < 0:
             raise FormatError(f"{path}: header field {key!r} is negative")
     if isinstance(header["alpha"], float) and not math.isfinite(header["alpha"]):
         raise FormatError(f"{path}: header field 'alpha' is not finite")
     if header["method"] not in METHODS:
         raise FormatError(f"{path}: unknown method {header['method']!r}")
-    if header["D"] != max(header["d_a"], header["d_b"]):
-        raise FormatError(f"{path}: D must equal max(d_a, d_b)")
+    shape = (header["d_a"], header["d_b"])
+    if version == 1:
+        if header["D"] != max(shape):
+            raise FormatError(f"{path}: D must equal max(d_a, d_b)")
+        shape = (header["D"], header["D"])
     blocks = sorted(
         (header[f"offset_{name}"], 8 * count, name)
         for name, count in (
-            ("mu_x", header["d_a"]), ("mu_y", header["d_b"]), ("w", header["D"] ** 2)
+            ("mu_x", header["d_a"]), ("mu_y", header["d_b"]), ("w", shape[0] * shape[1])
         )
     )
     end = newline + 1
@@ -482,24 +469,24 @@ def _map_header(blob: bytes, path: str) -> dict:
         end = offset + size
         if end > len(blob):
             raise FormatError(f"{path}: truncated data block {name}")
-    return header
+    return header, shape
 
 
 def load_map(path: str) -> AlignmentMap:
     """Inverse of :func:`save_map`; a malformed file raises ``FormatError``.
 
-    The stored D x D map of a procrustes file must be orthogonal
-    (``ConsistencyError`` otherwise), and that of a linear or ridge file
-    zero outside its leading d_a x d_b block.  The returned map is that
-    block.
+    A file of format version 1 stores a D x D map: that of a procrustes
+    file must be orthogonal (``ConsistencyError`` otherwise), that of a
+    linear or ridge file zero outside its leading d_a x d_b block, and
+    the returned map is that block.
     """
     try:
         with open(path, "rb") as f:
             blob = f.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    header = _map_header(blob, path)
-    d_a, d_b, big_d = header["d_a"], header["d_b"], header["D"]
+    header, shape = _map_header(blob, path)
+    d_a, d_b = header["d_a"], header["d_b"]
 
     def block(name, count):
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=header[f"offset_{name}"])
@@ -507,19 +494,13 @@ def load_map(path: str) -> AlignmentMap:
             raise FormatError(f"{path}: non-finite values in data block {name}")
         return values
 
-    stats = PrepStats(
-        mu_x=block("mu_x", d_a),
-        mu_y=block("mu_y", d_b),
-        d_a=d_a,
-        d_b=d_b,
-        big_d=big_d,
-        n_train=header["n_train"],
-    )
-    stored = block("w", big_d * big_d).reshape(big_d, big_d)
-    if header["method"] == "procrustes":
-        _check_orthonormal(stored)
-    elif np.any(stored[d_a:]) or np.any(stored[:, d_b:]):
-        raise FormatError(f"{path}: nonzero entries outside the d_a x d_b block of the map")
+    stats = PrepStats(block("mu_x", d_a), block("mu_y", d_b), header["n_train"])
+    stored = block("w", shape[0] * shape[1]).reshape(shape)
+    if header["format_version"] == 1:
+        if header["method"] == "procrustes":
+            _check_orthonormal(stored)
+        elif np.any(stored[d_a:]) or np.any(stored[:, d_b:]):
+            raise FormatError(f"{path}: nonzero entries outside the d_a x d_b block of the map")
     return AlignmentMap(
         w=np.array(stored[:d_a, :d_b]),
         stats=stats,

@@ -4,7 +4,7 @@ clustering of models, directional asymmetry, and the training-size sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import (
     EmbalignError,
     ProtocolError,
 )
-from .ident_eval import aligned_rank1, map_rank1
+from .ident_eval import map_rank1
 from .reports import mean_std
 from .splits import (
     DEFAULT_SEEDS, _rng, check_distinct, check_fraction, check_seeds, identity_disjoint_split,
@@ -301,9 +301,11 @@ def training_size_sweep(
 
     Per seed the base split defines the train identity pool and the test
     pool; each sweep fraction keeps a nested deterministic prefix of a
-    shuffled pool.  Each method fits and scores that split through
-    :func:`ident_eval.aligned_rank1`, which reads Rank-1 from each query's
-    first highest score, as in the matrix.  Returns per-point values and
+    shuffled pool.  Each point prepares both sides of its split once
+    (:func:`align.prepare_side`); each method fits its map on them
+    (:func:`align.fit_sides`) and reads Rank-1 from each query's first
+    highest score (:func:`ident_eval.map_rank1`), as in the matrix.  The
+    test labels are factorized once per seed.  Returns per-point values and
     mean/std aggregates (:func:`reports.mean_std`).  An empty or repeated
     list of fractions, methods or seeds is an ``ArgumentError``, and every
     method is checked before the first fit.
@@ -324,8 +326,8 @@ def training_size_sweep(
     for seed in seeds:
         split = identity_disjoint_split(labels, base_fraction, seed)
         pool = sorted(split.train_identities)
-        n_identities = len(pool) + len(split.test_identities)
         order = _rng(_TAG_SWEEP, seed).permutation(len(pool))
+        codes = label_codes([labels[i] for i in split.test_rows])
         for frac in fractions:
             n_ids = int(len(pool) * frac)
             if n_ids < 1:
@@ -333,17 +335,18 @@ def training_size_sweep(
                     f"fraction {frac} keeps no train identities (pool {len(pool)})"
                 )
             keep = frozenset(pool[i] for i in order[:n_ids])
-            sub = replace(split, train_fraction=n_ids / n_identities, train_identities=keep,
-                          train_rows=tuple(i for i in split.train_rows if labels[i] in keep))
+            train = [i for i in split.train_rows if labels[i] in keep]
+            a, b = (align.prepare_side(v, train, split.test_rows) for v in (x, y))
             for method in methods:
+                amap = align.fit_sides(a, b, method, alpha, seed=seed)
                 points.append(
                     {
                         "method": method,
                         "fraction": frac,
                         "seed": seed,
                         "n_train_identities": n_ids,
-                        "n_train_rows": len(sub.train_rows),
-                        "rank1": aligned_rank1(x, y, labels, [sub], method, alpha),
+                        "n_train_rows": len(train),
+                        "rank1": map_rank1(a.test, b, codes, amap),
                     }
                 )
     summary = []

@@ -471,21 +471,3 @@ def map_rank1(x_test, target, codes, amap) -> float:
     chunks = _score_chunks(_unit_rows(x_test @ amap.w), target.gallery)
     return _rank1_from(chunks, codes, codes)
 
-
-def aligned_rank1(x, y, labels, splits, method, alpha) -> float:
-    """Aligned mean Rank-1 as :func:`evaluate_identification` reports it, with no baseline.
-
-    ``x`` and ``y`` are the unit source and target rows of the shared
-    images, ``labels`` their identities and ``splits`` one
-    identity-disjoint split of ``labels`` per seed.  Each seed prepares
-    both sides of its split (:func:`align.prepare_side`), fits its map
-    and scores it with :func:`map_rank1`, one after another on the
-    calling thread.
-    """
-    per_seed = []
-    for split in splits:
-        a, b = (align.prepare_side(v, split.train_rows, split.test_rows) for v in (x, y))
-        amap = align.fit_sides(a, b, method, alpha, seed=split.seed)
-        codes = label_codes([labels[i] for i in split.test_rows])
-        per_seed.append(map_rank1(a.test, b, codes, amap))
-    return float(mean_std(per_seed)[0])

@@ -1,15 +1,12 @@
-"""Preprocessing: unit normalization, train-statistic centering, zero padding.
+"""Preprocessing: unit normalization and train-statistic centering.
 
 Pipeline order is fixed: normalize rows, fit column means on the training
 rows only, subtract those means.  Maps are fit and rows are scored at
 each model's own width (:func:`center`); no evaluation pads a row.
 :func:`apply_prep` gives the centered rows with trailing zero columns up
-to the common width D = max(d_a, d_b): such rows, scored through the
-D x D map a map file stores (:func:`zero_pad` pads linear and ridge
-maps to it), give the evaluation's dot products up to rounding, and its
-cosines except for procrustes with d_a > d_b, whose orthogonal D x D
-map keeps the norm of the centered source row.  Test rows are centered
-with the training means so no test information leaks into the fit.
+to the common width D = max(d_a, d_b), the padded formulation the tests
+hold the native one against.  Test rows are centered with the training
+means so no test information leaks into the fit.
 """
 
 from __future__ import annotations
@@ -23,13 +20,10 @@ from .errors import ConsistencyError, DataError, DegenerateRowError
 
 @dataclass(frozen=True)
 class PrepStats:
-    """Training means and padding target for one (source, target) model pair."""
+    """Training means for one (source, target) model pair, and the rows they came from."""
 
     mu_x: np.ndarray
     mu_y: np.ndarray
-    d_a: int
-    d_b: int
-    big_d: int
     n_train: int
 
     def __post_init__(self):
@@ -37,12 +31,20 @@ class PrepStats:
         mu_y = np.asarray(self.mu_y, dtype=np.float64)
         object.__setattr__(self, "mu_x", mu_x)
         object.__setattr__(self, "mu_y", mu_y)
-        if mu_x.shape != (self.d_a,) or mu_y.shape != (self.d_b,):
-            raise ConsistencyError("mean vector lengths disagree with dimensions")
-        if self.big_d != max(self.d_a, self.d_b):
-            raise ConsistencyError("padding dimension must equal max(d_a, d_b)")
+        if mu_x.ndim != 1 or mu_y.ndim != 1:
+            raise ConsistencyError("mean vectors must be 1-D")
         if not (np.all(np.isfinite(mu_x)) and np.all(np.isfinite(mu_y))):
             raise DataError("non-finite training means")
+
+    @property
+    def d_a(self) -> int:
+        """Source width."""
+        return len(self.mu_x)
+
+    @property
+    def d_b(self) -> int:
+        """Target width."""
+        return len(self.mu_y)
 
 
 # rows whose norm lies outside [_TINY, _HUGE] are rescaled before they are
@@ -109,24 +111,7 @@ def fit_prep(x_train: np.ndarray, y_train: np.ndarray) -> PrepStats:
         )
     if x_train.shape[0] < 1:
         raise ConsistencyError("need at least one training row")
-    d_a, d_b = x_train.shape[1], y_train.shape[1]
-    return PrepStats(
-        mu_x=x_train.mean(axis=0),
-        mu_y=y_train.mean(axis=0),
-        d_a=d_a,
-        d_b=d_b,
-        big_d=max(d_a, d_b),
-        n_train=x_train.shape[0],
-    )
-
-
-def zero_pad(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """``a`` with trailing zero rows and columns up to ``shape`` (``a`` itself if it fits)."""
-    if a.shape == shape:
-        return a
-    out = np.zeros(shape, dtype=np.float64)
-    out[: a.shape[0], : a.shape[1]] = a
-    return out
+    return PrepStats(x_train.mean(axis=0), y_train.mean(axis=0), x_train.shape[0])
 
 
 def center(rows: np.ndarray, stats: PrepStats, side: str) -> np.ndarray:
@@ -150,6 +135,6 @@ def center(rows: np.ndarray, stats: PrepStats, side: str) -> np.ndarray:
 
 
 def apply_prep(rows: np.ndarray, stats: PrepStats, side: str) -> np.ndarray:
-    """Center by the training mean of ``side`` and zero-pad to width D."""
+    """Center by the training mean of ``side`` and zero-pad to width D = max(d_a, d_b)."""
     centered = center(rows, stats, side)
-    return zero_pad(centered, (centered.shape[0], stats.big_d))
+    return np.pad(centered, ((0, 0), (0, max(stats.d_a, stats.d_b) - centered.shape[1])))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from embalign import embed_view, generate_identity_cloud
+from embalign import align, embed_view, generate_identity_cloud
+from embalign.ident_eval import map_rank1
+from embalign.reports import mean_std
+from embalign.splits import label_codes
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +20,20 @@ def random_orthogonal(dim, rng):
     """Test-local Haar rotation, independent of the library's generator."""
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def aligned_rank1(x, y, labels, splits, method, alpha) -> float:
+    """Aligned mean Rank-1 as ``evaluate_identification`` reports it, with no baseline.
+
+    ``x`` and ``y`` are the unit source and target rows of the shared
+    images, ``labels`` their identities and ``splits`` one
+    identity-disjoint split of ``labels`` per seed.  Each seed prepares
+    both sides of its split, fits its map and scores it with ``map_rank1``.
+    """
+    per_seed = []
+    for split in splits:
+        a, b = (align.prepare_side(v, split.train_rows, split.test_rows) for v in (x, y))
+        amap = align.fit_sides(a, b, method, alpha, seed=split.seed)
+        codes = label_codes([labels[i] for i in split.test_rows])
+        per_seed.append(map_rank1(a.test, b, codes, amap))
+    return float(mean_std(per_seed)[0])

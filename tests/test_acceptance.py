@@ -6,16 +6,13 @@ configurations are small enough to run single-threaded in well under a
 minute total.
 """
 
-import itertools
 import json
 import time
 
 import numpy as np
-import pytest
 
 from embalign import (
     agglomerative_cluster,
-    all_genuine_pairs,
     auc,
     cmc_curve,
     eer,

@@ -27,15 +27,15 @@ from embalign.embedstore import EmbeddingSet
 from embalign.errors import (
     ConsistencyError, DataError, DegenerateRowError, FormatError, IoError, NumericalError,
 )
-from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize, zero_pad
+from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize
 from embalign.splits import identity_disjoint_split, sample_pairs_capped
 
 from conftest import random_orthogonal
 
 
-def make_stats(big_d, mu=None):
-    mu = np.zeros(big_d) if mu is None else mu
-    return PrepStats(mu, mu, big_d, big_d, big_d, 1)
+def make_stats(d, mu=None):
+    mu = np.zeros(d) if mu is None else mu
+    return PrepStats(mu, mu, 1)
 
 
 def test_procrustes_self_alignment():
@@ -393,12 +393,13 @@ def padded_sides(x, y, amap, split):
     D x D map of that evaluation: the linear or ridge map zero-padded, or the
     orthogonal factor of the full SVD of the padded cross-covariance.
     """
-    big_d, s = amap.stats.big_d, amap.stats
+    s = amap.stats
+    big_d = max(s.d_a, s.d_b)
     tr, te = list(split.train_rows), list(split.test_rows)
     if amap.method == "procrustes":
         w = fit_procrustes(apply_prep(x[tr], s, "source"), apply_prep(y[tr], s, "target"))
     else:
-        w = zero_pad(amap.w, (big_d, big_d))
+        w = stored_map_v1(amap)
     aligned = (apply_prep(x[te], s, "source") @ w, apply_prep(y[te], s, "target"))
     return aligned, (old_pad(x[te], big_d), old_pad(y[te], big_d))
 
@@ -471,15 +472,16 @@ def test_thin_procrustes_is_the_padded_block(n, d_a, d_b):
 @pytest.mark.parametrize("d_a, d_b", [(5, 3), (3, 5)])
 def test_alignment_map_checks_the_smaller_gram(d_a, d_b):
     rng = np.random.default_rng(d_a)
-    stats = PrepStats(np.zeros(d_a), np.zeros(d_b), d_a, d_b, max(d_a, d_b), 1)
-    tall = random_orthogonal(max(d_a, d_b), rng)[:, :min(d_a, d_b)]
+    stats = PrepStats(np.zeros(d_a), np.zeros(d_b), 1)
+    big_d = max(d_a, d_b)
+    tall = random_orthogonal(big_d, rng)[:, :min(d_a, d_b)]
     block = tall if d_a > d_b else tall.T
     AlignmentMap(block, stats, "procrustes")  # orthonormal columns, or rows
     for bad in (1.001 * block, block + 1e-3 * rng.standard_normal(block.shape)):
         with pytest.raises(ConsistencyError, match="orthogonality"):
             AlignmentMap(bad, stats, "procrustes")
     with pytest.raises(ConsistencyError, match="map shape"):
-        AlignmentMap(zero_pad(block, (max(d_a, d_b),) * 2), stats, "procrustes")
+        AlignmentMap(np.pad(block, [(0, big_d - d_a), (0, big_d - d_b)]), stats, "procrustes")
 
 
 @pytest.mark.parametrize("d_a, d_b", [(7, 4), (4, 7), (5, 5)])
@@ -536,7 +538,7 @@ def test_baseline_row_of_zero_shared_columns_is_a_degenerate_row():
 def test_zero_procrustes_mapped_row_is_a_degenerate_row():
     # an orthogonal 5 x 3 map that drops the first two columns: the row maps to zero,
     # though it is a unit row, and its baseline columns are not zero
-    stats = PrepStats(np.zeros(5), np.zeros(3), 5, 3, 5, 25)
+    stats = PrepStats(np.zeros(5), np.zeros(3), 25)
     amap = AlignmentMap(np.eye(5)[:, 2:], stats, "procrustes")
     a, b = _sets_with_source_row([1.0, 1.0, 0.0, 0.0, 0.0])
     with mock.patch.object(align, "fit_alignment", return_value=amap):
@@ -592,8 +594,7 @@ def test_reversed_procrustes_map_is_the_transposed_map(d_a, d_b):
     assert np.array_equal(rev.w, amap.w.T)
     assert np.array_equal(rev.stats.mu_x, amap.stats.mu_y)
     assert np.array_equal(rev.stats.mu_y, amap.stats.mu_x)
-    assert (rev.stats.d_a, rev.stats.d_b, rev.stats.big_d, rev.stats.n_train) == (
-        d_b, d_a, max(d_a, d_b), 60)
+    assert (rev.stats.d_a, rev.stats.d_b, rev.stats.n_train) == (d_b, d_a, 60)
     assert (rev.method, rev.alpha, rev.source_model, rev.target_model, rev.seed) == (
         "procrustes", 0.0, "b", "a", 3)
     # it passes the orthogonality check of a procrustes map
@@ -657,7 +658,7 @@ def test_regression_maps_cannot_be_reversed(method):
 
 def test_map_file_round_trip(tmp_path):
     rng = np.random.default_rng(13)
-    stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 4, 6, 6, 33)
+    stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 33)
     amap = AlignmentMap(
         rng.standard_normal((4, 6)), stats, "ridge", alpha=0.1,
         source_model="a", target_model="b", seed=3,
@@ -672,13 +673,72 @@ def test_map_file_round_trip(tmp_path):
     assert loaded.stats.n_train == 33 and loaded.seed == 3
 
 
-def stored_block(path):
-    """The D x D map block of a map file, as stored."""
+# --- map files of format version 1 -----------------------------------------
+# Version 1 stored the D x D map, D = max(d_a, d_b), with the d_a x d_b map as
+# its leading block.  The helpers below write that layout, as the writer of
+# version 1 did, so the reader's compatibility is tested against it.
+
+def stored_map_v1(amap):
+    """The D x D map a file of format version 1 stores, ``amap.w`` as its leading block.
+
+    Linear and ridge maps get zero rows and columns.  A procrustes map gets
+    an orthonormal completion from a complete QR, so the stored map is
+    orthogonal as well.
+    """
+    w = amap.w
+    big_d = max(w.shape)
+    if amap.method != "procrustes":
+        return np.pad(w, [(0, big_d - w.shape[0]), (0, big_d - w.shape[1])])
+    tall = w if w.shape[0] >= w.shape[1] else w.T
+    q = np.linalg.qr(tall, mode="complete")[0]
+    full = np.hstack([tall, q[:, tall.shape[1]:]])
+    return full if tall is w else full.T
+
+
+def map_bytes_v1(amap, stored=None):
+    """The bytes of ``amap``'s map file of format version 1, map block ``stored``.
+
+    ``stored`` defaults to :func:`stored_map_v1`.  The header's offsets
+    count from the start of the file, so it references itself: the
+    offsets are iterated until the header length is stable.
+    """
+    stored = stored_map_v1(amap) if stored is None else stored
+    blocks = {name: np.ascontiguousarray(b, dtype="<f8").tobytes()
+              for name, b in (("mu_x", amap.stats.mu_x), ("mu_y", amap.stats.mu_y),
+                              ("w", stored))}
+    header = {
+        "format_version": 1, "method": amap.method, "alpha": amap.alpha,
+        "d_a": amap.stats.d_a, "d_b": amap.stats.d_b, "D": len(stored),
+        "n_train": amap.stats.n_train, "source_model": amap.source_model,
+        "target_model": amap.target_model, "seed": amap.seed,
+    }
+    offsets = dict.fromkeys(blocks, 0)
+    for _ in range(8):
+        header.update({f"offset_{name}": at for name, at in offsets.items()})
+        line = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+        new, at = {}, len(line)
+        for name, block in blocks.items():
+            new[name], at = at, at + len(block)
+        if new == offsets:
+            break
+        offsets = new
+    return line + b"".join(blocks.values())
+
+
+def file_header(path):
     with open(path, "rb") as f:
         blob = f.read()
-    header = json.loads(blob[:blob.index(b"\n")])
-    big_d = header["D"]
-    return np.frombuffer(blob, "<f8", big_d * big_d, header["offset_w"]).reshape(big_d, big_d)
+    return blob, json.loads(blob[:blob.index(b"\n")])
+
+
+def assert_same_map(got, want):
+    """Every field of two maps agrees, float arrays to the bit."""
+    for name, a, b in (("w", got.w, want.w), ("mu_x", got.stats.mu_x, want.stats.mu_x),
+                       ("mu_y", got.stats.mu_y, want.stats.mu_y)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (got.method, got.alpha, got.seed, got.stats.n_train) == (
+        want.method, want.alpha, want.seed, want.stats.n_train)
+    assert (got.source_model, got.target_model) == (want.source_model, want.target_model)
 
 
 @pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
@@ -687,7 +747,23 @@ def test_map_file_round_trip_native_block(tmp_path, d_a, d_b, method):
     _, _, amap = _fit_pair(d_a, d_b, method, source_model="a", target_model="b", seed=2)
     path = str(tmp_path / "m.amap")
     save_map(amap, path)
-    stored = stored_block(path)
+    blob, header = file_header(path)
+    # format version 2: the w block is the d_a x d_b map itself, and there is no D
+    assert header["format_version"] == 2 and "D" not in header
+    assert (header["d_a"], header["d_b"]) == (d_a, d_b)
+    assert blob[header["offset_w"]:] == amap.w.tobytes()
+    loaded = load_map(path)
+    assert_same_map(loaded, amap)
+    assert (loaded.method, loaded.alpha, loaded.seed, loaded.stats.n_train) == (
+        method, amap.alpha, 2, 60)
+    assert (loaded.source_model, loaded.target_model) == ("a", "b")
+
+
+@pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
+@pytest.mark.parametrize("d_a, d_b", [(4, 9), (6, 6), (9, 4)])
+def test_v1_map_file_loads_as_the_v2_round_trip(tmp_path, d_a, d_b, method):
+    _, _, amap = _fit_pair(d_a, d_b, method, source_model="a", target_model="b", seed=2)
+    stored = stored_map_v1(amap)
     big_d = max(d_a, d_b)
     assert stored.shape == (big_d, big_d)
     assert stored[:d_a, :d_b].tobytes() == amap.w.tobytes()
@@ -696,48 +772,51 @@ def test_map_file_round_trip_native_block(tmp_path, d_a, d_b, method):
         assert np.abs(stored.T @ stored - np.eye(big_d)).max() <= 1e-12
     else:
         assert not stored[d_a:].any() and not stored[:, d_b:].any()
-    loaded = load_map(path)
-    assert loaded.w.tobytes() == amap.w.tobytes()
-    assert loaded.stats.mu_x.tobytes() == amap.stats.mu_x.tobytes()
-    assert loaded.stats.mu_y.tobytes() == amap.stats.mu_y.tobytes()
-    assert (loaded.method, loaded.alpha, loaded.seed, loaded.stats.n_train) == (
-        method, amap.alpha, 2, 60)
-    assert (loaded.source_model, loaded.target_model) == ("a", "b")
+    v1, v2 = tmp_path / "v1.amap", tmp_path / "v2.amap"
+    v1.write_bytes(map_bytes_v1(amap))
+    save_map(amap, str(v2))
+    assert file_header(v1)[1]["D"] == big_d
+    assert_same_map(load_map(str(v1)), load_map(str(v2)))
+    assert len(v2.read_bytes()) < len(v1.read_bytes())
 
 
 def test_load_map_checks_the_stored_block(tmp_path):
-    # a linear map with a nonzero entry outside its d_a x d_b block
-    blob, header, _ = saved_map_blob(tmp_path)
-    at = header["offset_w"] + 8 * (4 * 6 + 1)  # row 4, column 1 of the 6 x 6 block
-    bad = blob[:at] + np.array([0.5]).tobytes() + blob[at + 8:]
+    # version 1: a linear map with a nonzero entry outside its d_a x d_b block
+    _, _, amap = _fit_pair(4, 6, "linear")
+    stored = stored_map_v1(amap)
+    stored[4, 1] = 0.5
     with pytest.raises(FormatError, match="outside"):
-        load_bytes(tmp_path, bad)
-    # a procrustes map whose leading block is orthonormal but the stored map is not
+        load_bytes(tmp_path, map_bytes_v1(amap, stored))
+    # version 1: a procrustes map whose leading block is orthonormal but the
+    # stored map is not
     _, _, amap = _fit_pair(6, 4, "procrustes")
+    stored = stored_map_v1(amap)
+    stored[:, 4:] *= 2.0
+    with pytest.raises(ConsistencyError, match="orthogonality"):
+        load_bytes(tmp_path, map_bytes_v1(amap, stored))
+    # version 2: a procrustes map that is not orthonormal
     path = str(tmp_path / "p.amap")
     save_map(amap, path)
-    with open(path, "rb") as f:
-        blob = f.read()
-    header = json.loads(blob[:blob.index(b"\n")])
-    stored = stored_block(path).copy()
-    stored[:, 4:] *= 2.0
+    blob, header = file_header(path)
     at = header["offset_w"]
-    bad = blob[:at] + stored.astype("<f8").tobytes() + blob[at + stored.nbytes:]
+    bad = blob[:at] + (2.0 * amap.w).astype("<f8").tobytes()
     with pytest.raises(ConsistencyError, match="orthogonality"):
         load_bytes(tmp_path, bad)
 
 
 # --- map file header validation -------------------------------------------
 
-def saved_map_blob(tmp_path):
-    """Bytes of a valid ridge map file with d_a=4, d_b=6 and its header."""
+def saved_map_blob(tmp_path, version=2):
+    """Bytes of a valid ridge map file with d_a=4, d_b=6 and format ``version``, its header."""
     rng = np.random.default_rng(13)
-    stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 4, 6, 6, 33)
+    stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 33)
     amap = AlignmentMap(rng.standard_normal((4, 6)), stats, "ridge", alpha=0.1, seed=3)
-    path = str(tmp_path / "valid.amap")
-    save_map(amap, path)
-    with open(path, "rb") as f:
-        blob = f.read()
+    path = tmp_path / "valid.amap"
+    if version == 1:
+        path.write_bytes(map_bytes_v1(amap))
+    else:
+        save_map(amap, str(path))
+    blob = path.read_bytes()
     newline = blob.index(b"\n")
     return blob, json.loads(blob[:newline]), newline
 
@@ -755,35 +834,41 @@ def load_bytes(tmp_path, blob):
 
 
 BAD_HEADERS = {
-    "version_only": lambda h: {"format_version": 1},
+    "version_only": lambda h: {"format_version": h["format_version"]},
     "not_an_object": lambda h: [h],
     "bool_version": lambda h: {**h, "format_version": True},
+    "unknown_version": lambda h: {**h, "format_version": 3},
     "missing_d_b": lambda h: {k: v for k, v in h.items() if k != "d_b"},
     "float_d_a": lambda h: {**h, "d_a": 4.0},
     "negative_n_train": lambda h: {**h, "n_train": -1},
     "string_alpha": lambda h: {**h, "alpha": "0.1"},
     "unknown_method": lambda h: {**h, "method": "cubic"},
     "D_not_max": lambda h: {**h, "D": 7},
+    "missing_D": lambda h: {k: v for k, v in h.items() if k != "D"},
     "blocks_overlap": lambda h: {**h, "offset_mu_y": h["offset_mu_x"] + 8},
     "block_in_header": lambda h: {**h, "offset_mu_x": 0},
     "block_past_end": lambda h: {**h, "offset_w": h["offset_w"] + 8},
 }
+#: mutations of a field that only format version 1 has
+V1_ONLY = {"D_not_max", "missing_D"}
 
 
-@pytest.mark.parametrize("mutate", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
-def test_load_map_rejects_bad_header(tmp_path, mutate):
-    blob, header, newline = saved_map_blob(tmp_path)
-    bad = with_header(mutate(dict(header)), blob[newline + 1:], newline)
-    with pytest.raises(FormatError):
-        load_bytes(tmp_path, bad)
+@pytest.mark.parametrize("name", BAD_HEADERS)
+def test_load_map_rejects_bad_header(tmp_path, name):
+    for version in (1,) if name in V1_ONLY else (1, 2):
+        blob, header, newline = saved_map_blob(tmp_path, version)
+        bad = with_header(BAD_HEADERS[name](dict(header)), blob[newline + 1:], newline)
+        with pytest.raises(FormatError):
+            load_bytes(tmp_path, bad)
 
 
 def test_load_map_rejects_non_finite_block(tmp_path):
-    blob, header, newline = saved_map_blob(tmp_path)
-    at = header["offset_w"]
-    bad = blob[:at] + np.array([np.nan]).tobytes() + blob[at + 8:]
-    with pytest.raises(FormatError):
-        load_bytes(tmp_path, bad)
+    for version in (1, 2):
+        blob, header, _ = saved_map_blob(tmp_path, version)
+        at = header["offset_w"]
+        bad = blob[:at] + np.array([np.nan]).tobytes() + blob[at + 8:]
+        with pytest.raises(FormatError):
+            load_bytes(tmp_path, bad)
 
 
 JSON_VALUES = st.one_of(
@@ -796,7 +881,7 @@ JSON_VALUES = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_load_map_fuzz_raises_only_format_errors(tmp_path, data):
-    blob, header, newline = saved_map_blob(tmp_path)
+    blob, header, newline = saved_map_blob(tmp_path, data.draw(st.sampled_from([1, 2])))
     kind = data.draw(st.sampled_from(["truncate", "field", "bytes"]))
     if kind == "truncate":
         bad = blob[: data.draw(st.integers(0, len(blob) - 1))]

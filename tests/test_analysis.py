@@ -1,7 +1,7 @@
 import contextlib
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -33,6 +33,8 @@ from embalign.errors import (
 )
 from embalign.prep import apply_prep, fit_prep, l2_normalize
 from embalign.splits import _rng, identity_disjoint_split
+
+from conftest import aligned_rank1
 
 
 # --- brute-force agglomeration oracle -------------------------------------
@@ -579,19 +581,23 @@ def test_sweep_rejects_repeats(small_views, kwargs, message):
     # a repeat used to write every sweep.csv row twice, and an empty list
     # gave an empty sweep
     args = {"fractions": [0.5, 1.0], "seeds": (0,), "methods": ("procrustes",), **kwargs}
-    with mock.patch.object(analysis, "aligned_rank1") as score:
+    with mock.patch.object(align, "prepare_side") as prepare, \
+            mock.patch.object(align, "fit_sides") as fit:
         with pytest.raises(ArgumentError, match=message):
             training_size_sweep(*small_views, **args)
-    score.assert_not_called()
+    prepare.assert_not_called()
+    fit.assert_not_called()
 
 
 @pytest.mark.parametrize("methods, alpha", [(("procrustes", "nope"), 0.1),
                                             (("linear", "ridge"), 0.0)])
 def test_sweep_checks_every_method_before_the_first_fit(small_views, methods, alpha):
-    with mock.patch.object(analysis, "aligned_rank1") as score:
+    with mock.patch.object(align, "prepare_side") as prepare, \
+            mock.patch.object(align, "fit_sides") as fit:
         with pytest.raises(ConsistencyError):
             training_size_sweep(*small_views, [1.0], seeds=(0,), methods=methods, alpha=alpha)
-    score.assert_not_called()
+    prepare.assert_not_called()
+    fit.assert_not_called()
 
 
 def test_sweep_rejects_empty_pool(small_views):
@@ -672,16 +678,33 @@ def test_sweep_equals_its_former_pipeline(small_views, seeds, fractions, base_fr
 
 def test_sweep_point_is_the_aligned_rank1_of_its_split(small_views):
     v0, v1 = small_views
-    with mock.patch.object(analysis, "aligned_rank1", wraps=analysis.aligned_rank1) as spy:
+    labels, x, y = align.unit_pair(v0, v1)
+    with mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prepare:
         table = training_size_sweep(v0, v1, [0.5], seeds=(2,), methods=("linear",))
-    (x, y, labels, (split,), method, alpha), _ = spy.call_args
-    assert method == "linear" and split.seed == 2
-    kept = {labels[i] for i in split.train_rows}
-    assert kept == split.train_identities and len(kept) == table["points"][0]["n_train_identities"]
-    assert {labels[i] for i in split.test_rows} == split.test_identities
-    assert not split.train_identities & split.test_identities
-    n_ids = len(set(labels))
-    assert split.train_fraction == len(kept) / n_ids
+    (source, train, test), (target, *same) = (c.args for c in prepare.call_args_list)
+    assert np.array_equal(source, x) and np.array_equal(target, y) and same == [train, test]
+    # the kept train identities of the seed-2 split, tested on its test rows
+    split = identity_disjoint_split(labels, 0.7, 2)
+    kept = {labels[i] for i in train}
+    assert kept <= split.train_identities
+    assert len(kept) == table["points"][0]["n_train_identities"] == int(0.5 * len(
+        split.train_identities))
+    assert list(train) == [i for i in split.train_rows if labels[i] in kept]
+    assert tuple(test) == split.test_rows
+    # the point is the reference's aligned Rank-1 of that split
+    sub = replace(split, train_rows=tuple(train))
+    assert table["points"][0]["rank1"] == aligned_rank1(x, y, labels, [sub], "linear", 0.1)
+
+
+@pytest.mark.parametrize("methods", [("ridge",), ("procrustes", "linear", "ridge")])
+def test_sweep_prepares_each_point_once(small_views, methods):
+    # both sides of a (seed, fraction) point are prepared once, whatever the
+    # number of methods fit and scored on them
+    with mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prepare, \
+            mock.patch.object(align, "fit_sides", wraps=align.fit_sides) as fit:
+        table = training_size_sweep(*small_views, [0.5, 1.0], seeds=(0, 3), methods=methods)
+    assert prepare.call_count == 2 * 2 * 2
+    assert fit.call_count == len(table["points"]) == 2 * 2 * len(methods)
 
 
 @dataclass(frozen=True)
@@ -739,7 +762,7 @@ def ref_compatibility_rank1(sets, method, seeds, fraction, alpha):
                 key = tuple(labels)
                 if key not in splits:
                     splits[key] = [identity_disjoint_split(labels, fraction, s) for s in seeds]
-                rank1[i, j] = 100.0 * ident_eval.aligned_rank1(
+                rank1[i, j] = 100.0 * aligned_rank1(
                     x, y, labels, splits[key], method, alpha
                 )
             except EmbalignError:

@@ -25,6 +25,8 @@ from embalign.errors import (
 from embalign.splits import identity_disjoint_split
 from embalign.ident_eval import RANK_KS, SeedRetrieval, _metrics_from_scores, first_hit_ranks
 
+from conftest import aligned_rank1
+
 
 # --- naive O(Q*G log G) reference implementations -------------------------
 
@@ -637,7 +639,7 @@ def test_aligned_rank1_equals_rank1_of_score_matrix(case, method, cell_budget, s
 
     with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
             mock.patch.object(ident_eval, "_SCORE_BUDGET", score_budget):
-        got = _any_outcome(ident_eval.aligned_rank1, x, y, labels, [split], method, 0.1)
+        got = _any_outcome(aligned_rank1, x, y, labels, [split], method, 0.1)
         want = _any_outcome(from_matrix)
     assert got == want
 

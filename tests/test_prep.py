@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from embalign import apply_prep, fit_prep, l2_normalize, prep, score_matrix
-from embalign.errors import ConsistencyError, DegenerateRowError
+from embalign import PrepStats, apply_prep, fit_prep, l2_normalize, prep, score_matrix
+from embalign.errors import ConsistencyError, DataError, DegenerateRowError
 from embalign.prep import center
 
 
@@ -174,7 +174,21 @@ def test_fit_prep_singleton():
 
 def test_fit_prep_max_rule():
     stats = fit_prep(np.ones((3, 2)) / np.sqrt(2), np.ones((3, 5)) / np.sqrt(5))
-    assert stats.big_d == 5
+    # the widths are those of the means; each side pads to the wider one
+    assert (stats.d_a, stats.d_b, stats.n_train) == (2, 5, 3)
+    for rows, side in ((np.ones((1, 2)), "source"), (np.ones((1, 5)), "target")):
+        assert apply_prep(rows, stats, side).shape == (1, 5)
+
+
+@pytest.mark.parametrize("mu_x, mu_y, error", [
+    (np.zeros((2, 2)), np.zeros(3), ConsistencyError),
+    (np.zeros(2), np.float64(0.0), ConsistencyError),
+    (np.array([0.0, np.nan]), np.zeros(3), DataError),
+    (np.zeros(2), np.array([np.inf]), DataError),
+])
+def test_prep_stats_refuse_bad_means(mu_x, mu_y, error):
+    with pytest.raises(error):
+        PrepStats(mu_x, mu_y, 1)
 
 
 def test_fit_prep_row_mismatch():

@@ -232,7 +232,7 @@ def test_verification_report_equals_its_former_code(data, n_seeds, protocol):
 def test_sweep_summary_equals_its_former_code(small_views, seeds, fractions, methods, values):
     # each point's Rank-1 is the next drawn value, so the summary sees arbitrary floats
     drawn = iter(values)
-    with mock.patch.object(analysis, "aligned_rank1", lambda *args: next(drawn)):
+    with mock.patch.object(analysis, "map_rank1", lambda *args: next(drawn)):
         table = analysis.training_size_sweep(*small_views, fractions, seeds=seeds,
                                              methods=methods)
     assert same(table["summary"], ref_sweep_summary(table["points"], methods, fractions))
