@@ -4,7 +4,16 @@
 # cluster it, and sweep the training size.
 #
 # Run:  sh demos/05_cli_pipeline.sh
+#
+# Without the installed console script, the package is run from this
+# checkout's src directory with $PYTHON (default python3).
 set -e
+
+if ! command -v embalign >/dev/null 2>&1; then
+    PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+    export PYTHONPATH
+    embalign() { "${PYTHON:-python3}" -m embalign.cli "$@"; }
+fi
 
 OUT=$(mktemp -d)
 echo "writing to $OUT"

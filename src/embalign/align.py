@@ -45,10 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedstore import EmbeddingSet, shared_rows
-from .errors import ConsistencyError, DataError, FormatError, IoError, NumericalError
+from .errors import (
+    ConsistencyError, DataError, DegenerateRowError, FormatError, IoError, NumericalError,
+)
 from .prep import PrepStats, center, l2_normalize
 from .reports import atomic_write
-from .splits import identity_disjoint_split
 
 #: relative cutoff of the least-squares fit: singular values s <= PINV_RTOL * s_1
 #: of the training rows count as zero, so a rank-deficient X gets the
@@ -188,6 +189,8 @@ class AlignmentMap:
             raise ConsistencyError(
                 f"map shape {w.shape} != (d_a, d_b) = ({self.stats.d_a}, {self.stats.d_b})"
             )
+        if not all(w.shape):
+            raise ConsistencyError(f"map shape {w.shape} has a zero width")
         if not np.all(np.isfinite(w)):
             raise DataError("non-finite map entries")
         if self.method not in METHODS:
@@ -218,13 +221,26 @@ class AlignmentMap:
         )
 
 
-def unit_pair(source: EmbeddingSet, target: EmbeddingSet):
-    """``(labels, x, y)`` of the shared images: labels, unit source and target rows."""
+def pair_sets(source: EmbeddingSet, target: EmbeddingSet):
+    """``(labels, ra, rb)``: identities and row index arrays of the images two sets share.
+
+    Rows pair in lexicographic id order (:func:`embedstore.shared_rows`).  The first all-zero
+    shared row of ``source``, else of ``target``, is a ``DegenerateRowError`` naming its position.
+    """
     ra, rb = shared_rows(source, target)
+    for s, index in ((source, ra), (target, rb)):
+        dead = np.flatnonzero(~s.rows.any(axis=1)[index])
+        if dead.size:
+            raise DegenerateRowError(int(dead[0]))
+    return [source.labels[i] for i in ra], np.array(ra), np.array(rb)
+
+
+def unit_rows(source: EmbeddingSet, target: EmbeddingSet, ra, rb):
+    """The unit rows ``ra`` of ``source`` and ``rb`` of ``target`` (float64)."""
     # gather both sides before normalizing either: normalizing the source gather
     # first raised eval-id's peak RSS on 10k rows by 9 MB (glibc's mmap threshold)
     a, b = source.rows[ra], target.rows[rb]
-    return [source.labels[i] for i in ra], l2_normalize(a), l2_normalize(b)
+    return l2_normalize(a), l2_normalize(b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,32 +268,24 @@ class Side:
         return l2_normalize(self.test)
 
 
-def prepare_side(rows, train=None, test=None, normalize=False) -> Side:
-    """Gather one model's train and test rows and center them with the train mean.
+def prepare_side(rows, train, test=None) -> Side:
+    """Gather one model's train and test rows, normalize them and center them with the train mean.
 
-    ``train`` and ``test`` index rows of ``rows`` (``train=None``: every
-    row; ``test=None``: no test rows).  Each part is gathered into one
-    new float64 array and centered in place; ``rows`` themselves are
-    never written (all of float64 ``rows`` are centered into a new
-    array).  With ``normalize``, ``rows`` are raw embeddings (the float32
-    rows of a set) and each gathered part is unit-normalized
-    (:func:`prep.l2_normalize`, which makes the float64 array); otherwise
-    ``rows`` are unit rows already.  The mean and the centered rows are
-    bit-equal to :func:`prep.fit_prep` on the train rows followed by
-    :func:`prep.center` of each part.  No train rows is a
-    ``ConsistencyError``.
+    ``rows`` are a model's raw embeddings (the float32 rows of a set), and
+    ``train`` and ``test`` index them (``test=None``: no test rows).  Each
+    part is gathered, unit-normalized into one new float64 array
+    (:func:`prep.l2_normalize`) and centered in place; ``rows`` themselves
+    are never written.  The mean and the centered rows are bit-equal to
+    :func:`prep.fit_prep` on the unit train rows followed by
+    :func:`prep.center` of each part.  No train rows is a ``ConsistencyError``.
     """
-    rows = np.asarray(rows)
 
     def centered(index, mean=None):
-        got = rows if index is None else rows.take(np.asarray(index, dtype=np.intp), axis=0)
-        got = l2_normalize(got) if normalize else np.asarray(got, dtype=np.float64)
+        got = l2_normalize(rows.take(np.asarray(index, dtype=np.intp), axis=0))
         if mean is None:
             if not len(got):
                 raise ConsistencyError("need at least one training row")
             mean = got.mean(axis=0)
-        if got is rows:  # the caller's own rows: centered into a new array
-            return got - mean, mean
         got -= mean
         return got, mean
 
@@ -307,25 +315,6 @@ def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RI
     return AlignmentMap(
         w=w, stats=stats, method=method, alpha=alpha if method == "ridge" else 0.0, **meta
     )
-
-
-def fit_alignment(x, y, method: str, alpha: float = DEFAULT_RIDGE_ALPHA, rows=None, **meta):
-    """Fit the preprocessing and a map on unit-normalized training rows.
-
-    ``rows`` selects the training rows of ``x`` and ``y`` (default: all).
-    Each side's training rows are gathered and centered in place
-    (:func:`prepare_side`), so the map is fit with only the centered rows
-    held, each at its model's own width.  ``meta`` is passed on to
-    :func:`fit_sides`.
-    """
-    return fit_sides(prepare_side(x, rows), prepare_side(y, rows), method, alpha, **meta)
-
-
-def fit_seed(x, y, labels, method: str, alpha: float, fraction: float, seed: int, **meta):
-    """Split identities disjointly by ``seed``, fit on the train rows; return (map, test rows)."""
-    split = identity_disjoint_split(labels, fraction, seed)
-    amap = fit_alignment(x, y, method, alpha, rows=split.train_rows, seed=seed, **meta)
-    return amap, list(split.test_rows)
 
 
 def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):
@@ -423,9 +412,9 @@ def _map_header(blob: bytes, path: str):
     """Parse and validate the header line of a map file; return it and the map block's shape.
 
     Every field must be present with its type, counts and offsets must be
-    nonnegative, ``D`` (format version 1 only) must equal
-    ``max(d_a, d_b)``, and the three data blocks must lie after the
-    header, inside the file, without overlapping.
+    nonnegative and the widths ``d_a`` and ``d_b`` nonzero, ``D`` (format
+    version 1 only) must equal ``max(d_a, d_b)``, and the three data blocks
+    must lie after the header, inside the file, without overlapping.
     """
     newline = blob.find(b"\n")
     if newline < 0:
@@ -447,6 +436,8 @@ def _map_header(blob: bytes, path: str):
     for key in _MAP_COUNTS:
         if key in fields and header[key] < 0:
             raise FormatError(f"{path}: header field {key!r} is negative")
+    if not (header["d_a"] and header["d_b"]):
+        raise FormatError(f"{path}: header fields 'd_a' and 'd_b' must be nonzero")
     if isinstance(header["alpha"], float) and not math.isfinite(header["alpha"]):
         raise FormatError(f"{path}: header field 'alpha' is not finite")
     if header["method"] not in METHODS:

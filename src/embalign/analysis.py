@@ -9,12 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import align
-from .embedstore import EmbeddingSet, shared_rows
+from .embedstore import EmbeddingSet
 from .errors import (
     ArgumentError,
     ConsistencyError,
     DataError,
-    DegenerateRowError,
     EmbalignError,
     ProtocolError,
 )
@@ -114,7 +113,7 @@ def build_compatibility_matrix(
 
     Cells score the aligned side only, through :func:`ident_eval.map_rank1`,
     and Rank-1 is read from each query's first highest score.  Each
-    unordered pair i <= j is paired once (:func:`embedstore.shared_rows`;
+    unordered pair i <= j is paired once (:func:`align.pair_sets`;
     a shared all-zero row fails both cells), and each seed's split is made
     once per label list.  The matrix then runs seed by seed.  Per seed,
     each model's side is prepared once (:func:`align.prepare_side`): its
@@ -143,18 +142,13 @@ def build_compatibility_matrix(
     check_fraction(fraction)
     seeds = check_seeds(seeds)
     align.check_method(method, alpha)
-    live = [s.rows.any(axis=1) for s in sets]  # all-zero rows fail the pairs that share them
     failed = set()  # ordered cells that failed
     pairs = []  # (i, j, rows of i, rows of j, (split, test label codes) per seed)
     splits = {}  # label list -> (split, test label codes) per seed
     for i in range(m):
         for j in range(i, m):
             try:
-                ra, rb = shared_rows(sets[i], sets[j])
-                dead = np.flatnonzero(~(live[i][ra] & live[j][rb]))
-                if dead.size:
-                    raise DegenerateRowError(int(dead[0]))
-                labels = [sets[i].labels[r] for r in ra]
+                labels, ra, rb = align.pair_sets(sets[i], sets[j])
                 key = tuple(labels)
                 if key not in splits:
                     splits[key] = [_split_codes(labels, fraction, seed) for seed in seeds]
@@ -164,13 +158,10 @@ def build_compatibility_matrix(
 
     def side(model, rows, split):
         """The side of ``model`` on its shared ``rows``, prepared unless it is held."""
-        if sides[model] is None or sides[model][0] != rows:
+        if sides[model] is None or not np.array_equal(sides[model][0], rows):
             sides[model] = None  # free the old side before the new one is made
-            index = np.asarray(rows)
             sides[model] = rows, align.prepare_side(
-                sets[model].rows, index[list(split.train_rows)], index[list(split.test_rows)],
-                normalize=True,
-            )
+                sets[model].rows, rows[list(split.train_rows)], rows[list(split.test_rows)])
         return sides[model][1]
 
     per_seed = {}  # ordered cell -> Rank-1 per seed
@@ -321,7 +312,7 @@ def training_size_sweep(
     check_distinct(methods, "method")
     for method in methods:
         align.check_method(method, alpha)
-    labels, x, y = align.unit_pair(source, target)
+    labels, ra, rb = align.pair_sets(source, target)
     points = []
     for seed in seeds:
         split = identity_disjoint_split(labels, base_fraction, seed)
@@ -336,7 +327,8 @@ def training_size_sweep(
                 )
             keep = frozenset(pool[i] for i in order[:n_ids])
             train = [i for i in split.train_rows if labels[i] in keep]
-            a, b = (align.prepare_side(v, train, split.test_rows) for v in (x, y))
+            a, b = (align.prepare_side(s.rows, r[train], r[list(split.test_rows)])
+                    for s, r in ((source, ra), (target, rb)))
             for method in methods:
                 amap = align.fit_sides(a, b, method, alpha, seed=seed)
                 points.append(

@@ -122,18 +122,28 @@ def cmd_synth(args):
 def cmd_fit(args):
     a = _load(args.source, args.format)
     b = _load(args.target, args.format)
-    labels, x, y = align.unit_pair(a, b)
-    amap, _ = align.fit_seed(
-        x, y, labels, args.method, args.alpha, args.train_frac, args.seed,
-        source_model=a.model_name, target_model=b.model_name,
+    labels, ra, rb = align.pair_sets(a, b)
+    train = list(splits.identity_disjoint_split(labels, args.train_frac, args.seed).train_rows)
+    amap = align.fit_sides(
+        align.prepare_side(a.rows, ra[train]), align.prepare_side(b.rows, rb[train]),
+        args.method, args.alpha, seed=args.seed, source_model=a.model_name,
+        target_model=b.model_name,
     )
     align.save_map(amap, args.out)
     print(args.out)
     return 0
 
 
+def _cross_map(args):
+    """The cross protocol's map, fit on every shared training row; its sets are freed on return."""
+    a, b = (_load(p, args.format) for p in (args.train_source, args.train_target))
+    _, ra, rb = align.pair_sets(a, b)
+    return align.fit_sides(align.prepare_side(a.rows, ra), align.prepare_side(b.rows, rb),
+                           args.method, args.alpha)
+
+
 def _dump_splits(out_dir, source, target, fraction, seeds, tag):
-    labels = [source.labels[i] for i in embedstore.shared_rows(source, target)[0]]
+    labels = align.pair_sets(source, target)[0]
     doc = {
         str(seed): splits.identity_disjoint_split(labels, fraction, seed).to_dict()
         for seed in seeds
@@ -171,11 +181,7 @@ def cmd_eval_verif(args):
     a = _load(args.source, args.format)
     b = _load(args.target, args.format)
     seeds = _seed_list(args)
-    amap = None
-    if cross:
-        # only unit_pair holds the training sets, so they are freed before the fit
-        train = (_load(p, args.format) for p in (args.train_source, args.train_target))
-        amap = align.fit_alignment(*align.unit_pair(*train)[1:], args.method, args.alpha)
+    amap = _cross_map(args) if cross else None
     report = verif_eval.evaluate_verification(
         a, b, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
         pair_caps=(args.genuine_cap, args.impostor_cap) if cross else None, amap=amap,

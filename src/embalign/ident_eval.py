@@ -56,7 +56,7 @@ from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
 from .reports import AlignedBaselineReport, mean_std, pair_metadata
-from .splits import DEFAULT_SEEDS, check_seeds, label_codes
+from .splits import DEFAULT_SEEDS, check_seeds, identity_disjoint_split, label_codes
 
 RANK_KS = (1, 5, 10)
 CMC_MAX_RANK = 50
@@ -428,16 +428,18 @@ def evaluate_identification(
 ) -> RetrievalReport:
     """Run the per-seed identification protocol and aggregate the metrics."""
     seeds = check_seeds(seeds)
-    labels, x, y = align.unit_pair(source, target)
+    labels, ra, rb = align.pair_sets(source, target)
     results = []  # (aligned, baseline) per seed
     for seed in seeds:
-        amap, test = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
+        split = identity_disjoint_split(labels, fraction, seed)
+        train, test = list(split.train_rows), list(split.test_rows)
+        amap = align.fit_sides(align.prepare_side(source.rows, ra[train]),
+                               align.prepare_side(target.rows, rb[train]), method, alpha)
+        x, y = align.unit_rows(source, target, ra[test], rb[test])
         test_labels = [labels[i] for i in test]
         results.append(tuple(
-            _metrics_from_rows(
-                *align.project(x[test], y[test], m), test_labels, test_labels,
-                min(CMC_MAX_RANK, len(test)), seed, exclude_self,
-            )
+            _metrics_from_rows(*align.project(x, y, m), test_labels, test_labels,
+                               min(CMC_MAX_RANK, len(test)), seed, exclude_self)
             for m in (amap, None)
         ))
     return RetrievalReport(

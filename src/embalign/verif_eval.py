@@ -30,7 +30,10 @@ from . import align
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
 from .reports import AlignedBaselineReport, mean_std, pair_metadata
-from .splits import DEFAULT_SEEDS, PairList, check_seeds, pair_counts, sample_pairs_capped
+from .splits import (
+    DEFAULT_SEEDS, PairList, check_seeds, identity_disjoint_split, pair_counts,
+    sample_pairs_capped,
+)
 
 FMR_TARGETS = (0.01, 0.001)
 
@@ -308,13 +311,17 @@ def _score_seed(sides, pairs, symmetric, seed):
     return aligned, base
 
 
-def _intra_seed(x, y, labels, method, alpha, fraction, symmetric, seed):
-    amap, eval_rows = align.fit_seed(x, y, labels, method, alpha, fraction, seed)
-    test_labels = [labels[i] for i in eval_rows]
+def _intra_seed(source, target, labels, ra, rb, method, alpha, fraction, symmetric, seed):
+    split = identity_disjoint_split(labels, fraction, seed)
+    train, test = list(split.train_rows), list(split.test_rows)
+    amap = align.fit_sides(align.prepare_side(source.rows, ra[train]),
+                           align.prepare_side(target.rows, rb[train]), method, alpha)
+    test_labels = [labels[i] for i in test]
     n_genuine = pair_counts(test_labels)[0]
     pairs = sample_pairs_capped(test_labels, n_genuine, n_genuine, seed)  # every genuine pair
-    # pair indices refer to positions within eval_rows
-    return _score_seed(_eval_sides(x[eval_rows], y[eval_rows], amap), pairs, symmetric, seed)
+    # pair indices refer to positions within the test rows
+    x, y = align.unit_rows(source, target, ra[test], rb[test])
+    return _score_seed(_eval_sides(x, y, amap), pairs, symmetric, seed)
 
 
 def evaluate_verification(
@@ -346,14 +353,15 @@ def evaluate_verification(
         if method not in (None, amap.method):
             raise ConsistencyError(f"method {method!r} disagrees with the map's {amap.method!r}")
         method, alpha = amap.method, amap.alpha
-    labels, x, y = align.unit_pair(source, target)
+    labels, ra, rb = align.pair_sets(source, target)
     if amap is None:
         method = method or "procrustes"
-        results = [_intra_seed(x, y, labels, method, alpha, fraction, symmetric_score, seed)
-                   for seed in seeds]
+        results = [_intra_seed(source, target, labels, ra, rb, method, alpha, fraction,
+                               symmetric_score, seed) for seed in seeds]
     else:
         pair_caps = pair_caps or (10000, 10000)
-        sides = _eval_sides(x, y, amap)  # pair indices refer to rows of x and y
+        # pair indices refer to the shared rows, gathered and normalized once
+        sides = _eval_sides(*align.unit_rows(source, target, ra, rb), amap)
         pairs = (sample_pairs_capped(labels, *pair_caps, seed) for seed in seeds)
         results = [_score_seed(sides, p, symmetric_score, p.seed) for p in pairs]
     return VerificationReport(

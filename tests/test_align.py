@@ -22,7 +22,7 @@ from embalign import (
     transform,
 )
 from embalign import ident_eval, intersect_on_images, verif_eval
-from embalign.align import DEFAULT_RIDGE_ALPHA, PINV_RTOL, fit_alignment, fit_map, project
+from embalign.align import DEFAULT_RIDGE_ALPHA, PINV_RTOL, fit_map, project
 from embalign.embedstore import EmbeddingSet
 from embalign.errors import (
     ConsistencyError, DataError, DegenerateRowError, FormatError, IoError, NumericalError,
@@ -30,7 +30,7 @@ from embalign.errors import (
 from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize
 from embalign.splits import identity_disjoint_split, sample_pairs_capped
 
-from conftest import random_orthogonal
+from conftest import fit_alignment, random_orthogonal, unit_pair
 
 
 def make_stats(d, mu=None):
@@ -414,7 +414,7 @@ def test_native_scores_equal_padded_scores(d_a, d_b, method):
     x = l2_normalize(z[:, :d_a] + 0.1 * rng.standard_normal((n, d_a)))
     y = l2_normalize(z[:, -d_b:] + 0.1 * rng.standard_normal((n, d_b)))
     split = identity_disjoint_split(labels, 0.6, 0)
-    amap, te = align.fit_seed(x, y, labels, method, 0.1, 0.6, 0)
+    amap, te = fit_alignment(x, y, method, 0.1, rows=split.train_rows), list(split.test_rows)
     test_labels = [labels[i] for i in te]
     pairs = sample_pairs_capped(test_labels, 150, 150, 0)
     i, j, genuine = verif_eval._pair_arrays(pairs)
@@ -530,7 +530,7 @@ def test_baseline_row_of_zero_shared_columns_is_a_degenerate_row():
     a, b = _sets_with_source_row([0.0, 0.0, 0.0, 1.0, 1.0])
     assert _zero_row_at(evaluate_identification, a, b, seeds=(0,)) == ZERO_AT
     assert _zero_row_at(evaluate_verification, a, b, seeds=(0,)) == ZERO_AT
-    amap = fit_alignment(*align.unit_pair(a, b)[1:], "procrustes")
+    amap = fit_alignment(*unit_pair(a, b)[1:], "procrustes")
     assert _zero_row_at(evaluate_verification, a, b, seeds=(0,), amap=amap,
                         pair_caps=(36, 10)) == ZERO_ROW
 
@@ -541,18 +541,34 @@ def test_zero_procrustes_mapped_row_is_a_degenerate_row():
     stats = PrepStats(np.zeros(5), np.zeros(3), 25)
     amap = AlignmentMap(np.eye(5)[:, 2:], stats, "procrustes")
     a, b = _sets_with_source_row([1.0, 1.0, 0.0, 0.0, 0.0])
-    with mock.patch.object(align, "fit_alignment", return_value=amap):
+    with mock.patch.object(align, "fit_sides", return_value=amap):
         assert _zero_row_at(evaluate_identification, a, b, seeds=(0,)) == ZERO_AT
         assert _zero_row_at(evaluate_verification, a, b, seeds=(0,)) == ZERO_AT
     assert _zero_row_at(evaluate_verification, a, b, seeds=(0,), amap=amap,
                         pair_caps=(36, 10)) == ZERO_ROW
 
 
+def test_evaluations_normalize_one_split_part_at_a_time(small_views):
+    # each seed gathers and normalizes each side's train rows and test rows from
+    # the sets' rows, once: no call sees all the shared rows, or two parts at once
+    v0, v1 = small_views
+    labels, seeds = align.pair_sets(v0, v1)[0], (0, 3)
+    splits = [identity_disjoint_split(labels, 0.7, seed) for seed in seeds]
+    parts = [len(rows) for s in splits for rows in (s.train_rows, s.train_rows, s.test_rows,
+                                                    s.test_rows)]
+    with mock.patch.object(align, "l2_normalize", wraps=align.l2_normalize) as norm:
+        evaluate_identification(v0, v1, "linear", seeds=seeds)
+        evaluate_verification(v0, v1, "ridge", seeds=seeds)
+    assert [len(c.args[0]) for c in norm.call_args_list] == parts * 2
+    assert max(parts) < len(labels)
+
+
 def test_transform_equals_the_scored_queries(small_views, monkeypatch):
     v0, v1 = small_views
     a, _ = intersect_on_images(v0, v1)
-    labels, x, y = align.unit_pair(v0, v1)
-    amap, test = align.fit_seed(x, y, labels, "ridge", 0.1, 0.7, 0)
+    labels, x, y = unit_pair(v0, v1)
+    split = identity_disjoint_split(labels, 0.7, 0)
+    amap, test = fit_alignment(x, y, "ridge", 0.1, rows=split.train_rows), list(split.test_rows)
     expected = transform(a.rows[test], amap).tobytes()
 
     scored = []
@@ -567,7 +583,7 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
     monkeypatch.setattr(verif_eval, "_eval_sides",
                         lambda *args: sides.append(real_sides(*args)) or sides[-1])
     evaluate_verification(v0, v1, "ridge", seeds=(0,))
-    cross_map = align.fit_alignment(x, y, "ridge", 0.1)
+    cross_map = fit_alignment(x, y, "ridge", 0.1)
     evaluate_verification(v0, v1, "ridge", seeds=(0,), amap=cross_map, pair_caps=(40, 40))
     (intra_queries, _), (cross_queries, _) = sides[0][0], sides[1][0]
     assert intra_queries.tobytes() == expected
@@ -577,6 +593,14 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
 def test_alignment_map_rejects_nonorthogonal_procrustes():
     with pytest.raises(ConsistencyError):
         AlignmentMap(2.0 * np.eye(3), make_stats(3), "procrustes")
+
+
+@pytest.mark.parametrize("d_a, d_b", [(0, 3), (3, 0), (0, 0)])
+def test_alignment_map_refuses_a_zero_width(d_a, d_b):
+    # every fit refuses a zero width, so no map may have one either
+    stats = PrepStats(np.zeros(d_a), np.zeros(d_b), 4)
+    with pytest.raises(ConsistencyError, match="zero width"):
+        AlignmentMap(np.zeros((d_a, d_b)), stats, "linear")
 
 
 def _fit_pair(d_a, d_b, method, **meta):
@@ -841,6 +865,8 @@ BAD_HEADERS = {
     "missing_d_b": lambda h: {k: v for k, v in h.items() if k != "d_b"},
     "float_d_a": lambda h: {**h, "d_a": 4.0},
     "negative_n_train": lambda h: {**h, "n_train": -1},
+    "zero_d_a": lambda h: {**h, "d_a": 0},
+    "zero_d_b": lambda h: {**h, "d_b": 0},
     "string_alpha": lambda h: {**h, "alpha": "0.1"},
     "unknown_method": lambda h: {**h, "method": "cubic"},
     "D_not_max": lambda h: {**h, "D": 7},

@@ -34,7 +34,7 @@ from embalign.errors import (
 from embalign.prep import apply_prep, fit_prep, l2_normalize
 from embalign.splits import _rng, identity_disjoint_split
 
-from conftest import aligned_rank1
+from conftest import aligned_rank1, unit_pair
 
 
 # --- brute-force agglomeration oracle -------------------------------------
@@ -611,7 +611,7 @@ def test_sweep_rejects_empty_pool(small_views):
 def ref_training_size_sweep(source, target, fractions, seeds, methods, base_fraction, alpha):
     """The sweep's own prep -> fit -> score -> rank pipeline, verbatim."""
     fractions = list(fractions)
-    labels, norm_a, norm_b = align.unit_pair(source, target)
+    labels, norm_a, norm_b = unit_pair(source, target)
     points = []
     for seed in seeds:
         split = identity_disjoint_split(labels, base_fraction, seed)
@@ -678,11 +678,17 @@ def test_sweep_equals_its_former_pipeline(small_views, seeds, fractions, base_fr
 
 def test_sweep_point_is_the_aligned_rank1_of_its_split(small_views):
     v0, v1 = small_views
-    labels, x, y = align.unit_pair(v0, v1)
+    labels, x, y = unit_pair(v0, v1)
+    _, ra, rb = align.pair_sets(v0, v1)
     with mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prepare:
         table = training_size_sweep(v0, v1, [0.5], seeds=(2,), methods=("linear",))
-    (source, train, test), (target, *same) = (c.args for c in prepare.call_args_list)
-    assert np.array_equal(source, x) and np.array_equal(target, y) and same == [train, test]
+    (source, train_a, test_a), (target, train_b, test_b) = (
+        c.args for c in prepare.call_args_list)
+    assert source is v0.rows and target is v1.rows
+    # both sides gather the same shared images: their positions among the shared rows
+    at = {r: k for k, r in enumerate(ra)}
+    train, test = [at[r] for r in train_a], [at[r] for r in test_a]
+    assert np.array_equal(train_b, rb[train]) and np.array_equal(test_b, rb[test])
     # the kept train identities of the seed-2 split, tested on its test rows
     split = identity_disjoint_split(labels, 0.7, 2)
     kept = {labels[i] for i in train}

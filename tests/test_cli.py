@@ -12,6 +12,8 @@ from embalign import (
 )
 from embalign.cli import build_parser, main
 
+from conftest import fit_alignment, unit_pair
+
 
 def run(*argv):
     return main(list(argv))
@@ -65,7 +67,7 @@ def test_fit_writes_the_map_of_the_split_fit_sequence(synth_dir, tmp_path):
     a, b = embedstore.intersect_on_images(a, b)
     norm_a, norm_b = prep.l2_normalize(a.rows), prep.l2_normalize(b.rows)
     split = splits.identity_disjoint_split(list(a.labels), 0.6, 4)
-    amap = align.fit_alignment(
+    amap = fit_alignment(
         norm_a, norm_b, "ridge", 0.3, rows=list(split.train_rows),
         source_model=a.model_name, target_model=b.model_name, seed=4,
     )
@@ -166,7 +168,7 @@ def test_library_cross_protocol_equals_the_cli(synth_dir, tmp_path):
     assert code == 0
     v0, v1, v2 = (load_embeddings(str(synth_dir / f"view{k}.emb"), model_name=f"view{k}")
                   for k in range(3))
-    amap = align.fit_alignment(*align.unit_pair(v0, v2)[1:], "linear")
+    amap = fit_alignment(*unit_pair(v0, v2)[1:], "linear")
     with mock.patch.object(align, "fit_map", wraps=align.fit_map) as spy:
         rep = evaluate_verification(v0, v1, seeds=(0, 1), amap=amap, pair_caps=(200, 200))
     assert spy.call_count == 0
@@ -425,7 +427,7 @@ def test_repeated_seed_is_clean_error(synth_dir, tmp_path, capsys, monkeypatch, 
     # seed 3 used to run twice and enter the mean and std twice
     monkeypatch.setenv("EMBALIGN_SEEDS", "3,3")
     out = tmp_path / "out"
-    with mock.patch.object(align, "fit_alignment") as fit:
+    with mock.patch.object(align, "fit_sides") as fit:
         assert run(*repeated_seed_commands(synth_dir, str(out))[command]) == 1
     fit.assert_not_called()
     err = capsys.readouterr().err

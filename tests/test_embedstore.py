@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from embalign import EmbeddingSet, intersect_on_images, load_embeddings, save_embeddings
 from embalign import embedstore
-from embalign.align import unit_pair
+from embalign.align import pair_sets, unit_rows
 from embalign.embedstore import shared_rows
 from embalign.prep import l2_normalize
 from embalign.errors import (
@@ -372,12 +372,12 @@ def test_shared_rows_of_equal_id_lists_equals_the_dict_path(sets):
 
 
 def ref_unit_pair(source, target):
-    """``align.unit_pair`` as it was, through two intersected ``EmbeddingSet`` s."""
+    """Labels and unit rows of the shared images, through two intersected ``EmbeddingSet`` s."""
     a, b = intersect_on_images(source, target)
     return list(a.labels), l2_normalize(a.rows), l2_normalize(b.rows)
 
 
-def _unit_pair_outcome(fn, a, b):
+def _paired_outcome(fn, a, b):
     try:
         labels, x, y = fn(a, b)
     except DegenerateRowError as exc:
@@ -403,7 +403,12 @@ def sets_with_zero_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sets=sets_with_zero_rows())
-def test_unit_pair_equals_the_intersected_sets_path(sets):
+def test_pair_sets_equals_the_intersected_sets_path(sets):
     # same bits, and the same error: the source side's zero row comes first
     a, b = sets
-    assert _unit_pair_outcome(unit_pair, a, b) == _unit_pair_outcome(ref_unit_pair, a, b)
+
+    def paired_unit_rows(source, target):
+        labels, ra, rb = pair_sets(source, target)
+        return (labels, *unit_rows(source, target, ra, rb))
+
+    assert _paired_outcome(paired_unit_rows, a, b) == _paired_outcome(ref_unit_pair, a, b)

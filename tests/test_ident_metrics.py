@@ -25,7 +25,7 @@ from embalign.errors import (
 from embalign.splits import identity_disjoint_split
 from embalign.ident_eval import RANK_KS, SeedRetrieval, _metrics_from_scores, first_hit_ranks
 
-from conftest import aligned_rank1
+from conftest import aligned_rank1, fit_alignment
 
 
 # --- naive O(Q*G log G) reference implementations -------------------------
@@ -633,7 +633,7 @@ def test_aligned_rank1_equals_rank1_of_score_matrix(case, method, cell_budget, s
     test_labels = [labels[i] for i in test]
 
     def from_matrix():
-        amap = align.fit_alignment(x, y, method, 0.1, rows=list(split.train_rows))
+        amap = fit_alignment(x, y, method, 0.1, rows=list(split.train_rows))
         scores = score_matrix(*align.project(x[test], y[test], amap))
         return ident_eval._rank1(scores, test_labels, test_labels)
 

@@ -28,6 +28,8 @@ from embalign.verif_eval import (
     roc_on_grid,
 )
 
+from conftest import fit_alignment, unit_pair
+
 
 # --- independent oracles --------------------------------------------------
 
@@ -263,7 +265,7 @@ def test_symmetric_mode_runs(small_views):
 
 def test_cross_protocol_pair_caps(small_views):
     v0, v1 = small_views
-    amap = align.fit_alignment(*align.unit_pair(v0, v1)[1:], "procrustes")
+    amap = fit_alignment(*unit_pair(v0, v1)[1:], "procrustes")
     rep = evaluate_verification(
         v0, v1, "procrustes", seeds=(0,), amap=amap, pair_caps=(50, 50),
     )
@@ -274,7 +276,7 @@ def test_cross_protocol_pair_caps(small_views):
 
 def test_cross_protocol_method_comes_from_the_map(small_views):
     v0, v1 = small_views
-    amap = align.fit_alignment(*align.unit_pair(v0, v1)[1:], "ridge", 0.5)
+    amap = fit_alignment(*unit_pair(v0, v1)[1:], "ridge", 0.5)
     rep = evaluate_verification(v0, v1, seeds=(0,), amap=amap, pair_caps=(20, 20))
     assert (rep.method, rep.metadata["alpha"]) == ("ridge", 0.5)
     with pytest.raises(ConsistencyError, match="disagrees"):
@@ -591,7 +593,7 @@ def test_cross_protocol_fits_once(small_views, cross, fits):
     with mock.patch.object(align, "fit_map", wraps=align.fit_map) as spy:
         kwargs = {}
         if cross:
-            amap = align.fit_alignment(*align.unit_pair(v0, v1)[1:], "linear")
+            amap = fit_alignment(*unit_pair(v0, v1)[1:], "linear")
             kwargs = dict(amap=amap, pair_caps=(40, 40))
         rep = evaluate_verification(v0, v1, "linear", seeds=(0, 1, 2), **kwargs)
     assert spy.call_count == fits
@@ -621,7 +623,7 @@ def test_pair_caps_need_a_map(small_views):
 
 def test_empty_seed_list_is_an_argument_error(small_views):
     v0, v1 = small_views
-    amap = align.fit_alignment(*align.unit_pair(v0, v1)[1:], "procrustes")
+    amap = fit_alignment(*unit_pair(v0, v1)[1:], "procrustes")
     for kwargs in (dict(), dict(amap=amap)):
         with pytest.raises(ArgumentError, match="at least one seed"):
             evaluate_verification(v0, v1, seeds=(), **kwargs)

@@ -118,6 +118,7 @@ def commands(manifest):
     mixed = [views[1], matrix_views[0], matrix_views[4],
              verif[verif.index("--train-target") + 1]]
     demo = ["--source", views[0], "--target", views[1]]
+    permuted = ["--source", matrix_views[0], "--target", manifest["permuted"]]
     return [
         [*ident, "--out-dir", "eval_id"],
         ["eval-id", *_pair(ident), "--seeds", "0,1", "--exclude-self", "--dump-splits",
@@ -132,6 +133,11 @@ def commands(manifest):
         # the same images listed in another order: paired by id through a dict
         ["matrix", "--inputs", matrix_views[0], manifest["permuted"], "--method", "procrustes",
          "--seeds", "0,1", "--out-dir", "matrix_permuted"],
+        # the pair commands gather each split part by row index: rows that do not pair in place
+        ["eval-id", *permuted, "--seeds", "0,1", "--dump-splits", "--out-dir", "eval_id_permuted"],
+        ["eval-verif", *permuted, "--method", "linear", "--seeds", "0,1",
+         "--out-dir", "eval_verif_permuted"],
+        ["fit", *permuted, "--method", "ridge", "--seed", "2", "--out", "fit_permuted.bin"],
         ["cluster", "--matrix", "matrix/compatibility_matrix.json", "--out-dir", "cluster"],
         ["sweep", *_pair(ident), "--methods", "procrustes,linear", "--fractions", "0.25,1.0",
          "--seeds", "0", "--out-dir", "sweep_ident"],
