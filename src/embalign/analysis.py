@@ -296,10 +296,11 @@ def training_size_sweep(
     (:func:`align.prepare_side`); each method fits its map on them
     (:func:`align.fit_sides`) and reads Rank-1 from each query's first
     highest score (:func:`ident_eval.map_rank1`), as in the matrix.  The
-    test labels are factorized once per seed.  Returns per-point values and
-    mean/std aggregates (:func:`reports.mean_std`).  An empty or repeated
-    list of fractions, methods or seeds is an ``ArgumentError``, and every
-    method is checked before the first fit.
+    shared labels are factorized once; each seed reads its test codes, its
+    identity pool and each point's train rows from those codes.  Returns
+    per-point values and mean/std aggregates (:func:`reports.mean_std`).
+    An empty or repeated list of fractions, methods or seeds is an
+    ``ArgumentError``, and every method is checked before the first fit.
     """
     fractions = list(fractions)
     if any(not 0.0 < f <= 1.0 for f in fractions):
@@ -313,21 +314,24 @@ def training_size_sweep(
     for method in methods:
         align.check_method(method, alpha)
     labels, ra, rb = align.pair_sets(source, target)
+    all_codes = label_codes(labels)
     points = []
     for seed in seeds:
         split = identity_disjoint_split(labels, base_fraction, seed)
-        pool = sorted(split.train_identities)
+        train_rows, test = np.array(split.train_rows, dtype=np.intp), list(split.test_rows)
+        train_codes, codes = all_codes[train_rows], all_codes[test]
+        # the codes number the identities in sorted order, so the pool is
+        # the sorted train identities
+        pool = np.unique(train_codes)
         order = _rng(_TAG_SWEEP, seed).permutation(len(pool))
-        codes = label_codes([labels[i] for i in split.test_rows])
         for frac in fractions:
             n_ids = int(len(pool) * frac)
             if n_ids < 1:
                 raise ArgumentError(
                     f"fraction {frac} keeps no train identities (pool {len(pool)})"
                 )
-            keep = frozenset(pool[i] for i in order[:n_ids])
-            train = [i for i in split.train_rows if labels[i] in keep]
-            a, b = (align.prepare_side(s.rows, r[train], r[list(split.test_rows)])
+            train = train_rows[np.isin(train_codes, pool[order[:n_ids]])]
+            a, b = (align.prepare_side(s.rows, r[train], r[test])
                     for s, r in ((source, ra), (target, rb)))
             for method in methods:
                 amap = align.fit_sides(a, b, method, alpha, seed=seed)

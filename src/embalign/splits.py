@@ -2,16 +2,20 @@
 
 All randomness comes from numpy's PCG64 keyed by (operation tag, seed), so
 every output is a pure, reproducible function of its inputs and seed.
+
+A pair list (:class:`PairList`) is one ``(n, 3)`` int64 array.  Each
+builder factorizes its labels once (:func:`label_codes`) and builds its
+pairs from the codes as sorted keys ``i * n + j``; it draws what the
+tuple-based builders drew, in the same order, so every pair is unchanged.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateDataError
+from .errors import ArgumentError, ConsistencyError, DegenerateDataError
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -97,23 +101,44 @@ class SplitSpec:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairList:
-    """Unordered row pairs flagged genuine/impostor; canonical (min, max) form."""
+    """Row pairs ``(i, j, is_genuine)`` with a 0/1 flag, as one ``(n, 3)`` int64 array.
 
-    pairs: tuple  # of (i, j, is_genuine)
+    The builders below give i < j in lexicographic order.  The input is
+    converted once and kept read-only; anything but n x 3 integers with
+    0/1 flags is a ``ConsistencyError``.  ``to_dict`` writes ints and
+    booleans; two lists are compared through it.
+    """
+
+    pairs: np.ndarray
     seed: int
 
+    def __post_init__(self):
+        try:
+            pairs = np.asarray(self.pairs if len(self.pairs) else np.empty((0, 3), np.int64))
+        except (TypeError, ValueError):  # no length, or rows of different lengths
+            pairs = None
+        if (pairs is None or pairs.ndim != 2 or pairs.shape[1] != 3
+                or pairs.dtype.kind not in "biu" or not np.isin(pairs[:, 2], (0, 1)).all()):
+            raise ConsistencyError("pairs must form an n x 3 array of integers "
+                                   "(i, j, is_genuine) with flags 0 or 1")
+        pairs = pairs.astype(np.int64)
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
+
     def to_dict(self):
-        return {"seed": self.seed, "pairs": [list(p) for p in self.pairs]}
+        rows = self.pairs.astype(object)
+        rows[:, 2] = self.pairs[:, 2] == 1
+        return {"seed": self.seed, "pairs": rows.tolist()}
 
     @property
     def n_genuine(self):
-        return sum(1 for _, _, g in self.pairs if g)
+        return int(np.count_nonzero(self.pairs[:, 2]))
 
     @property
     def n_impostor(self):
-        return sum(1 for _, _, g in self.pairs if not g)
+        return len(self.pairs) - self.n_genuine
 
 
 def identity_disjoint_split(labels, fraction: float, seed: int) -> SplitSpec:
@@ -132,77 +157,88 @@ def identity_disjoint_split(labels, fraction: float, seed: int) -> SplitSpec:
     return SplitSpec(seed, fraction, train_ids, test_ids, train_rows, test_rows)
 
 
+def _pair_list(codes, keys, seed) -> PairList:
+    """The pair list of keys ``i * n + j``, sorted; genuine where the two codes are equal."""
+    i, j = np.divmod(np.sort(keys), codes.shape[0])
+    return PairList(np.column_stack((i, j, codes[i] == codes[j])), seed)
+
+
+def _genuine_keys(codes) -> np.ndarray:
+    """Sorted keys ``i * n + j`` (i < j) of every same-code row pair."""
+    n = codes.shape[0]
+    order = np.argsort(codes, kind="stable")  # rows grouped by code, ascending in each group
+    # sorted position p pairs with every later position of its group
+    per = np.searchsorted(codes[order], codes[order], side="right") - np.arange(n) - 1
+    left = np.repeat(np.arange(n), per)
+    right = left + 1 + np.arange(left.shape[0]) - np.repeat(np.cumsum(per) - per, per)
+    return np.sort(order[left] * n + order[right])
+
+
+def _pair_counts(codes):
+    """Numbers ``(genuine, impostor)`` of same-code and cross-code row pairs."""
+    sizes, n = np.bincount(codes), codes.shape[0]
+    genuine = int((sizes * (sizes - 1) // 2).sum())
+    return genuine, n * (n - 1) // 2 - genuine
+
+
+def _impostor_keys(codes, count: int, seed: int) -> np.ndarray:
+    """Keys ``a * n + b`` (a < b) of a uniform sample of cross-code row pairs."""
+    if count < 0:
+        raise ArgumentError("count must be nonnegative")
+    if codes.max(initial=0) < 1:  # the codes number the identities 0, 1, ...
+        raise DegenerateDataError("need at least 2 distinct identities")
+    available = _pair_counts(codes)[1]
+    if count > available:
+        raise ArgumentError(f"requested {count} impostor pairs, only {available} exist")
+    rng = _rng(_TAG_IMPOSTOR, seed)
+    n = codes.shape[0]
+    # exhaustive fallback when the request covers most of the pool, where
+    # rejection sampling would stall
+    if count > available // 2:
+        a, b = np.triu_indices(n, 1)  # every pair (a < b), in lexicographic order
+        cross = codes[a] != codes[b]
+        idx = rng.choice(available, size=count, replace=False)
+        return a[cross][idx] * n + b[cross][idx]
+    # each batch draws as many pairs as are missing, so it cannot overshoot;
+    # the pairs do not depend on the batch size, because the bit generator
+    # keeps the spare 32-bit half of a 64-bit word across calls
+    found = np.empty(0, dtype=np.int64)
+    while found.shape[0] < count:
+        a, b = rng.integers(0, n, size=2 * (count - found.shape[0])).reshape(-1, 2).T
+        cross = codes[a] != codes[b]  # also rejects a == b
+        found = np.union1d(found, np.minimum(a, b)[cross] * n + np.maximum(a, b)[cross])
+    return found
+
+
 def all_genuine_pairs(labels) -> PairList:
     """Every unordered same-label row pair, exactly once."""
-    labels = [str(l) for l in labels]
-    by_label = {}
-    for i, l in enumerate(labels):
-        by_label.setdefault(l, []).append(i)
-    pairs = []
-    for l in sorted(by_label):
-        rows = by_label[l]
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                pairs.append((rows[a], rows[b], True))
-    pairs.sort()
-    return PairList(tuple(pairs), seed=0)
+    codes = label_codes(labels)
+    return _pair_list(codes, _genuine_keys(codes), seed=0)
 
 
 def pair_counts(labels):
     """Numbers ``(genuine, impostor)`` of unordered same-label and cross-label row pairs."""
-    n = len(labels)
-    genuine = sum(c * (c - 1) // 2 for c in Counter(str(l) for l in labels).values())
-    return genuine, n * (n - 1) // 2 - genuine
+    return _pair_counts(label_codes(labels))
 
 
 def sample_impostor_pairs(labels, count: int, seed: int) -> PairList:
     """Uniform without-replacement sample of cross-label pairs (rejection)."""
-    labels = [str(l) for l in labels]
-    if count < 0:
-        raise ArgumentError("count must be nonnegative")
-    if len(set(labels)) < 2:
-        raise DegenerateDataError("need at least 2 distinct identities")
-    available = pair_counts(labels)[1]
-    if count > available:
-        raise ArgumentError(f"requested {count} impostor pairs, only {available} exist")
-    rng = _rng(_TAG_IMPOSTOR, seed)
-    n = len(labels)
-    # exhaustive fallback when the request covers most of the pool, where
-    # rejection sampling would stall
-    if count > available // 2:
-        codes = label_codes(labels)
-        a, b = np.triu_indices(n, 1)  # every pair (a < b), in lexicographic order
-        cross = codes[a] != codes[b]
-        idx = np.sort(rng.choice(available, size=count, replace=False))
-        chosen = zip(a[cross][idx].tolist(), b[cross][idx].tolist())
-    else:
-        # each batch draws as many pairs as are missing, so it cannot overshoot;
-        # the pairs do not depend on the batch size, because the bit generator
-        # keeps the spare 32-bit half of a 64-bit word across calls
-        found = set()
-        while len(found) < count:
-            draws = rng.integers(0, n, size=2 * (count - len(found))).tolist()
-            found.update((min(a, b), max(a, b)) for a, b in zip(draws[::2], draws[1::2])
-                         if a != b and labels[a] != labels[b])
-        chosen = sorted(found)
-    return PairList(tuple((a, b, False) for a, b in chosen), seed=seed)
+    codes = label_codes(labels)
+    return _pair_list(codes, _impostor_keys(codes, count, seed), seed)
 
 
 def sample_pairs_capped(labels, genuine_count: int, impostor_count: int, seed: int) -> PairList:
     """Capped uniform samples of each class, merged (cross-dataset protocol)."""
-    labels = [str(l) for l in labels]
-    genuine = all_genuine_pairs(labels).pairs
+    codes = label_codes(labels)
+    genuine = _genuine_keys(codes)
     if genuine_count < 0 or impostor_count < 0:
         raise ArgumentError("pair counts must be nonnegative")
-    if genuine_count > len(genuine):
-        raise ArgumentError(
-            f"requested {genuine_count} genuine pairs, only {len(genuine)} exist"
-        )
-    if genuine_count == len(genuine):
-        g_sample = list(genuine)
-    else:
+    if genuine_count > genuine.shape[0]:
+        raise ArgumentError(f"requested {genuine_count} genuine pairs, "
+                            f"only {genuine.shape[0]} exist")
+    if genuine_count < genuine.shape[0]:
         rng = _rng(_TAG_GENUINE_CAP, seed)
-        idx = rng.choice(len(genuine), size=genuine_count, replace=False)
-        g_sample = [genuine[i] for i in sorted(idx)]
-    imp = sample_impostor_pairs(labels, impostor_count, seed).pairs
-    return PairList(tuple(sorted(g_sample + list(imp))), seed=seed)
+        genuine = genuine[np.sort(rng.choice(genuine.shape[0], size=genuine_count,
+                                             replace=False))]
+    impostor = _impostor_keys(codes, impostor_count, seed)
+    return _pair_list(codes, np.concatenate((genuine, impostor)), seed)

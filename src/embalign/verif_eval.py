@@ -62,12 +62,6 @@ def _row_norms(x):
     return np.sqrt(_row_dots(x, x))
 
 
-def _pair_arrays(pairs: PairList):
-    """Source indices, target indices and genuine flags of a pair list."""
-    arr = np.array(pairs.pairs, dtype=np.int64).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2] != 0
-
-
 def _cosines(a, t, norms_a, norms_t, i, j):
     """Cosine of ``a[i[k]]`` and ``t[j[k]]`` for each pair k; no row may have zero norm."""
     bad = (i < 0) | (i >= a.shape[0]) | (j < 0) | (j >= t.shape[0])
@@ -92,8 +86,7 @@ def pair_scores(aligned_source: np.ndarray, target: np.ndarray, pairs: PairList)
     t = np.asarray(target, dtype=np.float64)
     if a.ndim != 2 or t.ndim != 2:
         raise ConsistencyError(f"pair rows must be 2-D, got shapes {a.shape} and {t.shape}")
-    i, j, genuine = _pair_arrays(pairs)
-    scores = _cosines(a, t, _row_norms(a), _row_norms(t), i, j)
+    scores, genuine = _score_pairs((a, _row_norms(a)), (t, _row_norms(t)), pairs, False)
     return scores.tolist(), genuine.tolist()
 
 
@@ -273,11 +266,11 @@ def _score_pairs(queries, gallery, pairs, symmetric):
     ``queries`` and ``gallery`` are (rows, row norms) couples.
     """
     (q, norms_q), (g, norms_g) = queries, gallery
-    i, j, genuine = _pair_arrays(pairs)
+    i, j, genuine = pairs.pairs.T
     scores = _cosines(q, g, norms_q, norms_g, i, j)
     if symmetric:
         scores = (scores + _cosines(q, g, norms_q, norms_g, j, i)) / 2.0
-    return scores, genuine
+    return scores, genuine.astype(bool)
 
 
 def _seed_metrics(scores, labels, seed):

@@ -417,7 +417,7 @@ def test_native_scores_equal_padded_scores(d_a, d_b, method):
     amap, te = fit_alignment(x, y, method, 0.1, rows=split.train_rows), list(split.test_rows)
     test_labels = [labels[i] for i in te]
     pairs = sample_pairs_capped(test_labels, 150, 150, 0)
-    i, j, genuine = verif_eval._pair_arrays(pairs)
+    i, j, genuine = pairs.pairs.T
     native = (project(x[te], y[te], amap), project(x[te], y[te]))
     sides = verif_eval._eval_sides(x[te], y[te], amap)
     for kind, padded, ours, pair_sides in zip(

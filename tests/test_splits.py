@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from embalign import (
     sample_pairs_capped,
 )
 from embalign.errors import ArgumentError, DegenerateDataError
-from embalign.splits import _TAG_IMPOSTOR, _rng, check_seeds, label_codes, pair_counts
+from embalign.splits import (
+    _TAG_GENUINE_CAP, _TAG_IMPOSTOR, _rng, check_seeds, label_codes, pair_counts,
+)
 
 
 def labels_for(n_ids, per_id):
@@ -99,11 +102,11 @@ def test_split_invariants_property(n_ids, per_id, fraction, seed):
 
 def test_genuine_pairs_triple():
     pl = all_genuine_pairs(["a", "a", "a", "b"])
-    assert pl.pairs == ((0, 1, True), (0, 2, True), (1, 2, True))
+    assert pl.to_dict()["pairs"] == [[0, 1, True], [0, 2, True], [1, 2, True]]
 
 
 def test_genuine_pairs_all_distinct():
-    assert all_genuine_pairs(["a", "b", "c"]).pairs == ()
+    assert all_genuine_pairs(["a", "b", "c"]).to_dict()["pairs"] == []
 
 
 def test_genuine_pairs_two_by_two():
@@ -114,11 +117,11 @@ def test_genuine_pairs_two_by_two():
 
 def test_impostor_forced_single_pair():
     pl = sample_impostor_pairs(["a", "b"], 1, seed=0)
-    assert pl.pairs == ((0, 1, False),)
+    assert pl.to_dict()["pairs"] == [[0, 1, False]]
 
 
 def test_impostor_zero_count():
-    assert sample_impostor_pairs(["a", "b"], 0, seed=0).pairs == ()
+    assert sample_impostor_pairs(["a", "b"], 0, seed=0).to_dict()["pairs"] == []
 
 
 def test_impostor_sample_distinct_and_cross_label():
@@ -133,7 +136,7 @@ def test_impostor_sample_distinct_and_cross_label():
         assert (i, j) not in seen
         seen.add((i, j))
     again = sample_impostor_pairs(labels, 100, seed=3)
-    assert again.pairs == pl.pairs
+    assert again.to_dict() == pl.to_dict()
 
 
 def test_impostor_near_exhaustive():
@@ -178,15 +181,16 @@ def test_pair_indices_are_python_ints(count):
     labels = labels_for(4, 3)  # 54 impostor pairs: more than half of them is exhaustive
     for pl in (sample_impostor_pairs(labels, count, seed=5),
                sample_pairs_capped(labels, 6, count, seed=5)):
-        assert all(type(i) is int and type(j) is int for i, j, _ in pl.pairs)
+        rows = pl.to_dict()["pairs"]
+        assert all(type(i) is int and type(j) is int and type(g) is bool for i, j, g in rows)
         reports.canonical_json(pl.to_dict())
 
 
 def test_capped_exhaustive_genuine():
     labels = ["a", "a", "b", "b"]
     pl = sample_pairs_capped(labels, 2, 1, seed=0)
-    genuine = tuple(p for p in pl.pairs if p[2])
-    assert genuine == all_genuine_pairs(labels).pairs
+    genuine = [p for p in pl.to_dict()["pairs"] if p[2]]
+    assert genuine == all_genuine_pairs(labels).to_dict()["pairs"]
 
 
 def test_capped_counts_and_balance():
@@ -222,35 +226,43 @@ def test_pair_counts_equal_brute_force(labels):
     assert pair_counts(labels) == (genuine, len(pairs) - genuine)
 
 
-def ref_intra_pairs(labels, seed):
-    """Every genuine pair plus as many impostors: the intra protocol's former merge."""
-    genuine = all_genuine_pairs(labels)
-    impostor = sample_impostor_pairs(labels, len(genuine.pairs), seed)
-    return PairList(tuple(sorted(genuine.pairs + impostor.pairs)), seed)
+# --- references: the tuple builders the array builders replaced -------------
+# The sampling references return the JSON form of their pair list, which the
+# tuple ``PairList.to_dict`` wrote; ``_ref_dict`` makes it of a tuple list.
 
 
-def _pairs_outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (ArgumentError, DegenerateDataError) as exc:
-        return type(exc), str(exc)
+def ref_genuine_pairs(labels):
+    """Every same-label pair from a per-label dict, nested loops and a tuple sort."""
+    labels = [str(l) for l in labels]
+    by_label = {}
+    for i, l in enumerate(labels):
+        by_label.setdefault(l, []).append(i)
+    pairs = []
+    for l in sorted(by_label):
+        rows = by_label[l]
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                pairs.append((rows[a], rows[b], True))
+    return sorted(pairs)
 
 
-@settings(max_examples=200, deadline=None)
-@given(labels=st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=40),
-       seed=st.integers(0, 50))
-def test_capped_sample_of_every_genuine_pair_is_the_intra_merge(labels, seed):
-    n_genuine = pair_counts(labels)[0]
-    got = _pairs_outcome(sample_pairs_capped, labels, n_genuine, n_genuine, seed)
-    assert got == _pairs_outcome(ref_intra_pairs, labels, seed)
+def _ref_dict(pairs, seed):
+    return {"seed": seed, "pairs": [list(p) for p in pairs]}
 
 
 def ref_impostor_pairs(labels, count, seed):
     """Impostor sampling as a Python loop: one RNG call per drawn pair, a tuple pool."""
     labels = [str(l) for l in labels]
-    available = pair_counts(labels)[1]
-    rng = _rng(_TAG_IMPOSTOR, seed)
+    if count < 0:
+        raise ArgumentError("count must be nonnegative")
+    if len(set(labels)) < 2:
+        raise DegenerateDataError("need at least 2 distinct identities")
     n = len(labels)
+    genuine = sum(c * (c - 1) // 2 for c in Counter(labels).values())
+    available = n * (n - 1) // 2 - genuine
+    if count > available:
+        raise ArgumentError(f"requested {count} impostor pairs, only {available} exist")
+    rng = _rng(_TAG_IMPOSTOR, seed)
     chosen = set()
     if count > available // 2:
         pool = [(a, b) for a in range(n) for b in range(a + 1, n) if labels[a] != labels[b]]
@@ -262,19 +274,98 @@ def ref_impostor_pairs(labels, count, seed):
             if a == b or labels[a] == labels[b]:
                 continue
             chosen.add((min(a, b), max(a, b)))
-    return PairList(tuple((a, b, False) for a, b in sorted(chosen)), seed=seed)
+    return _ref_dict([(a, b, False) for a, b in sorted(chosen)], seed)
+
+
+def ref_capped_pairs(labels, genuine_count, impostor_count, seed):
+    """Capped samples of each class as tuples, merged by one tuple sort."""
+    genuine = ref_genuine_pairs(labels)
+    if genuine_count < 0 or impostor_count < 0:
+        raise ArgumentError("pair counts must be nonnegative")
+    if genuine_count > len(genuine):
+        raise ArgumentError(
+            f"requested {genuine_count} genuine pairs, only {len(genuine)} exist"
+        )
+    if genuine_count == len(genuine):
+        g_sample = list(genuine)
+    else:
+        rng = _rng(_TAG_GENUINE_CAP, seed)
+        idx = rng.choice(len(genuine), size=genuine_count, replace=False)
+        g_sample = [genuine[i] for i in sorted(idx)]
+    imp = [tuple(p) for p in ref_impostor_pairs(labels, impostor_count, seed)["pairs"]]
+    return _ref_dict(sorted(g_sample + imp), seed)
+
+
+def ref_intra_pairs(labels, seed):
+    """Every genuine pair plus as many impostors: the intra protocol's former merge."""
+    genuine = all_genuine_pairs(labels).to_dict()["pairs"]
+    impostor = sample_impostor_pairs(labels, len(genuine), seed).to_dict()["pairs"]
+    return {"seed": seed, "pairs": sorted(genuine + impostor)}
+
+
+def _pairs_outcome(fn, *args):
+    """The JSON form of ``fn``'s pair list, or the type and message of its error."""
+    try:
+        out = fn(*args)
+    except (ArgumentError, DegenerateDataError) as exc:
+        return type(exc), str(exc)
+    return out.to_dict() if isinstance(out, PairList) else out
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=40),
+       seed=st.integers(0, 50))
+def test_capped_sample_of_every_genuine_pair_is_the_intra_merge(labels, seed):
+    n_genuine = pair_counts(labels)[0]
+    got = _pairs_outcome(sample_pairs_capped, labels, n_genuine, n_genuine, seed)
+    assert got == _pairs_outcome(ref_intra_pairs, labels, seed)
+
+
+#: labels that are equal only as strings (1 and "1"), or that differ only by
+#: trailing NULs, which numpy's fixed-width str dtype would merge
+LABELS = st.lists(st.one_of(st.sampled_from(["a", "a\x00", "a\x00\x00", "b", "c", "1"]),
+                            st.integers(0, 3)), max_size=30)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(),
-       labels=st.lists(st.sampled_from("abcdef"), min_size=2, max_size=40).filter(
-           lambda ls: len(set(ls)) > 1),
-       seed=st.integers(0, 50))
+@given(labels=LABELS)
+def test_genuine_pairs_equal_the_reference(labels):
+    assert all_genuine_pairs(labels).to_dict() == _ref_dict(ref_genuine_pairs(labels), 0)
+
+
+def _count(data, available):
+    """A pair count: mostly a feasible one of either branch, sometimes an infeasible one."""
+    return data.draw(st.one_of(st.integers(0, available), st.integers(0, available // 2),
+                               st.sampled_from([-1, available + 1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), labels=LABELS, seed=st.integers(-1, 50))
 def test_impostor_sample_equals_the_python_loop(data, labels, seed):
     available = pair_counts(labels)[1]
     # counts up to half the pool reject, larger ones take the exhaustive branch
-    count = data.draw(st.integers(0, available))
-    assert sample_impostor_pairs(labels, count, seed) == ref_impostor_pairs(labels, count, seed)
+    count = _count(data, available)
+    got = _pairs_outcome(sample_impostor_pairs, labels, count, seed)
+    assert got == _pairs_outcome(ref_impostor_pairs, labels, count, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), labels=LABELS, seed=st.integers(-1, 50))
+def test_capped_sample_equals_the_reference(data, labels, seed):
+    n_genuine, available = pair_counts(labels)
+    genuine_count = data.draw(st.one_of(st.integers(0, n_genuine),
+                                        st.sampled_from([-1, n_genuine + 1])))
+    impostor_count = _count(data, available)
+    got = _pairs_outcome(sample_pairs_capped, labels, genuine_count, impostor_count, seed)
+    assert got == _pairs_outcome(ref_capped_pairs, labels, genuine_count, impostor_count, seed)
+
+
+def test_impostor_sample_at_scale_equals_the_python_loop():
+    # the verif-cross pair caps on 1000 identities x 10 images, rejection branch
+    labels = labels_for(1000, 10)
+    for seed in (0, 1):
+        got = sample_pairs_capped(labels, 2500, 2500, seed).to_dict()
+        assert got == ref_capped_pairs(labels, 2500, 2500, seed)
 
 
 @pytest.mark.parametrize("n", [10 ** 4, 3 * 10 ** 9])

@@ -102,6 +102,7 @@ def test_pair_score_identical():
     pl = PairList(((0, 0, True),), 0)
     scores, labels = pair_scores([[1.0, 2.0]], [[1.0, 2.0]], pl)
     assert np.isclose(scores[0], 1.0) and labels == [True]
+    assert type(labels[0]) is bool  # the flags come back as booleans, not 0/1
 
 
 def test_pair_score_orthogonal():
@@ -118,6 +119,29 @@ def test_pair_score_empty():
 def test_pair_score_out_of_range():
     with pytest.raises(ConsistencyError):
         pair_scores(np.ones((1, 2)), np.ones((1, 2)), PairList(((0, 5, True),), 0))
+
+
+@pytest.mark.parametrize("pairs", [
+    ((0, 1),),  # two columns: numpy's reshape would raise a bare ValueError
+    ((0, 1.5, True),),  # a float index would be truncated to pair (0, 1)
+    ((0, 1, 7),),  # a flag of 7 would count as genuine
+    ((0, 1, -1), (0, 1, True)),
+    ((0, 1, True), (0, 1)),  # rows of different lengths
+    (("0", "1", "1"),),
+    (0, 1, True),  # one row, not a list of rows
+    5,
+])
+def test_malformed_pair_list_is_consistency_error(pairs):
+    with pytest.raises(ConsistencyError, match=r"n x 3 array of integers .* flags 0 or 1"):
+        pair_scores(np.ones((2, 2)), np.ones((2, 2)), PairList(pairs, 0))
+
+
+def test_pair_list_holds_its_own_read_only_copy():
+    rows = np.array([[0, 1, 1]])
+    pl = PairList(rows, 0)
+    rows[0, 1] = 0
+    assert pl.to_dict() == {"seed": 0, "pairs": [[0, 1, True]]}
+    assert not pl.pairs.flags.writeable
 
 
 @pytest.mark.parametrize("a, t", [(np.ones(2), np.ones((1, 2))), (np.ones((1, 2)), np.ones(2))])

@@ -159,6 +159,11 @@ def commands(manifest):
         ["fit", *demo, "--method", "procrustes", "--out", "demo_map.bin"],
         ["eval-id", *demo, "--seeds", "0,1,2", "--out-dir", "demo_ident", "--dump-splits"],
         ["eval-verif", *demo, "--seeds", "0,1,2", "--out-dir", "demo_verif"],
+        # 2 test identities x 5 images: 20 genuine pairs against 25 impostor pairs, more
+        # than half of them, so the impostor sample takes its exhaustive branch (every
+        # other verification run takes the rejection branch)
+        ["eval-verif", *demo, "--train-frac", "0.98", "--seeds", "0,1", "--symmetric-score",
+         "--out-dir", "eval_verif_exhaustive"],
         ["matrix", "--inputs", *views, "--seeds", "0", "--out-dir", "demo_matrix"],
         ["cluster", "--matrix", "demo_matrix/compatibility_matrix.json", "--linkage", "average",
          "--out-dir", "demo_cluster"],
