@@ -141,8 +141,8 @@ def check_method(method: str, alpha: float) -> None:
     """Raise ``ConsistencyError`` unless :func:`fit_map` accepts ``method`` and ``alpha``."""
     if method not in METHODS:
         raise ConsistencyError(f"unknown method {method!r}")
-    if method == "ridge" and not alpha > 0:
-        raise ConsistencyError("ridge alpha must be positive")
+    if method == "ridge" and not 0 < alpha < np.inf:
+        raise ConsistencyError(f"ridge alpha must be positive and finite, got {alpha}")
 
 
 def fit_ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:

@@ -151,7 +151,9 @@ def build_compatibility_matrix(
                 labels, ra, rb = align.pair_sets(sets[i], sets[j])
                 key = tuple(labels)
                 if key not in splits:
-                    splits[key] = [_split_codes(labels, fraction, seed) for seed in seeds]
+                    codes = label_codes(labels)
+                    splits[key] = [(split, codes[split.test_rows]) for split in (
+                        identity_disjoint_split(labels, fraction, seed) for seed in seeds)]
                 pairs.append((i, j, ra, rb, splits[key]))
             except EmbalignError:
                 failed.update({(i, j), (j, i)})
@@ -161,7 +163,7 @@ def build_compatibility_matrix(
         if sides[model] is None or not np.array_equal(sides[model][0], rows):
             sides[model] = None  # free the old side before the new one is made
             sides[model] = rows, align.prepare_side(
-                sets[model].rows, rows[list(split.train_rows)], rows[list(split.test_rows)])
+                sets[model].rows, rows[split.train_rows], rows[split.test_rows])
         return sides[model][1]
 
     per_seed = {}  # ordered cell -> Rank-1 per seed
@@ -203,12 +205,6 @@ def build_compatibility_matrix(
         dataset_name=sets[0].dataset_name if sets else "",
         method=method,
     )
-
-
-def _split_codes(labels, fraction, seed):
-    """The identity-disjoint split of ``labels`` at ``seed`` and the label codes of its test rows."""
-    split = identity_disjoint_split(labels, fraction, seed)
-    return split, label_codes([labels[r] for r in split.test_rows])
 
 
 def symmetrize(cm: CompatibilityMatrix) -> np.ndarray:
@@ -318,8 +314,7 @@ def training_size_sweep(
     points = []
     for seed in seeds:
         split = identity_disjoint_split(labels, base_fraction, seed)
-        train_rows, test = np.array(split.train_rows, dtype=np.intp), list(split.test_rows)
-        train_codes, codes = all_codes[train_rows], all_codes[test]
+        train_codes, codes = all_codes[split.train_rows], all_codes[split.test_rows]
         # the codes number the identities in sorted order, so the pool is
         # the sorted train identities
         pool = np.unique(train_codes)
@@ -330,8 +325,8 @@ def training_size_sweep(
                 raise ArgumentError(
                     f"fraction {frac} keeps no train identities (pool {len(pool)})"
                 )
-            train = train_rows[np.isin(train_codes, pool[order[:n_ids]])]
-            a, b = (align.prepare_side(s.rows, r[train], r[test])
+            train = split.train_rows[np.isin(train_codes, pool[order[:n_ids]])]
+            a, b = (align.prepare_side(s.rows, r[train], r[split.test_rows])
                     for s, r in ((source, ra), (target, rb)))
             for method in methods:
                 amap = align.fit_sides(a, b, method, alpha, seed=seed)

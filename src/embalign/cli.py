@@ -28,9 +28,17 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NON_CONFIG}
 
 
+def _make_dir(path):
+    """Make the directory ``path`` unless it exists; an ``OSError`` is an ``IoError``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
 def _write_report(args, name, protocol, metrics, inputs):
     """Write the report ``name`` into ``--out-dir``, which is made if needed."""
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_dir(args.out_dir)
     reports.write_report(os.path.join(args.out_dir, name), _config(args), protocol,
                          {"metrics": metrics}, input_paths=inputs)
 
@@ -110,7 +118,7 @@ def cmd_synth(args):
             model_name=f"view{v}",
         )
         # made after the first view, so a bad view argument leaves no directory
-        os.makedirs(args.out, exist_ok=True)
+        _make_dir(args.out)
         path = os.path.join(args.out, f"view{v}.emb")
         embedstore.save_embeddings(view, path, "binary")
         written.append(path)
@@ -123,7 +131,7 @@ def cmd_fit(args):
     a = _load(args.source, args.format)
     b = _load(args.target, args.format)
     labels, ra, rb = align.pair_sets(a, b)
-    train = list(splits.identity_disjoint_split(labels, args.train_frac, args.seed).train_rows)
+    train = splits.identity_disjoint_split(labels, args.train_frac, args.seed).train_rows
     amap = align.fit_sides(
         align.prepare_side(a.rows, ra[train]), align.prepare_side(b.rows, rb[train]),
         args.method, args.alpha, seed=args.seed, source_model=a.model_name,

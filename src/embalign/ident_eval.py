@@ -107,25 +107,16 @@ def score_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _label_codes(q_labels, g_labels, shape):
-    """Integer codes of the query and gallery labels of scores of ``shape``.
-
-    The labels are factorized once (:func:`splits.label_codes`), so
-    queries and gallery share their codes.
-    """
-    if shape != (len(q_labels), len(g_labels)):
+def _check_labels(scores, q_labels, g_labels):
+    """A score matrix and its query and gallery :func:`splits.label_codes`, factorized together."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(q_labels), len(g_labels)):
         raise ConsistencyError(
-            f"scores shape {shape} does not match "
+            f"scores shape {scores.shape} does not match "
             f"{len(q_labels)} queries x {len(g_labels)} gallery labels"
         )
     codes = label_codes([*q_labels, *g_labels])
-    return codes[: len(q_labels)], codes[len(q_labels):]
-
-
-def _check_labels(scores, q_labels, g_labels):
-    """A score matrix and its label codes, validated against each other."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return (scores, *_label_codes(q_labels, g_labels, scores.shape))
+    return scores, codes[: len(q_labels)], codes[len(q_labels):]
 
 
 def _check_finite(block):
@@ -406,15 +397,14 @@ def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_sel
     return _seed_metrics([(0, scores)], q_codes, g_codes, max_rank, seed, exclude_self)
 
 
-def _metrics_from_rows(queries, gallery, q_labels, g_labels, max_rank, seed, exclude_self):
+def _metrics_from_rows(queries, gallery, q_codes, g_codes, max_rank, seed, exclude_self):
     """:func:`_metrics_from_scores` of the cosine scores of query and gallery rows.
 
-    Both sides are normalized once, then scored by :func:`_score_chunks`
-    and ranked chunk by chunk.
+    The rows' label codes are factorized together (:func:`splits.label_codes`).  Both
+    sides are normalized once, then scored by :func:`_score_chunks` and ranked chunk by chunk.
     """
     chunks = _score_chunks(_unit_rows(queries), _unit_rows(gallery))
-    codes = _label_codes(q_labels, g_labels, (len(queries), len(gallery)))
-    return _seed_metrics(chunks, *codes, max_rank, seed, exclude_self)
+    return _seed_metrics(chunks, q_codes, g_codes, max_rank, seed, exclude_self)
 
 
 def evaluate_identification(
@@ -429,16 +419,16 @@ def evaluate_identification(
     """Run the per-seed identification protocol and aggregate the metrics."""
     seeds = check_seeds(seeds)
     labels, ra, rb = align.pair_sets(source, target)
+    codes = label_codes(labels)
     results = []  # (aligned, baseline) per seed
     for seed in seeds:
         split = identity_disjoint_split(labels, fraction, seed)
-        train, test = list(split.train_rows), list(split.test_rows)
+        train, test = split.train_rows, split.test_rows
         amap = align.fit_sides(align.prepare_side(source.rows, ra[train]),
                                align.prepare_side(target.rows, rb[train]), method, alpha)
         x, y = align.unit_rows(source, target, ra[test], rb[test])
-        test_labels = [labels[i] for i in test]
         results.append(tuple(
-            _metrics_from_rows(*align.project(x, y, m), test_labels, test_labels,
+            _metrics_from_rows(*align.project(x, y, m), codes[test], codes[test],
                                min(CMC_MAX_RANK, len(test)), seed, exclude_self)
             for m in (amap, None)
         ))

@@ -3,6 +3,9 @@
 All randomness comes from numpy's PCG64 keyed by (operation tag, seed), so
 every output is a pure, reproducible function of its inputs and seed.
 
+A split (:class:`SplitSpec`) holds its rows as ascending read-only intp arrays, taken
+by one mask over the label codes (:func:`label_codes`); ``+`` on them adds elementwise.
+
 A pair list (:class:`PairList`) is one ``(n, 3)`` int64 array.  Each
 builder factorizes its labels once (:func:`label_codes`) and builds its
 pairs from the codes as sorted keys ``i * n + j``; it draws what the
@@ -79,16 +82,25 @@ def _rng(tag: int, seed: int) -> np.random.Generator:
     return np.random.default_rng([tag, check_seed(seed)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitSpec:
-    """An identity-disjoint train/test partition of one embedding set."""
+    """An identity-disjoint train/test partition of one embedding set.
+
+    The rows are copied into read-only intp arrays; two splits are compared through ``to_dict``.
+    """
 
     seed: int
     train_fraction: float
     train_identities: frozenset
     test_identities: frozenset
-    train_rows: tuple
-    test_rows: tuple
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+
+    def __post_init__(self):
+        for name in ("train_rows", "test_rows"):
+            rows = np.array(getattr(self, name), dtype=np.intp)
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
     def to_dict(self):
         return {
@@ -96,8 +108,8 @@ class SplitSpec:
             "train_fraction": self.train_fraction,
             "train_identities": sorted(self.train_identities),
             "test_identities": sorted(self.test_identities),
-            "train_rows": list(self.train_rows),
-            "test_rows": list(self.test_rows),
+            "train_rows": self.train_rows.tolist(),
+            "test_rows": self.test_rows.tolist(),
         }
 
 
@@ -142,19 +154,19 @@ class PairList:
 
 
 def identity_disjoint_split(labels, fraction: float, seed: int) -> SplitSpec:
-    """Shuffle identities by seed; first floor(fraction * #identities) train."""
+    """Shuffle the identities of a label sequence by seed; first floor(fraction * #ids) train."""
     check_fraction(fraction)
-    labels = [str(l) for l in labels]
-    identities = sorted(set(labels))
+    codes = label_codes(labels)
+    # each identity's label string, read at its first row, in code (sorted) order
+    identities = [str(labels[r]) for r in np.unique(codes, return_index=True)[1]]
     if len(identities) < 2:
         raise DegenerateDataError("need at least 2 distinct identities to split")
     order = _rng(_TAG_SPLIT, seed).permutation(len(identities))
     n_train = int(len(identities) * fraction)
     train_ids = frozenset(identities[i] for i in order[:n_train])
-    test_ids = frozenset(identities) - train_ids
-    train_rows = tuple(i for i, l in enumerate(labels) if l in train_ids)
-    test_rows = tuple(i for i, l in enumerate(labels) if l in test_ids)
-    return SplitSpec(seed, fraction, train_ids, test_ids, train_rows, test_rows)
+    train = np.isin(codes, order[:n_train])
+    return SplitSpec(seed, fraction, train_ids, frozenset(identities) - train_ids,
+                     np.flatnonzero(train), np.flatnonzero(~train))
 
 
 def _pair_list(codes, keys, seed) -> PairList:

@@ -306,7 +306,7 @@ def _score_seed(sides, pairs, symmetric, seed):
 
 def _intra_seed(source, target, labels, ra, rb, method, alpha, fraction, symmetric, seed):
     split = identity_disjoint_split(labels, fraction, seed)
-    train, test = list(split.train_rows), list(split.test_rows)
+    train, test = split.train_rows, split.test_rows
     amap = align.fit_sides(align.prepare_side(source.rows, ra[train]),
                            align.prepare_side(target.rows, rb[train]), method, alpha)
     test_labels = [labels[i] for i in test]

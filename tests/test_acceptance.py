@@ -272,9 +272,8 @@ def test_acceptance_5_protocol_invariants(tmp_path):
             continue
         spec = identity_disjoint_split(labels, fraction, int(rng.integers(0, 10**6)))
         split_ok = split_ok and not (spec.train_identities & spec.test_identities)
-        split_ok = split_ok and sorted(spec.train_rows + spec.test_rows) == list(
-            range(len(labels))
-        )
+        rows = np.concatenate((spec.train_rows, spec.test_rows))
+        split_ok = split_ok and sorted(rows) == list(range(len(labels)))
 
     labels = [f"p{k}" for k in range(25) for _ in range(4)]
     pair_ok = True

@@ -28,7 +28,7 @@ from embalign.errors import (
     ConsistencyError, DataError, DegenerateRowError, FormatError, IoError, NumericalError,
 )
 from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize
-from embalign.splits import identity_disjoint_split, sample_pairs_capped
+from embalign.splits import identity_disjoint_split, label_codes, sample_pairs_capped
 
 from conftest import fit_alignment, random_orthogonal, unit_pair
 
@@ -319,6 +319,16 @@ def test_ridge_keeps_its_former_bits(n, d_a, d_b):
         assert np.array_equal(fit_ridge(x, y, alpha), former)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_ridge_alpha_must_be_positive_and_finite(alpha):
+    # an infinite alpha used to pass the check and escape from scipy.linalg.solve
+    # as a raw ValueError
+    x, y = np.eye(3), np.eye(3)
+    for fit in (lambda: fit_map(x, y, "ridge", alpha), lambda: fit_ridge(x, y, alpha)):
+        with pytest.raises(ConsistencyError, match="ridge alpha must be positive and finite"):
+            fit()
+
+
 @pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
 def test_fit_refuses_no_rows_and_no_width(method):
     with pytest.raises(ConsistencyError, match="at least one training row"):
@@ -430,7 +440,8 @@ def test_native_scores_equal_padded_scores(d_a, d_b, method):
         got_pairs, _ = verif_eval._score_pairs(*pair_sides, pairs, False)
         assert np.abs(got_pairs - cosines(*ours)[i, j]).max() <= 1e-12, kind
         args = (test_labels, test_labels, 20, 0, False)
-        metrics = ident_eval._metrics_from_rows(*ours, *args)
+        codes = label_codes(test_labels)  # queries and gallery share their labels
+        metrics = ident_eval._metrics_from_rows(*ours, codes, codes, *args[2:])
         assert metrics == ident_eval._metrics_from_scores(scores, *args), kind
         # the padded evaluation divided each row by the norm of its padded row:
         # wider than the compared row for the procrustes source rows of d_a > d_b

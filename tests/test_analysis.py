@@ -696,9 +696,9 @@ def test_sweep_point_is_the_aligned_rank1_of_its_split(small_views):
     assert len(kept) == table["points"][0]["n_train_identities"] == int(0.5 * len(
         split.train_identities))
     assert list(train) == [i for i in split.train_rows if labels[i] in kept]
-    assert tuple(test) == split.test_rows
+    assert test == split.test_rows.tolist()
     # the point is the reference's aligned Rank-1 of that split
-    sub = replace(split, train_rows=tuple(train))
+    sub = replace(split, train_rows=np.array(train))
     assert table["points"][0]["rank1"] == aligned_rank1(x, y, labels, [sub], "linear", 0.1)
 
 

@@ -19,6 +19,7 @@ STUB_MANIFEST = {
                   "procrustes", "--seeds", "0,1", "--jobs", "2"],
     "synth": [f"synth/view{v}.emb" for v in range(3)],
     "permuted": "permuted/view1_permuted.emb",
+    "relabeled": [f"relabeled/view{v}.emb" for v in range(2)],
 }
 
 

@@ -449,6 +449,67 @@ def test_sweep_repeats_are_clean_errors(synth_dir, tmp_path, capsys, extra, mess
     assert not (tmp_path / "out").exists()
 
 
+def ridge_commands(synth_dir, out, alpha):
+    pair = ["--source", str(synth_dir / "view0.emb"), "--target", str(synth_dir / "view1.emb")]
+    train = ["--train-source", str(synth_dir / "view0.emb"),
+             "--train-target", str(synth_dir / "view1.emb")]
+    inputs = [str(synth_dir / f"view{v}.emb") for v in range(2)]
+    ridge = ["--method", "ridge", "--alpha", alpha]
+    return {
+        "fit": ["fit", *pair, *ridge, "--out", out],
+        "eval-id": ["eval-id", *pair, *ridge, "--seeds", "0", "--out-dir", out],
+        "eval-verif": ["eval-verif", *pair, *ridge, "--seeds", "0", "--out-dir", out],
+        "eval-verif-cross": ["eval-verif", *pair, *train, *ridge, "--seeds", "0",
+                             "--out-dir", out],
+        "matrix": ["matrix", "--inputs", *inputs, *ridge, "--seeds", "0", "--out-dir", out],
+        "sweep": ["sweep", *pair, "--methods", "ridge", "--alpha", alpha, "--seeds", "0",
+                  "--fractions", "0.5,1.0", "--out-dir", out],
+    }
+
+
+@pytest.mark.parametrize("alpha", ["inf", "1e309", "nan", "0"])
+@pytest.mark.parametrize("command",
+                         ["fit", "eval-id", "eval-verif", "eval-verif-cross", "matrix", "sweep"])
+def test_ridge_alpha_not_positive_and_finite_is_clean_error(synth_dir, tmp_path, capsys, command,
+                                                           alpha):
+    # an infinite alpha used to escape from scipy.linalg.solve as a raw ValueError
+    out = tmp_path / "out"
+    assert run(*ridge_commands(synth_dir, str(out), alpha)[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and "ridge alpha must be positive and finite" in err
+    assert not out.exists()
+
+
+def writing_commands(synth_dir, tmp_path, out):
+    pair = ["--source", str(synth_dir / "view0.emb"), "--target", str(synth_dir / "view1.emb")]
+    inputs = [str(synth_dir / f"view{v}.emb") for v in range(2)]
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"model_names": ["a", "b"], "rank1": [[100, 1], [1, 100]]}')
+    return {
+        "synth": ["synth", "--ids", "4", "--per-id", "2", "--dim", "8", "--intrinsic-dim", "4",
+                  "--out", out],
+        "eval-id": ["eval-id", *pair, "--seeds", "0", "--out-dir", out],
+        "eval-verif": ["eval-verif", *pair, "--seeds", "0", "--out-dir", out],
+        "matrix": ["matrix", "--inputs", *inputs, "--seeds", "0", "--out-dir", out],
+        "cluster": ["cluster", "--matrix", str(matrix), "--out-dir", out],
+        "sweep": ["sweep", *pair, "--seeds", "0", "--fractions", "0.5,1.0", "--out-dir", out],
+    }
+
+
+@pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+@pytest.mark.parametrize("command",
+                         ["synth", "eval-id", "eval-verif", "matrix", "cluster", "sweep"])
+def test_output_path_that_cannot_be_a_directory_is_clean_error(synth_dir, tmp_path, capsys,
+                                                                 command, where):
+    # makedirs used to escape as a raw FileExistsError or NotADirectoryError
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken if where == "a_file" else taken / "out"
+    assert run(*writing_commands(synth_dir, tmp_path, str(out))[command]) == 1
+    assert capsys.readouterr().err.startswith("embalign: error: ")
+    assert taken.read_text() == "kept"
+
+
 def test_cli_import_loads_no_scipy():
     # only the ridge solver and the clustering need scipy; they import it
     # on first use, so the other commands do not pay for the import

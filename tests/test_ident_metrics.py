@@ -22,7 +22,7 @@ from embalign.errors import (
     EmbalignError,
     ProtocolError,
 )
-from embalign.splits import identity_disjoint_split
+from embalign.splits import identity_disjoint_split, label_codes
 from embalign.ident_eval import RANK_KS, SeedRetrieval, _metrics_from_scores, first_hit_ranks
 
 from conftest import aligned_rank1, fit_alignment
@@ -546,6 +546,12 @@ def test_scoring_shape_errors_are_typed(scorer, queries, gallery):
         scorer(queries, gallery)  # raised at the call, before any chunk is asked for
 
 
+def _codes(q_labels, g_labels):
+    """Query and gallery label codes, factorized together as the evaluation does."""
+    codes = label_codes([*q_labels, *g_labels])
+    return codes[:len(q_labels)], codes[len(q_labels):]
+
+
 ZERO_QUERIES = {
     "rank_k_accuracy": lambda s, g: rank_k_accuracy(s, [], g, 1),
     "mean_average_precision": lambda s, g: mean_average_precision(s, [], g),
@@ -553,7 +559,7 @@ ZERO_QUERIES = {
     "_rank1": lambda s, g: ident_eval._rank1(s, [], g),
     "_metrics_from_scores": lambda s, g: _metrics_from_scores(s, [], g, 2, 0, False),
     "_metrics_from_rows": lambda s, g: ident_eval._metrics_from_rows(
-        np.zeros((0, 3)), np.eye(3), [], g, 2, 0, False),
+        np.zeros((0, 3)), np.eye(3), *_codes([], g), 2, 0, False),
 }
 
 
@@ -599,7 +605,8 @@ def test_metrics_from_rows_equal_metrics_of_score_matrix(case, cell_budget, scor
     args = (q_labels, g_labels, max_rank, 5, exclude_self)
     with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
             mock.patch.object(ident_eval, "_SCORE_BUDGET", score_budget):
-        got = outcome(ident_eval._metrics_from_rows, queries, gallery, *args)
+        got = outcome(ident_eval._metrics_from_rows, queries, gallery,
+                      *_codes(q_labels, g_labels), *args[2:])
         scores = score_matrix(queries, gallery)
         want = outcome(_metrics_from_scores, scores, *args)
     assert got == want
@@ -766,13 +773,13 @@ def test_evaluation_from_rows_holds_no_score_matrix(exclude_self):
     queries, gallery = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
     # 400 labels, and 2 labels, where the relevant items number half the 16M scores
     for n_labels in (400, 2):
-        labels = [f"p{i % n_labels}" for i in rng.permutation(n)]
+        codes = label_codes([f"p{i % n_labels}" for i in rng.permutation(n)])
         # the unit rows twice over, and three chunks; the 4000 x 4000 scores are 128 MB
         bound = 2 * (2 * n) * dim * 8 + 3 * ident_eval._SCORE_BUDGET * 8
         tracemalloc.start()
         try:
             ident_eval._metrics_from_rows(
-                queries, gallery, labels, labels,
+                queries, gallery, codes, codes,
                 ident_eval.CMC_MAX_RANK, 0, exclude_self,
             )
             _, peak = tracemalloc.get_traced_memory()

@@ -18,7 +18,8 @@ from embalign import (
 )
 from embalign.errors import ArgumentError, DegenerateDataError
 from embalign.splits import (
-    _TAG_GENUINE_CAP, _TAG_IMPOSTOR, _rng, check_seeds, label_codes, pair_counts,
+    _TAG_GENUINE_CAP, _TAG_IMPOSTOR, _TAG_SPLIT, SplitSpec, _rng, check_fraction, check_seeds,
+    label_codes, pair_counts,
 )
 
 
@@ -37,7 +38,7 @@ def test_split_deterministic():
     labels = labels_for(12, 2)
     a = identity_disjoint_split(labels, 0.5, seed=9)
     b = identity_disjoint_split(labels, 0.5, seed=9)
-    assert a == b
+    assert a.to_dict() == b.to_dict()
 
 
 def test_split_seeds_differ_but_stay_disjoint():
@@ -46,7 +47,7 @@ def test_split_seeds_differ_but_stay_disjoint():
     b = identity_disjoint_split(labels, 0.5, seed=1)
     for spec in (a, b):
         assert not spec.train_identities & spec.test_identities
-        assert sorted(spec.train_rows + spec.test_rows) == list(range(16))
+        assert sorted(np.concatenate((spec.train_rows, spec.test_rows))) == list(range(16))
 
 
 def test_split_bad_fraction():
@@ -93,7 +94,8 @@ def test_split_invariants_property(n_ids, per_id, fraction, seed):
         return
     spec = identity_disjoint_split(labels, fraction, seed)
     assert not spec.train_identities & spec.test_identities
-    assert sorted(spec.train_rows + spec.test_rows) == list(range(len(labels)))
+    rows = np.concatenate((spec.train_rows, spec.test_rows))
+    assert sorted(rows) == list(range(len(labels)))
     for i in spec.train_rows:
         assert labels[i] in spec.train_identities
     for i in spec.test_rows:
@@ -215,7 +217,69 @@ def test_split_json_round_trip():
     spec = identity_disjoint_split(labels_for(6, 2), 0.5, seed=4)
     d = spec.to_dict()
     assert set(d["train_identities"]) == spec.train_identities
-    assert tuple(d["train_rows"]) == spec.train_rows
+    assert d["train_rows"] == spec.train_rows.tolist()
+    assert all(type(i) is int for i in d["train_rows"] + d["test_rows"])
+
+
+def test_split_rows_are_read_only_intp_arrays():
+    spec = identity_disjoint_split(labels_for(6, 2), 0.5, seed=4)
+    for rows in (spec.train_rows, spec.test_rows):
+        assert rows.dtype == np.intp
+    with pytest.raises(ValueError, match="read-only"):
+        spec.train_rows[0] = 5
+
+
+# --- reference: the split as per-row loops over the label strings ------------
+
+
+def ref_identity_disjoint_split(labels, fraction, seed):
+    """The loop-based split: the JSON form of its rows, from frozenset lookups per row."""
+    check_fraction(fraction)
+    labels = [str(l) for l in labels]
+    identities = sorted(set(labels))
+    if len(identities) < 2:
+        raise DegenerateDataError("need at least 2 distinct identities to split")
+    order = _rng(_TAG_SPLIT, seed).permutation(len(identities))
+    n_train = int(len(identities) * fraction)
+    train_ids = frozenset(identities[i] for i in order[:n_train])
+    test_ids = frozenset(identities) - train_ids
+    return {
+        "seed": seed,
+        "train_fraction": fraction,
+        "train_identities": sorted(train_ids),
+        "test_identities": sorted(test_ids),
+        "train_rows": [i for i, l in enumerate(labels) if l in train_ids],
+        "test_rows": [i for i, l in enumerate(labels) if l in test_ids],
+    }
+
+
+def _split_outcome(fn, *args):
+    """The JSON form of ``fn``'s split, or the type and message of its error."""
+    try:
+        out = fn(*args)
+    except (ArgumentError, DegenerateDataError) as exc:
+        return type(exc), str(exc)
+    return out.to_dict() if isinstance(out, SplitSpec) else out
+
+
+#: labels that differ only by trailing NULs, integers, unpadded numbers whose
+#: string order is not their numeric order ("10" < "9"), and one identity alone
+SPLIT_LABELS = st.one_of(
+    st.lists(st.one_of(st.sampled_from(["a", "a\x00", "a\x00\x00", "b", "9", "10"]),
+                       st.integers(0, 12)), max_size=40),
+    st.lists(st.integers(0, 120).map(str), max_size=40),
+    st.lists(st.just("only"), max_size=5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(labels=SPLIT_LABELS,
+       # small fractions leave the train part empty; 0 and 1 are out of range
+       fraction=st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.0, 1.0, 0.02, 0.5])),
+       seed=st.integers(-1, 50))
+def test_split_equals_the_reference(labels, fraction, seed):
+    want = _split_outcome(ref_identity_disjoint_split, labels, fraction, seed)
+    assert _split_outcome(identity_disjoint_split, labels, fraction, seed) == want
 
 
 @settings(max_examples=200, deadline=None)

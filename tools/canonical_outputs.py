@@ -7,7 +7,8 @@ SRC on PYTHONPATH) and writes their reports, CSVs, splits, maps and
 dendrograms into OUT, which must be empty or absent.  The inputs are
 generated into DIR on the first run and reused afterwards: the
 generators of ``bench/workloads.py`` at seed 7, one small ``embalign
-synth`` set, and a row-permuted copy of the second ``matrix-m6`` view.
+synth`` set, a row-permuted copy of the second ``matrix-m6`` view, and
+copies of the first two synth views relabeled with unpadded integers.
 Reports embed the paths of their inputs, so two trees are compared
 through one shared DIR:
 
@@ -66,6 +67,7 @@ def _generate(src, inputs):
     _cli([*SYNTH_ARGV, "--out", synth_dir], src, inputs)
     manifest["synth"] = [os.path.join(synth_dir, f"view{v}.emb") for v in range(3)]
     manifest["permuted"] = _permuted_copy(_matrix_views(manifest["matrix-m6"])[1], inputs)
+    manifest["relabeled"] = [_relabeled_copy(p, inputs) for p in manifest["synth"][:2]]
     with open(os.path.join(inputs, MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
     return manifest
@@ -87,6 +89,25 @@ def _permuted_copy(path, inputs):
     save_embeddings(EmbeddingSet(es.model_name, es.dataset_name, es.rows[order],
                                  [es.image_ids[i] for i in order],
                                  [es.labels[i] for i in order]), copy)
+    return copy
+
+
+def _relabeled_copy(path, inputs):
+    """Write the set at ``path`` with its k-th sorted label renamed ``str(k)``; return the path.
+
+    Every synth label is zero-padded, so its string order is its numeric
+    order; the unpadded labels sort as strings ("10" < "9"), which is the
+    order every split and pair builder numbers identities in.
+    """
+    from embalign.embedstore import EmbeddingSet, load_embeddings, save_embeddings
+
+    es = load_embeddings(path)
+    names = {label: str(k) for k, label in enumerate(sorted(set(es.labels)))}
+    directory = os.path.join(inputs, "relabeled")
+    os.makedirs(directory, exist_ok=True)
+    copy = os.path.join(directory, os.path.basename(path))
+    save_embeddings(EmbeddingSet(es.model_name, es.dataset_name, es.rows, es.image_ids,
+                                 [names[l] for l in es.labels]), copy)
     return copy
 
 
@@ -119,6 +140,7 @@ def commands(manifest):
              verif[verif.index("--train-target") + 1]]
     demo = ["--source", views[0], "--target", views[1]]
     permuted = ["--source", matrix_views[0], "--target", manifest["permuted"]]
+    relabeled = ["--source", manifest["relabeled"][0], "--target", manifest["relabeled"][1]]
     return [
         [*ident, "--out-dir", "eval_id"],
         ["eval-id", *_pair(ident), "--seeds", "0,1", "--exclude-self", "--dump-splits",
@@ -138,6 +160,11 @@ def commands(manifest):
         ["eval-verif", *permuted, "--method", "linear", "--seeds", "0,1",
          "--out-dir", "eval_verif_permuted"],
         ["fit", *permuted, "--method", "ridge", "--seed", "2", "--out", "fit_permuted.bin"],
+        # unpadded integer labels: identities numbered in string order, not numeric order
+        ["eval-id", *relabeled, "--seeds", "0,1", "--dump-splits", "--out-dir",
+         "eval_id_relabeled"],
+        ["eval-verif", *relabeled, "--method", "linear", "--seeds", "0,1",
+         "--out-dir", "eval_verif_relabeled"],
         ["cluster", "--matrix", "matrix/compatibility_matrix.json", "--out-dir", "cluster"],
         ["sweep", *_pair(ident), "--methods", "procrustes,linear", "--fractions", "0.25,1.0",
          "--seeds", "0", "--out-dir", "sweep_ident"],
