@@ -2,10 +2,7 @@
 
 from .align import (
     AlignmentMap,
-    fit_linear,
     fit_map,
-    fit_procrustes,
-    fit_ridge,
     load_map,
     save_map,
     training_residual,

@@ -1,6 +1,6 @@
 """Linear alignment maps between preprocessed embedding spaces.
 
-Three fitters of increasing capacity:
+One fitter, :func:`fit_map`, with three methods of increasing capacity:
 
 * orthogonal (Procrustes): W = U V^T from the SVD of X^T Y,
 * unconstrained least squares, the minimum-norm solution, and
@@ -33,6 +33,10 @@ the two k-wide vectors it compares, their dot product over the product
 of their own norms.  Map files store the d_a x d_b map too
 (:func:`save_map`, format version 2); :func:`load_map` still reads the
 D x D maps, D = max(d_a, d_b), of format version 1.
+
+Every command pairs two sets once (:func:`pair_sets`) and takes its rows
+through that :class:`Pairing`: the sides a map is fit on, the unit rows
+it is scored on, and each seed's split, map and test rows.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .errors import (
 )
 from .prep import PrepStats, center, l2_normalize
 from .reports import atomic_write
+from .splits import identity_disjoint_split, label_codes
 
 #: relative cutoff of the least-squares fit: singular values s <= PINV_RTOL * s_1
 #: of the training rows count as zero, so a rank-deficient X gets the
@@ -124,31 +129,12 @@ def _ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:
         raise NumericalError(f"SPD solve failed: {exc}") from exc
 
 
-def fit_procrustes(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
-    """Best orthogonal map minimizing ||x_tr W - y_tr||_F; both sides of one shape."""
-    x_tr, y_tr = _check_train(x_tr, y_tr)
-    if x_tr.shape != y_tr.shape:
-        raise ConsistencyError(f"shape mismatch: {x_tr.shape} vs {y_tr.shape}")
-    return _orthogonal(x_tr.T @ y_tr)
-
-
-def fit_linear(x_tr: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares map pinv(x_tr) @ y_tr (d_a x d_b)."""
-    return _least_squares(*_check_train(x_tr, y_tr))
-
-
 def check_method(method: str, alpha: float) -> None:
     """Raise ``ConsistencyError`` unless :func:`fit_map` accepts ``method`` and ``alpha``."""
     if method not in METHODS:
         raise ConsistencyError(f"unknown method {method!r}")
     if method == "ridge" and not 0 < alpha < np.inf:
         raise ConsistencyError(f"ridge alpha must be positive and finite, got {alpha}")
-
-
-def fit_ridge(x_tr: np.ndarray, y_tr: np.ndarray, alpha: float) -> np.ndarray:
-    """Damped least-squares map (x^T x + alpha I)^-1 x^T y (d_a x d_b), alpha > 0."""
-    check_method("ridge", alpha)
-    return _ridge(*_check_train(x_tr, y_tr), alpha)
 
 
 def fit_map(x_tr: np.ndarray, y_tr: np.ndarray, method: str, alpha: float = DEFAULT_RIDGE_ALPHA):
@@ -219,28 +205,6 @@ class AlignmentMap:
             target_model=self.source_model,
             seed=self.seed,
         )
-
-
-def pair_sets(source: EmbeddingSet, target: EmbeddingSet):
-    """``(labels, ra, rb)``: identities and row index arrays of the images two sets share.
-
-    Rows pair in lexicographic id order (:func:`embedstore.shared_rows`).  The first all-zero
-    shared row of ``source``, else of ``target``, is a ``DegenerateRowError`` naming its position.
-    """
-    ra, rb = shared_rows(source, target)
-    for s, index in ((source, ra), (target, rb)):
-        dead = np.flatnonzero(~s.rows.any(axis=1)[index])
-        if dead.size:
-            raise DegenerateRowError(int(dead[0]))
-    return [source.labels[i] for i in ra], np.array(ra), np.array(rb)
-
-
-def unit_rows(source: EmbeddingSet, target: EmbeddingSet, ra, rb):
-    """The unit rows ``ra`` of ``source`` and ``rb`` of ``target`` (float64)."""
-    # gather both sides before normalizing either: normalizing the source gather
-    # first raised eval-id's peak RSS on 10k rows by 9 MB (glibc's mmap threshold)
-    a, b = source.rows[ra], target.rows[rb]
-    return l2_normalize(a), l2_normalize(b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,6 +279,64 @@ def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RI
     return AlignmentMap(
         w=w, stats=stats, method=method, alpha=alpha if method == "ridge" else 0.0, **meta
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Pairing:
+    """The images two sets share, paired by id (:func:`pair_sets`).
+
+    Rows ``ra[k]`` of ``source`` and ``rb[k]`` of ``target`` hold the k-th shared image, of
+    identity ``labels[k]``; every other row index here is such a position k.
+    """
+
+    source: EmbeddingSet
+    target: EmbeddingSet
+    labels: list
+    ra: np.ndarray
+    rb: np.ndarray
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """The :func:`splits.label_codes` of ``labels``, factorized once."""
+        return label_codes(self.labels)
+
+    def sides(self, train=slice(None), test=None):
+        """The source and target :func:`prepare_side` of the shared rows ``train`` and ``test``."""
+        return tuple(prepare_side(s.rows, r[train], None if test is None else r[test])
+                     for s, r in ((self.source, self.ra), (self.target, self.rb)))
+
+    def unit_rows(self, rows=slice(None)):
+        """The unit source and target rows (float64) of the shared rows ``rows``."""
+        # gather both sides before normalizing either: normalizing the source gather
+        # first raised eval-id's peak RSS on 10k rows by 9 MB (glibc's mmap threshold)
+        a, b = self.source.rows[self.ra[rows]], self.target.rows[self.rb[rows]]
+        return l2_normalize(a), l2_normalize(b)
+
+    def split_fits(self, method: str, alpha: float, fraction: float, seeds):
+        """Per seed, when it is asked for, ``(split, amap, (x, y), codes)``.
+
+        The seed's :func:`splits.identity_disjoint_split` of ``labels``, the map of ``method``
+        fit on its train rows (:meth:`sides`, :func:`fit_sides`), and the unit rows
+        (:meth:`unit_rows`) and label codes of its test rows.
+        """
+        for seed in seeds:
+            split = identity_disjoint_split(self.labels, fraction, seed)
+            amap = fit_sides(*self.sides(split.train_rows), method, alpha)
+            yield split, amap, self.unit_rows(split.test_rows), self.codes[split.test_rows]
+
+
+def pair_sets(source: EmbeddingSet, target: EmbeddingSet) -> Pairing:
+    """The :class:`Pairing` of the images two sets share.
+
+    Rows pair in lexicographic id order (:func:`embedstore.shared_rows`).  The first all-zero
+    shared row of ``source``, else of ``target``, is a ``DegenerateRowError`` naming its position.
+    """
+    ra, rb = shared_rows(source, target)
+    for s, index in ((source, ra), (target, rb)):
+        dead = np.flatnonzero(~s.rows.any(axis=1)[index])
+        if dead.size:
+            raise DegenerateRowError(int(dead[0]))
+    return Pairing(source, target, [source.labels[i] for i in ra], np.array(ra), np.array(rb))
 
 
 def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):

@@ -21,7 +21,6 @@ from .ident_eval import map_rank1
 from .reports import mean_std
 from .splits import (
     DEFAULT_SEEDS, _rng, check_distinct, check_fraction, check_seeds, identity_disjoint_split,
-    label_codes,
 )
 
 _TAG_SWEEP = 301
@@ -148,13 +147,12 @@ def build_compatibility_matrix(
     for i in range(m):
         for j in range(i, m):
             try:
-                labels, ra, rb = align.pair_sets(sets[i], sets[j])
-                key = tuple(labels)
+                pairing = align.pair_sets(sets[i], sets[j])
+                key = tuple(pairing.labels)
                 if key not in splits:
-                    codes = label_codes(labels)
-                    splits[key] = [(split, codes[split.test_rows]) for split in (
-                        identity_disjoint_split(labels, fraction, seed) for seed in seeds)]
-                pairs.append((i, j, ra, rb, splits[key]))
+                    splits[key] = [(split, pairing.codes[split.test_rows]) for split in (
+                        identity_disjoint_split(key, fraction, seed) for seed in seeds)]
+                pairs.append((i, j, pairing.ra, pairing.rb, splits[key]))
             except EmbalignError:
                 failed.update({(i, j), (j, i)})
 
@@ -224,7 +222,7 @@ def agglomerative_cluster(
     model_names=(),
 ) -> Dendrogram:
     """Cluster models on distance 100 - similarity with the chosen linkage."""
-    import scipy.cluster.hierarchy as sch  # here for the reason given in align.fit_ridge
+    import scipy.cluster.hierarchy as sch  # here for the reason given in align._ridge
 
     s = np.asarray(similarity, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 2:
@@ -289,7 +287,7 @@ def training_size_sweep(
     Per seed the base split defines the train identity pool and the test
     pool; each sweep fraction keeps a nested deterministic prefix of a
     shuffled pool.  Each point prepares both sides of its split once
-    (:func:`align.prepare_side`); each method fits its map on them
+    (:meth:`align.Pairing.sides`); each method fits its map on them
     (:func:`align.fit_sides`) and reads Rank-1 from each query's first
     highest score (:func:`ident_eval.map_rank1`), as in the matrix.  The
     shared labels are factorized once; each seed reads its test codes, its
@@ -309,12 +307,11 @@ def training_size_sweep(
     check_distinct(methods, "method")
     for method in methods:
         align.check_method(method, alpha)
-    labels, ra, rb = align.pair_sets(source, target)
-    all_codes = label_codes(labels)
+    pairing = align.pair_sets(source, target)
     points = []
     for seed in seeds:
-        split = identity_disjoint_split(labels, base_fraction, seed)
-        train_codes, codes = all_codes[split.train_rows], all_codes[split.test_rows]
+        split = identity_disjoint_split(pairing.labels, base_fraction, seed)
+        train_codes, codes = pairing.codes[split.train_rows], pairing.codes[split.test_rows]
         # the codes number the identities in sorted order, so the pool is
         # the sorted train identities
         pool = np.unique(train_codes)
@@ -326,8 +323,7 @@ def training_size_sweep(
                     f"fraction {frac} keeps no train identities (pool {len(pool)})"
                 )
             train = split.train_rows[np.isin(train_codes, pool[order[:n_ids]])]
-            a, b = (align.prepare_side(s.rows, r[train], r[split.test_rows])
-                    for s, r in ((source, ra), (target, rb)))
+            a, b = pairing.sides(train, split.test_rows)
             for method in methods:
                 amap = align.fit_sides(a, b, method, alpha, seed=seed)
                 points.append(

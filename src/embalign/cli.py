@@ -4,6 +4,8 @@ Subcommands: synth, fit, eval-id, eval-verif, matrix, cluster, sweep.
 The env var ``EMBALIGN_SEEDS`` (comma-separated) overrides the default
 seed list {0..4}; an explicit ``--seeds`` flag overrides both.  The map
 of the ``eval-verif`` cross protocol is fit here and handed to the evaluator.
+Every command pairs its sets once (:func:`align.pair_sets`); ``--dump-splits``
+writes the splits the evaluation scored, which its report carries.
 """
 
 from __future__ import annotations
@@ -130,13 +132,10 @@ def cmd_synth(args):
 def cmd_fit(args):
     a = _load(args.source, args.format)
     b = _load(args.target, args.format)
-    labels, ra, rb = align.pair_sets(a, b)
-    train = splits.identity_disjoint_split(labels, args.train_frac, args.seed).train_rows
-    amap = align.fit_sides(
-        align.prepare_side(a.rows, ra[train]), align.prepare_side(b.rows, rb[train]),
-        args.method, args.alpha, seed=args.seed, source_model=a.model_name,
-        target_model=b.model_name,
-    )
+    pairing = align.pair_sets(a, b)
+    train = splits.identity_disjoint_split(pairing.labels, args.train_frac, args.seed).train_rows
+    amap = align.fit_sides(*pairing.sides(train), args.method, args.alpha, seed=args.seed,
+                           source_model=a.model_name, target_model=b.model_name)
     align.save_map(amap, args.out)
     print(args.out)
     return 0
@@ -145,17 +144,12 @@ def cmd_fit(args):
 def _cross_map(args):
     """The cross protocol's map, fit on every shared training row; its sets are freed on return."""
     a, b = (_load(p, args.format) for p in (args.train_source, args.train_target))
-    _, ra, rb = align.pair_sets(a, b)
-    return align.fit_sides(align.prepare_side(a.rows, ra), align.prepare_side(b.rows, rb),
-                           args.method, args.alpha)
+    return align.fit_sides(*align.pair_sets(a, b).sides(), args.method, args.alpha)
 
 
-def _dump_splits(out_dir, source, target, fraction, seeds, tag):
-    labels = align.pair_sets(source, target)[0]
-    doc = {
-        str(seed): splits.identity_disjoint_split(labels, fraction, seed).to_dict()
-        for seed in seeds
-    }
+def _dump_splits(out_dir, report, tag):
+    """Write the splits ``report`` was scored on, keyed by seed."""
+    doc = {str(split.seed): split.to_dict() for split in report.per_seed_split}
     path = os.path.join(out_dir, f"{tag}_splits.json")
     reports.atomic_write(path, reports.canonical_json(doc).encode("utf-8"))
 
@@ -176,7 +170,7 @@ def cmd_eval_id(args):
         reports.cmc_csv_rows(report.summary),
     )
     if args.dump_splits:
-        _dump_splits(args.out_dir, a, b, args.train_frac, seeds, "eval_id")
+        _dump_splits(args.out_dir, report, "eval_id")
     return 0
 
 
@@ -203,7 +197,7 @@ def cmd_eval_verif(args):
         reports.roc_csv_rows(report.summary),
     )
     if args.dump_splits:
-        _dump_splits(args.out_dir, a, b, args.train_frac, seeds, "eval_verif")
+        _dump_splits(args.out_dir, report, "eval_verif")
     return 0
 
 

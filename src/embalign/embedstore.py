@@ -3,8 +3,8 @@
 Binary format (little-endian): magic ``EMB1``, u32 N, u32 d, then N*d
 float32 values row-major.  A companion label file with the same basename
 plus ``.labels.tsv`` holds one ``image_id<TAB>identity`` line per matrix
-row.  The CSV format is a single self-contained file with header
-``image_id,identity,e0,...,e{d-1}``.
+row, so no id or identity may hold a tab, CR or LF.  The CSV format is a
+single self-contained file with header ``image_id,identity,e0,...,e{d-1}``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -27,6 +28,8 @@ from .errors import (
 )
 
 _MAGIC = b"EMB1"
+#: characters a field of a label line cannot hold: its separator and line ends
+_LABEL_BREAKS = re.compile("[\t\n\r]")
 
 
 def _label_path(path: str) -> str:
@@ -85,9 +88,19 @@ class EmbeddingSet:
 
 
 def save_embeddings(s: EmbeddingSet, path: str, format: str = "binary") -> None:
-    """Persist an EmbeddingSet; binary round-trips bitwise."""
+    """Persist an EmbeddingSet; binary round-trips bitwise.
+
+    Before the binary format opens either file, an id or label holding a
+    tab, CR or LF, which its label file could not give back, is a
+    ``FormatError`` naming the first such row and field.
+    """
     try:
         if format == "binary":
+            for i, fields in enumerate(zip(s.image_ids, s.labels)):
+                for name, value in zip(("image id", "label"), fields):
+                    if _LABEL_BREAKS.search(value):
+                        raise FormatError(f"{path}: row {i}: {name} {value!r} holds a tab, CR "
+                                          "or LF, which a binary label file cannot store")
             with open(path, "wb") as f:
                 f.write(_MAGIC)
                 f.write(struct.pack("<II", s.n, s.dim))

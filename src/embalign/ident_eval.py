@@ -56,7 +56,7 @@ from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
 from .reports import AlignedBaselineReport, mean_std, pair_metadata
-from .splits import DEFAULT_SEEDS, check_seeds, identity_disjoint_split, label_codes
+from .splits import DEFAULT_SEEDS, check_seeds, label_codes
 
 RANK_KS = (1, 5, 10)
 CMC_MAX_RANK = 50
@@ -356,6 +356,7 @@ class RetrievalReport(AlignedBaselineReport):
     seeds: tuple
     per_seed: tuple  # SeedRetrieval, aligned
     per_seed_baseline: tuple  # SeedRetrieval, unaligned
+    per_seed_split: tuple = field(default=(), compare=False)  # splits.SplitSpec
     exclude_self: bool = False
     metadata: dict = field(default_factory=dict)
 
@@ -418,26 +419,22 @@ def evaluate_identification(
 ) -> RetrievalReport:
     """Run the per-seed identification protocol and aggregate the metrics."""
     seeds = check_seeds(seeds)
-    labels, ra, rb = align.pair_sets(source, target)
-    codes = label_codes(labels)
-    results = []  # (aligned, baseline) per seed
-    for seed in seeds:
-        split = identity_disjoint_split(labels, fraction, seed)
-        train, test = split.train_rows, split.test_rows
-        amap = align.fit_sides(align.prepare_side(source.rows, ra[train]),
-                               align.prepare_side(target.rows, rb[train]), method, alpha)
-        x, y = align.unit_rows(source, target, ra[test], rb[test])
-        results.append(tuple(
-            _metrics_from_rows(*align.project(x, y, m), codes[test], codes[test],
-                               min(CMC_MAX_RANK, len(test)), seed, exclude_self)
+    pairing = align.pair_sets(source, target)
+    results = []
+    for split, amap, (x, y), codes in pairing.split_fits(method, alpha, fraction, seeds):
+        aligned, baseline = (
+            _metrics_from_rows(*align.project(x, y, m), codes, codes,
+                               min(CMC_MAX_RANK, len(codes)), split.seed, exclude_self)
             for m in (amap, None)
-        ))
+        )
+        results.append((aligned, baseline, split))
     return RetrievalReport(
         method=method,
         fraction=fraction,
         seeds=tuple(seeds),
         per_seed=tuple(r[0] for r in results),
         per_seed_baseline=tuple(r[1] for r in results),
+        per_seed_split=tuple(r[2] for r in results),
         exclude_self=exclude_self,
         metadata={
             **pair_metadata(source, target, method, alpha),

@@ -30,10 +30,7 @@ from . import align
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
 from .reports import AlignedBaselineReport, mean_std, pair_metadata
-from .splits import (
-    DEFAULT_SEEDS, PairList, check_seeds, identity_disjoint_split, pair_counts,
-    sample_pairs_capped,
-)
+from .splits import DEFAULT_SEEDS, PairList, _pair_counts, check_seeds, sample_pairs_capped
 
 FMR_TARGETS = (0.01, 0.001)
 
@@ -235,6 +232,7 @@ class VerificationReport(AlignedBaselineReport):
     seeds: tuple
     per_seed: tuple
     per_seed_baseline: tuple
+    per_seed_split: tuple = field(default=(), compare=False)  # splits.SplitSpec; intra only
     protocol: str = "intra"
     fraction: float = 0.7
     symmetric_score: bool = False
@@ -304,19 +302,6 @@ def _score_seed(sides, pairs, symmetric, seed):
     return aligned, base
 
 
-def _intra_seed(source, target, labels, ra, rb, method, alpha, fraction, symmetric, seed):
-    split = identity_disjoint_split(labels, fraction, seed)
-    train, test = split.train_rows, split.test_rows
-    amap = align.fit_sides(align.prepare_side(source.rows, ra[train]),
-                           align.prepare_side(target.rows, rb[train]), method, alpha)
-    test_labels = [labels[i] for i in test]
-    n_genuine = pair_counts(test_labels)[0]
-    pairs = sample_pairs_capped(test_labels, n_genuine, n_genuine, seed)  # every genuine pair
-    # pair indices refer to positions within the test rows
-    x, y = align.unit_rows(source, target, ra[test], rb[test])
-    return _score_seed(_eval_sides(x, y, amap), pairs, symmetric, seed)
-
-
 def evaluate_verification(
     source: EmbeddingSet,
     target: EmbeddingSet,
@@ -346,22 +331,30 @@ def evaluate_verification(
         if method not in (None, amap.method):
             raise ConsistencyError(f"method {method!r} disagrees with the map's {amap.method!r}")
         method, alpha = amap.method, amap.alpha
-    labels, ra, rb = align.pair_sets(source, target)
+    pairing = align.pair_sets(source, target)
+    used = []  # each seed's split (intra protocol)
     if amap is None:
         method = method or "procrustes"
-        results = [_intra_seed(source, target, labels, ra, rb, method, alpha, fraction,
-                               symmetric_score, seed) for seed in seeds]
+        results = []
+        for split, fitted, (x, y), codes in pairing.split_fits(method, alpha, fraction, seeds):
+            n_genuine = _pair_counts(codes)[0]
+            # every genuine pair; pair indices refer to positions within the test rows
+            pairs = sample_pairs_capped(codes, n_genuine, n_genuine, split.seed)
+            results.append(_score_seed(_eval_sides(x, y, fitted), pairs, symmetric_score,
+                                       split.seed))
+            used.append(split)
     else:
         pair_caps = pair_caps or (10000, 10000)
         # pair indices refer to the shared rows, gathered and normalized once
-        sides = _eval_sides(*align.unit_rows(source, target, ra, rb), amap)
-        pairs = (sample_pairs_capped(labels, *pair_caps, seed) for seed in seeds)
+        sides = _eval_sides(*pairing.unit_rows(), amap)
+        pairs = (sample_pairs_capped(pairing.labels, *pair_caps, seed) for seed in seeds)
         results = [_score_seed(sides, p, symmetric_score, p.seed) for p in pairs]
     return VerificationReport(
         method=method,
         seeds=tuple(seeds),
         per_seed=tuple(r[0] for r in results),
         per_seed_baseline=tuple(r[1] for r in results),
+        per_seed_split=tuple(used),
         protocol="intra" if amap is None else "cross",
         fraction=fraction,
         symmetric_score=symmetric_score,

@@ -29,7 +29,7 @@ def unit_pair(source, target):
     """``(labels, x, y)`` of the shared images: labels, unit source and target rows.
 
     Every shared row is normalized at once: the reference for the per-part
-    gathers of ``align.prepare_side`` and ``align.unit_rows``.
+    gathers of ``align.prepare_side`` and ``align.Pairing.unit_rows``.
     """
     ra, rb = shared_rows(source, target)
     a, b = source.rows[ra], target.rows[rb]

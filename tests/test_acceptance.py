@@ -29,7 +29,7 @@ from embalign import (
     tmr_at_fmr,
     training_size_sweep,
 )
-from embalign.align import fit_linear, fit_procrustes, fit_ridge
+from embalign.align import fit_map
 from embalign.cli import main as cli_main
 
 
@@ -109,22 +109,22 @@ def test_acceptance_3_solver_invariants():
         x[:, :cols] = rng.standard_normal((n, cols))
         y = rng.standard_normal((n, d))
 
-        w_p = fit_procrustes(x, y)
+        w_p = fit_map(x, y, "procrustes")
         worst_orth = max(worst_orth, np.linalg.norm(w_p.T @ w_p - np.eye(d)))
 
-        w_l = fit_linear(x, y)
-        w_r = fit_ridge(x, y, 0.1)
+        w_l = fit_map(x, y, "linear")
+        w_r = fit_map(x, y, "ridge", 0.1)
         res = lambda w: np.linalg.norm(x @ w - y)
         worst_order = max(worst_order, res(w_l) - res(w_p), res(w_l) - res(w_r))
 
-        norms = [np.linalg.norm(fit_ridge(x, y, a)) for a in (1e-4, 1e-2, 1.0, 100.0)]
+        norms = [np.linalg.norm(fit_map(x, y, "ridge", a)) for a in (1e-4, 1e-2, 1.0, 100.0)]
         shrink_ok = shrink_ok and all(
             b <= a + 1e-9 for a, b in zip(norms, norms[1:])
         )
 
         if not rank_deficient and n >= d and np.linalg.cond(x) <= 100.0:
             worst_agree = max(
-                worst_agree, np.linalg.norm(fit_ridge(x, y, 1e-10) - w_l)
+                worst_agree, np.linalg.norm(fit_map(x, y, "ridge", 1e-10) - w_l)
             )
     ok = (
         worst_orth <= 1e-8

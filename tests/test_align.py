@@ -13,16 +13,13 @@ from embalign import (
     align,
     evaluate_identification,
     evaluate_verification,
-    fit_linear,
-    fit_procrustes,
-    fit_ridge,
     load_map,
     save_map,
     training_residual,
     transform,
 )
 from embalign import ident_eval, intersect_on_images, verif_eval
-from embalign.align import DEFAULT_RIDGE_ALPHA, PINV_RTOL, fit_map, project
+from embalign.align import DEFAULT_RIDGE_ALPHA, METHODS, PINV_RTOL, fit_map, project
 from embalign.embedstore import EmbeddingSet
 from embalign.errors import (
     ConsistencyError, DataError, DegenerateRowError, FormatError, IoError, NumericalError,
@@ -41,14 +38,14 @@ def make_stats(d, mu=None):
 def test_procrustes_self_alignment():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((50, 8))
-    w = fit_procrustes(x, x)
+    w = fit_map(x, x, "procrustes")
     assert np.linalg.norm(x @ w - x) <= 1e-8
 
 
 def test_procrustes_90_degree_rotation():
     x = np.eye(2)
     y = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    w = fit_procrustes(x, y)
+    w = fit_map(x, y, "procrustes")
     assert np.allclose(w, y, atol=1e-12)
 
 
@@ -56,7 +53,7 @@ def test_procrustes_recovers_planted_rotation():
     rng = np.random.default_rng(42)
     q = random_orthogonal(32, rng)
     z = rng.standard_normal((500, 32))
-    w = fit_procrustes(z, z @ q)
+    w = fit_map(z, z @ q, "procrustes")
     assert np.linalg.norm(z @ w - z @ q) <= 1e-8
 
 
@@ -64,19 +61,19 @@ def test_procrustes_orthogonality():
     rng = np.random.default_rng(7)
     for _ in range(10):
         n, d = rng.integers(5, 200), rng.integers(4, 64)
-        w = fit_procrustes(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
+        w = fit_map(rng.standard_normal((n, d)), rng.standard_normal((n, d)), "procrustes")
         assert np.linalg.norm(w.T @ w - np.eye(d)) <= 1e-8
 
 
 def test_procrustes_rejects_nonfinite():
     with pytest.raises(DataError):
-        fit_procrustes(np.array([[np.inf, 0.0]]), np.ones((1, 2)))
+        fit_map(np.array([[np.inf, 0.0]]), np.ones((1, 2)), "procrustes")
 
 
 def test_linear_scaling_case():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((100, 6))
-    w = fit_linear(x, 2.0 * x)
+    w = fit_map(x, 2.0 * x, "linear")
     assert np.linalg.norm(x @ w - 2.0 * x) <= 1e-8
 
 
@@ -86,7 +83,7 @@ def test_linear_matches_lstsq_min_norm_oracle():
     x = np.zeros((40, 10))
     x[:, :7] = rng.standard_normal((40, 7))
     y = rng.standard_normal((40, 10))
-    w = fit_linear(x, y)
+    w = fit_map(x, y, "linear")
     oracle, *_ = scipy.linalg.lstsq(x, y, lapack_driver="gelsd")
     assert np.allclose(w, oracle, atol=1e-10)
     # min-norm solution has zero rows for dead columns
@@ -97,12 +94,12 @@ def test_linear_recovers_rotation():
     rng = np.random.default_rng(3)
     q = random_orthogonal(32, rng)
     z = rng.standard_normal((500, 32))
-    w = fit_linear(z, z @ q)
+    w = fit_map(z, z @ q, "linear")
     assert np.linalg.norm(z @ w - z @ q) <= 1e-8
 
 
 def test_ridge_1d_closed_form():
-    w = fit_ridge(np.array([[1.0], [1.0]]), np.array([[1.0], [1.0]]), 0.1)
+    w = fit_map(np.array([[1.0], [1.0]]), np.array([[1.0], [1.0]]), "ridge", 0.1)
     assert abs(w[0, 0] - 2.0 / 2.1) < 1e-12
 
 
@@ -110,8 +107,8 @@ def test_ridge_approaches_linear():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((200, 12))  # well conditioned
     y = rng.standard_normal((200, 12))
-    w_ridge = fit_ridge(x, y, 1e-10)
-    w_linear = fit_linear(x, y)
+    w_ridge = fit_map(x, y, "ridge", 1e-10)
+    w_linear = fit_map(x, y, "linear")
     assert np.linalg.norm(w_ridge - w_linear) <= 1e-6
 
 
@@ -119,7 +116,7 @@ def test_ridge_shrinkage_limit():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((50, 6))
     y = rng.standard_normal((50, 6))
-    w = fit_ridge(x, y, 1e9)
+    w = fit_map(x, y, "ridge", 1e9)
     assert np.linalg.norm(w) <= 1e-6 * np.linalg.norm(x.T @ y)
 
 
@@ -127,7 +124,7 @@ def test_ridge_shrinkage_monotone():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((80, 10))
     y = rng.standard_normal((80, 10))
-    norms = [np.linalg.norm(fit_ridge(x, y, a)) for a in (1e-4, 1e-2, 1.0, 100.0)]
+    norms = [np.linalg.norm(fit_map(x, y, "ridge", a)) for a in (1e-4, 1e-2, 1.0, 100.0)]
     assert norms == sorted(norms, reverse=True)
 
 
@@ -138,9 +135,9 @@ def test_residual_ordering():
     stats = make_stats(9)
     res = {}
     for method, w in [
-        ("procrustes", fit_procrustes(x, y)),
-        ("linear", fit_linear(x, y)),
-        ("ridge", fit_ridge(x, y, DEFAULT_RIDGE_ALPHA)),
+        ("procrustes", fit_map(x, y, "procrustes")),
+        ("linear", fit_map(x, y, "linear")),
+        ("ridge", fit_map(x, y, "ridge", DEFAULT_RIDGE_ALPHA)),
     ]:
         alpha = DEFAULT_RIDGE_ALPHA if method == "ridge" else 0.0
         amap = AlignmentMap(w, stats, method, alpha=alpha)
@@ -153,7 +150,7 @@ def test_linear_first_order_stationarity():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((30, 5))
     y = rng.standard_normal((30, 5))
-    w = fit_linear(x, y)
+    w = fit_map(x, y, "linear")
     base = np.linalg.norm(x @ w - y)
     for _ in range(10):
         direction = rng.standard_normal(w.shape)
@@ -165,7 +162,7 @@ def test_linear_first_order_stationarity():
 def test_self_fit_residual_zero():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((20, 4))
-    amap = AlignmentMap(fit_linear(x, x), make_stats(4), "linear")
+    amap = AlignmentMap(fit_map(x, x, "linear"), make_stats(4), "linear")
     assert training_residual(amap, x, x) <= 1e-8
 
 
@@ -173,8 +170,8 @@ def test_fit_determinism():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((40, 8))
     y = rng.standard_normal((40, 8))
-    for fn in (fit_procrustes, fit_linear, lambda a, b: fit_ridge(a, b, 0.1)):
-        assert np.array_equal(fn(x, y), fn(x, y))
+    for method in METHODS:
+        assert np.array_equal(fit_map(x, y, method), fit_map(x, y, method))
 
 
 # --- fits at the models' own widths ---------------------------------------
@@ -212,7 +209,7 @@ def test_native_fits_equal_padded_fits(relation, n, d, extra, alpha, seed):
     if s[-1] > 1e-2 * s[0]:
         # a full-rank cross-covariance has one orthogonal factor: the leading
         # block of the padded fit's
-        assert np.allclose(w, fit_procrustes(xp, yp)[:d_a, :d_b], rtol=0.0, atol=1e-12)
+        assert np.allclose(w, fit_map(xp, yp, "procrustes")[:d_a, :d_b], rtol=0.0, atol=1e-12)
 
     for method, oracle in (("linear", pinv_oracle(xp, yp)),
                            ("ridge", padded_ridge_oracle(xp, yp, alpha))):
@@ -253,15 +250,9 @@ def test_solver_failures_are_typed():
     with mock.patch.object(np.linalg, "lstsq", side_effect=failure):
         with pytest.raises(NumericalError, match="least squares failed"):
             fit_map(dead, y, "linear")
-        with pytest.raises(NumericalError):
-            fit_linear(dead, y)
     with mock.patch.object(np.linalg, "eigh", side_effect=failure):
         with pytest.raises(NumericalError, match="least squares failed"):
             fit_map(x, y, "linear")
-        with pytest.raises(NumericalError):
-            fit_linear(x, y)
-    with pytest.raises(ConsistencyError, match="shape mismatch"):
-        fit_procrustes(x, y)
     with pytest.raises(ConsistencyError, match="row counts differ"):
         fit_map(x, y[:9], "ridge")
 
@@ -280,7 +271,7 @@ def test_well_conditioned_linear_fit_skips_gelsd(cond, n, d_a, d_b):
     x = conditioned_rows(n, d_a, cond, rng)
     y = x @ rng.standard_normal((d_a, d_b)) + 0.1 * rng.standard_normal((n, d_b))
     with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
-        w = fit_linear(x, y)
+        w = fit_map(x, y, "linear")
     assert spy.call_count == 0
     oracle = pinv_oracle(x, y)
     scale = max(1.0, np.abs(oracle).max())
@@ -305,7 +296,7 @@ def test_rank_deficient_or_ill_conditioned_linear_fit_is_gelsd(case):
     name, x, y = _ill_conditioned()[case]
     expected = np.linalg.lstsq(x, y, rcond=PINV_RTOL)[0]
     with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
-        w = fit_linear(x, y)
+        w = fit_map(x, y, "linear")
     assert spy.call_count == 1, name
     assert np.array_equal(w, expected), name
 
@@ -316,7 +307,7 @@ def test_ridge_keeps_its_former_bits(n, d_a, d_b):
     x, y = rng.standard_normal((n, d_a)), rng.standard_normal((n, d_b))
     for alpha in (1e-3, DEFAULT_RIDGE_ALPHA, 10.0):
         former = scipy.linalg.solve(x.T @ x + alpha * np.eye(d_a), x.T @ y, assume_a="pos")
-        assert np.array_equal(fit_ridge(x, y, alpha), former)
+        assert np.array_equal(fit_map(x, y, "ridge", alpha), former)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, -np.inf, np.nan])
@@ -324,9 +315,8 @@ def test_ridge_alpha_must_be_positive_and_finite(alpha):
     # an infinite alpha used to pass the check and escape from scipy.linalg.solve
     # as a raw ValueError
     x, y = np.eye(3), np.eye(3)
-    for fit in (lambda: fit_map(x, y, "ridge", alpha), lambda: fit_ridge(x, y, alpha)):
-        with pytest.raises(ConsistencyError, match="ridge alpha must be positive and finite"):
-            fit()
+    with pytest.raises(ConsistencyError, match="ridge alpha must be positive and finite"):
+        fit_map(x, y, "ridge", alpha)
 
 
 @pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
@@ -407,7 +397,7 @@ def padded_sides(x, y, amap, split):
     big_d = max(s.d_a, s.d_b)
     tr, te = list(split.train_rows), list(split.test_rows)
     if amap.method == "procrustes":
-        w = fit_procrustes(apply_prep(x[tr], s, "source"), apply_prep(y[tr], s, "target"))
+        w = fit_map(apply_prep(x[tr], s, "source"), apply_prep(y[tr], s, "target"), "procrustes")
     else:
         w = stored_map_v1(amap)
     aligned = (apply_prep(x[te], s, "source") @ w, apply_prep(y[te], s, "target"))
@@ -476,7 +466,7 @@ def test_thin_procrustes_is_the_padded_block(n, d_a, d_b):
     big_d = max(d_a, d_b)
     w = fit_map(xc, yc, "procrustes")
     assert w.shape == (d_a, d_b)
-    full = fit_procrustes(old_pad(xc, big_d), old_pad(yc, big_d))
+    full = fit_map(old_pad(xc, big_d), old_pad(yc, big_d), "procrustes")
     assert np.abs(w - full[:d_a, :d_b]).max() <= 1e-12
 
 
@@ -563,7 +553,7 @@ def test_evaluations_normalize_one_split_part_at_a_time(small_views):
     # each seed gathers and normalizes each side's train rows and test rows from
     # the sets' rows, once: no call sees all the shared rows, or two parts at once
     v0, v1 = small_views
-    labels, seeds = align.pair_sets(v0, v1)[0], (0, 3)
+    labels, seeds = align.pair_sets(v0, v1).labels, (0, 3)
     splits = [identity_disjoint_split(labels, 0.7, seed) for seed in seeds]
     parts = [len(rows) for s in splits for rows in (s.train_rows, s.train_rows, s.test_rows,
                                                     s.test_rows)]

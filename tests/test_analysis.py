@@ -679,7 +679,8 @@ def test_sweep_equals_its_former_pipeline(small_views, seeds, fractions, base_fr
 def test_sweep_point_is_the_aligned_rank1_of_its_split(small_views):
     v0, v1 = small_views
     labels, x, y = unit_pair(v0, v1)
-    _, ra, rb = align.pair_sets(v0, v1)
+    pairing = align.pair_sets(v0, v1)
+    ra, rb = pairing.ra, pairing.rb
     with mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prepare:
         table = training_size_sweep(v0, v1, [0.5], seeds=(2,), methods=("linear",))
     (source, train_a, test_a), (target, train_b, test_b) = (

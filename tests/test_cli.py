@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -208,6 +209,40 @@ def test_eval_verif_cross_rejects_dump_splits(synth_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("embalign: error: ") and "--dump-splits" in err
     assert not (tmp_path / "out").exists()
+
+
+def _shared_labels(*paths):
+    """Identities of the images the label files share, in sorted image id order."""
+    files = []
+    for path in paths:
+        lines = path.with_suffix(".labels.tsv").read_text(encoding="utf-8").splitlines()
+        files.append(dict(line.split("\t") for line in lines))
+    shared = sorted(set(files[0]).intersection(*files[1:]))
+    return [files[0][iid] for iid in shared]
+
+
+@pytest.mark.parametrize("command", ["eval-id", "eval-verif"])
+def test_dump_splits_pairs_once_and_writes_the_scored_splits(synth_dir, tmp_path, command):
+    # the dump used to pair both sets a second time and split them again
+    source, target, out = synth_dir / "view0.emb", synth_dir / "view2.emb", tmp_path / "out"
+    with mock.patch.object(align, "pair_sets", wraps=align.pair_sets) as pair:
+        code = run(command, "--source", str(source), "--target", str(target), "--seeds", "3,0",
+                   "--dump-splits", "--out-dir", str(out))
+    assert code == 0
+    assert pair.call_count == 1
+    tag, report = {"eval-id": ("eval_id", "identification_report.json"),
+                   "eval-verif": ("eval_verif", "verification_report.json")}[command]
+    dumped = json.loads((out / f"{tag}_splits.json").read_text())
+    per_seed = json.loads((out / report).read_text())["metrics"]["aligned"]["per_seed"]
+    assert [r["seed"] for r in per_seed] == [3, 0] and set(dumped) == {"3", "0"}
+    labels = _shared_labels(source, target)
+    for r in per_seed:
+        test = dumped[str(r["seed"])]["test_rows"]
+        if command == "eval-id":
+            assert len(test) == r["n_queries"]
+        else:
+            sizes = collections.Counter(labels[k] for k in test).values()
+            assert sum(c * (c - 1) // 2 for c in sizes) == r["n_genuine"]
 
 
 @pytest.mark.parametrize("flag", ["--train-source", "--train-target"])

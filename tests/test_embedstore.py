@@ -1,4 +1,7 @@
+import os
+import re
 import struct
+import tempfile
 import warnings
 from unittest import mock
 
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from embalign import EmbeddingSet, intersect_on_images, load_embeddings, save_embeddings
 from embalign import embedstore
-from embalign.align import pair_sets, unit_rows
+from embalign.align import pair_sets
 from embalign.embedstore import shared_rows
 from embalign.prep import l2_normalize
 from embalign.errors import (
@@ -40,6 +43,46 @@ def test_binary_round_trip_bitwise(tmp_path):
     assert np.array_equal(s.rows, s2.rows)
     assert s.image_ids == s2.image_ids
     assert s.labels == s2.labels
+
+
+#: field text biased towards the separator and the line ends of a label file
+LABEL_TEXT = st.text(st.one_of(st.sampled_from("x\t\n\r"), st.characters()), max_size=4)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ids=st.lists(LABEL_TEXT, min_size=1, max_size=5, unique=True), data=st.data())
+def test_binary_label_file_round_trips_or_is_refused(tmp_path, ids, data):
+    # a label "x\r" used to reload as "x", and "x\ty" or an id holding "\n" failed on load
+    labels = data.draw(st.lists(LABEL_TEXT, min_size=len(ids), max_size=len(ids)))
+    s = make_set(np.ones((len(ids), 2)), ids, labels)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+        path = os.path.join(out, "x.emb")
+        try:
+            save_embeddings(s, path, "binary")
+        except FormatError:
+            assert os.listdir(out) == []
+            bad = [(k, f) for k, row in enumerate(zip(ids, labels)) for f in row
+                   if {"\t", "\n", "\r"} & set(f)]
+            assert bad
+            return
+        loaded = load_embeddings(path, "binary")
+    assert (loaded.image_ids, loaded.labels) == (s.image_ids, s.labels)
+
+
+@pytest.mark.parametrize("ids, labels, message", [
+    (["a", "b"], ["x\r", "x"], "row 0: label 'x\\r'"),
+    (["a", "b"], ["x", "x\ty"], "row 1: label 'x\\ty'"),
+    (["a", "b\n"], ["x", "y\r"], "row 1: image id 'b\\n'"),
+])
+def test_binary_save_names_the_first_field_it_cannot_store(tmp_path, ids, labels, message):
+    path = tmp_path / "x.emb"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        save_embeddings(make_set(np.ones((2, 2)), ids, labels), str(path), "binary")
+    assert list(tmp_path.iterdir()) == []
+    save_embeddings(make_set(np.ones((2, 2)), ids, labels), str(tmp_path / "x.csv"), "csv")
+    loaded = load_embeddings(str(tmp_path / "x.csv"), "csv")
+    assert (list(loaded.image_ids), list(loaded.labels)) == (ids, labels)
 
 
 def test_binary_direct_load(tmp_path):
@@ -408,7 +451,39 @@ def test_pair_sets_equals_the_intersected_sets_path(sets):
     a, b = sets
 
     def paired_unit_rows(source, target):
-        labels, ra, rb = pair_sets(source, target)
-        return (labels, *unit_rows(source, target, ra, rb))
+        pairing = pair_sets(source, target)
+        return (pairing.labels, *pairing.unit_rows())
 
     assert _paired_outcome(paired_unit_rows, a, b) == _paired_outcome(ref_unit_pair, a, b)
+
+
+def ref_unit_rows(source, target, ra, rb):
+    """The unit rows ``ra`` of ``source`` and ``rb`` of ``target``: the former free function."""
+    a, b = source.rows[ra], target.rows[rb]
+    return l2_normalize(a), l2_normalize(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets=overlapping_sets(), data=st.data())
+def test_pairing_unit_rows_equal_the_free_function(sets, data):
+    # on the drawn pair, on a twin listing the same ids in place, and on that twin
+    # permuted, so both paths of shared_rows run; all shared rows, then a drawn selection
+    a, b = sets
+    twin = make_set(a.rows[::-1], a.image_ids, a.labels, "t")
+    order = data.draw(st.permutations(range(a.n)))
+    permuted = make_set(twin.rows[order], [a.image_ids[i] for i in order],
+                        [a.labels[i] for i in order], "p")
+    for source, target in ((a, b), (b, a), (a, twin), (a, permuted)):
+        try:
+            pairing = pair_sets(source, target)
+        except (DegenerateRowError, EmptyIntersectionError, LabelConflictError):
+            continue
+        n = len(pairing.labels)
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.intp)
+        for got, want in (
+            (pairing.unit_rows(), ref_unit_rows(source, target, pairing.ra, pairing.rb)),
+            (pairing.unit_rows(rows),
+             ref_unit_rows(source, target, pairing.ra[rows], pairing.rb[rows])),
+        ):
+            assert [(u.dtype, u.shape, u.tobytes()) for u in got] == \
+                [(u.dtype, u.shape, u.tobytes()) for u in want]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from embalign import embed_view, generate_identity_cloud
-from embalign.align import fit_procrustes
+from embalign.align import fit_map
 from embalign.prep import apply_prep, fit_prep, l2_normalize
 from embalign.errors import ArgumentError
 
@@ -94,7 +94,7 @@ def test_noise_free_procrustes_residual_small():
     stats = fit_prep(x, y)
     xp = apply_prep(x, stats, "source")
     yp = apply_prep(y, stats, "target")
-    w = fit_procrustes(xp, yp)
+    w = fit_map(xp, yp, "procrustes")
     assert np.linalg.norm(xp @ w - yp) <= 1e-6 * np.linalg.norm(yp)
 
 

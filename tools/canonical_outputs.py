@@ -157,13 +157,13 @@ def commands(manifest):
          "--seeds", "0,1", "--out-dir", "matrix_permuted"],
         # the pair commands gather each split part by row index: rows that do not pair in place
         ["eval-id", *permuted, "--seeds", "0,1", "--dump-splits", "--out-dir", "eval_id_permuted"],
-        ["eval-verif", *permuted, "--method", "linear", "--seeds", "0,1",
+        ["eval-verif", *permuted, "--method", "linear", "--seeds", "0,1", "--dump-splits",
          "--out-dir", "eval_verif_permuted"],
         ["fit", *permuted, "--method", "ridge", "--seed", "2", "--out", "fit_permuted.bin"],
         # unpadded integer labels: identities numbered in string order, not numeric order
         ["eval-id", *relabeled, "--seeds", "0,1", "--dump-splits", "--out-dir",
          "eval_id_relabeled"],
-        ["eval-verif", *relabeled, "--method", "linear", "--seeds", "0,1",
+        ["eval-verif", *relabeled, "--method", "linear", "--seeds", "0,1", "--dump-splits",
          "--out-dir", "eval_verif_relabeled"],
         ["cluster", "--matrix", "matrix/compatibility_matrix.json", "--out-dir", "cluster"],
         ["sweep", *_pair(ident), "--methods", "procrustes,linear", "--fractions", "0.25,1.0",
