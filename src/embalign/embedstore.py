@@ -1,10 +1,14 @@
 """Loading, validation, and persistence of labeled embedding sets.
 
 Binary format (little-endian): magic ``EMB1``, u32 N, u32 d, then N*d
-float32 values row-major.  A companion label file with the same basename
-plus ``.labels.tsv`` holds one ``image_id<TAB>identity`` line per matrix
-row, so no id or identity may hold a tab, CR or LF.  The CSV format is a
-single self-contained file with header ``image_id,identity,e0,...,e{d-1}``.
+float32 values row-major.  The loader checks the header against the file
+size before it allocates or reads the values, then reads them in one pass
+into the array the set keeps as its rows.  A companion label file with
+the same basename plus ``.labels.tsv`` holds one ``image_id<TAB>identity``
+line per matrix row, so no id or identity may hold a tab, CR or LF.  The
+CSV format is a single self-contained file with header
+``image_id,identity,e0,...,e{d-1}``.  Both formats are UTF-8, so neither
+stores an id or identity that holds a surrogate code point.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ from .errors import (
 )
 
 _MAGIC = b"EMB1"
-#: characters a field of a label line cannot hold: its separator and line ends
-_LABEL_BREAKS = re.compile("[\t\n\r]")
+#: characters an id or label cannot hold, per format: a surrogate code point,
+#: which UTF-8 cannot encode, and in a label line also its separator and line ends
+_UNSTORABLE = {"binary": re.compile("[\t\n\r\ud800-\udfff]"),
+               "csv": re.compile("[\ud800-\udfff]")}
 
 
 def _label_path(path: str) -> str:
@@ -90,17 +96,22 @@ class EmbeddingSet:
 def save_embeddings(s: EmbeddingSet, path: str, format: str = "binary") -> None:
     """Persist an EmbeddingSet; binary round-trips bitwise.
 
-    Before the binary format opens either file, an id or label holding a
-    tab, CR or LF, which its label file could not give back, is a
-    ``FormatError`` naming the first such row and field.
+    Before either format opens a file, an id or label it could not give
+    back is a ``FormatError`` naming the first such row and field: one
+    holding a surrogate, which UTF-8 cannot encode, or, in the binary
+    format's label file, a tab, CR or LF.
     """
+    if format not in _UNSTORABLE:
+        raise FormatError(f"unknown format {format!r}")
+    for i, fields in enumerate(zip(s.image_ids, s.labels)):
+        for name, value in zip(("image id", "label"), fields):
+            bad = _UNSTORABLE[format].search(value)
+            if bad:
+                why = ("a surrogate, which UTF-8 cannot encode" if bad.group() >= "\ud800"
+                       else "a tab, CR or LF, which a binary label file cannot store")
+                raise FormatError(f"{path}: row {i}: {name} {value!r} holds {why}")
     try:
         if format == "binary":
-            for i, fields in enumerate(zip(s.image_ids, s.labels)):
-                for name, value in zip(("image id", "label"), fields):
-                    if _LABEL_BREAKS.search(value):
-                        raise FormatError(f"{path}: row {i}: {name} {value!r} holds a tab, CR "
-                                          "or LF, which a binary label file cannot store")
             with open(path, "wb") as f:
                 f.write(_MAGIC)
                 f.write(struct.pack("<II", s.n, s.dim))
@@ -108,7 +119,7 @@ def save_embeddings(s: EmbeddingSet, path: str, format: str = "binary") -> None:
             with open(_label_path(path), "w", encoding="utf-8", newline="\n") as f:
                 for image_id, label in zip(s.image_ids, s.labels):
                     f.write(f"{image_id}\t{label}\n")
-        elif format == "csv":
+        else:
             with open(path, "w", encoding="utf-8", newline="") as f:
                 writer = csv.writer(f)
                 writer.writerow(
@@ -119,8 +130,6 @@ def save_embeddings(s: EmbeddingSet, path: str, format: str = "binary") -> None:
                         [s.image_ids[i], s.labels[i]]
                         + [repr(float(v)) for v in s.rows[i]]
                     )
-        else:
-            raise FormatError(f"unknown format {format!r}")
     except OSError as exc:
         raise IoError(str(exc)) from exc
 
@@ -142,16 +151,20 @@ def load_embeddings(
 def _load_binary(path, model_name, dataset_name):
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            header = f.read(12)
+            if len(header) < 12 or header[:4] != _MAGIC:
+                raise FormatError(f"{path}: bad magic, not an EMB1 file")
+            n, d = struct.unpack("<II", header[4:])
+            expected = 12 + 4 * n * d
+            size = os.fstat(f.fileno()).st_size
+            if size != expected:
+                raise FormatError(f"{path}: expected {expected} bytes, found {size}")
+            rows = np.empty((n, d), dtype="<f4")
+            got = f.readinto(rows)
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    if len(blob) < 12 or blob[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic, not an EMB1 file")
-    n, d = struct.unpack("<II", blob[4:12])
-    expected = 12 + 4 * n * d
-    if len(blob) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    rows = np.frombuffer(blob, dtype="<f4", count=n * d, offset=12).reshape(n, d)
+    if got != rows.nbytes:
+        raise FormatError(f"{path}: expected {expected} bytes, found {12 + got}")
 
     lpath = _label_path(path)
     try:

@@ -2,6 +2,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -45,8 +46,9 @@ def test_binary_round_trip_bitwise(tmp_path):
     assert s.labels == s2.labels
 
 
-#: field text biased towards the separator and the line ends of a label file
-LABEL_TEXT = st.text(st.one_of(st.sampled_from("x\t\n\r"), st.characters()), max_size=4)
+#: field text biased towards the separator and the line ends of a label file and towards
+#: a surrogate, which UTF-8 cannot encode (``st.characters()`` draws none)
+LABEL_TEXT = st.text(st.one_of(st.sampled_from("x\t\n\r\ud800"), st.characters()), max_size=4)
 
 
 @settings(max_examples=300, deadline=None,
@@ -63,7 +65,7 @@ def test_binary_label_file_round_trips_or_is_refused(tmp_path, ids, data):
         except FormatError:
             assert os.listdir(out) == []
             bad = [(k, f) for k, row in enumerate(zip(ids, labels)) for f in row
-                   if {"\t", "\n", "\r"} & set(f)]
+                   if {"\t", "\n", "\r", "\ud800"} & set(f)]
             assert bad
             return
         loaded = load_embeddings(path, "binary")
@@ -74,14 +76,22 @@ def test_binary_label_file_round_trips_or_is_refused(tmp_path, ids, data):
     (["a", "b"], ["x\r", "x"], "row 0: label 'x\\r'"),
     (["a", "b"], ["x", "x\ty"], "row 1: label 'x\\ty'"),
     (["a", "b\n"], ["x", "y\r"], "row 1: image id 'b\\n'"),
+    (["a", "b"], ["x", "\ud800"], "row 1: label '\\ud800' holds a surrogate"),
+    (["a\ud800", "b"], ["x\t", "y"], "row 0: image id 'a\\ud800' holds a surrogate"),
 ])
 def test_binary_save_names_the_first_field_it_cannot_store(tmp_path, ids, labels, message):
     path = tmp_path / "x.emb"
     with pytest.raises(FormatError, match=re.escape(message)):
         save_embeddings(make_set(np.ones((2, 2)), ids, labels), str(path), "binary")
     assert list(tmp_path.iterdir()) == []
-    save_embeddings(make_set(np.ones((2, 2)), ids, labels), str(tmp_path / "x.csv"), "csv")
-    loaded = load_embeddings(str(tmp_path / "x.csv"), "csv")
+    csv_path = str(tmp_path / "x.csv")
+    if "surrogate" in message:  # UTF-8 cannot encode it, so the CSV format refuses it too
+        with pytest.raises(FormatError, match=re.escape(message)):
+            save_embeddings(make_set(np.ones((2, 2)), ids, labels), csv_path, "csv")
+        assert list(tmp_path.iterdir()) == []
+        return
+    save_embeddings(make_set(np.ones((2, 2)), ids, labels), csv_path, "csv")
+    loaded = load_embeddings(csv_path, "csv")
     assert (list(loaded.image_ids), list(loaded.labels)) == (ids, labels)
 
 
@@ -91,6 +101,46 @@ def test_binary_direct_load(tmp_path):
     save_embeddings(s, path)
     loaded = load_embeddings(path)
     assert loaded.n == 2 and loaded.dim == 3
+
+
+def test_binary_rows_are_read_into_their_own_array(tmp_path):
+    s = make_set(np.random.default_rng(1).standard_normal((4, 3)), list("abcd"), list("aabb"))
+    path = str(tmp_path / "x.emb")
+    save_embeddings(s, path)
+    rows = load_embeddings(path).rows
+    assert rows.dtype == np.float32 and rows.flags.c_contiguous and not rows.flags.writeable
+    assert rows.flags.owndata and rows.base is None  # no copy of the file's bytes behind them
+    assert np.array_equal(rows, s.rows)
+
+
+@pytest.mark.parametrize("n, d, data", [
+    (2**32 - 1, 2**32 - 1, b""),
+    (2**16, 2**14, b"\0" * 64),  # n * d * 4 = 4 GiB
+    (2, 3, b"\0" * 25),  # one byte past the block
+])
+def test_binary_header_is_checked_against_the_file_size_before_allocating(tmp_path, n, d, data):
+    path = tmp_path / "x.emb"
+    path.write_bytes(b"EMB1" + struct.pack("<II", n, d) + data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"expected {12 + 4 * n * d} bytes, found "
+                                              f"{12 + len(data)}"):
+            load_embeddings(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_binary_short_read_is_a_format_error(tmp_path):
+    # the file shrank between the size check and the read
+    path = str(tmp_path / "x.emb")
+    save_embeddings(make_set(np.eye(2, 3), ["a", "b"], ["x", "y"]), path)
+    with open(path, "r+b") as f:
+        f.truncate(30)
+    with mock.patch.object(embedstore.os, "fstat", return_value=mock.Mock(st_size=36)):
+        with pytest.raises(FormatError, match="expected 36 bytes, found 30"):
+            load_embeddings(path)
 
 
 def test_csv_round_trip_exact_dyadic(tmp_path):
