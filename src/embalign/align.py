@@ -36,7 +36,7 @@ D x D maps, D = max(d_a, d_b), of format version 1.
 
 Every command pairs two sets once (:func:`pair_sets`) and takes its rows
 through that :class:`Pairing`: the sides a map is fit on, the unit rows
-it is scored on, and each seed's split, map and test rows.
+it is scored on, and each seed's split (or none), map and scored rows.
 """
 
 from __future__ import annotations
@@ -286,7 +286,8 @@ class Pairing:
     """The images two sets share, paired by id (:func:`pair_sets`).
 
     Rows ``ra[k]`` of ``source`` and ``rb[k]`` of ``target`` hold the k-th shared image, of
-    identity ``labels[k]``; every other row index here is such a position k.
+    identity ``labels[k]``; every other row index here is such a position k.  Each evaluator
+    takes every seed's map and scored rows from :meth:`seed_maps`, a fitted map or a fixed one.
     """
 
     source: EmbeddingSet
@@ -312,17 +313,25 @@ class Pairing:
         a, b = self.source.rows[self.ra[rows]], self.target.rows[self.rb[rows]]
         return l2_normalize(a), l2_normalize(b)
 
-    def split_fits(self, method: str, alpha: float, fraction: float, seeds):
-        """Per seed, when it is asked for, ``(split, amap, (x, y), codes)``.
+    def seed_maps(self, method: str, alpha: float, fraction: float, seeds, amap=None, project=None):
+        """Per seed, when it is asked for, ``(seed, split, amap, (x, y), codes)``.
 
-        The seed's :func:`splits.identity_disjoint_split` of ``labels``, the map of ``method``
-        fit on its train rows (:meth:`sides`, :func:`fit_sides`), and the unit rows
-        (:meth:`unit_rows`) and label codes of its test rows.
+        Without ``amap``: the seed's :func:`splits.identity_disjoint_split` of ``labels``, the
+        map of ``method`` fit on its train rows (:meth:`sides`, :func:`fit_sides`), and the unit
+        rows (:meth:`unit_rows`) and label codes of its test rows.  With a fixed ``amap``: no
+        split, that map, and the unit rows of every shared row and ``codes``, made once for all
+        seeds.  ``project(x, y, amap)``, if given, stands for the unit rows wherever they are made.
         """
+        project = project or (lambda x, y, _: (x, y))
+        rows = None if amap is None else project(*self.unit_rows(), amap)
         for seed in seeds:
-            split = identity_disjoint_split(self.labels, fraction, seed)
-            amap = fit_sides(*self.sides(split.train_rows), method, alpha)
-            yield split, amap, self.unit_rows(split.test_rows), self.codes[split.test_rows]
+            if amap is None:
+                split = identity_disjoint_split(self.labels, fraction, seed)
+                fitted = fit_sides(*self.sides(split.train_rows), method, alpha)
+                test = split.test_rows
+                yield seed, split, fitted, project(*self.unit_rows(test), fitted), self.codes[test]
+            else:
+                yield seed, None, amap, rows, self.codes
 
 
 def pair_sets(source: EmbeddingSet, target: EmbeddingSet) -> Pairing:

@@ -421,13 +421,14 @@ def evaluate_identification(
     seeds = check_seeds(seeds)
     pairing = align.pair_sets(source, target)
     results = []
-    for split, amap, (x, y), codes in pairing.split_fits(method, alpha, fraction, seeds):
+    for seed, split, amap, (x, y), codes in pairing.seed_maps(method, alpha, fraction, seeds):
         aligned, baseline = (
             _metrics_from_rows(*align.project(x, y, m), codes, codes,
-                               min(CMC_MAX_RANK, len(codes)), split.seed, exclude_self)
+                               min(CMC_MAX_RANK, len(codes)), seed, exclude_self)
             for m in (amap, None)
         )
         results.append((aligned, baseline, split))
+        del x, y  # free this seed's test rows before the next seed's fit
     return RetrievalReport(
         method=method,
         fraction=fraction,

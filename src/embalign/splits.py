@@ -14,6 +14,7 @@ tuple-based builders drew, in the same order, so every pair is unchanged.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,27 @@ def check_seed(seed) -> int:
     if seed < 0:
         raise ArgumentError(f"seed must be nonnegative, got {seed}")
     return seed
+
+
+def check_count(count, what: str) -> int:
+    """``count`` as an int; a negative or non-integer one (``bool`` too) is an ``ArgumentError``."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ArgumentError(f"{what}: {count!r} is not an integer")
+    if count < 0:
+        raise ArgumentError(f"{what} must be nonnegative")
+    return int(count)
+
+
+def check_pair_caps(caps):
+    """``None``, or ``caps`` as a ``(genuine, impostor)`` couple of :func:`check_count` ints.
+
+    Anything else (a number, a string, one or three counts) is an ``ArgumentError``.
+    """
+    if caps is None:
+        return None
+    if not isinstance(caps, (tuple, list)) or len(caps) != 2:
+        raise ArgumentError(f"pair caps must be two pair counts, got {caps!r}")
+    return tuple(check_count(c, "pair caps") for c in caps)
 
 
 def check_seeds(seeds) -> list:
@@ -71,8 +93,16 @@ def label_codes(labels) -> np.ndarray:
     The codes number the distinct strings in sorted order.  They are
     factorized over Python strings: numpy's fixed-width ``str`` dtype
     drops trailing NULs, so it would give ``'a'`` and ``'a\\x00'``, two
-    identities to every other function here, one code.
+    identities to every other function here, one code.  A 1-D integer
+    array (label codes, as the pair builders get them) is factorized as
+    numbers, and only its distinct values are sorted as strings.
     """
+    if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu":
+        values, inverse = np.unique(labels, return_inverse=True)
+        rank = np.empty(values.shape[0], dtype=np.intp)
+        # an integer's string holds no NUL, so the fixed-width str order is the str order
+        rank[np.argsort(values.astype(str))] = np.arange(values.shape[0])
+        return rank[inverse]
     labels = [str(l) for l in labels]
     index = {label: code for code, label in enumerate(sorted(set(labels)))}
     return np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
@@ -195,8 +225,7 @@ def _pair_counts(codes):
 
 def _impostor_keys(codes, count: int, seed: int) -> np.ndarray:
     """Keys ``a * n + b`` (a < b) of a uniform sample of cross-code row pairs."""
-    if count < 0:
-        raise ArgumentError("count must be nonnegative")
+    count = check_count(count, "count")
     if codes.max(initial=0) < 1:  # the codes number the identities 0, 1, ...
         raise DegenerateDataError("need at least 2 distinct identities")
     available = _pair_counts(codes)[1]
@@ -241,10 +270,10 @@ def sample_impostor_pairs(labels, count: int, seed: int) -> PairList:
 
 def sample_pairs_capped(labels, genuine_count: int, impostor_count: int, seed: int) -> PairList:
     """Capped uniform samples of each class, merged (cross-dataset protocol)."""
+    genuine_count, impostor_count = (check_count(c, "pair counts")
+                                     for c in (genuine_count, impostor_count))
     codes = label_codes(labels)
     genuine = _genuine_keys(codes)
-    if genuine_count < 0 or impostor_count < 0:
-        raise ArgumentError("pair counts must be nonnegative")
     if genuine_count > genuine.shape[0]:
         raise ArgumentError(f"requested {genuine_count} genuine pairs, "
                             f"only {genuine.shape[0]} exist")

@@ -30,7 +30,8 @@ from . import align
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
 from .reports import AlignedBaselineReport, mean_std, pair_metadata
-from .splits import DEFAULT_SEEDS, PairList, _pair_counts, check_seeds, sample_pairs_capped
+from .splits import (DEFAULT_SEEDS, PairList, _pair_counts, check_pair_caps, check_seeds,
+                     sample_pairs_capped)
 
 FMR_TARGETS = (0.01, 0.001)
 
@@ -313,48 +314,35 @@ def evaluate_verification(
     amap: align.AlignmentMap | None = None,
     symmetric_score: bool = False,
 ) -> VerificationReport:
-    """Per-seed verification protocol with 1:1 genuine/impostor balance.
+    """Per-seed verification protocol; both protocols run one seed loop.
 
     Intra protocol (no ``amap``): per seed, fit ``method`` (default
-    procrustes) on the train side of an identity-disjoint split, build
-    all genuine pairs over test identities plus an equal impostor sample.
-    Cross protocol (a fitted ``amap``, whose method and alpha the report
-    gives; another ``method`` is a ``ConsistencyError``): no split and no
-    fit; per seed, sample ``pair_caps`` pairs (default 10000 of each
-    class) from the full evaluation sets, scored on rows built once.
-    ``pair_caps`` without a map is an ``ArgumentError``.
+    procrustes) on the train side of an identity-disjoint split and score
+    pairs of its test rows.  Cross protocol (a fitted ``amap``, whose
+    method and alpha the report gives; another ``method`` is a
+    ``ConsistencyError``): no split and no fit; every seed scores pairs of
+    the shared rows, projected once.  Each seed samples ``pair_caps``
+    (:func:`splits.check_pair_caps`) or every genuine pair and as many impostors.
     """
-    seeds = check_seeds(seeds)
-    if amap is None and pair_caps is not None:
-        raise ArgumentError("pair_caps apply to the cross protocol only (pass a fitted amap)")
+    seeds, pair_caps = check_seeds(seeds), check_pair_caps(pair_caps)
     if amap is not None:
         if method not in (None, amap.method):
             raise ConsistencyError(f"method {method!r} disagrees with the map's {amap.method!r}")
         method, alpha = amap.method, amap.alpha
-    pairing = align.pair_sets(source, target)
-    used = []  # each seed's split (intra protocol)
-    if amap is None:
-        method = method or "procrustes"
-        results = []
-        for split, fitted, (x, y), codes in pairing.split_fits(method, alpha, fraction, seeds):
-            n_genuine = _pair_counts(codes)[0]
-            # every genuine pair; pair indices refer to positions within the test rows
-            pairs = sample_pairs_capped(codes, n_genuine, n_genuine, split.seed)
-            results.append(_score_seed(_eval_sides(x, y, fitted), pairs, symmetric_score,
-                                       split.seed))
-            used.append(split)
-    else:
-        pair_caps = pair_caps or (10000, 10000)
-        # pair indices refer to the shared rows, gathered and normalized once
-        sides = _eval_sides(*pairing.unit_rows(), amap)
-        pairs = (sample_pairs_capped(pairing.labels, *pair_caps, seed) for seed in seeds)
-        results = [_score_seed(sides, p, symmetric_score, p.seed) for p in pairs]
+    method = method or "procrustes"
+    results = []
+    for seed, split, _, sides, codes in align.pair_sets(source, target).seed_maps(
+            method, alpha, fraction, seeds, amap, _eval_sides):
+        # pair indices refer to positions within the scored rows
+        pairs = sample_pairs_capped(codes, *(pair_caps or (_pair_counts(codes)[0],) * 2), seed)
+        results.append((*_score_seed(sides, pairs, symmetric_score, seed), split))
+        del sides  # free a fitted map's rows before the next seed's fit; a fixed map keeps its own
     return VerificationReport(
         method=method,
         seeds=tuple(seeds),
         per_seed=tuple(r[0] for r in results),
         per_seed_baseline=tuple(r[1] for r in results),
-        per_seed_split=tuple(used),
+        per_seed_split=tuple(r[2] for r in results if r[2] is not None),
         protocol="intra" if amap is None else "cross",
         fraction=fraction,
         symmetric_score=symmetric_score,

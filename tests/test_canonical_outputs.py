@@ -1,6 +1,7 @@
 """The byte-identity tool's commands must parse with the CLI as it is now."""
 
 import importlib
+import json
 import os
 
 from embalign import cli
@@ -30,3 +31,14 @@ def test_every_canonical_command_parses(monkeypatch):
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)  # a renamed or removed flag exits with status 2
+
+
+def test_blas_environment_names_the_thread_settings(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    env = importlib.import_module("canonical_outputs")._blas_environment()
+    assert env["thread_variables"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["thread_variables"]["OMP_NUM_THREADS"] is None
+    assert env["blas"]["name"] and env["sched_getaffinity"] >= 1
+    json.dumps(env)

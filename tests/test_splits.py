@@ -173,6 +173,21 @@ def test_label_codes_of_ordinary_labels_are_the_fixed_width_codes(labels):
     assert label_codes(labels).tolist() == want.tolist()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([9, 10, -1, -10, 100, 0]), st.integers(-2**40, 2**40)),
+                max_size=30),
+       st.sampled_from([np.int64, np.int32, np.intp]))
+def test_label_codes_of_integers_number_their_strings(values, dtype):
+    ints = np.array(values, dtype=np.int64).astype(dtype, casting="unsafe")
+    assert label_codes(ints).tolist() == label_codes([str(i) for i in ints]).tolist()
+    assert label_codes(ints).dtype == np.intp
+
+
+def test_label_codes_of_integers_sort_as_strings():
+    # "-1" < "-10" < "10" < "9": the order of the strings, not of the numbers
+    assert label_codes(np.array([9, 10, -10, -1, 9])).tolist() == [3, 2, 1, 0, 3]
+
+
 def test_impostor_infeasible():
     with pytest.raises(ArgumentError):
         sample_impostor_pairs(["a", "a", "b"], 10, seed=0)

@@ -16,7 +16,9 @@ from embalign import (
     tmr_at_fmr,
     verif_eval,
 )
-from embalign.splits import PairList
+from embalign.splits import (
+    PairList, label_codes, pair_counts, sample_impostor_pairs, sample_pairs_capped,
+)
 from embalign.errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
 from embalign.verif_eval import (
     FMR_TARGETS,
@@ -611,16 +613,22 @@ def test_pair_scoring_memory_is_blocked():
     assert peak <= 4 * block_bytes
 
 
-@pytest.mark.parametrize("cross, fits", [(True, 1), (False, 3)])
-def test_cross_protocol_fits_once(small_views, cross, fits):
+@pytest.mark.parametrize("cross, projections", [(True, 1), (False, 3)])
+def test_cross_protocol_fits_once(small_views, cross, projections):
     v0, v1 = small_views
-    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as spy:
-        kwargs = {}
-        if cross:
-            amap = fit_alignment(*unit_pair(v0, v1)[1:], "linear")
-            kwargs = dict(amap=amap, pair_caps=(40, 40))
+    kwargs = {}
+    if cross:
+        amap = fit_alignment(*unit_pair(v0, v1)[1:], "linear")
+        kwargs = dict(amap=amap, pair_caps=(40, 40))
+    # a fixed map fits nothing and gathers and projects the shared rows once for every
+    # seed; a fitted map does each of the three once per seed
+    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit, \
+            mock.patch.object(verif_eval, "_eval_sides", wraps=verif_eval._eval_sides) as sides, \
+            mock.patch.object(align.Pairing, "unit_rows", autospec=True,
+                              side_effect=align.Pairing.unit_rows) as unit:
         rep = evaluate_verification(v0, v1, "linear", seeds=(0, 1, 2), **kwargs)
-    assert spy.call_count == fits
+    assert fit.call_count == (0 if cross else 3)
+    assert sides.call_count == unit.call_count == projections
     assert len(rep.per_seed) == 3
 
 
@@ -639,10 +647,55 @@ def test_zero_norm_row_names_the_first_pair():
         _score_pairs(*sides, pairs, True)
 
 
-def test_pair_caps_need_a_map(small_views):
+def test_pair_caps_sample_the_intra_test_rows(small_views):
     v0, v1 = small_views
-    with pytest.raises(ArgumentError, match="pair_caps"):
-        evaluate_verification(v0, v1, seeds=(0,), pair_caps=(5, 5))
+    caps, drawn = (30, 45), []
+
+    def record(*args):
+        drawn.append(sample_pairs_capped(*args))
+        return drawn[-1]
+
+    with mock.patch.object(verif_eval, "sample_pairs_capped", side_effect=record):
+        rep = evaluate_verification(v0, v1, seeds=(0, 1), pair_caps=caps)
+    labels = unit_pair(v0, v1)[0]
+    assert [s.seed for s in rep.per_seed_split] == [0, 1]
+    for split, pairs in zip(rep.per_seed_split, drawn):
+        codes = label_codes([labels[k] for k in split.test_rows])
+        assert pairs.to_dict() == sample_pairs_capped(codes, *caps, split.seed).to_dict()
+    for r in (*rep.per_seed, *rep.per_seed_baseline):
+        assert (r.n_genuine, r.n_impostor) == caps
+    assert rep.metadata["pair_caps"] == [30, 45]
+
+
+def test_fixed_map_without_caps_takes_every_genuine_pair(small_views):
+    v0, v1 = small_views
+    amap = fit_alignment(*unit_pair(v0, v1)[1:], "procrustes")
+    rep = evaluate_verification(v0, v1, seeds=(0, 1), amap=amap)
+    n_genuine = pair_counts(unit_pair(v0, v1)[0])[0]
+    assert n_genuine == 30 * 10  # 30 identities of 5 images
+    for r in (*rep.per_seed, *rep.per_seed_baseline):
+        assert r.n_genuine == r.n_impostor == n_genuine
+    assert (rep.protocol, rep.metadata["pair_caps"], rep.per_seed_split) == ("cross", None, ())
+
+
+@pytest.mark.parametrize("call, counts", [
+    *(("pair_caps", caps) for caps in [(5,), 5, (5, 5, 5), (2.5, 3), (True, 3), ("5", "5"),
+                                       (-1, 5), (5, np.float64(5.0))]),
+    ("capped", (2.5, 3)), ("capped", (3, True)), ("capped", (np.bool_(True), 3)),
+    ("impostor", (2.5,)), ("impostor", (True,)), ("impostor", ("3",)),
+])
+def test_malformed_pair_counts_are_argument_errors(small_views, call, counts):
+    v0, v1 = small_views
+    labels = list(v0.labels)
+    calls = {
+        "pair_caps": lambda: evaluate_verification(
+            v0, v1, seeds=(0,), pair_caps=counts,
+            amap=fit_alignment(*unit_pair(v0, v1)[1:], "procrustes")),
+        "capped": lambda: sample_pairs_capped(labels, *counts, 0),
+        "impostor": lambda: sample_impostor_pairs(labels, *counts, 0),
+    }
+    with pytest.raises(ArgumentError):
+        calls[call]()
 
 
 def test_empty_seed_list_is_an_argument_error(small_views):

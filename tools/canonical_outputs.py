@@ -19,6 +19,15 @@ through one shared DIR:
 Each command runs with OUT as its working directory and writes to a
 relative path, so a report that names another output (``cluster``)
 reads the same in every OUT.
+
+Byte identity holds for one machine and one BLAS thread setting: the
+map files ``fit`` writes come from SVDs and solves whose last bits can
+change with the number of BLAS threads, while the reports, CSVs, splits
+and dendrograms were the same at one and two OpenBLAS threads.  So OUT
+also gets ``blas_environment.json``: the BLAS library and version, the
+thread variables of the environment and the number of CPUs the process
+may run on.  A ``diff -r`` of two OUTs made under different settings
+names the cause first.
 """
 
 from __future__ import annotations
@@ -51,6 +60,23 @@ def _cli(argv, src, cwd):
                           env=_env(src), capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"exit code {proc.returncode}:\n{proc.stderr}")
+
+
+#: the environment variables that set the BLAS and OpenMP thread counts
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+BLAS_ENVIRONMENT = "blas_environment.json"
+
+
+def _blas_environment():
+    """The BLAS numpy was built with, the thread variables and the CPUs this process may use."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "thread_variables": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+        "sched_getaffinity": len(os.sched_getaffinity(0)),
+    }
 
 
 def _generate(src, inputs):
@@ -216,6 +242,9 @@ def main(argv=None):
     except FileNotFoundError:
         manifest = _generate(src, inputs)
     os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, BLAS_ENVIRONMENT), "w", encoding="utf-8") as f:
+        json.dump(_blas_environment(), f, indent=1, sort_keys=True)
+        f.write("\n")
     for command in commands(manifest):
         _cli(command, src, out)
     return 0
