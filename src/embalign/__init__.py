@@ -6,7 +6,6 @@ from .align import (
     load_map,
     save_map,
     training_residual,
-    transform,
 )
 from .analysis import (
     CompatibilityMatrix,

@@ -364,15 +364,6 @@ def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):
     return center(x, amap.stats, "source") @ amap.w, center(y, amap.stats, "target")
 
 
-def transform(rows: np.ndarray, amap: AlignmentMap) -> np.ndarray:
-    """Normalize source rows and map them into the target's d_b-wide space.
-
-    The result is ``amap``'s centered source rows times its d_a x d_b map,
-    the source rows :func:`project` scores.
-    """
-    return center(l2_normalize(rows), amap.stats, "source") @ amap.w
-
-
 def training_residual(amap: AlignmentMap, x_tr: np.ndarray, y_tr: np.ndarray) -> float:
     """Frobenius residual ||x_tr W - y_tr||_F on centered n x d_a and n x d_b training rows."""
     x_tr, y_tr = _check_train(x_tr, y_tr)

@@ -4,6 +4,7 @@ clustering of models, directional asymmetry, and the training-size sweep.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +229,9 @@ def agglomerative_cluster(
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 2:
         raise ArgumentError("similarity must be a square matrix with M >= 2")
     m = s.shape[0]
+    model_names = tuple(model_names)
+    if len(model_names) not in (0, m):
+        raise ArgumentError(f"{len(model_names)} model names for {m} models")
     if linkage not in LINKAGES:
         raise ArgumentError(f"linkage must be one of {LINKAGES}")
     if not np.isfinite(s).all():
@@ -244,7 +248,7 @@ def agglomerative_cluster(
         merges=merges,
         leaf_order=tuple(int(i) for i in sch.leaves_list(z)),
         linkage=linkage,
-        model_names=tuple(model_names),
+        model_names=model_names,
     )
 
 
@@ -297,8 +301,8 @@ def training_size_sweep(
     ``ArgumentError``, and every method is checked before the first fit.
     """
     fractions = list(fractions)
-    if any(not 0.0 < f <= 1.0 for f in fractions):
-        raise ArgumentError("fractions must lie in (0, 1]")
+    if any(not isinstance(f, numbers.Real) or not 0.0 < f <= 1.0 for f in fractions):
+        raise ArgumentError("fractions must be numbers in (0, 1]")
     if sorted(fractions) != fractions:
         raise ArgumentError("fractions must be ascending")
     check_distinct(fractions, "fraction")

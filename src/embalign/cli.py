@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, fit, eval-id, eval-verif, matrix, cluster, sweep.
-The env var ``EMBALIGN_SEEDS`` (comma-separated) overrides the default
-seed list {0..4}; an explicit ``--seeds`` flag overrides both.  The map
-of the ``eval-verif`` cross protocol is fit here and handed to the evaluator.
+Seeds come from ``--seeds`` (comma-separated), else the default list
+{0..4}.  The map of the ``eval-verif`` cross protocol is fit here and
+handed to the evaluator.
 Every command pairs its sets once (:func:`align.pair_sets`); ``--dump-splits``
 writes the splits the evaluation scored, which its report carries.
 """
@@ -58,9 +58,6 @@ def _seed_list(args) -> list:
     """The checked seed list, so a bad one fails before any fit."""
     if getattr(args, "seeds", None) is not None:
         return splits.check_seeds(_parse_list(args.seeds, int, "--seeds"))
-    env = os.environ.get("EMBALIGN_SEEDS")
-    if env:
-        return splits.check_seeds(_parse_list(env, int, "EMBALIGN_SEEDS"))
     return list(splits.DEFAULT_SEEDS)
 
 

@@ -18,7 +18,7 @@ import functools
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class EmbeddingSet:
     rows: np.ndarray
     image_ids: tuple
     labels: tuple
-    dim: int = field(default=0)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float32)
@@ -66,12 +65,10 @@ class EmbeddingSet:
         object.__setattr__(self, "image_ids", tuple(str(i) for i in self.image_ids))
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         n, d = rows.shape
-        if self.dim == 0:
-            object.__setattr__(self, "dim", d)
         if n < 1:
             raise ConsistencyError("embedding set must contain at least one row")
-        if d != self.dim or d < 1:
-            raise ConsistencyError(f"dim mismatch: declared {self.dim}, rows have {d}")
+        if d < 1:
+            raise ConsistencyError("embedding rows must have at least one column")
         if len(self.image_ids) != n or len(self.labels) != n:
             raise ConsistencyError(
                 f"row/label mismatch: {n} rows, {len(self.image_ids)} ids, "
@@ -86,6 +83,10 @@ class EmbeddingSet:
     @property
     def n(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
 
     @functools.cached_property
     def _id_order(self) -> tuple:

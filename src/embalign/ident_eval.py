@@ -274,12 +274,6 @@ def _rank1_from(chunks, q_codes, g_codes) -> float:
     return _mean(hits)
 
 
-def _rank1(scores, q_labels, g_labels) -> float:
-    """:func:`_rank1_from` of a score matrix and its labels."""
-    scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
-    return _rank1_from([(0, scores)], q_codes, g_codes)
-
-
 def _cmc(first, max_rank):
     return [_mean(first <= k) for k in range(1, max_rank + 1)]
 
@@ -305,24 +299,15 @@ def mean_average_precision(scores, q_labels, g_labels) -> float:
     return _mean(aps)
 
 
-def _first_hits(scores, q_codes, g_codes):
-    first, _ = _ranked([(0, scores)], q_codes, g_codes)
-    if (first > len(g_codes)).any():
-        raise ProtocolError("some query label never occurs in the gallery")
-    return first
-
-
-def first_hit_ranks(scores, q_labels, g_labels) -> np.ndarray:
-    """1-based rank of the first same-label gallery item per query."""
-    return _first_hits(*_check_labels(scores, q_labels, g_labels))
-
-
 def cmc_curve(scores, q_labels, g_labels, max_rank: int = CMC_MAX_RANK):
     """Identification accuracy at ranks 1..max_rank (nondecreasing)."""
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
     if max_rank > len(g_codes):
         raise ArgumentError(f"max_rank {max_rank} exceeds gallery size {len(g_codes)}")
-    return _cmc(_first_hits(scores, q_codes, g_codes), max_rank)
+    first, _ = _ranked([(0, scores)], q_codes, g_codes)
+    if (first > len(g_codes)).any():
+        raise ProtocolError("some query label never occurs in the gallery")
+    return _cmc(first, max_rank)
 
 
 @dataclass(frozen=True)

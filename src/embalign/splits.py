@@ -31,11 +31,10 @@ _TAG_GENUINE_CAP = 103
 
 
 def check_seed(seed) -> int:
-    """``seed`` as an int; a negative seed is an ``ArgumentError``."""
-    seed = int(seed)
-    if seed < 0:
+    """``seed`` as an int; a non-integer (``bool`` too) or negative seed is an ``ArgumentError``."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
         raise ArgumentError(f"seed must be nonnegative, got {seed}")
-    return seed
+    return check_count(seed, "seed")
 
 
 def check_count(count, what: str) -> int:
@@ -255,11 +254,6 @@ def all_genuine_pairs(labels) -> PairList:
     """Every unordered same-label row pair, exactly once."""
     codes = label_codes(labels)
     return _pair_list(codes, _genuine_keys(codes), seed=0)
-
-
-def pair_counts(labels):
-    """Numbers ``(genuine, impostor)`` of unordered same-label and cross-label row pairs."""
-    return _pair_counts(label_codes(labels))
 
 
 def sample_impostor_pairs(labels, count: int, seed: int) -> PairList:

@@ -38,7 +38,7 @@ FMR_TARGETS = (0.01, 0.001)
 #: fixed FMR grid used when vertically averaging ROC curves across seeds
 ROC_GRID = np.logspace(-4, 0, 50)
 
-#: ROC_GRID as roc_on_grid evaluates it (FMR 1 itself is not a valid target)
+#: ROC_GRID as the report summary evaluates it (FMR 1 itself is not a valid target)
 _GRID_TARGETS = np.minimum(ROC_GRID, 1.0 - 1e-12)
 
 # pairs scored per step; the gathered rows hold 2 x _PAIR_BLOCK x k floats
@@ -195,15 +195,6 @@ def tmr_at_fmr(roc, fmr_target: float) -> float:
     if not 0.0 < fmr_target < 1.0:
         raise ArgumentError(f"fmr_target must lie in (0, 1), got {fmr_target}")
     return float(_tmr_at(*_points_to_arrays(sorted(roc)), [fmr_target])[0])
-
-
-def roc_on_grid(roc, grid=ROC_GRID) -> np.ndarray:
-    """TMR sampled at fixed FMR values (for cross-seed vertical averaging)."""
-    targets = np.array([min(f, 1.0 - 1e-12) for f in grid], dtype=np.float64)
-    bad = ~((0.0 < targets) & (targets < 1.0))
-    if bad.any():
-        raise ArgumentError(f"fmr_target must lie in (0, 1), got {targets[np.argmax(bad)]}")
-    return _tmr_at(*_points_to_arrays(sorted(roc)), targets)
 
 
 @dataclass(frozen=True)

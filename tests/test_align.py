@@ -16,7 +16,6 @@ from embalign import (
     load_map,
     save_map,
     training_residual,
-    transform,
 )
 from embalign import ident_eval, intersect_on_images, verif_eval
 from embalign.align import DEFAULT_RIDGE_ALPHA, METHODS, PINV_RTOL, fit_map, project
@@ -329,17 +328,17 @@ def test_fit_refuses_no_rows_and_no_width(method):
 
 
 def test_transform_identity_map():
-    rows = np.random.default_rng(12).standard_normal((5, 4))
+    # the identity map with zero means projects unit rows onto themselves
+    rows = l2_normalize(np.random.default_rng(12).standard_normal((5, 4)))
     amap = AlignmentMap(np.eye(4), make_stats(4), "procrustes")
-    out = transform(rows, amap)
-    expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    assert np.allclose(out, expected, atol=1e-12)
+    out, target = project(rows, rows, amap)
+    assert np.allclose(out, rows, atol=1e-12) and np.array_equal(target, rows)
 
 
 def test_transform_width_mismatch():
     amap = AlignmentMap(np.eye(4), make_stats(4), "procrustes")
     with pytest.raises(ConsistencyError):
-        transform(np.ones((2, 3)), amap)
+        project(np.ones((2, 3)), np.ones((2, 4)), amap)
 
 
 def old_pad(rows, big_d):
@@ -489,9 +488,8 @@ def test_alignment_map_checks_the_smaller_gram(d_a, d_b):
 def test_transform_and_residual_take_native_widths(d_a, d_b):
     for method in ("procrustes", "linear", "ridge"):
         x, y, amap = _fit_pair(d_a, d_b, method)
-        out = transform(x[60:] * 3.0, amap)  # rows are normalized first
-        assert out.shape == (20, d_b)
-        assert np.array_equal(out, project(l2_normalize(x[60:] * 3.0), y[60:], amap)[0])
+        out, target = project(x[60:], y[60:], amap)
+        assert out.shape == target.shape == (20, d_b)
         xc, yc = center(x[:60], amap.stats, "source"), center(y[:60], amap.stats, "target")
         assert training_residual(amap, xc, yc) == np.linalg.norm(xc @ amap.w - yc)
         with pytest.raises(ConsistencyError, match="widths"):
@@ -570,7 +568,7 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
     labels, x, y = unit_pair(v0, v1)
     split = identity_disjoint_split(labels, 0.7, 0)
     amap, test = fit_alignment(x, y, "ridge", 0.1, rows=split.train_rows), list(split.test_rows)
-    expected = transform(a.rows[test], amap).tobytes()
+    expected = project(l2_normalize(a.rows[test]), y[test], amap)[0].tobytes()
 
     scored = []
     real_rows = ident_eval._metrics_from_rows
@@ -588,7 +586,7 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
     evaluate_verification(v0, v1, "ridge", seeds=(0,), amap=cross_map, pair_caps=(40, 40))
     (intra_queries, _), (cross_queries, _) = sides[0][0], sides[1][0]
     assert intra_queries.tobytes() == expected
-    assert cross_queries.tobytes() == transform(a.rows, cross_map).tobytes()
+    assert cross_queries.tobytes() == project(l2_normalize(a.rows), y, cross_map)[0].tobytes()
 
 
 def test_alignment_map_rejects_nonorthogonal_procrustes():

@@ -194,6 +194,14 @@ def test_cluster_rejects_non_matrix_similarities(similarity):
         agglomerative_cluster(similarity)
 
 
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d"]])
+def test_cluster_refuses_names_that_do_not_fit_the_matrix(names):
+    # one name raised a raw IndexError in to_newick; four put a model
+    # that is not in the tree into the report
+    with pytest.raises(ArgumentError, match=f"{len(names)} model names for 3 models"):
+        agglomerative_cluster(two_group_similarity()[:3, :3], model_names=names)
+
+
 def test_newick_output():
     s = two_group_similarity()
     dend = agglomerative_cluster(s, "average", model_names=["a", "b", "c", "d"])
@@ -568,6 +576,13 @@ def test_sweep_rejects_unsorted_fractions(small_views):
     v0, v1 = small_views
     with pytest.raises(ArgumentError):
         training_size_sweep(v0, v1, [0.9, 0.1], seeds=(0,))
+
+
+@pytest.mark.parametrize("fractions", [["0.5"], [None], [0.5, "1.0"]])
+def test_sweep_rejects_non_numeric_fractions(small_views, fractions):
+    # the range check raised a raw TypeError
+    with pytest.raises(ArgumentError, match="fractions must be numbers"):
+        training_size_sweep(*small_views, fractions, seeds=(0,))
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -109,16 +109,18 @@ def test_eval_id_reports_reproducible(synth_dir, tmp_path):
     assert (d2 / "cmc.csv").read_bytes() == (d1 / "cmc.csv").read_bytes()
 
 
-def test_eval_id_env_seed_override(synth_dir, tmp_path, monkeypatch):
+def test_eval_id_ignores_a_seeds_environment_variable(synth_dir, tmp_path, monkeypatch):
+    # EMBALIGN_SEEDS used to replace the default seeds, and the report's config said "seeds": null
+    def outputs(out):
+        assert run("eval-id", "--source", str(synth_dir / "view0.emb"),
+                   "--target", str(synth_dir / "view1.emb"), "--out-dir", str(out)) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    plain = outputs(tmp_path / "plain")
     monkeypatch.setenv("EMBALIGN_SEEDS", "3")
-    code = run(
-        "eval-id", "--source", str(synth_dir / "view0.emb"),
-        "--target", str(synth_dir / "view1.emb"), "--out-dir", str(tmp_path),
-    )
-    assert code == 0
-    doc = json.loads((tmp_path / "identification_report.json").read_text())
-    per_seed = doc["metrics"]["aligned"]["per_seed"]
-    assert [r["seed"] for r in per_seed] == [3]
+    assert outputs(tmp_path / "env") == plain
+    doc = json.loads(plain["identification_report.json"])
+    assert [r["seed"] for r in doc["metrics"]["aligned"]["per_seed"]] == list(splits.DEFAULT_SEEDS)
 
 
 def test_eval_verif_outputs(synth_dir, tmp_path):
@@ -395,17 +397,6 @@ def test_bad_seeds_flag_is_clean_error(synth_dir, tmp_path, capsys, seeds):
     assert err.startswith("embalign: error: ") and "--seeds" in err
 
 
-def test_bad_env_seeds_is_clean_error(synth_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EMBALIGN_SEEDS", "0,x")
-    code = run(
-        "eval-id", "--source", str(synth_dir / "view0.emb"),
-        "--target", str(synth_dir / "view1.emb"), "--out-dir", str(tmp_path),
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("embalign: error: ") and "EMBALIGN_SEEDS" in err
-
-
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_clean_error(synth_dir, tmp_path, capsys, jobs):
     assert eval_id(synth_dir, tmp_path / "id", "--jobs", jobs) == 1
@@ -424,7 +415,7 @@ def negative_seed_commands(synth_dir, out):
     inputs = [str(synth_dir / f"view{v}.emb") for v in range(2)]
     return {
         "eval-id": ["eval-id", *pair, "--seeds=-1", "--out-dir", out],
-        "eval-verif": ["eval-verif", *pair, "--out-dir", out],  # seeds from EMBALIGN_SEEDS
+        "eval-verif": ["eval-verif", *pair, "--seeds=-3", "--out-dir", out],
         "matrix": ["matrix", "--inputs", *inputs, "--seeds", "0,-1", "--out-dir", out],
         "sweep": ["sweep", *pair, "--seeds=-2", "--fractions", "0.5,1.0", "--out-dir", out],
         "fit": ["fit", *pair, "--seed", "-1", "--out", out],
@@ -433,8 +424,7 @@ def negative_seed_commands(synth_dir, out):
 
 
 @pytest.mark.parametrize("command", ["eval-id", "eval-verif", "matrix", "sweep", "fit", "synth"])
-def test_negative_seed_is_clean_error(synth_dir, tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("EMBALIGN_SEEDS", "-3")
+def test_negative_seed_is_clean_error(synth_dir, tmp_path, capsys, command):
     out = tmp_path / "out"
     assert run(*negative_seed_commands(synth_dir, str(out))[command]) == 1
     err = capsys.readouterr().err
@@ -449,7 +439,7 @@ def repeated_seed_commands(synth_dir, out):
     inputs = [str(synth_dir / f"view{v}.emb") for v in range(2)]
     return {
         "eval-id": ["eval-id", *pair, "--seeds", "3,3", "--out-dir", out],
-        "eval-verif": ["eval-verif", *pair, "--out-dir", out],  # seeds from EMBALIGN_SEEDS
+        "eval-verif": ["eval-verif", *pair, "--seeds", "3,3", "--out-dir", out],
         "eval-verif-cross": ["eval-verif", *pair, *train, "--seeds", "3,0,3", "--out-dir", out],
         "matrix": ["matrix", "--inputs", *inputs, "--seeds", "3,3", "--out-dir", out],
         "sweep": ["sweep", *pair, "--seeds", "3,3", "--fractions", "0.5,1.0", "--out-dir", out],
@@ -458,9 +448,8 @@ def repeated_seed_commands(synth_dir, out):
 
 @pytest.mark.parametrize("command",
                          ["eval-id", "eval-verif", "eval-verif-cross", "matrix", "sweep"])
-def test_repeated_seed_is_clean_error(synth_dir, tmp_path, capsys, monkeypatch, command):
+def test_repeated_seed_is_clean_error(synth_dir, tmp_path, capsys, command):
     # seed 3 used to run twice and enter the mean and std twice
-    monkeypatch.setenv("EMBALIGN_SEEDS", "3,3")
     out = tmp_path / "out"
     with mock.patch.object(align, "fit_sides") as fit:
         assert run(*repeated_seed_commands(synth_dir, str(out))[command]) == 1

@@ -1,0 +1,78 @@
+"""Every module-level function of the package is called by the package, or kept for a reason."""
+
+import ast
+import glob
+import importlib
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "embalign", "*.py")))
+
+#: functions no package code calls, each kept for the reason given
+KEEP = {
+    # the metric oracles of tests/test_acceptance.py test these directly
+    "ident_eval.rank_k_accuracy", "ident_eval.mean_average_precision", "ident_eval.cmc_curve",
+    "verif_eval.auc", "verif_eval.eer", "verif_eval.tmr_at_fmr",
+    # the reader of the map files `fit` writes
+    "align.load_map",
+    # the per-seed fit diagnostics planned in ROADMAP.md report the training residual
+    "align.training_residual",
+    # the chunked-evaluation tests compare each seed's metrics against it
+    "ident_eval._metrics_from_scores",
+}
+
+
+def uncalled_functions(sources: dict) -> list:
+    """``module.function`` of each module-level function no other node of the package names.
+
+    ``sources`` maps module names to their source.  A function counts as
+    called when some module other than ``__init__`` reads its name, as a
+    plain name or as an attribute of a sibling module (``align.fit_map``
+    after ``from . import align``).  Its definition, a field or variable
+    of the same name being set, and an attribute of any other object
+    (``report.auc``) are not reads.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        if module == "__init__":  # it imports names only to re-export them
+            continue
+        tree = ast.parse(source)
+        defined += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, ast.FunctionDef)]
+        siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings):
+                read.add(node.attr)
+    return sorted(name for name in defined if name.split(".")[1] not in read)
+
+
+def traced_layers(monkeypatch) -> set:
+    """The ``module.function`` names the benchmark's traced runs wrap (``bench/spans.py``)."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    return {f"{m}.{f}" for m, f, _ in importlib.import_module("spans").LAYERS}
+
+
+def test_every_uncalled_function_is_a_traced_layer_or_kept(monkeypatch):
+    sources = {}
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as f:
+            sources[os.path.basename(path)[:-3]] = f.read()
+    uncalled = uncalled_functions(sources)
+    dead = set(uncalled) - traced_layers(monkeypatch) - KEEP
+    assert not dead, f"no package code calls {sorted(dead)}"
+    assert KEEP <= set(uncalled), f"kept but called: {sorted(KEEP - set(uncalled))}"
+
+
+def test_the_scan_sees_called_and_uncalled_functions():
+    sources = {
+        "__init__": "from .a import f, g, h, m\n",
+        "a": "def f():\n    return g()\n\ndef g():\n    return 1\n\ndef h():\n    pass\n\n"
+             "def m():\n    pass\n",
+        "b": "from . import a\n\ndef k(r):\n    h = r.h\n    return a.f(), r.m\n",
+    }
+    assert uncalled_functions(sources) == ["a.h", "a.m", "b.k"]

@@ -16,7 +16,7 @@ def test_demo_exits_cleanly(name, tmp_path):
     path = os.path.join(ROOT, "demos", name)
     argv = ["sh", path] if name.endswith(".sh") else [sys.executable, path]
     src = os.path.join(ROOT, "src")
-    env = {k: v for k, v in os.environ.items() if k != "EMBALIGN_SEEDS"}
+    env = dict(os.environ)
     env.update(TMPDIR=str(tmp_path), PYTHON=sys.executable,
                PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,

@@ -307,6 +307,11 @@ def test_duplicate_ids_rejected():
         make_set([[1.0], [2.0]], ["a", "a"], ["x", "y"])
 
 
+def test_zero_width_rejected():
+    with pytest.raises(ConsistencyError, match="at least one column"):
+        make_set(np.zeros((2, 0)), ["a", "b"], ["x", "y"])
+
+
 def test_intersect_reorders_to_lexicographic():
     a = make_set([[1.0], [2.0], [3.0]], ["c", "a", "b"], ["1", "2", "3"])
     b = make_set([[9.0], [8.0], [7.0]], ["a", "b", "c"], ["2", "3", "1"])

@@ -23,9 +23,23 @@ from embalign.errors import (
     ProtocolError,
 )
 from embalign.splits import identity_disjoint_split, label_codes
-from embalign.ident_eval import RANK_KS, SeedRetrieval, _metrics_from_scores, first_hit_ranks
+from embalign.ident_eval import RANK_KS, SeedRetrieval, _metrics_from_scores
 
 from conftest import aligned_rank1, fit_alignment
+
+
+# --- the evaluation's rank kernels on one score matrix ---------------------
+
+def first_hit_ranks(scores, q_labels, g_labels):
+    """``_ranked``'s 1-based first-hit rank per query (``n_gallery + 1`` for none)."""
+    scores, q_codes, g_codes = ident_eval._check_labels(scores, q_labels, g_labels)
+    return ident_eval._ranked([(0, scores)], q_codes, g_codes)[0]
+
+
+def _rank1(scores, q_labels, g_labels):
+    """``_rank1_from`` of a score matrix as one chunk, as the matrix and sweep read Rank-1."""
+    scores, q_codes, g_codes = ident_eval._check_labels(scores, q_labels, g_labels)
+    return ident_eval._rank1_from([(0, scores)], q_codes, g_codes)
 
 
 # --- naive O(Q*G log G) reference implementations -------------------------
@@ -515,7 +529,7 @@ def test_labels_that_differ_by_a_trailing_nul_are_two_identities():
     scores = np.array([[2.0, 1.0, 0.0]])
     q_labels, g_labels = ["a"], ["a\x00", "a", "b"]
     assert rank_k_accuracy(scores, q_labels, g_labels, 1) == 0.0
-    assert ident_eval._rank1(scores, q_labels, g_labels) == 0.0
+    assert _rank1(scores, q_labels, g_labels) == 0.0
     assert first_hit_ranks(scores, q_labels, g_labels).tolist() == [2]
     assert mean_average_precision(scores, q_labels, g_labels) == 0.5
 
@@ -556,7 +570,7 @@ ZERO_QUERIES = {
     "rank_k_accuracy": lambda s, g: rank_k_accuracy(s, [], g, 1),
     "mean_average_precision": lambda s, g: mean_average_precision(s, [], g),
     "cmc_curve": lambda s, g: cmc_curve(s, [], g, 2),
-    "_rank1": lambda s, g: ident_eval._rank1(s, [], g),
+    "_rank1": lambda s, g: _rank1(s, [], g),
     "_metrics_from_scores": lambda s, g: _metrics_from_scores(s, [], g, 2, 0, False),
     "_metrics_from_rows": lambda s, g: ident_eval._metrics_from_rows(
         np.zeros((0, 3)), np.eye(3), *_codes([], g), 2, 0, False),
@@ -642,7 +656,7 @@ def test_aligned_rank1_equals_rank1_of_score_matrix(case, method, cell_budget, s
     def from_matrix():
         amap = fit_alignment(x, y, method, 0.1, rows=list(split.train_rows))
         scores = score_matrix(*align.project(x[test], y[test], amap))
-        return ident_eval._rank1(scores, test_labels, test_labels)
+        return _rank1(scores, test_labels, test_labels)
 
     with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
             mock.patch.object(ident_eval, "_SCORE_BUDGET", score_budget):
@@ -699,7 +713,7 @@ def _rank1_in_chunks(scores, q_labels, g_labels, rows):
 @given(rank1_cases(), st.integers(1, 4))
 def test_first_max_rank1_equals_rank_kernel(case, rows):
     want = _rank1_outcome(_rank1_reference, *case)
-    assert _rank1_outcome(ident_eval._rank1, *case) == want
+    assert _rank1_outcome(_rank1, *case) == want
     # in chunks, a NaN in a later chunk still wins over a query without a hit
     assert _rank1_outcome(_rank1_in_chunks, *case, rows) == want
 
@@ -707,9 +721,9 @@ def test_first_max_rank1_equals_rank_kernel(case, rows):
 def test_first_max_rank1_hand_cases():
     # ties go to the lowest gallery index; -inf entries are removed items
     scores = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [0.5, -np.inf, -np.inf]])
-    assert ident_eval._rank1(scores, ["a", "a", "a"], ["a", "b", "a"]) == 2 / 3
+    assert _rank1(scores, ["a", "a", "a"], ["a", "b", "a"]) == 2 / 3
     with pytest.raises(ProtocolError):  # query 2's only relevant item is removed
-        ident_eval._rank1(scores, ["a", "a", "b"], ["a", "b", "a"])
+        _rank1(scores, ["a", "a", "b"], ["a", "b", "a"])
 
 
 # --- non-finite scores ----------------------------------------------------

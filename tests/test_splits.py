@@ -18,8 +18,8 @@ from embalign import (
 )
 from embalign.errors import ArgumentError, DegenerateDataError
 from embalign.splits import (
-    _TAG_GENUINE_CAP, _TAG_IMPOSTOR, _TAG_SPLIT, SplitSpec, _rng, check_fraction, check_seeds,
-    label_codes, pair_counts,
+    _TAG_GENUINE_CAP, _TAG_IMPOSTOR, _TAG_SPLIT, SplitSpec, _pair_counts, _rng, check_fraction,
+    check_seeds, label_codes,
 )
 
 
@@ -67,6 +67,16 @@ def test_negative_seed_is_argument_error(draw):
     draw(0)
     with pytest.raises(ArgumentError, match="seed must be nonnegative"):
         draw(-1)
+
+
+@pytest.mark.parametrize("seed", [0.9, 1.5, True, np.True_, "3", "x", None])
+def test_non_integer_seed_is_argument_error(seed):
+    # 0.9 and 1.5 used to run as seeds 0 and 1, True as 1 and "3" as 3
+    for draw in (lambda: check_seeds([seed]),
+                 lambda: identity_disjoint_split(labels_for(4, 2), 0.5, seed)):
+        with pytest.raises(ArgumentError, match="not an integer"):
+            draw()
+    assert check_seeds([np.int64(3), np.uint8(1)]) == [3, 1]
 
 
 def test_repeated_seed_is_argument_error():
@@ -302,7 +312,7 @@ def test_split_equals_the_reference(labels, fraction, seed):
 def test_pair_counts_equal_brute_force(labels):
     pairs = list(itertools.combinations(labels, 2))
     genuine = sum(a == b for a, b in pairs)
-    assert pair_counts(labels) == (genuine, len(pairs) - genuine)
+    assert _pair_counts(label_codes(labels)) == (genuine, len(pairs) - genuine)
 
 
 # --- references: the tuple builders the array builders replaced -------------
@@ -395,7 +405,7 @@ def _pairs_outcome(fn, *args):
 @given(labels=st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=40),
        seed=st.integers(0, 50))
 def test_capped_sample_of_every_genuine_pair_is_the_intra_merge(labels, seed):
-    n_genuine = pair_counts(labels)[0]
+    n_genuine = _pair_counts(label_codes(labels))[0]
     got = _pairs_outcome(sample_pairs_capped, labels, n_genuine, n_genuine, seed)
     assert got == _pairs_outcome(ref_intra_pairs, labels, seed)
 
@@ -421,7 +431,7 @@ def _count(data, available):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), labels=LABELS, seed=st.integers(-1, 50))
 def test_impostor_sample_equals_the_python_loop(data, labels, seed):
-    available = pair_counts(labels)[1]
+    available = _pair_counts(label_codes(labels))[1]
     # counts up to half the pool reject, larger ones take the exhaustive branch
     count = _count(data, available)
     got = _pairs_outcome(sample_impostor_pairs, labels, count, seed)
@@ -431,7 +441,7 @@ def test_impostor_sample_equals_the_python_loop(data, labels, seed):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), labels=LABELS, seed=st.integers(-1, 50))
 def test_capped_sample_equals_the_reference(data, labels, seed):
-    n_genuine, available = pair_counts(labels)
+    n_genuine, available = _pair_counts(label_codes(labels))
     genuine_count = data.draw(st.one_of(st.integers(0, n_genuine),
                                         st.sampled_from([-1, n_genuine + 1])))
     impostor_count = _count(data, available)

@@ -18,7 +18,9 @@ through one shared DIR:
 
 Each command runs with OUT as its working directory and writes to a
 relative path, so a report that names another output (``cluster``)
-reads the same in every OUT.
+reads the same in every OUT.  The commands run without the
+``EMBALIGN_SEEDS`` environment variable: older trees read it as a
+default seed list, and SRC may be one of them.
 
 Byte identity holds for one machine and one BLAS thread setting: the
 map files ``fit`` writes come from SVDs and solves whose last bits can
