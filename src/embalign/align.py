@@ -222,12 +222,12 @@ class Side:
 
     @functools.cached_property
     def gallery(self) -> np.ndarray:
-        """The unit rows of ``test``, the side as a gallery is scored.
+        """The unit rows of ``test``, the gallery :func:`ident_eval.map_rank1` scores against.
 
-        Made once, when a map is first scored against the side
-        (:func:`ident_eval.map_rank1`), after that map's queries, as the
-        evaluation normalizes them; every later map reuses them.  An
-        all-zero centered test row raises ``DegenerateRowError``.
+        Made once, when a map is first scored against the side, after that
+        map's queries, as the evaluation normalizes them; every later map
+        reuses them.  An all-zero centered test row raises
+        ``DegenerateRowError``.
         """
         return l2_normalize(self.test)
 

@@ -112,7 +112,8 @@ def build_compatibility_matrix(
     """Mean Rank-1 (percent) of every ordered model pair, self-pairs included.
 
     Cells score the aligned side only, through :func:`ident_eval.map_rank1`,
-    and Rank-1 is read from each query's first highest score.  Each
+    so a cell is the aligned Rank-1 mean that
+    :func:`ident_eval.evaluate_identification` reports for its pair.  Each
     unordered pair i <= j is paired once (:func:`align.pair_sets`;
     a shared all-zero row fails both cells), and each seed's split is made
     once per label list.  The matrix then runs seed by seed.  Per seed,
@@ -292,16 +293,18 @@ def training_size_sweep(
     pool; each sweep fraction keeps a nested deterministic prefix of a
     shuffled pool.  Each point prepares both sides of its split once
     (:meth:`align.Pairing.sides`); each method fits its map on them
-    (:func:`align.fit_sides`) and reads Rank-1 from each query's first
-    highest score (:func:`ident_eval.map_rank1`), as in the matrix.  The
-    shared labels are factorized once; each seed reads its test codes, its
-    identity pool and each point's train rows from those codes.  Returns
-    per-point values and mean/std aggregates (:func:`reports.mean_std`).
-    An empty or repeated list of fractions, methods or seeds is an
-    ``ArgumentError``, and every method is checked before the first fit.
+    (:func:`align.fit_sides`) and reads its aligned Rank-1 with
+    :func:`ident_eval.map_rank1`, as the matrix does.  The shared labels
+    are factorized once; each seed reads its test codes, its identity pool
+    and each point's train rows from those codes.  Returns per-point
+    values and mean/std aggregates (:func:`reports.mean_std`).  An empty
+    or repeated list of fractions, methods or seeds is an
+    ``ArgumentError``, as is a fraction that is not a number in (0, 1]
+    (a ``bool`` included), and every method is checked before the first fit.
     """
     fractions = list(fractions)
-    if any(not isinstance(f, numbers.Real) or not 0.0 < f <= 1.0 for f in fractions):
+    if any(isinstance(f, bool) or not isinstance(f, numbers.Real) or not 0.0 < f <= 1.0
+           for f in fractions):
         raise ArgumentError("fractions must be numbers in (0, 1]")
     if sorted(fractions) != fractions:
         raise ArgumentError("fractions must be ascending")

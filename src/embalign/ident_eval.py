@@ -235,45 +235,6 @@ def _require_relevant(found):
         raise ProtocolError(f"query {missing[0]} has no relevant gallery items")
 
 
-def _rank1_from(chunks, q_codes, g_codes) -> float:
-    """Rank-1 accuracy read from the first maximum of each score row.
-
-    The first maximum is the item the rank kernel puts at rank 1 (equal
-    scores go to the lowest gallery index); a -inf maximum is a removed
-    item and never a hit.  ``chunks`` are those of :func:`_ranked`, and
-    validation and errors are those of the evaluation, ``ProtocolError``
-    for a query without a live relevant item included.  A chunk takes two
-    passes over its scores, ``argmax`` and ``min``: with no -inf entry,
-    the hit is the label code at the first maximum, and a query has a
-    relevant item when its code occurs in the gallery.  Only a chunk that
-    holds a -inf entry builds the mask of live relevant items.
-    """
-    hits = np.zeros(len(q_codes), dtype=bool)
-    found = np.zeros(len(q_codes), dtype=bool)
-    if len(g_codes):  # an empty gallery has no maximum and no relevant item
-        # whether each code occurs in the gallery: with no removed item, a
-        # query has a relevant item exactly when its code does
-        in_gallery = np.zeros(max(q_codes.max(initial=0), g_codes.max()) + 1, dtype=bool)
-        in_gallery[g_codes] = True
-        for start, chunk in chunks:
-            stop = start + len(chunk)
-            rows = np.arange(stop - start)
-            best = chunk.argmax(axis=1)
-            # argmax stops at the first NaN, so the row maxima show NaN and +inf
-            _check_finite(chunk[rows, best])
-            codes = q_codes[start:stop]
-            if not chunk.size or chunk.min() > -np.inf:
-                found[start:stop] = in_gallery[codes]
-                hits[start:stop] = codes == g_codes[best]
-            else:  # a chunk with removed items: -inf entries are never relevant
-                relevant = (codes[:, None] == g_codes) & (chunk > -np.inf)
-                found[start:stop] = relevant.any(axis=1)
-                hits[start:stop] = relevant[rows, best]
-            chunk = relevant = None  # free the chunk before the next one is scored
-    _require_relevant(found)
-    return _mean(hits)
-
-
 def _cmc(first, max_rank):
     return [_mean(first <= k) for k in range(1, max_rank + 1)]
 
@@ -305,8 +266,7 @@ def cmc_curve(scores, q_labels, g_labels, max_rank: int = CMC_MAX_RANK):
     if max_rank > len(g_codes):
         raise ArgumentError(f"max_rank {max_rank} exceeds gallery size {len(g_codes)}")
     first, _ = _ranked([(0, scores)], q_codes, g_codes)
-    if (first > len(g_codes)).any():
-        raise ProtocolError("some query label never occurs in the gallery")
+    _require_relevant(first <= len(g_codes))
     return _cmc(first, max_rank)
 
 
@@ -430,19 +390,26 @@ def evaluate_identification(
 
 
 def map_rank1(x_test, target, codes, amap) -> float:
-    """Rank-1 of the fitted map ``amap`` on one split's test rows, aligned side only.
+    """Aligned Rank-1 of the fitted map ``amap`` on one split's test rows.
 
     ``x_test`` are the source test rows centered with ``amap``'s source
     mean (:attr:`align.Side.test`), ``target`` the prepared target side
-    whose test rows are the gallery, and ``codes`` their identities'
-    :func:`splits.label_codes`.  The source rows are mapped with ``amap``
-    and normalized, then scored against the gallery's unit rows
-    (:attr:`align.Side.gallery`, made once per side and shared by every
-    map scored against it) in the chunks the evaluation ranks.  Those are
-    the unit rows :func:`_metrics_from_rows` would make of the gallery,
-    and the queries are normalized first, so the value, or the error, is
-    that of the seed's aligned Rank-1 in :func:`evaluate_identification`.
+    whose unit test rows are the gallery (:attr:`align.Side.gallery`), and
+    ``codes`` the :func:`splits.label_codes` of both.  The mapped queries
+    are normalized and scored in the chunks the evaluation ranks, and a
+    query's hit is the label of the first maximum of its score row: the
+    lowest gallery index among equal scores, the rank kernel's rank 1.  So
+    the value, or the ``ProtocolError`` of zero queries, is the seed's
+    aligned Rank-1 in :func:`evaluate_identification`.  The kernel's other
+    cases cannot occur: every query's own image is in the gallery; no item
+    is removed (no -inf score); every score is the cosine of two finite
+    unit rows (:class:`EmbeddingSet` and :class:`align.AlignmentMap` refuse
+    non-finite values, :func:`prep._unit_rows` an all-zero row); and a
+    split keeps at least one test identity.
     """
-    chunks = _score_chunks(_unit_rows(x_test @ amap.w), target.gallery)
-    return _rank1_from(chunks, codes, codes)
-
+    hits = np.zeros(len(codes), dtype=bool)
+    for start, chunk in _score_chunks(_unit_rows(x_test @ amap.w), target.gallery):
+        stop = start + len(chunk)
+        hits[start:stop] = codes[start:stop] == codes[chunk.argmax(axis=1)]
+        chunk = None  # free the chunk before the next one is scored
+    return _mean(hits)

@@ -56,7 +56,7 @@ _NORM_BLOCK = 1 << 16
 
 
 def _unit_rows(rows) -> np.ndarray:
-    """Each row divided by its Euclidean norm (float64); an all-zero row raises.
+    """Each row divided by its Euclidean norm (float64); an all-zero or non-finite row raises.
 
     Exactly one n x d float64 array is made: the float64 cast of rows of
     another dtype, divided in place, or else the quotient.  The norms are
@@ -65,7 +65,8 @@ def _unit_rows(rows) -> np.ndarray:
     whose norm would underflow or overflow (entries near 1e-160 or 1e160
     and beyond) is first scaled by the exact power of two that brings its
     largest entry into [0.5, 1).  Rows with an in-range norm are divided
-    as they are.  Input that is not 2-D raises ``ConsistencyError``.
+    as they are.  A row holding NaN or inf raises ``DataError`` naming
+    its index, and input that is not 2-D raises ``ConsistencyError``.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
@@ -78,10 +79,14 @@ def _unit_rows(rows) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflowing norm marks a row to rescale
         for start in range(0, rows.shape[0], step):
             norms[start:start + step] = np.linalg.norm(rows[start:start + step], axis=1)
-    odd = np.flatnonzero((norms < _TINY) | (norms > _HUGE))
+    # a NaN norm fails both bounds; the peak of a row holding NaN or inf is not finite
+    odd = np.flatnonzero(~((norms >= _TINY) & (norms <= _HUGE)))
     if not odd.size:
         return np.divide(rows, norms[:, None], out=into)
     peak = np.abs(rows[odd]).max(axis=1, initial=0.0)
+    bad = odd[~np.isfinite(peak)]
+    if bad.size:
+        raise DataError(f"row {bad[0]} holds a non-finite value")
     zero = odd[peak == 0.0]
     if zero.size:
         raise DegenerateRowError(int(zero[0]))

@@ -333,11 +333,14 @@ def test_compatibility_matrix_cells_equal_identification_or_fail_alike(small_vie
         _subset(v0, "lone", range(150), prefix="x"),  # shares no image with the others
         _subset(v1, "clash", range(60, 150), relabel=120),  # conflicts with full and tail
         _subset(v0, "zero", range(80), zero=5),  # all-zero row on an image tail lacks
+        # every odd identity's images repeat those of the identity before it
+        _subset(v0, "tied", range(150),
+                copies=[(10 * k + 5 + r, 10 * k + r) for k in range(15) for r in range(5)]),
     ]
     names = [s.model_name for s in sets]
     missing = {("lone", n) for n in names if n != "lone"}
-    missing |= {("clash", "full"), ("clash", "tail"), ("zero", "full"), ("zero", "head"),
-                ("zero", "zero")}
+    missing |= {("clash", "full"), ("clash", "tail"), ("clash", "tied"), ("zero", "full"),
+                ("zero", "head"), ("zero", "zero"), ("zero", "tied")}
     missing |= {(b, a) for a, b in missing}
     cm = build_compatibility_matrix(sets, seeds=(0, 1))
     for i, a in enumerate(sets):
@@ -578,9 +581,9 @@ def test_sweep_rejects_unsorted_fractions(small_views):
         training_size_sweep(v0, v1, [0.9, 0.1], seeds=(0,))
 
 
-@pytest.mark.parametrize("fractions", [["0.5"], [None], [0.5, "1.0"]])
+@pytest.mark.parametrize("fractions", [["0.5"], [None], [0.5, "1.0"], [True]])
 def test_sweep_rejects_non_numeric_fractions(small_views, fractions):
-    # the range check raised a raw TypeError
+    # the range check raised a raw TypeError, and True ran as fraction 1
     with pytest.raises(ArgumentError, match="fractions must be numbers"):
         training_size_sweep(*small_views, fractions, seeds=(0,))
 

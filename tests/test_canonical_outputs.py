@@ -21,6 +21,7 @@ STUB_MANIFEST = {
     "synth": [f"synth/view{v}.emb" for v in range(3)],
     "permuted": "permuted/view1_permuted.emb",
     "relabeled": [f"relabeled/view{v}.emb" for v in range(2)],
+    "tied": "tied/view0.emb",
 }
 
 

@@ -36,10 +36,14 @@ def first_hit_ranks(scores, q_labels, g_labels):
     return ident_eval._ranked([(0, scores)], q_codes, g_codes)[0]
 
 
-def _rank1(scores, q_labels, g_labels):
-    """``_rank1_from`` of a score matrix as one chunk, as the matrix and sweep read Rank-1."""
-    scores, q_codes, g_codes = ident_eval._check_labels(scores, q_labels, g_labels)
-    return ident_eval._rank1_from([(0, scores)], q_codes, g_codes)
+def _map_rank1(queries, gallery, labels):
+    """``map_rank1`` of unit ``queries`` against unit ``gallery`` rows under the identity map.
+
+    ``labels`` name both, as the matrix and the sweep pass one split's test rows.
+    """
+    side = align.Side(np.zeros((1, gallery.shape[1])), gallery, np.zeros(gallery.shape[1]))
+    amap = align.fit_sides(side, side, "procrustes")
+    return ident_eval.map_rank1(queries, side, label_codes(labels), amap)
 
 
 # --- naive O(Q*G log G) reference implementations -------------------------
@@ -316,8 +320,9 @@ def ref_cmc(scores, q_labels, g_labels, max_rank):
     order = _ref_order(scores)
     live = np.take_along_axis(scores, order, axis=1) > -np.inf
     hits = (g_labels[order] == q_labels[:, None]) & live
-    if not hits.any(axis=1).all():
-        raise ProtocolError("some query label never occurs in the gallery")
+    missing = np.flatnonzero(~hits.any(axis=1))
+    if missing.size:
+        raise ProtocolError(f"query {missing[0]} has no relevant gallery items")
     ranks = hits.argmax(axis=1) + 1
     return [float((ranks <= k).mean()) for k in range(1, max_rank + 1)]
 
@@ -529,9 +534,11 @@ def test_labels_that_differ_by_a_trailing_nul_are_two_identities():
     scores = np.array([[2.0, 1.0, 0.0]])
     q_labels, g_labels = ["a"], ["a\x00", "a", "b"]
     assert rank_k_accuracy(scores, q_labels, g_labels, 1) == 0.0
-    assert _rank1(scores, q_labels, g_labels) == 0.0
     assert first_hit_ranks(scores, q_labels, g_labels).tolist() == [2]
     assert mean_average_precision(scores, q_labels, g_labels) == 0.5
+    # every score ties, so each query's first maximum is item 0, of label 'a\x00'
+    rows = np.tile([1.0, 0.0], (3, 1))
+    assert _map_rank1(rows, rows, ["a\x00", "a", "b"]) == 1 / 3
 
 
 def test_empty_gallery():
@@ -570,7 +577,7 @@ ZERO_QUERIES = {
     "rank_k_accuracy": lambda s, g: rank_k_accuracy(s, [], g, 1),
     "mean_average_precision": lambda s, g: mean_average_precision(s, [], g),
     "cmc_curve": lambda s, g: cmc_curve(s, [], g, 2),
-    "_rank1": lambda s, g: _rank1(s, [], g),
+    "map_rank1": lambda s, g: _map_rank1(s, s, []),
     "_metrics_from_scores": lambda s, g: _metrics_from_scores(s, [], g, 2, 0, False),
     "_metrics_from_rows": lambda s, g: ident_eval._metrics_from_rows(
         np.zeros((0, 3)), np.eye(3), *_codes([], g), 2, 0, False),
@@ -656,74 +663,13 @@ def test_aligned_rank1_equals_rank1_of_score_matrix(case, method, cell_budget, s
     def from_matrix():
         amap = fit_alignment(x, y, method, 0.1, rows=list(split.train_rows))
         scores = score_matrix(*align.project(x[test], y[test], amap))
-        return _rank1(scores, test_labels, test_labels)
+        return rank_k_accuracy(scores, test_labels, test_labels, 1)
 
     with mock.patch.object(ident_eval, "_CELL_BUDGET", cell_budget), \
             mock.patch.object(ident_eval, "_SCORE_BUDGET", score_budget):
         got = _any_outcome(aligned_rank1, x, y, labels, [split], method, 0.1)
         want = _any_outcome(from_matrix)
     assert got == want
-
-
-# --- Rank-1 from the first maximum -----------------------------------------
-# The compatibility matrix reads Rank-1 from the first maximum of each row;
-# it must agree with the rank kernel's Rank-1 everywhere, errors included.
-
-@st.composite
-def rank1_cases(draw):
-    n_q, n_g = draw(st.integers(1, 10)), draw(st.integers(1, 12))
-    g_labels = draw(st.lists(st.sampled_from("aaaabbc"), min_size=n_g, max_size=n_g))
-    if draw(st.integers(0, 3)):
-        picks = draw(st.lists(st.integers(0, n_g - 1), min_size=n_q, max_size=n_q))
-        q_labels = [g_labels[i] for i in picks]
-    else:
-        q_labels = draw(st.lists(st.sampled_from("abcd"), min_size=n_q, max_size=n_q))
-    # few integer levels, so most rows have tied maxima
-    levels = [-np.inf, -1.0, 0.0, 1.0, 2.0, 2.0]
-    flat = draw(st.lists(st.sampled_from(levels), min_size=n_q * n_g, max_size=n_q * n_g))
-    scores = np.array(flat).reshape(n_q, n_g)
-    if draw(st.integers(0, 3)) == 0:  # a query whose whole row is removed
-        scores[draw(st.integers(0, n_q - 1))] = -np.inf
-    if draw(st.integers(0, 7)) == 0:
-        bad = draw(st.sampled_from([np.nan, np.inf]))
-        scores[draw(st.integers(0, n_q - 1)), draw(st.integers(0, n_g - 1))] = bad
-    return scores, q_labels, g_labels
-
-
-def _rank1_outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (DataError, ProtocolError) as exc:
-        return type(exc), str(exc)
-
-
-def _rank1_reference(scores, q_labels, g_labels):
-    # mAP validates like the evaluation and raises its ProtocolError
-    mean_average_precision(scores, q_labels, g_labels)
-    return rank_k_accuracy(scores, q_labels, g_labels, 1)
-
-
-def _rank1_in_chunks(scores, q_labels, g_labels, rows):
-    scores, q_codes, g_codes = ident_eval._check_labels(scores, q_labels, g_labels)
-    chunks = [(start, scores[start:start + rows]) for start in range(0, len(scores), rows)]
-    return ident_eval._rank1_from(chunks, q_codes, g_codes)
-
-
-@settings(max_examples=400, deadline=None)
-@given(rank1_cases(), st.integers(1, 4))
-def test_first_max_rank1_equals_rank_kernel(case, rows):
-    want = _rank1_outcome(_rank1_reference, *case)
-    assert _rank1_outcome(_rank1, *case) == want
-    # in chunks, a NaN in a later chunk still wins over a query without a hit
-    assert _rank1_outcome(_rank1_in_chunks, *case, rows) == want
-
-
-def test_first_max_rank1_hand_cases():
-    # ties go to the lowest gallery index; -inf entries are removed items
-    scores = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [0.5, -np.inf, -np.inf]])
-    assert _rank1(scores, ["a", "a", "a"], ["a", "b", "a"]) == 2 / 3
-    with pytest.raises(ProtocolError):  # query 2's only relevant item is removed
-        _rank1(scores, ["a", "a", "b"], ["a", "b", "a"])
 
 
 # --- non-finite scores ----------------------------------------------------

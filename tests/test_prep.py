@@ -50,6 +50,13 @@ def test_normalize_zero_row_among_tiny_rows():
     assert exc.value.row_index == 1
     with pytest.raises(DegenerateRowError):
         score_matrix([[1.0, 0.0]], [[1e-200, 0.0], [0.0, 0.0]])
+    # a row holding inf or NaN is refused by its index too, not returned as NaN
+    for rows, index in (([[np.inf, 0.0]], 0), ([[np.nan, 1.0]], 0),
+                        ([[1e-200, 0.0], [3.0, -np.inf]], 1), ([[3.0, 4.0], [np.nan, np.inf]], 1)):
+        with pytest.raises(DataError, match=f"row {index} holds a non-finite value"):
+            l2_normalize(rows)
+    with pytest.raises(DataError, match="row 0 "):
+        score_matrix([[np.inf, 1.0], [1.0, 0.0]], [[1.0, 0.0]])
 
 
 def test_normalize_in_range_rows_keep_the_plain_division():

@@ -7,8 +7,10 @@ SRC on PYTHONPATH) and writes their reports, CSVs, splits, maps and
 dendrograms into OUT, which must be empty or absent.  The inputs are
 generated into DIR on the first run and reused afterwards: the
 generators of ``bench/workloads.py`` at seed 7, one small ``embalign
-synth`` set, a row-permuted copy of the second ``matrix-m6`` view, and
-copies of the first two synth views relabeled with unpadded integers.
+synth`` set, a row-permuted copy of the second ``matrix-m6`` view,
+copies of the first two synth views relabeled with unpadded integers,
+and a copy of the first synth view whose odd identities repeat the rows
+of the identity before them (tied scores).
 Reports embed the paths of their inputs, so two trees are compared
 through one shared DIR:
 
@@ -96,6 +98,7 @@ def _generate(src, inputs):
     manifest["synth"] = [os.path.join(synth_dir, f"view{v}.emb") for v in range(3)]
     manifest["permuted"] = _permuted_copy(_matrix_views(manifest["matrix-m6"])[1], inputs)
     manifest["relabeled"] = [_relabeled_copy(p, inputs) for p in manifest["synth"][:2]]
+    manifest["tied"] = _tied_copy(manifest["synth"][0], inputs)
     with open(os.path.join(inputs, MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
     return manifest
@@ -139,6 +142,30 @@ def _relabeled_copy(path, inputs):
     return copy
 
 
+def _tied_copy(path, inputs):
+    """Write the set at ``path`` with every odd identity's rows replaced by those of the one before.
+
+    The k-th identity in sorted label order, for odd k, takes the rows of
+    identity k - 1, in order; ids and labels stay.  Two identities then hold
+    equal rows, their scores tie, and the first-maximum rule decides which
+    of them a query's Rank-1 hit names.
+    """
+    from embalign.embedstore import EmbeddingSet, load_embeddings, save_embeddings
+
+    es = load_embeddings(path)
+    labels = np.array(es.labels)
+    rows = es.rows.copy()
+    members = [np.flatnonzero(labels == label) for label in sorted(set(es.labels))]
+    for before, odd in zip(members[0::2], members[1::2]):
+        rows[odd] = es.rows[before]
+    directory = os.path.join(inputs, "tied")
+    os.makedirs(directory, exist_ok=True)
+    copy = os.path.join(directory, os.path.basename(path))
+    save_embeddings(EmbeddingSet(es.model_name, es.dataset_name, rows, es.image_ids, es.labels),
+                    copy)
+    return copy
+
+
 def _matrix_views(argv):
     """The ``--inputs`` paths of a ``matrix`` argv."""
     return argv[argv.index("--inputs") + 1:argv.index("--method")]
@@ -169,6 +196,7 @@ def commands(manifest):
     demo = ["--source", views[0], "--target", views[1]]
     permuted = ["--source", matrix_views[0], "--target", manifest["permuted"]]
     relabeled = ["--source", manifest["relabeled"][0], "--target", manifest["relabeled"][1]]
+    tied = [views[1], manifest["tied"]]
     return [
         [*ident, "--out-dir", "eval_id"],
         ["eval-id", *_pair(ident), "--seeds", "0,1", "--exclude-self", "--dump-splits",
@@ -193,6 +221,10 @@ def commands(manifest):
          "eval_id_relabeled"],
         ["eval-verif", *relabeled, "--method", "linear", "--seeds", "0,1", "--dump-splits",
          "--out-dir", "eval_verif_relabeled"],
+        # a target whose identities come in pairs of equal rows: scores tie, and the first
+        # maximum (the lowest gallery index) decides each hit in both commands
+        ["matrix", "--inputs", *tied, "--out-dir", "matrix_tied"],
+        ["eval-id", "--source", tied[0], "--target", tied[1], "--out-dir", "eval_id_tied"],
         ["cluster", "--matrix", "matrix/compatibility_matrix.json", "--out-dir", "cluster"],
         ["sweep", *_pair(ident), "--methods", "procrustes,linear", "--fractions", "0.25,1.0",
          "--seeds", "0", "--out-dir", "sweep_ident"],
