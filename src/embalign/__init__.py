@@ -1,5 +1,18 @@
 """Linear alignment of embedding spaces with biometric evaluation protocols."""
 
+import os
+import sys
+
+# OpenBLAS reads this exponent once, when numpy loads it: an idle worker
+# busy-waits 2**N cycles after each BLAS call before it sleeps (default 28,
+# about 0.1 s, a core burnt while the main thread ranks or writes reports).
+# 2**20 cycles (under a millisecond) saves that CPU and still keeps the
+# workers awake through the runs of small products a matrix makes.
+# A user's own setting wins, and a host that already loaded numpy is left
+# as it is. scipy's OpenBLAS, loaded later, reads the variable too.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .align import (
     AlignmentMap,
     fit_map,

@@ -91,7 +91,8 @@ def _add_run_args(p):
 def _add_jobs_arg(p):
     p.add_argument("--jobs", type=int, default=1,
                    help="at least 1, ignored: seeds run on one thread, as BLAS uses every "
-                        "core (measured on 2 cores only: two seed threads were slower)")
+                        "core (measured on 2 cores only, while idle OpenBLAS workers spun "
+                        "2^28 cycles after each call: two seed threads were slower)")
 
 
 def _add_eval_args(p):

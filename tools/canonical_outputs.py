@@ -31,7 +31,9 @@ and dendrograms were the same at one and two OpenBLAS threads.  So OUT
 also gets ``blas_environment.json``: the BLAS library and version, the
 thread variables of the environment and the number of CPUs the process
 may run on.  A ``diff -r`` of two OUTs made under different settings
-names the cause first.
+names the cause first.  ``OPENBLAS_THREAD_TIMEOUT``, which ``embalign``
+sets when it loads numpy, is not part of that setting: it decides only
+when an idle worker sleeps, not how a product is split or summed.
 """
 
 from __future__ import annotations
