@@ -90,12 +90,15 @@ class Dendrogram:
         return self.leaves_of(int(a)) | self.leaves_of(int(b))
 
     def to_newick(self) -> str:
+        """Newick text; a name with whitespace or ``()[]':;,`` is single-quoted, ``'`` doubled."""
         m = len(self.merges) + 1
 
         def render(cid):
             if cid < m:
-                name = self.model_names[cid] if self.model_names else str(cid)
-                return str(name)
+                name = str(self.model_names[cid] if self.model_names else cid)
+                if any(c.isspace() or c in "()[]':;," for c in name):
+                    return "'" + name.replace("'", "''") + "'"
+                return name
             a, b, h = self.merges[cid - m]
             return f"({render(int(a))},{render(int(b))}):{h:g}"
 

@@ -25,6 +25,8 @@ from .errors import ArgumentError, EmbalignError, FormatError, IoError
 # have to produce byte-identical output regardless of where it goes
 _NON_CONFIG = ("func", "out", "out_dir", "jobs", "dump_splits")
 
+DEFAULT_PAIR_CAP = 10000  # of --genuine-cap and --impostor-cap, which only cross runs read
+
 
 def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NON_CONFIG}
@@ -178,6 +180,9 @@ def cmd_eval_verif(args):
         raise ArgumentError("--train-source and --train-target must be given together")
     if cross and args.dump_splits:
         raise ArgumentError("--dump-splits: the cross protocol does not split its data")
+    if not cross and (args.genuine_cap, args.impostor_cap) != (DEFAULT_PAIR_CAP,) * 2:
+        raise ArgumentError("--genuine-cap/--impostor-cap: only the cross protocol "
+                            "(--train-source/--train-target) caps its pairs")
     a = _load(args.source, args.format)
     b = _load(args.target, args.format)
     seeds = _seed_list(args)
@@ -338,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="average both scoring directions")
     p.add_argument("--train-source", help="fit on this source set (cross-dataset)")
     p.add_argument("--train-target", help="fit on this target set (cross-dataset)")
-    p.add_argument("--genuine-cap", type=int, default=10000)
-    p.add_argument("--impostor-cap", type=int, default=10000)
+    p.add_argument("--genuine-cap", type=int, default=DEFAULT_PAIR_CAP)
+    p.add_argument("--impostor-cap", type=int, default=DEFAULT_PAIR_CAP)
     p.set_defaults(func=cmd_eval_verif)
 
     p = sub.add_parser("matrix", help="pairwise Rank-1 compatibility matrix")

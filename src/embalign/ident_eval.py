@@ -47,7 +47,7 @@ kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,16 +294,9 @@ class SeedRetrieval:
 
 @dataclass(frozen=True)
 class RetrievalReport(AlignedBaselineReport):
-    """Per-seed identification metrics plus mean/std summaries."""
+    """Per-seed identification metrics (:class:`SeedRetrieval`) plus mean/std summaries."""
 
-    method: str
-    fraction: float
-    seeds: tuple
-    per_seed: tuple  # SeedRetrieval, aligned
-    per_seed_baseline: tuple  # SeedRetrieval, unaligned
-    per_seed_split: tuple = field(default=(), compare=False)  # splits.SplitSpec
     exclude_self: bool = False
-    metadata: dict = field(default_factory=dict)
 
     @classmethod
     def _summary(cls, results):
@@ -362,26 +355,20 @@ def evaluate_identification(
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
     exclude_self: bool = False,
 ) -> RetrievalReport:
-    """Run the per-seed identification protocol and aggregate the metrics."""
+    """Run the per-seed identification protocol and aggregate the metrics.
+
+    Each seed's aligned and baseline metrics and split go to :meth:`RetrievalReport.from_seeds`.
+    """
     seeds = check_seeds(seeds)
     pairing = align.pair_sets(source, target)
     results = []
     for seed, split, amap, (x, y), codes in pairing.seed_maps(method, alpha, fraction, seeds):
-        aligned, baseline = (
-            _metrics_from_rows(*align.project(x, y, m), codes, codes,
-                               min(CMC_MAX_RANK, len(codes)), seed, exclude_self)
-            for m in (amap, None)
-        )
-        results.append((aligned, baseline, split))
+        results.append((*(_metrics_from_rows(*align.project(x, y, m), codes, codes,
+                                             min(CMC_MAX_RANK, len(codes)), seed, exclude_self)
+                          for m in (amap, None)), split))
         del x, y  # free this seed's test rows before the next seed's fit
-    return RetrievalReport(
-        method=method,
-        fraction=fraction,
-        seeds=tuple(seeds),
-        per_seed=tuple(r[0] for r in results),
-        per_seed_baseline=tuple(r[1] for r in results),
-        per_seed_split=tuple(r[2] for r in results),
-        exclude_self=exclude_self,
+    return RetrievalReport.from_seeds(
+        results, method=method, fraction=fraction, exclude_self=exclude_self,
         metadata={
             **pair_metadata(source, target, method, alpha),
             "gallery_includes_self": not exclude_self,

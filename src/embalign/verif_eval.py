@@ -22,7 +22,7 @@ from the (0, 0) origin to (1, 1); AUC closes a curve that stops short of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,11 +199,14 @@ def tmr_at_fmr(roc, fmr_target: float) -> float:
 
 @dataclass(frozen=True)
 class SeedVerification:
+    """Metrics of one seed's scored pairs; ``tmr_grid`` is the TMR of its ROC at each FMR
+    of ``ROC_GRID``, which the report averages across seeds (the ROC points are not kept)."""
+
     seed: int
     auc: float
     eer: float
     tmr_at_fmr: dict
-    roc: tuple
+    tmr_grid: tuple
     n_genuine: int
     n_impostor: int
 
@@ -220,22 +223,14 @@ class SeedVerification:
 
 @dataclass(frozen=True)
 class VerificationReport(AlignedBaselineReport):
-    method: str
-    seeds: tuple
-    per_seed: tuple
-    per_seed_baseline: tuple
-    per_seed_split: tuple = field(default=(), compare=False)  # splits.SplitSpec; intra only
+    """Per-seed verification metrics (:class:`SeedVerification`) plus mean/std summaries."""
+
     protocol: str = "intra"
-    fraction: float = 0.7
     symmetric_score: bool = False
-    metadata: dict = field(default_factory=dict)
 
     @classmethod
     def _summary(cls, results):
-        # each stored ROC is a sweep from `_roc`, already sorted by (FMR, TMR)
-        tmr_mean, tmr_std = mean_std(
-            [_tmr_at(*_points_to_arrays(r.roc), _GRID_TARGETS) for r in results]
-        )
+        tmr_mean, tmr_std = mean_std([r.tmr_grid for r in results])
         return {
             "auc": cls._scalar([r.auc for r in results]),
             "eer": cls._scalar([r.eer for r in results]),
@@ -271,7 +266,7 @@ def _seed_metrics(scores, labels, seed):
         auc=_auc(fmr, tmr),
         eer=_eer(fmr, tmr),
         tmr_at_fmr=dict(zip(FMR_TARGETS, _tmr_at(fmr, tmr, FMR_TARGETS).tolist())),
-        roc=tuple(zip(fmr.tolist(), tmr.tolist())),
+        tmr_grid=tuple(_tmr_at(fmr, tmr, _GRID_TARGETS).tolist()),
         n_genuine=n_genuine,
         n_impostor=len(labels) - n_genuine,
     )
@@ -285,13 +280,6 @@ def _eval_sides(x, y, amap):
     """
     sides = (*align.project(x, y, amap), *align.project(x, y))
     return tuple((rows, _row_norms(rows)) for rows in sides)
-
-
-def _score_seed(sides, pairs, symmetric, seed):
-    queries, gallery, base_q, base_g = sides
-    aligned = _seed_metrics(*_score_pairs(queries, gallery, pairs, symmetric), seed)
-    base = _seed_metrics(*_score_pairs(base_q, base_g, pairs, symmetric), seed)
-    return aligned, base
 
 
 def evaluate_verification(
@@ -314,6 +302,7 @@ def evaluate_verification(
     ``ConsistencyError``): no split and no fit; every seed scores pairs of
     the shared rows, projected once.  Each seed samples ``pair_caps``
     (:func:`splits.check_pair_caps`) or every genuine pair and as many impostors.
+    Each seed's metrics and split go to :meth:`VerificationReport.from_seeds`.
     """
     seeds, pair_caps = check_seeds(seeds), check_pair_caps(pair_caps)
     if amap is not None:
@@ -326,17 +315,12 @@ def evaluate_verification(
             method, alpha, fraction, seeds, amap, _eval_sides):
         # pair indices refer to positions within the scored rows
         pairs = sample_pairs_capped(codes, *(pair_caps or (_pair_counts(codes)[0],) * 2), seed)
-        results.append((*_score_seed(sides, pairs, symmetric_score, seed), split))
+        results.append((*(_seed_metrics(*_score_pairs(*side, pairs, symmetric_score), seed)
+                          for side in (sides[:2], sides[2:])), split))
         del sides  # free a fitted map's rows before the next seed's fit; a fixed map keeps its own
-    return VerificationReport(
-        method=method,
-        seeds=tuple(seeds),
-        per_seed=tuple(r[0] for r in results),
-        per_seed_baseline=tuple(r[1] for r in results),
-        per_seed_split=tuple(r[2] for r in results if r[2] is not None),
-        protocol="intra" if amap is None else "cross",
-        fraction=fraction,
-        symmetric_score=symmetric_score,
+    return VerificationReport.from_seeds(
+        results, method=method, protocol="intra" if amap is None else "cross",
+        fraction=fraction, symmetric_score=symmetric_score,
         metadata={
             **pair_metadata(source, target, method, alpha),
             "scoring_direction": "symmetric" if symmetric_score else "source_to_target",

@@ -829,19 +829,22 @@ def test_load_map_checks_the_stored_block(tmp_path):
 
 # --- map file header validation -------------------------------------------
 
-def saved_map_blob(tmp_path, version=2):
-    """Bytes of a valid ridge map file with d_a=4, d_b=6 and format ``version``, its header."""
+@pytest.fixture(scope="module")
+def map_blobs(tmp_path_factory):
+    """Format version -> bytes, header and header length of one valid ridge map file.
+
+    The map has d_a=4 and d_b=6; both files are built once per module.
+    """
     rng = np.random.default_rng(13)
     stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 33)
     amap = AlignmentMap(rng.standard_normal((4, 6)), stats, "ridge", alpha=0.1, seed=3)
-    path = tmp_path / "valid.amap"
-    if version == 1:
-        path.write_bytes(map_bytes_v1(amap))
-    else:
-        save_map(amap, str(path))
-    blob = path.read_bytes()
-    newline = blob.index(b"\n")
-    return blob, json.loads(blob[:newline]), newline
+    path = tmp_path_factory.mktemp("maps") / "valid.amap"
+    save_map(amap, str(path))
+    blobs = {}
+    for version, blob in ((1, map_bytes_v1(amap)), (2, path.read_bytes())):
+        newline = blob.index(b"\n")
+        blobs[version] = blob, json.loads(blob[:newline]), newline
+    return blobs
 
 
 def with_header(header, data, width):
@@ -879,17 +882,17 @@ V1_ONLY = {"D_not_max", "missing_D"}
 
 
 @pytest.mark.parametrize("name", BAD_HEADERS)
-def test_load_map_rejects_bad_header(tmp_path, name):
+def test_load_map_rejects_bad_header(tmp_path, map_blobs, name):
     for version in (1,) if name in V1_ONLY else (1, 2):
-        blob, header, newline = saved_map_blob(tmp_path, version)
+        blob, header, newline = map_blobs[version]
         bad = with_header(BAD_HEADERS[name](dict(header)), blob[newline + 1:], newline)
         with pytest.raises(FormatError):
             load_bytes(tmp_path, bad)
 
 
-def test_load_map_rejects_non_finite_block(tmp_path):
+def test_load_map_rejects_non_finite_block(tmp_path, map_blobs):
     for version in (1, 2):
-        blob, header, _ = saved_map_blob(tmp_path, version)
+        blob, header, _ = map_blobs[version]
         at = header["offset_w"]
         bad = blob[:at] + np.array([np.nan]).tobytes() + blob[at + 8:]
         with pytest.raises(FormatError):
@@ -905,8 +908,8 @@ JSON_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_load_map_fuzz_raises_only_format_errors(tmp_path, data):
-    blob, header, newline = saved_map_blob(tmp_path, data.draw(st.sampled_from([1, 2])))
+def test_load_map_fuzz_raises_only_format_errors(tmp_path, map_blobs, data):
+    blob, header, newline = map_blobs[data.draw(st.sampled_from([1, 2]))]
     kind = data.draw(st.sampled_from(["truncate", "field", "bytes"]))
     if kind == "truncate":
         bad = blob[: data.draw(st.integers(0, len(blob) - 1))]

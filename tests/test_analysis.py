@@ -20,6 +20,7 @@ from embalign import (
     training_size_sweep,
 )
 from embalign import align, analysis, ident_eval
+from embalign.analysis import Dendrogram
 from embalign.errors import (
     ArgumentError,
     ConsistencyError,
@@ -209,6 +210,19 @@ def test_newick_output():
     assert text.endswith(";")
     for name in "abcd":
         assert name in text
+
+
+@pytest.mark.parametrize("names, want", [
+    # these names used to be written raw: "(it s;,(a,b,x(1)):10):85;"
+    (["a,b", "x(1)", "it s;"], "('it s;',('a,b','x(1)'):10):85;"),
+    (["o'brien", "[c]", "tab\there"], "('tab\there',('o''brien','[c]'):10):85;"),
+    (["view0", "eval_src", "m-1.b"], "(m-1.b,(view0,eval_src):10):85;"),
+    ((), "(2,(0,1):10):85;"),
+])
+def test_newick_quotes_names_that_need_it(names, want):
+    dend = Dendrogram(merges=((0, 1, 10.0), (2, 3, 85.0)), leaf_order=(2, 0, 1),
+                      model_names=tuple(names))
+    assert dend.to_newick() == want
 
 
 # --- asymmetry ------------------------------------------------------------

@@ -213,6 +213,24 @@ def test_eval_verif_cross_rejects_dump_splits(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("caps", [("--genuine-cap", "7", "--impostor-cap", "9"),
+                                  ("--genuine-cap", "7"), ("--impostor-cap", "0")])
+def test_eval_verif_intra_rejects_pair_caps(synth_dir, tmp_path, capsys, caps):
+    # the intra protocol scores every genuine pair and as many impostors, whatever the caps
+    code = eval_verif(synth_dir, tmp_path / "out", *caps)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and "--genuine-cap/--impostor-cap" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_verif_intra_accepts_the_default_caps(synth_dir, tmp_path):
+    code = eval_verif(synth_dir, tmp_path, "--genuine-cap", "10000", "--impostor-cap", "10000")
+    assert code == 0
+    metrics = json.loads((tmp_path / "verification_report.json").read_text())["metrics"]
+    assert metrics["metadata"]["pair_caps"] is None
+
+
 def _shared_labels(*paths):
     """Identities of the images the label files share, in sorted image id order."""
     files = []

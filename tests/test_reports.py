@@ -1,8 +1,10 @@
 """The report layer: summaries across seeds, the report envelope, the version.
 
-The references below are verbatim copies of the summary and ``to_dict``
-code that each report type carried before they shared
-``reports.mean_std`` and ``AlignedBaselineReport.to_dict``.
+The references below are copies of the summary and ``to_dict`` code that
+each report type carried before they shared ``reports.mean_std`` and
+``AlignedBaselineReport.to_dict``.  The verification reference reads each
+seed's ROC grid from the public ``roc_curve`` and ``tmr_at_fmr`` of the
+seed's scores, where the former code read the ROC points each seed kept.
 """
 
 import json
@@ -16,18 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embalign
-from embalign import analysis, evaluate_identification, evaluate_verification, reports
+from embalign import (
+    analysis, evaluate_identification, evaluate_verification, reports, roc_curve, tmr_at_fmr,
+)
 from embalign.errors import IoError
 from embalign.ident_eval import RetrievalReport, SeedRetrieval
+from embalign.splits import identity_disjoint_split
 from embalign.verif_eval import (
     FMR_TARGETS,
     ROC_GRID,
     VerificationReport,
     _GRID_TARGETS,
-    _points_to_arrays,
     _seed_metrics,
-    _tmr_at,
 )
+
+from conftest import fit_alignment, unit_pair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,13 +42,14 @@ def same(got, want):
     return got == want and json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-# --- verbatim references ----------------------------------------------------
+# --- references -------------------------------------------------------------
 
-def ref_sections(report, summary):
+def ref_sections(report, summaries):
+    """The aligned and the baseline section of ``report``, with their ``summaries``."""
     return {
-        side: {"per_seed": [r.to_dict() for r in results], "summary": summary(results)}
-        for side, results in (("aligned", report.per_seed),
-                              ("baseline", report.per_seed_baseline))
+        side: {"per_seed": [r.to_dict() for r in results], "summary": summary}
+        for side, results, summary in zip(
+            ("aligned", "baseline"), (report.per_seed, report.per_seed_baseline), summaries)
     }
 
 
@@ -78,11 +84,13 @@ def ref_retrieval_to_dict(report):
         "seeds": list(report.seeds),
         "exclude_self": report.exclude_self,
         "metadata": report.metadata,
-        **ref_sections(report, ref_retrieval_summary),
+        **ref_sections(report, [ref_retrieval_summary(results) for results in
+                                (report.per_seed, report.per_seed_baseline)]),
     }
 
 
-def ref_verification_summary(results):
+def ref_verification_summary(results, rocs):
+    """The summary of per-seed ``results`` whose ROCs (``roc_curve`` points) are ``rocs``."""
     def ms(vals):
         vals = np.asarray(vals)
         return {
@@ -97,10 +105,7 @@ def ref_verification_summary(results):
             str(t): ms([r.tmr_at_fmr[t] for r in results]) for t in FMR_TARGETS
         },
     }
-    # each stored ROC is a sweep from `_roc`, already sorted by (FMR, TMR)
-    grid_tmr = np.array(
-        [_tmr_at(*_points_to_arrays(r.roc), _GRID_TARGETS) for r in results]
-    )
+    grid_tmr = np.array([[tmr_at_fmr(roc, t) for t in _GRID_TARGETS] for roc in rocs])
     out["roc_grid"] = {
         "fmr": ROC_GRID.tolist(),
         "tmr_mean": grid_tmr.mean(axis=0).tolist(),
@@ -113,7 +118,7 @@ def ref_verification_summary(results):
     return out
 
 
-def ref_verification_to_dict(report):
+def ref_verification_to_dict(report, summaries):
     return {
         "method": report.method,
         "protocol": report.protocol,
@@ -121,7 +126,7 @@ def ref_verification_to_dict(report):
         "seeds": list(report.seeds),
         "symmetric_score": report.symmetric_score,
         "metadata": report.metadata,
-        **ref_sections(report, ref_verification_summary),
+        **ref_sections(report, summaries),
     }
 
 
@@ -158,10 +163,10 @@ unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def seed_retrievals(draw, n_seeds):
+def seed_retrievals(draw, seeds):
     """Per-seed identification results; galleries, so CMC lengths and ks, differ."""
     out = []
-    for seed in range(n_seeds):
+    for seed in seeds:
         n_cmc = draw(st.integers(1, 12))
         ks = [k for k in (1, 5, 10) if k <= n_cmc] if draw(st.booleans()) else [1, 5, 10]
         out.append(SeedRetrieval(
@@ -176,17 +181,18 @@ def seed_retrievals(draw, n_seeds):
 
 
 @st.composite
-def seed_verifications(draw, n_seeds):
-    """Per-seed verification results from drawn genuine and impostor scores."""
-    out = []
-    for seed in range(n_seeds):
+def seed_verifications(draw, seeds):
+    """Per-seed verification results from drawn genuine and impostor scores, and their ROCs."""
+    out, rocs = [], []
+    for seed in seeds:
         n_gen, n_imp = draw(st.integers(1, 20)), draw(st.integers(1, 20))
         values = st.sampled_from([-1.0, 0.0, 0.5, 1.0]) if draw(st.booleans()) else \
             st.floats(-1.0, 1.0)
         scores = draw(st.lists(values, min_size=n_gen + n_imp, max_size=n_gen + n_imp))
         labels = np.array([True] * n_gen + [False] * n_imp)
         out.append(_seed_metrics(np.array(scores), labels, seed))
-    return tuple(out)
+        rocs.append(roc_curve(scores, labels))
+    return tuple(out), rocs
 
 
 # --- the report types -------------------------------------------------------
@@ -196,8 +202,8 @@ def seed_verifications(draw, n_seeds):
 def test_retrieval_report_equals_its_former_code(data, n_seeds, exclude_self):
     report = RetrievalReport(
         method="linear", fraction=0.6, seeds=tuple(range(n_seeds)),
-        per_seed=data.draw(seed_retrievals(n_seeds)),
-        per_seed_baseline=data.draw(seed_retrievals(n_seeds)),
+        per_seed=data.draw(seed_retrievals(range(n_seeds))),
+        per_seed_baseline=data.draw(seed_retrievals(range(n_seeds))),
         exclude_self=exclude_self, metadata={"alpha": 0.0, "dataset": "d"},
     )
     assert same(report.summary, ref_retrieval_summary(report.per_seed))
@@ -208,16 +214,65 @@ def test_retrieval_report_equals_its_former_code(data, n_seeds, exclude_self):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n_seeds=st.integers(1, 4), protocol=st.sampled_from(["intra", "cross"]))
 def test_verification_report_equals_its_former_code(data, n_seeds, protocol):
+    (aligned, aligned_rocs), (baseline, baseline_rocs) = (
+        data.draw(seed_verifications(range(n_seeds))) for _ in range(2))
     report = VerificationReport(
-        method="ridge", seeds=tuple(range(n_seeds)),
-        per_seed=data.draw(seed_verifications(n_seeds)),
-        per_seed_baseline=data.draw(seed_verifications(n_seeds)),
+        method="ridge", seeds=tuple(range(n_seeds)), per_seed=aligned,
+        per_seed_baseline=baseline,
         protocol=protocol, fraction=0.5, symmetric_score=data.draw(st.booleans()),
         metadata={"alpha": 0.3, "pair_caps": None},
     )
-    assert same(report.summary, ref_verification_summary(report.per_seed))
-    assert same(report.baseline_summary, ref_verification_summary(report.per_seed_baseline))
-    assert same(report.to_dict(), ref_verification_to_dict(report))
+    summaries = (ref_verification_summary(aligned, aligned_rocs),
+                 ref_verification_summary(baseline, baseline_rocs))
+    assert same(report.summary, summaries[0])
+    assert same(report.baseline_summary, summaries[1])
+    assert same(report.to_dict(), ref_verification_to_dict(report, summaries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_seeds=st.integers(1, 4), fixed_map=st.booleans())
+def test_from_seeds_builds_the_report_of_a_seed_loop(data, n_seeds, fixed_map):
+    # a fixed map scores every seed on all shared rows, so its seeds have no split
+    seeds = data.draw(st.permutations(range(n_seeds)))
+    labels = ["a", "a", "b", "b", "c", "c"]
+    splits = [None if fixed_map else identity_disjoint_split(labels, 0.5, s) for s in seeds]
+    aligned, baseline = (data.draw(seed_retrievals(seeds)) for _ in range(2))
+    fields = {"method": "linear", "fraction": 0.6, "exclude_self": True,
+              "metadata": {"dataset": "d"}}
+    ident = RetrievalReport.from_seeds(zip(aligned, baseline, splits), **fields)
+    (v_aligned, v_rocs), (v_baseline, v_base_rocs) = (
+        data.draw(seed_verifications(seeds)) for _ in range(2))
+    verif = VerificationReport.from_seeds(
+        list(zip(v_aligned, v_baseline, splits)), method="ridge", fraction=0.5,
+        protocol="cross" if fixed_map else "intra", symmetric_score=True,
+        metadata={"pair_caps": None})
+    for report in (ident, verif):
+        assert report.seeds == tuple(seeds)
+        assert report.per_seed_split == (() if fixed_map else tuple(splits))
+        assert [s.seed for s in report.per_seed_split] == ([] if fixed_map else seeds)
+    assert ident == RetrievalReport(seeds=tuple(seeds), per_seed=aligned,
+                                    per_seed_baseline=baseline, **fields)
+    assert (ident.per_seed, ident.per_seed_baseline) == (aligned, baseline)
+    assert (verif.per_seed, verif.per_seed_baseline) == (v_aligned, v_baseline)
+    assert same(ident.to_dict(), ref_retrieval_to_dict(ident))
+    summaries = (ref_verification_summary(v_aligned, v_rocs),
+                 ref_verification_summary(v_baseline, v_base_rocs))
+    assert same(verif.to_dict(), ref_verification_to_dict(verif, summaries))
+
+
+def test_evaluators_keep_one_split_per_seed_in_seed_order(small_views):
+    v0, v1 = small_views
+    seeds = [3, 0, 1]
+    ident = evaluate_identification(v0, v1, seeds=seeds)
+    intra = evaluate_verification(v0, v1, seeds=seeds)
+    cross = evaluate_verification(v0, v1, seeds=seeds, pair_caps=(20, 20),
+                                  amap=fit_alignment(*unit_pair(v0, v1)[1:], "procrustes"))
+    for report in (ident, intra, cross):
+        assert report.seeds == tuple(seeds)
+        assert [r.seed for r in report.per_seed + report.per_seed_baseline] == seeds * 2
+    for report in (ident, intra):
+        assert [s.seed for s in report.per_seed_split] == seeds
+    assert cross.per_seed_split == ()
 
 
 @settings(max_examples=60, deadline=None)

@@ -437,14 +437,14 @@ def ref_seed_metrics(scores, labels, seed):
         auc=ref_auc(roc),
         eer=ref_eer(roc),
         tmr_at_fmr={t: ref_tmr_at_fmr(roc, t) for t in FMR_TARGETS},
-        roc=tuple(roc),
+        tmr_grid=tuple(ref_roc_on_grid(roc).tolist()),
         n_genuine=sum(labels),
         n_impostor=len(labels) - sum(labels),
     )
 
 
-def ref_grid_summary(results):
-    grid_tmr = np.array([ref_roc_on_grid(r.roc) for r in results])
+def ref_grid_summary(rocs):
+    grid_tmr = np.array([ref_roc_on_grid(roc) for roc in rocs])
     return grid_tmr.mean(axis=0).tolist(), (
         grid_tmr.std(axis=0, ddof=1) if grid_tmr.shape[0] > 1
         else np.zeros(grid_tmr.shape[1])
@@ -562,7 +562,8 @@ def test_seed_metrics_equal_list_reference(sets):
     want = [ref_seed_metrics(s, l, 4) for s, l in sets]
     assert got == want
     grid = VerificationReport._summary(got)["roc_grid"]
-    assert (grid["tmr_mean"], grid["tmr_std"]) == ref_grid_summary(want)
+    assert (grid["tmr_mean"], grid["tmr_std"]) == ref_grid_summary(
+        [ref_roc_curve(s, l) for s, l in sets])
 
 
 def test_seed_metrics_equal_list_reference_large():
