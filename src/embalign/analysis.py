@@ -90,13 +90,14 @@ class Dendrogram:
         return self.leaves_of(int(a)) | self.leaves_of(int(b))
 
     def to_newick(self) -> str:
-        """Newick text; a name with whitespace or ``()[]':;,`` is single-quoted, ``'`` doubled."""
+        """Newick text; a name holding whitespace or ``()[]':;,_`` is single-quoted and its
+        ``'`` doubled (Newick reads an unquoted ``_`` as a blank)."""
         m = len(self.merges) + 1
 
         def render(cid):
             if cid < m:
                 name = str(self.model_names[cid] if self.model_names else cid)
-                if any(c.isspace() or c in "()[]':;," for c in name):
+                if any(c.isspace() or c in "()[]':;,_" for c in name):
                     return "'" + name.replace("'", "''") + "'"
                 return name
             a, b, h = self.merges[cid - m]

@@ -355,17 +355,17 @@ def evaluate_identification(
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
     exclude_self: bool = False,
 ) -> RetrievalReport:
-    """Run the per-seed identification protocol and aggregate the metrics.
-
-    Each seed's aligned and baseline metrics and split go to :meth:`RetrievalReport.from_seeds`.
-    """
+    """Run the per-seed identification protocol into :meth:`RetrievalReport.from_seeds`."""
     seeds = check_seeds(seeds)
     pairing = align.pair_sets(source, target)
     results = []
     for seed, split, amap, (x, y), codes in pairing.seed_maps(method, alpha, fraction, seeds):
-        results.append((*(_metrics_from_rows(*align.project(x, y, m), codes, codes,
-                                             min(CMC_MAX_RANK, len(codes)), seed, exclude_self)
-                          for m in (amap, None)), split))
+        aligned, baseline = (
+            _metrics_from_rows(*align.project(x, y, m), codes, codes,
+                               min(CMC_MAX_RANK, len(codes)), seed, exclude_self)
+            for m in (amap, None)
+        )
+        results.append((aligned, baseline, split))
         del x, y  # free this seed's test rows before the next seed's fit
     return RetrievalReport.from_seeds(
         results, method=method, fraction=fraction, exclude_self=exclude_self,

@@ -93,25 +93,22 @@ def pair_metadata(source, target, method: str, alpha: float) -> dict:
 class AlignedBaselineReport:
     """Per-seed results of the aligned map (``per_seed``) and of the unaligned baseline.
 
-    ``per_seed_split`` holds each seed's :class:`splits.SplitSpec`, in seed order (none for
-    a fixed map), and takes no part in equality.  Subclasses add their protocol's fields
-    and a ``_summary(results)`` class method.
+    ``per_seed_split`` holds each seed's :class:`splits.SplitSpec` in seed order (none for a
+    fixed map) and takes no part in equality.  Subclasses add fields and ``_summary(results)``.
     """
 
     method: str
     seeds: tuple
     per_seed: tuple
     per_seed_baseline: tuple
+    fraction: float
     per_seed_split: tuple = dataclasses.field(default=(), compare=False)
-    fraction: float = 0.7
     metadata: dict = dataclasses.field(default_factory=dict)
 
     @classmethod
     def from_seeds(cls, results, **fields):
-        """The report of a seed loop's (aligned, baseline, split) triples and ``fields``.
-
-        Its seeds are the aligned results' seeds; a ``None`` split (a fixed map) is left out.
-        """
+        """The report of a seed loop's (aligned, baseline, split) triples and ``fields``; its
+        seeds are the aligned results' seeds, and a ``None`` split (fixed map) is left out."""
         aligned, base, splits = zip(*results)
         return cls(seeds=tuple(r.seed for r in aligned), per_seed=aligned, per_seed_baseline=base,
                    per_seed_split=tuple(s for s in splits if s is not None), **fields)

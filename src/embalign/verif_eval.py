@@ -199,8 +199,7 @@ def tmr_at_fmr(roc, fmr_target: float) -> float:
 
 @dataclass(frozen=True)
 class SeedVerification:
-    """Metrics of one seed's scored pairs; ``tmr_grid`` is the TMR of its ROC at each FMR
-    of ``ROC_GRID``, which the report averages across seeds (the ROC points are not kept)."""
+    """One seed's pair metrics; ``tmr_grid`` holds its TMR at each ``ROC_GRID`` FMR, not its ROC."""
 
     seed: int
     auc: float
@@ -315,8 +314,11 @@ def evaluate_verification(
             method, alpha, fraction, seeds, amap, _eval_sides):
         # pair indices refer to positions within the scored rows
         pairs = sample_pairs_capped(codes, *(pair_caps or (_pair_counts(codes)[0],) * 2), seed)
-        results.append((*(_seed_metrics(*_score_pairs(*side, pairs, symmetric_score), seed)
-                          for side in (sides[:2], sides[2:])), split))
+        aligned, baseline = (
+            _seed_metrics(*_score_pairs(*side, pairs, symmetric_score), seed)
+            for side in (sides[:2], sides[2:])
+        )
+        results.append((aligned, baseline, split))
         del sides  # free a fitted map's rows before the next seed's fit; a fixed map keeps its own
     return VerificationReport.from_seeds(
         results, method=method, protocol="intra" if amap is None else "cross",

@@ -216,7 +216,8 @@ def test_newick_output():
     # these names used to be written raw: "(it s;,(a,b,x(1)):10):85;"
     (["a,b", "x(1)", "it s;"], "('it s;',('a,b','x(1)'):10):85;"),
     (["o'brien", "[c]", "tab\there"], "('tab\there',('o''brien','[c]'):10):85;"),
-    (["view0", "eval_src", "m-1.b"], "(m-1.b,(view0,eval_src):10):85;"),
+    # Newick reads an unquoted "_" as a blank
+    (["view0", "eval_src", "m-1.b"], "(m-1.b,(view0,'eval_src'):10):85;"),
     ((), "(2,(0,1):10):85;"),
 ])
 def test_newick_quotes_names_that_need_it(names, want):

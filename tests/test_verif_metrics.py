@@ -561,6 +561,7 @@ def test_seed_metrics_equal_list_reference(sets):
     got = [_seed_metrics(np.array(s), np.array(l), 4) for s, l in sets]
     want = [ref_seed_metrics(s, l, 4) for s, l in sets]
     assert got == want
+    assert [roc_curve(s, l) for s, l in sets] == [ref_roc_curve(s, l) for s, l in sets]
     grid = VerificationReport._summary(got)["roc_grid"]
     assert (grid["tmr_mean"], grid["tmr_std"]) == ref_grid_summary(
         [ref_roc_curve(s, l) for s, l in sets])
@@ -572,6 +573,9 @@ def test_seed_metrics_equal_list_reference_large():
     scores = np.round(rng.standard_normal(6000) + labels, 3)  # ties across classes
     assert _seed_metrics(scores, labels, 0) == ref_seed_metrics(
         scores.tolist(), labels.tolist(), 0
+    )
+    assert roc_curve(scores.tolist(), labels.tolist()) == ref_roc_curve(
+        scores.tolist(), labels.tolist()
     )
 
 
