@@ -41,10 +41,11 @@ def _make_dir(path):
 
 
 def _write_report(args, name, protocol, metrics, inputs):
-    """Write the report ``name`` into ``--out-dir``, which is made if needed."""
+    """Write the report ``name`` into ``--out-dir``, which is made if needed, with the
+    :class:`reports.InputHashes` ``inputs`` that the command started when it began."""
     _make_dir(args.out_dir)
     reports.write_report(os.path.join(args.out_dir, name), _config(args), protocol,
-                         {"metrics": metrics}, input_paths=inputs)
+                         {"metrics": metrics}, inputs)
 
 
 def _parse_list(text: str, kind, what: str) -> list:
@@ -92,9 +93,9 @@ def _add_run_args(p):
 
 def _add_jobs_arg(p):
     p.add_argument("--jobs", type=int, default=1,
-                   help="at least 1, ignored: seeds run on one thread, as BLAS uses every "
-                        "core (measured on 2 cores only, while idle OpenBLAS workers spun "
-                        "2^28 cycles after each call: two seed threads were slower)")
+                   help="at least 1, ignored: seeds run one after another, each fit on every "
+                        "BLAS thread; eval-id then scores a seed's aligned and baseline sides "
+                        "on two threads, each on half of OpenBLAS's threads")
 
 
 def _add_eval_args(p):
@@ -155,15 +156,16 @@ def _dump_splits(out_dir, report, tag):
 
 
 def cmd_eval_id(args):
-    a = _load(args.source, args.format)
-    b = _load(args.target, args.format)
-    seeds = _seed_list(args)
-    report = ident_eval.evaluate_identification(
-        a, b, method=args.method, seeds=seeds, fraction=args.train_frac,
-        alpha=args.alpha, exclude_self=args.exclude_self,
-    )
-    _write_report(args, "identification_report.json", "identification", report.to_dict(),
-                  [args.source, args.target])
+    with reports.InputHashes([args.source, args.target]) as hashes:
+        a = _load(args.source, args.format)
+        b = _load(args.target, args.format)
+        seeds = _seed_list(args)
+        report = ident_eval.evaluate_identification(
+            a, b, method=args.method, seeds=seeds, fraction=args.train_frac,
+            alpha=args.alpha, exclude_self=args.exclude_self,
+        )
+        _write_report(args, "identification_report.json", "identification", report.to_dict(),
+                      hashes)
     reports.write_csv(
         os.path.join(args.out_dir, "cmc.csv"),
         ["rank", "accuracy_mean", "accuracy_std"],
@@ -183,17 +185,18 @@ def cmd_eval_verif(args):
     if not cross and (args.genuine_cap, args.impostor_cap) != (DEFAULT_PAIR_CAP,) * 2:
         raise ArgumentError("--genuine-cap/--impostor-cap: only the cross protocol "
                             "(--train-source/--train-target) caps its pairs")
-    a = _load(args.source, args.format)
-    b = _load(args.target, args.format)
-    seeds = _seed_list(args)
-    amap = _cross_map(args) if cross else None
-    report = verif_eval.evaluate_verification(
-        a, b, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
-        pair_caps=(args.genuine_cap, args.impostor_cap) if cross else None, amap=amap,
-        symmetric_score=args.symmetric_score,
-    )
-    _write_report(args, "verification_report.json", "verification", report.to_dict(),
-                  [args.source, args.target])
+    with reports.InputHashes([args.source, args.target]) as hashes:
+        a = _load(args.source, args.format)
+        b = _load(args.target, args.format)
+        seeds = _seed_list(args)
+        amap = _cross_map(args) if cross else None
+        report = verif_eval.evaluate_verification(
+            a, b, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
+            pair_caps=(args.genuine_cap, args.impostor_cap) if cross else None, amap=amap,
+            symmetric_score=args.symmetric_score,
+        )
+        _write_report(args, "verification_report.json", "verification", report.to_dict(),
+                      hashes)
     reports.write_csv(
         os.path.join(args.out_dir, "roc.csv"),
         ["fmr", "tmr"],
@@ -213,13 +216,14 @@ def cmd_matrix(args):
                 f"--inputs {paths[name]} and {path} both give the model name {name!r}"
             )
         paths[name] = path
-    sets = [_load(p, args.format) for p in args.inputs]
-    seeds = _seed_list(args)
-    cm = analysis.build_compatibility_matrix(
-        sets, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
-    )
-    _write_report(args, "compatibility_matrix.json", "compatibility_matrix", cm.to_dict(),
-                  args.inputs)
+    with reports.InputHashes(args.inputs) as hashes:
+        sets = [_load(p, args.format) for p in args.inputs]
+        seeds = _seed_list(args)
+        cm = analysis.build_compatibility_matrix(
+            sets, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
+        )
+        _write_report(args, "compatibility_matrix.json", "compatibility_matrix", cm.to_dict(),
+                      hashes)
     header = ["model"] + list(cm.model_names)
     rows = [
         [name] + [float(v) if not np.isnan(v) else "missing" for v in cm.rank1[i]]
@@ -268,30 +272,31 @@ def _read_matrix(path: str) -> analysis.CompatibilityMatrix:
 
 
 def cmd_cluster(args):
-    cm = _read_matrix(args.matrix)
-    names = list(cm.model_names)
-    sym = analysis.symmetrize(cm)
-    dend = analysis.agglomerative_cluster(sym, linkage=args.linkage, model_names=names)
-    asym = analysis.asymmetry_stats(cm)
-    _write_report(args, "cluster_report.json", "clustering",
-                  {"dendrogram": dend.to_dict(), "asymmetry": asym}, [args.matrix])
+    with reports.InputHashes([args.matrix]) as hashes:
+        cm = _read_matrix(args.matrix)
+        names = list(cm.model_names)
+        sym = analysis.symmetrize(cm)
+        dend = analysis.agglomerative_cluster(sym, linkage=args.linkage, model_names=names)
+        asym = analysis.asymmetry_stats(cm)
+        _write_report(args, "cluster_report.json", "clustering",
+                      {"dendrogram": dend.to_dict(), "asymmetry": asym}, hashes)
     newick = (dend.to_newick() + "\n").encode("utf-8")
     reports.atomic_write(os.path.join(args.out_dir, "dendrogram.newick"), newick)
     return 0
 
 
 def cmd_sweep(args):
-    a = _load(args.source, args.format)
-    b = _load(args.target, args.format)
-    seeds = _seed_list(args)
-    fractions = _parse_list(args.fractions, float, "--fractions")
-    methods = tuple(args.methods.split(","))
-    table = analysis.training_size_sweep(
-        a, b, fractions, seeds=seeds, methods=methods,
-        base_fraction=args.train_frac, alpha=args.alpha,
-    )
-    _write_report(args, "sweep_report.json", "training_size_sweep", table,
-                  [args.source, args.target])
+    with reports.InputHashes([args.source, args.target]) as hashes:
+        a = _load(args.source, args.format)
+        b = _load(args.target, args.format)
+        seeds = _seed_list(args)
+        fractions = _parse_list(args.fractions, float, "--fractions")
+        methods = tuple(args.methods.split(","))
+        table = analysis.training_size_sweep(
+            a, b, fractions, seeds=seeds, methods=methods,
+            base_fraction=args.train_frac, alpha=args.alpha,
+        )
+        _write_report(args, "sweep_report.json", "training_size_sweep", table, hashes)
     reports.write_csv(
         os.path.join(args.out_dir, "sweep.csv"),
         ["method", "fraction", "rank1_mean", "rank1_std"],

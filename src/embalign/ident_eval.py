@@ -37,7 +37,9 @@ entries (or one row); a chunk holds a whole number of blocks, so no
 block straddles two chunks.  The kernel's temporaries, the sorted block
 and per-item arrays of at most one block's entries, hold one block
 each.  Memory is thus the unit rows plus one chunk and one block, and
-does not grow with the number of queries or of items per label.
+does not grow with the number of queries or of items per label.  The
+aligned and the baseline side of a seed run at once, on two threads, so
+a seed holds both sides' unit rows and a chunk and a block of each.
 ``score_matrix`` is filled from the same chunks, so the evaluation's
 scores have its bits on every shape and BLAS (a row block of a BLAS
 product is not in general bit-equal to the full product), and a score
@@ -47,11 +49,12 @@ kernel.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import align
+from . import align, blas
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
@@ -346,6 +349,46 @@ def _metrics_from_rows(queries, gallery, q_codes, g_codes, max_rank, seed, exclu
     return _seed_metrics(chunks, q_codes, g_codes, max_rank, seed, exclude_self)
 
 
+def _side_metrics(x, y, amap, codes, seed, exclude_self):
+    """:func:`_metrics_from_rows` of one side's :func:`align.project` rows, both labeled ``codes``.
+
+    Each projected array is freed as soon as its unit copy is made, so the
+    two sides of a seed, which run at once, hold less between them.
+    """
+    queries, gallery = align.project(x, y, amap)
+    queries = _unit_rows(queries)
+    gallery = _unit_rows(gallery)
+    chunks = _score_chunks(queries, gallery)
+    return _seed_metrics(chunks, codes, codes, min(CMC_MAX_RANK, len(codes)), seed, exclude_self)
+
+
+def _both_sides(x, y, amap, codes, seed, exclude_self):
+    """The aligned and the baseline metrics of one seed, the baseline on a second thread.
+
+    Products and sorts release the GIL, so the two sides rank at once, each
+    on half of OpenBLAS's threads (:func:`blas.split_threads`).  The aligned
+    side's error is raised before the baseline's, the order of one thread.
+    """
+    baseline = {}
+
+    def run():
+        try:
+            baseline["metrics"] = _side_metrics(x, y, None, codes, seed, exclude_self)
+        except Exception as exc:  # raised on the calling thread, after the aligned side
+            baseline["error"] = exc
+
+    worker = threading.Thread(target=run, name="embalign-baseline")
+    with blas.split_threads(2):
+        worker.start()
+        try:
+            aligned = _side_metrics(x, y, amap, codes, seed, exclude_self)
+        finally:
+            worker.join()
+    if "error" in baseline:
+        raise baseline["error"]
+    return aligned, baseline["metrics"]
+
+
 def evaluate_identification(
     source: EmbeddingSet,
     target: EmbeddingSet,
@@ -355,17 +398,16 @@ def evaluate_identification(
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
     exclude_self: bool = False,
 ) -> RetrievalReport:
-    """Run the per-seed identification protocol into :meth:`RetrievalReport.from_seeds`."""
+    """Run the per-seed identification protocol into :meth:`RetrievalReport.from_seeds`.
+
+    Each seed's map is fit on every BLAS thread; its two sides are then scored side by side
+    (:func:`_both_sides`).
+    """
     seeds = check_seeds(seeds)
     pairing = align.pair_sets(source, target)
     results = []
     for seed, split, amap, (x, y), codes in pairing.seed_maps(method, alpha, fraction, seeds):
-        aligned, baseline = (
-            _metrics_from_rows(*align.project(x, y, m), codes, codes,
-                               min(CMC_MAX_RANK, len(codes)), seed, exclude_self)
-            for m in (amap, None)
-        )
-        results.append((aligned, baseline, split))
+        results.append((*_both_sides(x, y, amap, codes, seed, exclude_self), split))
         del x, y  # free this seed's test rows before the next seed's fit
     return RetrievalReport.from_seeds(
         results, method=method, fraction=fraction, exclude_self=exclude_self,

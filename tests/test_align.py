@@ -571,11 +571,19 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
     expected = project(l2_normalize(a.rows[test]), y[test], amap)[0].tobytes()
 
     scored = []
-    real_rows = ident_eval._metrics_from_rows
-    monkeypatch.setattr(ident_eval, "_metrics_from_rows",
-                        lambda q, *args: scored.append(q) or real_rows(q, *args))
-    evaluate_identification(v0, v1, "ridge", seeds=(0,))
-    assert scored[0].tobytes() == expected  # scored[1] holds the baseline queries
+
+    def recorded(*args):
+        rows = project(*args)
+        scored.append(rows)
+        return rows
+
+    with mock.patch.object(align, "project", side_effect=recorded):
+        evaluate_identification(v0, v1, "ridge", seeds=(0,))
+    # the two sides are scored at once, so either may come first
+    k = min(v0.rows.shape[1], v1.rows.shape[1])
+    baseline = np.ascontiguousarray(l2_normalize(a.rows[test])[:, :k]).tobytes()
+    got = sorted(np.ascontiguousarray(queries).tobytes() for queries, _ in scored)
+    assert got == sorted([expected, baseline])
 
     sides = []
     real_sides = verif_eval._eval_sides

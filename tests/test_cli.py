@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from unittest import mock
 
 import pytest
@@ -179,17 +180,41 @@ def test_library_cross_protocol_equals_the_cli(synth_dir, tmp_path):
     assert json.loads(reports.canonical_json(rep.to_dict())) == doc["metrics"]
 
 
-def test_jobs_starts_no_thread(synth_dir, tmp_path, monkeypatch):
+def _started_threads(monkeypatch, *argv):
+    """The names of the threads one CLI run starts, each checked to have ended with the run."""
     started = []
     real_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: started.append(self) or real_start(self))
-    assert eval_id(synth_dir, tmp_path / "id", "--jobs", "4") == 0
-    assert eval_verif(synth_dir, tmp_path / "verif", "--seeds", "0,1", "--jobs", "4") == 0
-    code = run("matrix", "--inputs", *(str(synth_dir / f"view{v}.emb") for v in range(3)),
-               "--seeds", "0,1", "--jobs", "4", "--out-dir", str(tmp_path / "mat"))
-    assert code == 0
-    assert started == []
+    code = run(*argv)
+    monkeypatch.undo()
+    assert not [t for t in started if t.is_alive()], "a thread outlived the command"
+    return code, sorted(t.name for t in started)
+
+
+def test_jobs_starts_the_same_threads(synth_dir, tmp_path, monkeypatch):
+    views = [str(synth_dir / f"view{v}.emb") for v in range(3)]
+    commands = {
+        "eval-id": ["eval-id", "--source", views[0], "--target", views[1], "--seeds", "0,1"],
+        "eval-verif": ["eval-verif", "--source", views[0], "--target", views[1], "--seeds", "0,1"],
+        "matrix": ["matrix", "--inputs", *views, "--seeds", "0,1"],
+    }
+    for name, argv in commands.items():
+        one, four = (_started_threads(monkeypatch, *argv, "--jobs", jobs,
+                                      "--out-dir", str(tmp_path / f"{name}{jobs}"))
+                     for jobs in ("1", "4"))
+        assert one == four and one[0] == 0, name
+
+
+def test_a_failed_command_leaves_no_thread(synth_dir, tmp_path, monkeypatch):
+    # the target is missing: loading fails while the input hashing, slowed here, still runs
+    real_sha256 = reports.file_sha256
+    monkeypatch.setattr(reports, "file_sha256", lambda path: time.sleep(0.2) or real_sha256(path))
+    code, names = _started_threads(
+        monkeypatch, "eval-id", "--source", str(synth_dir / "view0.emb"),
+        "--target", str(tmp_path / "missing.emb"), "--out-dir", str(tmp_path / "out"))
+    assert code == 1 and names == ["embalign-hash"]
+    assert not (tmp_path / "out").exists()
 
 
 def eval_verif(synth_dir, out_dir, *extra):

@@ -323,7 +323,7 @@ def test_version_is_the_tool_version_and_the_package_version():
 
 
 def test_hashing_an_unreadable_input_is_an_io_error(tmp_path):
-    with pytest.raises(IoError):
-        reports.provenance({}, [str(tmp_path / "missing.emb")])
+    with pytest.raises(IoError), reports.InputHashes([str(tmp_path / "missing.emb")]) as hashes:
+        hashes.result()
     with pytest.raises(IoError):
         reports.file_sha256(str(tmp_path))  # a directory
