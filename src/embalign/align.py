@@ -21,10 +21,11 @@ orthogonal map is U V^T from the thin SVD of the d_a x d_b
 cross-covariance X^T Y: its columns are orthonormal when d_a >= d_b,
 its rows when d_a < d_b.  All solver arithmetic is float64.
 Reflections are allowed in the orthogonal fit (no determinant
-correction).  The procrustes map of a side onto itself is I: it attains
-min over orthogonal W of ||X W - X||_F = 0, the unique optimum when X has
-full column rank, so :func:`fit_sides` returns the identity for one side
-passed twice and computes no SVD.
+correction).  Two facts spare the compatibility matrix fits: the
+procrustes map of a side onto itself is I, which attains min over
+orthogonal W of ||X W - X||_F = 0 (the unique optimum when X has full
+column rank), and the orthogonal factor of (X^T Y)^T = Y^T X is the
+transpose of that of X^T Y, so the map from target to source is W^T.
 
 Scoring works in the models' own shapes too (:func:`project`): each
 side keeps the k columns it shares with the other, k = d_b with a map
@@ -186,26 +187,6 @@ class AlignmentMap:
         if self.method != "ridge" and self.alpha != 0.0:
             raise ConsistencyError("alpha must be 0 unless method is ridge")
 
-    def reversed(self) -> "AlignmentMap":
-        """The procrustes map of the same training rows fit from target to source.
-
-        The orthogonal factor of (X^T Y)^T is the transpose of that of
-        X^T Y, so W becomes W^T and the sides swap: means, widths and
-        model names.  Linear and ridge maps are directional regressions
-        with no such identity; reversing one is a ``ConsistencyError``.
-        """
-        if self.method != "procrustes":
-            raise ConsistencyError(f"a {self.method} map cannot be reversed; fit it anew")
-        s = self.stats
-        return AlignmentMap(
-            w=self.w.T,
-            stats=PrepStats(s.mu_y, s.mu_x, s.n_train),
-            method=self.method,
-            source_model=self.target_model,
-            target_model=self.source_model,
-            seed=self.seed,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Side:
@@ -261,20 +242,12 @@ def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RI
               **meta) -> AlignmentMap:
     """The map of ``method`` from the centered train rows of ``source`` to those of ``target``.
 
-    Every fit of the package goes through here.  The returned map holds
-    the two sides' train means; ``meta`` fills its descriptive fields
-    (``source_model``, ``target_model``, ``seed``).  One side passed as
-    both ``source`` and ``target`` (the same object, as the compatibility
-    matrix's self cells pass it) fits procrustes as the identity map, an
-    exact optimum of ||X W - X||_F over orthogonal W (the unique one when
-    X has full column rank), with no :func:`fit_map` call.  Linear and
-    ridge still fit such a side: the minimum-norm least-squares map of a
-    rank-deficient X is a projector, not I, and ridge shrinks the map.
+    Every fit of the package goes through here, and through :func:`fit_map`.
+    The returned map holds the two sides' train means; ``meta`` fills its
+    descriptive fields (``source_model``, ``target_model``, ``seed``),
+    which only a map that is saved needs.
     """
-    if source is target and method == "procrustes":
-        w = np.eye(source.train.shape[1])
-    else:
-        w = fit_map(source.train, target.train, method, alpha)
+    w = fit_map(source.train, target.train, method, alpha)
     stats = PrepStats(source.mean, target.mean, len(source.train))
     return AlignmentMap(
         w=w, stats=stats, method=method, alpha=alpha if method == "ridge" else 0.0, **meta

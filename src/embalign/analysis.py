@@ -21,7 +21,8 @@ from .errors import (
 from .ident_eval import map_rank1
 from .reports import mean_std
 from .splits import (
-    DEFAULT_SEEDS, _rng, check_distinct, check_fraction, check_seeds, identity_disjoint_split,
+    DEFAULT_SEEDS, DEFAULT_TRAIN_FRACTION, _rng, check_distinct, check_fraction, check_seeds,
+    identity_disjoint_split,
 )
 
 _TAG_SWEEP = 301
@@ -110,7 +111,7 @@ def build_compatibility_matrix(
     sets,
     method: str = "procrustes",
     seeds=DEFAULT_SEEDS,
-    fraction: float = 0.7,
+    fraction: float = DEFAULT_TRAIN_FRACTION,
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
 ) -> CompatibilityMatrix:
     """Mean Rank-1 (percent) of every ordered model pair, self-pairs included.
@@ -127,12 +128,12 @@ def build_compatibility_matrix(
     cell that scores against them, into the gallery every cell into that
     model shares (:attr:`align.Side.gallery`).  A model holds one side at
     a time, rebuilt when a pair shares other rows of it.  Both ordered
-    cells of a pair score from those sides.  A self cell (i, i) passes one
-    side as both source and target, so procrustes takes the identity map,
-    an exact optimum, and computes no SVD (:func:`align.fit_sides`).
-    Procrustes fits once per unordered pair i < j per seed: cell (j, i)
-    scores the reversed map of (i, j)
-    (:meth:`align.AlignmentMap.reversed`) right away, and fits its own map
+    cells of a pair score from those sides, each through one map array.
+    A self procrustes cell (i, i) scores its side with no map: the
+    identity, an exact optimum (:mod:`align`).  Procrustes fits once per
+    unordered pair i < j per seed (:func:`align.fit_sides`): cell (j, i)
+    scores the transpose of that map right away, the map of the same
+    training rows fit from j to i (:mod:`align`), and fits its own map
     where (i, j) failed.  Linear and ridge are directional regressions and
     fit per cell, self cells included.  No side or map outlives its seed.
     The arguments are checked before any cell is fit.  Each ordered cell
@@ -183,22 +184,22 @@ def build_compatibility_matrix(
             except EmbalignError:
                 failed.update(cells)
                 continue
-            forward = None  # the procrustes map i -> j of this seed
+            forward = None  # the procrustes map array i -> j of this seed
             for a, b in cells:
                 try:
-                    if forward is not None:  # (a, b) is (j, i)
-                        amap = forward.reversed()
+                    if method == "procrustes" and a == b:
+                        w = None  # the identity, an exact optimum
+                    elif forward is not None:  # (a, b) is (j, i)
+                        w = forward.T
                     else:
-                        amap = align.fit_sides(prepared[a], prepared[b], method, alpha,
-                                               seed=seed, source_model=names[a],
-                                               target_model=names[b])
+                        w = align.fit_sides(prepared[a], prepared[b], method, alpha).w
                         if method == "procrustes" and a < b:
-                            forward = amap
-                    value = map_rank1(prepared[a].test, prepared[b], codes, amap)
+                            forward = w
+                    value = map_rank1(prepared[a].test, prepared[b], codes, w)
                     per_seed.setdefault((a, b), []).append(value)
                 except EmbalignError:
                     failed.add((a, b))
-        sides = prepared = forward = amap = None  # no side or map outlives its seed
+        sides = prepared = forward = w = None  # no side or map outlives its seed
     rank1 = np.full((m, m), np.nan)
     for (a, b), values in per_seed.items():
         if (a, b) not in failed:
@@ -288,7 +289,7 @@ def training_size_sweep(
     fractions,
     seeds=DEFAULT_SEEDS,
     methods=("procrustes", "linear", "ridge"),
-    base_fraction: float = 0.7,
+    base_fraction: float = DEFAULT_TRAIN_FRACTION,
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
 ) -> dict:
     """Rank-1 vs. amount of training data, on a fixed per-seed test pool.
@@ -336,7 +337,7 @@ def training_size_sweep(
             train = split.train_rows[np.isin(train_codes, pool[order[:n_ids]])]
             a, b = pairing.sides(train, split.test_rows)
             for method in methods:
-                amap = align.fit_sides(a, b, method, alpha, seed=seed)
+                w = align.fit_sides(a, b, method, alpha).w
                 points.append(
                     {
                         "method": method,
@@ -344,7 +345,7 @@ def training_size_sweep(
                         "seed": seed,
                         "n_train_identities": n_ids,
                         "n_train_rows": len(train),
-                        "rank1": map_rank1(a.test, b, codes, amap),
+                        "rank1": map_rank1(a.test, b, codes, w),
                     }
                 )
     summary = []

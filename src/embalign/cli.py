@@ -77,7 +77,7 @@ def _add_fit_args(p):
     p.add_argument("--method", default="procrustes", choices=align.METHODS)
     p.add_argument("--alpha", type=float, default=align.DEFAULT_RIDGE_ALPHA,
                    help="ridge regularization weight")
-    p.add_argument("--train-frac", type=float, default=0.7)
+    p.add_argument("--train-frac", type=float, default=splits.DEFAULT_TRAIN_FRACTION)
 
 
 def _add_pair_args(p):
@@ -182,6 +182,9 @@ def cmd_eval_verif(args):
         raise ArgumentError("--train-source and --train-target must be given together")
     if cross and args.dump_splits:
         raise ArgumentError("--dump-splits: the cross protocol does not split its data")
+    if cross and args.train_frac != splits.DEFAULT_TRAIN_FRACTION:
+        raise ArgumentError("--train-frac: the cross protocol fits on every row of "
+                            "--train-source/--train-target")
     if not cross and (args.genuine_cap, args.impostor_cap) != (DEFAULT_PAIR_CAP,) * 2:
         raise ArgumentError("--genuine-cap/--impostor-cap: only the cross protocol "
                             "(--train-source/--train-target) caps its pairs")

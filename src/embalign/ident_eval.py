@@ -59,7 +59,7 @@ from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
 from .reports import AlignedBaselineReport, mean_std, pair_metadata
-from .splits import DEFAULT_SEEDS, check_seeds, label_codes
+from .splits import DEFAULT_SEEDS, DEFAULT_TRAIN_FRACTION, check_seeds, label_codes
 
 RANK_KS = (1, 5, 10)
 CMC_MAX_RANK = 50
@@ -394,7 +394,7 @@ def evaluate_identification(
     target: EmbeddingSet,
     method: str = "procrustes",
     seeds=DEFAULT_SEEDS,
-    fraction: float = 0.7,
+    fraction: float = DEFAULT_TRAIN_FRACTION,
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
     exclude_self: bool = False,
 ) -> RetrievalReport:
@@ -418,26 +418,30 @@ def evaluate_identification(
     )
 
 
-def map_rank1(x_test, target, codes, amap) -> float:
-    """Aligned Rank-1 of the fitted map ``amap`` on one split's test rows.
+def map_rank1(x_test, target, codes, w) -> float:
+    """Aligned Rank-1 of the map array ``w`` on one split's test rows; ``w=None`` is no map.
 
-    ``x_test`` are the source test rows centered with ``amap``'s source
-    mean (:attr:`align.Side.test`), ``target`` the prepared target side
-    whose unit test rows are the gallery (:attr:`align.Side.gallery`), and
-    ``codes`` the :func:`splits.label_codes` of both.  The mapped queries
-    are normalized and scored in the chunks the evaluation ranks, and a
-    query's hit is the label of the first maximum of its score row: the
-    lowest gallery index among equal scores, the rank kernel's rank 1.  So
-    the value, or the ``ProtocolError`` of zero queries, is the seed's
-    aligned Rank-1 in :func:`evaluate_identification`.  The kernel's other
-    cases cannot occur: every query's own image is in the gallery; no item
-    is removed (no -inf score); every score is the cosine of two finite
-    unit rows (:class:`EmbeddingSet` and :class:`align.AlignmentMap` refuse
+    ``x_test`` are the source test rows centered with the source train mean
+    (:attr:`align.Side.test`), ``target`` the prepared target side whose
+    unit test rows are the gallery (:attr:`align.Side.gallery`), ``w`` a
+    d_a x d_b map array fit on that split's train rows (``None``: the
+    identity), and ``codes`` the :func:`splits.label_codes` of both.  The
+    queries ``x_test @ w`` are made here, so they are freed once
+    normalized, then scored in the chunks the evaluation ranks, and a
+    query's hit is the label of the first
+    maximum of its score row: the lowest gallery index among equal scores,
+    the rank kernel's rank 1.  So the value, or the ``ProtocolError`` of
+    zero queries, is the seed's aligned Rank-1 in
+    :func:`evaluate_identification`.  The kernel's other cases cannot
+    occur: every query's own image is in the gallery; no item is removed
+    (no -inf score); every score is the cosine of two finite unit rows
+    (:class:`EmbeddingSet` and :class:`align.AlignmentMap` refuse
     non-finite values, :func:`prep._unit_rows` an all-zero row); and a
     split keeps at least one test identity.
     """
     hits = np.zeros(len(codes), dtype=bool)
-    for start, chunk in _score_chunks(_unit_rows(x_test @ amap.w), target.gallery):
+    queries = _unit_rows(x_test if w is None else x_test @ w)
+    for start, chunk in _score_chunks(queries, target.gallery):
         stop = start + len(chunk)
         hits[start:stop] = codes[start:stop] == codes[chunk.argmax(axis=1)]
         chunk = None  # free the chunk before the next one is scored

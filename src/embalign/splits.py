@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ArgumentError, ConsistencyError, DegenerateDataError
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
+#: the share of identities a split trains on, unless a fraction is given
+DEFAULT_TRAIN_FRACTION = 0.7
 
 # per-operation PRNG domain tags, so different operations sharing one user
 # seed draw from independent streams

@@ -30,8 +30,8 @@ from . import align
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
 from .reports import AlignedBaselineReport, mean_std, pair_metadata
-from .splits import (DEFAULT_SEEDS, PairList, _pair_counts, check_pair_caps, check_seeds,
-                     sample_pairs_capped)
+from .splits import (DEFAULT_SEEDS, DEFAULT_TRAIN_FRACTION, PairList, _pair_counts,
+                     check_pair_caps, check_seeds, sample_pairs_capped)
 
 FMR_TARGETS = (0.01, 0.001)
 
@@ -286,7 +286,7 @@ def evaluate_verification(
     target: EmbeddingSet,
     method: str | None = None,
     seeds=DEFAULT_SEEDS,
-    fraction: float = 0.7,
+    fraction: float = DEFAULT_TRAIN_FRACTION,
     alpha: float = align.DEFAULT_RIDGE_ALPHA,
     pair_caps=None,
     amap: align.AlignmentMap | None = None,

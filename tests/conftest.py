@@ -62,7 +62,7 @@ def aligned_rank1(x, y, labels, splits, method, alpha) -> float:
     per_seed = []
     for split in splits:
         a, b = (unit_side(v, split.train_rows, split.test_rows) for v in (x, y))
-        amap = align.fit_sides(a, b, method, alpha, seed=split.seed)
+        w = align.fit_sides(a, b, method, alpha).w
         codes = label_codes([labels[i] for i in split.test_rows])
-        per_seed.append(map_rank1(a.test, b, codes, amap))
+        per_seed.append(map_rank1(a.test, b, codes, w))
     return float(mean_std(per_seed)[0])

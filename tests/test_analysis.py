@@ -282,29 +282,52 @@ def test_compatibility_matrix_single_model(small_views):
     assert cm.rank1.shape == (1, 1)
 
 
-def _scored_cell(amap):
-    """(source model, target model, seed) of a map the matrix scores."""
-    return amap.source_model, amap.target_model, amap.seed
+def _label_sides(monkeypatch, sets, seeds):
+    """Record ``(side, model name, seed)`` of each side the matrix prepares; return the list.
+
+    Every pair of ``sets`` that pairs at all shares the same rows, so each
+    seed prepares one side per model, in model order: the matrix's fixed
+    call order names each side.
+    """
+    real, made = align.prepare_side, []
+
+    def prepare(rows, *args):
+        model = sets[len(made) % len(sets)]
+        assert rows is model.rows  # the order the labels are read from
+        made.append((real(rows, *args), model.model_name, seeds[len(made) // len(sets)]))
+        return made[-1][0]
+
+    monkeypatch.setattr(align, "prepare_side", prepare)
+    return made
 
 
-def test_compatibility_matrix_scores_only_the_aligned_side(small_views):
+def _cell(made, source_test, target):
+    """(source model, target model, seed) of a cell that scores ``source_test`` into ``target``."""
+    (source, seed), = [(name, seed) for side, name, seed in made if side.test is source_test]
+    (target, target_seed), = [(name, seed) for side, name, seed in made if side is target]
+    assert seed == target_seed
+    return source, target, seed
+
+
+def test_compatibility_matrix_scores_only_the_aligned_side(small_views, monkeypatch):
     v0, v1 = small_views
     # a model that saw none of the others' images: its off-diagonal cells fail
     lone = EmbeddingSet("lone", "", v0.rows, [f"x{i}" for i in v0.image_ids], v0.labels)
     sets = [v0, v1, lone]
+    made = _label_sides(monkeypatch, sets, (0, 1))
     with mock.patch.object(ident_eval, "_score_chunks", wraps=ident_eval._score_chunks) as spy, \
             mock.patch.object(analysis, "map_rank1", wraps=analysis.map_rank1) as cell, \
-            mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prep, \
             mock.patch.object(analysis, "identity_disjoint_split",
                               wraps=analysis.identity_disjoint_split) as split:
         cm = build_compatibility_matrix(sets, seeds=(0, 1))
+    monkeypatch.undo()
     live = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
-    scored = [_scored_cell(c.args[3]) for c in cell.call_args_list]
+    scored = [_cell(made, *c.args[:2]) for c in cell.call_args_list]
     # one scoring per (cell, seed), seed by seed
     assert scored == [(sets[a].model_name, sets[b].model_name, seed)
                       for seed in (0, 1) for a, b in live]
     assert spy.call_count == len(live) * 2
-    assert prep.call_count == len(sets) * 2  # each model's side is prepared once per seed
+    assert len(made) == len(sets) * 2  # each model's side is prepared once per seed
     # the live cells share one label list (lone's ids sort like v0's): one split per seed
     assert split.call_count == 2
     for i in range(3):
@@ -442,33 +465,28 @@ def test_all_missing_matrix_warns_nothing(small_views):
             cm_from([[np.nan, 101.0], [np.nan, np.nan]])
 
 
-def _seam_cell(seam, args, kwargs):
-    """(source model, target model, seed) of a call of ``fit_sides`` or ``map_rank1``."""
-    if seam == "fit_sides":
-        return kwargs["source_model"], kwargs["target_model"], kwargs["seed"]
-    return _scored_cell(args[3])
-
-
-def _failing(monkeypatch, module, seam, cell, exc):
+def _failing(monkeypatch, sets, seeds, module, seam, cell, exc):
     """Make the call of ``module.seam`` for ``cell``, a (source, target, seed), raise ``exc``.
 
+    ``seam`` is ``fit_sides`` or ``map_rank1``, each called with the source
+    side (of ``map_rank1``: its test rows) and the target side first.
     Returns the list of the cells of every call, the failing one included.
     """
-    real, calls = getattr(module, seam), []
+    made, real, calls = _label_sides(monkeypatch, sets, seeds), getattr(module, seam), []
 
-    def failing(*args, **kwargs):
-        calls.append(_seam_cell(seam, args, kwargs))
+    def failing(source, target, *args):
+        calls.append(_cell(made, source if seam == "map_rank1" else source.test, target))
         if calls[-1] == cell:
             raise exc
-        return real(*args, **kwargs)
+        return real(source, target, *args)
 
     monkeypatch.setattr(module, seam, failing)
     return calls
 
 
 def test_compatibility_matrix_protocol_error_is_missing_cell(small_views, monkeypatch):
-    calls = _failing(monkeypatch, analysis, "map_rank1", ("m0", "m1", 0),
-                     ProtocolError("no relevant gallery items"))
+    calls = _failing(monkeypatch, list(small_views), (0,), analysis, "map_rank1",
+                     ("m0", "m1", 0), ProtocolError("no relevant gallery items"))
     cm = build_compatibility_matrix(list(small_views), seeds=(0,))
     assert calls.count(("m0", "m1", 0)) == 1
     assert np.isnan(cm.rank1[0, 1])
@@ -476,7 +494,7 @@ def test_compatibility_matrix_protocol_error_is_missing_cell(small_views, monkey
 
 
 @pytest.mark.parametrize("module, seam, cell, missing", [
-    # the seed-1 fit of m0 -> m1: m1 -> m0 reverses the seed-0 map and fits seed 1 itself
+    # the seed-1 fit of m0 -> m1: m1 -> m0 scores the seed-0 transpose and fits seed 1 itself
     (align, "fit_sides", ("m0", "m1", 1), (0, 1)),
     # the seed-0 scoring of m1 -> m0, after m0 -> m1 scored that seed; at seed 1
     # m0 -> m1 fits its map and m1 -> m0 is evaluated no further
@@ -487,7 +505,7 @@ def test_compatibility_matrix_pair_cells_fail_on_their_own(small_views, monkeypa
     sets, seeds = list(small_views), (0, 1)
     want = [[100.0 * evaluate_identification(a, b, seeds=seeds).summary["rank_k"]["1"]["mean"]
              for b in sets] for a in sets]
-    calls = _failing(monkeypatch, module, seam, cell, NumericalError("injected"))
+    calls = _failing(monkeypatch, sets, seeds, module, seam, cell, NumericalError("injected"))
     with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
         cm = build_compatibility_matrix(sets, seeds=seeds)
     assert calls.count(cell) == 1
@@ -502,7 +520,8 @@ def test_compatibility_matrix_pair_cells_fail_on_their_own(small_views, monkeypa
 
 
 def test_compatibility_matrix_bug_propagates(small_views, monkeypatch):
-    _failing(monkeypatch, analysis, "map_rank1", ("m0", "m1", 0), TypeError("bug in a cell"))
+    _failing(monkeypatch, list(small_views), (0,), analysis, "map_rank1", ("m0", "m1", 0),
+             TypeError("bug in a cell"))
     with pytest.raises(TypeError, match="bug in a cell"):
         build_compatibility_matrix(list(small_views), seeds=(0,))
 
@@ -526,23 +545,59 @@ def test_compatibility_matrix_prepares_each_side_once_per_seed(m, seeds):
 
 def test_compatibility_matrix_fits_only_its_off_diagonal_pairs():
     # M views of the same images over S seeds: procrustes fits each pair i < j once
-    # per seed and takes the identity map on the diagonal; linear fits every cell
+    # per seed and scores the diagonal with no map; linear fits every cell
     m, seeds = 3, (0, 2)
     sets = _same_image_views(m, noise=0.8)
-    real = align.fit_sides
+    real = analysis.map_rank1
 
-    def svd_always(source, target, *args, **kwargs):
-        # a copy of the target side is another object: the self cell fits its SVD
-        return real(source, align.Side(target.train, target.test, target.mean), *args, **kwargs)
+    def svd_always(x_test, target, codes, w):
+        # a self cell scores the SVD fit of its side onto itself instead of no map
+        if w is None:
+            w = align.fit_sides(target, target, "procrustes").w
+        return real(x_test, target, codes, w)
 
     for method, fits in (("procrustes", m * (m - 1) // 2), ("linear", m * m)):
-        with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+        with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit, \
+                mock.patch.object(analysis, "map_rank1", wraps=real) as cell:
             cm = build_compatibility_matrix(sets, method=method, seeds=seeds)
         assert fit.call_count == fits * len(seeds), method
-        with mock.patch.object(align, "fit_sides", svd_always):
+        unmapped = [c.args[0] is c.args[1].test for c in cell.call_args_list if c.args[3] is None]
+        assert unmapped == [True] * (m * len(seeds) if method == "procrustes" else 0), method
+        with mock.patch.object(analysis, "map_rank1", svd_always):
             assert cm.rank1.tobytes() == build_compatibility_matrix(
                 sets, method=method, seeds=seeds).rank1.tobytes()
         assert (np.diag(cm.rank1) == 100.0).all() and (cm.rank1 < 100.0).any()
+
+
+def test_compatibility_matrix_cells_equal_their_maps_scored_directly():
+    # a self procrustes cell scores as the identity map, and cell (j, i) as the
+    # transpose of a direct fit of (i, j), bit for bit, on the sides the matrix made
+    cloud = generate_identity_cloud(40, 5, 8, seed=3)
+    sets = [embed_view(cloud, 12, 31, noise=0.6), embed_view(cloud, 40, 32, noise=0.5),
+            embed_view(cloud, 24, 33, noise=0.4, map_kind="general_linear")]
+    m, seeds, calls = len(sets), (0, 1), []
+    real = analysis.map_rank1
+
+    def recorded(*args):
+        calls.append((*args, real(*args)))
+        return calls[-1][-1]
+
+    with mock.patch.object(analysis, "map_rank1", recorded):
+        cm = build_compatibility_matrix(sets, seeds=seeds)
+    order = []  # the cells of one seed, as the matrix scores them
+    for i in range(m):
+        order += [(i, i)] + [c for j in range(i + 1, m) for c in ((i, j), (j, i))]
+    assert len(calls) == len(order) * len(seeds)
+    for (a, b), (x_test, target, codes, w, value) in zip(order * len(seeds), calls):
+        if a == b:
+            assert w is None and x_test is target.test
+            assert value == real(x_test, target, codes, np.eye(x_test.shape[1]))
+        elif a > b:
+            source = next(c[1] for c in calls if c[1].test is x_test)  # the side of model a
+            direct = align.fit_sides(target, source, "procrustes").w.T
+            assert w.tobytes() == direct.tobytes()
+            assert value == real(x_test, target, codes, direct)
+    assert np.isfinite(cm.rank1).all() and (cm.rank1 < 100.0).any()
 
 
 def test_compatibility_matrix_normalizes_each_gallery_once_per_seed():

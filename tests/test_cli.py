@@ -238,6 +238,23 @@ def test_eval_verif_cross_rejects_dump_splits(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fraction", ["0.3", "1.0"])
+def test_eval_verif_cross_rejects_train_frac(synth_dir, tmp_path, capsys, fraction):
+    # the cross map fits on every training row, so a fraction would be recorded and ignored
+    train = ["--train-source", str(synth_dir / "view0.emb"),
+             "--train-target", str(synth_dir / "view2.emb"),
+             "--genuine-cap", "100", "--impostor-cap", "100"]
+    code = eval_verif(synth_dir, tmp_path / "out", *train, "--train-frac", fraction)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and "--train-frac" in err
+    assert not (tmp_path / "out").exists()
+    # the default, also when given, runs and is what the report records
+    assert eval_verif(synth_dir, tmp_path / "ok", *train, "--train-frac", "0.7") == 0
+    metrics = json.loads((tmp_path / "ok" / "verification_report.json").read_text())["metrics"]
+    assert metrics["fraction"] == 0.7
+
+
 @pytest.mark.parametrize("caps", [("--genuine-cap", "7", "--impostor-cap", "9"),
                                   ("--genuine-cap", "7"), ("--impostor-cap", "0")])
 def test_eval_verif_intra_rejects_pair_caps(synth_dir, tmp_path, capsys, caps):

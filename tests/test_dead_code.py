@@ -1,4 +1,4 @@
-"""Every module-level function of the package is called by the package, or kept for a reason."""
+"""Every function and method of the package is called by the package, or kept for a reason."""
 
 import ast
 import glob
@@ -21,6 +21,8 @@ KEEP = {
     "ident_eval._metrics_from_scores",
     # the serial reference of one side's metrics, which the evaluation tests compare against
     "ident_eval._metrics_from_rows",
+    # README's quick start reads the baseline summary of a report
+    "reports.AlignedBaselineReport.baseline_summary",
 }
 
 
@@ -53,6 +55,27 @@ def uncalled_functions(sources: dict) -> list:
     return sorted(name for name in defined if name.split(".")[1] not in read)
 
 
+def uncalled_methods(sources: dict) -> list:
+    """``module.Class.method`` of each method or property of a module-level class no code reads.
+
+    A method counts as called when some module other than ``__init__``
+    reads an attribute of its name, of any object (``self.fit``,
+    ``report.to_dict``).  Dunder methods are called by Python itself.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        if module == "__init__":
+            continue
+        tree = ast.parse(source)
+        defined += [f"{module}.{cls.name}.{node.name}" for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined if name.rsplit(".", 1)[1] not in read)
+
+
 def traced_layers(monkeypatch) -> set:
     """The ``module.function`` names the benchmark's traced runs wrap (``bench/spans.py``)."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
@@ -64,7 +87,7 @@ def test_every_uncalled_function_is_a_traced_layer_or_kept(monkeypatch):
     for path in SOURCES:
         with open(path, encoding="utf-8") as f:
             sources[os.path.basename(path)[:-3]] = f.read()
-    uncalled = uncalled_functions(sources)
+    uncalled = uncalled_functions(sources) + uncalled_methods(sources)
     dead = set(uncalled) - traced_layers(monkeypatch) - KEEP
     assert not dead, f"no package code calls {sorted(dead)}"
     assert KEEP <= set(uncalled), f"kept but called: {sorted(KEEP - set(uncalled))}"
@@ -78,3 +101,15 @@ def test_the_scan_sees_called_and_uncalled_functions():
         "b": "from . import a\n\ndef k(r):\n    h = r.h\n    return a.f(), r.m\n",
     }
     assert uncalled_functions(sources) == ["a.h", "a.m", "b.k"]
+
+
+def test_the_scan_sees_called_and_uncalled_methods():
+    sources = {
+        "__init__": "from .a import A\n",
+        "a": "class A:\n    def __init__(self):\n        self.g = 1\n\n"
+             "    def f(self):\n        return self.p\n\n"
+             "    @property\n    def p(self):\n        return 1\n\n"
+             "    def g(self):\n        pass\n\n    def h(self):\n        pass\n",
+        "b": "def k(r):\n    return r.f()\n",
+    }
+    assert uncalled_methods(sources) == ["a.A.g", "a.A.h"]

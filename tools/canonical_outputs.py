@@ -258,6 +258,9 @@ def commands(manifest):
         ["eval-verif", *demo, "--train-frac", "0.98", "--seeds", "0,1", "--symmetric-score",
          "--out-dir", "eval_verif_exhaustive"],
         ["matrix", "--inputs", *views, "--seeds", "0", "--out-dir", "demo_matrix"],
+        # a regression fits its self cells too, where procrustes scores them with no map
+        ["matrix", "--inputs", *views, "--method", "ridge", "--alpha", "0.3", "--seeds", "0,1",
+         "--out-dir", "matrix_ridge"],
         ["cluster", "--matrix", "demo_matrix/compatibility_matrix.json", "--linkage", "average",
          "--out-dir", "demo_cluster"],
         ["sweep", *demo, "--seeds", "0", "--fractions", "0.25,0.5,1.0", "--out-dir",
