@@ -40,9 +40,20 @@ def _make_dir(path):
         raise IoError(str(exc)) from exc
 
 
+def _hashing(files):
+    """Hash ``files`` beside the command: a :class:`reports.Beside` whose result is
+    ``{path: hex digest}``."""
+    return reports.Beside("embalign-hash", lambda: {f: reports.file_sha256(f) for f in files})
+
+
+def _set_files(args, *paths):
+    """Each file that loading the sets at ``paths`` in ``--format`` reads, once."""
+    return list(dict.fromkeys(f for p in paths for f in embedstore.set_files(p, args.format)))
+
+
 def _write_report(args, name, protocol, metrics, inputs):
     """Write the report ``name`` into ``--out-dir``, which is made if needed, with the
-    :class:`reports.InputHashes` ``inputs`` that the command started when it began."""
+    input hashes of :func:`_hashing`, which the command started when it began."""
     _make_dir(args.out_dir)
     reports.write_report(os.path.join(args.out_dir, name), _config(args), protocol,
                          {"metrics": metrics}, inputs)
@@ -156,10 +167,10 @@ def _dump_splits(out_dir, report, tag):
 
 
 def cmd_eval_id(args):
-    with reports.InputHashes([args.source, args.target]) as hashes:
+    seeds = _seed_list(args)
+    with _hashing(_set_files(args, args.source, args.target)) as hashes:
         a = _load(args.source, args.format)
         b = _load(args.target, args.format)
-        seeds = _seed_list(args)
         report = ident_eval.evaluate_identification(
             a, b, method=args.method, seeds=seeds, fraction=args.train_frac,
             alpha=args.alpha, exclude_self=args.exclude_self,
@@ -188,10 +199,11 @@ def cmd_eval_verif(args):
     if not cross and (args.genuine_cap, args.impostor_cap) != (DEFAULT_PAIR_CAP,) * 2:
         raise ArgumentError("--genuine-cap/--impostor-cap: only the cross protocol "
                             "(--train-source/--train-target) caps its pairs")
-    with reports.InputHashes([args.source, args.target]) as hashes:
+    seeds = _seed_list(args)
+    train = (args.train_source, args.train_target) if cross else ()
+    with _hashing(_set_files(args, args.source, args.target, *train)) as hashes:
         a = _load(args.source, args.format)
         b = _load(args.target, args.format)
-        seeds = _seed_list(args)
         amap = _cross_map(args) if cross else None
         report = verif_eval.evaluate_verification(
             a, b, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
@@ -219,9 +231,9 @@ def cmd_matrix(args):
                 f"--inputs {paths[name]} and {path} both give the model name {name!r}"
             )
         paths[name] = path
-    with reports.InputHashes(args.inputs) as hashes:
+    seeds = _seed_list(args)
+    with _hashing(_set_files(args, *args.inputs)) as hashes:
         sets = [_load(p, args.format) for p in args.inputs]
-        seeds = _seed_list(args)
         cm = analysis.build_compatibility_matrix(
             sets, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
         )
@@ -275,7 +287,7 @@ def _read_matrix(path: str) -> analysis.CompatibilityMatrix:
 
 
 def cmd_cluster(args):
-    with reports.InputHashes([args.matrix]) as hashes:
+    with _hashing([args.matrix]) as hashes:
         cm = _read_matrix(args.matrix)
         names = list(cm.model_names)
         sym = analysis.symmetrize(cm)
@@ -289,12 +301,12 @@ def cmd_cluster(args):
 
 
 def cmd_sweep(args):
-    with reports.InputHashes([args.source, args.target]) as hashes:
+    seeds = _seed_list(args)
+    fractions = _parse_list(args.fractions, float, "--fractions")
+    methods = tuple(args.methods.split(","))
+    with _hashing(_set_files(args, args.source, args.target)) as hashes:
         a = _load(args.source, args.format)
         b = _load(args.target, args.format)
-        seeds = _seed_list(args)
-        fractions = _parse_list(args.fractions, float, "--fractions")
-        methods = tuple(args.methods.split(","))
         table = analysis.training_size_sweep(
             a, b, fractions, seeds=seeds, methods=methods,
             base_fraction=args.train_frac, alpha=args.alpha,

@@ -43,6 +43,12 @@ def _label_path(path: str) -> str:
     return base + ".labels.tsv"
 
 
+def set_files(path: str, format: str = "binary") -> list:
+    """The files :func:`load_embeddings` reads for the set at ``path``: the path itself, and
+    for the binary format its label file."""
+    return [path, _label_path(path)] if format == "binary" else [path]
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """Per-image embeddings of one model on one dataset.

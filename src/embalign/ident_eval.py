@@ -49,7 +49,6 @@ kernel.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,7 @@ from . import align, blas
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
-from .reports import AlignedBaselineReport, mean_std, pair_metadata
+from .reports import AlignedBaselineReport, Beside, mean_std, pair_metadata
 from .splits import DEFAULT_SEEDS, DEFAULT_TRAIN_FRACTION, check_seeds, label_codes
 
 RANK_KS = (1, 5, 10)
@@ -362,33 +361,6 @@ def _side_metrics(x, y, amap, codes, seed, exclude_self):
     return _seed_metrics(chunks, codes, codes, min(CMC_MAX_RANK, len(codes)), seed, exclude_self)
 
 
-def _both_sides(x, y, amap, codes, seed, exclude_self):
-    """The aligned and the baseline metrics of one seed, the baseline on a second thread.
-
-    Products and sorts release the GIL, so the two sides rank at once, each
-    on half of OpenBLAS's threads (:func:`blas.split_threads`).  The aligned
-    side's error is raised before the baseline's, the order of one thread.
-    """
-    baseline = {}
-
-    def run():
-        try:
-            baseline["metrics"] = _side_metrics(x, y, None, codes, seed, exclude_self)
-        except Exception as exc:  # raised on the calling thread, after the aligned side
-            baseline["error"] = exc
-
-    worker = threading.Thread(target=run, name="embalign-baseline")
-    with blas.split_threads(2):
-        worker.start()
-        try:
-            aligned = _side_metrics(x, y, amap, codes, seed, exclude_self)
-        finally:
-            worker.join()
-    if "error" in baseline:
-        raise baseline["error"]
-    return aligned, baseline["metrics"]
-
-
 def evaluate_identification(
     source: EmbeddingSet,
     target: EmbeddingSet,
@@ -400,14 +372,20 @@ def evaluate_identification(
 ) -> RetrievalReport:
     """Run the per-seed identification protocol into :meth:`RetrievalReport.from_seeds`.
 
-    Each seed's map is fit on every BLAS thread; its two sides are then scored side by side
-    (:func:`_both_sides`).
+    Each seed's map is fit on every BLAS thread.  Its two sides are then scored side by side,
+    each on half of OpenBLAS's threads (:func:`blas.split_threads`): products and sorts
+    release the GIL, so the baseline ranks on a second thread while the aligned side ranks on
+    this one.  The aligned side's error is raised before the baseline's, the order of one
+    thread.
     """
     seeds = check_seeds(seeds)
     pairing = align.pair_sets(source, target)
     results = []
     for seed, split, amap, (x, y), codes in pairing.seed_maps(method, alpha, fraction, seeds):
-        results.append((*_both_sides(x, y, amap, codes, seed, exclude_self), split))
+        with blas.split_threads(2), Beside("embalign-baseline", _side_metrics,
+                                           x, y, None, codes, seed, exclude_self) as baseline:
+            aligned = _side_metrics(x, y, amap, codes, seed, exclude_self)
+        results.append((aligned, baseline.result(), split))
         del x, y  # free this seed's test rows before the next seed's fit
     return RetrievalReport.from_seeds(
         results, method=method, fraction=fraction, exclude_self=exclude_self,

@@ -69,34 +69,31 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-class InputHashes:
-    """The :func:`file_sha256` of each input file, hashed on one thread from creation on.
+class Beside:
+    """``fn(*args)``, run on a thread named ``name`` from creation on.
 
-    Use it as a context manager around the command that reads the files:
-    leaving the block waits for the thread, also when the command fails,
-    and :meth:`result` gives the hashes to the report writer.
+    :meth:`result` waits for the thread.  Used as a context manager, the
+    object also waits for it when the block is left, also when the block
+    fails; the block's error is then the one raised.
     """
 
-    def __init__(self, paths):
-        self._hashes, self._error = {}, None
-        self._thread = threading.Thread(target=self._hash, args=(list(paths),),
-                                        name="embalign-hash")
+    def __init__(self, name: str, fn, *args):
+        self._value = self._error = None
+        self._thread = threading.Thread(target=self._run, args=(fn, args), name=name)
         self._thread.start()
 
-    def _hash(self, paths):
+    def _run(self, fn, args):
         try:
-            for path in paths:
-                self._hashes[path] = file_sha256(path)
+            self._value = fn(*args)
         except Exception as exc:  # raised by result(), on the thread that reads it
             self._error = exc
 
-    def result(self) -> dict:
-        """``{path: hex digest}`` once every file is hashed; else the hashing's error, such as
-        the ``IoError`` of an unreadable file."""
+    def result(self):
+        """What ``fn`` returned, once it has; else the error it raised."""
         self._thread.join()
         if self._error is not None:
             raise self._error
-        return self._hashes
+        return self._value
 
     def __enter__(self):
         return self
@@ -172,8 +169,9 @@ class AlignedBaselineReport:
         return out
 
 
-def write_report(path: str, config: dict, protocol: str, body: dict, inputs: InputHashes):
-    """Emit the standard report envelope as canonical JSON, with the hashes of ``inputs``."""
+def write_report(path: str, config: dict, protocol: str, body: dict, inputs: Beside):
+    """Emit the standard report envelope as canonical JSON, with the input hashes that the
+    :class:`Beside` ``inputs`` gives as ``{path: hex digest}``."""
     doc = {
         "config": _canon(config),
         "protocol": protocol,

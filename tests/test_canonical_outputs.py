@@ -22,6 +22,7 @@ STUB_MANIFEST = {
     "permuted": "permuted/view1_permuted.emb",
     "relabeled": [f"relabeled/view{v}.emb" for v in range(2)],
     "tied": "tied/view0.emb",
+    "csv": [f"csv/view{v}.csv" for v in range(2)],
 }
 
 

@@ -1,6 +1,7 @@
 import collections
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -215,6 +216,89 @@ def test_a_failed_command_leaves_no_thread(synth_dir, tmp_path, monkeypatch):
         "--target", str(tmp_path / "missing.emb"), "--out-dir", str(tmp_path / "out"))
     assert code == 1 and names == ["embalign-hash"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval-id", "--seeds"), ("eval-verif", "--seeds"), ("matrix", "--seeds"),
+    ("sweep", "--seeds"), ("sweep", "--fractions"),
+])
+def test_a_bad_list_fails_before_any_input_is_read(synth_dir, tmp_path, monkeypatch, capsys,
+                                                   command, flag):
+    # the target is missing too: the list is parsed first, so its error is the one reported
+    source, missing = str(synth_dir / "view0.emb"), str(tmp_path / "missing.emb")
+    pair = (["--inputs", source, missing] if command == "matrix"
+            else ["--source", source, "--target", missing])
+    lists = {"--seeds": "0", "--fractions": "0.5", flag: "0,x"}
+    if command != "sweep":
+        del lists["--fractions"]
+    argv = [command, *pair, *(a for item in lists.items() for a in item),
+            "--out-dir", str(tmp_path / "out")]
+    code, names = _started_threads(monkeypatch, *argv)
+    assert code == 1 and names == []
+    assert capsys.readouterr().err.startswith(f"embalign: error: {flag} must be")
+    assert not (tmp_path / "out").exists()
+
+
+def _input_hashes(report):
+    return json.loads(report.read_text())["provenance"]["input_hashes"]
+
+
+def _copy_set(synth_dir, name, directory):
+    """Copy the binary set ``name`` and its label file into ``directory``; return its path."""
+    directory.mkdir(exist_ok=True)
+    for path in embedstore.set_files(str(synth_dir / name)):
+        shutil.copy(path, directory)
+    return directory / name
+
+
+def test_rewriting_a_label_changes_the_report_hashes(synth_dir, tmp_path):
+    sets = [_copy_set(synth_dir, f"view{v}.emb", tmp_path / "in") for v in range(2)]
+    argv = ["eval-id", "--source", str(sets[0]), "--target", str(sets[1]), "--seeds", "0"]
+    assert run(*argv, "--out-dir", str(tmp_path / "before")) == 0
+    before = _input_hashes(tmp_path / "before" / "identification_report.json")
+    labels = [embedstore.set_files(str(path))[1] for path in sets]
+    for path in labels:  # the last image joins the first identity, in both sets
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        lines[-1] = lines[-1].split("\t")[0] + "\t" + lines[0].split("\t")[1]
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+    assert run(*argv, "--out-dir", str(tmp_path / "after")) == 0
+    after = _input_hashes(tmp_path / "after" / "identification_report.json")
+    assert set(before) == set(after) == {*map(str, sets), *labels}
+    assert [p for p in before if before[p] != after[p]] == labels
+
+
+def test_a_cross_report_hashes_its_training_pair(synth_dir, tmp_path):
+    views = [str(synth_dir / f"view{v}.emb") for v in range(3)]
+    code = run("eval-verif", "--source", views[0], "--target", views[1],
+               "--train-source", views[1], "--train-target", views[2],
+               "--genuine-cap", "200", "--impostor-cap", "200", "--seeds", "0",
+               "--out-dir", str(tmp_path))
+    assert code == 0
+    hashes = _input_hashes(tmp_path / "verification_report.json")
+    files = [f for view in views for f in embedstore.set_files(view)]
+    assert sorted(hashes) == sorted(files)
+    assert all(hashes[f] == reports.file_sha256(f) for f in files)
+
+
+def test_eval_id_on_csv_sets_equals_the_binary_run(synth_dir, tmp_path):
+    binary = [str(synth_dir / f"view{v}.emb") for v in range(2)]
+    csv = [str(tmp_path / f"view{v}.csv") for v in range(2)]
+    for path, copy in zip(binary, csv):
+        embedstore.save_embeddings(load_embeddings(path), copy, "csv")
+    runs = {}
+    for fmt, (source, target) in (("binary", binary), ("csv", csv)):
+        out = tmp_path / fmt
+        assert run("eval-id", "--format", fmt, "--source", source, "--target", target,
+                   "--seeds", "0,1", "--out-dir", str(out)) == 0
+        runs[fmt] = (json.loads((out / "identification_report.json").read_text()),
+                     (out / "cmc.csv").read_bytes())
+    (bin_doc, bin_cmc), (csv_doc, csv_cmc) = runs["binary"], runs["csv"]
+    assert csv_doc["metrics"] == bin_doc["metrics"] and csv_cmc == bin_cmc
+    assert sorted(bin_doc["provenance"]["input_hashes"]) == sorted(
+        f for path in binary for f in embedstore.set_files(path))
+    assert sorted(csv_doc["provenance"]["input_hashes"]) == csv
 
 
 def eval_verif(synth_dir, out_dir, *extra):

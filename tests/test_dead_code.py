@@ -23,7 +23,20 @@ KEEP = {
     "ident_eval._metrics_from_rows",
     # README's quick start reads the baseline summary of a report
     "reports.AlignedBaselineReport.baseline_summary",
+    # the clustering oracles of tests/test_acceptance.py read each merge's leaves
+    "analysis.Dendrogram.leaves_of",
 }
+
+
+def _walk_in_defs(tree):
+    """Each node of ``tree`` with the names of the functions it lies in, itself included."""
+    stack = [(tree, ())]
+    while stack:
+        node, inside = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            inside += (node.name,)
+        yield node, inside
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
 
 
 def uncalled_functions(sources: dict) -> list:
@@ -33,8 +46,9 @@ def uncalled_functions(sources: dict) -> list:
     called when some module other than ``__init__`` reads its name, as a
     plain name or as an attribute of a sibling module (``align.fit_map``
     after ``from . import align``).  Its definition, a field or variable
-    of the same name being set, and an attribute of any other object
-    (``report.auc``) are not reads.
+    of the same name being set, an attribute of any other object
+    (``report.auc``) and a read inside its own definition (recursion) are
+    not reads.
     """
     defined, read = [], set()
     for module, source in sources.items():
@@ -46,12 +60,16 @@ def uncalled_functions(sources: dict) -> list:
         siblings = {alias.asname or alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
                     for alias in node.names}
-        for node in ast.walk(tree):
+        for node, inside in _walk_in_defs(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                name = node.id
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in siblings):
-                read.add(node.attr)
+                name = node.attr
+            else:
+                continue
+            if name not in inside:
+                read.add(name)
     return sorted(name for name in defined if name.split(".")[1] not in read)
 
 
@@ -60,7 +78,8 @@ def uncalled_methods(sources: dict) -> list:
 
     A method counts as called when some module other than ``__init__``
     reads an attribute of its name, of any object (``self.fit``,
-    ``report.to_dict``).  Dunder methods are called by Python itself.
+    ``report.to_dict``), outside a definition of that name (recursion).
+    Dunder methods are called by Python itself.
     """
     defined, read = [], set()
     for module, source in sources.items():
@@ -71,8 +90,9 @@ def uncalled_methods(sources: dict) -> list:
                     if isinstance(cls, ast.ClassDef) for node in cls.body
                     if isinstance(node, ast.FunctionDef)
                     and not (node.name.startswith("__") and node.name.endswith("__"))]
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node, inside in _walk_in_defs(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and node.attr not in inside}
     return sorted(name for name in defined if name.rsplit(".", 1)[1] not in read)
 
 
@@ -97,10 +117,10 @@ def test_the_scan_sees_called_and_uncalled_functions():
     sources = {
         "__init__": "from .a import f, g, h, m\n",
         "a": "def f():\n    return g()\n\ndef g():\n    return 1\n\ndef h():\n    pass\n\n"
-             "def m():\n    pass\n",
+             "def m():\n    pass\n\ndef d(n):\n    return d(n - 1) if n else 0\n",
         "b": "from . import a\n\ndef k(r):\n    h = r.h\n    return a.f(), r.m\n",
     }
-    assert uncalled_functions(sources) == ["a.h", "a.m", "b.k"]
+    assert uncalled_functions(sources) == ["a.d", "a.h", "a.m", "b.k"]
 
 
 def test_the_scan_sees_called_and_uncalled_methods():
@@ -109,7 +129,8 @@ def test_the_scan_sees_called_and_uncalled_methods():
         "a": "class A:\n    def __init__(self):\n        self.g = 1\n\n"
              "    def f(self):\n        return self.p\n\n"
              "    @property\n    def p(self):\n        return 1\n\n"
-             "    def g(self):\n        pass\n\n    def h(self):\n        pass\n",
+             "    def g(self):\n        pass\n\n    def h(self):\n        pass\n\n"
+             "    def t(self, n):\n        return self.t(n - 1) if n else 0\n",
         "b": "def k(r):\n    return r.f()\n",
     }
-    assert uncalled_methods(sources) == ["a.A.g", "a.A.h"]
+    assert uncalled_methods(sources) == ["a.A.g", "a.A.h", "a.A.t"]

@@ -97,6 +97,20 @@ def test_binary_save_names_the_first_field_it_cannot_store(tmp_path, ids, labels
     assert (list(loaded.image_ids), list(loaded.labels)) == (ids, labels)
 
 
+@pytest.mark.parametrize("fmt, name", [("binary", "set.emb"), ("csv", "set.csv")])
+def test_set_files_are_the_files_a_set_is_saved_to_and_loaded_from(tmp_path, fmt, name):
+    s = make_set(np.eye(3), ["i0", "i1", "i2"], ["a", "a", "b"])
+    path = str(tmp_path / name)
+    save_embeddings(s, path, fmt)
+    files = embedstore.set_files(path, fmt)
+    assert sorted(files) == sorted(str(p) for p in tmp_path.iterdir())
+    opened = []
+    real_open = open
+    with mock.patch("builtins.open", lambda f, *a, **k: opened.append(f) or real_open(f, *a, **k)):
+        load_embeddings(path, fmt)
+    assert opened == files
+
+
 def test_binary_direct_load(tmp_path):
     s = make_set([[1, 0, 0], [0, 1, 0]], ["x", "y"], ["a", "b"])
     path = str(tmp_path / "t.emb")

@@ -10,6 +10,8 @@ seed's scores, where the former code read the ROC points each seed kept.
 import json
 import os
 import re
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -323,7 +325,27 @@ def test_version_is_the_tool_version_and_the_package_version():
 
 
 def test_hashing_an_unreadable_input_is_an_io_error(tmp_path):
-    with pytest.raises(IoError), reports.InputHashes([str(tmp_path / "missing.emb")]) as hashes:
+    missing = str(tmp_path / "missing.emb")
+    with pytest.raises(IoError), reports.Beside("hash", reports.file_sha256, missing) as hashes:
         hashes.result()
     with pytest.raises(IoError):
         reports.file_sha256(str(tmp_path))  # a directory
+
+
+def test_beside_gives_the_value_of_its_named_thread():
+    job = reports.Beside("embalign-test", lambda a, b: (threading.current_thread().name, a + b),
+                         1, 2)
+    assert job.result() == ("embalign-test", 3)
+
+
+def test_leaving_a_beside_block_waits_for_the_thread_and_raises_the_block_error():
+    done = []
+
+    def worker():
+        time.sleep(0.1)
+        done.append(True)
+        raise IoError("the worker's error")
+
+    with pytest.raises(ValueError, match="the block's error"), reports.Beside("t", worker):
+        raise ValueError("the block's error")
+    assert done

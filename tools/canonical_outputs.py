@@ -9,8 +9,9 @@ generated into DIR on the first run and reused afterwards: the
 generators of ``bench/workloads.py`` at seed 7, one small ``embalign
 synth`` set, a row-permuted copy of the second ``matrix-m6`` view,
 copies of the first two synth views relabeled with unpadded integers,
-and a copy of the first synth view whose odd identities repeat the rows
-of the identity before them (tied scores).
+a copy of the first synth view whose odd identities repeat the rows
+of the identity before them (tied scores), and CSV copies of the first
+two synth views.
 Reports embed the paths of their inputs, so two trees are compared
 through one shared DIR:
 
@@ -105,6 +106,7 @@ def _generate(src, inputs):
     manifest["permuted"] = _permuted_copy(_matrix_views(manifest["matrix-m6"])[1], inputs)
     manifest["relabeled"] = [_relabeled_copy(p, inputs) for p in manifest["synth"][:2]]
     manifest["tied"] = _tied_copy(manifest["synth"][0], inputs)
+    manifest["csv"] = [_csv_copy(p, inputs) for p in manifest["synth"][:2]]
     with open(os.path.join(inputs, MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
     return manifest
@@ -172,6 +174,17 @@ def _tied_copy(path, inputs):
     return copy
 
 
+def _csv_copy(path, inputs):
+    """Write the binary set at ``path`` in the CSV format, under its own name; return the path."""
+    from embalign.embedstore import load_embeddings, save_embeddings
+
+    directory = os.path.join(inputs, "csv")
+    os.makedirs(directory, exist_ok=True)
+    copy = os.path.join(directory, os.path.splitext(os.path.basename(path))[0] + ".csv")
+    save_embeddings(load_embeddings(path), copy, "csv")
+    return copy
+
+
 def _matrix_views(argv):
     """The ``--inputs`` paths of a ``matrix`` argv."""
     return argv[argv.index("--inputs") + 1:argv.index("--method")]
@@ -231,6 +244,9 @@ def commands(manifest):
         # maximum (the lowest gallery index) decides each hit in both commands
         ["matrix", "--inputs", *tied, "--out-dir", "matrix_tied"],
         ["eval-id", "--source", tied[0], "--target", tied[1], "--out-dir", "eval_id_tied"],
+        # the CSV format: the same rows as the first two synth views, so the same metrics
+        ["eval-id", "--format", "csv", "--source", manifest["csv"][0], "--target",
+         manifest["csv"][1], "--seeds", "0,1", "--out-dir", "eval_id_csv"],
         ["cluster", "--matrix", "matrix/compatibility_matrix.json", "--out-dir", "cluster"],
         ["sweep", *_pair(ident), "--methods", "procrustes,linear", "--fractions", "0.25,1.0",
          "--seeds", "0", "--out-dir", "sweep_ident"],
@@ -284,11 +300,15 @@ def main(argv=None):
             manifest = json.load(f)
     except FileNotFoundError:
         manifest = _generate(src, inputs)
+    try:
+        runs = commands(manifest)
+    except KeyError as exc:  # the manifest of an older version of this tool
+        sys.exit(f"{inputs} lacks the inputs {exc}: make a new --inputs directory")
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, BLAS_ENVIRONMENT), "w", encoding="utf-8") as f:
         json.dump(_blas_environment(), f, indent=1, sort_keys=True)
         f.write("\n")
-    for command in commands(manifest):
+    for command in runs:
         _cli(command, src, out)
     return 0
 
