@@ -208,7 +208,10 @@ class Side:
         Made once, when a map is first scored against the side, after that
         map's queries, as the evaluation normalizes them; every later map
         reuses them.  An all-zero centered test row raises
-        ``DegenerateRowError``.
+        ``DegenerateRowError``.  Making it is not locked (a
+        ``functools.cached_property`` locks on 3.11 and not from 3.12 on),
+        so a caller that scores one side on two threads makes it first, on
+        one thread; after that it is only read.
         """
         return l2_normalize(self.test)
 

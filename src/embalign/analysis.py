@@ -4,12 +4,13 @@ clustering of models, directional asymmetry, and the training-size sweep.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import align
+from . import align, blas
 from .embedstore import EmbeddingSet
 from .errors import (
     ArgumentError,
@@ -19,7 +20,7 @@ from .errors import (
     ProtocolError,
 )
 from .ident_eval import map_rank1
-from .reports import mean_std
+from .reports import Beside, mean_std
 from .splits import (
     DEFAULT_SEEDS, DEFAULT_TRAIN_FRACTION, _rng, check_distinct, check_fraction, check_seeds,
     identity_disjoint_split,
@@ -107,6 +108,56 @@ class Dendrogram:
         return render(m + len(self.merges) - 1) + ";"
 
 
+def _score_pairs(queue, method, alpha):
+    """Each queued pair's cells as ``[(cell, Rank-1, or None where it failed), ...]``, in order.
+
+    A self procrustes cell scores its side with no map, and cell (j, i) the
+    transpose of the procrustes map of (i, j) where that fit succeeded.
+    """
+    scored = []
+    for cells, prepared, codes in queue:
+        forward = None  # the procrustes map array i -> j of this pair
+        values = []
+        for a, b in cells:
+            try:
+                if method == "procrustes" and a == b:
+                    w = None  # the identity, an exact optimum
+                elif forward is not None:  # (a, b) is (j, i)
+                    w = forward.T
+                else:
+                    w = align.fit_sides(prepared[a], prepared[b], method, alpha).w
+                    if method == "procrustes" and a < b:
+                        forward = w
+                values.append(((a, b), map_rank1(prepared[a].test, prepared[b], codes, w)))
+            except EmbalignError:
+                values.append(((a, b), None))
+        scored.append(values)
+    return scored
+
+
+def _score_queue(queue, method, alpha):
+    """:func:`_score_pairs` of ``queue`` on two threads, each on half of OpenBLAS's threads.
+
+    The main thread scores the even pairs and a :class:`reports.Beside`
+    worker the odd ones (:func:`blas.split_threads`); fits, products and
+    row maxima release the GIL.  Both threads read the same sides, so the
+    gallery of each cell's target is made here first, on the main thread:
+    :attr:`align.Side.gallery` is then only read.  A gallery that fails is
+    left to its cells, which fail on it.  The main thread's error is
+    raised before the worker's.
+    """
+    for cells, prepared, _ in queue:
+        for _, b in cells:
+            with contextlib.suppress(EmbalignError):
+                prepared[b].gallery
+    scored = [None] * len(queue)
+    with blas.split_threads(2), Beside("embalign-cells", _score_pairs,
+                                       queue[1::2], method, alpha) as odd:
+        scored[0::2] = _score_pairs(queue[0::2], method, alpha)
+    scored[1::2] = odd.result()
+    return scored
+
+
 def build_compatibility_matrix(
     sets,
     method: str = "procrustes",
@@ -124,11 +175,16 @@ def build_compatibility_matrix(
     once per label list.  The matrix then runs seed by seed.  Per seed,
     each model's side is prepared once (:func:`align.prepare_side`): its
     shared rows gathered from the set, normalized, split and centered with
-    the training mean; its test rows are normalized once, by the first
-    cell that scores against them, into the gallery every cell into that
-    model shares (:attr:`align.Side.gallery`).  A model holds one side at
-    a time, rebuilt when a pair shares other rows of it.  Both ordered
-    cells of a pair score from those sides, each through one map array.
+    the training mean.  A model holds one side at a time, rebuilt when a
+    pair shares other rows of it.  The sides are prepared on the main
+    thread, in pair order; each pair whose sides are held is queued, and
+    the queue is scored before a held side is rebuilt and at the end of
+    the seed.  Scoring the queue first normalizes the test rows of each
+    cell's target side once, into the gallery every cell into that side
+    shares (:attr:`align.Side.gallery`); its pairs are then scored on two
+    threads, each on half of OpenBLAS's threads (:func:`_score_queue`),
+    and their cells merged in pair order.  Both ordered cells of a pair
+    score from those sides, on one thread, each through one map array.
     A self procrustes cell (i, i) scores its side with no map: the
     identity, an exact optimum (:mod:`align`).  Procrustes fits once per
     unordered pair i < j per seed (:func:`align.fit_sides`): cell (j, i)
@@ -139,7 +195,8 @@ def build_compatibility_matrix(
     The arguments are checked before any cell is fit.  Each ordered cell
     fails on its own: one whose evaluation fails with an ``EmbalignError``
     at any seed is marked missing (NaN), never zero, and evaluated no
-    further; any other exception is a bug and propagates.
+    further; any other exception is a bug and propagates, the main
+    thread's before the other thread's.
     """
     sets = list(sets)
     m = len(sets)
@@ -163,15 +220,31 @@ def build_compatibility_matrix(
             except EmbalignError:
                 failed.update({(i, j), (j, i)})
 
+    per_seed = {}  # ordered cell -> Rank-1 per seed
+    queue = []  # (cells, their prepared sides, test label codes) of the pairs not yet scored
+
+    def flush():
+        """Score the queued pairs on two threads and merge their cells in pair order."""
+        if not queue:
+            return
+        for values in _score_queue(queue, method, alpha):
+            for cell, value in values:
+                if value is None:
+                    failed.add(cell)
+                else:
+                    per_seed.setdefault(cell, []).append(value)
+        queue.clear()
+
     def side(model, rows, split):
         """The side of ``model`` on its shared ``rows``, prepared unless it is held."""
         if sides[model] is None or not np.array_equal(sides[model][0], rows):
+            if sides[model] is not None:
+                flush()  # the queued pairs may hold the side about to be dropped
             sides[model] = None  # free the old side before the new one is made
             sides[model] = rows, align.prepare_side(
                 sets[model].rows, rows[split.train_rows], rows[split.test_rows])
         return sides[model][1]
 
-    per_seed = {}  # ordered cell -> Rank-1 per seed
     for k, seed in enumerate(seeds):
         sides = [None] * m  # model -> (its shared rows, their prepared side) at this seed
         for i, j, ra, rb, per_split in pairs:
@@ -184,22 +257,9 @@ def build_compatibility_matrix(
             except EmbalignError:
                 failed.update(cells)
                 continue
-            forward = None  # the procrustes map array i -> j of this seed
-            for a, b in cells:
-                try:
-                    if method == "procrustes" and a == b:
-                        w = None  # the identity, an exact optimum
-                    elif forward is not None:  # (a, b) is (j, i)
-                        w = forward.T
-                    else:
-                        w = align.fit_sides(prepared[a], prepared[b], method, alpha).w
-                        if method == "procrustes" and a < b:
-                            forward = w
-                    value = map_rank1(prepared[a].test, prepared[b], codes, w)
-                    per_seed.setdefault((a, b), []).append(value)
-                except EmbalignError:
-                    failed.add((a, b))
-        sides = prepared = forward = w = None  # no side or map outlives its seed
+            queue.append((cells, prepared, codes))
+        flush()
+        sides = prepared = None  # no side outlives its seed
     rank1 = np.full((m, m), np.nan)
     for (a, b), values in per_seed.items():
         if (a, b) not in failed:

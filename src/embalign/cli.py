@@ -104,9 +104,10 @@ def _add_run_args(p):
 
 def _add_jobs_arg(p):
     p.add_argument("--jobs", type=int, default=1,
-                   help="at least 1, ignored: seeds run one after another, each fit on every "
-                        "BLAS thread; eval-id then scores a seed's aligned and baseline sides "
-                        "on two threads, each on half of OpenBLAS's threads")
+                   help="at least 1, ignored: seeds run one after another; eval-id fits each "
+                        "seed's map on every BLAS thread, then scores its aligned and baseline "
+                        "sides on two threads, and matrix scores a seed's cells on two threads, "
+                        "each on half of OpenBLAS's threads")
 
 
 def _add_eval_args(p):

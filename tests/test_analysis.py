@@ -1,6 +1,9 @@
 import contextlib
+import sys
+import threading
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from unittest import mock
 
@@ -19,7 +22,7 @@ from embalign import (
     symmetrize,
     training_size_sweep,
 )
-from embalign import align, analysis, ident_eval
+from embalign import align, analysis, blas, ident_eval
 from embalign.analysis import Dendrogram
 from embalign.errors import (
     ArgumentError,
@@ -33,6 +36,7 @@ from embalign.errors import (
     ProtocolError,
 )
 from embalign.prep import apply_prep, fit_prep, l2_normalize
+from embalign.reports import mean_std
 from embalign.splits import _rng, identity_disjoint_split
 
 from conftest import aligned_rank1, unit_pair
@@ -323,9 +327,11 @@ def test_compatibility_matrix_scores_only_the_aligned_side(small_views, monkeypa
     monkeypatch.undo()
     live = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
     scored = [_cell(made, *c.args[:2]) for c in cell.call_args_list]
-    # one scoring per (cell, seed), seed by seed
-    assert scored == [(sets[a].model_name, sets[b].model_name, seed)
-                      for seed in (0, 1) for a, b in live]
+    # one scoring per (cell, seed), seed by seed; within a seed the cells'
+    # two threads interleave, so each seed's scorings compare as a multiset
+    assert [seed for *_, seed in scored] == sorted(seed for *_, seed in scored)
+    assert Counter(scored) == Counter((sets[a].model_name, sets[b].model_name, seed)
+                                      for seed in (0, 1) for a, b in live)
     assert spy.call_count == len(live) * 2
     assert len(made) == len(sets) * 2  # each model's side is prepared once per seed
     # the live cells share one label list (lone's ids sort like v0's): one split per seed
@@ -531,6 +537,158 @@ def _same_image_views(m, dim=32, noise=0.1):
     return [embed_view(cloud, dim, 40 + k, noise=noise, model_name=f"v{k}") for k in range(m)]
 
 
+def _serial_rank1(sets, method, seeds, fraction=0.7, alpha=align.DEFAULT_RIDGE_ALPHA):
+    """The matrix's rank1 array as one thread built it, cell after cell: the reference loop."""
+    m, failed, pairs, splits = len(sets), set(), [], {}
+    for i in range(m):
+        for j in range(i, m):
+            try:
+                pairing = align.pair_sets(sets[i], sets[j])
+                key = tuple(pairing.labels)
+                if key not in splits:
+                    splits[key] = [(split, pairing.codes[split.test_rows]) for split in (
+                        identity_disjoint_split(key, fraction, seed) for seed in seeds)]
+                pairs.append((i, j, pairing.ra, pairing.rb, splits[key]))
+            except EmbalignError:
+                failed.update({(i, j), (j, i)})
+
+    def side(model, rows, split):
+        if sides[model] is None or not np.array_equal(sides[model][0], rows):
+            sides[model] = None
+            sides[model] = rows, align.prepare_side(
+                sets[model].rows, rows[split.train_rows], rows[split.test_rows])
+        return sides[model][1]
+
+    per_seed = {}
+    for k in range(len(seeds)):
+        sides = [None] * m
+        for i, j, ra, rb, per_split in pairs:
+            cells = [c for c in ((i, j), (j, i))[: 1 + (i < j)] if c not in failed]
+            if not cells:
+                continue
+            split, codes = per_split[k]
+            try:
+                prepared = {i: side(i, ra, split), j: side(j, rb, split)}
+            except EmbalignError:
+                failed.update(cells)
+                continue
+            forward = None
+            for a, b in cells:
+                try:
+                    if method == "procrustes" and a == b:
+                        w = None
+                    elif forward is not None:
+                        w = forward.T
+                    else:
+                        w = align.fit_sides(prepared[a], prepared[b], method, alpha).w
+                        if method == "procrustes" and a < b:
+                            forward = w
+                    value = analysis.map_rank1(prepared[a].test, prepared[b], codes, w)
+                    per_seed.setdefault((a, b), []).append(value)
+                except EmbalignError:
+                    failed.add((a, b))
+    rank1 = np.full((m, m), np.nan)
+    for (a, b), values in per_seed.items():
+        if (a, b) not in failed:
+            rank1[a, b] = 100.0 * float(mean_std(values)[0])
+    return rank1
+
+
+def _inject_failures(monkeypatch):
+    """Fail the 2nd side of the 16-wide model, the 2nd fit of 40 -> 24 and the 3rd scoring of
+    24 -> 12, each with an ``EmbalignError``.
+
+    The main thread prepares every side, in a fixed order.  A fit or a
+    scoring is named by its cell, through the widths of its two models, and
+    the seed fixes how often that cell ran before: at most once a seed.
+    """
+    calls, failing = Counter(), {("side", 16): 2, ("fit", 40, 24): 2, ("score", 24, 12): 3}
+    prepare, fit, score = align.prepare_side, align.fit_sides, analysis.map_rank1
+
+    def fails(*key):
+        calls[key] += 1
+        return failing.get(key) == calls[key]
+
+    def failing_prepare(rows, *args):
+        if fails("side", rows.shape[1]):
+            raise DegenerateRowError(0)
+        return prepare(rows, *args)
+
+    def failing_fit(source, target, *args):
+        if fails("fit", source.train.shape[1], target.train.shape[1]):
+            raise NumericalError("injected")
+        return fit(source, target, *args)
+
+    def failing_score(x_test, target, *args):
+        if fails("score", x_test.shape[1], target.test.shape[1]):
+            raise ProtocolError("injected")
+        return score(x_test, target, *args)
+
+    monkeypatch.setattr(align, "prepare_side", failing_prepare)
+    monkeypatch.setattr(align, "fit_sides", failing_fit)
+    monkeypatch.setattr(analysis, "map_rank1", failing_score)
+
+
+@pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
+@pytest.mark.parametrize("models", [5, 1])
+def test_compatibility_matrix_equals_its_serial_reference(monkeypatch, method, models):
+    cloud = generate_identity_cloud(40, 5, 8, seed=3)
+    sets = [
+        embed_view(cloud, 12, 31, noise=0.6, model_name="narrow"),
+        embed_view(cloud, 40, 32, noise=0.5, map_kind="general_linear", model_name="wide"),
+        embed_view(cloud, 24, 33, noise=0.4, model_name="even"),
+        # shares images 50..199 only: every side it pairs with is rebuilt mid-seed
+        _subset(embed_view(cloud, 20, 34, noise=0.8), "part", range(50, 200)),
+        embed_view(cloud, 16, 35, noise=0.3, model_name="fragile"),
+    ][:models]
+    seeds, interval = (0, 1, 2), sys.getswitchinterval()
+    _inject_failures(monkeypatch)
+    sys.setswitchinterval(1e-6)  # the two cell threads switch as often as they can
+    try:
+        with mock.patch.object(analysis, "_score_queue", wraps=analysis._score_queue) as queues:
+            got = build_compatibility_matrix(sets, method=method, seeds=seeds, alpha=0.5).rank1
+    finally:
+        sys.setswitchinterval(interval)
+    _inject_failures(monkeypatch)
+    want = _serial_rank1(sets, method, seeds, alpha=0.5)
+    assert got.tobytes() == want.tobytes()
+    if models == 1:
+        assert queues.call_count == len(seeds) and np.isfinite(got).all()
+        return
+    # the queue is flushed before each rebuilt side, not only at the end of each seed
+    assert queues.call_count > len(seeds)
+    # the failed side, fit and scoring, and nothing else
+    missing = {(3, 4), (4, 3), (1, 2), (2, 0)}
+    assert {(a, b) for a, b in zip(*np.nonzero(np.isnan(got)))} == missing
+
+
+def test_a_bug_in_the_cell_thread_propagates_and_leaves_no_thread(monkeypatch):
+    sets = _same_image_views(3)
+    real, before = analysis.map_rank1, set(threading.enumerate())
+    functions = blas._thread_functions()  # None without OpenBLAS
+    count = functions[0] if functions else lambda: None
+    threads = count()
+
+    def failing(*args):
+        if threading.current_thread().name == "embalign-cells":
+            raise TypeError("bug in the cell thread")
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "map_rank1", failing)
+    with pytest.raises(TypeError, match="bug in the cell thread"):
+        build_compatibility_matrix(sets, seeds=(0,))
+    assert set(threading.enumerate()) == before and count() == threads
+
+    def failing_on_both(*args):
+        raise TypeError(f"bug on {threading.current_thread().name}")
+
+    # the main thread's error is raised before the cell thread's
+    monkeypatch.setattr(analysis, "map_rank1", failing_on_both)
+    with pytest.raises(TypeError, match="bug on MainThread"):
+        build_compatibility_matrix(sets, seeds=(0,))
+    assert set(threading.enumerate()) == before and count() == threads
+
+
 @pytest.mark.parametrize("m, seeds", [(2, (0,)), (3, (0, 1, 2)), (4, (1, 3))])
 def test_compatibility_matrix_prepares_each_side_once_per_seed(m, seeds):
     # views of the same images share every pair's rows: one side per model and seed
@@ -584,11 +742,11 @@ def test_compatibility_matrix_cells_equal_their_maps_scored_directly():
 
     with mock.patch.object(analysis, "map_rank1", recorded):
         cm = build_compatibility_matrix(sets, seeds=seeds)
-    order = []  # the cells of one seed, as the matrix scores them
-    for i in range(m):
-        order += [(i, i)] + [c for j in range(i + 1, m) for c in ((i, j), (j, i))]
-    assert len(calls) == len(order) * len(seeds)
-    for (a, b), (x_test, target, codes, w, value) in zip(order * len(seeds), calls):
+    # the widths name each call's cell: the two threads of a seed interleave their cells
+    widths = [s.rows.shape[1] for s in sets]
+    cells = [(widths.index(c[0].shape[1]), widths.index(c[1].test.shape[1])) for c in calls]
+    assert Counter(cells) == {(a, b): len(seeds) for a in range(m) for b in range(m)}
+    for (a, b), (x_test, target, codes, w, value) in zip(cells, calls):
         if a == b:
             assert w is None and x_test is target.test
             assert value == real(x_test, target, codes, np.eye(x_test.shape[1]))
@@ -601,28 +759,52 @@ def test_compatibility_matrix_cells_equal_their_maps_scored_directly():
 
 
 def test_compatibility_matrix_normalizes_each_gallery_once_per_seed():
-    # every cell into a model scores against the gallery its side made once
+    # every cell into a side scores against the gallery the main thread made of it once
     m, seeds = 3, (0, 1, 2)
-    sets, made = _same_image_views(m), []
-    real = align.prepare_side
+    real_prepare, real_norm = align.prepare_side, align.l2_normalize
+    for part in (False, True):
+        sets, made, galleries = _same_image_views(m), [], []
+        if part:  # its pairings rebuild the other models' sides mid-seed
+            sets[-1] = _subset(sets[-1], "part", range(100, 300))
 
-    def prepare(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
+        def prepare(*args, **kwargs):
+            made.append(real_prepare(*args, **kwargs))
+            return made[-1]
 
-    with mock.patch.object(align, "prepare_side", prepare), \
-            mock.patch.object(align, "l2_normalize", wraps=align.l2_normalize) as norm, \
-            mock.patch.object(ident_eval, "_unit_rows", wraps=ident_eval._unit_rows) as unit:
-        build_compatibility_matrix(sets, seeds=seeds)
-    assert len(made) == m * len(seeds)
-    galleries = [c for c in norm.call_args_list if any(c.args[0] is side.test for side in made)]
-    assert len(galleries) == m * len(seeds)
-    assert unit.call_count == m * m * len(seeds)  # the scorer normalizes the mapped queries only
+        def normalize(rows):
+            if any(rows is side.test for side in made):
+                galleries.append((rows, threading.current_thread().name))
+            return real_norm(rows)
+
+        with mock.patch.object(align, "prepare_side", prepare), \
+                mock.patch.object(align, "l2_normalize", normalize), \
+                mock.patch.object(ident_eval, "_unit_rows", wraps=ident_eval._unit_rows) as unit:
+            build_compatibility_matrix(sets, seeds=seeds)
+        assert len(made) >= m * len(seeds) and (len(made) > m * len(seeds)) == part
+        # every side kept alive in made: an id names one side's test rows
+        assert Counter(id(rows) for rows, _ in galleries) == Counter(id(side.test) for side in made)
+        assert {thread for _, thread in galleries} == {"MainThread"}
+        assert unit.call_count == m * m * len(seeds)  # the scorer normalizes the queries only
 
 
-def test_compatibility_matrix_memory_does_not_grow_with_the_seeds():
+def test_compatibility_matrix_memory_does_not_grow_with_the_seeds(monkeypatch):
     # one 256 x 256 float64 map is 0.5 MiB; no map or side may outlive its seed
     sets = _same_image_views(3, dim=256)
+    # the cell thread scores its half once the main thread's half is done: whether two fits
+    # overlap would otherwise move the peak of a seed by about one map
+    real, done = analysis._score_pairs, threading.Event()
+
+    def in_turn(*args):
+        if threading.current_thread() is threading.main_thread():
+            try:
+                return real(*args)
+            finally:
+                done.set()
+        assert done.wait(60), "the main thread's half never ended"
+        done.clear()
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_score_pairs", in_turn)
 
     def peak(seeds):
         tracemalloc.start()

@@ -11,7 +11,8 @@ from unittest import mock
 import pytest
 
 from embalign import (
-    align, embedstore, evaluate_verification, load_map, load_embeddings, prep, reports, splits,
+    align, analysis, blas, embedstore, evaluate_verification, load_map, load_embeddings, prep,
+    reports, splits,
 )
 from embalign.cli import build_parser, main
 
@@ -182,12 +183,16 @@ def test_library_cross_protocol_equals_the_cli(synth_dir, tmp_path):
 
 
 def _started_threads(monkeypatch, *argv):
-    """The names of the threads one CLI run starts, each checked to have ended with the run."""
+    """The exit code of one CLI run, or the type of the bug it raised, and the names of the
+    threads it starts, each checked to have ended with the run."""
     started = []
     real_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: started.append(self) or real_start(self))
-    code = run(*argv)
+    try:
+        code = run(*argv)
+    except TypeError as exc:  # a bug propagates out of main
+        code = type(exc)
     monkeypatch.undo()
     assert not [t for t in started if t.is_alive()], "a thread outlived the command"
     return code, sorted(t.name for t in started)
@@ -200,22 +205,43 @@ def test_jobs_starts_the_same_threads(synth_dir, tmp_path, monkeypatch):
         "eval-verif": ["eval-verif", "--source", views[0], "--target", views[1], "--seeds", "0,1"],
         "matrix": ["matrix", "--inputs", *views, "--seeds", "0,1"],
     }
+    # one thread per seed beside the main one: eval-id's baseline, the matrix's cells
+    threads = {"eval-id": ["embalign-baseline"] * 2, "eval-verif": [],
+               "matrix": ["embalign-cells"] * 2}
     for name, argv in commands.items():
         one, four = (_started_threads(monkeypatch, *argv, "--jobs", jobs,
                                       "--out-dir", str(tmp_path / f"{name}{jobs}"))
                      for jobs in ("1", "4"))
-        assert one == four and one[0] == 0, name
+        assert one == four == (0, threads[name] + ["embalign-hash"]), name
+
+
+def _bug_in_a_cell(*args):
+    raise TypeError("bug in a cell")
 
 
 def test_a_failed_command_leaves_no_thread(synth_dir, tmp_path, monkeypatch):
-    # the target is missing: loading fails while the input hashing, slowed here, still runs
+    # the input hashing, slowed here, still runs when the command fails
     real_sha256 = reports.file_sha256
-    monkeypatch.setattr(reports, "file_sha256", lambda path: time.sleep(0.2) or real_sha256(path))
-    code, names = _started_threads(
-        monkeypatch, "eval-id", "--source", str(synth_dir / "view0.emb"),
-        "--target", str(tmp_path / "missing.emb"), "--out-dir", str(tmp_path / "out"))
-    assert code == 1 and names == ["embalign-hash"]
-    assert not (tmp_path / "out").exists()
+    view = str(synth_dir / "view0.emb")
+    functions = blas._thread_functions()  # None without OpenBLAS
+    count = functions[0] if functions else lambda: None
+    before = count()
+    cases = {
+        # the target is missing: loading fails
+        "eval-id": (["--source", view, "--target", str(tmp_path / "missing.emb")], 1, []),
+        # every cell raises a bug, on the main thread and on the cell thread
+        "matrix": (["--inputs", view, str(synth_dir / "view1.emb"), "--seeds", "0"], TypeError,
+                   ["embalign-cells"]),
+    }
+    for command, (argv, failure, threads) in cases.items():
+        monkeypatch.setattr(reports, "file_sha256",
+                            lambda path: time.sleep(0.2) or real_sha256(path))
+        if command == "matrix":
+            monkeypatch.setattr(analysis, "map_rank1", _bug_in_a_cell)
+        out = tmp_path / command
+        code, names = _started_threads(monkeypatch, command, *argv, "--out-dir", str(out))
+        assert code == failure and names == threads + ["embalign-hash"], command
+        assert count() == before and not out.exists(), command
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -425,7 +451,7 @@ def test_matrix_then_cluster(synth_dir, tmp_path):
 
 
 def test_matrix_reports_identical_across_jobs(synth_dir, tmp_path):
-    # --jobs is accepted by matrix but changes nothing: cells run on one thread
+    # --jobs is accepted by matrix but changes nothing: cells run on two threads either way
     inputs = [str(synth_dir / f"view{v}.emb") for v in range(3)]
     for jobs in ("1", "2"):
         code = run("matrix", "--inputs", *inputs, "--seeds", "0,1", "--jobs", jobs,
