@@ -205,13 +205,13 @@ class Side:
     def gallery(self) -> np.ndarray:
         """The unit rows of ``test``, the gallery :func:`ident_eval.map_rank1` scores against.
 
-        Made once, when a map is first scored against the side, after that
-        map's queries, as the evaluation normalizes them; every later map
-        reuses them.  An all-zero centered test row raises
+        Made once, on first access, and reused by every map scored against
+        the side.  An all-zero centered test row raises
         ``DegenerateRowError``.  Making it is not locked (a
         ``functools.cached_property`` locks on 3.11 and not from 3.12 on),
         so a caller that scores one side on two threads makes it first, on
-        one thread; after that it is only read.
+        one thread, as the compatibility matrix does when it prepares the
+        side; after that it is only read.
         """
         return l2_normalize(self.test)
 

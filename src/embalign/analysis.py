@@ -4,7 +4,6 @@ clustering of models, directional asymmetry, and the training-size sweep.
 
 from __future__ import annotations
 
-import contextlib
 import numbers
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .errors import (
     ProtocolError,
 )
 from .ident_eval import map_rank1
-from .reports import Beside, mean_std
+from .reports import mean_std
 from .splits import (
     DEFAULT_SEEDS, DEFAULT_TRAIN_FRACTION, _rng, check_distinct, check_fraction, check_seeds,
     identity_disjoint_split,
@@ -108,54 +107,29 @@ class Dendrogram:
         return render(m + len(self.merges) - 1) + ";"
 
 
-def _score_pairs(queue, method, alpha):
-    """Each queued pair's cells as ``[(cell, Rank-1, or None where it failed), ...]``, in order.
+def _score_pair(queued, method, alpha):
+    """A queued pair's cells as ``[(cell, Rank-1, or None where it failed), ...]``, in order.
 
     A self procrustes cell scores its side with no map, and cell (j, i) the
     transpose of the procrustes map of (i, j) where that fit succeeded.
     """
-    scored = []
-    for cells, prepared, codes in queue:
-        forward = None  # the procrustes map array i -> j of this pair
-        values = []
-        for a, b in cells:
-            try:
-                if method == "procrustes" and a == b:
-                    w = None  # the identity, an exact optimum
-                elif forward is not None:  # (a, b) is (j, i)
-                    w = forward.T
-                else:
-                    w = align.fit_sides(prepared[a], prepared[b], method, alpha).w
-                    if method == "procrustes" and a < b:
-                        forward = w
-                values.append(((a, b), map_rank1(prepared[a].test, prepared[b], codes, w)))
-            except EmbalignError:
-                values.append(((a, b), None))
-        scored.append(values)
-    return scored
-
-
-def _score_queue(queue, method, alpha):
-    """:func:`_score_pairs` of ``queue`` on two threads, each on half of OpenBLAS's threads.
-
-    The main thread scores the even pairs and a :class:`reports.Beside`
-    worker the odd ones (:func:`blas.split_threads`); fits, products and
-    row maxima release the GIL.  Both threads read the same sides, so the
-    gallery of each cell's target is made here first, on the main thread:
-    :attr:`align.Side.gallery` is then only read.  A gallery that fails is
-    left to its cells, which fail on it.  The main thread's error is
-    raised before the worker's.
-    """
-    for cells, prepared, _ in queue:
-        for _, b in cells:
-            with contextlib.suppress(EmbalignError):
-                prepared[b].gallery
-    scored = [None] * len(queue)
-    with blas.split_threads(2), Beside("embalign-cells", _score_pairs,
-                                       queue[1::2], method, alpha) as odd:
-        scored[0::2] = _score_pairs(queue[0::2], method, alpha)
-    scored[1::2] = odd.result()
-    return scored
+    cells, prepared, codes = queued
+    forward = None  # the procrustes map array i -> j of this pair
+    values = []
+    for a, b in cells:
+        try:
+            if method == "procrustes" and a == b:
+                w = None  # the identity, an exact optimum
+            elif forward is not None:  # (a, b) is (j, i)
+                w = forward.T
+            else:
+                w = align.fit_sides(prepared[a], prepared[b], method, alpha).w
+                if method == "procrustes" and a < b:
+                    forward = w
+            values.append(((a, b), map_rank1(prepared[a].test, prepared[b], codes, w)))
+        except EmbalignError:
+            values.append(((a, b), None))
+    return values
 
 
 def build_compatibility_matrix(
@@ -177,14 +151,14 @@ def build_compatibility_matrix(
     shared rows gathered from the set, normalized, split and centered with
     the training mean.  A model holds one side at a time, rebuilt when a
     pair shares other rows of it.  The sides are prepared on the main
-    thread, in pair order; each pair whose sides are held is queued, and
-    the queue is scored before a held side is rebuilt and at the end of
-    the seed.  Scoring the queue first normalizes the test rows of each
-    cell's target side once, into the gallery every cell into that side
-    shares (:attr:`align.Side.gallery`); its pairs are then scored on two
-    threads, each on half of OpenBLAS's threads (:func:`_score_queue`),
-    and their cells merged in pair order.  Both ordered cells of a pair
-    score from those sides, on one thread, each through one map array.
+    thread, in pair order, each with its gallery, the unit test rows that
+    every cell into the side scores against (:attr:`align.Side.gallery`).
+    Each pair whose sides are held is queued, and the queue is scored
+    before a held side is rebuilt and at the end of the seed, its pairs on
+    two threads (:func:`blas.each_on_two_threads`; a lone pair on the main
+    thread alone), and their cells merged in pair order.  Both ordered cells
+    of a pair score from those sides, on one thread, each through one map
+    array.
     A self procrustes cell (i, i) scores its side with no map: the
     identity, an exact optimum (:mod:`align`).  Procrustes fits once per
     unordered pair i < j per seed (:func:`align.fit_sides`): cell (j, i)
@@ -224,10 +198,9 @@ def build_compatibility_matrix(
     queue = []  # (cells, their prepared sides, test label codes) of the pairs not yet scored
 
     def flush():
-        """Score the queued pairs on two threads and merge their cells in pair order."""
-        if not queue:
-            return
-        for values in _score_queue(queue, method, alpha):
+        """Score the queued pairs and merge their cells in pair order."""
+        for values in blas.each_on_two_threads(
+                "embalign-cells", lambda queued: _score_pair(queued, method, alpha), queue):
             for cell, value in values:
                 if value is None:
                     failed.add(cell)
@@ -243,6 +216,7 @@ def build_compatibility_matrix(
             sides[model] = None  # free the old side before the new one is made
             sides[model] = rows, align.prepare_side(
                 sets[model].rows, rows[split.train_rows], rows[split.test_rows])
+            sides[model][1].gallery  # made here: the cell threads only read it
         return sides[model][1]
 
     for k, seed in enumerate(seeds):

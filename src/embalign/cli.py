@@ -104,10 +104,8 @@ def _add_run_args(p):
 
 def _add_jobs_arg(p):
     p.add_argument("--jobs", type=int, default=1,
-                   help="at least 1, ignored: seeds run one after another; eval-id fits each "
-                        "seed's map on every BLAS thread, then scores its aligned and baseline "
-                        "sides on two threads, and matrix scores a seed's cells on two threads, "
-                        "each on half of OpenBLAS's threads")
+                   help="at least 1, ignored; README.md, \"Splitting the BLAS threads\", "
+                        "says which work runs on two threads")
 
 
 def _add_eval_args(p):

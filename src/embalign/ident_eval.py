@@ -57,7 +57,7 @@ from . import align, blas
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DataError, ProtocolError
 from .prep import _unit_rows
-from .reports import AlignedBaselineReport, Beside, mean_std, pair_metadata
+from .reports import AlignedBaselineReport, mean_std, pair_metadata
 from .splits import DEFAULT_SEEDS, DEFAULT_TRAIN_FRACTION, check_seeds, label_codes
 
 RANK_KS = (1, 5, 10)
@@ -372,20 +372,19 @@ def evaluate_identification(
 ) -> RetrievalReport:
     """Run the per-seed identification protocol into :meth:`RetrievalReport.from_seeds`.
 
-    Each seed's map is fit on every BLAS thread.  Its two sides are then scored side by side,
-    each on half of OpenBLAS's threads (:func:`blas.split_threads`): products and sorts
-    release the GIL, so the baseline ranks on a second thread while the aligned side ranks on
-    this one.  The aligned side's error is raised before the baseline's, the order of one
-    thread.
+    Each seed's map is fit on every BLAS thread.  Its aligned side is then scored on this
+    thread and its baseline on an ``embalign-baseline`` thread, at once
+    (:func:`blas.each_on_two_threads`); the aligned side's error is raised first, the order
+    of one thread.
     """
     seeds = check_seeds(seeds)
     pairing = align.pair_sets(source, target)
     results = []
     for seed, split, amap, (x, y), codes in pairing.seed_maps(method, alpha, fraction, seeds):
-        with blas.split_threads(2), Beside("embalign-baseline", _side_metrics,
-                                           x, y, None, codes, seed, exclude_self) as baseline:
-            aligned = _side_metrics(x, y, amap, codes, seed, exclude_self)
-        results.append((aligned, baseline.result(), split))
+        aligned, baseline = blas.each_on_two_threads(
+            "embalign-baseline", lambda m: _side_metrics(x, y, m, codes, seed, exclude_self),
+            (amap, None))
+        results.append((aligned, baseline, split))
         del x, y  # free this seed's test rows before the next seed's fit
     return RetrievalReport.from_seeds(
         results, method=method, fraction=fraction, exclude_self=exclude_self,

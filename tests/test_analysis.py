@@ -641,11 +641,17 @@ def test_compatibility_matrix_equals_its_serial_reference(monkeypatch, method, m
         _subset(embed_view(cloud, 20, 34, noise=0.8), "part", range(50, 200)),
         embed_view(cloud, 16, 35, noise=0.3, model_name="fragile"),
     ][:models]
+    if models > 1:
+        # every row is four ones, so the unit rows and their mean are exact and every centered
+        # test row is zero: the model's gallery fails, and so do its queries
+        sets.append(EmbeddingSet("constant", "", np.ones((sets[0].n, 4), np.float32),
+                                 sets[0].image_ids, sets[0].labels))
     seeds, interval = (0, 1, 2), sys.getswitchinterval()
     _inject_failures(monkeypatch)
     sys.setswitchinterval(1e-6)  # the two cell threads switch as often as they can
     try:
-        with mock.patch.object(analysis, "_score_queue", wraps=analysis._score_queue) as queues:
+        with mock.patch.object(blas, "each_on_two_threads",
+                               wraps=blas.each_on_two_threads) as flushes:
             got = build_compatibility_matrix(sets, method=method, seeds=seeds, alpha=0.5).rank1
     finally:
         sys.setswitchinterval(interval)
@@ -653,12 +659,13 @@ def test_compatibility_matrix_equals_its_serial_reference(monkeypatch, method, m
     want = _serial_rank1(sets, method, seeds, alpha=0.5)
     assert got.tobytes() == want.tobytes()
     if models == 1:
-        assert queues.call_count == len(seeds) and np.isfinite(got).all()
+        assert flushes.call_count == len(seeds) and np.isfinite(got).all()
         return
     # the queue is flushed before each rebuilt side, not only at the end of each seed
-    assert queues.call_count > len(seeds)
-    # the failed side, fit and scoring, and nothing else
-    missing = {(3, 4), (4, 3), (1, 2), (2, 0)}
+    assert flushes.call_count > len(seeds)
+    # the failed side, fit and scoring, every cell from or into the constant model, and
+    # nothing else
+    missing = {(3, 4), (4, 3), (1, 2), (2, 0)} | {c for k in range(6) for c in ((k, 5), (5, k))}
     assert {(a, b) for a, b in zip(*np.nonzero(np.isnan(got)))} == missing
 
 
@@ -687,6 +694,24 @@ def test_a_bug_in_the_cell_thread_propagates_and_leaves_no_thread(monkeypatch):
     with pytest.raises(TypeError, match="bug on MainThread"):
         build_compatibility_matrix(sets, seeds=(0,))
     assert set(threading.enumerate()) == before and count() == threads
+
+
+def test_a_lone_pair_is_scored_without_a_cell_thread(monkeypatch):
+    # "part" shares only some images of v0: its pair rebuilds v0's side after (0, 0) alone
+    views = _same_image_views(2)
+    real_each, real_start = blas.each_on_two_threads, threading.Thread.start
+    for sets, flushed in (([views[0]], [1, 1]),
+                          ([views[0], _subset(views[1], "part", range(100, 300))], [1, 2] * 2)):
+        sizes, started = [], []
+        monkeypatch.setattr(blas, "each_on_two_threads",
+                            lambda name, fn, items: sizes.append(len(items))
+                            or real_each(name, fn, items))
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self.name) or real_start(self))
+        build_compatibility_matrix(sets, seeds=(0, 1))
+        monkeypatch.undo()
+        assert sizes == flushed
+        assert started == ["embalign-cells"] * sum(size > 1 for size in flushed)
 
 
 @pytest.mark.parametrize("m, seeds", [(2, (0,)), (3, (0, 1, 2)), (4, (1, 3))])
@@ -790,21 +815,15 @@ def test_compatibility_matrix_normalizes_each_gallery_once_per_seed():
 def test_compatibility_matrix_memory_does_not_grow_with_the_seeds(monkeypatch):
     # one 256 x 256 float64 map is 0.5 MiB; no map or side may outlive its seed
     sets = _same_image_views(3, dim=256)
-    # the cell thread scores its half once the main thread's half is done: whether two fits
-    # overlap would otherwise move the peak of a seed by about one map
-    real, done = analysis._score_pairs, threading.Event()
+    # the two cell threads score one pair at a time: whether two fits overlap would otherwise
+    # move the peak of a seed by about one map
+    real, turn = analysis._score_pair, threading.Lock()
 
     def in_turn(*args):
-        if threading.current_thread() is threading.main_thread():
-            try:
-                return real(*args)
-            finally:
-                done.set()
-        assert done.wait(60), "the main thread's half never ended"
-        done.clear()
-        return real(*args)
+        with turn:
+            return real(*args)
 
-    monkeypatch.setattr(analysis, "_score_pairs", in_turn)
+    monkeypatch.setattr(analysis, "_score_pair", in_turn)
 
     def peak(seeds):
         tracemalloc.start()

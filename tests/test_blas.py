@@ -1,4 +1,4 @@
-"""The OpenBLAS thread split, and the identification that scores its two sides on it."""
+"""The OpenBLAS thread split, work on two threads, and the identification that runs on them."""
 
 import threading
 
@@ -38,13 +38,13 @@ def _count():
 
 
 @needs_openblas
-@pytest.mark.parametrize("n, k, inside", [(4, 2, 2), (5, 2, 2), (3, 4, 1), (1, 2, 1)])
-def test_split_divides_the_threads_and_restores_them(blas_threads, n, k, inside):
+@pytest.mark.parametrize("n, inside", [(4, 2), (5, 2), (1, 1)])
+def test_split_divides_the_threads_and_restores_them(blas_threads, n, inside):
     blas_threads(n)
-    with blas.split_threads(k):
+    with blas.split_threads():
         assert _count() == inside
     assert _count() == n
-    with pytest.raises(RuntimeError), blas.split_threads(k):
+    with pytest.raises(RuntimeError), blas.split_threads():
         assert _count() == inside
         raise RuntimeError("inside the block")
     assert _count() == n
@@ -53,11 +53,68 @@ def test_split_divides_the_threads_and_restores_them(blas_threads, n, k, inside)
 @needs_openblas
 def test_nested_splits_restore_the_outer_count(blas_threads):
     blas_threads(4)
-    with blas.split_threads(2):
-        with blas.split_threads(2):
+    with blas.split_threads():
+        with blas.split_threads():
             assert _count() == 1
         assert _count() == 2
     assert _count() == 4
+
+
+def _where(item):
+    """``item``, the name of the thread it ran on and the BLAS count there (``None`` without
+    OpenBLAS)."""
+    return item, threading.current_thread().name, FUNCTIONS and _count()
+
+
+def _on_two_threads(monkeypatch, fn, items):
+    """``blas.each_on_two_threads("embalign-test", fn, items)``, or the error it raised, and
+    the names of the threads it started, each checked to have ended with it."""
+    started, real_start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or real_start(self))
+    try:
+        got = blas.each_on_two_threads("embalign-test", fn, items)
+    except Exception as exc:
+        got = exc
+    monkeypatch.undo()
+    assert not [t for t in started if t.is_alive()], "a thread outlived the call"
+    return got, [t.name for t in started]
+
+
+@pytest.mark.parametrize("n_items", [0, 1, 2, 5])
+def test_each_on_two_threads_keeps_the_item_order(blas_threads, monkeypatch, n_items):
+    full = FUNCTIONS and 4
+    if blas_threads is not None:
+        blas_threads(4)
+    got, threads = _on_two_threads(monkeypatch, _where, iter(range(n_items)))
+    assert [item for item, _, _ in got] == list(range(n_items))
+    if n_items < 2:  # alone on the calling thread, on every BLAS thread
+        assert got == [(item, "MainThread", full) for item in range(n_items)] and threads == []
+    else:  # the odd items on the worker, both halves on half of the BLAS threads
+        assert got == [(item, ("MainThread", "embalign-test")[item % 2], FUNCTIONS and 2)
+                       for item in range(n_items)]
+        assert threads == ["embalign-test"]
+    assert FUNCTIONS is None or _count() == 4
+
+
+def test_each_on_two_threads_raises_the_callers_error_first(blas_threads, monkeypatch):
+    if blas_threads is not None:
+        blas_threads(4)
+
+    def failing(item):
+        raise ValueError(f"item {item} on {threading.current_thread().name}")
+
+    def bug_on_the_worker(item):
+        if threading.current_thread().name == "embalign-test":
+            raise TypeError(f"bug on item {item}")
+        return item
+
+    for fn, items, error in ((failing, range(4), "item 0 on MainThread"),
+                             (failing, range(1), "item 0 on MainThread"),
+                             (bug_on_the_worker, range(3), "bug on item 1")):
+        got, threads = _on_two_threads(monkeypatch, fn, items)
+        assert str(got) == error and threads == ["embalign-test"] * (len(items) > 1)
+        assert FUNCTIONS is None or _count() == 4
 
 
 def _eval_id_outputs(views, out_dir):
@@ -81,7 +138,7 @@ def test_without_openblas_the_split_does_nothing(views, tmp_path, blas_threads, 
     monkeypatch.setattr(blas, "_PREFIXES", ("no_such_blas_",))
     blas._thread_functions.cache_clear()
     try:
-        with blas.split_threads(2):
+        with blas.split_threads():
             assert blas._thread_functions() is None
             assert FUNCTIONS is None or _count() == 2
         got = _eval_id_outputs(views, tmp_path / "missing")

@@ -226,6 +226,8 @@ def commands(manifest):
         [*matrix, "--out-dir", "matrix"],
         # linear fits every cell's own map
         [*_method(matrix, "linear"), "--out-dir", "matrix_linear"],
+        # each seed scores its queued pairs in flushes of 3, 1 and 3: the lone pair runs alone
+        # on the main thread
         ["matrix", "--inputs", *mixed, "--seeds", "0,1", "--out-dir", "matrix_mixed"],
         # the same images listed in another order: paired by id through a dict
         ["matrix", "--inputs", matrix_views[0], manifest["permuted"], "--method", "procrustes",
