@@ -190,30 +190,24 @@ class AlignmentMap:
 
 @dataclass(frozen=True, eq=False)
 class Side:
-    """One model's rows of a split as maps are fit and scored.
+    """One model's rows of a split as maps are fit and scored, whole when it is made.
 
     ``train`` and ``test`` are the model's unit rows of the split's train
     and test rows, each centered with ``mean``, the column mean of the
-    unit train rows (``test`` is ``None`` when no test rows were asked for).
+    unit train rows, and ``gallery`` the unit rows of ``test`` that
+    :func:`ident_eval.map_rank1` scores against (both ``None`` without test
+    rows).  The arrays are read-only: threads that score a side only read it.
     """
 
     train: np.ndarray
     test: np.ndarray | None
+    gallery: np.ndarray | None
     mean: np.ndarray
 
-    @functools.cached_property
-    def gallery(self) -> np.ndarray:
-        """The unit rows of ``test``, the gallery :func:`ident_eval.map_rank1` scores against.
-
-        Made once, on first access, and reused by every map scored against
-        the side.  An all-zero centered test row raises
-        ``DegenerateRowError``.  Making it is not locked (a
-        ``functools.cached_property`` locks on 3.11 and not from 3.12 on),
-        so a caller that scores one side on two threads makes it first, on
-        one thread, as the compatibility matrix does when it prepares the
-        side; after that it is only read.
-        """
-        return l2_normalize(self.test)
+    def __post_init__(self):
+        for rows in (self.train, self.test, self.gallery, self.mean):
+            if rows is not None:
+                rows.flags.writeable = False
 
 
 def prepare_side(rows, train, test=None) -> Side:
@@ -225,7 +219,9 @@ def prepare_side(rows, train, test=None) -> Side:
     (:func:`prep.l2_normalize`) and centered in place; ``rows`` themselves
     are never written.  The mean and the centered rows are bit-equal to
     :func:`prep.fit_prep` on the unit train rows followed by
-    :func:`prep.center` of each part.  No train rows is a ``ConsistencyError``.
+    :func:`prep.center` of each part; the gallery is made from the centered
+    test rows here (an all-zero one is a ``DegenerateRowError``).  No train
+    rows is a ``ConsistencyError``.
     """
 
     def centered(index, mean=None):
@@ -238,7 +234,8 @@ def prepare_side(rows, train, test=None) -> Side:
         return got, mean
 
     x_tr, mean = centered(train)
-    return Side(x_tr, None if test is None else centered(test, mean)[0], mean)
+    x_te = None if test is None else centered(test, mean)[0]
+    return Side(x_tr, x_te, None if x_te is None else l2_normalize(x_te), mean)
 
 
 def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RIDGE_ALPHA,

@@ -150,9 +150,9 @@ def build_compatibility_matrix(
     each model's side is prepared once (:func:`align.prepare_side`): its
     shared rows gathered from the set, normalized, split and centered with
     the training mean.  A model holds one side at a time, rebuilt when a
-    pair shares other rows of it.  The sides are prepared on the main
-    thread, in pair order, each with its gallery, the unit test rows that
-    every cell into the side scores against (:attr:`align.Side.gallery`).
+    pair shares other rows of it.  The sides are prepared whole on the main
+    thread, in pair order, so the cell threads only read them; a side that
+    fails to prepare is not held and fails each pair of its model before any fit.
     Each pair whose sides are held is queued, and the queue is scored
     before a held side is rebuilt and at the end of the seed, its pairs on
     two threads (:func:`blas.each_on_two_threads`; a lone pair on the main
@@ -216,7 +216,6 @@ def build_compatibility_matrix(
             sides[model] = None  # free the old side before the new one is made
             sides[model] = rows, align.prepare_side(
                 sets[model].rows, rows[split.train_rows], rows[split.test_rows])
-            sides[model][1].gallery  # made here: the cell threads only read it
         return sides[model][1]
 
     for k, seed in enumerate(seeds):

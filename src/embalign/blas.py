@@ -4,10 +4,12 @@ numpy's OpenBLAS keeps one process-wide thread count.  Two Python threads
 that each call a product on every BLAS thread contend for the same cores,
 so :func:`split_threads` gives each of two concurrent callers half of
 them for the length of a block, and :func:`each_on_two_threads` runs a
-list of items on two such threads.  The functions are found through
-numpy's linalg extension, whose symbol lookup also searches the OpenBLAS
-that numpy bundles; where no OpenBLAS symbol is found (another BLAS), the
-block runs with that BLAS's own threads.
+list of items on two such threads.  The open blocks are counted, so
+blocks that nest or overlap on any threads leave the count they found.
+The functions are found through numpy's linalg extension, whose symbol
+lookup also searches the OpenBLAS that numpy bundles; where no OpenBLAS
+symbol is found (another BLAS), the block runs with that BLAS's own
+threads.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import threading
 
 import numpy.linalg._umath_linalg
 
@@ -43,26 +46,39 @@ def _thread_functions():
     return None
 
 
+# the blocks of split_threads open now, and OpenBLAS's count when the first of them opened
+_lock = threading.Lock()
+_open = {"blocks": 0, "n": 0}
+
+
+def _count_block(step, get, set_):
+    """Count one block in (``step=1``) or out (``-1``) and set the count it leaves."""
+    with _lock:
+        if not _open["blocks"]:
+            _open["n"] = get()
+        _open["blocks"] += step
+        set_(max(1, _open["n"] >> _open["blocks"]))
+
+
 @contextlib.contextmanager
 def split_threads():
     """Run the block on ``max(1, n // 2)`` of OpenBLAS's ``n`` threads; restore ``n`` on exit.
 
     The count is process-wide, so it holds for every thread that calls BLAS
-    inside the block.  Nested blocks on one thread restore in order; blocks
-    that overlap on two threads can leave the count of whichever exits
-    last.  Without OpenBLAS this does nothing.
+    inside the block.  The open blocks are counted under a lock, nested or
+    overlapping on any threads: the first to open reads ``n``, every open
+    and close sets ``max(1, n >> open blocks)``, and the last to close
+    restores ``n``.  Without OpenBLAS this does nothing.
     """
     functions = _thread_functions()
     if functions is None:
         yield
         return
-    get, set_ = functions
-    n = get()
-    set_(max(1, n // 2))
+    _count_block(1, *functions)
     try:
         yield
     finally:
-        set_(n)
+        _count_block(-1, *functions)
 
 
 def each_on_two_threads(name: str, fn, items) -> list:

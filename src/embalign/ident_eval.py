@@ -399,8 +399,8 @@ def map_rank1(x_test, target, codes, w) -> float:
     """Aligned Rank-1 of the map array ``w`` on one split's test rows; ``w=None`` is no map.
 
     ``x_test`` are the source test rows centered with the source train mean
-    (:attr:`align.Side.test`), ``target`` the prepared target side whose
-    unit test rows are the gallery (:attr:`align.Side.gallery`), ``w`` a
+    (:attr:`align.Side.test`), ``target`` the prepared target side, whose
+    gallery :func:`align.prepare_side` made (:attr:`align.Side.gallery`), ``w`` a
     d_a x d_b map array fit on that split's train rows (``None``: the
     identity), and ``codes`` the :func:`splits.label_codes` of both.  The
     queries ``x_test @ w`` are made here, so they are freed once

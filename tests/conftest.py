@@ -37,13 +37,15 @@ def unit_pair(source, target):
 
 
 def unit_side(rows, train=None, test=None):
-    """The :class:`align.Side` of unit ``rows``, each part centered with the train mean."""
+    """The :class:`align.Side` of unit ``rows``, each part centered with the train mean, and
+    the gallery the unit rows of the centered test part, as ``align.prepare_side`` makes it."""
     rows = np.asarray(rows, dtype=np.float64)
     x_tr = rows if train is None else rows[list(train)]
     if not len(x_tr):
         raise ConsistencyError("need at least one training row")
     mean = x_tr.mean(axis=0)
-    return align.Side(x_tr - mean, None if test is None else rows[list(test)] - mean, mean)
+    x_te = None if test is None else rows[list(test)] - mean
+    return align.Side(x_tr - mean, x_te, None if x_te is None else l2_normalize(x_te), mean)
 
 
 def fit_alignment(x, y, method, alpha=align.DEFAULT_RIDGE_ALPHA, rows=None, **meta):

@@ -26,7 +26,7 @@ from embalign.errors import (
 from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize
 from embalign.splits import identity_disjoint_split, label_codes, sample_pairs_capped
 
-from conftest import fit_alignment, random_orthogonal, unit_pair
+from conftest import fit_alignment, random_orthogonal, unit_pair, unit_side
 
 
 def make_stats(d, mu=None):
@@ -637,6 +637,25 @@ def test_reversed_procrustes_map_is_the_transposed_map(d_a, d_b):
     transposed = AlignmentMap(back, direct.stats, "procrustes")
     scores = [ident_eval.score_matrix(*project(y[60:], x[60:], m)) for m in (transposed, direct)]
     assert np.abs(scores[0] - scores[1]).max() <= 1e-12
+
+
+def test_a_prepared_side_is_whole_and_read_only():
+    rows = np.random.default_rng(29).standard_normal((12, 5)).astype(np.float32)
+    side = align.prepare_side(rows, range(8), range(8, 12))
+    want = unit_side(l2_normalize(rows), range(8), range(8, 12))
+    for name in ("train", "test", "gallery", "mean"):
+        got = getattr(side, name)
+        assert got.tobytes() == getattr(want, name).tobytes() and not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0.0
+    untested = align.prepare_side(rows, range(8))
+    assert untested.test is None and untested.gallery is None
+    assert untested.train.tobytes() == side.train.tobytes()
+    # the train rows and their mean are the first unit vector, and so is the second test row:
+    # it centers to zero, and the side fails to prepare
+    with pytest.raises(DegenerateRowError) as err:
+        align.prepare_side(np.eye(3, dtype=np.float32)[[0, 0, 0, 1, 0]], range(3), range(3, 5))
+    assert err.value.row_index == 1
 
 
 def test_one_side_onto_itself_is_the_identity_map():

@@ -643,7 +643,7 @@ def test_compatibility_matrix_equals_its_serial_reference(monkeypatch, method, m
     ][:models]
     if models > 1:
         # every row is four ones, so the unit rows and their mean are exact and every centered
-        # test row is zero: the model's gallery fails, and so do its queries
+        # test row is zero: the model's side fails to prepare
         sets.append(EmbeddingSet("constant", "", np.ones((sets[0].n, 4), np.float32),
                                  sets[0].image_ids, sets[0].labels))
     seeds, interval = (0, 1, 2), sys.getswitchinterval()
@@ -667,6 +667,24 @@ def test_compatibility_matrix_equals_its_serial_reference(monkeypatch, method, m
     # nothing else
     missing = {(3, 4), (4, 3), (1, 2), (2, 0)} | {c for k in range(6) for c in ((k, 5), (5, k))}
     assert {(a, b) for a, b in zip(*np.nonzero(np.isnan(got)))} == missing
+
+
+def test_a_side_that_fails_to_prepare_is_never_fit(monkeypatch):
+    # every centered test row of the constant model is zero, so its side fails to prepare
+    # and is not held: no later pair of the model fits a map into or out of it
+    cloud = generate_identity_cloud(40, 5, 8, seed=3)
+    views = [embed_view(cloud, 12, 40 + k, noise=0.5, model_name=f"v{k}") for k in range(3)]
+    sets = [*views, EmbeddingSet("constant", "", np.ones((views[0].n, 4), np.float32),
+                                 views[0].image_ids, views[0].labels)]
+    fits = []
+    real_fit = align.fit_sides
+    monkeypatch.setattr(align, "fit_sides",
+                        lambda a, b, *args: fits.append((a, b)) or real_fit(a, b, *args))
+    got = build_compatibility_matrix(sets, seeds=(0,)).rank1
+    assert fits and not [f for f in fits if 4 in (f[0].train.shape[1], f[1].train.shape[1])]
+    assert np.isnan(got[3]).all() and np.isnan(got[:, 3]).all()
+    monkeypatch.undo()
+    assert got[:3, :3].tobytes() == _serial_rank1(views, "procrustes", (0,)).tobytes()
 
 
 def test_a_bug_in_the_cell_thread_propagates_and_leaves_no_thread(monkeypatch):
@@ -784,31 +802,34 @@ def test_compatibility_matrix_cells_equal_their_maps_scored_directly():
 
 
 def test_compatibility_matrix_normalizes_each_gallery_once_per_seed():
-    # every cell into a side scores against the gallery the main thread made of it once
+    # every cell into a side scores against the gallery the main thread made of it once,
+    # inside prepare_side
     m, seeds = 3, (0, 1, 2)
     real_prepare, real_norm = align.prepare_side, align.l2_normalize
     for part in (False, True):
-        sets, made, galleries = _same_image_views(m), [], []
+        sets, made, normalized = _same_image_views(m), [], []
         if part:  # its pairings rebuild the other models' sides mid-seed
             sets[-1] = _subset(sets[-1], "part", range(100, 300))
 
         def prepare(*args, **kwargs):
             made.append(real_prepare(*args, **kwargs))
+            assert made[-1].gallery is normalized[-1][1]  # made last, by prepare_side
             return made[-1]
 
         def normalize(rows):
-            if any(rows is side.test for side in made):
-                galleries.append((rows, threading.current_thread().name))
-            return real_norm(rows)
+            normalized.append((rows, real_norm(rows), threading.current_thread().name))
+            return normalized[-1][1]
 
         with mock.patch.object(align, "prepare_side", prepare), \
                 mock.patch.object(align, "l2_normalize", normalize), \
                 mock.patch.object(ident_eval, "_unit_rows", wraps=ident_eval._unit_rows) as unit:
             build_compatibility_matrix(sets, seeds=seeds)
         assert len(made) >= m * len(seeds) and (len(made) > m * len(seeds)) == part
-        # every side kept alive in made: an id names one side's test rows
+        # every side and normalization kept alive: an id names one array
+        galleries = [(rows, thread) for rows, out, thread in normalized
+                     if any(out is side.gallery for side in made)]
         assert Counter(id(rows) for rows, _ in galleries) == Counter(id(side.test) for side in made)
-        assert {thread for _, thread in galleries} == {"MainThread"}
+        assert {thread for *_, thread in normalized} == {"MainThread"}
         assert unit.call_count == m * m * len(seeds)  # the scorer normalizes the queries only
 
 

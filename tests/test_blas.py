@@ -1,5 +1,6 @@
 """The OpenBLAS thread split, work on two threads, and the identification that runs on them."""
 
+import sys
 import threading
 
 import numpy as np
@@ -58,6 +59,58 @@ def test_nested_splits_restore_the_outer_count(blas_threads):
             assert _count() == 1
         assert _count() == 2
     assert _count() == 4
+
+
+@needs_openblas
+def test_overlapping_splits_on_two_threads_restore_the_outer_count(blas_threads):
+    # A opens, B opens, A closes, B closes: the count inside B follows the blocks still open
+    blas_threads(4)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def block_a():
+        with blas.split_threads():
+            seen["a"] = _count()
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    thread = threading.Thread(target=block_a)
+    thread.start()
+    assert a_in.wait(10)
+    with blas.split_threads():
+        seen["both"] = _count()
+        b_in.set()
+        assert a_out.wait(10)
+        seen["b"] = _count()
+    thread.join()
+    assert seen == {"a": 2, "both": 1, "b": 2}
+    assert _count() == 4
+
+
+@needs_openblas
+def test_many_threads_splitting_at_once_restore_the_outer_count(blas_threads):
+    # more threads than cores, switching as often as they can: a lost update of the open
+    # block count would leave OpenBLAS on another count at the end
+    blas_threads(4)
+    seen, interval = set(), sys.getswitchinterval()
+
+    def split_often():
+        for _ in range(200):
+            with blas.split_threads():
+                seen.add(_count())
+
+    threads = [threading.Thread(target=split_often) for _ in range(6)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [thread for thread in threads if thread.is_alive()]
+    assert seen <= {1, 2} and _count() == 4
 
 
 def _where(item):

@@ -23,6 +23,7 @@ STUB_MANIFEST = {
     "relabeled": [f"relabeled/view{v}.emb" for v in range(2)],
     "tied": "tied/view0.emb",
     "csv": [f"csv/view{v}.csv" for v in range(2)],
+    "constant": "constant/constant.emb",
 }
 
 

@@ -41,7 +41,8 @@ def _map_rank1(queries, gallery, labels):
 
     ``labels`` name both, as the matrix and the sweep pass one split's test rows.
     """
-    side = align.Side(np.zeros((1, gallery.shape[1])), gallery, np.zeros(gallery.shape[1]))
+    side = align.Side(np.zeros((1, gallery.shape[1])), gallery, ident_eval._unit_rows(gallery),
+                      np.zeros(gallery.shape[1]))
     return ident_eval.map_rank1(queries, side, label_codes(labels), None)
 
 
@@ -660,6 +661,10 @@ def test_aligned_rank1_equals_rank1_of_score_matrix(case, method, cell_budget, s
     test_labels = [labels[i] for i in test]
 
     def from_matrix():
+        # each side's gallery is made when the side is prepared, before the fit: an all-zero
+        # centered test row of either model fails there
+        for rows in (x, y):
+            ident_eval._unit_rows(rows[test] - rows[list(split.train_rows)].mean(axis=0))
         amap = fit_alignment(x, y, method, 0.1, rows=list(split.train_rows))
         scores = score_matrix(*align.project(x[test], y[test], amap))
         return rank_k_accuracy(scores, test_labels, test_labels, 1)

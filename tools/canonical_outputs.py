@@ -10,8 +10,9 @@ generators of ``bench/workloads.py`` at seed 7, one small ``embalign
 synth`` set, a row-permuted copy of the second ``matrix-m6`` view,
 copies of the first two synth views relabeled with unpadded integers,
 a copy of the first synth view whose odd identities repeat the rows
-of the identity before them (tied scores), and CSV copies of the first
-two synth views.
+of the identity before them (tied scores), CSV copies of the first two
+synth views, and a copy of the first ``matrix-m6`` view whose every row
+is the first unit vector (a side that fails to prepare).
 Reports embed the paths of their inputs, so two trees are compared
 through one shared DIR:
 
@@ -106,6 +107,7 @@ def _generate(src, inputs):
     manifest["permuted"] = _permuted_copy(_matrix_views(manifest["matrix-m6"])[1], inputs)
     manifest["relabeled"] = [_relabeled_copy(p, inputs) for p in manifest["synth"][:2]]
     manifest["tied"] = _tied_copy(manifest["synth"][0], inputs)
+    manifest["constant"] = _constant_copy(_matrix_views(manifest["matrix-m6"])[0], inputs)
     manifest["csv"] = [_csv_copy(p, inputs) for p in manifest["synth"][:2]]
     with open(os.path.join(inputs, MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
@@ -174,6 +176,28 @@ def _tied_copy(path, inputs):
     return copy
 
 
+def _constant_copy(path, inputs):
+    """Write the set at ``path`` with every row the first unit vector; return the copy's path.
+
+    Its unit rows and their train mean are exact, so every centered test
+    row is zero: the set's side fails to prepare in every pair, and each
+    cell into or out of it is missing.  (Equal rows of general values do
+    not do that: their mean rounds, and the centered rows are rounding
+    noise of about 3e-15 that normalizes to unit rows.)
+    """
+    from embalign.embedstore import EmbeddingSet, load_embeddings, save_embeddings
+
+    es = load_embeddings(path)
+    rows = np.zeros_like(es.rows)
+    rows[:, 0] = 1.0
+    directory = os.path.join(inputs, "constant")
+    os.makedirs(directory, exist_ok=True)
+    copy = os.path.join(directory, "constant.emb")
+    save_embeddings(EmbeddingSet("constant", es.dataset_name, rows, es.image_ids, es.labels),
+                    copy)
+    return copy
+
+
 def _csv_copy(path, inputs):
     """Write the binary set at ``path`` in the CSV format, under its own name; return the path."""
     from embalign.embedstore import load_embeddings, save_embeddings
@@ -229,6 +253,9 @@ def commands(manifest):
         # each seed scores its queued pairs in flushes of 3, 1 and 3: the lone pair runs alone
         # on the main thread
         ["matrix", "--inputs", *mixed, "--seeds", "0,1", "--out-dir", "matrix_mixed"],
+        # a model whose side fails to prepare: its row and column are missing, and never fit
+        ["matrix", "--inputs", *matrix_views[:3], manifest["constant"], "--seeds", "0,1",
+         "--out-dir", "matrix_degenerate"],
         # the same images listed in another order: paired by id through a dict
         ["matrix", "--inputs", matrix_views[0], manifest["permuted"], "--method", "procrustes",
          "--seeds", "0,1", "--out-dir", "matrix_permuted"],
