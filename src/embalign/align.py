@@ -242,10 +242,12 @@ def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RI
               **meta) -> AlignmentMap:
     """The map of ``method`` from the centered train rows of ``source`` to those of ``target``.
 
-    Every fit of the package goes through here, and through :func:`fit_map`.
-    The returned map holds the two sides' train means; ``meta`` fills its
-    descriptive fields (``source_model``, ``target_model``, ``seed``),
-    which only a map that is saved needs.
+    The fits whose map is kept or projected go through here
+    (:meth:`Pairing.seed_maps`, the CLI's ``fit`` and cross map); the
+    matrix and the sweep score the map array alone and call :func:`fit_map`
+    on the sides' train rows.  The returned map holds the two sides' train
+    means; ``meta`` fills its descriptive fields (``source_model``,
+    ``target_model``, ``seed``), which only a map that is saved needs.
     """
     w = fit_map(source.train, target.train, method, alpha)
     stats = PrepStats(source.mean, target.mean, len(source.train))

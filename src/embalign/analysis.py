@@ -111,7 +111,9 @@ def _score_pair(queued, method, alpha):
     """A queued pair's cells as ``[(cell, Rank-1, or None where it failed), ...]``, in order.
 
     A self procrustes cell scores its side with no map, and cell (j, i) the
-    transpose of the procrustes map of (i, j) where that fit succeeded.
+    transpose of the procrustes map of (i, j) where that fit succeeded.  Every
+    other cell scores the map array :func:`align.fit_map` fits on the train rows
+    of its two sides.
     """
     cells, prepared, codes = queued
     forward = None  # the procrustes map array i -> j of this pair
@@ -123,7 +125,7 @@ def _score_pair(queued, method, alpha):
             elif forward is not None:  # (a, b) is (j, i)
                 w = forward.T
             else:
-                w = align.fit_sides(prepared[a], prepared[b], method, alpha).w
+                w = align.fit_map(prepared[a].train, prepared[b].train, method, alpha)
                 if method == "procrustes" and a < b:
                     forward = w
             values.append(((a, b), map_rank1(prepared[a].test, prepared[b], codes, w)))
@@ -151,21 +153,24 @@ def build_compatibility_matrix(
     shared rows gathered from the set, normalized, split and centered with
     the training mean.  A model holds one side at a time, rebuilt when a
     pair shares other rows of it.  The sides are prepared whole on the main
-    thread, in pair order, so the cell threads only read them; a side that
-    fails to prepare is not held and fails each pair of its model before any fit.
+    thread, in pair order, so the cell threads only read them.  A side that
+    fails to prepare (an ``EmbalignError``) is held as failed: it fails each
+    pair of its model on those rows before any fit, and it is prepared again
+    only when a pair shares other rows of the model, as a held side is.
     Each pair whose sides are held is queued, and the queue is scored
-    before a held side is rebuilt and at the end of the seed, its pairs on
-    two threads (:func:`blas.each_on_two_threads`; a lone pair on the main
-    thread alone), and their cells merged in pair order.  Both ordered cells
-    of a pair score from those sides, on one thread, each through one map
-    array.
+    before a held side (not a failed one) is rebuilt and at the end of the
+    seed, its pairs on two threads (:func:`blas.each_on_two_threads`; a lone
+    pair on the main thread alone), and their cells merged in pair order.
+    Both ordered cells of a pair score from those sides, on one thread, each
+    through one map array.
     A self procrustes cell (i, i) scores its side with no map: the
     identity, an exact optimum (:mod:`align`).  Procrustes fits once per
-    unordered pair i < j per seed (:func:`align.fit_sides`): cell (j, i)
-    scores the transpose of that map right away, the map of the same
-    training rows fit from j to i (:mod:`align`), and fits its own map
-    where (i, j) failed.  Linear and ridge are directional regressions and
-    fit per cell, self cells included.  No side or map outlives its seed.
+    unordered pair i < j per seed (:func:`align.fit_map` on the two sides'
+    train rows): cell (j, i) scores the transpose of that map right away,
+    the map of the same training rows fit from j to i (:mod:`align`), and
+    fits its own map where (i, j) failed.  Linear and ridge are directional
+    regressions and fit per cell, self cells included.  No side or map
+    outlives its seed.
     The arguments are checked before any cell is fit.  Each ordered cell
     fails on its own: one whose evaluation fails with an ``EmbalignError``
     at any seed is marked missing (NaN), never zero, and evaluated no
@@ -209,13 +214,18 @@ def build_compatibility_matrix(
         queue.clear()
 
     def side(model, rows, split):
-        """The side of ``model`` on its shared ``rows``, prepared unless it is held."""
+        """The side of ``model`` on its shared ``rows``, prepared unless it is held; ``None``
+        where it failed to prepare."""
         if sides[model] is None or not np.array_equal(sides[model][0], rows):
-            if sides[model] is not None:
+            if sides[model] is not None and sides[model][1] is not None:
                 flush()  # the queued pairs may hold the side about to be dropped
             sides[model] = None  # free the old side before the new one is made
-            sides[model] = rows, align.prepare_side(
-                sets[model].rows, rows[split.train_rows], rows[split.test_rows])
+            try:
+                made = align.prepare_side(
+                    sets[model].rows, rows[split.train_rows], rows[split.test_rows])
+            except EmbalignError:
+                made = None
+            sides[model] = rows, made
         return sides[model][1]
 
     for k, seed in enumerate(seeds):
@@ -225,9 +235,8 @@ def build_compatibility_matrix(
             if not cells:
                 continue
             split, codes = per_split[k]
-            try:
-                prepared = {i: side(i, ra, split), j: side(j, rb, split)}
-            except EmbalignError:
+            prepared = {i: side(i, ra, split), j: side(j, rb, split)}
+            if None in prepared.values():
                 failed.update(cells)
                 continue
             queue.append((cells, prepared, codes))
@@ -330,8 +339,8 @@ def training_size_sweep(
     Per seed the base split defines the train identity pool and the test
     pool; each sweep fraction keeps a nested deterministic prefix of a
     shuffled pool.  Each point prepares both sides of its split once
-    (:meth:`align.Pairing.sides`); each method fits its map on them
-    (:func:`align.fit_sides`) and reads its aligned Rank-1 with
+    (:meth:`align.Pairing.sides`); each method fits its map array on their
+    train rows (:func:`align.fit_map`) and reads its aligned Rank-1 with
     :func:`ident_eval.map_rank1`, as the matrix does.  The shared labels
     are factorized once; each seed reads its test codes, its identity pool
     and each point's train rows from those codes.  Returns per-point
@@ -370,7 +379,7 @@ def training_size_sweep(
             train = split.train_rows[np.isin(train_codes, pool[order[:n_ids]])]
             a, b = pairing.sides(train, split.test_rows)
             for method in methods:
-                w = align.fit_sides(a, b, method, alpha).w
+                w = align.fit_map(a.train, b.train, method, alpha)
                 points.append(
                     {
                         "method": method,

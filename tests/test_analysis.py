@@ -305,10 +305,18 @@ def _label_sides(monkeypatch, sets, seeds):
     return made
 
 
-def _cell(made, source_test, target):
-    """(source model, target model, seed) of a cell that scores ``source_test`` into ``target``."""
-    (source, seed), = [(name, seed) for side, name, seed in made if side.test is source_test]
-    (target, target_seed), = [(name, seed) for side, name, seed in made if side is target]
+def _cell(made, source, target):
+    """(source model, target model, seed) of a cell that fits or scores ``source`` into ``target``.
+
+    Each of the two is a prepared side, or its train or test rows: ``map_rank1`` takes the
+    source's test rows and the target side, ``fit_map`` the train rows of both.
+    """
+    def named(rows):
+        (name_seed,) = [(name, seed) for side, name, seed in made
+                        if rows is side or rows is side.train or rows is side.test]
+        return name_seed
+
+    (source, seed), (target, target_seed) = named(source), named(target)
     assert seed == target_seed
     return source, target, seed
 
@@ -426,7 +434,7 @@ def test_compatibility_matrix_equals_identification_over_mixed_widths(method):
 def _cell_seams():
     """Mock the side preparation, the fit and the (cell, seed) scoring of the matrix."""
     with mock.patch.object(align, "prepare_side") as prep, \
-            mock.patch.object(align, "fit_sides") as fit, \
+            mock.patch.object(align, "fit_map") as fit, \
             mock.patch.object(analysis, "map_rank1") as cell:
         yield prep, fit, cell
 
@@ -474,14 +482,14 @@ def test_all_missing_matrix_warns_nothing(small_views):
 def _failing(monkeypatch, sets, seeds, module, seam, cell, exc):
     """Make the call of ``module.seam`` for ``cell``, a (source, target, seed), raise ``exc``.
 
-    ``seam`` is ``fit_sides`` or ``map_rank1``, each called with the source
-    side (of ``map_rank1``: its test rows) and the target side first.
+    ``seam`` is ``fit_map`` or ``map_rank1``: the first takes the train rows of the source
+    and the target side, the second the source's test rows and the target side.
     Returns the list of the cells of every call, the failing one included.
     """
     made, real, calls = _label_sides(monkeypatch, sets, seeds), getattr(module, seam), []
 
     def failing(source, target, *args):
-        calls.append(_cell(made, source if seam == "map_rank1" else source.test, target))
+        calls.append(_cell(made, source, target))
         if calls[-1] == cell:
             raise exc
         return real(source, target, *args)
@@ -501,7 +509,7 @@ def test_compatibility_matrix_protocol_error_is_missing_cell(small_views, monkey
 
 @pytest.mark.parametrize("module, seam, cell, missing", [
     # the seed-1 fit of m0 -> m1: m1 -> m0 scores the seed-0 transpose and fits seed 1 itself
-    (align, "fit_sides", ("m0", "m1", 1), (0, 1)),
+    (align, "fit_map", ("m0", "m1", 1), (0, 1)),
     # the seed-0 scoring of m1 -> m0, after m0 -> m1 scored that seed; at seed 1
     # m0 -> m1 fits its map and m1 -> m0 is evaluated no further
     (analysis, "map_rank1", ("m1", "m0", 0), (1, 0)),
@@ -511,9 +519,10 @@ def test_compatibility_matrix_pair_cells_fail_on_their_own(small_views, monkeypa
     sets, seeds = list(small_views), (0, 1)
     want = [[100.0 * evaluate_identification(a, b, seeds=seeds).summary["rank_k"]["1"]["mean"]
              for b in sets] for a in sets]
+    fit = mock.Mock(wraps=align.fit_map)  # counts the fits that run, not the failed one
+    monkeypatch.setattr(align, "fit_map", fit)
     calls = _failing(monkeypatch, sets, seeds, module, seam, cell, NumericalError("injected"))
-    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
-        cm = build_compatibility_matrix(sets, seeds=seeds)
+    cm = build_compatibility_matrix(sets, seeds=seeds)
     assert calls.count(cell) == 1
     # one fit per pair i < j and seed, a failed one remade; self cells fit nothing
     assert fit.call_count == 2
@@ -555,8 +564,12 @@ def _serial_rank1(sets, method, seeds, fraction=0.7, alpha=align.DEFAULT_RIDGE_A
     def side(model, rows, split):
         if sides[model] is None or not np.array_equal(sides[model][0], rows):
             sides[model] = None
-            sides[model] = rows, align.prepare_side(
-                sets[model].rows, rows[split.train_rows], rows[split.test_rows])
+            try:
+                made = align.prepare_side(
+                    sets[model].rows, rows[split.train_rows], rows[split.test_rows])
+            except EmbalignError:
+                made = None  # held as failed, as a prepared side is held
+            sides[model] = rows, made
         return sides[model][1]
 
     per_seed = {}
@@ -567,9 +580,8 @@ def _serial_rank1(sets, method, seeds, fraction=0.7, alpha=align.DEFAULT_RIDGE_A
             if not cells:
                 continue
             split, codes = per_split[k]
-            try:
-                prepared = {i: side(i, ra, split), j: side(j, rb, split)}
-            except EmbalignError:
+            prepared = {i: side(i, ra, split), j: side(j, rb, split)}
+            if None in prepared.values():
                 failed.update(cells)
                 continue
             forward = None
@@ -580,7 +592,7 @@ def _serial_rank1(sets, method, seeds, fraction=0.7, alpha=align.DEFAULT_RIDGE_A
                     elif forward is not None:
                         w = forward.T
                     else:
-                        w = align.fit_sides(prepared[a], prepared[b], method, alpha).w
+                        w = align.fit_map(prepared[a].train, prepared[b].train, method, alpha)
                         if method == "procrustes" and a < b:
                             forward = w
                     value = analysis.map_rank1(prepared[a].test, prepared[b], codes, w)
@@ -603,7 +615,7 @@ def _inject_failures(monkeypatch):
     the seed fixes how often that cell ran before: at most once a seed.
     """
     calls, failing = Counter(), {("side", 16): 2, ("fit", 40, 24): 2, ("score", 24, 12): 3}
-    prepare, fit, score = align.prepare_side, align.fit_sides, analysis.map_rank1
+    prepare, fit, score = align.prepare_side, align.fit_map, analysis.map_rank1
 
     def fails(*key):
         calls[key] += 1
@@ -614,10 +626,10 @@ def _inject_failures(monkeypatch):
             raise DegenerateRowError(0)
         return prepare(rows, *args)
 
-    def failing_fit(source, target, *args):
-        if fails("fit", source.train.shape[1], target.train.shape[1]):
+    def failing_fit(x_tr, y_tr, *args):
+        if fails("fit", x_tr.shape[1], y_tr.shape[1]):
             raise NumericalError("injected")
-        return fit(source, target, *args)
+        return fit(x_tr, y_tr, *args)
 
     def failing_score(x_test, target, *args):
         if fails("score", x_test.shape[1], target.test.shape[1]):
@@ -625,7 +637,7 @@ def _inject_failures(monkeypatch):
         return score(x_test, target, *args)
 
     monkeypatch.setattr(align, "prepare_side", failing_prepare)
-    monkeypatch.setattr(align, "fit_sides", failing_fit)
+    monkeypatch.setattr(align, "fit_map", failing_fit)
     monkeypatch.setattr(analysis, "map_rank1", failing_score)
 
 
@@ -669,22 +681,60 @@ def test_compatibility_matrix_equals_its_serial_reference(monkeypatch, method, m
     assert {(a, b) for a, b in zip(*np.nonzero(np.isnan(got)))} == missing
 
 
-def test_a_side_that_fails_to_prepare_is_never_fit(monkeypatch):
-    # every centered test row of the constant model is zero, so its side fails to prepare
-    # and is not held: no later pair of the model fits a map into or out of it
+def _views_and_constant():
+    """Three 12-wide views of one cloud and a constant 4-wide model on the same images.
+
+    Every row of the constant model is four ones, so its unit rows and their mean are exact,
+    every centered test row is zero, and its side fails to prepare.
+    """
     cloud = generate_identity_cloud(40, 5, 8, seed=3)
     views = [embed_view(cloud, 12, 40 + k, noise=0.5, model_name=f"v{k}") for k in range(3)]
-    sets = [*views, EmbeddingSet("constant", "", np.ones((views[0].n, 4), np.float32),
+    return [*views, EmbeddingSet("constant", "", np.ones((views[0].n, 4), np.float32),
                                  views[0].image_ids, views[0].labels)]
+
+
+def test_a_side_that_fails_to_prepare_is_never_fit(monkeypatch):
+    # no pair of the constant model fits a map into or out of it
+    sets = _views_and_constant()
     fits = []
-    real_fit = align.fit_sides
-    monkeypatch.setattr(align, "fit_sides",
-                        lambda a, b, *args: fits.append((a, b)) or real_fit(a, b, *args))
+    real_fit = align.fit_map
+    monkeypatch.setattr(align, "fit_map",
+                        lambda x, y, *args: fits.append((x, y)) or real_fit(x, y, *args))
     got = build_compatibility_matrix(sets, seeds=(0,)).rank1
-    assert fits and not [f for f in fits if 4 in (f[0].train.shape[1], f[1].train.shape[1])]
+    assert fits and not [f for f in fits if 4 in (f[0].shape[1], f[1].shape[1])]
     assert np.isnan(got[3]).all() and np.isnan(got[:, 3]).all()
     monkeypatch.undo()
-    assert got[:3, :3].tobytes() == _serial_rank1(views, "procrustes", (0,)).tobytes()
+    assert got[:3, :3].tobytes() == _serial_rank1(sets[:3], "procrustes", (0,)).tobytes()
+
+
+def test_a_side_that_fails_to_prepare_is_held_as_failed():
+    # the constant model's side fails once and is held as failed for its later pairs on the
+    # same rows, as a prepared side is held (it used to be prepared again for each of its 4
+    # pairs, 10 preparations in all); seed 1 prepares it no more, as its cells have failed
+    sets, seeds = _views_and_constant(), (0, 1)
+    with mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prepare:
+        got = build_compatibility_matrix(sets, seeds=seeds).rank1
+    widths = [c.args[0].shape[1] for c in prepare.call_args_list]
+    assert widths.count(4) == 1 and len(widths) == 3 * len(seeds) + 1
+    assert got.tobytes() == _serial_rank1(sets, "procrustes", seeds).tobytes()
+    assert np.isnan(got[3]).all() and np.isnan(got[:, 3]).all() and np.isfinite(got[:3, :3]).all()
+
+
+@pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
+def test_matrix_and_sweep_fit_map_arrays_and_build_no_alignment_map(method):
+    # a cell or a sweep point scores the map array alone: it builds no AlignmentMap (and
+    # PrepStats) only to read its w
+    sets, seeds, m = _views_and_constant(), (0, 1), 3  # m models whose sides prepare
+    with mock.patch.object(align, "AlignmentMap", wraps=align.AlignmentMap) as amap, \
+            mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+        cm = build_compatibility_matrix(sets, method=method, seeds=seeds, alpha=0.5)
+        fits = fit.call_count
+        table = training_size_sweep(sets[0], sets[1], [0.5, 1.0], seeds=seeds,
+                                    methods=(method,), alpha=0.5)
+    amap.assert_not_called()
+    assert fits == (m * (m - 1) // 2 if method == "procrustes" else m * m) * len(seeds)
+    assert fit.call_count - fits == len(table["points"]) == 2 * len(seeds)
+    assert np.isfinite(cm.rank1[:m, :m]).all()
 
 
 def test_a_bug_in_the_cell_thread_propagates_and_leaves_no_thread(monkeypatch):
@@ -892,7 +942,7 @@ def test_sweep_rejects_repeats(small_views, kwargs, message):
     # gave an empty sweep
     args = {"fractions": [0.5, 1.0], "seeds": (0,), "methods": ("procrustes",), **kwargs}
     with mock.patch.object(align, "prepare_side") as prepare, \
-            mock.patch.object(align, "fit_sides") as fit:
+            mock.patch.object(align, "fit_map") as fit:
         with pytest.raises(ArgumentError, match=message):
             training_size_sweep(*small_views, **args)
     prepare.assert_not_called()
@@ -903,7 +953,7 @@ def test_sweep_rejects_repeats(small_views, kwargs, message):
                                             (("linear", "ridge"), 0.0)])
 def test_sweep_checks_every_method_before_the_first_fit(small_views, methods, alpha):
     with mock.patch.object(align, "prepare_side") as prepare, \
-            mock.patch.object(align, "fit_sides") as fit:
+            mock.patch.object(align, "fit_map") as fit:
         with pytest.raises(ConsistencyError):
             training_size_sweep(*small_views, [1.0], seeds=(0,), methods=methods, alpha=alpha)
     prepare.assert_not_called()
@@ -1018,7 +1068,7 @@ def test_sweep_prepares_each_point_once(small_views, methods):
     # both sides of a (seed, fraction) point are prepared once, whatever the
     # number of methods fit and scored on them
     with mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prepare, \
-            mock.patch.object(align, "fit_sides", wraps=align.fit_sides) as fit:
+            mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
         table = training_size_sweep(*small_views, [0.5, 1.0], seeds=(0, 3), methods=methods)
     assert prepare.call_count == 2 * 2 * 2
     assert fit.call_count == len(table["points"]) == 2 * 2 * len(methods)

@@ -621,7 +621,7 @@ def repeated_seed_commands(synth_dir, out):
 def test_repeated_seed_is_clean_error(synth_dir, tmp_path, capsys, command):
     # seed 3 used to run twice and enter the mean and std twice
     out = tmp_path / "out"
-    with mock.patch.object(align, "fit_sides") as fit:
+    with mock.patch.object(align, "fit_map") as fit:
         assert run(*repeated_seed_commands(synth_dir, str(out))[command]) == 1
     fit.assert_not_called()
     err = capsys.readouterr().err

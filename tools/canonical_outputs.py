@@ -256,6 +256,11 @@ def commands(manifest):
         # a model whose side fails to prepare: its row and column are missing, and never fit
         ["matrix", "--inputs", *matrix_views[:3], manifest["constant"], "--seeds", "0,1",
          "--out-dir", "matrix_degenerate"],
+        # its side fails on the 300 images it shares with the synth view, is prepared again
+        # when view 0 needs all 1000, fails again, and is held as failed for view 4 and the
+        # self cell, between flushes of several sizes
+        ["matrix", "--inputs", *mixed, manifest["constant"], "--seeds", "0,1",
+         "--out-dir", "matrix_degenerate_mixed"],
         # the same images listed in another order: paired by id through a dict
         ["matrix", "--inputs", matrix_views[0], manifest["permuted"], "--method", "procrustes",
          "--seeds", "0,1", "--out-dir", "matrix_permuted"],
