@@ -38,7 +38,7 @@ from .ident_eval import (
     rank_k_accuracy,
     score_matrix,
 )
-from .prep import PrepStats, apply_prep, fit_prep, l2_normalize
+from .prep import apply_prep, fit_prep, l2_normalize
 from .reports import TOOL_VERSION as __version__
 from .splits import (
     DEFAULT_SEEDS,

@@ -27,6 +27,11 @@ orthogonal W of ||X W - X||_F = 0 (the unique optimum when X has full
 column rank), and the orthogonal factor of (X^T Y)^T = Y^T X is the
 transpose of that of X^T Y, so the map from target to source is W^T.
 
+A fitted map is one record, :class:`AlignmentMap`: W and the train means
+it was fit after, so a source row x maps to (x - mu_x) W and is compared
+with y - mu_y.  :func:`prepare_side` refuses a centered test row that is
+only the rounding of its train mean (:func:`centering_floor`).
+
 Scoring works in the models' own shapes too (:func:`project`): each
 side keeps the k columns it shares with the other, k = d_b with a map
 and min(d_a, d_b) for the unaligned baseline.  A score is the cosine of
@@ -53,7 +58,7 @@ from .embedstore import EmbeddingSet, shared_rows
 from .errors import (
     ConsistencyError, DataError, DegenerateRowError, FormatError, IoError, NumericalError,
 )
-from .prep import PrepStats, center, l2_normalize
+from .prep import center, l2_normalize
 from .reports import atomic_write
 from .splits import identity_disjoint_split, label_codes
 
@@ -159,10 +164,13 @@ def _check_orthonormal(w: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class AlignmentMap:
-    """A fitted d_a x d_b map together with its preprocessing statistics."""
+    """The affine map x -> (x - mu_x) @ w, d_a x d_b, fit on ``n_train`` rows centered with the
+    1-D float64 train means ``mu_x`` and ``mu_y``; target rows are compared as y - mu_y."""
 
     w: np.ndarray
-    stats: PrepStats
+    mu_x: np.ndarray
+    mu_y: np.ndarray
+    n_train: int
     method: str
     source_model: str = ""
     target_model: str = ""
@@ -170,11 +178,16 @@ class AlignmentMap:
     seed: int = 0
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        object.__setattr__(self, "w", w)
-        if w.shape != (self.stats.d_a, self.stats.d_b):
+        for name in ("w", "mu_x", "mu_y"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        w, mu_x, mu_y = self.w, self.mu_x, self.mu_y
+        if mu_x.ndim != 1 or mu_y.ndim != 1:
+            raise ConsistencyError("mean vectors must be 1-D")
+        if not (np.all(np.isfinite(mu_x)) and np.all(np.isfinite(mu_y))):
+            raise DataError("non-finite training means")
+        if w.shape != (len(mu_x), len(mu_y)):
             raise ConsistencyError(
-                f"map shape {w.shape} != (d_a, d_b) = ({self.stats.d_a}, {self.stats.d_b})"
+                f"map shape {w.shape} != (d_a, d_b) = ({len(mu_x)}, {len(mu_y)})"
             )
         if not all(w.shape):
             raise ConsistencyError(f"map shape {w.shape} has a zero width")
@@ -220,8 +233,22 @@ def prepare_side(rows, train, test=None) -> Side:
     are never written.  The mean and the centered rows are bit-equal to
     :func:`prep.fit_prep` on the unit train rows followed by
     :func:`prep.center` of each part; the gallery is made from the centered
-    test rows here (an all-zero one is a ``DegenerateRowError``).  No train
-    rows is a ``ConsistencyError``.
+    test rows here.  No train rows is a ``ConsistencyError``.
+
+    A centered test row no longer than the rounding floor below is a
+    ``DegenerateRowError`` naming its index among the test rows: it cannot
+    be told from a row equal to the train mean, whose direction is
+    rounding noise.  With u = 2^-53 and g(k) = k u / (1 - k u), a sum of
+    n terms in any order errs by at most g(n - 1) times the sum of their
+    magnitudes, and the division by n adds one rounding, so each column of
+    the computed mean of n unit rows u_i is off by at most g(n) a_j, where
+    a is the mean of the |u_i|.  A test row equal to the exact mean
+    centers to that error times (1 + u) (one rounding of the subtraction),
+    so its norm is at most g(n + 1) ||a||.  By the triangle inequality
+    ||a|| <= max ||u_i||, and a computed unit row of width d has norm at
+    most 1 + (d + 2) eps, eps = 2u: its norm is off by at most about
+    (d / 2 + 1) eps and each division adds u.  The floor is
+    g(n + 1) (1 + (d + 2) eps).  An all-zero centered row lies under it.
     """
 
     def centered(index, mean=None):
@@ -234,8 +261,22 @@ def prepare_side(rows, train, test=None) -> Side:
         return got, mean
 
     x_tr, mean = centered(train)
-    x_te = None if test is None else centered(test, mean)[0]
-    return Side(x_tr, x_te, None if x_te is None else l2_normalize(x_te), mean)
+    if test is None:
+        return Side(x_tr, None, None, mean)
+    x_te = centered(test, mean)[0]
+    norms = np.linalg.norm(x_te, axis=1)
+    low = np.flatnonzero(norms <= centering_floor(*x_tr.shape))
+    if low.size:
+        raise DegenerateRowError(int(low[0]), f"centered test row {low[0]} has norm "
+                                 f"{norms[low[0]]:.3g}, the rounding level of its train mean")
+    return Side(x_tr, x_te, l2_normalize(x_te), mean)
+
+
+def centering_floor(n: int, d: int) -> float:
+    """The floor of :func:`prepare_side`: the largest norm rounding leaves of a unit row of
+    width d that equals the exact mean of n unit rows, centered with their computed mean."""
+    u = np.finfo(np.float64).eps / 2
+    return (n + 1) * u / (1 - (n + 1) * u) * (1 + (d + 2) * 2 * u)
 
 
 def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RIDGE_ALPHA,
@@ -250,10 +291,8 @@ def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RI
     ``target_model``, ``seed``), which only a map that is saved needs.
     """
     w = fit_map(source.train, target.train, method, alpha)
-    stats = PrepStats(source.mean, target.mean, len(source.train))
-    return AlignmentMap(
-        w=w, stats=stats, method=method, alpha=alpha if method == "ridge" else 0.0, **meta
-    )
+    return AlignmentMap(w, source.mean, target.mean, len(source.train), method,
+                        alpha=alpha if method == "ridge" else 0.0, **meta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,15 +375,19 @@ def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         k = min(x.shape[1], y.shape[1])
         return x[:, :k], y[:, :k]
-    return center(x, amap.stats, "source") @ amap.w, center(y, amap.stats, "target")
+    return center(x, amap.mu_x) @ amap.w, center(y, amap.mu_y)
 
 
 def training_residual(amap: AlignmentMap, x_tr: np.ndarray, y_tr: np.ndarray) -> float:
     """Frobenius residual ||x_tr W - y_tr||_F on centered n x d_a and n x d_b training rows."""
     x_tr, y_tr = _check_train(x_tr, y_tr)
-    if x_tr.shape[1] != amap.stats.d_a or y_tr.shape[1] != amap.stats.d_b:
+    if (x_tr.shape[1], y_tr.shape[1]) != amap.w.shape:
         raise ConsistencyError("training data widths do not match the map")
     return float(np.linalg.norm(x_tr @ amap.w - y_tr))
+
+
+#: the fields of an AlignmentMap beside its arrays, stored under their names in a map file
+_MAP_RECORD = ("n_train", "method", "alpha", "source_model", "target_model", "seed")
 
 
 def save_map(amap: AlignmentMap, path: str) -> None:
@@ -352,20 +395,11 @@ def save_map(amap: AlignmentMap, path: str) -> None:
 
     The map block is the d_a x d_b map itself (format version 2).
     """
-    mu_x = np.ascontiguousarray(amap.stats.mu_x, dtype="<f8").tobytes()
-    mu_y = np.ascontiguousarray(amap.stats.mu_y, dtype="<f8").tobytes()
+    mu_x = np.ascontiguousarray(amap.mu_x, dtype="<f8").tobytes()
+    mu_y = np.ascontiguousarray(amap.mu_y, dtype="<f8").tobytes()
     w = np.ascontiguousarray(amap.w, dtype="<f8").tobytes()
-    header = {
-        "format_version": _MAP_FORMAT_VERSION,
-        "method": amap.method,
-        "alpha": amap.alpha,
-        "d_a": amap.stats.d_a,
-        "d_b": amap.stats.d_b,
-        "n_train": amap.stats.n_train,
-        "source_model": amap.source_model,
-        "target_model": amap.target_model,
-        "seed": amap.seed,
-    }
+    header = {"format_version": _MAP_FORMAT_VERSION, "d_a": amap.w.shape[0],
+              "d_b": amap.w.shape[1], **{key: getattr(amap, key) for key in _MAP_RECORD}}
     header_bytes = None
     # offsets count from the start of the file, so the header references
     # itself; iterate until the header length stabilizes
@@ -482,19 +516,12 @@ def load_map(path: str) -> AlignmentMap:
             raise FormatError(f"{path}: non-finite values in data block {name}")
         return values
 
-    stats = PrepStats(block("mu_x", d_a), block("mu_y", d_b), header["n_train"])
+    mu_x, mu_y = block("mu_x", d_a), block("mu_y", d_b)
     stored = block("w", shape[0] * shape[1]).reshape(shape)
     if header["format_version"] == 1:
         if header["method"] == "procrustes":
             _check_orthonormal(stored)
         elif np.any(stored[d_a:]) or np.any(stored[:, d_b:]):
             raise FormatError(f"{path}: nonzero entries outside the d_a x d_b block of the map")
-    return AlignmentMap(
-        w=np.array(stored[:d_a, :d_b]),
-        stats=stats,
-        method=header["method"],
-        alpha=header["alpha"],
-        source_model=header["source_model"],
-        target_model=header["target_model"],
-        seed=header["seed"],
-    )
+    return AlignmentMap(np.array(stored[:d_a, :d_b]), mu_x, mu_y,
+                        **{key: header[key] for key in _MAP_RECORD})

@@ -265,7 +265,7 @@ def _read_matrix(path: str) -> analysis.CompatibilityMatrix:
             doc = json.load(f)
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    except ValueError as exc:  # undecodable bytes or malformed JSON
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deeply nested
         raise FormatError(f"{path}: not a JSON document: {exc}") from exc
     metrics = doc.get("metrics", doc) if isinstance(doc, dict) else None
     if not isinstance(metrics, dict):

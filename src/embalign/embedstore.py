@@ -206,6 +206,8 @@ def _load_csv(path, model_name, dataset_name):
         raise IoError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a UTF-8 CSV file") from exc
+    except csv.Error as exc:  # a field over the reader's size limit, among others
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     if len(header) < 3 or header[0] != "image_id" or header[1] != "identity":
         raise FormatError(f"{path}: bad CSV header {header[:3]}")
     d = len(header) - 2

@@ -1,50 +1,21 @@
-"""Preprocessing: unit normalization and train-statistic centering.
+"""Preprocessing: unit normalization and train-mean centering.
 
 Pipeline order is fixed: normalize rows, fit column means on the training
-rows only, subtract those means.  Maps are fit and rows are scored at
-each model's own width (:func:`center`); no evaluation pads a row.
+rows only (:func:`fit_prep`), subtract those means.  A mean is a plain
+1-D float64 array; a fitted :class:`align.AlignmentMap` holds the two it
+was fit after.  Maps are fit and rows are scored at each model's own
+width (:func:`center` subtracts one mean); no evaluation pads a row.
 :func:`apply_prep` gives the centered rows with trailing zero columns up
-to the common width D = max(d_a, d_b), the padded formulation the tests
+to a common width, D = max(d_a, d_b), the padded formulation the tests
 hold the native one against.  Test rows are centered with the training
 means so no test information leaks into the fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConsistencyError, DataError, DegenerateRowError
-
-
-@dataclass(frozen=True)
-class PrepStats:
-    """Training means for one (source, target) model pair, and the rows they came from."""
-
-    mu_x: np.ndarray
-    mu_y: np.ndarray
-    n_train: int
-
-    def __post_init__(self):
-        mu_x = np.asarray(self.mu_x, dtype=np.float64)
-        mu_y = np.asarray(self.mu_y, dtype=np.float64)
-        object.__setattr__(self, "mu_x", mu_x)
-        object.__setattr__(self, "mu_y", mu_y)
-        if mu_x.ndim != 1 or mu_y.ndim != 1:
-            raise ConsistencyError("mean vectors must be 1-D")
-        if not (np.all(np.isfinite(mu_x)) and np.all(np.isfinite(mu_y))):
-            raise DataError("non-finite training means")
-
-    @property
-    def d_a(self) -> int:
-        """Source width."""
-        return len(self.mu_x)
-
-    @property
-    def d_b(self) -> int:
-        """Target width."""
-        return len(self.mu_y)
 
 
 # rows whose norm lies outside [_TINY, _HUGE] are rescaled before they are
@@ -102,8 +73,8 @@ def l2_normalize(rows: np.ndarray) -> np.ndarray:
     return _unit_rows(rows)
 
 
-def fit_prep(x_train: np.ndarray, y_train: np.ndarray) -> PrepStats:
-    """Compute columnwise training means; inputs must already be unit rows."""
+def fit_prep(x_train: np.ndarray, y_train: np.ndarray):
+    """The columnwise training means ``(mu_x, mu_y)``, float64; inputs must be unit rows."""
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
     if x_train.ndim != 2 or y_train.ndim != 2:
@@ -116,30 +87,21 @@ def fit_prep(x_train: np.ndarray, y_train: np.ndarray) -> PrepStats:
         )
     if x_train.shape[0] < 1:
         raise ConsistencyError("need at least one training row")
-    return PrepStats(x_train.mean(axis=0), y_train.mean(axis=0), x_train.shape[0])
+    return x_train.mean(axis=0), y_train.mean(axis=0)
 
 
-def center(rows: np.ndarray, stats: PrepStats, side: str) -> np.ndarray:
-    """Subtract the training mean of ``side``; the rows keep the model's own width.
-
-    ``side`` selects which mean applies: "source" uses mu_x, "target" mu_y.
-    """
+def center(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``rows`` minus the training mean ``mu``; the rows keep the model's own width."""
     rows = np.asarray(rows, dtype=np.float64)
-    if side == "source":
-        mu, d = stats.mu_x, stats.d_a
-    elif side == "target":
-        mu, d = stats.mu_y, stats.d_b
-    else:
-        raise ConsistencyError(f"side must be 'source' or 'target', got {side!r}")
-    if rows.ndim != 2 or rows.shape[1] != d:
+    if rows.ndim != 2 or rows.shape[1] != len(mu):
         raise ConsistencyError(
-            f"{side} rows have width {rows.shape[1] if rows.ndim == 2 else '?'}, "
-            f"stats expect {d}"
+            f"rows have width {rows.shape[1] if rows.ndim == 2 else '?'}, "
+            f"the mean has {len(mu)}"
         )
     return rows - mu
 
 
-def apply_prep(rows: np.ndarray, stats: PrepStats, side: str) -> np.ndarray:
-    """Center by the training mean of ``side`` and zero-pad to width D = max(d_a, d_b)."""
-    centered = center(rows, stats, side)
-    return np.pad(centered, ((0, 0), (0, max(stats.d_a, stats.d_b) - centered.shape[1])))
+def apply_prep(rows: np.ndarray, mu: np.ndarray, width: int) -> np.ndarray:
+    """Center by the training mean ``mu`` and zero-pad to ``width`` columns."""
+    centered = center(rows, mu)
+    return np.pad(centered, ((0, 0), (0, width - centered.shape[1])))

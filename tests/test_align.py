@@ -23,15 +23,16 @@ from embalign.embedstore import EmbeddingSet
 from embalign.errors import (
     ConsistencyError, DataError, DegenerateRowError, FormatError, IoError, NumericalError,
 )
-from embalign.prep import PrepStats, apply_prep, center, fit_prep, l2_normalize
+from embalign.prep import apply_prep, center, fit_prep, l2_normalize
 from embalign.splits import identity_disjoint_split, label_codes, sample_pairs_capped
 
 from conftest import fit_alignment, random_orthogonal, unit_pair, unit_side
 
 
-def make_stats(d, mu=None):
-    mu = np.zeros(d) if mu is None else mu
-    return PrepStats(mu, mu, 1)
+def zero_mean_map(w, method, **fields):
+    """The map ``w`` of ``method`` with zero training means, fit on one row."""
+    w = np.asarray(w)
+    return AlignmentMap(w, np.zeros(w.shape[0]), np.zeros(w.shape[1]), 1, method, **fields)
 
 
 def test_procrustes_self_alignment():
@@ -131,7 +132,6 @@ def test_residual_ordering():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((60, 9))
     y = rng.standard_normal((60, 9))
-    stats = make_stats(9)
     res = {}
     for method, w in [
         ("procrustes", fit_map(x, y, "procrustes")),
@@ -139,7 +139,7 @@ def test_residual_ordering():
         ("ridge", fit_map(x, y, "ridge", DEFAULT_RIDGE_ALPHA)),
     ]:
         alpha = DEFAULT_RIDGE_ALPHA if method == "ridge" else 0.0
-        amap = AlignmentMap(w, stats, method, alpha=alpha)
+        amap = zero_mean_map(w, method, alpha=alpha)
         res[method] = training_residual(amap, x, y)
     assert res["linear"] <= res["procrustes"] + 1e-9
     assert res["linear"] <= res["ridge"] + 1e-9
@@ -161,7 +161,7 @@ def test_linear_first_order_stationarity():
 def test_self_fit_residual_zero():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((20, 4))
-    amap = AlignmentMap(fit_map(x, x, "linear"), make_stats(4), "linear")
+    amap = zero_mean_map(fit_map(x, x, "linear"), "linear")
     assert training_residual(amap, x, x) <= 1e-8
 
 
@@ -197,13 +197,13 @@ def test_native_fits_equal_padded_fits(relation, n, d, extra, alpha, seed):
     rng = np.random.default_rng(seed)
     x = l2_normalize(rng.standard_normal((n, d_a)))
     y = l2_normalize(rng.standard_normal((n, d_b)))
-    stats = fit_prep(x, y)
-    xc, yc = center(x, stats, "source"), center(y, stats, "target")
-    xp, yp = apply_prep(x, stats, "source"), apply_prep(y, stats, "target")
+    mu_x, mu_y = fit_prep(x, y)
+    xc, yc = center(x, mu_x), center(y, mu_y)
+    xp, yp = apply_prep(x, mu_x, max(d_a, d_b)), apply_prep(y, mu_y, max(d_a, d_b))
 
     w = fit_map(xc, yc, "procrustes")
     assert w.shape == (d_a, d_b)
-    AlignmentMap(w, stats, "procrustes")
+    AlignmentMap(w, mu_x, mu_y, n, "procrustes")
     s = np.linalg.svd(xc.T @ yc, compute_uv=False)
     if s[-1] > 1e-2 * s[0]:
         # a full-rank cross-covariance has one orthogonal factor: the leading
@@ -219,7 +219,7 @@ def test_native_fits_equal_padded_fits(relation, n, d, extra, alpha, seed):
         # the padded fit puts nothing outside the block the native fit returns
         assert np.allclose(oracle[d_a:], 0.0, atol=1e-9 * scale), method
         assert np.allclose(oracle[:, d_b:], 0.0, atol=1e-9 * scale), method
-        AlignmentMap(w, stats, method, alpha=alpha if method == "ridge" else 0.0)
+        AlignmentMap(w, mu_x, mu_y, n, method, alpha=alpha if method == "ridge" else 0.0)
 
 
 def test_linear_fit_holds_no_padded_or_n_by_d_copy():
@@ -330,15 +330,19 @@ def test_fit_refuses_no_rows_and_no_width(method):
 def test_transform_identity_map():
     # the identity map with zero means projects unit rows onto themselves
     rows = l2_normalize(np.random.default_rng(12).standard_normal((5, 4)))
-    amap = AlignmentMap(np.eye(4), make_stats(4), "procrustes")
+    amap = zero_mean_map(np.eye(4), "procrustes")
     out, target = project(rows, rows, amap)
     assert np.allclose(out, rows, atol=1e-12) and np.array_equal(target, rows)
 
 
 def test_transform_width_mismatch():
-    amap = AlignmentMap(np.eye(4), make_stats(4), "procrustes")
-    with pytest.raises(ConsistencyError):
-        project(np.ones((2, 3)), np.ones((2, 4)), amap)
+    # each side is centered with its own mean, which names the width its rows must have
+    amap = zero_mean_map(np.eye(6)[:4], "procrustes")
+    project(np.ones((2, 4)), np.ones((2, 6)), amap)
+    for x, y in ((np.ones((2, 3)), np.ones((2, 6))), (np.ones((2, 6)), np.ones((2, 6))),
+                 (np.ones((2, 4)), np.ones((2, 4))), (np.ones((2, 4)), np.ones((2, 7)))):
+        with pytest.raises(ConsistencyError, match="the mean has"):
+            project(x, y, amap)
 
 
 def old_pad(rows, big_d):
@@ -392,14 +396,17 @@ def padded_sides(x, y, amap, split):
     D x D map of that evaluation: the linear or ridge map zero-padded, or the
     orthogonal factor of the full SVD of the padded cross-covariance.
     """
-    s = amap.stats
-    big_d = max(s.d_a, s.d_b)
+    big_d = max(amap.w.shape)
     tr, te = list(split.train_rows), list(split.test_rows)
+
+    def padded(rows, mu):
+        return apply_prep(rows, mu, big_d)
+
     if amap.method == "procrustes":
-        w = fit_map(apply_prep(x[tr], s, "source"), apply_prep(y[tr], s, "target"), "procrustes")
+        w = fit_map(padded(x[tr], amap.mu_x), padded(y[tr], amap.mu_y), "procrustes")
     else:
         w = stored_map_v1(amap)
-    aligned = (apply_prep(x[te], s, "source") @ w, apply_prep(y[te], s, "target"))
+    aligned = (padded(x[te], amap.mu_x) @ w, padded(y[te], amap.mu_y))
     return aligned, (old_pad(x[te], big_d), old_pad(y[te], big_d))
 
 
@@ -472,16 +479,16 @@ def test_thin_procrustes_is_the_padded_block(n, d_a, d_b):
 @pytest.mark.parametrize("d_a, d_b", [(5, 3), (3, 5)])
 def test_alignment_map_checks_the_smaller_gram(d_a, d_b):
     rng = np.random.default_rng(d_a)
-    stats = PrepStats(np.zeros(d_a), np.zeros(d_b), 1)
+    means = np.zeros(d_a), np.zeros(d_b), 1
     big_d = max(d_a, d_b)
     tall = random_orthogonal(big_d, rng)[:, :min(d_a, d_b)]
     block = tall if d_a > d_b else tall.T
-    AlignmentMap(block, stats, "procrustes")  # orthonormal columns, or rows
+    AlignmentMap(block, *means, "procrustes")  # orthonormal columns, or rows
     for bad in (1.001 * block, block + 1e-3 * rng.standard_normal(block.shape)):
         with pytest.raises(ConsistencyError, match="orthogonality"):
-            AlignmentMap(bad, stats, "procrustes")
+            AlignmentMap(bad, *means, "procrustes")
     with pytest.raises(ConsistencyError, match="map shape"):
-        AlignmentMap(np.pad(block, [(0, big_d - d_a), (0, big_d - d_b)]), stats, "procrustes")
+        AlignmentMap(np.pad(block, [(0, big_d - d_a), (0, big_d - d_b)]), *means, "procrustes")
 
 
 @pytest.mark.parametrize("d_a, d_b", [(7, 4), (4, 7), (5, 5)])
@@ -490,7 +497,7 @@ def test_transform_and_residual_take_native_widths(d_a, d_b):
         x, y, amap = _fit_pair(d_a, d_b, method)
         out, target = project(x[60:], y[60:], amap)
         assert out.shape == target.shape == (20, d_b)
-        xc, yc = center(x[:60], amap.stats, "source"), center(y[:60], amap.stats, "target")
+        xc, yc = center(x[:60], amap.mu_x), center(y[:60], amap.mu_y)
         assert training_residual(amap, xc, yc) == np.linalg.norm(xc @ amap.w - yc)
         with pytest.raises(ConsistencyError, match="widths"):
             training_residual(amap, old_pad(xc, d_a + 1), yc)
@@ -537,8 +544,7 @@ def test_baseline_row_of_zero_shared_columns_is_a_degenerate_row():
 def test_zero_procrustes_mapped_row_is_a_degenerate_row():
     # an orthogonal 5 x 3 map that drops the first two columns: the row maps to zero,
     # though it is a unit row, and its baseline columns are not zero
-    stats = PrepStats(np.zeros(5), np.zeros(3), 25)
-    amap = AlignmentMap(np.eye(5)[:, 2:], stats, "procrustes")
+    amap = AlignmentMap(np.eye(5)[:, 2:], np.zeros(5), np.zeros(3), 25, "procrustes")
     a, b = _sets_with_source_row([1.0, 1.0, 0.0, 0.0, 0.0])
     with mock.patch.object(align, "fit_sides", return_value=amap):
         assert _zero_row_at(evaluate_identification, a, b, seeds=(0,)) == ZERO_AT
@@ -599,15 +605,35 @@ def test_transform_equals_the_scored_queries(small_views, monkeypatch):
 
 def test_alignment_map_rejects_nonorthogonal_procrustes():
     with pytest.raises(ConsistencyError):
-        AlignmentMap(2.0 * np.eye(3), make_stats(3), "procrustes")
+        zero_mean_map(2.0 * np.eye(3), "procrustes")
 
 
 @pytest.mark.parametrize("d_a, d_b", [(0, 3), (3, 0), (0, 0)])
 def test_alignment_map_refuses_a_zero_width(d_a, d_b):
     # every fit refuses a zero width, so no map may have one either
-    stats = PrepStats(np.zeros(d_a), np.zeros(d_b), 4)
     with pytest.raises(ConsistencyError, match="zero width"):
-        AlignmentMap(np.zeros((d_a, d_b)), stats, "linear")
+        AlignmentMap(np.zeros((d_a, d_b)), np.zeros(d_a), np.zeros(d_b), 4, "linear")
+
+
+@pytest.mark.parametrize("mu_x, mu_y, error", [
+    (np.zeros((2, 2)), np.zeros(3), ConsistencyError),
+    (np.zeros(2), np.float64(0.0), ConsistencyError),
+    (np.array([0.0, np.nan]), np.zeros(3), DataError),
+    (np.zeros(2), np.array([np.inf]), DataError),
+    (np.zeros(3), np.zeros(3), ConsistencyError),
+    (np.zeros(2), np.zeros(2), ConsistencyError),
+])
+def test_alignment_map_refuses_bad_means(mu_x, mu_y, error):
+    # the means are 1-D and finite, and the map is len(mu_x) x len(mu_y)
+    with pytest.raises(error):
+        AlignmentMap(np.eye(2, 3), mu_x, mu_y, 1, "linear")
+
+
+def test_alignment_map_holds_float64_means():
+    amap = AlignmentMap(np.eye(2, 3), [1, 2], np.float32([0.5, 0.25, 0.125]), 7, "linear")
+    assert amap.mu_x.dtype == amap.mu_y.dtype == amap.w.dtype == np.float64
+    assert amap.mu_x.tolist() == [1.0, 2.0] and amap.mu_y.tolist() == [0.5, 0.25, 0.125]
+    assert amap.n_train == 7
 
 
 def _fit_pair(d_a, d_b, method, **meta):
@@ -629,12 +655,12 @@ def test_reversed_procrustes_map_is_the_transposed_map(d_a, d_b):
     # a fit from y to x on the same rows: the swapped means, and the same map, which
     # is unique for a full-rank cross-covariance; and so the same scores
     direct = fit_alignment(y, x, "procrustes", rows=list(range(60)))
-    assert np.array_equal(direct.stats.mu_x, amap.stats.mu_y)
-    assert np.array_equal(direct.stats.mu_y, amap.stats.mu_x)
-    assert (direct.stats.d_a, direct.stats.d_b, direct.stats.n_train) == (d_b, d_a, 60)
+    assert np.array_equal(direct.mu_x, amap.mu_y)
+    assert np.array_equal(direct.mu_y, amap.mu_x)
+    assert (direct.w.shape, direct.n_train) == ((d_b, d_a), 60)
     assert np.abs(back - direct.w).max() <= 1e-12
     # the transpose passes the orthogonality check of a procrustes map
-    transposed = AlignmentMap(back, direct.stats, "procrustes")
+    transposed = AlignmentMap(back, direct.mu_x, direct.mu_y, direct.n_train, "procrustes")
     scores = [ident_eval.score_matrix(*project(y[60:], x[60:], m)) for m in (transposed, direct)]
     assert np.abs(scores[0] - scores[1]).max() <= 1e-12
 
@@ -658,6 +684,32 @@ def test_a_prepared_side_is_whole_and_read_only():
     assert err.value.row_index == 1
 
 
+@pytest.mark.parametrize("n, d", [(1, 3), (7, 12), (300, 64), (2000, 256)])
+def test_a_near_constant_side_fails_to_prepare(n, d):
+    # rows that all equal one row of general values: their unit rows are equal, but the
+    # computed train mean is off by rounding, so each centered test row is noise under the floor
+    rng = np.random.default_rng(n + d)
+    floor = align.centering_floor(n, d)
+    for _ in range(5):
+        rows = np.repeat(rng.standard_normal((1, d)).astype(np.float32), n + 3, axis=0)
+        noise = np.linalg.norm(l2_normalize(rows[:1]) - l2_normalize(rows[:n]).mean(axis=0))
+        assert noise <= floor
+        with pytest.raises(DegenerateRowError, match="rounding level") as err:
+            align.prepare_side(rows, range(n), range(n, n + 3))
+        assert err.value.row_index == 0
+    # a test row a thousand floors off the train rows is kept, and its gallery row is a unit row
+    base = rng.standard_normal(d)
+    base /= np.linalg.norm(base)
+    off = base + 1e3 * floor * np.roll(base, 1)
+    rows = np.vstack([np.repeat(base[None], n, axis=0), base, off])
+    side = align.prepare_side(rows, range(n), [n + 1])
+    assert np.linalg.norm(side.test) > 100 * floor
+    assert abs(np.linalg.norm(side.gallery) - 1.0) <= 1e-12
+    with pytest.raises(DegenerateRowError) as err:
+        align.prepare_side(rows, range(n), [n + 1, n])
+    assert err.value.row_index == 1
+
+
 def test_one_side_onto_itself_is_the_identity_map():
     # the compatibility matrix scores a self procrustes cell with no map, as if I
     rng = np.random.default_rng(23)
@@ -665,8 +717,8 @@ def test_one_side_onto_itself_is_the_identity_map():
     amap = align.fit_sides(side, side, "procrustes")
     # the unique optimum of full-rank rows is I, up to the rounding of the SVD
     assert np.abs(amap.w - np.eye(9)).max() <= 1e-12
-    assert amap.stats.mu_x.tobytes() == amap.stats.mu_y.tobytes() == side.mean.tobytes()
-    assert (amap.stats.d_a, amap.stats.d_b, amap.stats.n_train) == (9, 9, 30)
+    assert amap.mu_x.tobytes() == amap.mu_y.tobytes() == side.mean.tobytes()
+    assert (amap.w.shape, amap.n_train) == ((9, 9), 30)
     # the regressions are not I: the minimum-norm map of a rank-deficient X (rows
     # in a 5-dim subspace of 9 columns) is the projector onto its row space, and
     # ridge shrinks the map
@@ -681,19 +733,19 @@ def test_one_side_onto_itself_is_the_identity_map():
 
 def test_map_file_round_trip(tmp_path):
     rng = np.random.default_rng(13)
-    stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 33)
+    mu_x, mu_y = rng.standard_normal(4), rng.standard_normal(6)
     amap = AlignmentMap(
-        rng.standard_normal((4, 6)), stats, "ridge", alpha=0.1,
+        rng.standard_normal((4, 6)), mu_x, mu_y, 33, "ridge", alpha=0.1,
         source_model="a", target_model="b", seed=3,
     )
     path = str(tmp_path / "m.amap")
     save_map(amap, path)
     loaded = load_map(path)
     assert np.array_equal(loaded.w, amap.w)
-    assert np.array_equal(loaded.stats.mu_x, stats.mu_x)
-    assert np.array_equal(loaded.stats.mu_y, stats.mu_y)
+    assert np.array_equal(loaded.mu_x, mu_x)
+    assert np.array_equal(loaded.mu_y, mu_y)
     assert loaded.method == "ridge" and loaded.alpha == 0.1
-    assert loaded.stats.n_train == 33 and loaded.seed == 3
+    assert loaded.n_train == 33 and loaded.seed == 3
 
 
 # --- map files of format version 1 -----------------------------------------
@@ -727,12 +779,12 @@ def map_bytes_v1(amap, stored=None):
     """
     stored = stored_map_v1(amap) if stored is None else stored
     blocks = {name: np.ascontiguousarray(b, dtype="<f8").tobytes()
-              for name, b in (("mu_x", amap.stats.mu_x), ("mu_y", amap.stats.mu_y),
+              for name, b in (("mu_x", amap.mu_x), ("mu_y", amap.mu_y),
                               ("w", stored))}
     header = {
         "format_version": 1, "method": amap.method, "alpha": amap.alpha,
-        "d_a": amap.stats.d_a, "d_b": amap.stats.d_b, "D": len(stored),
-        "n_train": amap.stats.n_train, "source_model": amap.source_model,
+        "d_a": amap.w.shape[0], "d_b": amap.w.shape[1], "D": len(stored),
+        "n_train": amap.n_train, "source_model": amap.source_model,
         "target_model": amap.target_model, "seed": amap.seed,
     }
     offsets = dict.fromkeys(blocks, 0)
@@ -756,11 +808,11 @@ def file_header(path):
 
 def assert_same_map(got, want):
     """Every field of two maps agrees, float arrays to the bit."""
-    for name, a, b in (("w", got.w, want.w), ("mu_x", got.stats.mu_x, want.stats.mu_x),
-                       ("mu_y", got.stats.mu_y, want.stats.mu_y)):
+    for name, a, b in (("w", got.w, want.w), ("mu_x", got.mu_x, want.mu_x),
+                       ("mu_y", got.mu_y, want.mu_y)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert (got.method, got.alpha, got.seed, got.stats.n_train) == (
-        want.method, want.alpha, want.seed, want.stats.n_train)
+    assert (got.method, got.alpha, got.seed, got.n_train) == (
+        want.method, want.alpha, want.seed, want.n_train)
     assert (got.source_model, got.target_model) == (want.source_model, want.target_model)
 
 
@@ -777,7 +829,7 @@ def test_map_file_round_trip_native_block(tmp_path, d_a, d_b, method):
     assert blob[header["offset_w"]:] == amap.w.tobytes()
     loaded = load_map(path)
     assert_same_map(loaded, amap)
-    assert (loaded.method, loaded.alpha, loaded.seed, loaded.stats.n_train) == (
+    assert (loaded.method, loaded.alpha, loaded.seed, loaded.n_train) == (
         method, amap.alpha, 2, 60)
     assert (loaded.source_model, loaded.target_model) == ("a", "b")
 
@@ -836,8 +888,8 @@ def map_blobs(tmp_path_factory):
     The map has d_a=4 and d_b=6; both files are built once per module.
     """
     rng = np.random.default_rng(13)
-    stats = PrepStats(rng.standard_normal(4), rng.standard_normal(6), 33)
-    amap = AlignmentMap(rng.standard_normal((4, 6)), stats, "ridge", alpha=0.1, seed=3)
+    mu_x, mu_y = rng.standard_normal(4), rng.standard_normal(6)
+    amap = AlignmentMap(rng.standard_normal((4, 6)), mu_x, mu_y, 33, "ridge", alpha=0.1, seed=3)
     path = tmp_path_factory.mktemp("maps") / "valid.amap"
     save_map(amap, str(path))
     blobs = {}

@@ -707,6 +707,20 @@ def test_a_side_that_fails_to_prepare_is_never_fit(monkeypatch):
     assert got[:3, :3].tobytes() == _serial_rank1(sets[:3], "procrustes", (0,)).tobytes()
 
 
+def test_a_near_constant_model_has_missing_cells():
+    # every row of the fourth model is the first row of v0: its unit rows are equal, but their
+    # train mean rounds, so its centered test rows are rounding noise, which used to normalize
+    # to unit rows and score chance-level cells, its self cell too; the noise lies under the
+    # floor of align.prepare_side, so the side fails to prepare and its cells are missing
+    views = _views_and_constant()[:3]
+    v0 = views[0]
+    near = EmbeddingSet("near", "", np.repeat(v0.rows[:1], v0.n, axis=0), v0.image_ids,
+                        v0.labels)
+    got = build_compatibility_matrix([*views, near], seeds=(0, 1)).rank1
+    assert np.isnan(got[3]).all() and np.isnan(got[:, 3]).all()
+    assert got[:3, :3].tobytes() == build_compatibility_matrix(views, seeds=(0, 1)).rank1.tobytes()
+
+
 def test_a_side_that_fails_to_prepare_is_held_as_failed():
     # the constant model's side fails once and is held as failed for its later pairs on the
     # same rows, as a prepared side is held (it used to be prepared again for each of its 4
@@ -722,8 +736,8 @@ def test_a_side_that_fails_to_prepare_is_held_as_failed():
 
 @pytest.mark.parametrize("method", ["procrustes", "linear", "ridge"])
 def test_matrix_and_sweep_fit_map_arrays_and_build_no_alignment_map(method):
-    # a cell or a sweep point scores the map array alone: it builds no AlignmentMap (and
-    # PrepStats) only to read its w
+    # a cell or a sweep point scores the map array alone: it builds no AlignmentMap only to
+    # read its w
     sets, seeds, m = _views_and_constant(), (0, 1), 3  # m models whose sides prepare
     with mock.patch.object(align, "AlignmentMap", wraps=align.AlignmentMap) as amap, \
             mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
@@ -983,11 +997,11 @@ def ref_training_size_sweep(source, target, fractions, seeds, methods, base_frac
             n_ids = int(len(pool) * frac)
             keep = {pool[i] for i in order[:n_ids]}
             rows = [i for i in split.train_rows if labels[i] in keep]
-            stats = fit_prep(norm_a[rows], norm_b[rows])
-            xp = apply_prep(norm_a[rows], stats, "source")
-            yp = apply_prep(norm_b[rows], stats, "target")
-            queries_raw = apply_prep(norm_a[test], stats, "source")
-            gallery = apply_prep(norm_b[test], stats, "target")
+            mu_x, mu_y = fit_prep(norm_a[rows], norm_b[rows])
+            big_d = max(len(mu_x), len(mu_y))
+            xp, yp = apply_prep(norm_a[rows], mu_x, big_d), apply_prep(norm_b[rows], mu_y, big_d)
+            queries_raw = apply_prep(norm_a[test], mu_x, big_d)
+            gallery = apply_prep(norm_b[test], mu_y, big_d)
             for method in methods:
                 w = align.fit_map(xp, yp, method, alpha)
                 scores = ident_eval.score_matrix(queries_raw @ w, gallery)

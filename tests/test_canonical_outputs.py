@@ -24,6 +24,7 @@ STUB_MANIFEST = {
     "tied": "tied/view0.emb",
     "csv": [f"csv/view{v}.csv" for v in range(2)],
     "constant": "constant/constant.emb",
+    "near_constant": "near_constant/near_constant.emb",
 }
 
 

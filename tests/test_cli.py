@@ -554,6 +554,29 @@ def test_cluster_bad_matrix_is_clean_error(tmp_path, capsys, content):
     assert not (tmp_path / "out").exists()
 
 
+def test_cluster_deeply_nested_matrix_is_one_error_line(tmp_path, capsys):
+    # the JSON decoder recurses once per level: this depth exhausts Python's stack limit
+    path = tmp_path / "matrix.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code = run("cluster", "--matrix", str(path), "--out-dir", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"embalign: error: {path}: not a JSON document")
+    assert not (tmp_path / "out").exists()
+
+
+def test_csv_field_over_the_reader_limit_is_one_error_line(tmp_path, capsys):
+    # the csv module refuses a field longer than 131072 characters
+    path = tmp_path / "big.csv"
+    path.write_text("image_id,identity,e0\n" + "a,b," + "1" * 140000 + "\n")
+    code = run("eval-id", "--format", "csv", "--source", str(path), "--target", str(path),
+               "--out-dir", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"embalign: error: {path}: line 2: field larger than field limit")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from embalign import PrepStats, apply_prep, fit_prep, l2_normalize, prep, score_matrix
+from embalign import apply_prep, fit_prep, l2_normalize, prep, score_matrix
 from embalign.errors import ConsistencyError, DataError, DegenerateRowError
 from embalign.prep import center
 
@@ -169,33 +169,23 @@ def test_fit_prep_refuses_rows_that_are_not_2d():
 
 
 def test_fit_prep_two_point_mean():
-    stats = fit_prep([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(stats.mu_x, [0.5, 0.5])
+    mu_x, _ = fit_prep([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    assert np.allclose(mu_x, [0.5, 0.5])
 
 
 def test_fit_prep_singleton():
-    stats = fit_prep([[0.6, 0.8]], [[1.0]])
-    assert np.allclose(stats.mu_x, [0.6, 0.8])
-    assert np.allclose(stats.mu_y, [1.0])
+    mu_x, mu_y = fit_prep([[0.6, 0.8]], [[1.0]])
+    assert np.allclose(mu_x, [0.6, 0.8])
+    assert np.allclose(mu_y, [1.0])
 
 
 def test_fit_prep_max_rule():
-    stats = fit_prep(np.ones((3, 2)) / np.sqrt(2), np.ones((3, 5)) / np.sqrt(5))
+    mu_x, mu_y = fit_prep(np.ones((3, 2)) / np.sqrt(2), np.ones((3, 5)) / np.sqrt(5))
     # the widths are those of the means; each side pads to the wider one
-    assert (stats.d_a, stats.d_b, stats.n_train) == (2, 5, 3)
-    for rows, side in ((np.ones((1, 2)), "source"), (np.ones((1, 5)), "target")):
-        assert apply_prep(rows, stats, side).shape == (1, 5)
-
-
-@pytest.mark.parametrize("mu_x, mu_y, error", [
-    (np.zeros((2, 2)), np.zeros(3), ConsistencyError),
-    (np.zeros(2), np.float64(0.0), ConsistencyError),
-    (np.array([0.0, np.nan]), np.zeros(3), DataError),
-    (np.zeros(2), np.array([np.inf]), DataError),
-])
-def test_prep_stats_refuse_bad_means(mu_x, mu_y, error):
-    with pytest.raises(error):
-        PrepStats(mu_x, mu_y, 1)
+    assert (mu_x.shape, mu_y.shape) == ((2,), (5,))
+    assert mu_x.dtype == mu_y.dtype == np.float64
+    for rows, mu in ((np.ones((1, 2)), mu_x), (np.ones((1, 5)), mu_y)):
+        assert apply_prep(rows, mu, 5).shape == (1, 5)
 
 
 def test_fit_prep_row_mismatch():
@@ -204,38 +194,38 @@ def test_fit_prep_row_mismatch():
 
 
 def test_apply_prep_subtraction():
-    stats = fit_prep([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
-    out = apply_prep([[1.0, 0.0]], stats, "source")
+    mu_x, _ = fit_prep([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    out = apply_prep([[1.0, 0.0]], mu_x, 2)
     assert np.allclose(out, [[0.5, -0.5]])
 
 
 def test_apply_prep_padding():
-    stats = fit_prep(np.array([[1.0, 0.0]]), np.ones((1, 4)) / 2.0)
-    out = apply_prep([[1.0, 0.0]], stats, "source")
+    mu_x, _ = fit_prep(np.array([[1.0, 0.0]]), np.ones((1, 4)) / 2.0)
+    out = apply_prep([[1.0, 0.0]], mu_x, 4)
     assert out.shape == (1, 4)
     assert np.array_equal(out, [[0.0, 0.0, 0.0, 0.0]])
 
 
 def test_apply_prep_side_mismatch():
-    stats = fit_prep(np.ones((2, 2)) / np.sqrt(2), np.ones((2, 5)) / np.sqrt(5))
+    mu_x, _ = fit_prep(np.ones((2, 2)) / np.sqrt(2), np.ones((2, 5)) / np.sqrt(5))
     with pytest.raises(ConsistencyError):
-        apply_prep(np.ones((2, 5)), stats, "source")
+        apply_prep(np.ones((2, 5)), mu_x, 5)
+    with pytest.raises(ConsistencyError, match="width 5"):
+        center(np.ones((2, 5)), mu_x)
     with pytest.raises(ConsistencyError):
-        center(np.ones((2, 5)), stats, "source")
-    with pytest.raises(ConsistencyError):
-        center(np.ones((2, 2)), stats, "query")
+        center(np.ones(2), mu_x)
 
 
 def test_train_rows_centered_and_padded():
     rng = np.random.default_rng(5)
     x = l2_normalize(rng.standard_normal((40, 6)))
     y = l2_normalize(rng.standard_normal((40, 9)))
-    stats = fit_prep(x, y)
-    xp = apply_prep(x, stats, "source")
+    mu_x, mu_y = fit_prep(x, y)
+    xp = apply_prep(x, mu_x, 9)
     assert np.abs(xp[:, :6].mean(axis=0)).max() < 1e-10
     assert np.array_equal(xp[:, 6:], np.zeros((40, 3)))
-    assert center(x, stats, "source").tobytes() == xp[:, :6].tobytes()
-    assert center(y, stats, "target").tobytes() == apply_prep(y, stats, "target").tobytes()
+    assert center(x, mu_x).tobytes() == xp[:, :6].tobytes()
+    assert center(y, mu_y).tobytes() == apply_prep(y, mu_y, 9).tobytes()
 
 
 @given(
@@ -244,12 +234,10 @@ def test_train_rows_centered_and_padded():
 )
 @settings(max_examples=50, deadline=None)
 def test_apply_prep_affine(rows, alpha):
-    stats = fit_prep(np.full((2, 4), 0.5), np.full((2, 4), 0.5))
+    mu_x, _ = fit_prep(np.full((2, 4), 0.5), np.full((2, 4), 0.5))
     r1, r2 = rows[:1], rows[1:2]
-    mixed = apply_prep(alpha * r1 + (1 - alpha) * r2, stats, "source")
-    combo = alpha * apply_prep(r1, stats, "source") + (1 - alpha) * apply_prep(
-        r2, stats, "source"
-    )
+    mixed = apply_prep(alpha * r1 + (1 - alpha) * r2, mu_x, 4)
+    combo = alpha * apply_prep(r1, mu_x, 4) + (1 - alpha) * apply_prep(r2, mu_x, 4)
     assert np.allclose(mixed, combo, atol=1e-9)
 
 

@@ -91,9 +91,8 @@ def test_noise_free_procrustes_residual_small():
     v1 = embed_view(cloud, 24, 2, map_kind="orthogonal")
     x = l2_normalize(v0.rows)
     y = l2_normalize(v1.rows)
-    stats = fit_prep(x, y)
-    xp = apply_prep(x, stats, "source")
-    yp = apply_prep(y, stats, "target")
+    mu_x, mu_y = fit_prep(x, y)
+    xp, yp = apply_prep(x, mu_x, 24), apply_prep(y, mu_y, 24)
     w = fit_map(xp, yp, "procrustes")
     assert np.linalg.norm(xp @ w - yp) <= 1e-6 * np.linalg.norm(yp)
 

@@ -11,8 +11,10 @@ synth`` set, a row-permuted copy of the second ``matrix-m6`` view,
 copies of the first two synth views relabeled with unpadded integers,
 a copy of the first synth view whose odd identities repeat the rows
 of the identity before them (tied scores), CSV copies of the first two
-synth views, and a copy of the first ``matrix-m6`` view whose every row
-is the first unit vector (a side that fails to prepare).
+synth views, a copy of the first ``matrix-m6`` view whose every row
+is the first unit vector (a side that fails to prepare), and one whose
+every row is that view's own first row (a near-constant model: its
+centered test rows are rounding noise, and its side fails to prepare).
 Reports embed the paths of their inputs, so two trees are compared
 through one shared DIR:
 
@@ -108,6 +110,8 @@ def _generate(src, inputs):
     manifest["relabeled"] = [_relabeled_copy(p, inputs) for p in manifest["synth"][:2]]
     manifest["tied"] = _tied_copy(manifest["synth"][0], inputs)
     manifest["constant"] = _constant_copy(_matrix_views(manifest["matrix-m6"])[0], inputs)
+    manifest["near_constant"] = _near_constant_copy(_matrix_views(manifest["matrix-m6"])[0],
+                                                    inputs)
     manifest["csv"] = [_csv_copy(p, inputs) for p in manifest["synth"][:2]]
     with open(os.path.join(inputs, MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
@@ -198,6 +202,25 @@ def _constant_copy(path, inputs):
     return copy
 
 
+def _near_constant_copy(path, inputs):
+    """Write the set at ``path`` with every row its first row; return the copy's path.
+
+    Its unit rows are equal, but their train mean rounds, so every centered
+    test row is rounding noise (a norm of about 1e-14) under the floor of
+    ``align.prepare_side``: the set's side fails to prepare.
+    """
+    from embalign.embedstore import EmbeddingSet, load_embeddings, save_embeddings
+
+    es = load_embeddings(path)
+    directory = os.path.join(inputs, "near_constant")
+    os.makedirs(directory, exist_ok=True)
+    copy = os.path.join(directory, "near_constant.emb")
+    save_embeddings(EmbeddingSet("near_constant", es.dataset_name,
+                                 np.repeat(es.rows[:1], es.n, axis=0), es.image_ids, es.labels),
+                    copy)
+    return copy
+
+
 def _csv_copy(path, inputs):
     """Write the binary set at ``path`` in the CSV format, under its own name; return the path."""
     from embalign.embedstore import load_embeddings, save_embeddings
@@ -256,6 +279,10 @@ def commands(manifest):
         # a model whose side fails to prepare: its row and column are missing, and never fit
         ["matrix", "--inputs", *matrix_views[:3], manifest["constant"], "--seeds", "0,1",
          "--out-dir", "matrix_degenerate"],
+        # a model whose rows all equal its first row: its centered test rows are rounding
+        # noise under the floor of align.prepare_side, so its row and column are missing too
+        ["matrix", "--inputs", *matrix_views[:3], manifest["near_constant"], "--seeds", "0,1",
+         "--out-dir", "matrix_near_constant"],
         # its side fails on the 300 images it shares with the synth view, is prepared again
         # when view 0 needs all 1000, fails again, and is held as failed for view 4 and the
         # self cell, between flushes of several sizes
