@@ -58,7 +58,7 @@ from .embedstore import EmbeddingSet, shared_rows
 from .errors import (
     ConsistencyError, DataError, DegenerateRowError, FormatError, IoError, NumericalError,
 )
-from .prep import center, l2_normalize
+from .prep import center, gather_unit_rows, l2_normalize
 from .reports import atomic_write
 from .splits import identity_disjoint_split, label_codes
 
@@ -88,7 +88,8 @@ def _check_train(x_tr: np.ndarray, y_tr: np.ndarray):
         raise ConsistencyError("need at least one training row")
     if x_tr.shape[1] == 0 or y_tr.shape[1] == 0:
         raise ConsistencyError(f"training rows need a nonzero width: {x_tr.shape} vs {y_tr.shape}")
-    if not (np.all(np.isfinite(x_tr)) and np.all(np.isfinite(y_tr))):
+    # NaN fails both comparisons; no n x d bool array is made
+    if not all(a.min() > -np.inf and a.max() < np.inf for a in (x_tr, y_tr)):
         raise DataError("non-finite training data")
     return x_tr, y_tr
 
@@ -228,9 +229,10 @@ def prepare_side(rows, train, test=None) -> Side:
 
     ``rows`` are a model's raw embeddings (the float32 rows of a set), and
     ``train`` and ``test`` index them (``test=None``: no test rows).  Each
-    part is gathered, unit-normalized into one new float64 array
-    (:func:`prep.l2_normalize`) and centered in place; ``rows`` themselves
-    are never written.  The mean and the centered rows are bit-equal to
+    part is gathered straight into one new float64 array of unit rows
+    (:func:`prep.gather_unit_rows`, bit-equal to :func:`prep.l2_normalize`
+    of the gathered rows) and centered in place; ``rows`` themselves are
+    never written.  The mean and the centered rows are bit-equal to
     :func:`prep.fit_prep` on the unit train rows followed by
     :func:`prep.center` of each part; the gallery is made from the centered
     test rows here.  No train rows is a ``ConsistencyError``.
@@ -252,7 +254,7 @@ def prepare_side(rows, train, test=None) -> Side:
     """
 
     def centered(index, mean=None):
-        got = l2_normalize(rows.take(np.asarray(index, dtype=np.intp), axis=0))
+        got = gather_unit_rows(rows, index)
         if mean is None:
             if not len(got):
                 raise ConsistencyError("need at least one training row")
@@ -264,12 +266,18 @@ def prepare_side(rows, train, test=None) -> Side:
     if test is None:
         return Side(x_tr, None, None, mean)
     x_te = centered(test, mean)[0]
-    norms = np.linalg.norm(x_te, axis=1)
-    low = np.flatnonzero(norms <= centering_floor(*x_tr.shape))
-    if low.size:
-        raise DegenerateRowError(int(low[0]), f"centered test row {low[0]} has norm "
-                                 f"{norms[low[0]]:.3g}, the rounding level of its train mean")
+    _refuse_rounding_rows(x_te, len(x_tr), "test")
     return Side(x_tr, x_te, l2_normalize(x_te), mean)
+
+
+def _refuse_rounding_rows(rows, n_train, name):
+    """Raise ``DegenerateRowError`` at the first centered row no longer than
+    :func:`centering_floor` of ``n_train`` rows and the rows' width; ``name`` names the rows."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))  # no n x d temporary
+    low = np.flatnonzero(norms <= centering_floor(n_train, rows.shape[1]))
+    if low.size:
+        raise DegenerateRowError(int(low[0]), f"centered {name} row {low[0]} has norm "
+                                 f"{norms[low[0]]:.3g}, the rounding level of its train mean")
 
 
 def centering_floor(n: int, d: int) -> float:
@@ -321,11 +329,10 @@ class Pairing:
                      for s, r in ((self.source, self.ra), (self.target, self.rb)))
 
     def unit_rows(self, rows=slice(None)):
-        """The unit source and target rows (float64) of the shared rows ``rows``."""
-        # gather both sides before normalizing either: normalizing the source gather
-        # first raised eval-id's peak RSS on 10k rows by 9 MB (glibc's mmap threshold)
-        a, b = self.source.rows[self.ra[rows]], self.target.rows[self.rb[rows]]
-        return l2_normalize(a), l2_normalize(b)
+        """The unit source and target rows (float64) of the shared rows ``rows``, each gathered
+        straight into its one float64 array (:func:`prep.gather_unit_rows`)."""
+        return (gather_unit_rows(self.source.rows, self.ra[rows]),
+                gather_unit_rows(self.target.rows, self.rb[rows]))
 
     def seed_maps(self, method: str, alpha: float, fraction: float, seeds, amap=None, project=None):
         """Per seed, when it is asked for, ``(seed, split, amap, (x, y), codes)``.
@@ -366,16 +373,23 @@ def project(x: np.ndarray, y: np.ndarray, amap: AlignmentMap | None = None):
     """Source and target rows as they are scored: the k columns the two sides share.
 
     With a map, both sides are centered with its training means and the
-    source rows go through W, k = d_b.  Without a map this is the
-    unaligned baseline: each side's first k = min(d_a, d_b) columns, the
-    rows as they are (-0.0 included).  The scorers take each row's cosine
-    denominator from these k columns (module docstring).
+    source rows go through W, k = d_b.  A centered row no longer than
+    :func:`centering_floor` of the map's ``n_train`` and the row's width
+    is a ``DegenerateRowError`` naming the side and the row, as
+    :func:`prepare_side` refuses a test row: its direction is rounding
+    noise.  The source rows are checked before W.  Without a map this is
+    the unaligned baseline: each side's first k = min(d_a, d_b) columns,
+    the rows as they are (-0.0 included).  The scorers take each row's
+    cosine denominator from these k columns (module docstring).
     """
     if amap is None:
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         k = min(x.shape[1], y.shape[1])
         return x[:, :k], y[:, :k]
-    return center(x, amap.mu_x) @ amap.w, center(y, amap.mu_y)
+    x, y = center(x, amap.mu_x), center(y, amap.mu_y)
+    _refuse_rounding_rows(x, amap.n_train, "source")
+    _refuse_rounding_rows(y, amap.n_train, "target")
+    return x @ amap.w, y
 
 
 def training_residual(amap: AlignmentMap, x_tr: np.ndarray, y_tr: np.ndarray) -> float:

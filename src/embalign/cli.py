@@ -11,6 +11,7 @@ writes the splits the evaluation scored, which its report carries.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -401,4 +402,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # the run's objects outlive it only until exit: spare them the interpreter's last collection
+    gc.freeze()
+    sys.exit(code)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
+import operator
 import os
 import re
 import struct
@@ -68,8 +70,8 @@ class EmbeddingSet:
         if rows.ndim != 2:
             raise ConsistencyError("rows must be a 2-D matrix")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "image_ids", tuple(str(i) for i in self.image_ids))
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
+        object.__setattr__(self, "image_ids", tuple(map(str, self.image_ids)))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         n, d = rows.shape
         if n < 1:
             raise ConsistencyError("embedding set must contain at least one row")
@@ -82,7 +84,7 @@ class EmbeddingSet:
             )
         if len(set(self.image_ids)) != n:
             raise ConsistencyError("image_ids are not unique")
-        if not np.all(np.isfinite(rows)):
+        if not (rows.min() > -np.inf and rows.max() < np.inf):  # NaN fails both; no n x d bools
             raise DataError("embedding matrix contains non-finite values")
         rows.setflags(write=False)
 
@@ -156,6 +158,18 @@ def load_embeddings(
 
 
 def _load_binary(path, model_name, dataset_name):
+    """The set at ``path``: its float32 rows, read in one pass, and its label file.
+
+    The label file is read with one ``read()`` in universal-newline mode and
+    its non-empty ``split("\\n")`` lines kept, the lines a line-by-line
+    loop kept: CRLF and CR end a line as LF does, and blank lines are
+    skipped.  There must be n of them (``ConsistencyError``).  Each must
+    hold exactly one tab, which two tests show without Python code per
+    line: every line holds a tab, and the lines joined by tabs split into
+    2n fields.  The ids are then the even fields and the labels the odd
+    ones.  Otherwise the first line without exactly one tab is a
+    ``FormatError`` naming it (1-based among the kept lines).
+    """
     try:
         with open(path, "rb") as f:
             header = f.read(12)
@@ -176,21 +190,20 @@ def _load_binary(path, model_name, dataset_name):
     lpath = _label_path(path)
     try:
         with open(lpath, "r", encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f if line.strip("\n") != ""]
+            text = f.read()  # universal newlines: CRLF and CR end a line as LF does
     except OSError as exc:
         raise IoError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{lpath}: not a UTF-8 label file") from exc
+    lines = [line for line in text.split("\n") if line]
     if len(lines) != n:
         raise ConsistencyError(f"{lpath}: {len(lines)} label lines for {n} rows")
-    image_ids, labels = [], []
-    for i, line in enumerate(lines):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{lpath}:{i + 1}: expected 'image_id<TAB>identity'")
-        image_ids.append(parts[0])
-        labels.append(parts[1])
-    return EmbeddingSet(model_name, dataset_name, rows, image_ids, labels)
+    # n lines that each hold a tab and 2n fields between them hold one tab each
+    fields = "\t".join(lines).split("\t") if lines else []
+    if len(fields) != 2 * n or not all(map(operator.contains, lines, itertools.repeat("\t"))):
+        i = next(i for i, line in enumerate(lines) if line.count("\t") != 1)
+        raise FormatError(f"{lpath}:{i + 1}: expected 'image_id<TAB>identity'")
+    return EmbeddingSet(model_name, dataset_name, rows, fields[0::2], fields[1::2])
 
 
 def _load_csv(path, model_name, dataset_name):

@@ -1,7 +1,9 @@
 """Preprocessing: unit normalization and train-mean centering.
 
 Pipeline order is fixed: normalize rows, fit column means on the training
-rows only (:func:`fit_prep`), subtract those means.  A mean is a plain
+rows only (:func:`fit_prep`), subtract those means.  The commands gather
+a model's rows of a split and normalize them in one step
+(:func:`gather_unit_rows`), into one float64 array.  A mean is a plain
 1-D float64 array; a fitted :class:`align.AlignmentMap` holds the two it
 was fit after.  Maps are fit and rows are scored at each model's own
 width (:func:`center` subtracts one mean); no evaluation pads a row.
@@ -46,10 +48,25 @@ def _unit_rows(rows) -> np.ndarray:
     if rows.dtype != np.float64:
         rows = into = rows.astype(np.float64)  # this call's own array: divided in place
     norms = np.empty(rows.shape[0])
-    step = max(1, _NORM_BLOCK // max(rows.shape[1], 1))
+    step = _block_rows(rows.shape[1])
     with np.errstate(over="ignore"):  # an overflowing norm marks a row to rescale
         for start in range(0, rows.shape[0], step):
             norms[start:start + step] = np.linalg.norm(rows[start:start + step], axis=1)
+    return _divide(rows, norms, into)
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of at most ``_NORM_BLOCK`` values."""
+    return max(1, _NORM_BLOCK // max(width, 1))
+
+
+def _divide(rows, norms, into):
+    """``rows`` over their ``norms`` into ``into`` (``None``: a new array), rescaling odd rows.
+
+    A row whose norm lies outside [_TINY, _HUGE] is scaled by a power of
+    two first; a row holding NaN or inf is a ``DataError`` and an all-zero
+    row a ``DegenerateRowError``, each naming its index.
+    """
     # a NaN norm fails both bounds; the peak of a row holding NaN or inf is not finite
     odd = np.flatnonzero(~((norms >= _TINY) & (norms <= _HUGE)))
     if not odd.size:
@@ -66,6 +83,34 @@ def _unit_rows(rows) -> np.ndarray:
     out = np.divide(rows, norms[:, None], out=into)
     out[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
     return out
+
+
+def gather_unit_rows(rows, index) -> np.ndarray:
+    """``l2_normalize(rows[index])`` bit for bit, gathered straight into one float64 array.
+
+    ``rows`` is a 2-D array of any float dtype (a set's float32 rows) and
+    ``index`` a 1-D array of row indexes, in any order and repeated at
+    will.  Blocks of at most ``_NORM_BLOCK`` values are gathered straight
+    into the float64 result and their norms taken as :func:`_unit_rows`
+    takes them, while the block is in cache; the result is then divided in
+    place, with the same rescaling of rows whose norm would underflow or
+    overflow.  So no n x d copy in the input dtype is made beside the
+    result, and the bits and the errors (a row holding NaN or inf, an
+    all-zero row, each named by its position in ``index``) are those of
+    :func:`l2_normalize` on the gathered rows.  ``rows`` are never written.
+    """
+    rows, index = np.asarray(rows), np.asarray(index, dtype=np.intp)
+    if rows.ndim != 2:
+        raise ConsistencyError(f"rows must be a 2-D array, got shape {rows.shape}")
+    out = np.empty((index.shape[0], rows.shape[1]))
+    norms = np.empty(index.shape[0])
+    step = _block_rows(rows.shape[1])
+    with np.errstate(over="ignore"):  # an overflowing norm marks a row to rescale
+        for start in range(0, index.shape[0], step):
+            block = out[start:start + step]
+            block[...] = rows[index[start:start + step]]
+            norms[start:start + step] = np.linalg.norm(block, axis=1)
+    return _divide(out, norms, out)
 
 
 def l2_normalize(rows: np.ndarray) -> np.ndarray:

@@ -248,8 +248,19 @@ def _impostor_keys(codes, count: int, seed: int) -> np.ndarray:
     while found.shape[0] < count:
         a, b = rng.integers(0, n, size=2 * (count - found.shape[0])).reshape(-1, 2).T
         cross = codes[a] != codes[b]  # also rejects a == b
-        found = np.union1d(found, np.minimum(a, b)[cross] * n + np.maximum(a, b)[cross])
+        found = _merged(found, np.minimum(a, b)[cross] * n + np.maximum(a, b)[cross])
     return found
+
+
+def _merged(found, keys):
+    """The sorted distinct keys of ``found`` and ``keys``, as ``np.union1d`` gives them.
+
+    ``np.unique`` imports ``numpy.ma`` in numpy 2.4, which no other step needs.
+    """
+    merged = np.sort(np.concatenate((found, keys)))
+    first = np.ones(merged.shape[0], dtype=bool)  # each key's first copy; empty stays empty
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    return merged[first]
 
 
 def all_genuine_pairs(labels) -> PairList:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import align
+from . import align, blas
 from .embedstore import EmbeddingSet
 from .errors import ArgumentError, ConsistencyError, DegenerateRowError, ProtocolError
 from .reports import AlignedBaselineReport, mean_std, pair_metadata
@@ -300,8 +300,12 @@ def evaluate_verification(
     method and alpha the report gives; another ``method`` is a
     ``ConsistencyError``): no split and no fit; every seed scores pairs of
     the shared rows, projected once.  Each seed samples ``pair_caps``
-    (:func:`splits.check_pair_caps`) or every genuine pair and as many impostors.
-    Each seed's metrics and split go to :meth:`VerificationReport.from_seeds`.
+    (:func:`splits.check_pair_caps`) or every genuine pair and as many impostors,
+    once, on this thread.  Its aligned side is then scored on this thread and its
+    baseline on an ``embalign-baseline`` thread, at once
+    (:func:`blas.each_on_two_threads`); the aligned side's error is raised first, the
+    order of one thread.  Each seed's metrics and split go to
+    :meth:`VerificationReport.from_seeds`.
     """
     seeds, pair_caps = check_seeds(seeds), check_pair_caps(pair_caps)
     if amap is not None:
@@ -314,10 +318,10 @@ def evaluate_verification(
             method, alpha, fraction, seeds, amap, _eval_sides):
         # pair indices refer to positions within the scored rows
         pairs = sample_pairs_capped(codes, *(pair_caps or (_pair_counts(codes)[0],) * 2), seed)
-        aligned, baseline = (
-            _seed_metrics(*_score_pairs(*side, pairs, symmetric_score), seed)
-            for side in (sides[:2], sides[2:])
-        )
+        aligned, baseline = blas.each_on_two_threads(
+            "embalign-baseline",
+            lambda side: _seed_metrics(*_score_pairs(*side, pairs, symmetric_score), seed),
+            (sides[:2], sides[2:]))
         results.append((aligned, baseline, split))
         del sides  # free a fitted map's rows before the next seed's fit; a fixed map keeps its own
     return VerificationReport.from_seeds(

@@ -561,10 +561,10 @@ def test_evaluations_normalize_one_split_part_at_a_time(small_views):
     splits = [identity_disjoint_split(labels, 0.7, seed) for seed in seeds]
     parts = [len(rows) for s in splits for rows in (s.train_rows, s.train_rows, s.test_rows,
                                                     s.test_rows)]
-    with mock.patch.object(align, "l2_normalize", wraps=align.l2_normalize) as norm:
+    with mock.patch.object(align, "gather_unit_rows", wraps=align.gather_unit_rows) as gather:
         evaluate_identification(v0, v1, "linear", seeds=seeds)
         evaluate_verification(v0, v1, "ridge", seeds=seeds)
-    assert [len(c.args[0]) for c in norm.call_args_list] == parts * 2
+    assert [len(c.args[1]) for c in gather.call_args_list] == parts * 2
     assert max(parts) < len(labels)
 
 
@@ -708,6 +708,30 @@ def test_a_near_constant_side_fails_to_prepare(n, d):
     with pytest.raises(DegenerateRowError) as err:
         align.prepare_side(rows, range(n), [n + 1, n])
     assert err.value.row_index == 1
+
+
+@pytest.mark.parametrize("n, d_a, d_b", [(1, 3, 5), (700, 64, 32), (2000, 256, 256)])
+def test_project_refuses_a_row_at_the_rounding_level_of_the_map_mean(n, d_a, d_b):
+    # eval-id and eval-verif project unit rows through a map: a near-constant model's rows
+    # center to rounding noise on either side, which would be scored as a direction
+    rng = np.random.default_rng(n + d_a)
+    base = [l2_normalize(rng.standard_normal((1, d))) for d in (d_a, d_b)]
+    mu_x, mu_y = (np.repeat(b, n, axis=0).mean(axis=0) for b in base)
+    amap = align.AlignmentMap(np.linalg.qr(rng.standard_normal((d_a, d_b)))[0] if d_a >= d_b
+                              else np.linalg.qr(rng.standard_normal((d_b, d_a)))[0].T,
+                              mu_x, mu_y, n, "procrustes")
+    x, y = (np.vstack([l2_normalize(rng.standard_normal((2, d))), b])
+            for d, b in zip((d_a, d_b), base))
+    for rows, side in (((x, y[:2]), "source"), ((x[:2], y), "target")):
+        with pytest.raises(DegenerateRowError, match=f"centered {side} row 2 has norm") as err:
+            project(*rows, amap)
+        assert err.value.row_index == 2
+    # rows a thousand floors off the train mean are kept, and projected as before the check
+    off = [b + 1e3 * align.centering_floor(n, b.shape[1]) * np.roll(b, 1) for b in base]
+    x[2], y[2] = off
+    got = project(x, y, amap)
+    assert got[0].tobytes() == ((x - mu_x) @ amap.w).tobytes()
+    assert got[1].tobytes() == (y - mu_y).tobytes()
 
 
 def test_one_side_onto_itself_is_the_identity_map():

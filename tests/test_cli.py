@@ -205,8 +205,9 @@ def test_jobs_starts_the_same_threads(synth_dir, tmp_path, monkeypatch):
         "eval-verif": ["eval-verif", "--source", views[0], "--target", views[1], "--seeds", "0,1"],
         "matrix": ["matrix", "--inputs", *views, "--seeds", "0,1"],
     }
-    # one thread per seed beside the main one: eval-id's baseline, the matrix's cells
-    threads = {"eval-id": ["embalign-baseline"] * 2, "eval-verif": [],
+    # one thread per seed beside the main one: eval-id's and eval-verif's baseline, the
+    # matrix's cells
+    threads = {"eval-id": ["embalign-baseline"] * 2, "eval-verif": ["embalign-baseline"] * 2,
                "matrix": ["embalign-cells"] * 2}
     for name, argv in commands.items():
         one, four = (_started_threads(monkeypatch, *argv, "--jobs", jobs,
@@ -727,16 +728,53 @@ def test_output_path_that_cannot_be_a_directory_is_clean_error(synth_dir, tmp_pa
     assert taken.read_text() == "kept"
 
 
+def _src_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(align.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_cli_import_loads_no_scipy():
     # only the ridge solver and the clustering need scipy; they import it
     # on first use, so the other commands do not pay for the import
-    src = os.path.dirname(os.path.dirname(os.path.abspath(align.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, embalign.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cross_eval_verif_loads_no_masked_arrays(synth_dir, tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma; the impostor sampler merges its keys without it
+    views = [str(synth_dir / f"view{v}.emb") for v in range(2)]
+    argv = ["eval-verif", "--source", views[0], "--target", views[1], "--train-source", views[0],
+            "--train-target", views[1], "--genuine-cap", "50", "--impostor-cap", "200",
+            "--seeds", "0,1", "--out-dir", str(tmp_path / "out")]
+    code = ("import sys\nfrom embalign.cli import main\n"
+            f"print(main({argv!r}), 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("command", ["eval-id", "eval-verif"])
+def test_a_near_constant_model_is_one_error_line(synth_dir, tmp_path, command):
+    # every row equals the view's first row: centered with the train mean, each is rounding
+    # noise, which used to be scored (aligned Rank-1 at chance level); run as a script, whose
+    # exit code passes through the collector's freeze
+    view = load_embeddings(str(synth_dir / "view0.emb"))
+    rows = view.rows[[0] * view.n]
+    path = str(tmp_path / "near_constant.emb")
+    embedstore.save_embeddings(embedstore.EmbeddingSet("nc", "ds", rows, view.image_ids,
+                                                       view.labels), path)
+    for source, target, side in ((str(synth_dir / "view1.emb"), path, "target"),
+                                 (path, str(synth_dir / "view1.emb"), "source")):
+        out = tmp_path / f"{command}_{side}"
+        done = subprocess.run([sys.executable, "-m", "embalign.cli", command, "--source", source,
+                               "--target", target, "--seeds", "0", "--out-dir", str(out)],
+                              env=_src_env(), capture_output=True, text=True)
+        assert done.returncode == 1 and done.stderr.count("\n") == 1, done.stderr
+        assert done.stderr.startswith(f"embalign: error: centered {side} row 0 has norm ")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [

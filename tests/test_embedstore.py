@@ -290,6 +290,68 @@ def test_binary_fuzz_raises_only_load_errors(tmp_path, data):
         pass
 
 
+def former_label_fields(path, n):
+    """``(image_ids, labels)`` of a label file as the loader read it line by line, or the
+    error it raised."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [line.rstrip("\n") for line in f if line.strip("\n") != ""]
+    if len(lines) != n:
+        return ConsistencyError(f"{path}: {len(lines)} label lines for {n} rows")
+    parts = [line.split("\t") for line in lines]
+    for i, fields in enumerate(parts):
+        if len(fields) != 2:
+            return FormatError(f"{path}:{i + 1}: expected 'image_id<TAB>identity'")
+    return tuple(f[0] for f in parts), tuple(f[1] for f in parts)
+
+
+#: a label line's field: tabs and line ends only where a test puts them
+PLAIN_FIELD = st.text(st.characters(blacklist_characters="\t\n\r",
+                                    blacklist_categories=("Cs",)), min_size=1, max_size=4)
+
+
+@FUZZ
+@given(data=st.data())
+def test_label_file_loads_as_the_line_loop_did(tmp_path, data):
+    # any line ends (LF, CRLF, CR), blank lines, and lines with 0-3 tabs
+    blob, _ = saved_files(tmp_path, "binary")
+    n = struct.unpack("<II", blob[4:12])[0]
+    text = data.draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    for k in range(data.draw(st.sampled_from([n, n, n, n - 1, n + 1]))):
+        image_id, label = f"{k}_" + data.draw(PLAIN_FIELD), data.draw(PLAIN_FIELD)
+        tabs = data.draw(st.sampled_from([1] * 12 + [0, 2, 3]))
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3))
+        text += image_id + "\t" * tabs + label + "".join(ends)
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    (tmp_path / "fuzz.emb").write_bytes(blob)
+    (tmp_path / "fuzz.labels.tsv").write_bytes(text.encode("utf-8"))
+    want = former_label_fields(tmp_path / "fuzz.labels.tsv", n)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as got:
+            load_embeddings(str(tmp_path / "fuzz.emb"))
+        assert str(got.value) == str(want)
+    else:
+        got = load_embeddings(str(tmp_path / "fuzz.emb"))
+        assert (got.image_ids, got.labels) == want
+
+
+@pytest.mark.parametrize("labels", [b"", b"\n\r\n"])
+def test_a_header_of_no_rows_is_refused_as_an_empty_set(tmp_path, labels):
+    blob = b"EMB1" + struct.pack("<II", 0, 3)
+    with pytest.raises(ConsistencyError, match="at least one row"):
+        load_bytes(tmp_path, "binary", blob, labels)
+
+
+def test_a_balanced_tab_count_still_names_the_first_bad_line(tmp_path):
+    # a line with two tabs and one with none hold 2n fields between them
+    blob, _ = saved_files(tmp_path, "binary")
+    lines = [f"img{k}\t{k // 2}" for k in range(6)]
+    lines[2], lines[4] = "img2\tx\ty", "img4"
+    assert len("\t".join(lines).split("\t")) == 12
+    with pytest.raises(FormatError, match=r"fuzz\.labels\.tsv:3: expected 'image_id<TAB>"):
+        load_bytes(tmp_path, "binary", blob, "\n".join(lines).encode("utf-8"))
+
+
 @FUZZ
 @given(data=st.data())
 def test_csv_fuzz_raises_only_load_errors(tmp_path, data):

@@ -155,6 +155,65 @@ def test_normalize_holds_one_float64_copy(dtype):
     assert out.shape == (n, d)
 
 
+@st.composite
+def gathers(draw):
+    """Rows of :func:`mixed_scale_rows`, maybe with a zero or non-finite row, and an index
+    into them, in any order, with repeats."""
+    rows = draw(mixed_scale_rows())
+    n, d = rows.shape
+    bad = draw(st.sampled_from([None, 0.0, np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        k = draw(st.integers(0, n - 1))
+        if bad == 0.0:
+            rows[k] = 0.0
+        else:
+            rows[k, draw(st.integers(0, d - 1))] = bad
+    index = draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+    return rows, np.array(index, dtype=np.intp)
+
+
+@given(gathers(), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_gather_unit_rows_equals_normalizing_the_gathered_rows(case, block):
+    rows, index = case
+    before = rows.copy()
+    with mock.patch.object(prep, "_NORM_BLOCK", block):  # many row blocks on small rows
+        try:
+            want = l2_normalize(rows[index])
+        except (DataError, DegenerateRowError) as exc:
+            with pytest.raises(type(exc)) as got:
+                prep.gather_unit_rows(rows, index)
+            assert str(got.value) == str(exc)
+            assert getattr(got.value, "row_index", None) == getattr(exc, "row_index", None)
+            return
+        got = prep.gather_unit_rows(rows, index)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rows.tobytes() == before.tobytes()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gather_unit_rows_holds_one_float64_array():
+    n, d = 8192, 256
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((n + 100, d)).astype(np.float32)
+    index = rng.permutation(n + 100)[:n]
+    # the result, its norms, and one block's gathered float32 rows and float64 squares
+    peak = _peak_bytes(lambda: prep.gather_unit_rows(rows, index))
+    assert peak <= (n * d + n + prep._NORM_BLOCK) * 8 + prep._NORM_BLOCK * 4 + 2**16
+    assert peak < 9 * n * d
+    # gathering in float32 first and then casting holds both copies
+    assert _peak_bytes(lambda: l2_normalize(rows[index])) >= 12 * n * d
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
 def test_normalize_refuses_rows_that_are_not_2d(shape):
     with pytest.raises(ConsistencyError, match="2-D"):

@@ -18,8 +18,8 @@ from embalign import (
 )
 from embalign.errors import ArgumentError, DegenerateDataError
 from embalign.splits import (
-    _TAG_GENUINE_CAP, _TAG_IMPOSTOR, _TAG_SPLIT, SplitSpec, _pair_counts, _rng, check_fraction,
-    check_seeds, label_codes,
+    _TAG_GENUINE_CAP, _TAG_IMPOSTOR, _TAG_SPLIT, SplitSpec, _merged, _pair_counts, _rng,
+    check_fraction, check_seeds, label_codes,
 )
 
 
@@ -470,3 +470,17 @@ def test_batched_integer_draws_continue_the_single_draw_stream(n):
         if len(got) >= len(want):
             break
     assert got[:len(want)] == want
+
+
+key_batches = st.lists(st.lists(st.integers(0, 60), max_size=12), min_size=1, max_size=6)
+
+
+@given(key_batches)
+@settings(max_examples=300, deadline=None)
+def test_merged_keys_equal_the_union1d_merge(batches):
+    # the rejection sampler merges each batch into the sorted keys it holds, empty ones too
+    found = want = np.empty(0, dtype=np.int64)
+    for batch in batches:
+        keys = np.array(batch, dtype=np.int64)
+        found, want = _merged(found, keys), np.union1d(want, keys)
+        assert found.dtype == want.dtype and found.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from embalign import (
     align,
     auc,
+    blas,
     eer,
     evaluate_verification,
     pair_scores,
+    reports,
     roc_curve,
     tmr_at_fmr,
     verif_eval,
@@ -713,3 +716,62 @@ def test_empty_seed_list_is_an_argument_error(small_views):
     for kwargs in (dict(), dict(amap=amap)):
         with pytest.raises(ArgumentError, match="at least one seed"):
             evaluate_verification(v0, v1, seeds=(), **kwargs)
+
+
+def _numbers(r):
+    """Every number of a :class:`SeedVerification`, its TMR grid included, in one list."""
+    return [r.auc, r.eer, *r.tmr_at_fmr.values(), *r.tmr_grid, r.n_genuine, r.n_impostor]
+
+
+def _serial(name, fn, items):
+    return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("cross", [False, True])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_two_thread_sides_equal_the_serial_sides(small_views, monkeypatch, cross, symmetric):
+    # each seed's aligned and baseline sides are scored at once; the metrics are those of
+    # scoring them one after the other, bit for bit
+    v0, v1 = small_views
+    kwargs = dict(amap=fit_alignment(*unit_pair(v0, v1)[1:], "linear"),
+                  pair_caps=(40, 60)) if cross else {}
+
+    def run():
+        return evaluate_verification(v0, v1, "linear", seeds=(0, 2), symmetric_score=symmetric,
+                                     **kwargs)
+
+    with mock.patch.object(blas, "each_on_two_threads", wraps=blas.each_on_two_threads) as two:
+        got = run()
+    assert [len(c.args[2]) for c in two.call_args_list] == [2, 2]
+    monkeypatch.setattr(blas, "each_on_two_threads", _serial)
+    want = run()
+    for side in ("per_seed", "per_seed_baseline"):
+        assert [np.array(_numbers(r)).tobytes() for r in getattr(got, side)] == \
+               [np.array(_numbers(r)).tobytes() for r in getattr(want, side)]
+    assert reports.canonical_json(got.to_dict()) == reports.canonical_json(want.to_dict())
+
+
+def test_a_baseline_bug_is_raised_after_the_aligned_sides_error(small_views, monkeypatch):
+    v0, v1 = small_views
+    functions = blas._thread_functions()  # None without OpenBLAS
+    count = functions[0] if functions else lambda: None
+    before, threads = count(), set(threading.enumerate())
+    real = verif_eval._seed_metrics
+    failing = set()
+
+    def seed_metrics(*args):
+        name = threading.current_thread().name
+        if name in failing:
+            raise TypeError(f"bug on {name}")
+        return real(*args)
+
+    monkeypatch.setattr(verif_eval, "_seed_metrics", seed_metrics)
+    # both sides fail: the aligned side's error, on this thread, comes first
+    failing.update(("MainThread", "embalign-baseline"))
+    with pytest.raises(TypeError, match="bug on MainThread"):
+        evaluate_verification(v0, v1, seeds=(0,))
+    # the baseline side alone fails: its error is not lost
+    failing.discard("MainThread")
+    with pytest.raises(TypeError, match="bug on embalign-baseline"):
+        evaluate_verification(v0, v1, seeds=(0,))
+    assert set(threading.enumerate()) == threads and count() == before
