@@ -43,6 +43,7 @@ D x D maps, D = max(d_a, d_b), of format version 1.
 Every command pairs two sets once (:func:`pair_sets`) and takes its rows
 through that :class:`Pairing`: the sides a map is fit on, the unit rows
 it is scored on, and each seed's split (or none), map and scored rows.
+Rows are scanned for NaN or inf only where they come from outside.
 """
 
 from __future__ import annotations
@@ -145,9 +146,13 @@ def check_method(method: str, alpha: float) -> None:
 
 
 def fit_map(x_tr: np.ndarray, y_tr: np.ndarray, method: str, alpha: float = DEFAULT_RIDGE_ALPHA):
-    """The d_a x d_b map of ``method`` from n x d_a rows ``x_tr`` to n x d_b rows ``y_tr``."""
+    """The d_a x d_b map of ``method`` from n x d_a ``x_tr`` to n x d_b ``y_tr``, all checked."""
     check_method(method, alpha)
-    x_tr, y_tr = _check_train(x_tr, y_tr)
+    return _solve(*_check_train(x_tr, y_tr), method, alpha)
+
+
+def _solve(x_tr: np.ndarray, y_tr: np.ndarray, method: str, alpha: float) -> np.ndarray:
+    """:func:`fit_map` of checked float64 rows and a checked method; nothing is checked here."""
     if method == "procrustes":
         return _orthogonal(x_tr.T @ y_tr)
     return _least_squares(x_tr, y_tr) if method == "linear" else _ridge(x_tr, y_tr, alpha)
@@ -291,14 +296,14 @@ def fit_sides(source: Side, target: Side, method: str, alpha: float = DEFAULT_RI
               **meta) -> AlignmentMap:
     """The map of ``method`` from the centered train rows of ``source`` to those of ``target``.
 
-    The fits whose map is kept or projected go through here
-    (:meth:`Pairing.seed_maps`, the CLI's ``fit`` and cross map); the
-    matrix and the sweep score the map array alone and call :func:`fit_map`
-    on the sides' train rows.  The returned map holds the two sides' train
-    means; ``meta`` fills its descriptive fields (``source_model``,
-    ``target_model``, ``seed``), which only a map that is saved needs.
+    The fits whose map is kept or projected go through here (:meth:`Pairing.seed_maps`, the
+    CLI's ``fit`` and cross map); the matrix and the sweep solve for the map array alone
+    (:func:`_solve`).  Only the method is checked: a prepared side's rows are finite.  The
+    map holds the two sides' train means; ``meta`` fills its descriptive fields
+    (``source_model``, ``target_model``, ``seed``), which only a map that is saved needs.
     """
-    w = fit_map(source.train, target.train, method, alpha)
+    check_method(method, alpha)
+    w = _solve(source.train, target.train, method, alpha)
     return AlignmentMap(w, source.mean, target.mean, len(source.train), method,
                         alpha=alpha if method == "ridge" else 0.0, **meta)
 
@@ -325,14 +330,25 @@ class Pairing:
 
     def sides(self, train=slice(None), test=None):
         """The source and target :func:`prepare_side` of the shared rows ``train`` and ``test``."""
-        return tuple(prepare_side(s.rows, r[train], None if test is None else r[test])
-                     for s, r in ((self.source, self.ra), (self.target, self.rb)))
+        return self._gather(prepare_side, train, test)
 
     def unit_rows(self, rows=slice(None)):
         """The unit source and target rows (float64) of the shared rows ``rows``, each gathered
         straight into its one float64 array (:func:`prep.gather_unit_rows`)."""
-        return (gather_unit_rows(self.source.rows, self.ra[rows]),
-                gather_unit_rows(self.target.rows, self.rb[rows]))
+        return self._gather(gather_unit_rows, rows)
+
+    def _gather(self, gather, *parts):
+        """``gather(set rows, *indexes)`` of the source's, then the target's, shared rows
+        ``parts``; an all-zero row is named by its position k, not among the gathered rows."""
+        out = []
+        for s, r in ((self.source, self.ra), (self.target, self.rb)):
+            try:
+                out.append(gather(s.rows, *(p if p is None else r[p] for p in parts)))
+            except DegenerateRowError as exc:  # a rounding-level test row has no zero row
+                at = np.concatenate([np.arange(len(r))[p] for p in parts if p is not None])
+                dead = [k for k in at.tolist() if not s.rows[r[k]].any()]
+                raise (DegenerateRowError(dead[0]) if dead else exc) from None
+        return tuple(out)
 
     def seed_maps(self, method: str, alpha: float, fraction: float, seeds, amap=None, project=None):
         """Per seed, when it is asked for, ``(seed, split, amap, (x, y), codes)``.
@@ -358,14 +374,10 @@ class Pairing:
 def pair_sets(source: EmbeddingSet, target: EmbeddingSet) -> Pairing:
     """The :class:`Pairing` of the images two sets share.
 
-    Rows pair in lexicographic id order (:func:`embedstore.shared_rows`).  The first all-zero
-    shared row of ``source``, else of ``target``, is a ``DegenerateRowError`` naming its position.
+    Rows pair in lexicographic id order (:func:`embedstore.shared_rows`).  No row is read: an
+    all-zero shared row is refused where :class:`Pairing` gathers it, named by its position.
     """
     ra, rb = shared_rows(source, target)
-    for s, index in ((source, ra), (target, rb)):
-        dead = np.flatnonzero(~s.rows.any(axis=1)[index])
-        if dead.size:
-            raise DegenerateRowError(int(dead[0]))
     return Pairing(source, target, [source.labels[i] for i in ra], np.array(ra), np.array(rb))
 
 

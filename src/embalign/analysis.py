@@ -111,9 +111,8 @@ def _score_pair(queued, method, alpha):
     """A queued pair's cells as ``[(cell, Rank-1, or None where it failed), ...]``, in order.
 
     A self procrustes cell scores its side with no map, and cell (j, i) the
-    transpose of the procrustes map of (i, j) where that fit succeeded.  Every
-    other cell scores the map array :func:`align.fit_map` fits on the train rows
-    of its two sides.
+    transpose of the procrustes map of (i, j) where that fit succeeded; every
+    other cell the map array :func:`align._solve` fits on its sides' train rows.
     """
     cells, prepared, codes = queued
     forward = None  # the procrustes map array i -> j of this pair
@@ -125,7 +124,7 @@ def _score_pair(queued, method, alpha):
             elif forward is not None:  # (a, b) is (j, i)
                 w = forward.T
             else:
-                w = align.fit_map(prepared[a].train, prepared[b].train, method, alpha)
+                w = align._solve(prepared[a].train, prepared[b].train, method, alpha)
                 if method == "procrustes" and a < b:
                     forward = w
             values.append(((a, b), map_rank1(prepared[a].test, prepared[b], codes, w)))
@@ -146,13 +145,13 @@ def build_compatibility_matrix(
     Cells score the aligned side only, through :func:`ident_eval.map_rank1`,
     so a cell is the aligned Rank-1 mean that
     :func:`ident_eval.evaluate_identification` reports for its pair.  Each
-    unordered pair i <= j is paired once (:func:`align.pair_sets`;
-    a shared all-zero row fails both cells), and each seed's split is made
-    once per label list.  The matrix then runs seed by seed.  Per seed,
-    each model's side is prepared once (:func:`align.prepare_side`): its
-    shared rows gathered from the set, normalized, split and centered with
-    the training mean.  A model holds one side at a time, rebuilt when a
-    pair shares other rows of it.  The sides are prepared whole on the main
+    unordered pair i <= j is paired once (:func:`align.pair_sets`), and each
+    seed's split is made once per label list.  The matrix then runs seed by
+    seed.  Per seed, each model's side is prepared once
+    (:func:`align.prepare_side`): its shared rows gathered from the set,
+    normalized, split and centered with the training mean (a shared all-zero
+    row fails it).  A model holds one side at a time, rebuilt when a pair
+    shares other rows of it.  The sides are prepared whole on the main
     thread, in pair order, so the cell threads only read them.  A side that
     fails to prepare (an ``EmbalignError``) is held as failed: it fails each
     pair of its model on those rows before any fit, and it is prepared again
@@ -165,7 +164,7 @@ def build_compatibility_matrix(
     through one map array.
     A self procrustes cell (i, i) scores its side with no map: the
     identity, an exact optimum (:mod:`align`).  Procrustes fits once per
-    unordered pair i < j per seed (:func:`align.fit_map` on the two sides'
+    unordered pair i < j per seed (:func:`align._solve` on the two sides'
     train rows): cell (j, i) scores the transpose of that map right away,
     the map of the same training rows fit from j to i (:mod:`align`), and
     fits its own map where (i, j) failed.  Linear and ridge are directional
@@ -339,8 +338,8 @@ def training_size_sweep(
     Per seed the base split defines the train identity pool and the test
     pool; each sweep fraction keeps a nested deterministic prefix of a
     shuffled pool.  Each point prepares both sides of its split once
-    (:meth:`align.Pairing.sides`); each method fits its map array on their
-    train rows (:func:`align.fit_map`) and reads its aligned Rank-1 with
+    (:meth:`align.Pairing.sides`); each method solves for its map array on
+    their train rows (:func:`align._solve`) and reads its aligned Rank-1 with
     :func:`ident_eval.map_rank1`, as the matrix does.  The shared labels
     are factorized once; each seed reads its test codes, its identity pool
     and each point's train rows from those codes.  Returns per-point
@@ -379,7 +378,7 @@ def training_size_sweep(
             train = split.train_rows[np.isin(train_codes, pool[order[:n_ids]])]
             a, b = pairing.sides(train, split.test_rows)
             for method in methods:
-                w = align.fit_map(a.train, b.train, method, alpha)
+                w = align._solve(a.train, b.train, method, alpha)
                 points.append(
                     {
                         "method": method,

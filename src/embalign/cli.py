@@ -200,6 +200,7 @@ def cmd_eval_verif(args):
         raise ArgumentError("--genuine-cap/--impostor-cap: only the cross protocol "
                             "(--train-source/--train-target) caps its pairs")
     seeds = _seed_list(args)
+    caps = splits.check_pair_caps((args.genuine_cap, args.impostor_cap)) if cross else None
     train = (args.train_source, args.train_target) if cross else ()
     with _hashing(_set_files(args, args.source, args.target, *train)) as hashes:
         a = _load(args.source, args.format)
@@ -207,8 +208,7 @@ def cmd_eval_verif(args):
         amap = _cross_map(args) if cross else None
         report = verif_eval.evaluate_verification(
             a, b, method=args.method, seeds=seeds, fraction=args.train_frac, alpha=args.alpha,
-            pair_caps=(args.genuine_cap, args.impostor_cap) if cross else None, amap=amap,
-            symmetric_score=args.symmetric_score,
+            pair_caps=caps, amap=amap, symmetric_score=args.symmetric_score,
         )
         _write_report(args, "verification_report.json", "verification", report.to_dict(),
                       hashes)

@@ -16,7 +16,7 @@ ties broken by ascending gallery index, as a stable descending sort
 would order them.  Entries scored -inf count as removed from the
 gallery: they are never relevant and never outrank anything (the
 exclude-self protocol removes each query's own image this way).  NaN
-and +inf scores are rejected with ``DataError``.
+and +inf are refused only in a score matrix from outside (:func:`_checked`).
 
 The kernel computes the ranks of the relevant items only (same label,
 scored above -inf).  It groups the gallery by label once per evaluation
@@ -121,10 +121,11 @@ def _check_labels(scores, q_labels, g_labels):
     return scores, codes[: len(q_labels)], codes[len(q_labels):]
 
 
-def _check_finite(block):
-    # max() is NaN if any entry is NaN, so one reduction catches NaN and +inf
-    if block.size and not block.max() < np.inf:
+def _checked(scores):
+    # an outside score matrix as _ranked's one chunk; a NaN or +inf max fails `< np.inf`
+    if scores.size and not scores.max() < np.inf:
         raise DataError("scores contain NaN or +inf (only -inf, meaning removed, is allowed)")
+    yield 0, scores
 
 
 def _mean(values) -> float:
@@ -195,7 +196,6 @@ def _ranked(chunks, q_codes, g_codes, exclude_self=False, with_ap=False):
     starts = np.cumsum(counts) - counts
     items = np.argsort(g_codes, kind="stable")
     for start, chunk in chunks:
-        _check_finite(chunk)
         for lo in range(start, start + len(chunk), step):
             block = chunk[lo - start:lo - start + step]
             hi = lo + len(block)
@@ -246,7 +246,7 @@ def rank_k_accuracy(scores, q_labels, g_labels, k: int) -> float:
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
     if not 1 <= k <= len(g_codes):
         raise ArgumentError(f"k={k} outside [1, {len(g_codes)}]")
-    first, _ = _ranked([(0, scores)], q_codes, g_codes)
+    first, _ = _ranked(_checked(scores), q_codes, g_codes)
     return _mean(first <= k)
 
 
@@ -257,7 +257,7 @@ def mean_average_precision(scores, q_labels, g_labels) -> float:
     the exclude-self protocol variant).
     """
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
-    first, aps = _ranked([(0, scores)], q_codes, g_codes, with_ap=True)
+    first, aps = _ranked(_checked(scores), q_codes, g_codes, with_ap=True)
     _require_relevant(first <= len(g_codes))
     return _mean(aps)
 
@@ -267,7 +267,7 @@ def cmc_curve(scores, q_labels, g_labels, max_rank: int = CMC_MAX_RANK):
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
     if max_rank > len(g_codes):
         raise ArgumentError(f"max_rank {max_rank} exceeds gallery size {len(g_codes)}")
-    first, _ = _ranked([(0, scores)], q_codes, g_codes)
+    first, _ = _ranked(_checked(scores), q_codes, g_codes)
     _require_relevant(first <= len(g_codes))
     return _cmc(first, max_rank)
 
@@ -335,7 +335,7 @@ def _seed_metrics(chunks, q_codes, g_codes, max_rank, seed, exclude_self):
 def _metrics_from_scores(scores, q_labels, g_labels, max_rank, seed, exclude_self):
     """One seed's metrics from a score matrix, ranked as a single chunk."""
     scores, q_codes, g_codes = _check_labels(scores, q_labels, g_labels)
-    return _seed_metrics([(0, scores)], q_codes, g_codes, max_rank, seed, exclude_self)
+    return _seed_metrics(_checked(scores), q_codes, g_codes, max_rank, seed, exclude_self)
 
 
 def _metrics_from_rows(queries, gallery, q_codes, g_codes, max_rank, seed, exclude_self):
@@ -412,8 +412,7 @@ def map_rank1(x_test, target, codes, w) -> float:
     :func:`evaluate_identification`.  The kernel's other cases cannot
     occur: every query's own image is in the gallery; no item is removed
     (no -inf score); every score is the cosine of two finite unit rows
-    (:class:`EmbeddingSet` and :class:`align.AlignmentMap` refuse
-    non-finite values, :func:`prep._unit_rows` an all-zero row); and a
+    (:func:`prep._unit_rows` made both), so none is NaN or +inf; and a
     split keeps at least one test identity.
     """
     hits = np.zeros(len(codes), dtype=bool)

@@ -42,7 +42,8 @@ def canonical_json(obj) -> str:
 
 
 def atomic_write(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file, which a failure removes."""
+    """Write ``data`` to ``path`` through a temporary file, which a failure removes; the
+    ``IoError`` of a failure names ``path``, not the temporary file."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
@@ -51,7 +52,7 @@ def atomic_write(path: str, data: bytes) -> None:
     except OSError as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise IoError(str(exc)) from exc
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def file_sha256(path: str) -> str:

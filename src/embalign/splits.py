@@ -51,13 +51,17 @@ def check_count(count, what: str) -> int:
 def check_pair_caps(caps):
     """``None``, or ``caps`` as a ``(genuine, impostor)`` couple of :func:`check_count` ints.
 
-    Anything else (a number, a string, one or three counts) is an ``ArgumentError``.
+    Anything else (a number, a string, one or three counts, or a zero count, from which no ROC
+    is drawn) is an ``ArgumentError``.
     """
     if caps is None:
         return None
     if not isinstance(caps, (tuple, list)) or len(caps) != 2:
         raise ArgumentError(f"pair caps must be two pair counts, got {caps!r}")
-    return tuple(check_count(c, "pair caps") for c in caps)
+    caps = tuple(check_count(c, "pair caps") for c in caps)
+    if 0 in caps:
+        raise ArgumentError(f"pair caps must be positive, got {caps}: a ROC needs both classes")
+    return caps
 
 
 def check_seeds(seeds) -> list:

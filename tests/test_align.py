@@ -18,6 +18,7 @@ from embalign import (
     training_residual,
 )
 from embalign import ident_eval, intersect_on_images, verif_eval
+from embalign.analysis import build_compatibility_matrix, training_size_sweep
 from embalign.align import DEFAULT_RIDGE_ALPHA, METHODS, PINV_RTOL, fit_map, project
 from embalign.embedstore import EmbeddingSet
 from embalign.errors import (
@@ -66,8 +67,38 @@ def test_procrustes_orthogonality():
 
 
 def test_procrustes_rejects_nonfinite():
-    with pytest.raises(DataError):
-        fit_map(np.array([[np.inf, 0.0]]), np.ones((1, 2)), "procrustes")
+    # every method, on either input: ridge's DataError is all that keeps scipy's raw
+    # ValueError from escaping
+    rng = np.random.default_rng(3)
+    for method in METHODS:
+        for side in (0, 1):
+            for bad in (np.nan, np.inf, -np.inf):
+                rows = [rng.standard_normal((6, 3)), rng.standard_normal((6, 2))]
+                rows[side][4, 1] = bad
+                with pytest.raises(DataError, match="non-finite training data"):
+                    fit_map(*rows, method)
+
+
+def test_only_arrays_from_outside_are_scanned_for_non_finite_values(small_views):
+    # the rows of a prepared side are finite (EmbeddingSet refuses a non-finite value,
+    # prepare_side makes unit rows of it and subtracts their finite mean), so no fit of a
+    # prepared side scans them again: not the matrix, the sweep, either evaluation or the
+    # cross protocol's map; fit_map scans each outside pair of arrays once
+    v0, v1 = small_views
+    with mock.patch.object(align, "_check_train", wraps=align._check_train) as scan, \
+            mock.patch.object(align, "_solve", wraps=align._solve) as solve:
+        build_compatibility_matrix([v0, v1], method="linear", seeds=(0, 1))
+        training_size_sweep(v0, v1, [0.5, 1.0], seeds=(0,), methods=("ridge", "procrustes"))
+        evaluate_verification(v0, v1, "procrustes", seeds=(0, 1))
+        evaluate_identification(v0, v1, "linear", seeds=(0,))
+        amap = align.fit_sides(*align.pair_sets(v0, v1).sides(), "ridge")
+        evaluate_verification(v0, v1, seeds=(0,), amap=amap, pair_caps=(40, 40))
+        assert scan.call_count == 0
+        assert solve.call_count == 4 * 2 + 2 * 2 + 2 + 1 + 1
+        x, y = align.pair_sets(v0, v1).sides()
+        for method in METHODS:
+            fit_map(x.train, y.train, method)
+        assert scan.call_count == len(METHODS)
 
 
 def test_linear_scaling_case():

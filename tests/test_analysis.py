@@ -309,7 +309,7 @@ def _cell(made, source, target):
     """(source model, target model, seed) of a cell that fits or scores ``source`` into ``target``.
 
     Each of the two is a prepared side, or its train or test rows: ``map_rank1`` takes the
-    source's test rows and the target side, ``fit_map`` the train rows of both.
+    source's test rows and the target side, ``_solve`` the train rows of both.
     """
     def named(rows):
         (name_seed,) = [(name, seed) for side, name, seed in made
@@ -417,7 +417,7 @@ def test_compatibility_matrix_equals_identification_over_mixed_widths(method):
         _subset(embed_view(cloud, 24, 34, noise=0.8), "part", range(50, 200)),
     ]
     seeds, m = (0, 1), len(sets)
-    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+    with mock.patch.object(align, "_solve", wraps=align._solve) as fit:
         cm = build_compatibility_matrix(sets, method=method, seeds=seeds, alpha=0.5)
     # procrustes fits each unordered pair i < j once per seed (a self cell is the
     # identity map); regressions fit every cell
@@ -434,7 +434,7 @@ def test_compatibility_matrix_equals_identification_over_mixed_widths(method):
 def _cell_seams():
     """Mock the side preparation, the fit and the (cell, seed) scoring of the matrix."""
     with mock.patch.object(align, "prepare_side") as prep, \
-            mock.patch.object(align, "fit_map") as fit, \
+            mock.patch.object(align, "_solve") as fit, \
             mock.patch.object(analysis, "map_rank1") as cell:
         yield prep, fit, cell
 
@@ -482,7 +482,7 @@ def test_all_missing_matrix_warns_nothing(small_views):
 def _failing(monkeypatch, sets, seeds, module, seam, cell, exc):
     """Make the call of ``module.seam`` for ``cell``, a (source, target, seed), raise ``exc``.
 
-    ``seam`` is ``fit_map`` or ``map_rank1``: the first takes the train rows of the source
+    ``seam`` is ``_solve`` or ``map_rank1``: the first takes the train rows of the source
     and the target side, the second the source's test rows and the target side.
     Returns the list of the cells of every call, the failing one included.
     """
@@ -509,7 +509,7 @@ def test_compatibility_matrix_protocol_error_is_missing_cell(small_views, monkey
 
 @pytest.mark.parametrize("module, seam, cell, missing", [
     # the seed-1 fit of m0 -> m1: m1 -> m0 scores the seed-0 transpose and fits seed 1 itself
-    (align, "fit_map", ("m0", "m1", 1), (0, 1)),
+    (align, "_solve", ("m0", "m1", 1), (0, 1)),
     # the seed-0 scoring of m1 -> m0, after m0 -> m1 scored that seed; at seed 1
     # m0 -> m1 fits its map and m1 -> m0 is evaluated no further
     (analysis, "map_rank1", ("m1", "m0", 0), (1, 0)),
@@ -519,8 +519,8 @@ def test_compatibility_matrix_pair_cells_fail_on_their_own(small_views, monkeypa
     sets, seeds = list(small_views), (0, 1)
     want = [[100.0 * evaluate_identification(a, b, seeds=seeds).summary["rank_k"]["1"]["mean"]
              for b in sets] for a in sets]
-    fit = mock.Mock(wraps=align.fit_map)  # counts the fits that run, not the failed one
-    monkeypatch.setattr(align, "fit_map", fit)
+    fit = mock.Mock(wraps=align._solve)  # counts the fits that run, not the failed one
+    monkeypatch.setattr(align, "_solve", fit)
     calls = _failing(monkeypatch, sets, seeds, module, seam, cell, NumericalError("injected"))
     cm = build_compatibility_matrix(sets, seeds=seeds)
     assert calls.count(cell) == 1
@@ -615,7 +615,7 @@ def _inject_failures(monkeypatch):
     the seed fixes how often that cell ran before: at most once a seed.
     """
     calls, failing = Counter(), {("side", 16): 2, ("fit", 40, 24): 2, ("score", 24, 12): 3}
-    prepare, fit, score = align.prepare_side, align.fit_map, analysis.map_rank1
+    prepare, fit, score = align.prepare_side, align._solve, analysis.map_rank1
 
     def fails(*key):
         calls[key] += 1
@@ -637,7 +637,7 @@ def _inject_failures(monkeypatch):
         return score(x_test, target, *args)
 
     monkeypatch.setattr(align, "prepare_side", failing_prepare)
-    monkeypatch.setattr(align, "fit_map", failing_fit)
+    monkeypatch.setattr(align, "_solve", failing_fit)
     monkeypatch.setattr(analysis, "map_rank1", failing_score)
 
 
@@ -697,8 +697,8 @@ def test_a_side_that_fails_to_prepare_is_never_fit(monkeypatch):
     # no pair of the constant model fits a map into or out of it
     sets = _views_and_constant()
     fits = []
-    real_fit = align.fit_map
-    monkeypatch.setattr(align, "fit_map",
+    real_fit = align._solve
+    monkeypatch.setattr(align, "_solve",
                         lambda x, y, *args: fits.append((x, y)) or real_fit(x, y, *args))
     got = build_compatibility_matrix(sets, seeds=(0,)).rank1
     assert fits and not [f for f in fits if 4 in (f[0].shape[1], f[1].shape[1])]
@@ -740,7 +740,7 @@ def test_matrix_and_sweep_fit_map_arrays_and_build_no_alignment_map(method):
     # read its w
     sets, seeds, m = _views_and_constant(), (0, 1), 3  # m models whose sides prepare
     with mock.patch.object(align, "AlignmentMap", wraps=align.AlignmentMap) as amap, \
-            mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+            mock.patch.object(align, "_solve", wraps=align._solve) as fit:
         cm = build_compatibility_matrix(sets, method=method, seeds=seeds, alpha=0.5)
         fits = fit.call_count
         table = training_size_sweep(sets[0], sets[1], [0.5, 1.0], seeds=seeds,
@@ -801,7 +801,7 @@ def test_compatibility_matrix_prepares_each_side_once_per_seed(m, seeds):
     # views of the same images share every pair's rows: one side per model and seed
     sets = _same_image_views(m)
     with mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prep, \
-            mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+            mock.patch.object(align, "_solve", wraps=align._solve) as fit:
         cm = build_compatibility_matrix(sets, seeds=seeds)
     assert prep.call_count == m * len(seeds)
     assert fit.call_count == m * (m - 1) // 2 * len(seeds)
@@ -822,7 +822,7 @@ def test_compatibility_matrix_fits_only_its_off_diagonal_pairs():
         return real(x_test, target, codes, w)
 
     for method, fits in (("procrustes", m * (m - 1) // 2), ("linear", m * m)):
-        with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit, \
+        with mock.patch.object(align, "_solve", wraps=align._solve) as fit, \
                 mock.patch.object(analysis, "map_rank1", wraps=real) as cell:
             cm = build_compatibility_matrix(sets, method=method, seeds=seeds)
         assert fit.call_count == fits * len(seeds), method
@@ -956,7 +956,7 @@ def test_sweep_rejects_repeats(small_views, kwargs, message):
     # gave an empty sweep
     args = {"fractions": [0.5, 1.0], "seeds": (0,), "methods": ("procrustes",), **kwargs}
     with mock.patch.object(align, "prepare_side") as prepare, \
-            mock.patch.object(align, "fit_map") as fit:
+            mock.patch.object(align, "_solve") as fit:
         with pytest.raises(ArgumentError, match=message):
             training_size_sweep(*small_views, **args)
     prepare.assert_not_called()
@@ -967,7 +967,7 @@ def test_sweep_rejects_repeats(small_views, kwargs, message):
                                             (("linear", "ridge"), 0.0)])
 def test_sweep_checks_every_method_before_the_first_fit(small_views, methods, alpha):
     with mock.patch.object(align, "prepare_side") as prepare, \
-            mock.patch.object(align, "fit_map") as fit:
+            mock.patch.object(align, "_solve") as fit:
         with pytest.raises(ConsistencyError):
             training_size_sweep(*small_views, [1.0], seeds=(0,), methods=methods, alpha=alpha)
     prepare.assert_not_called()
@@ -1082,7 +1082,7 @@ def test_sweep_prepares_each_point_once(small_views, methods):
     # both sides of a (seed, fraction) point are prepared once, whatever the
     # number of methods fit and scored on them
     with mock.patch.object(align, "prepare_side", wraps=align.prepare_side) as prepare, \
-            mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit:
+            mock.patch.object(align, "_solve", wraps=align._solve) as fit:
         table = training_size_sweep(*small_views, [0.5, 1.0], seeds=(0, 3), methods=methods)
     assert prepare.call_count == 2 * 2 * 2
     assert fit.call_count == len(table["points"]) == 2 * 2 * len(methods)

@@ -25,6 +25,7 @@ STUB_MANIFEST = {
     "csv": [f"csv/view{v}.csv" for v in range(2)],
     "constant": "constant/constant.emb",
     "near_constant": "near_constant/near_constant.emb",
+    "zero_row": ["zero_row/zero_row.emb", "zero_row/lacking.emb"],
 }
 
 

@@ -8,6 +8,7 @@ import threading
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from embalign import (
@@ -175,7 +176,7 @@ def test_library_cross_protocol_equals_the_cli(synth_dir, tmp_path):
     v0, v1, v2 = (load_embeddings(str(synth_dir / f"view{k}.emb"), model_name=f"view{k}")
                   for k in range(3))
     amap = fit_alignment(*unit_pair(v0, v2)[1:], "linear")
-    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as spy:
+    with mock.patch.object(align, "_solve", wraps=align._solve) as spy:
         rep = evaluate_verification(v0, v1, seeds=(0, 1), amap=amap, pair_caps=(200, 200))
     assert spy.call_count == 0
     doc = json.loads((tmp_path / "verification_report.json").read_text())
@@ -645,7 +646,7 @@ def repeated_seed_commands(synth_dir, out):
 def test_repeated_seed_is_clean_error(synth_dir, tmp_path, capsys, command):
     # seed 3 used to run twice and enter the mean and std twice
     out = tmp_path / "out"
-    with mock.patch.object(align, "fit_map") as fit:
+    with mock.patch.object(align, "_solve") as fit:
         assert run(*repeated_seed_commands(synth_dir, str(out))[command]) == 1
     fit.assert_not_called()
     err = capsys.readouterr().err
@@ -838,3 +839,101 @@ def test_parsed_arguments_are_pinned(argv):
     parsed = vars(build_parser().parse_args(list(argv)))
     assert parsed.pop("func").__name__ == "cmd_" + argv[0].replace("-", "_")
     assert parsed == {"command": argv[0], **PARSED_DEFAULTS[argv]}
+
+
+# --- inputs refused where they enter ------------------------------------------
+
+@pytest.mark.parametrize("caps, message", [
+    (("0", "5"), "pair caps must be positive"),
+    (("5", "0"), "pair caps must be positive"),
+    (("-1", "5"), "pair caps must be nonnegative"),
+])
+def test_eval_verif_cross_checks_its_pair_caps_before_loading(synth_dir, tmp_path, capsys,
+                                                              caps, message):
+    # a bad cap used to be refused only after the cross map was fit, and a zero cap only
+    # when the ROC found no scores of one class
+    out = tmp_path / "out"
+    with mock.patch.object(embedstore, "load_embeddings") as load, \
+            mock.patch.object(align, "_solve") as fit:
+        code = eval_verif(synth_dir, out, "--train-source", str(synth_dir / "view0.emb"),
+                          "--train-target", str(synth_dir / "view2.emb"),
+                          "--genuine-cap", caps[0], "--impostor-cap", caps[1])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("embalign: error: ") and message in err
+    load.assert_not_called()
+    fit.assert_not_called()
+    assert not out.exists()
+
+
+def test_a_failed_write_names_the_path_given(synth_dir, tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "m.map"
+    code = run("fit", "--source", str(synth_dir / "view0.emb"),
+               "--target", str(synth_dir / "view1.emb"), "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"embalign: error: cannot write {out}: No such file or directory\n"
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def _with_zero_row(synth_dir, tmp_path, row):
+    """A copy of the first synth view, under its own name, whose ``row`` is all zero."""
+    view = load_embeddings(str(synth_dir / "view0.emb"))
+    rows = view.rows.copy()
+    rows[row] = 0.0
+    os.makedirs(tmp_path / f"zero{row}", exist_ok=True)
+    path = str(tmp_path / f"zero{row}" / "zero.emb")
+    embedstore.save_embeddings(embedstore.EmbeddingSet("zero", view.dataset_name, rows,
+                                                       view.image_ids, view.labels), path)
+    return path
+
+
+def test_a_zero_shared_row_is_refused_where_it_is_gathered(synth_dir, tmp_path, capsys):
+    # the synth ids sort in row order, so a row's pairing position is its row index
+    row = 7
+    zero = _with_zero_row(synth_dir, tmp_path, row)
+    v1, v2 = (str(synth_dir / f"view{v}.emb") for v in (1, 2))
+    caps = ["--genuine-cap", "50", "--impostor-cap", "50"]
+    # an evaluation gathers each seed's train or test rows, the cross protocol every shared
+    # row of both pairs; each names the row by its pairing position, not among the gathered
+    cases = [
+        ["eval-id", "--source", zero, "--target", v1],
+        ["eval-verif", "--source", zero, "--target", v1],
+        ["eval-verif", "--source", v1, "--target", v2, "--train-source", zero,
+         "--train-target", v2, *caps],
+        ["eval-verif", "--source", zero, "--target", v1, "--train-source", v1,
+         "--train-target", v2, *caps],
+        ["sweep", "--source", zero, "--target", v1, "--fractions", "1.0"],
+    ]
+    for k, argv in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        assert run(*argv, "--seeds", "0", "--out-dir", str(out)) == 1, argv
+        assert capsys.readouterr().err == f"embalign: error: zero-norm row at index {row}\n", argv
+        assert not out.exists()
+    # every cell of a pair that shares the row is missing, the zero model's self cell too
+    assert run("matrix", "--inputs", zero, v1, v2, "--seeds", "0",
+               "--out-dir", str(tmp_path / "matrix")) == 0
+    rank1 = json.loads((tmp_path / "matrix" / "compatibility_matrix.json").read_text())
+    got = [[v is not None for v in r] for r in rank1["metrics"]["rank1"]]
+    assert got == [[False] * 3, [False, True, True], [False, True, True]]
+
+
+def test_fit_and_sweep_pass_a_zero_row_they_never_gather(synth_dir, tmp_path):
+    # the pairing no longer reads every shared row: a zero test row does not stop a fit on
+    # the train rows, nor a zero train row the sweep points whose fractions leave it out
+    v1 = str(synth_dir / "view1.emb")
+    labels = list(load_embeddings(v1).labels)
+    split = splits.identity_disjoint_split(labels, 0.7, 0)
+    zero = _with_zero_row(synth_dir, tmp_path, int(split.test_rows[0]))
+    assert run("fit", "--source", zero, "--target", v1, "--out", str(tmp_path / "m.map")) == 0
+    assert load_map(str(tmp_path / "m.map")).n_train == len(split.train_rows)
+    assert run("eval-id", "--source", zero, "--target", v1, "--seeds", "0",
+               "--out-dir", str(tmp_path / "id")) == 1
+    # the last identity of the seed's shuffled train pool: a point at fraction 0.25 leaves it out
+    codes = splits.label_codes(labels)
+    pool = np.unique(codes[split.train_rows])
+    left_out = pool[splits._rng(analysis._TAG_SWEEP, 0).permutation(len(pool))[-1]]
+    zero = _with_zero_row(synth_dir, tmp_path, int(np.flatnonzero(codes == left_out)[0]))
+    sweep = ["sweep", "--source", zero, "--target", v1, "--seeds", "0", "--methods", "linear"]
+    assert run(*sweep, "--fractions", "0.25", "--out-dir", str(tmp_path / "quarter")) == 0
+    assert run(*sweep, "--fractions", "0.25,1.0", "--out-dir", str(tmp_path / "all")) == 1

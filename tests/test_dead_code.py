@@ -15,6 +15,8 @@ KEEP = {
     "verif_eval.auc", "verif_eval.eer", "verif_eval.tmr_at_fmr",
     # the reader of the map files `fit` writes
     "align.load_map",
+    # the checked fitter of arrays from outside; a prepared side's rows skip its scan
+    "align.fit_map",
     # the per-seed fit diagnostics planned in ROADMAP.md report the training residual
     "align.training_residual",
     # the chunked-evaluation tests compare each seed's metrics against it

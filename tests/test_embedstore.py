@@ -606,17 +606,25 @@ def test_pairing_unit_rows_equal_the_free_function(sets, data):
     order = data.draw(st.permutations(range(a.n)))
     permuted = make_set(twin.rows[order], [a.image_ids[i] for i in order],
                         [a.labels[i] for i in order], "p")
+    # an all-zero shared row is refused where it is gathered, as the free function refuses
+    # it (the source's rows first), but named by its pairing position: rows[j], not j
+    def outcome(unit_rows, *args, at=None):
+        try:
+            return [(u.dtype, u.shape, u.tobytes()) for u in unit_rows(*args)]
+        except DegenerateRowError as exc:
+            if at is None:
+                return DegenerateRowError, exc.row_index, str(exc)
+            k = int(at[exc.row_index])
+            return DegenerateRowError, k, str(DegenerateRowError(k))
+
     for source, target in ((a, b), (b, a), (a, twin), (a, permuted)):
         try:
             pairing = pair_sets(source, target)
-        except (DegenerateRowError, EmptyIntersectionError, LabelConflictError):
+        except (EmptyIntersectionError, LabelConflictError):
             continue
         n = len(pairing.labels)
         rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.intp)
-        for got, want in (
-            (pairing.unit_rows(), ref_unit_rows(source, target, pairing.ra, pairing.rb)),
-            (pairing.unit_rows(rows),
-             ref_unit_rows(source, target, pairing.ra[rows], pairing.rb[rows])),
-        ):
-            assert [(u.dtype, u.shape, u.tobytes()) for u in got] == \
-                [(u.dtype, u.shape, u.tobytes()) for u in want]
+        ra, rb = pairing.ra, pairing.rb
+        assert outcome(pairing.unit_rows) == outcome(ref_unit_rows, source, target, ra, rb)
+        assert outcome(pairing.unit_rows, rows) == \
+            outcome(ref_unit_rows, source, target, ra[rows], rb[rows], at=rows)

@@ -14,6 +14,7 @@ from embalign import (
     score_matrix,
 )
 from embalign import align, ident_eval
+from embalign.analysis import build_compatibility_matrix
 from embalign.errors import (
     ArgumentError,
     ConsistencyError,
@@ -31,9 +32,10 @@ from conftest import aligned_rank1, fit_alignment
 # --- the evaluation's rank kernels on one score matrix ---------------------
 
 def first_hit_ranks(scores, q_labels, g_labels):
-    """``_ranked``'s 1-based first-hit rank per query (``n_gallery + 1`` for none)."""
+    """``_ranked``'s 1-based first-hit rank per query (``n_gallery + 1`` for none), of a score
+    matrix handed in as the public metrics hand it (``_checked``)."""
     scores, q_codes, g_codes = ident_eval._check_labels(scores, q_labels, g_labels)
-    return ident_eval._ranked([(0, scores)], q_codes, g_codes)[0]
+    return ident_eval._ranked(ident_eval._checked(scores), q_codes, g_codes)[0]
 
 
 def _map_rank1(queries, gallery, labels):
@@ -697,6 +699,41 @@ def test_non_finite_scores_raise(metric, bad):
 @pytest.mark.parametrize("metric", METRICS)
 def test_minus_inf_is_allowed(metric):
     metric(np.array([[-np.inf, 0.9, 0.5], [0.2, 0.8, 0.1]]), ["a", "b"], ["b", "b", "a"])
+
+
+def test_non_finite_scores_are_refused_in_the_order_of_the_checks():
+    # shapes first, then k, max_rank and exclude_self, then NaN or +inf, then relevance
+    nan = np.array([[0.9, np.nan], [0.2, 0.1]])
+    labels, strangers = ["a", "b"], ["c", "d"]
+    refused = [
+        (ConsistencyError, lambda: rank_k_accuracy(nan, labels, ["a"], 1)),
+        (ArgumentError, lambda: rank_k_accuracy(nan, labels, labels, 3)),
+        (ArgumentError, lambda: cmc_curve(nan, labels, labels, 3)),
+        (ConsistencyError, lambda: _metrics_from_scores(nan[:1], ["a"], labels, 2, 0, True)),
+        (DataError, lambda: mean_average_precision(nan, labels, strangers)),
+        (DataError, lambda: cmc_curve(nan, labels, strangers, 2)),
+        (DataError, lambda: _metrics_from_scores(nan, labels, strangers, 2, 0, False)),
+        (DataError, lambda: _metrics_from_scores(nan, labels, labels, 3, 0, False)),
+    ]
+    for error, call in refused:
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error
+
+
+def test_only_score_matrices_from_outside_are_scanned(small_views):
+    # the evaluation's scores are cosines of finite unit rows: neither it nor a matrix cell
+    # scans them; each public metric scans the matrix it is handed once
+    with mock.patch.object(ident_eval, "_checked", wraps=ident_eval._checked) as scan:
+        evaluate_identification(*small_views, seeds=(0,), exclude_self=True)
+        build_compatibility_matrix(list(small_views), seeds=(0,))
+        assert scan.call_count == 0
+        scores, labels = np.eye(3), ["a", "b", "a"]
+        rank_k_accuracy(scores, labels, labels, 1)
+        mean_average_precision(scores, labels, labels)
+        cmc_curve(scores, labels, labels, 2)
+        _metrics_from_scores(scores, labels, labels, 2, 0, False)
+    assert scan.call_count == 4
 
 
 def test_minus_inf_means_removed():

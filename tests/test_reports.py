@@ -332,6 +332,19 @@ def test_hashing_an_unreadable_input_is_an_io_error(tmp_path):
         reports.file_sha256(str(tmp_path))  # a directory
 
 
+def test_a_failed_write_names_the_path_given_and_leaves_no_file(tmp_path):
+    # the error used to name the temporary file, "<path>.tmp"
+    path = str(tmp_path / "missing_dir" / "m.map")
+    with pytest.raises(IoError) as err:
+        reports.atomic_write(path, b"data")
+    assert str(err.value) == f"cannot write {path}: No such file or directory"
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(IoError, match=f"cannot write {taken}: "):
+        reports.atomic_write(str(taken), b"data")
+    assert os.listdir(tmp_path) == ["taken"] and not os.listdir(taken)
+
+
 def test_beside_gives_the_value_of_its_named_thread():
     job = reports.Beside("embalign-test", lambda a, b: (threading.current_thread().name, a + b),
                          1, 2)

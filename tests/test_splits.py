@@ -19,7 +19,7 @@ from embalign import (
 from embalign.errors import ArgumentError, DegenerateDataError
 from embalign.splits import (
     _TAG_GENUINE_CAP, _TAG_IMPOSTOR, _TAG_SPLIT, SplitSpec, _merged, _pair_counts, _rng,
-    check_fraction, check_seeds, label_codes,
+    check_fraction, check_pair_caps, check_seeds, label_codes,
 )
 
 
@@ -484,3 +484,15 @@ def test_merged_keys_equal_the_union1d_merge(batches):
         keys = np.array(batch, dtype=np.int64)
         found, want = _merged(found, keys), np.union1d(want, keys)
         assert found.dtype == want.dtype and found.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("caps, message", [
+    ((0, 5), "pair caps must be positive"),
+    ([5, 0], "pair caps must be positive"),
+    ((-1, 5), "pair caps must be nonnegative"),
+    ((5,), "two pair counts"),
+])
+def test_pair_caps_are_two_positive_counts(caps, message):
+    with pytest.raises(ArgumentError, match=message):
+        check_pair_caps(caps)
+    assert check_pair_caps((1, 2)) == (1, 2) and check_pair_caps(None) is None

@@ -305,6 +305,18 @@ def test_cross_protocol_pair_caps(small_views):
     assert rep.per_seed[0].n_impostor == 50
 
 
+@pytest.mark.parametrize("caps", [(0, 5), (5, 0), (0, 0)])
+def test_a_zero_pair_cap_is_refused_before_any_pair_is_drawn(small_views, caps):
+    # no ROC can be drawn from zero pairs of a class: this was a ProtocolError after the
+    # scoring, and on the CLI after the cross map's fit
+    v0, v1 = small_views
+    amap = fit_alignment(*unit_pair(v0, v1)[1:], "procrustes")
+    with mock.patch.object(align, "pair_sets") as pair, \
+            pytest.raises(ArgumentError, match="pair caps must be positive"):
+        evaluate_verification(v0, v1, seeds=(0,), amap=amap, pair_caps=caps)
+    pair.assert_not_called()
+
+
 def test_cross_protocol_method_comes_from_the_map(small_views):
     v0, v1 = small_views
     amap = fit_alignment(*unit_pair(v0, v1)[1:], "ridge", 0.5)
@@ -634,7 +646,7 @@ def test_cross_protocol_fits_once(small_views, cross, projections):
         kwargs = dict(amap=amap, pair_caps=(40, 40))
     # a fixed map fits nothing and gathers and projects the shared rows once for every
     # seed; a fitted map does each of the three once per seed
-    with mock.patch.object(align, "fit_map", wraps=align.fit_map) as fit, \
+    with mock.patch.object(align, "_solve", wraps=align._solve) as fit, \
             mock.patch.object(verif_eval, "_eval_sides", wraps=verif_eval._eval_sides) as sides, \
             mock.patch.object(align.Pairing, "unit_rows", autospec=True,
                               side_effect=align.Pairing.unit_rows) as unit:

@@ -14,7 +14,9 @@ of the identity before them (tied scores), CSV copies of the first two
 synth views, a copy of the first ``matrix-m6`` view whose every row
 is the first unit vector (a side that fails to prepare), and one whose
 every row is that view's own first row (a near-constant model: its
-centered test rows are rounding noise, and its side fails to prepare).
+centered test rows are rounding noise, and its side fails to prepare),
+and a copy of the first ``matrix-m6`` view whose first row is all zero
+beside a copy of the second that lacks that row's image.
 Reports embed the paths of their inputs, so two trees are compared
 through one shared DIR:
 
@@ -113,6 +115,7 @@ def _generate(src, inputs):
     manifest["near_constant"] = _near_constant_copy(_matrix_views(manifest["matrix-m6"])[0],
                                                     inputs)
     manifest["csv"] = [_csv_copy(p, inputs) for p in manifest["synth"][:2]]
+    manifest["zero_row"] = _zero_row_copies(_matrix_views(manifest["matrix-m6"])[:2], inputs)
     with open(os.path.join(inputs, MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
     return manifest
@@ -221,6 +224,31 @@ def _near_constant_copy(path, inputs):
     return copy
 
 
+def _zero_row_copies(paths, inputs):
+    """Write a copy of the set at ``paths[0]`` whose first row is all zero, and a copy of the set
+    at ``paths[1]`` without that row's image; return the two copies' paths.
+
+    Only the pairs that share the image fail: the zero copy with itself and
+    with every set that holds the image.  The copy that lacks the image
+    pairs with the zero copy as any two sets do.
+    """
+    from embalign.embedstore import EmbeddingSet, load_embeddings, save_embeddings
+
+    zero, other = (load_embeddings(p) for p in paths)
+    rows = zero.rows.copy()
+    rows[0] = 0.0
+    keep = [i for i, image in enumerate(other.image_ids) if image != zero.image_ids[0]]
+    directory = os.path.join(inputs, "zero_row")
+    os.makedirs(directory, exist_ok=True)
+    copies = [os.path.join(directory, f"{name}.emb") for name in ("zero_row", "lacking")]
+    save_embeddings(EmbeddingSet("zero_row", zero.dataset_name, rows, zero.image_ids,
+                                 zero.labels), copies[0])
+    save_embeddings(EmbeddingSet("lacking", other.dataset_name, other.rows[keep],
+                                 [other.image_ids[i] for i in keep],
+                                 [other.labels[i] for i in keep]), copies[1])
+    return copies
+
+
 def _csv_copy(path, inputs):
     """Write the binary set at ``path`` in the CSV format, under its own name; return the path."""
     from embalign.embedstore import load_embeddings, save_embeddings
@@ -288,6 +316,11 @@ def commands(manifest):
         # self cell, between flushes of several sizes
         ["matrix", "--inputs", *mixed, manifest["constant"], "--seeds", "0,1",
          "--out-dir", "matrix_degenerate_mixed"],
+        # an all-zero row on an image that one model lacks: every pair that shares the image
+        # (the zero model's self cell and its cells with views 2 and 3) is missing, and the
+        # pair that does not share it is scored
+        ["matrix", "--inputs", *manifest["zero_row"], *matrix_views[2:4], "--seeds", "0,1",
+         "--out-dir", "matrix_zero_row"],
         # the same images listed in another order: paired by id through a dict
         ["matrix", "--inputs", matrix_views[0], manifest["permuted"], "--method", "procrustes",
          "--seeds", "0,1", "--out-dir", "matrix_permuted"],
